@@ -1,8 +1,15 @@
 GO ?= go
 
-.PHONY: ci build vet lint verify lockcheck-mutants test race bench bench-guard equivalence trace-smoke serve-smoke prof clean
+.PHONY: ci fmt build vet lint verify lockcheck-mutants test race bench bench-compare bench-guard equivalence trace-smoke serve-smoke prof clean
 
-ci: vet lint verify lockcheck-mutants build race test equivalence bench-guard serve-smoke prof
+ci: fmt vet lint verify lockcheck-mutants build race test equivalence bench-guard serve-smoke prof
+
+# Every Go file is gofmt-clean; any file gofmt would rewrite fails CI.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "fmt: gofmt would rewrite:"; echo "$$out"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -60,16 +67,18 @@ race:
 test:
 	$(GO) test ./...
 
-# Simulator performance benchmark: the Figure 7 candidate switch shapes
-# under fixed seeded loads, request-tracing overhead rows (tracer off /
-# attached-at-rate-0 / sampled-1%), guest-profiler overhead rows
-# (bare / attached-but-disabled / enabled, on both the synthetic driver
-# and a real 8-PE machine run), plus the serial-vs-parallel engine
-# scaling matrix on a 256-port machine, written as JSON for
-# commit-over-commit comparison (speedups are only meaningful on
-# multi-core hosts; the file records host_cpus).
+# The repository's benchmark (bench/README.md, BENCHMARK.json): all six
+# workloads, untraced, one full JSON record a line on standard output.
+# Redirect it to keep a side of a comparison: make bench > NEW.jsonl
 bench:
-	$(GO) run ./cmd/netperf -bench BENCH_PR9.json
+	@$(GO) run ./bench -workload all -json
+
+# Compare two files of `make bench` records: better / worse / same /
+# unresolved per metric and workload, judged against each metric's bound
+# and the spread of the runs.   make bench-compare OLD=old.jsonl NEW=new.jsonl
+bench-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.jsonl NEW=new.jsonl"; exit 2; }
+	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 # Engine equivalence: the serial and parallel engines must produce
 # byte-identical traces, metrics, reports and final state. Run under

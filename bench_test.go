@@ -13,9 +13,12 @@ import (
 	"ultracomputer/internal/coord"
 	"ultracomputer/internal/experiments"
 	"ultracomputer/internal/machine"
+	"ultracomputer/internal/memory"
+	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/para"
 	"ultracomputer/internal/pe"
+	"ultracomputer/internal/sim"
 	"ultracomputer/internal/trace"
 )
 
@@ -289,17 +292,79 @@ func BenchmarkAblationMultiprogramming(b *testing.B) {
 // Substrate micro-benchmarks.
 // ---------------------------------------------------------------------
 
-// BenchmarkNetworkCycle measures raw simulation speed: one network cycle
-// of a 64-port combining network under load.
+// BenchmarkNetworkCycle measures raw simulation speed: one cycle of the
+// network's own driver, steady state, zero allocations.
+//
+//	loaded  64-port combining network, every PE offering a uniform
+//	        fetch-and-add with p = 0.2 each cycle (the Figure 7 reference
+//	        point), modules served (latency 2) and replies collected
+//	idle    the paper's 4096-port machine with nothing in flight: what a
+//	        cycle costs when the activity flags skip everything
 func BenchmarkNetworkCycle(b *testing.B) {
-	net := network.New(network.Config{K: 2, Stages: 6, Combining: true})
-	w := trace.Workload{Rate: 0.2, Hash: true, Seed: 3}
-	_ = w
-	// Pre-load some traffic, then measure steady-state stepping.
-	for i := 0; i < b.N; i++ {
-		net.Step(int64(i))
-	}
+	b.Run("loaded", func(b *testing.B) {
+		net := network.New(network.Config{K: 2, Stages: 6, Combining: true})
+		st := network.NewStepper(net, nil)
+		n := net.Ports()
+		bank := memory.NewBank(n, 2, memory.Interleave{N: n})
+		ports := make([]memory.Port, n)
+		for mm := range ports {
+			ports[mm] = benchPort{net, mm}
+		}
+		rng := sim.NewRand(3)
+		seq := make([]uint64, n)
+		cycle := int64(0)
+		step := func() {
+			for pe := 0; pe < n; pe++ {
+				if !rng.Bernoulli(0.2) {
+					continue
+				}
+				seq[pe]++
+				st.Inject(pe, msg.Request{
+					ID: uint64(pe)<<32 | seq[pe], PE: pe, Op: msg.FetchAdd,
+					Addr: msg.Addr{MM: rng.Intn(n), Word: rng.Intn(64)}, Operand: 1,
+				}, cycle)
+			}
+			st.Step(cycle)
+			for mm, mod := range bank.Modules {
+				mod.Step(cycle, ports[mm])
+			}
+			for pe := 0; pe < n; pe++ {
+				st.Collect(pe, cycle)
+			}
+			cycle++
+		}
+		// Warm up: queues, maps and scratch reach their steady capacity.
+		for i := 0; i < 20_000; i++ {
+			step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+		b.StopTimer()
+		if net.Stats().RepliesDelivered.Value() == 0 {
+			b.Fatal("no traffic flowed")
+		}
+	})
+	b.Run("idle", func(b *testing.B) {
+		st := network.NewStepper(network.New(network.Config{K: 4, Stages: 6, Combining: true}), nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.Step(int64(i))
+		}
+	})
 }
+
+// benchPort is the memory.Port of one module in BenchmarkNetworkCycle.
+type benchPort struct {
+	net *network.Network
+	mm  int
+}
+
+func (p benchPort) Dequeue() (msg.Request, bool) { return p.net.MMDequeue(p.mm) }
+func (p benchPort) Reply(r msg.Reply) bool       { return p.net.MMReply(p.mm, r) }
 
 // BenchmarkParaFetchAdd measures the ideal paracomputer's fetch-and-add
 // under goroutine contention.

@@ -71,9 +71,9 @@ import (
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/lint"
 	"ultracomputer/internal/lint/analysis"
-	"ultracomputer/internal/lint/guest/mc"
 	"ultracomputer/internal/lint/detstate"
 	"ultracomputer/internal/lint/findings"
+	"ultracomputer/internal/lint/guest/mc"
 	"ultracomputer/internal/lint/hotalloc"
 	"ultracomputer/internal/lint/lockcheck"
 	"ultracomputer/internal/lint/probegate"

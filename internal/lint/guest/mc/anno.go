@@ -64,7 +64,7 @@ type Annotations struct {
 	Bound int
 	// Suppressed carries the `;ultravet:ok guestmc <reason>` marker, when
 	// present: findings for this file are intentionally accepted.
-	Suppressed bool
+	Suppressed     bool
 	SuppressReason string
 }
 

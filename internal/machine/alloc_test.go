@@ -48,6 +48,42 @@ loop:   faa  r3, 0(r1), r2
 	}
 }
 
+// TestStepZeroAllocDrainedIdle is the same guard at the other end of the
+// load range: every PE halted, the network drained, every activity flag
+// clear. Step then skips every link, module and PE buffer, and the skip
+// paths must not allocate either.
+func TestStepZeroAllocDrainedIdle(t *testing.T) {
+	prog := isa.MustAssemble(`
+        li   r1, 100
+        li   r2, 1
+        faa  r3, 0(r1), r2
+        faa  r3, 0(r1), r2
+        halt
+`)
+	const n = 8
+	cores := make([]pe.Core, n)
+	for i := range cores {
+		cores[i] = isa.NewCore(prog, 64)
+	}
+	cfg := Config{
+		Net:     network.Config{K: 2, Stages: 4, Copies: 2, Combining: true},
+		Hashing: true,
+		PEs:     n,
+	}
+	m := New(cfg, cores)
+	m.MustRun(10_000)
+	if got := m.ReadShared(100); got != 2*n {
+		t.Fatalf("counter = %d, want %d", got, 2*n)
+	}
+
+	if avg := testing.AllocsPerRun(500, m.Step); avg != 0 {
+		t.Fatalf("Machine.Step on a drained machine allocates %.2f times per cycle, want 0", avg)
+	}
+	if !m.Done() {
+		t.Fatal("stepping a drained machine woke it up")
+	}
+}
+
 // TestStepZeroAllocTracerDisabled pins the request tracer's
 // zero-overhead-when-off guarantee: a tracer attached at sampling rate 0
 // stamps no requests, so every hop-record site falls through its

@@ -326,7 +326,10 @@ func (m *Machine) ensureStepper() {
 	}
 	m.mmStepFn = func(lo, hi, _ int) {
 		for mm := lo; mm < hi; mm++ {
-			m.bank.Modules[mm].Step(m.cycle, m.mmPorts[mm])
+			// An idle module with no arrival waiting has nothing to do.
+			if mod := m.bank.Modules[mm]; !mod.Idle() || m.net.MMWaiting(mm) {
+				mod.Step(m.cycle, m.mmPorts[mm])
+			}
 		}
 	}
 	m.collectFn = func(lo, hi, _ int) {

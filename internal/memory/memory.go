@@ -174,7 +174,10 @@ func (m *Module) Step(cycle int64, port Port) {
 		}
 		rep := msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr, Value: ret, TC: r.TC}
 		if !port.Reply(rep) {
-			m.pending = &rep
+			// Copy before taking the address, so that only a blocked
+			// reply is heap-allocated, not every reply served.
+			blocked := rep
+			m.pending = &blocked
 			return
 		}
 		if m.trace != nil && rep.TC.ID != 0 {

@@ -15,7 +15,7 @@ import (
 func runSeededTraffic(t *testing.T, seed uint64) ([]obs.Event, map[msg.Addr]int64) {
 	t.Helper()
 	cfg := Config{K: 2, Stages: 3, Copies: 2, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	rec := obs.NewRecorder(1 << 16)
 	h.net.SetProbe(rec)
 
@@ -89,7 +89,7 @@ func TestSeededTrafficDeterminism(t *testing.T) {
 // them).
 func TestCombinedRequestEntriesCleaned(t *testing.T) {
 	cfg := Config{K: 2, Stages: 3, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	ports := h.net.Ports()
 	id := uint64(1)
 	hot := msg.Addr{MM: 0, Word: 0}

@@ -12,7 +12,7 @@ import (
 // — yet everything still completes correctly.
 func TestWaitBufferFullDisablesCombining(t *testing.T) {
 	cfg := Config{K: 2, Stages: 2, Combining: true, WaitBufferCapacity: 1}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	addr := msg.Addr{MM: 0, Word: 0}
 	for p := 0; p < n; p++ {
@@ -39,7 +39,7 @@ func TestWaitBufferFullDisablesCombining(t *testing.T) {
 // one switch column).
 func TestSingleStageNetwork(t *testing.T) {
 	cfg := Config{K: 4, Stages: 1, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	for p := 0; p < 4; p++ {
 		req := msg.Request{ID: uint64(p + 1), PE: p, Op: msg.FetchAdd,
 			Addr: msg.Addr{MM: (p + 1) % 4, Word: 0}, Operand: int64(p)}
@@ -62,7 +62,7 @@ func TestLargeNetworkSoak(t *testing.T) {
 		t.Skip("4096-port soak")
 	}
 	cfg := Config{K: 4, Stages: 6, Combining: true} // 4096 ports
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	if n != 4096 {
 		t.Fatalf("ports = %d", n)

@@ -115,7 +115,7 @@ func TestNetworkFuzzConservation(t *testing.T) {
 			QueueCapacity: capacity, PNIQueueCapacity: capacity,
 			WaitBufferCapacity: wb,
 		}
-		h := newHarness(cfg)
+		h := newHarness(t, cfg)
 		n := h.net.Ports()
 		rng := sim.NewRand(seed)
 		want := make(map[msg.Addr]int64)

@@ -107,8 +107,11 @@ type Network struct {
 	// any map range on a Tick/Step/Route/Collect path.
 	inflight []map[uint64]inflightReq
 	dead     []bool // fail-stopped copies (no new requests)
-	stats    Stats
-	probe    obs.Probe
+	// act holds the activity flags of every copy's links, MM arrival
+	// queues and PE receive buffers (see activity).
+	act   *activity
+	stats Stats
+	probe obs.Probe
 	// trace is the request-tracing stream (a reqtrace.Tracer): a second,
 	// independent probe receiving only the hop events of requests whose
 	// TraceCtx is non-zero. Kept separate from probe so sampled tracing
@@ -138,9 +141,8 @@ type inflightReq struct {
 // nil detaches it (the default — a detached probe costs one nil check).
 func (n *Network) SetProbe(p obs.Probe) {
 	n.probe = p
-	for i, c := range n.copies {
+	for _, c := range n.copies {
 		c.probe = p
-		c.copyIdx = i
 	}
 }
 
@@ -149,9 +151,8 @@ func (n *Network) SetProbe(p obs.Probe) {
 // on it only for requests carrying a non-zero TraceCtx.
 func (n *Network) SetTracer(p obs.Probe) {
 	n.trace = p
-	for i, c := range n.copies {
+	for _, c := range n.copies {
 		c.trace = p
-		c.copyIdx = i
 	}
 }
 
@@ -189,8 +190,9 @@ func New(cfg Config) *Network {
 		n.inflight[i] = make(map[uint64]inflightReq)
 	}
 	n.stats.RoundTripHist = sim.NewHistogram(2048)
+	n.act = newActivity(cfg.Copies, newTopology(cfg.K, cfg.Stages))
 	for i := 0; i < cfg.Copies; i++ {
-		n.copies = append(n.copies, newCopyNet(cfg, &n.stats))
+		n.copies = append(n.copies, newCopyNet(cfg, &n.stats, n.act, i))
 	}
 	n.dead = make([]bool, cfg.Copies)
 	n.collectBuf = make([][]msg.Reply, cfg.Ports())
@@ -271,6 +273,7 @@ func (n *Network) injectInto(pe int, r msg.Request, cycle int64, pr, tr obs.Prob
 		c := n.copies[ci]
 		if c.pniQ[pe].spaceFor(r.Packets()) {
 			c.pniQ[pe].push(r)
+			c.markFwd(-1, pe)
 			n.next[pe] = (ci + 1) % len(n.copies)
 			//ultravet:ok sharecheck n.inflight[pe] belongs to the worker owning PE pe (see the field doc)
 			n.inflight[pe][r.ID] = inflightReq{copy: ci, issued: cycle}
@@ -294,32 +297,49 @@ func (n *Network) injectInto(pe int, r msg.Request, cycle int64, pr, tr obs.Prob
 	return false
 }
 
-// Step advances every copy one network cycle.
-func (n *Network) Step(cycle int64) {
-	for _, c := range n.copies {
-		c.step(cycle)
+// MMDequeue removes the next fully assembled request waiting at memory
+// module mm, searching the copies in order.
+func (n *Network) MMDequeue(mm int) (msg.Request, bool) {
+	r, ok := n.mmDequeue(mm)
+	if ok {
+		n.stats.DeliveredToMM.Inc()
 	}
+	return r, ok
 }
 
-// MMDequeue removes the next fully assembled request waiting at memory
-// module mm, searching copies round-robin from the module's perspective.
-func (n *Network) MMDequeue(mm int) (msg.Request, bool) {
+// mmDequeue is MMDequeue with the counting left to the caller's sink. It
+// clears a copy's arrival flag when it takes that copy's last request.
+func (n *Network) mmDequeue(mm int) (msg.Request, bool) {
 	for _, c := range n.copies {
-		if r, ok := c.mmIn[mm].pop(); ok {
-			n.stats.DeliveredToMM.Inc()
+		if n.act.mm[c.base+mm] == 0 {
+			continue
+		}
+		q := c.mmIn[mm]
+		r, ok := q.pop()
+		if q.empty() {
+			n.act.mm[c.base+mm] = 0
+		}
+		if ok {
 			return r, true
 		}
 	}
 	return msg.Request{}, false
 }
 
-// MMPending reports how many requests are waiting at memory module mm.
-func (n *Network) MMPending(mm int) int {
-	total := 0
+// MMWaiting reports whether a request may be waiting at memory module
+// mm; false guarantees MMDequeue(mm) would find nothing, so a driver can
+// skip an idle module without touching its queues.
+func (n *Network) MMWaiting(mm int) bool { return n.anyCopy(n.act.mm, mm) }
+
+// anyCopy reports whether any copy has its flag for port set in a
+// per-port flag array.
+func (n *Network) anyCopy(flags []uint8, port int) bool {
 	for _, c := range n.copies {
-		total += c.mmIn[mm].len()
+		if flags[c.base+port] != 0 {
+			return true
+		}
 	}
-	return total
+	return false
 }
 
 // MMReply enqueues a reply at memory module mm's network interface. The
@@ -335,6 +355,7 @@ func (n *Network) MMReply(mm int, rep msg.Reply) bool {
 		return false
 	}
 	c.mmOut[mm].push(rep)
+	c.markRev(n.cfg.Stages, mm)
 	return true
 }
 
@@ -353,12 +374,16 @@ func (n *Network) Collect(pe int, cycle int64) []msg.Reply {
 // serial engine's exactly. onReply is called once per reply; known is
 // false for replies with no in-flight record (hand-injected in tests).
 func (n *Network) collectInto(pe int, cycle int64, onReply func(lat int64, known bool), pr, tr obs.Probe) []msg.Reply {
+	if !n.anyCopy(n.act.pe, pe) {
+		return nil
+	}
 	out := n.collectBuf[pe][:0]
 	for _, c := range n.copies {
-		if len(c.peRecv[pe]) > 0 {
+		if n.act.pe[c.base+pe] != 0 {
 			//ultravet:ok hotalloc per-PE scratch reaches steady-state capacity after warmup
 			out = append(out, c.peRecv[pe]...)
 			c.peRecv[pe] = c.peRecv[pe][:0]
+			n.act.pe[c.base+pe] = 0
 		}
 	}
 	n.collectBuf[pe] = out[:0]

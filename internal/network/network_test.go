@@ -63,10 +63,13 @@ func TestShuffleInverse(t *testing.T) {
 	}
 }
 
-// harness couples a Network to a simple one-request-per-cycle memory so
-// tests can drive end-to-end traffic.
+// harness couples a Network, driven by a serial Stepper, to a simple
+// one-request-per-cycle memory so tests can drive end-to-end traffic.
+// Every step checks the activity-flag invariants (checkActivity).
 type harness struct {
+	t       testing.TB
 	net     *Network
+	st      *Stepper
 	words   map[msg.Addr]int64
 	pending []*msg.Reply // per-MM reply awaiting MNI space
 	served  []int        // per-MM count of memory operations performed
@@ -74,10 +77,12 @@ type harness struct {
 	cycle   int64
 }
 
-func newHarness(cfg Config) *harness {
+func newHarness(t testing.TB, cfg Config) *harness {
 	n := New(cfg)
 	return &harness{
+		t:       t,
 		net:     n,
+		st:      NewStepper(n, nil),
 		words:   make(map[msg.Addr]int64),
 		pending: make([]*msg.Reply, n.Ports()),
 		served:  make([]int, n.Ports()),
@@ -87,7 +92,7 @@ func newHarness(cfg Config) *harness {
 // step advances one cycle: network, then each MM retries its pending
 // reply or serves one new request.
 func (h *harness) step() {
-	h.net.Step(h.cycle)
+	h.st.Step(h.cycle)
 	for mm := 0; mm < h.net.Ports(); mm++ {
 		if p := h.pending[mm]; p != nil {
 			if h.net.MMReply(mm, *p) {
@@ -109,6 +114,7 @@ func (h *harness) step() {
 	for pe := 0; pe < h.net.Ports(); pe++ {
 		h.replies = append(h.replies, h.net.Collect(pe, h.cycle)...)
 	}
+	h.checkActivity()
 	h.cycle++
 }
 
@@ -150,7 +156,7 @@ func TestRoutingAllPairs(t *testing.T) {
 		n := cfg.Ports()
 		for p := 0; p < n; p++ {
 			for m := 0; m < n; m++ {
-				h := newHarness(cfg)
+				h := newHarness(t, cfg)
 				addr := msg.Addr{MM: m, Word: 5}
 				h.words[addr] = int64(100*p + m)
 				req := msg.Request{ID: 1, PE: p, Op: msg.Load, Addr: addr, Issued: 0}
@@ -175,7 +181,7 @@ func TestRoutingAllPairs(t *testing.T) {
 // transit (header 1 cycle/stage plus full assembly at the MNI).
 func TestUnloadedLatency(t *testing.T) {
 	cfg := Config{K: 2, Stages: 3, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	req := msg.Request{ID: 1, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 0, Word: 0}}
 	h.net.Inject(0, req, 0)
 	for i := 0; i < 100 && len(h.replies) == 0; i++ {
@@ -200,7 +206,7 @@ func TestUnloadedLatency(t *testing.T) {
 // far fewer than N requests.
 func TestHotSpotCombining(t *testing.T) {
 	cfg := Config{K: 2, Stages: 4, Combining: true} // N = 16
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	addr := msg.Addr{MM: 3, Word: 7}
 	for p := 0; p < n; p++ {
@@ -238,7 +244,7 @@ func TestHotSpotCombining(t *testing.T) {
 // memory module must serve every request individually.
 func TestHotSpotWithoutCombining(t *testing.T) {
 	cfg := Config{K: 2, Stages: 4, Combining: false}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	addr := msg.Addr{MM: 3, Word: 7}
 	injected := 0
@@ -266,7 +272,7 @@ func TestHotSpotWithoutCombining(t *testing.T) {
 // cell could have held.
 func TestMixedOpsSameCell(t *testing.T) {
 	cfg := Config{K: 2, Stages: 3, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	addr := msg.Addr{MM: 1, Word: 0}
 	// PEs 0..3 add 1; PEs 4..5 store 100; PEs 6..7 load.
 	for p := 0; p < 8; p++ {
@@ -299,7 +305,7 @@ func TestMixedOpsSameCell(t *testing.T) {
 // returns every reply to its issuer and uses both copies.
 func TestCopiesSpreadLoad(t *testing.T) {
 	cfg := Config{K: 2, Stages: 3, Copies: 2, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	id := uint64(1)
 	for round := 0; round < 4; round++ {
@@ -331,7 +337,7 @@ func TestCopiesRoundRobin(t *testing.T) {
 // every accepted request must still produce exactly one reply.
 func TestBackpressureNoLoss(t *testing.T) {
 	cfg := Config{K: 2, Stages: 2, QueueCapacity: 4, PNIQueueCapacity: 4, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	accepted := 0
 	id := uint64(1)
@@ -377,7 +383,7 @@ func TestInjectRefusalWhenFull(t *testing.T) {
 // increment per cell and returns one reply per request.
 func TestFetchAddConservation(t *testing.T) {
 	cfg := Config{K: 4, Stages: 2, Combining: true} // N = 16
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	want := make(map[msg.Addr]int64)
 	id := uint64(1)

@@ -56,6 +56,11 @@ type copyNet struct {
 	// overrun; it drains as the ToPE queues empty toward the PEs.
 	revDefer [][]deferredReply
 
+	// act is the network-wide activity flag set; this copy's flags start
+	// at base (per-port arrays) and dbase (per-switch-column array).
+	act         *activity
+	base, dbase int
+
 	stats   *Stats
 	probe   obs.Probe
 	trace   obs.Probe // request-tracing stream (reqtrace.Tracer); nil when off
@@ -63,9 +68,103 @@ type copyNet struct {
 	copyIdx int
 }
 
-func newCopyNet(cfg Config, st *Stats) *copyNet {
+// activity holds the per-link activity flags that make a network cycle
+// cost host time in proportion to the messages in flight rather than to
+// the size of the machine. Every link — a queue plus the server that
+// drains it — has one byte:
+//
+//	flag clear  ⇒  the link's server is inactive and its queue is empty
+//	            ⇒  pumping the link is a no-op, so the Stepper skips it
+//
+// A flag is set by whoever pushes into the link's queue and cleared only
+// by the pump that owns the link, after a pop attempt that leaves the
+// server inactive. Both happen in phases where the writing unit owns the
+// link (see DESIGN.md, "Activity flags"), so the flags are plain bytes:
+// neighbouring flags belong to different units, which is why a flag is a
+// byte and not a bit — a byte is its own memory location, a bit would
+// need an atomic read-modify-write.
+//
+// Each array covers all copies laid end to end, copy ci at offset ci·N
+// (ci·N/k for deferred), and is indexed by *position*: the slot of the
+// switch port the link feeds, so that the k links a (copy, switch) unit
+// pumps in one phase are the k consecutive bytes [u·k, u·k+k) of unit u
+// and the Stepper can rule out eight idle links with one 64-bit load.
+type activity struct {
+	fwd [][]uint8 // [s+1]: links out of stage s; [0]: PNI links (see fwdLine)
+	rev [][]uint8 // [s]: links out of stage s toward the PEs; [stages]: MNI links (see revLine)
+	mm  []uint8   // [mm]: mmIn[mm] may hold an arrival for the module
+	pe  []uint8   // [pe]: peRecv[pe] holds replies to collect
+	// deferred counts, per switch column, the valid revDefer registers
+	// over all stages (at most one per stage, and Stages <= 20).
+	deferred []uint8
+}
+
+// newActivity carves every flag array of a network out of one
+// allocation.
+func newActivity(copies int, t topology) *activity {
+	cols := t.stages + 1
+	buf := make([]uint8, copies*(t.n*(2*cols+2)+t.group))
+	carve := func(n int) []uint8 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	a := &activity{fwd: make([][]uint8, cols), rev: make([][]uint8, cols)}
+	for i := 0; i < cols; i++ {
+		a.fwd[i] = carve(copies * t.n)
+		a.rev[i] = carve(copies * t.n)
+	}
+	a.mm = carve(copies * t.n)
+	a.pe = carve(copies * t.n)
+	a.deferred = carve(copies * t.group)
+	return a
+}
+
+// fwdLine maps position p of the forward flag array of stage s (s == -1:
+// the PNI links) to the line it stands for. Links between stages are
+// owned by the destination switch, which the shuffle wires to lines
+// j·N/k+sw, so they are stored shuffled; the last stage's links are owned
+// by their own switch and stored in line order. Ascending positions
+// within a unit are ascending lines either way.
+func (t topology) fwdLine(s, p int) int {
+	if s < t.stages-1 {
+		return t.unshuffle(p)
+	}
+	return p
+}
+
+// revLine is fwdLine for the reverse flag array of stage s (s == stages:
+// the MNI links): links between stages are stored unshuffled; the MNI
+// links and stage 0's links into the PEs are stored in line order.
+func (t topology) revLine(s, p int) int {
+	if s > 0 && s < t.stages {
+		return t.shuffle(p)
+	}
+	return p
+}
+
+// markFwd flags the forward link out of stage s, line l (s == -1: PE l's
+// PNI link) after a push into its queue; the position is fwdLine's
+// inverse.
+func (c *copyNet) markFwd(s, l int) {
+	if s < c.topo.stages-1 {
+		l = c.topo.shuffle(l)
+	}
+	c.act.fwd[s+1][c.base+l] = 1
+}
+
+// markRev flags the reverse link out of stage s, line l (s == stages:
+// MM l's MNI link) after a push into its queue.
+func (c *copyNet) markRev(s, l int) {
+	if s > 0 && s < c.topo.stages {
+		l = c.topo.unshuffle(l)
+	}
+	c.act.rev[s][c.base+l] = 1
+}
+
+func newCopyNet(cfg Config, st *Stats, act *activity, idx int) *copyNet {
 	t := newTopology(cfg.K, cfg.Stages)
-	c := &copyNet{topo: t, cfg: cfg, stats: st}
+	c := &copyNet{topo: t, cfg: cfg, stats: st, act: act, base: idx * t.n, dbase: idx * t.group, copyIdx: idx}
 	n := t.n
 	c.pniQ = make([]*reqQueue, n)
 	c.pniSrv = make([]reqServer, n)
@@ -103,9 +202,9 @@ func newCopyNet(cfg Config, st *Stats) *copyNet {
 // line converts (switch, port) to a line number within a stage.
 func (c *copyNet) line(sw, port int) int { return sw*c.topo.k + port }
 
-// sink directs one execution unit's observability output. The legacy
-// serial Step and the Stepper's serial engine point it at the shared
-// Stats and the real probe/tracer; the parallel engine points it at
+// sink directs one execution unit's observability output. The Stepper's
+// serial engine points it at the shared Stats and the real
+// probe/tracer; the parallel engine points it at
 // per-worker scratch counters and per-unit event buffers, merged in
 // deterministic unit order after each phase (see Stepper). The trace
 // stream is separate from the probe so hop recording for sampled
@@ -190,6 +289,7 @@ func (c *copyNet) enqueueForward(s, sw int, r msg.Request, cycle int64, sk *sink
 		r.TC.Hops++
 	}
 	q.push(r)
+	c.markFwd(s, idx)
 	if sk.probe != nil {
 		sk.probe.Emit(obs.Event{
 			Cycle: cycle, Kind: obs.KindStageArrive, PE: r.PE,
@@ -239,6 +339,7 @@ func (c *copyNet) acceptReply(s, sw, inPort int, rep msg.Reply, cycle int64, sk 
 		}
 		w.take(rep.ID)
 		qa.push(ra)
+		c.markRev(s, c.line(sw, pa))
 		if sk.probe != nil {
 			sk.probe.Emit(obs.Event{
 				Cycle: cycle, Kind: obs.KindDecombine, PE: -1,
@@ -260,6 +361,7 @@ func (c *copyNet) acceptReply(s, sw, inPort int, rep msg.Reply, cycle int64, sk 
 		// If qa == qb, qb's occupancy already includes ra.
 		if qb.spaceFor(rb.Packets()) {
 			qb.push(rb)
+			c.markRev(s, c.line(sw, pb))
 			if sk.probe != nil {
 				c.emitReplyHop(s, rb, cycle, sk.probe)
 			}
@@ -268,15 +370,18 @@ func (c *copyNet) acceptReply(s, sw, inPort int, rep msg.Reply, cycle int64, sk 
 			}
 		} else {
 			c.revDefer[s][sw] = deferredReply{rep: rb, port: pb, valid: true}
+			c.act.deferred[c.dbase+sw]++
 		}
 		sk.stats.Decombines.Inc()
 		return true
 	}
-	q := c.rq[s][c.line(sw, c.topo.digit(rep.PE, s))]
+	idx := c.line(sw, c.topo.digit(rep.PE, s))
+	q := c.rq[s][idx]
 	if !q.spaceFor(rep.Packets()) {
 		return false
 	}
 	q.push(rep)
+	c.markRev(s, idx)
 	if sk.probe != nil {
 		c.emitReplyHop(s, rep, cycle, sk.probe)
 	}
@@ -298,21 +403,9 @@ func (c *copyNet) emitReplyHop(s int, rep msg.Reply, cycle int64, pr obs.Probe) 
 	})
 }
 
-// flushDeferred retries delivery of held second replies into their ToPE
-// queues.
-func (c *copyNet) flushDeferred(cycle int64, sk *sink) {
-	for s := 0; s < c.topo.stages; s++ {
-		for sw := range c.revDefer[s] {
-			c.flushDeferredAt(s, sw, cycle, sk)
-		}
-	}
-}
-
-// flushDeferredSwitch retries the held replies of switch column sw at
-// every stage — the per-unit form the Stepper shards by switch. Its
-// (switch, stage) visiting order differs from flushDeferred's (stage,
-// switch), which is immaterial to simulation state: each register
-// touches only its own switch's ToPE queues.
+// flushDeferredSwitch retries delivery of the held second replies of
+// switch column sw, at every stage, into their ToPE queues. The Stepper
+// calls it only for columns whose act.deferred count is non-zero.
 func (c *copyNet) flushDeferredSwitch(sw int, cycle int64, sk *sink) {
 	for s := 0; s < c.topo.stages; s++ {
 		c.flushDeferredAt(s, sw, cycle, sk)
@@ -324,10 +417,13 @@ func (c *copyNet) flushDeferredAt(s, sw int, cycle int64, sk *sink) {
 	if !d.valid {
 		return
 	}
-	q := c.rq[s][c.line(sw, d.port)]
+	idx := c.line(sw, d.port)
+	q := c.rq[s][idx]
 	if q.spaceFor(d.rep.Packets()) {
 		q.push(d.rep)
+		c.markRev(s, idx)
 		d.valid = false
+		c.act.deferred[c.dbase+sw]--
 		if sk.probe != nil {
 			c.emitReplyHop(s, d.rep, cycle, sk.probe)
 		}
@@ -344,37 +440,19 @@ func synthReply(sd side, addr msg.Addr, y int64) msg.Reply {
 	return msg.Reply{ID: sd.id, PE: sd.pe, Op: sd.op, Addr: addr, Value: sd.plan.Synthesize(y), TC: sd.tc}
 }
 
-// step advances the copy one network cycle. Forward stages are processed
-// MM-side first and reverse stages PE-side first so that space freed by a
-// downstream hop is usable upstream in the same cycle while every message
-// still advances at most one stage per cycle.
-func (c *copyNet) step(cycle int64) {
-	sk := sink{stats: c.stats, probe: c.probe, trace: c.trace, prof: c.prof}
-	c.stepForward(cycle, &sk)
-	c.stepReverse(cycle, &sk)
-}
-
-// stepForward pumps the forward links upstream-first (PNI, then stages
-// 0..D−1): a message delivered into a stage's queue this cycle can begin
-// service the same cycle, so an unloaded header advances one stage per
-// cycle; the ready-at-start+1 rule in pumpRequest bounds every message to
-// at most one hop per cycle.
-func (c *copyNet) stepForward(cycle int64, sk *sink) {
+// pumpRequest advances one forward link server and reports whether it is
+// still active (false means the link is idle: nothing in service and the
+// queue empty). s == -1 denotes a PNI link (l is the PE number);
+// otherwise l = switch*k + port at stage s.
+func (c *copyNet) pumpRequest(cycle int64, s, l int, sk *sink) bool {
 	t := c.topo
-	for pe := 0; pe < t.n; pe++ {
-		c.pumpRequest(&c.pniSrv[pe], cycle, -1, pe, sk)
+	var srv *reqServer
+	var q *reqQueue
+	if s < 0 {
+		srv, q = &c.pniSrv[l], c.pniQ[l]
+	} else {
+		srv, q = &c.fsrv[s][l], c.fq[s][l]
 	}
-	for s := 0; s < t.stages; s++ {
-		for l := 0; l < t.n; l++ {
-			c.pumpRequest(&c.fsrv[s][l], cycle, s, l, sk)
-		}
-	}
-}
-
-// pumpRequest advances one forward link server. s == -1 denotes a PNI
-// link (l is the PE number); otherwise l = switch*k + port at stage s.
-func (c *copyNet) pumpRequest(srv *reqServer, cycle int64, s, l int, sk *sink) {
-	t := c.topo
 	if srv.active && !srv.delivered {
 		pk := int64(srv.req.Packets())
 		lastStage := s == t.stages-1
@@ -390,6 +468,7 @@ func (c *copyNet) pumpRequest(srv *reqServer, cycle int64, s, l int, sk *sink) {
 				mm := l // output line of the last stage is the MM number
 				if c.mmIn[mm].spaceFor(srv.req.Packets()) {
 					c.mmIn[mm].push(srv.req)
+					c.act.mm[c.base+mm] = 1
 					ok = true
 					if sk.probe != nil {
 						sk.probe.Emit(obs.Event{
@@ -421,12 +500,6 @@ func (c *copyNet) pumpRequest(srv *reqServer, cycle int64, s, l int, sk *sink) {
 		srv.active = false
 	}
 	if !srv.active {
-		var q *reqQueue
-		if s < 0 {
-			q = c.pniQ[l]
-		} else {
-			q = c.fq[s][l]
-		}
 		if r, ok := q.pop(); ok {
 			srv.active = true
 			srv.delivered = false
@@ -444,28 +517,21 @@ func (c *copyNet) pumpRequest(srv *reqServer, cycle int64, s, l int, sk *sink) {
 			}
 		}
 	}
+	return srv.active
 }
 
-// stepReverse pumps the reverse links upstream-first (MNI, then stages
-// D−1..0), mirroring stepForward.
-func (c *copyNet) stepReverse(cycle int64, sk *sink) {
+// pumpReply advances one reverse link server and reports whether it is
+// still active, as pumpRequest does. s == stages denotes an MNI link (l
+// is the MM number); otherwise l = switch*k + PE-side port at stage s.
+func (c *copyNet) pumpReply(cycle int64, s, l int, sk *sink) bool {
 	t := c.topo
-	c.flushDeferred(cycle, sk)
-	for mm := 0; mm < t.n; mm++ {
-		c.pumpReply(&c.mmSrv[mm], cycle, t.stages, mm, sk)
+	var srv *repServer
+	var q *repQueue
+	if s == t.stages {
+		srv, q = &c.mmSrv[l], c.mmOut[l]
+	} else {
+		srv, q = &c.rsrv[s][l], c.rq[s][l]
 	}
-	for s := t.stages - 1; s >= 0; s-- {
-		for l := 0; l < t.n; l++ {
-			c.pumpReply(&c.rsrv[s][l], cycle, s, l, sk)
-		}
-	}
-}
-
-// pumpReply advances one reverse link server. s == stages denotes an MNI
-// link (l is the MM number); otherwise l = switch*k + PE-side port at
-// stage s.
-func (c *copyNet) pumpReply(srv *repServer, cycle int64, s, l int, sk *sink) {
-	t := c.topo
 	if srv.active && !srv.delivered {
 		pk := int64(srv.rep.Packets())
 		toPE := s == 0
@@ -480,6 +546,7 @@ func (c *copyNet) pumpReply(srv *repServer, cycle int64, s, l int, sk *sink) {
 			case toPE:
 				pe := t.unshuffle(l)
 				c.peRecv[pe] = append(c.peRecv[pe], srv.rep)
+				c.act.pe[c.base+pe] = 1
 				ok = true
 			case s == t.stages:
 				// MNI into the last stage: MM m is wired to
@@ -498,12 +565,6 @@ func (c *copyNet) pumpReply(srv *repServer, cycle int64, s, l int, sk *sink) {
 		srv.active = false
 	}
 	if !srv.active {
-		var q *repQueue
-		if s == t.stages {
-			q = c.mmOut[l]
-		} else {
-			q = c.rq[s][l]
-		}
 		if r, ok := q.pop(); ok {
 			srv.active = true
 			srv.delivered = false
@@ -523,6 +584,7 @@ func (c *copyNet) pumpReply(srv *repServer, cycle int64, s, l int, sk *sink) {
 			}
 		}
 	}
+	return srv.active
 }
 
 // inFlightLocal counts messages resident in this copy's queues and

@@ -12,7 +12,7 @@ import (
 // network copies).
 func TestFailCopyDrainsAndReroutes(t *testing.T) {
 	cfg := Config{K: 2, Stages: 3, Copies: 2, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	var id uint64 = 1
 	accepted := 0
@@ -56,7 +56,7 @@ func TestAllCopiesFailedRefusesTraffic(t *testing.T) {
 // combining tree through multiple stages, not just at the memory side.
 func TestCombinesSpreadAcrossStages(t *testing.T) {
 	cfg := Config{K: 2, Stages: 4, Combining: true}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	var id uint64 = 1
 	for round := 0; round < 40; round++ {

@@ -1,7 +1,7 @@
 package network
 
 import (
-	"sort"
+	"encoding/binary"
 
 	"ultracomputer/internal/engine"
 	"ultracomputer/internal/msg"
@@ -23,10 +23,15 @@ import (
 // one destination switch, and a unit touches only its own feeder links
 // plus its own switch's queues, wait buffers and deferred registers.
 //
-// Determinism contract (see DESIGN.md): units execute their feeder
-// lines in ascending line order — the same relative order the plain
-// serial Network.Step visits them — and shards are fixed by
-// engine.Shard, never by map order or scheduling. Under a parallel
+// The cycle is activity-driven: a phase visits only the units with an
+// activity flag set on one of their feeder links, and a unit pumps only
+// its flagged links (see activity). A skipped pump is exactly a no-op,
+// so skipping changes host time and nothing else.
+//
+// Determinism contract (see DESIGN.md): units are visited in ascending
+// unit order and execute their feeder lines in ascending line order,
+// and shards are fixed by engine.Shard, never by map order or
+// scheduling. Under a parallel
 // engine, counters go to per-worker scratch (integer sums are
 // order-free), events go to per-unit buffers drained in unit order
 // after each phase, and round-trip latencies are buffered per PE and
@@ -42,13 +47,6 @@ type Stepper struct {
 
 	group int // switches per stage per copy
 	units int // copies × group
-
-	// fwdFeed[sw] lists the input lines whose forward hop lands in
-	// destination switch sw (ascending); revFeed is the reverse-path
-	// equivalent. Identical for every stage transition because the same
-	// perfect shuffle sits between all stages.
-	fwdFeed [][]int
-	revFeed [][]int
 
 	// Parallel-only scratch, merged deterministically each cycle.
 	wstats      []Stats           // per-worker integer counters
@@ -67,19 +65,21 @@ type Stepper struct {
 	// Phase bodies are hoisted here so Step allocates nothing: each
 	// closure is built once in NewStepper and reads its per-cycle inputs
 	// from phCycle/phStage, set by the coordinator between barriers.
+	// phStage is the stage whose links the phase pumps: -1 for the PNI
+	// links on the forward path, Stages for the MNI links on the reverse.
 	phCycle    int64
 	phStage    int
-	phFwdPNI   func(ci, sw int, sk *sink)
-	phFwdStage func(ci, sw int, sk *sink)
-	phFwdLast  func(ci, sw int, sk *sink)
-	phDeferred func(ci, sw int, sk *sink)
-	phRevMNI   func(ci, sw int, sk *sink)
-	phRevStage func(ci, sw int, sk *sink)
-	phRevPE    func(ci, sw int, sk *sink)
+	phFwd      unitFunc
+	phDeferred unitFunc
+	phRev      unitFunc
 
-	// phase()'s own shard body and its inputs, hoisted the same way;
-	// serialSink is the reused serial-path sink.
-	phaseRun    func(ci, sw int, sk *sink)
+	// phase()'s own shard body and its inputs, hoisted the same way:
+	// the unit body, the flag array that says which units have work and
+	// how many of its bytes belong to each unit. serialSink is the
+	// reused serial-path sink.
+	phaseRun    unitFunc
+	phaseFlags  []uint8
+	phasePer    int
 	phaseProbed bool
 	phaseTraced bool
 	phaseBody   func(lo, hi, w int)
@@ -89,6 +89,9 @@ type Stepper struct {
 	// (SetProfShards); nil when profiling is off.
 	nprof []NetProfiler
 }
+
+// unitFunc is the body of one phase for one (copy, switch) unit.
+type unitFunc func(ci, sw int, sk *sink)
 
 // NewStepper builds a stepper for n driven by eng (nil means the serial
 // engine). The network's probe must be attached before the first Step.
@@ -104,9 +107,7 @@ func NewStepper(n *Network, eng engine.Engine) *Stepper {
 		group: t.group,
 		units: len(n.copies) * t.group,
 	}
-	st.fwdFeed = feederTable(t, t.unshuffle)
-	st.revFeed = feederTable(t, t.shuffle)
-	st.buildPhases(n.cfg.Stages, n.cfg.K)
+	st.buildPhases(t)
 	if st.par {
 		ports := n.Ports()
 		st.wstats = make([]Stats, eng.Workers())
@@ -135,56 +136,33 @@ func NewStepper(n *Network, eng engine.Engine) *Stepper {
 }
 
 // buildPhases constructs every phase closure once. The bodies read the
-// cycle (and, for the per-stage phases, the stage index) from
-// phCycle/phStage, which the Step coordinator sets between engine
-// barriers, so driving a cycle allocates nothing.
-func (st *Stepper) buildPhases(stages, k int) {
-	st.phFwdPNI = func(ci, sw int, sk *sink) {
-		c := st.n.copies[ci]
-		for _, l := range st.fwdFeed[sw] {
-			c.pumpRequest(&c.pniSrv[l], st.phCycle, -1, l, sk)
-		}
-	}
-	st.phFwdStage = func(ci, sw int, sk *sink) {
-		c := st.n.copies[ci]
-		for _, l := range st.fwdFeed[sw] {
-			c.pumpRequest(&c.fsrv[st.phStage][l], st.phCycle, st.phStage, l, sk)
-		}
-	}
-	st.phFwdLast = func(ci, sw int, sk *sink) {
-		// Last stage into the MNIs: output line l is MM l, so switch sw
-		// owns lines (and MMs) sw·k+j outright.
-		last := stages - 1
-		c := st.n.copies[ci]
-		for j := 0; j < k; j++ {
-			l := sw*k + j
-			c.pumpRequest(&c.fsrv[last][l], st.phCycle, last, l, sk)
+// cycle and the stage index from phCycle/phStage, which the Step
+// coordinator sets between engine barriers, so driving a cycle allocates
+// nothing. A unit's k flags sit side by side in the phase's flag array
+// at its switch's slots; the flag at slot p stands for line
+// fwdLine/revLine(p), ascending with p. A pump that leaves its server
+// inactive found the queue empty, so the unit — the link's owner in this
+// phase — clears the flag.
+func (st *Stepper) buildPhases(t topology) {
+	st.phFwd = func(ci, sw int, sk *sink) {
+		c, s := st.n.copies[ci], st.phStage
+		flags := st.phaseFlags[c.base:]
+		for p := sw * t.k; p < (sw+1)*t.k; p++ {
+			if flags[p] != 0 && !c.pumpRequest(st.phCycle, s, t.fwdLine(s, p), sk) {
+				flags[p] = 0
+			}
 		}
 	}
 	st.phDeferred = func(ci, sw int, sk *sink) {
 		st.n.copies[ci].flushDeferredSwitch(sw, st.phCycle, sk)
 	}
-	st.phRevMNI = func(ci, sw int, sk *sink) {
-		// MNI links: MM m is wired to last-stage switch m/k.
-		c := st.n.copies[ci]
-		for j := 0; j < k; j++ {
-			mm := sw*k + j
-			c.pumpReply(&c.mmSrv[mm], st.phCycle, stages, mm, sk)
-		}
-	}
-	st.phRevStage = func(ci, sw int, sk *sink) {
-		c := st.n.copies[ci]
-		for _, l := range st.revFeed[sw] {
-			c.pumpReply(&c.rsrv[st.phStage][l], st.phCycle, st.phStage, l, sk)
-		}
-	}
-	st.phRevPE = func(ci, sw int, sk *sink) {
-		// Stage 0 into the PE buffers: unshuffle is a permutation, so
-		// the k lines of switch sw deliver to k distinct PEs.
-		c := st.n.copies[ci]
-		for j := 0; j < k; j++ {
-			l := sw*k + j
-			c.pumpReply(&c.rsrv[0][l], st.phCycle, 0, l, sk)
+	st.phRev = func(ci, sw int, sk *sink) {
+		c, s := st.n.copies[ci], st.phStage
+		flags := st.phaseFlags[c.base:]
+		for p := sw * t.k; p < (sw+1)*t.k; p++ {
+			if flags[p] != 0 && !c.pumpReply(st.phCycle, s, t.revLine(s, p), sk) {
+				flags[p] = 0
+			}
 		}
 	}
 	st.phaseBody = func(lo, hi, w int) {
@@ -192,34 +170,50 @@ func (st *Stepper) buildPhases(stages, k int) {
 		if st.nprof != nil {
 			sk.prof = st.nprof[w]
 		}
-		for u := lo; u < hi; u++ {
-			if st.phaseProbed {
-				sk.probe = &st.swEvents[u]
-			}
-			if st.phaseTraced {
-				sk.trace = &st.swTrace[u]
-			}
-			st.phaseRun(u/st.group, u%st.group, &sk)
-		}
+		st.sweep(lo, hi, &sk)
 	}
 }
 
-// feederTable computes, per destination switch, the sorted input lines
-// wired into it: line l feeds switch perm(l)/k, so the feeders of sw
-// are inv(sw·k+j) for each port j. Ascending order matches the order
-// the plain serial step visits lines, keeping the per-switch operation
-// sequence — and thus combining and queueing behavior — identical.
-func feederTable(t topology, inv func(int) int) [][]int {
-	feed := make([][]int, t.group)
-	for sw := 0; sw < t.group; sw++ {
-		lines := make([]int, t.k)
-		for j := 0; j < t.k; j++ {
-			lines[j] = inv(sw*t.k + j)
+// sweep runs the current phase over the units in [lo, hi) that have a
+// non-zero byte among their phasePer flags, in ascending unit order.
+// Idle stretches are skipped eight flags per 64-bit load; the loads stay
+// inside the caller's own units, which under a parallel engine are the
+// only flags no other worker writes during the phase.
+func (st *Stepper) sweep(lo, hi int, sk *sink) {
+	flags, per := st.phaseFlags, st.phasePer
+	stride := 8 / per // whole units one 64-bit load covers; 0 for wider units
+	ci := lo / st.group
+	for u, end := lo, hi*per; u < hi; u++ {
+		i := u * per
+		// The tight loop: a large, lightly loaded machine spends its
+		// network time here.
+		for stride > 0 && i+8 <= end && binary.LittleEndian.Uint64(flags[i:]) == 0 {
+			u += stride
+			i += stride * per
 		}
-		sort.Ints(lines)
-		feed[sw] = lines
+		if u >= hi || !anySet(flags[i:i+per]) {
+			continue
+		}
+		if st.phaseProbed {
+			sk.probe = &st.swEvents[u]
+		}
+		if st.phaseTraced {
+			sk.trace = &st.swTrace[u]
+		}
+		for u >= (ci+1)*st.group {
+			ci++
+		}
+		st.phaseRun(ci, u-ci*st.group, sk)
 	}
-	return feed
+}
+
+func anySet(flags []uint8) bool {
+	for _, f := range flags {
+		if f != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Parallel reports whether a real worker pool is attached (observability
@@ -235,22 +229,20 @@ func (st *Stepper) SetProfShards(shards []NetProfiler) { st.nprof = shards }
 // shard their own phases (machine.Step, trace.Run).
 func (st *Stepper) Engine() engine.Engine { return st.eng }
 
-// phase runs one network movement phase over all (copy, switch) units.
-// run must only touch state owned by its unit.
-func (st *Stepper) phase(run func(ci, sw int, sk *sink)) {
+// phase runs one network movement phase over the (copy, switch) units
+// that flags — per bytes to a unit — marks active. run must only touch
+// state owned by its unit.
+func (st *Stepper) phase(run unitFunc, flags []uint8, per int) {
 	n := st.n
+	st.phaseRun, st.phaseFlags, st.phasePer = run, flags, per
 	if !st.par {
 		st.serialSink = sink{stats: &n.stats, probe: n.probe, trace: n.trace, prof: n.prof}
-		for u := 0; u < st.units; u++ {
-			run(u/st.group, u%st.group, &st.serialSink)
-		}
+		st.sweep(0, st.units, &st.serialSink)
 		return
 	}
 	st.phaseProbed = n.probe != nil
 	st.phaseTraced = n.trace != nil
-	st.phaseRun = run
 	st.eng.Run(st.units, st.phaseBody)
-	st.phaseRun = nil
 	if st.phaseProbed {
 		for u := range st.swEvents {
 			st.swEvents[u].DrainTo(n.probe)
@@ -263,29 +255,30 @@ func (st *Stepper) phase(run func(ci, sw int, sk *sink)) {
 	}
 }
 
-// Step advances every copy one network cycle. It is behaviorally
-// identical to Network.Step — same queue and combining evolution — and
-// under any engine produces the same state and statistics.
+// Step advances every copy one network cycle; under any engine it
+// produces the same state and statistics.
+//
+// Both paths are pumped upstream-first — PNI links, then stages 0..D−1
+// going forward; deferred decombine registers, MNI links, then stages
+// D−1..0 coming back — so a message delivered into a queue this cycle
+// can begin service the same cycle and an unloaded header advances one
+// stage per cycle, while the ready-at-start+1 rule in the pumps bounds
+// every message to at most one hop per cycle.
 func (st *Stepper) Step(cycle int64) {
-	stages := st.n.cfg.Stages
+	stages, k := st.n.cfg.Stages, st.n.cfg.K
+	act := st.n.act
 	st.phCycle = cycle
 
-	// Forward path, upstream-first like copyNet.stepForward.
-	st.phase(st.phFwdPNI)
-	for s := 0; s < stages-1; s++ {
+	for s := -1; s < stages; s++ {
 		st.phStage = s
-		st.phase(st.phFwdStage)
+		st.phase(st.phFwd, act.fwd[s+1], k)
 	}
-	st.phase(st.phFwdLast)
 
-	// Reverse path, mirroring copyNet.stepReverse.
-	st.phase(st.phDeferred)
-	st.phase(st.phRevMNI)
-	for s := stages - 1; s >= 1; s-- {
+	st.phase(st.phDeferred, act.deferred, 1)
+	for s := stages; s >= 0; s-- {
 		st.phStage = s
-		st.phase(st.phRevStage)
+		st.phase(st.phRev, act.rev[s], k)
 	}
-	st.phase(st.phRevPE)
 
 	if st.par {
 		for w := range st.wstats {
@@ -338,13 +331,11 @@ func (st *Stepper) MMDequeue(mm int) (msg.Request, bool) {
 	if !st.par {
 		return st.n.MMDequeue(mm)
 	}
-	for _, c := range st.n.copies {
-		if r, ok := c.mmIn[mm].pop(); ok {
-			st.mmDelivered[mm]++
-			return r, true
-		}
+	r, ok := st.n.mmDequeue(mm)
+	if ok {
+		st.mmDelivered[mm]++
 	}
-	return msg.Request{}, false
+	return r, ok
 }
 
 // PEProbe returns the probe PE pe must emit through while driven by

@@ -83,7 +83,7 @@ func TestUnbufferedBandwidthDecaysWithStages(t *testing.T) {
 func TestQueuedBeatsUnbufferedAtScale(t *testing.T) {
 	// Queued network: measure served/cycle/PE via the test harness.
 	cfg := Config{K: 2, Stages: 5, Combining: false}
-	h := newHarness(cfg)
+	h := newHarness(t, cfg)
 	n := h.net.Ports()
 	var id uint64 = 1
 	served0 := int64(0)

@@ -513,3 +513,34 @@ func TestDrainStopsEverything(t *testing.T) {
 		t.Error("drain must finish the feed (snapshot.done)")
 	}
 }
+
+// TestDrainBeforeFirstSlice pins the race TestDrainStopsEverything used
+// to lose: a session is started but the drain arrives before any
+// scheduler slice built its machine, so no telemetry State was ever
+// published. Closing the scheduler first makes that order certain (a
+// closed scheduler drops the start's Enqueue). The drain must still
+// leave a done State behind: /snapshot.json answers, and an /events
+// follower terminates instead of polling forever.
+func TestDrainBeforeFirstSlice(t *testing.T) {
+	svc, base := testAPI(t, Limits{})
+	svc.sched.Close()
+	cfg := validConfig()
+	cfg.Program = spinProgram
+	var info SessionInfo
+	call(t, http.MethodPost, base+"/sessions", map[string]any{"config": cfg}, http.StatusCreated, &info)
+	sURL := base + "/sessions/" + info.ID
+	call(t, http.MethodPost, sURL+"/config/commit", nil, http.StatusOK, nil)
+	call(t, http.MethodPost, sURL+"/start", nil, http.StatusOK, nil)
+	call(t, http.MethodGet, sURL+"/snapshot.json", nil, http.StatusServiceUnavailable, nil)
+
+	svc.Drain()
+
+	var snap struct {
+		Done bool `json:"done"`
+	}
+	call(t, http.MethodGet, sURL+"/snapshot.json", nil, http.StatusOK, &snap)
+	if !snap.Done {
+		t.Error("drain before the first slice must still publish a done State")
+	}
+	call(t, http.MethodGet, sURL+"/events?follow=1", nil, http.StatusOK, nil)
+}

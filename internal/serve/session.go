@@ -373,11 +373,36 @@ func (s *Session) drainSession() {
 	s.state = StateDrained
 	s.mu.Unlock()
 	s.execMu.Lock()
-	if s.feed != nil {
-		s.feed.Finish()
-	}
+	s.finishFeedLocked()
 	s.closeMachineLocked()
 	s.execMu.Unlock()
+}
+
+// finishFeedLocked (execMu held) leaves the session's last telemetry
+// State published and marked done, however far the session got: with a
+// machine, one last sample so the State reflects the final cycle; with
+// none — the drain beat the first scheduler slice, or a reset discarded
+// the machine — whatever the feed server last held, or an empty State.
+// Either way /snapshot.json answers and /events followers terminate.
+func (s *Session) finishFeedLocked() {
+	if s.feed != nil {
+		if last := s.feed.Last(); last == nil || !last.Done {
+			s.feed.Publish(s.sampleLocked())
+		}
+		s.feed.Finish()
+		return
+	}
+	var final live.State
+	if cur := s.lsrv.Current(); cur != nil {
+		if cur.Done {
+			return
+		}
+		final = *cur
+		final.Events = nil // already streamed
+	}
+	final.Seq++
+	final.Done = true
+	s.lsrv.Publish(&final)
 }
 
 func (s *Session) checkDrained() error {
@@ -443,12 +468,7 @@ func (s *Session) finishIfOverLocked() bool {
 	if m == nil || (!m.Done() && m.Cycles() < s.effLimit) {
 		return false
 	}
-	// One last sample so the published State reflects the final cycle,
-	// then mark the stream done.
-	if s.feed != nil {
-		s.feed.Publish(s.sampleLocked())
-		s.feed.Finish()
-	}
+	s.finishFeedLocked()
 	s.mu.Lock()
 	if s.state != StateDrained {
 		s.state = StateDone

@@ -37,11 +37,11 @@ type CommitEntry struct {
 // so history is append-only and every state the machine ever ran is in
 // it.
 type Store struct {
-	mu        sync.Mutex
-	candidate *Config       // guarded by mu
-	running   *Config       // guarded by mu
-	history   []CommitEntry // guarded by mu; newest last, len <= maxHistory
-	seq       int64         // guarded by mu
+	mu         sync.Mutex
+	candidate  *Config       // guarded by mu
+	running    *Config       // guarded by mu
+	history    []CommitEntry // guarded by mu; newest last, len <= maxHistory
+	seq        int64         // guarded by mu
 	maxHistory int
 }
 

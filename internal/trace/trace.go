@@ -212,77 +212,124 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 	rtBuf := make([][]float64, n)                 // round-trips, replayed PE-major
 	owBuf := make([][]float64, len(bank.Modules)) // one-ways, replayed MM-major
 
+	// The phase bodies and the modules' ports are built once; they read
+	// the cycle in progress from these two variables, set by the loop
+	// between phases.
+	var cycle int64
+	var measuring bool
+	ports := make([]memory.Port, len(bank.Modules))
+	for mm := range ports {
+		ports[mm] = replyPort{net, mm}
+	}
+
+	// Generation: each PE offers a request with probability Rate
+	// (modulated by the on/off process when Burstiness is set).
+	generate := func(lo, hi, _ int) {
+		for pe := lo; pe < hi; pe++ {
+			r := peRng[pe]
+			rate := w.Rate
+			if w.Burstiness > 0 {
+				if r.Bernoulli(1 / float64(w.Burstiness)) {
+					burstOn[pe] = !burstOn[pe]
+				}
+				if burstOn[pe] {
+					rate = 2 * w.Rate
+				} else {
+					rate = 0
+				}
+			}
+			if !r.Bernoulli(rate) {
+				continue
+			}
+			if measuring {
+				offered[pe]++
+			}
+			var linear int64
+			if w.HotFraction > 0 && r.Bernoulli(w.HotFraction) {
+				linear = w.HotWord
+			} else {
+				linear = int64(r.Intn(int(w.Words)))
+			}
+			op := msg.FetchAdd
+			switch u := r.Float64(); {
+			case u < w.LoadFrac:
+				op = msg.Load
+			case u < w.LoadFrac+w.StoreFrac:
+				op = msg.Store
+			}
+			seq[pe]++
+			req := msg.Request{
+				ID: uint64(pe)<<32 | seq[pe], PE: pe, Op: op,
+				Addr:    hash.Map(linear),
+				Operand: 1,
+				Issued:  cycle,
+			}
+			if w.Tracer != nil {
+				// ContextFor is a pure hash of the ID — identical
+				// sampling under every engine and worker count.
+				req.TC = w.Tracer.ContextFor(req.ID)
+			}
+			if st.Inject(pe, req, cycle) {
+				if w.Profiler != nil && w.Profiler.Enabled() {
+					// Per-PE profiler shard, owned by this worker.
+					w.Profiler.ProfIssue(pe, 0, op, linear, req.Addr)
+				}
+				if measuring {
+					injected[pe]++
+					//ultravet:ok sharecheck issueCycle[pe] belongs to the worker owning PE pe
+					issueCycle[pe][req.ID] = cycle
+				}
+			}
+		}
+	}
+
+	// Memory side: let the modules finish in-progress work, then hand
+	// each idle module its next arrival (timestamped here for the
+	// one-way transit measurement). An idle module with no arrival
+	// waiting has nothing to do.
+	serve := func(lo, hi, _ int) {
+		for mm := lo; mm < hi; mm++ {
+			mod := bank.Modules[mm]
+			if mod.Idle() && !net.MMWaiting(mm) {
+				continue
+			}
+			mod.Step(cycle, ports[mm])
+			if mod.Idle() {
+				if req, ok := st.MMDequeue(mm); ok {
+					if t0, tracked := issueCycle[req.PE][req.ID]; tracked {
+						owBuf[mm] = append(owBuf[mm], float64(cycle-t0))
+					}
+					mod.Accept(req, cycle)
+				}
+			}
+		}
+	}
+
+	// PE side: collect replies.
+	collect := func(lo, hi, _ int) {
+		for pe := lo; pe < hi; pe++ {
+			for _, rep := range st.Collect(pe, cycle) {
+				if t0, tracked := issueCycle[rep.PE][rep.ID]; tracked {
+					rtBuf[pe] = append(rtBuf[pe], float64(cycle-t0))
+					//ultravet:ok sharecheck issueCycle[pe] belongs to the worker owning PE pe
+					delete(issueCycle[rep.PE], rep.ID)
+				}
+			}
+		}
+	}
+
 	total := warmup + measure
 	combinesBefore := int64(0)
-	for cycle := int64(0); cycle < total; cycle++ {
+	for cycle = 0; cycle < total; cycle++ {
 		if cycle == warmup {
 			combinesBefore = net.Stats().Combines.Value()
 			for mm, mod := range bank.Modules {
 				servedBefore[mm] = mod.Served.Value()
 			}
 		}
-		measuring := cycle >= warmup
+		measuring = cycle >= warmup
 
-		// Generation: each PE offers a request with probability Rate
-		// (modulated by the on/off process when Burstiness is set).
-		eng.Run(n, func(lo, hi, _ int) {
-			for pe := lo; pe < hi; pe++ {
-				r := peRng[pe]
-				rate := w.Rate
-				if w.Burstiness > 0 {
-					if r.Bernoulli(1 / float64(w.Burstiness)) {
-						burstOn[pe] = !burstOn[pe]
-					}
-					if burstOn[pe] {
-						rate = 2 * w.Rate
-					} else {
-						rate = 0
-					}
-				}
-				if !r.Bernoulli(rate) {
-					continue
-				}
-				if measuring {
-					offered[pe]++
-				}
-				var linear int64
-				if w.HotFraction > 0 && r.Bernoulli(w.HotFraction) {
-					linear = w.HotWord
-				} else {
-					linear = int64(r.Intn(int(w.Words)))
-				}
-				op := msg.FetchAdd
-				switch u := r.Float64(); {
-				case u < w.LoadFrac:
-					op = msg.Load
-				case u < w.LoadFrac+w.StoreFrac:
-					op = msg.Store
-				}
-				seq[pe]++
-				req := msg.Request{
-					ID: uint64(pe)<<32 | seq[pe], PE: pe, Op: op,
-					Addr:    hash.Map(linear),
-					Operand: 1,
-					Issued:  cycle,
-				}
-				if w.Tracer != nil {
-					// ContextFor is a pure hash of the ID — identical
-					// sampling under every engine and worker count.
-					req.TC = w.Tracer.ContextFor(req.ID)
-				}
-				if st.Inject(pe, req, cycle) {
-					if w.Profiler != nil && w.Profiler.Enabled() {
-						// Per-PE profiler shard, owned by this worker.
-						w.Profiler.ProfIssue(pe, 0, op, linear, req.Addr)
-					}
-					if measuring {
-						injected[pe]++
-						//ultravet:ok sharecheck issueCycle[pe] belongs to the worker owning PE pe
-						issueCycle[pe][req.ID] = cycle
-					}
-				}
-			}
-		})
+		eng.Run(n, generate)
 		st.FlushInject()
 
 		st.Step(cycle)
@@ -295,23 +342,7 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 			w.Sampler.Record(sn)
 		}
 
-		// Memory side: let the modules finish in-progress work, then
-		// hand each idle module its next arrival (timestamped here for
-		// the one-way transit measurement).
-		eng.Run(len(bank.Modules), func(lo, hi, _ int) {
-			for mm := lo; mm < hi; mm++ {
-				mod := bank.Modules[mm]
-				mod.Step(cycle, replyPort{net, mm})
-				if mod.Idle() {
-					if req, ok := st.MMDequeue(mm); ok {
-						if t0, tracked := issueCycle[req.PE][req.ID]; tracked {
-							owBuf[mm] = append(owBuf[mm], float64(cycle-t0))
-						}
-						mod.Accept(req, cycle)
-					}
-				}
-			}
-		})
+		eng.Run(len(bank.Modules), serve)
 		for mm := range owBuf {
 			for _, v := range owBuf[mm] {
 				res.OneWay.Observe(v)
@@ -320,18 +351,7 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 		}
 		st.FlushMM()
 
-		// PE side: collect replies.
-		eng.Run(n, func(lo, hi, _ int) {
-			for pe := lo; pe < hi; pe++ {
-				for _, rep := range st.Collect(pe, cycle) {
-					if t0, tracked := issueCycle[rep.PE][rep.ID]; tracked {
-						rtBuf[pe] = append(rtBuf[pe], float64(cycle-t0))
-						//ultravet:ok sharecheck issueCycle[pe] belongs to the worker owning PE pe
-						delete(issueCycle[rep.PE], rep.ID)
-					}
-				}
-			}
-		})
+		eng.Run(n, collect)
 		for pe := range rtBuf {
 			for _, v := range rtBuf[pe] {
 				res.RoundTrip.Observe(v)
