@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"unsafe"
 
 	"ultracomputer/internal/msg"
 )
@@ -272,5 +273,13 @@ func TestKindAndCauseStrings(t *testing.T) {
 	}
 	if Kind(200).String() == "" || StallCause(200).String() == "" {
 		t.Error("out-of-range values must still render")
+	}
+}
+
+// TestEventSize pins the Event layout: the recorder ring is sized in
+// events, so a field added to Event must fit the existing padding.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 88 {
+		t.Fatalf("unsafe.Sizeof(obs.Event{}) = %d, want 88", got)
 	}
 }
