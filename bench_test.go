@@ -308,7 +308,7 @@ func BenchmarkNetworkCycle(b *testing.B) {
 		bank := memory.NewBank(n, 2, memory.Interleave{N: n})
 		ports := make([]memory.Port, n)
 		for mm := range ports {
-			ports[mm] = benchPort{net, mm}
+			ports[mm] = benchPort{net, st, mm}
 		}
 		rng := sim.NewRand(3)
 		seq := make([]uint64, n)
@@ -360,10 +360,11 @@ func BenchmarkNetworkCycle(b *testing.B) {
 // benchPort is the memory.Port of one module in BenchmarkNetworkCycle.
 type benchPort struct {
 	net *network.Network
+	st  *network.Stepper
 	mm  int
 }
 
-func (p benchPort) Dequeue() (msg.Request, bool) { return p.net.MMDequeue(p.mm) }
+func (p benchPort) Dequeue() (msg.Request, bool) { return p.st.MMDequeue(p.mm) }
 func (p benchPort) Reply(r msg.Reply) bool       { return p.net.MMReply(p.mm, r) }
 
 // BenchmarkParaFetchAdd measures the ideal paracomputer's fetch-and-add

@@ -3,7 +3,7 @@
 //
 // Go packages (directories, or the literal ./... to expand the module)
 // run the host-side analyzers over the simulator's own sources. The
-// per-package analyzers (detstate, probegate, tracegate) inspect one package at a
+// per-package analyzers (detstate, probegate) inspect one package at a
 // time; the whole-program analyzers (stagecheck, sharecheck, hotalloc,
 // lockcheck) run once over a module-wide call graph with interprocedural
 // write-set summaries (internal/lint/analysis):
@@ -11,9 +11,10 @@
 //	detstate   forbid wall-clock reads, global math/rand and unordered
 //	           map iteration in functions reachable from the cycle loop
 //	probegate  require every obs.Probe Emit call site to be guarded by
-//	           a nil check of the probe (the zero-alloc contract)
-//	tracegate  require every reqtrace sampling call site (ContextFor,
-//	           Emit) to be guarded by a nil check of the tracer
+//	           a nil check of the probe or by a non-zero obs.Subs.For
+//	           audience (the zero-alloc contract), and every reqtrace
+//	           sampling call site (ContextFor, Emit) by a nil check of
+//	           the tracer
 //	stagecheck forbid Compute methods writing non-receiver shared state
 //	           and goroutine launches on phase paths outside
 //	           internal/engine
@@ -79,14 +80,12 @@ import (
 	"ultracomputer/internal/lint/probegate"
 	"ultracomputer/internal/lint/sharecheck"
 	"ultracomputer/internal/lint/stagecheck"
-	"ultracomputer/internal/lint/tracegate"
 )
 
 // registry lists every host analyzer in stable order.
 var registry = []*analysis.Analyzer{
 	detstate.Analyzer,
 	probegate.Analyzer,
-	tracegate.Analyzer,
 	stagecheck.Analyzer,
 	sharecheck.Analyzer,
 	hotalloc.Analyzer,

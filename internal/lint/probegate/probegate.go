@@ -1,91 +1,105 @@
-// Package probegate defines analyzers enforcing nil-guard domination of
-// observability call sites: a detached probe or tracer is nil, and the
-// hot paths must pay only a nil check for it. Every call
+// Package probegate enforces guard domination of observability call
+// sites: with nobody listening the hot paths must pay one test and build
+// no event. One analyzer, two rules.
 //
-//	p.Emit(ev)
+// Every call p.Emit(ev) on a value of static type obs.Probe must be
+// dominated by a guard of one of two shapes. The first is a nil check of
+// the same expression — an enclosing `if p != nil { ... }` or an earlier
+// `if p == nil { return }` in the same block. The second is the audience
+// mask of the network and memory emit sites, whose destination is never
+// nil-tested because the mask already says whether anybody listens:
 //
-// on a value of static type obs.Probe must therefore be dominated by a
-// nil check of the same expression — either an enclosing
-// `if p != nil { ... }` or an earlier `if p == nil { return }` in the
-// same block. An unguarded Emit either panics when the probe is detached
-// or, worse, forces the caller to build the Event unconditionally,
-// breaking the zero-alloc guarantee the obs benchmarks pin down.
+//	if to := sk.subs.For(kind, traced); to != 0 {
+//		sk.out.Emit(obs.Event{To: to, ...})
+//	}
 //
-// The guard walker is parameterized by a Rule so sibling analyzers can
-// enforce the same domination property for other hot-path attachment
-// points; tracegate (internal/lint/tracegate) instantiates it for the
-// request tracer's sampling entry points.
+// that is, an enclosing if that defines a variable from an obs.Subs.For
+// call and tests it non-zero, around an Emit of an obs.Event literal
+// addressed To that variable. An unguarded Emit either panics when the
+// probe is detached or, worse, forces the caller to build the Event
+// unconditionally, breaking the zero-alloc guarantee the obs benchmarks
+// pin down.
+//
+// Every sampling call t.ContextFor(id) or t.Emit(ev) on a
+// *reqtrace.Tracer or a pe.TraceSampler must be dominated by a nil check
+// of the same expression: request tracing is off by default (a nil
+// tracer) and an untraced run pays exactly that check.
 package probegate
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
 	"ultracomputer/internal/lint/analysis"
 )
 
-// probePath/probeName identify the guarded interface type.
 const (
-	probePath = "ultracomputer/internal/obs"
-	probeName = "Probe"
+	obsPath      = "ultracomputer/internal/obs"
+	reqtracePath = "ultracomputer/internal/obs/reqtrace"
+	pePath       = "ultracomputer/internal/pe"
 )
 
-// Rule parameterizes the nil-guard walker: which receiver types and
-// method names must be dominated by a nil check, which packages are
-// exempt (typically the package implementing the guarded type, whose
-// methods run with a known-non-nil receiver), and the diagnostic text
-// (one %s verb for the receiver expression).
-type Rule struct {
-	// Methods is the set of method names whose calls are checked.
-	Methods map[string]bool
-	// IsTarget reports whether the receiver's static type is guarded.
-	IsTarget func(types.Type) bool
-	// SkipPkg, when non-nil, exempts whole packages by import path.
-	SkipPkg func(path string) bool
-	// Message is the diagnostic format; it receives the receiver
-	// expression's source text.
-	Message string
+// rule is one instantiation of the guard walker: which receiver types
+// and method names must be dominated by a guard, which package is exempt
+// (the one implementing the guarded type, whose methods run with a
+// known-non-nil receiver), whether the audience-mask guard counts, and
+// the diagnostic text (one %s verb for the receiver expression).
+type rule struct {
+	methods  map[string]bool
+	isTarget func(types.Type) bool
+	skipPkg  string
+	mask     bool
+	message  string
 }
 
-// NewAnalyzer builds a nil-guard-domination analyzer from a rule.
-func NewAnalyzer(name, doc string, rule Rule) *analysis.Analyzer {
-	return &analysis.Analyzer{
-		Name: name,
-		Doc:  doc,
-		Run: func(pass *analysis.Pass) (interface{}, error) {
-			if rule.SkipPkg != nil && pass.Pkg != nil && rule.SkipPkg(pass.Pkg.Path()) {
-				return nil, nil
-			}
-			for _, f := range pass.Files {
-				for _, d := range f.Decls {
-					fd, ok := d.(*ast.FuncDecl)
-					if !ok || fd.Body == nil {
-						continue
-					}
-					checkBlock(pass, &rule, fd.Body.List, map[string]bool{})
-				}
-			}
-			return nil, nil
+var rules = []rule{
+	{
+		methods:  map[string]bool{"Emit": true},
+		isTarget: func(t types.Type) bool { return isNamed(t, obsPath, "Probe") },
+		mask:     true,
+		message: "obs.Probe Emit on %s without a dominating nil check: a detached probe is nil, " +
+			"and the zero-alloc contract requires guarding before building the event",
+	},
+	{
+		methods: map[string]bool{"ContextFor": true, "Emit": true},
+		isTarget: func(t types.Type) bool {
+			return isNamed(t, reqtracePath, "Tracer") || isNamed(t, pePath, "TraceSampler")
 		},
-	}
+		skipPkg: reqtracePath,
+		message: "reqtrace sampling call on %s without a dominating nil check: " +
+			"tracing is off by default (nil tracer) and an untraced run must pay only the check",
+	},
 }
 
 // Analyzer is the probegate pass.
-var Analyzer = NewAnalyzer(
-	"probegate",
-	"require every obs.Probe Emit call site to be guarded by a nil check of the probe",
-	Rule{
-		Methods:  map[string]bool{"Emit": true},
-		IsTarget: isProbe,
-		Message: "obs.Probe Emit on %s without a dominating nil check: a detached probe is nil, " +
-			"and the zero-alloc contract requires guarding before building the event",
+var Analyzer = &analysis.Analyzer{
+	Name: "probegate",
+	Doc: "require every obs.Probe Emit call site to be guarded by a nil check of the probe or by a " +
+		"non-zero obs.Subs.For audience, and every reqtrace sampling call site (ContextFor, Emit) " +
+		"by a nil check of the tracer",
+	Run: func(pass *analysis.Pass) (interface{}, error) {
+		for i := range rules {
+			r := &rules[i]
+			if r.skipPkg != "" && pass.Pkg != nil && strings.HasPrefix(pass.Pkg.Path(), r.skipPkg) {
+				continue
+			}
+			for _, f := range pass.Files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+						checkBlock(pass, r, fd.Body.List, map[string]bool{})
+					}
+				}
+			}
+		}
+		return nil, nil
 	},
-)
+}
 
 // checkBlock walks one statement list in order, threading the set of
 // guarded expressions (rendered as source text) known to be non-nil.
-func checkBlock(pass *analysis.Pass, rule *Rule, stmts []ast.Stmt, guarded map[string]bool) {
+func checkBlock(pass *analysis.Pass, rule *rule, stmts []ast.Stmt, guarded map[string]bool) {
 	for _, s := range stmts {
 		checkStmt(pass, rule, s, guarded)
 		// An early return on nil (`if p == nil { return }`) guards the
@@ -100,7 +114,7 @@ func checkBlock(pass *analysis.Pass, rule *Rule, stmts []ast.Stmt, guarded map[s
 
 // checkStmt dispatches one statement, recursing into nested blocks with
 // the appropriate guard set.
-func checkStmt(pass *analysis.Pass, rule *Rule, s ast.Stmt, guarded map[string]bool) {
+func checkStmt(pass *analysis.Pass, rule *rule, s ast.Stmt, guarded map[string]bool) {
 	switch s := s.(type) {
 	case nil:
 	case *ast.IfStmt:
@@ -111,6 +125,8 @@ func checkStmt(pass *analysis.Pass, rule *Rule, s ast.Stmt, guarded map[string]b
 		thenGuards := guarded
 		if expr := nilCheckedTarget(pass, rule, s.Cond, false); expr != "" {
 			thenGuards = withGuard(guarded, expr)
+		} else if v := audienceVar(pass, rule, s); v != "" {
+			thenGuards = withGuard(guarded, maskKey+v)
 		}
 		checkBlock(pass, rule, s.Body.List, thenGuards)
 		if s.Else != nil {
@@ -161,24 +177,14 @@ func checkStmt(pass *analysis.Pass, rule *Rule, s ast.Stmt, guarded map[string]b
 	case *ast.LabeledStmt:
 		checkStmt(pass, rule, s.Stmt, guarded)
 	default:
-		// Leaf statements: scan contained expressions for guarded calls
-		// (and nested function literals, which start unguarded).
-		ast.Inspect(s, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				checkBlock(pass, rule, n.Body.List, map[string]bool{})
-				return false
-			case *ast.CallExpr:
-				reportUnguardedCall(pass, rule, n, guarded)
-			}
-			return true
-		})
+		checkExpr(pass, rule, s, guarded) // a leaf statement
 	}
 }
 
-// checkExpr scans a non-statement expression (conditions, range
-// operands) for guarded calls and function literals.
-func checkExpr(pass *analysis.Pass, rule *Rule, e ast.Expr, guarded map[string]bool) {
+// checkExpr scans a leaf statement or an expression (conditions, range
+// operands) for guarded calls and for nested function literals, which
+// start unguarded.
+func checkExpr(pass *analysis.Pass, rule *rule, e ast.Node, guarded map[string]bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -193,71 +199,97 @@ func checkExpr(pass *analysis.Pass, rule *Rule, e ast.Expr, guarded map[string]b
 
 // reportUnguardedCall flags call if it invokes one of the rule's methods
 // on an unguarded target expression.
-func reportUnguardedCall(pass *analysis.Pass, rule *Rule, call *ast.CallExpr, guarded map[string]bool) {
+func reportUnguardedCall(pass *analysis.Pass, rule *rule, call *ast.CallExpr, guarded map[string]bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !rule.Methods[sel.Sel.Name] {
+	if !ok || !rule.methods[sel.Sel.Name] {
 		return
 	}
 	tv, ok := pass.TypesInfo.Types[sel.X]
-	if !ok || !rule.IsTarget(tv.Type) {
+	if !ok || !rule.isTarget(tv.Type) {
 		return
 	}
 	expr := types.ExprString(sel.X)
-	if guarded[expr] {
+	if guarded[expr] || guarded[maskKey+addressee(call)] {
 		return
 	}
-	pass.Reportf(call.Pos(), rule.Message, expr)
+	pass.Reportf(call.Pos(), rule.message, expr)
+}
+
+// maskKey prefixes the guard-set entry of an audience variable, keeping
+// it apart from the nil-checked expressions.
+const maskKey = "To: "
+
+// audienceVar recognizes the audience-mask guard
+//
+//	if v := <obs.Subs expression calling For>; v != 0 {
+//
+// (the test possibly one && conjunct) and returns v.
+func audienceVar(pass *analysis.Pass, rule *rule, s *ast.IfStmt) string {
+	def, ok := s.Init.(*ast.AssignStmt)
+	if !rule.mask || !ok || def.Tok != token.DEFINE || len(def.Lhs) != 1 || len(def.Rhs) != 1 {
+		return ""
+	}
+	v, rhs := types.ExprString(def.Lhs[0]), def.Rhs[0]
+	if !isNamed(pass.TypesInfo.Types[rhs].Type, obsPath, "Subs") || !strings.Contains(types.ExprString(rhs), ".For(") {
+		return ""
+	}
+	return comparedTarget(s.Cond, "0", false, func(x ast.Expr) bool { return types.ExprString(x) == v })
+}
+
+// addressee returns v when call's one argument is a composite literal
+// with a `To: v` field — the event an audience-mask guard licenses.
+func addressee(call *ast.CallExpr) string {
+	if len(call.Args) == 1 {
+		if lit, ok := call.Args[0].(*ast.CompositeLit); ok {
+			for _, e := range lit.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok && types.ExprString(kv.Key) == "To" {
+					return types.ExprString(kv.Value)
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // nilCheckedTarget reports the target expression a condition proves
 // non-nil. With wantNil false it matches `x != nil` (possibly a && ...
 // conjunct); with wantNil true it matches a bare `x == nil`.
-func nilCheckedTarget(pass *analysis.Pass, rule *Rule, cond ast.Expr, wantNil bool) string {
-	switch c := cond.(type) {
-	case *ast.ParenExpr:
-		return nilCheckedTarget(pass, rule, c.X, wantNil)
-	case *ast.BinaryExpr:
-		if !wantNil && c.Op.String() == "&&" {
-			if e := nilCheckedTarget(pass, rule, c.X, false); e != "" {
-				return e
-			}
-			return nilCheckedTarget(pass, rule, c.Y, false)
-		}
-		wantOp := "!="
-		if wantNil {
-			wantOp = "=="
-		}
-		if c.Op.String() != wantOp {
-			return ""
-		}
-		x, y := c.X, c.Y
-		if isNilIdent(x) {
-			x, y = y, x
-		}
-		if !isNilIdent(y) {
-			return ""
-		}
+func nilCheckedTarget(pass *analysis.Pass, rule *rule, cond ast.Expr, wantNil bool) string {
+	return comparedTarget(cond, "nil", wantNil, func(x ast.Expr) bool {
 		tv, ok := pass.TypesInfo.Types[x]
-		if !ok || !rule.IsTarget(tv.Type) {
-			return ""
-		}
-		return types.ExprString(x)
+		return ok && rule.isTarget(tv.Type)
+	})
+}
+
+// comparedTarget reports the expression x, if accept takes it, that cond
+// compares with the literal zero: `x != zero`, possibly as one &&
+// conjunct, or with eq set a bare `x == zero`.
+func comparedTarget(cond ast.Expr, zero string, eq bool, accept func(ast.Expr) bool) string {
+	c, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return ""
 	}
-	return ""
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// isProbe reports whether t is the obs.Probe interface type.
-func isProbe(t types.Type) bool {
-	return isNamed(t, probePath, probeName)
+	if !eq && c.Op == token.LAND {
+		if e := comparedTarget(c.X, zero, false, accept); e != "" {
+			return e
+		}
+		return comparedTarget(c.Y, zero, false, accept)
+	}
+	if (eq && c.Op != token.EQL) || (!eq && c.Op != token.NEQ) {
+		return ""
+	}
+	x, y := c.X, c.Y
+	if types.ExprString(x) == zero {
+		x, y = y, x
+	}
+	if types.ExprString(y) != zero || !accept(x) {
+		return ""
+	}
+	return types.ExprString(x)
 }
 
 // isNamed reports whether t (or the type a pointer t points to) is the
-// named type path.name. Shared with sibling guard analyzers.
+// named type path.name.
 func isNamed(t types.Type, path, name string) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -269,18 +301,6 @@ func isNamed(t types.Type, path, name string) bool {
 	obj := named.Obj()
 	return obj != nil && obj.Name() == name &&
 		obj.Pkg() != nil && obj.Pkg().Path() == path
-}
-
-// IsNamedType is isNamed exported for sibling analyzers built on
-// NewAnalyzer (pointer indirection is stripped before matching).
-func IsNamedType(t types.Type, path, name string) bool { return isNamed(t, path, name) }
-
-// HasPathSuffix reports whether pkg path ends in suffix at a path
-// boundary — the usual way a SkipPkg exempts the implementing package
-// and its tests.
-func HasPathSuffix(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix) ||
-		strings.HasPrefix(path, suffix+".")
 }
 
 // terminates reports whether a block always transfers control out

@@ -10,3 +10,9 @@ import (
 func TestProbegate(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), probegate.Analyzer, "probegate")
 }
+
+// TestTracegate runs the same analyzer over the request-tracer fixtures:
+// its second rule.
+func TestTracegate(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), probegate.Analyzer, "tracegate")
+}

@@ -86,3 +86,52 @@ func otherEmit(ev obs.Event) {
 	var s sink
 	s.Emit(ev)
 }
+
+// unit is the shape of a network or memory emit site: an audience set
+// and a destination that is never nil-tested.
+type unit struct {
+	subs obs.Subs
+	out  obs.Probe
+}
+
+// maskGuard is the canonical audience-mask shape: the event is built and
+// emitted only for a non-empty audience obtained from For.
+func (u *unit) maskGuard(cycle int64, traced bool) {
+	if to := u.subs.For(obs.KindInject, traced); to != 0 {
+		u.out.Emit(obs.Event{To: to, Cycle: cycle})
+	}
+}
+
+// narrowedMask allows the audience to be narrowed further, and the test
+// to be one && conjunct.
+func (u *unit) narrowedMask(cycle int64, traced, verbose bool) {
+	if to := u.subs.For(obs.KindReplyHop, traced) & obs.SubTrace; verbose && to != 0 {
+		u.out.Emit(obs.Event{To: to, Cycle: cycle})
+	}
+}
+
+// bareSink emits on the destination with no guard at all: flagged.
+func (u *unit) bareSink(ev obs.Event) {
+	u.out.Emit(ev) // want `obs\.Probe Emit on u\.out without a dominating nil check`
+}
+
+// notFromFor tests a mask that For never narrowed: flagged.
+func (u *unit) notFromFor(cycle int64) {
+	if to := u.subs; to != 0 {
+		u.out.Emit(obs.Event{To: to, Cycle: cycle}) // want `obs\.Probe Emit on u\.out without a dominating nil check`
+	}
+}
+
+// wrongAddressee guards one audience but addresses the event to
+// another: flagged.
+func (u *unit) wrongAddressee(cycle int64, traced bool) {
+	if to := u.subs.For(obs.KindInject, traced); to != 0 {
+		u.out.Emit(obs.Event{To: u.subs, Cycle: cycle}) // want `obs\.Probe Emit on u\.out without a dominating nil check`
+	}
+}
+
+// untested obtains the audience but never tests it: flagged.
+func (u *unit) untested(cycle int64, traced bool) {
+	to := u.subs.For(obs.KindInject, traced)
+	u.out.Emit(obs.Event{To: to, Cycle: cycle}) // want `obs\.Probe Emit on u\.out without a dominating nil check`
+}

@@ -1,5 +1,5 @@
-// Fixture for the tracegate analyzer: guarded and unguarded sampling
-// calls on *reqtrace.Tracer and pe.TraceSampler values.
+// Fixture for probegate's request-tracer rule: guarded and unguarded
+// sampling calls on *reqtrace.Tracer and pe.TraceSampler values.
 package tracegate
 
 import (

@@ -212,8 +212,8 @@ func (m *Machine) SetProbe(p obs.Probe) {
 
 // SetTracer attaches a request tracer to every layer of the machine:
 // the PEs' PNIs stamp sampled requests with a trace context at issue,
-// and the network switches and memory modules record per-hop events on
-// the tracer's dedicated stream. Call before the first Step; nil (the
+// and the network switches and memory modules address the per-hop events
+// of those requests to the tracer. Call before the first Step; nil (the
 // default) detaches. Under IdealMemory the trace context propagates
 // into replies but no network hops exist, so spans stay empty.
 func (m *Machine) SetTracer(t *reqtrace.Tracer) {
@@ -277,9 +277,9 @@ func (m *Machine) SetEngine(e engine.Engine) {
 }
 
 // ensureStepper builds the phased network driver on first use and,
-// under a parallel engine, reroutes per-PE and per-MM probes into the
-// stepper's per-unit event buffers (drained in unit order each cycle,
-// so the event stream matches a serial run byte for byte).
+// under a parallel engine, gives every PE and every memory module its
+// own event buffer (drained in unit order each cycle, so every consumer
+// sees the events of a serial run, in the same order).
 func (m *Machine) ensureStepper() {
 	if m.stepper != nil {
 		return
@@ -289,35 +289,17 @@ func (m *Machine) ensureStepper() {
 	}
 	m.stepper = network.NewStepper(m.net, m.eng)
 	if m.stepper.Parallel() {
+		// The PNI-side sampler stays the tracer itself: ContextFor is a
+		// pure hash, safe from any worker.
 		if m.probe != nil {
 			for i, p := range m.pes {
 				p.SetProbe(m.stepper.PEProbe(i), m.cfg.PECycle)
 			}
-			for mm, mod := range m.bank.Modules {
-				mod.SetProbe(m.stepper.MMProbe(mm))
-			}
 		}
-		if m.tracer != nil {
-			// The PNI-side sampler stays the tracer itself (ContextFor is
-			// a pure hash, safe from any worker); only the modules' emit
-			// stream is rerouted into per-MM buffers.
-			for mm, mod := range m.bank.Modules {
-				mod.SetTracer(m.stepper.MMTrace(mm))
-			}
-		}
+		m.bank.Buffered()
 		if m.cfg.IdealMemory {
 			m.idealHold = make([][]msg.Request, len(m.pes))
 			m.idealBuckets = make([][]msg.Reply, len(m.pes))
-		}
-		if m.prof != nil && m.prof.Enabled() {
-			// Each worker combines into its own shard; counts merge
-			// order-free at export.
-			shards := m.prof.NetShards(m.eng.Workers())
-			np := make([]network.NetProfiler, len(shards))
-			for i, s := range shards {
-				np[i] = s
-			}
-			m.stepper.SetProfShards(np)
 		}
 	}
 	m.mmPorts = make([]memory.Port, len(m.bank.Modules))
@@ -414,6 +396,7 @@ func (m *Machine) Step() {
 		m.stepper.Step(m.cycle)
 		m.eng.Run(len(m.bank.Modules), m.mmStepFn)
 		m.stepper.FlushMM()
+		m.bank.Flush()
 		m.eng.Run(len(m.pes), m.collectFn)
 		m.stepper.FlushCollect()
 	}

@@ -42,41 +42,48 @@ type Module struct {
 	// requests issued.
 	Served sim.Counter
 
-	probe obs.Probe
-	// trace is the request-tracing stream (internal/obs/reqtrace): MNI
-	// events of traced requests only, kept separate from the main probe
-	// so sampled tracing never requires full event recording.
-	trace obs.Probe
-	// prof is the guest profiler's serve sink (nil when off).
-	prof ServeProfiler
+	// subs is the set of consumers attached to the module's bank (empty
+	// and its own for a module outside a bank) and out where its events
+	// go: the bank's fan-out, or the module's buffer once Buffered.
+	subs *obs.Subs
+	out  obs.Probe
 }
 
 // ServeProfiler receives completed memory operations for the guest
-// profiler's contention heatmap (internal/obs/prof satisfies it). The
-// MM phase shards by module, so the profiler shards its counters by mm
-// and needs no locking.
+// profiler's contention heatmap (internal/obs/prof satisfies it). Calls
+// arrive on the coordinating goroutine under every engine.
 type ServeProfiler interface {
 	ProfServe(mm, word int, op msg.Op)
 }
 
-// SetProbe attaches an event probe (nil detaches; the default).
-func (m *Module) SetProbe(p obs.Probe) { m.probe = p }
+// serveProbe adapts a ServeProfiler to the fan-out: of the events
+// addressed to the profiler a bank emits only KindMNIServe.
+type serveProbe struct{ p ServeProfiler }
 
-// SetTracer attaches the request-tracing stream (nil detaches).
-func (m *Module) SetTracer(p obs.Probe) { m.trace = p }
+func (s serveProbe) Emit(ev obs.Event) { s.p.ProfServe(ev.MM, ev.Addr.Word, ev.Op) }
 
-// SetProfiler attaches the guest profiler's serve sink (nil detaches).
-func (m *Module) SetProfiler(p ServeProfiler) { m.prof = p }
-
-// emitBegin records the start of one MNI service.
-func (m *Module) emitBegin(r msg.Request, cycle int64) {
-	if m.probe == nil {
-		return
+// begin starts serving r.
+func (m *Module) begin(r msg.Request, cycle int64) {
+	m.busy = true
+	m.current = r
+	m.busyUntil = cycle + m.latency
+	if to := m.subs.For(obs.KindMNIBegin, r.TC.Traced()); to != 0 {
+		m.out.Emit(obs.Event{
+			To: to, Cycle: cycle, Kind: obs.KindMNIBegin, PE: r.PE, Stage: -1,
+			MM: m.id, Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
+		})
 	}
-	m.probe.Emit(obs.Event{
-		Cycle: cycle, Kind: obs.KindMNIBegin, PE: r.PE, Stage: -1,
-		MM: m.id, Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
-	})
+}
+
+// replied records, for the tracer alone, a reply entering the MNI output
+// queue.
+func (m *Module) replied(rep msg.Reply, cycle int64) {
+	if to := m.subs.For(obs.KindReplyHop, rep.TC.Traced()) & obs.SubTrace; to != 0 {
+		m.out.Emit(obs.Event{
+			To: to, Cycle: cycle, Kind: obs.KindReplyHop, PE: rep.PE, Stage: -1,
+			MM: m.id, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
+		})
+	}
 }
 
 // NewModule returns module id with the given access latency in cycles
@@ -85,7 +92,7 @@ func NewModule(id int, latency int64) *Module {
 	if latency < 1 {
 		latency = 1
 	}
-	return &Module{id: id, latency: latency, words: make(map[int]int64)}
+	return &Module{id: id, latency: latency, words: make(map[int]int64), subs: new(obs.Subs)}
 }
 
 // ID reports the module number.
@@ -109,18 +116,7 @@ func (m *Module) Accept(r msg.Request, cycle int64) {
 	if !m.Idle() {
 		panic(fmt.Sprintf("memory: Accept on busy module %d", m.id))
 	}
-	m.busy = true
-	m.current = r
-	m.busyUntil = cycle + m.latency
-	if m.probe != nil {
-		m.emitBegin(r, cycle)
-	}
-	if m.trace != nil && r.TC.ID != 0 {
-		m.trace.Emit(obs.Event{
-			Cycle: cycle, Kind: obs.KindMNIBegin, PE: r.PE, Stage: -1,
-			MM: m.id, Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
-		})
-	}
+	m.begin(r, cycle)
 }
 
 // Step advances the module one cycle against its network port: it first
@@ -130,13 +126,7 @@ func (m *Module) Accept(r msg.Request, cycle int64) {
 func (m *Module) Step(cycle int64, port Port) {
 	if m.pending != nil {
 		if port.Reply(*m.pending) {
-			if m.trace != nil && m.pending.TC.ID != 0 {
-				m.trace.Emit(obs.Event{
-					Cycle: cycle, Kind: obs.KindReplyHop, PE: m.pending.PE,
-					Stage: -1, MM: m.id, Copy: -1, ID: m.pending.ID,
-					Op: m.pending.Op, Addr: m.pending.Addr,
-				})
-			}
+			m.replied(*m.pending, cycle)
 			m.pending = nil
 		} else {
 			return
@@ -155,19 +145,9 @@ func (m *Module) Step(cycle int64, port Port) {
 		m.words[r.Addr.Word] = newVal
 		m.Served.Inc()
 		m.busy = false
-		if m.prof != nil {
-			m.prof.ProfServe(m.id, r.Addr.Word, r.Op)
-		}
-		if m.probe != nil {
-			m.probe.Emit(obs.Event{
-				Cycle: cycle, Kind: obs.KindMNIServe, PE: r.PE, Stage: -1,
-				MM: m.id, Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
-				Value: ret,
-			})
-		}
-		if m.trace != nil && r.TC.ID != 0 {
-			m.trace.Emit(obs.Event{
-				Cycle: cycle, Kind: obs.KindMNIServe, PE: r.PE, Stage: -1,
+		if to := m.subs.For(obs.KindMNIServe, r.TC.Traced()); to != 0 {
+			m.out.Emit(obs.Event{
+				To: to, Cycle: cycle, Kind: obs.KindMNIServe, PE: r.PE, Stage: -1,
 				MM: m.id, Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
 				Value: ret,
 			})
@@ -180,27 +160,11 @@ func (m *Module) Step(cycle int64, port Port) {
 			m.pending = &blocked
 			return
 		}
-		if m.trace != nil && rep.TC.ID != 0 {
-			m.trace.Emit(obs.Event{
-				Cycle: cycle, Kind: obs.KindReplyHop, PE: rep.PE, Stage: -1,
-				MM: m.id, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
-			})
-		}
+		m.replied(rep, cycle)
 	}
 	if !m.busy && m.pending == nil {
 		if r, ok := port.Dequeue(); ok {
-			m.busy = true
-			m.current = r
-			m.busyUntil = cycle + m.latency
-			if m.probe != nil {
-				m.emitBegin(r, cycle)
-			}
-			if m.trace != nil && r.TC.ID != 0 {
-				m.trace.Emit(obs.Event{
-					Cycle: cycle, Kind: obs.KindMNIBegin, PE: r.PE, Stage: -1,
-					MM: m.id, Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
-				})
-			}
+			m.begin(r, cycle)
 		}
 	}
 }
@@ -210,6 +174,11 @@ func (m *Module) Step(cycle int64, port Port) {
 type Bank struct {
 	Modules []*Module
 	Hash    Hasher
+
+	// fan delivers the modules' events to the attached consumers; bufs,
+	// once Buffered, holds each module's events until Flush.
+	fan  obs.Fanout
+	bufs []obs.EventBuffer
 }
 
 // NewBank creates n modules with the given access latency and hashing
@@ -217,7 +186,9 @@ type Bank struct {
 func NewBank(n int, latency int64, h Hasher) *Bank {
 	b := &Bank{Hash: h}
 	for i := 0; i < n; i++ {
-		b.Modules = append(b.Modules, NewModule(i, latency))
+		m := NewModule(i, latency)
+		m.subs, m.out = b.fan.Subs(), &b.fan
+		b.Modules = append(b.Modules, m)
 	}
 	return b
 }
@@ -243,24 +214,42 @@ func (b *Bank) TotalServed() int64 {
 	return t
 }
 
-// SetProbe attaches an event probe to every module.
-func (b *Bank) SetProbe(p obs.Probe) {
-	for _, m := range b.Modules {
-		m.SetProbe(p)
-	}
-}
+// SetProbe subscribes an event probe (the recorder) to every module's
+// events; nil detaches it. Like SetTracer and SetProfiler, call it before
+// the first Step.
+func (b *Bank) SetProbe(p obs.Probe) { b.fan.Subscribe(obs.SubRecord, p) }
 
-// SetTracer attaches the request-tracing stream to every module.
-func (b *Bank) SetTracer(p obs.Probe) {
-	for _, m := range b.Modules {
-		m.SetTracer(p)
-	}
-}
+// SetTracer subscribes the request tracer to every module; it receives
+// only events of requests carrying a trace context.
+func (b *Bank) SetTracer(p obs.Probe) { b.fan.Subscribe(obs.SubTrace, p) }
 
-// SetProfiler attaches the guest profiler's serve sink to every module.
+// SetProfiler subscribes the guest profiler's serve sink to every module.
 func (b *Bank) SetProfiler(p ServeProfiler) {
-	for _, m := range b.Modules {
-		m.SetProfiler(p)
+	if p == nil {
+		b.fan.Subscribe(obs.SubProf, nil)
+		return
+	}
+	b.fan.Subscribe(obs.SubProf, serveProbe{p})
+}
+
+// Buffered gives every module its own event buffer, for an engine that
+// steps modules on several workers at once; Flush then replays them in
+// module order: the sequence a serial engine emits inline.
+func (b *Bank) Buffered() {
+	b.bufs = make([]obs.EventBuffer, len(b.Modules))
+	for i, m := range b.Modules {
+		m.out = &b.bufs[i]
+	}
+}
+
+// Flush drains the module buffers after a module phase; a no-op unless
+// Buffered, and when no consumer is attached (nothing was emitted).
+func (b *Bank) Flush() {
+	if *b.fan.Subs() == 0 {
+		return
+	}
+	for i := range b.bufs {
+		b.bufs[i].DrainTo(&b.fan)
 	}
 }
 

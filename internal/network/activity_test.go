@@ -105,7 +105,7 @@ func (h *harness) hotFlood(t *testing.T, rounds int, each func(round int)) {
 			if rng.Bernoulli(0.5) {
 				req.Op, req.Operand = msg.FetchAdd, 1
 			}
-			if h.net.Inject(p, req, h.cycle) {
+			if h.st.Inject(p, req, h.cycle) {
 				accepted++
 				added += int(req.Operand)
 			}

@@ -37,7 +37,7 @@ func runSeededTraffic(t *testing.T, seed uint64) ([]obs.Event, map[msg.Addr]int6
 			if rng.Bernoulli(0.5) {
 				op = msg.FetchAdd
 			}
-			h.net.Inject(p, msg.Request{
+			h.st.Inject(p, msg.Request{
 				ID: id, PE: p, Op: op, Addr: addr, Operand: int64(rng.Intn(8)),
 				Issued: h.cycle,
 			}, h.cycle)
@@ -95,7 +95,7 @@ func TestCombinedRequestEntriesCleaned(t *testing.T) {
 	hot := msg.Addr{MM: 0, Word: 0}
 	for round := 0; round < 32; round++ {
 		for p := 0; p < ports; p++ {
-			h.net.Inject(p, msg.Request{ID: id, PE: p, Op: msg.FetchAdd, Addr: hot, Operand: 1}, h.cycle)
+			h.st.Inject(p, msg.Request{ID: id, PE: p, Op: msg.FetchAdd, Addr: hot, Operand: 1}, h.cycle)
 			id++
 		}
 		h.step()

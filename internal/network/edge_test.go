@@ -17,7 +17,7 @@ func TestWaitBufferFullDisablesCombining(t *testing.T) {
 	addr := msg.Addr{MM: 0, Word: 0}
 	for p := 0; p < n; p++ {
 		req := msg.Request{ID: uint64(p + 1), PE: p, Op: msg.FetchAdd, Addr: addr, Operand: 1}
-		if !h.net.Inject(p, req, 0) {
+		if !h.st.Inject(p, req, 0) {
 			t.Fatalf("inject refused at PE %d", p)
 		}
 	}
@@ -43,7 +43,7 @@ func TestSingleStageNetwork(t *testing.T) {
 	for p := 0; p < 4; p++ {
 		req := msg.Request{ID: uint64(p + 1), PE: p, Op: msg.FetchAdd,
 			Addr: msg.Addr{MM: (p + 1) % 4, Word: 0}, Operand: int64(p)}
-		if !h.net.Inject(p, req, 0) {
+		if !h.st.Inject(p, req, 0) {
 			t.Fatalf("inject refused at PE %d", p)
 		}
 	}
@@ -74,7 +74,7 @@ func TestLargeNetworkSoak(t *testing.T) {
 		for p := 0; p < n; p += 7 { // sparse injectors keep runtime modest
 			req := msg.Request{ID: id, PE: p, Op: msg.FetchAdd,
 				Addr: msg.Addr{MM: int(id*2654435761) % n, Word: int(id % 13)}, Operand: 1}
-			if h.net.Inject(p, req, h.cycle) {
+			if h.st.Inject(p, req, h.cycle) {
 				accepted++
 				id++
 			}

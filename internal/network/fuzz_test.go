@@ -129,7 +129,7 @@ func TestNetworkFuzzConservation(t *testing.T) {
 				addr := msg.Addr{MM: rng.Intn(n), Word: rng.Intn(3)}
 				inc := int64(rng.Intn(9) - 4)
 				req := msg.Request{ID: id, PE: p, Op: msg.FetchAdd, Addr: addr, Operand: inc}
-				if h.net.Inject(p, req, h.cycle) {
+				if h.st.Inject(p, req, h.cycle) {
 					want[addr] += inc
 					accepted++
 					id++

@@ -33,6 +33,14 @@ type Stats struct {
 	perStageCombines []int64
 }
 
+// observeRT records one inject-to-reply latency.
+func (s *Stats) observeRT(lat int64) {
+	s.RoundTrip.Observe(float64(lat))
+	if s.RoundTripHist != nil {
+		s.RoundTripHist.Observe(lat)
+	}
+}
+
 func (s *Stats) combineAtStage(stage int) {
 	for len(s.perStageCombines) <= stage {
 		s.perStageCombines = append(s.perStageCombines, 0)
@@ -46,37 +54,28 @@ func (s *Stats) CombinesPerStage() []int64 {
 	return append([]int64(nil), s.perStageCombines...)
 }
 
-// addCounts folds another Stats' integer counters into s. Integer sums
-// are order-free, so per-worker scratch counters can merge in any
-// order; the order-sensitive round-trip observations never pass
-// through scratch (the Stepper replays them per PE).
-func (s *Stats) addCounts(d *Stats) {
-	s.Injected.Add(d.Injected.Value())
-	s.DeliveredToMM.Add(d.DeliveredToMM.Value())
-	s.Combines.Add(d.Combines.Value())
-	s.Decombines.Add(d.Decombines.Value())
-	s.RepliesDelivered.Add(d.RepliesDelivered.Value())
-	for stage, c := range d.perStageCombines {
-		if c == 0 {
-			continue
-		}
-		for len(s.perStageCombines) <= stage {
-			s.perStageCombines = append(s.perStageCombines, 0)
-		}
-		s.perStageCombines[stage] += c
-	}
+// take moves a scratch counter into its shared total. Integer sums are
+// order-free, so scratch counters can merge in any order; the
+// order-sensitive round-trip observations never pass through scratch
+// (the Stepper replays them per PE).
+func take(total, scratch *sim.Counter) {
+	total.Add(scratch.Value())
+	scratch.Reset()
 }
 
-// resetCounts zeroes the integer counters (scratch reuse between
-// cycles; the per-stage slice keeps its capacity).
-func (s *Stats) resetCounts() {
-	s.Injected.Reset()
-	s.DeliveredToMM.Reset()
-	s.Combines.Reset()
-	s.Decombines.Reset()
-	s.RepliesDelivered.Reset()
-	for i := range s.perStageCombines {
-		s.perStageCombines[i] = 0
+// takeCombines moves a worker's switch-phase scratch counters into s
+// (the per-stage slice keeps its capacity).
+func (s *Stats) takeCombines(d *Stats) {
+	take(&s.Combines, &d.Combines)
+	take(&s.Decombines, &d.Decombines)
+	for stage, c := range d.perStageCombines {
+		if c != 0 {
+			for len(s.perStageCombines) <= stage {
+				s.perStageCombines = append(s.perStageCombines, 0)
+			}
+			s.perStageCombines[stage] += c
+			d.perStageCombines[stage] = 0
+		}
 	}
 }
 
@@ -111,24 +110,15 @@ type Network struct {
 	// queues and PE receive buffers (see activity).
 	act   *activity
 	stats Stats
-	probe obs.Probe
-	// trace is the request-tracing stream (a reqtrace.Tracer): a second,
-	// independent probe receiving only the hop events of requests whose
-	// TraceCtx is non-zero. Kept separate from probe so sampled tracing
-	// can run without full event recording.
-	trace obs.Probe
-
-	// prof is the guest profiler's combine sink (serial paths only; the
-	// parallel Stepper uses per-worker shards).
-	prof NetProfiler
+	// fan delivers every event of the network, and of the PEs it carries
+	// traffic for, to the attached consumers (SetProbe, SetTracer,
+	// SetProfiler).
+	fan obs.Fanout
 
 	// collectBuf is the per-PE reply scratch reused by Collect every
 	// cycle (shard-owned: the collect phase is sharded by PE). The
 	// returned slice is only valid until that PE's next Collect.
 	collectBuf [][]msg.Reply
-	// onCollect is Collect's latency observation, hoisted so the serial
-	// collect path allocates nothing per cycle.
-	onCollect func(lat int64, known bool)
 }
 
 // inflightReq is the bookkeeping for one in-flight request.
@@ -137,41 +127,38 @@ type inflightReq struct {
 	issued int64 // inject cycle, for round-trip latency
 }
 
-// SetProbe attaches an event probe to the network and all its copies;
-// nil detaches it (the default — a detached probe costs one nil check).
-func (n *Network) SetProbe(p obs.Probe) {
-	n.probe = p
-	for _, c := range n.copies {
-		c.probe = p
-	}
-}
+// SetProbe subscribes an event probe (the recorder) to the network's
+// events; nil detaches it. Like SetTracer and SetProfiler, call it
+// before the first Step. With no consumer attached an emit site costs
+// one mask test.
+func (n *Network) SetProbe(p obs.Probe) { n.fan.Subscribe(obs.SubRecord, p) }
 
-// SetTracer attaches the request-tracing stream (a reqtrace.Tracer) to
-// the network and all its copies; nil detaches it. Hop-record sites emit
-// on it only for requests carrying a non-zero TraceCtx.
-func (n *Network) SetTracer(p obs.Probe) {
-	n.trace = p
-	for _, c := range n.copies {
-		c.trace = p
-	}
-}
+// SetTracer subscribes the request tracer (a reqtrace.Tracer); nil
+// detaches it. It receives only events of requests carrying a trace
+// context.
+func (n *Network) SetTracer(p obs.Probe) { n.fan.Subscribe(obs.SubTrace, p) }
 
-// NetProfiler receives combine events for the guest profiler's
-// per-address contention heatmap (internal/obs/prof.NetShard satisfies
-// it). Calls arrive from whatever unit performs the combine, so under
-// the parallel engine each worker must be given its own shard (see
-// Stepper.SetProfShards); counts are merged order-free.
+// NetProfiler receives combines for the guest profiler's per-address
+// contention heatmap (internal/obs/prof.NetShard satisfies it). Calls
+// arrive on the coordinating goroutine under every engine.
 type NetProfiler interface {
 	ProfCombine(addr msg.Addr)
 }
 
-// SetProfiler attaches a guest-profiler combine sink to the network and
-// all its copies (serial paths); nil detaches it.
+// combineProbe adapts a NetProfiler to the fan-out: of the events
+// addressed to the profiler the network emits only KindCombine.
+type combineProbe struct{ p NetProfiler }
+
+func (c combineProbe) Emit(ev obs.Event) { c.p.ProfCombine(ev.Addr) }
+
+// SetProfiler subscribes the guest profiler's combine sink; nil detaches
+// it.
 func (n *Network) SetProfiler(p NetProfiler) {
-	n.prof = p
-	for _, c := range n.copies {
-		c.prof = p
+	if p == nil {
+		n.fan.Subscribe(obs.SubProf, nil)
+		return
 	}
+	n.fan.Subscribe(obs.SubProf, combineProbe{p})
 }
 
 // New builds a network from cfg. It panics on an invalid configuration
@@ -192,19 +179,10 @@ func New(cfg Config) *Network {
 	n.stats.RoundTripHist = sim.NewHistogram(2048)
 	n.act = newActivity(cfg.Copies, newTopology(cfg.K, cfg.Stages))
 	for i := 0; i < cfg.Copies; i++ {
-		n.copies = append(n.copies, newCopyNet(cfg, &n.stats, n.act, i))
+		n.copies = append(n.copies, newCopyNet(cfg, n.act, i))
 	}
 	n.dead = make([]bool, cfg.Copies)
 	n.collectBuf = make([][]msg.Reply, cfg.Ports())
-	n.onCollect = func(lat int64, known bool) {
-		if known {
-			n.stats.RoundTrip.Observe(float64(lat))
-			if n.stats.RoundTripHist != nil {
-				n.stats.RoundTripHist.Observe(lat)
-			}
-		}
-		n.stats.RepliesDelivered.Inc()
-	}
 	return n
 }
 
@@ -240,25 +218,10 @@ func (n *Network) Ports() int { return n.cfg.Ports() }
 // Stats exposes the accumulated statistics.
 func (n *Network) Stats() *Stats { return &n.stats }
 
-// Inject offers a request at PE pe's network interface. Copies are tried
-// round-robin; Inject reports false when every copy's PNI queue is full
-// (the PE must retry next cycle). r.PE must equal pe: the reply path and
-// the in-flight bookkeeping are both keyed by the request's PE field.
-func (n *Network) Inject(pe int, r msg.Request, cycle int64) bool {
-	if n.injectInto(pe, r, cycle, n.probe, n.trace) {
-		n.stats.Injected.Inc()
-		return true
-	}
-	return false
-}
-
-// injectInto is Inject with the counting and event emission left to the
-// caller's sink: the shared stats/probe on the serial path, per-PE
-// scratch under the parallel engine (the tick phase is sharded by PE,
-// so per-worker scratch is not addressable from an inject closure).
-// tr is the per-caller trace stream, receiving the span-opening Inject
-// event for traced requests.
-func (n *Network) injectInto(pe int, r msg.Request, cycle int64, pr, tr obs.Probe) bool {
+// inject is Stepper.Inject, counting and emitting into the PE's sink. r.PE
+// must equal pe: the reply path and the in-flight bookkeeping are both
+// keyed by the request's PE field.
+func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
 	if pe < 0 || pe >= n.Ports() {
 		panic(fmt.Sprintf("network: Inject at PE %d of %d", pe, n.Ports()))
 	}
@@ -277,16 +240,10 @@ func (n *Network) injectInto(pe int, r msg.Request, cycle int64, pr, tr obs.Prob
 			n.next[pe] = (ci + 1) % len(n.copies)
 			//ultravet:ok sharecheck n.inflight[pe] belongs to the worker owning PE pe (see the field doc)
 			n.inflight[pe][r.ID] = inflightReq{copy: ci, issued: cycle}
-			if pr != nil {
-				pr.Emit(obs.Event{
-					Cycle: cycle, Kind: obs.KindInject, PE: pe, Stage: -1,
-					MM: r.Addr.MM, Copy: ci, ID: r.ID, Op: r.Op, Addr: r.Addr,
-					Value: r.Operand,
-				})
-			}
-			if tr != nil && r.TC.ID != 0 {
-				tr.Emit(obs.Event{
-					Cycle: cycle, Kind: obs.KindInject, PE: pe, Stage: -1,
+			sk.stats.Injected.Inc()
+			if to := sk.subs.For(obs.KindInject, r.TC.Traced()); to != 0 {
+				sk.out.Emit(obs.Event{
+					To: to, Cycle: cycle, Kind: obs.KindInject, PE: pe, Stage: -1,
 					MM: r.Addr.MM, Copy: ci, ID: r.ID, Op: r.Op, Addr: r.Addr,
 					Value: r.Operand,
 				})
@@ -297,19 +254,10 @@ func (n *Network) injectInto(pe int, r msg.Request, cycle int64, pr, tr obs.Prob
 	return false
 }
 
-// MMDequeue removes the next fully assembled request waiting at memory
-// module mm, searching the copies in order.
-func (n *Network) MMDequeue(mm int) (msg.Request, bool) {
-	r, ok := n.mmDequeue(mm)
-	if ok {
-		n.stats.DeliveredToMM.Inc()
-	}
-	return r, ok
-}
-
-// mmDequeue is MMDequeue with the counting left to the caller's sink. It
-// clears a copy's arrival flag when it takes that copy's last request.
-func (n *Network) mmDequeue(mm int) (msg.Request, bool) {
+// mmDequeue is Stepper.MMDequeue, searching the copies in order and
+// counting into the port's sink. It clears a copy's arrival flag when it
+// takes that copy's last request.
+func (n *Network) mmDequeue(mm int, sk *sink) (msg.Request, bool) {
 	for _, c := range n.copies {
 		if n.act.mm[c.base+mm] == 0 {
 			continue
@@ -320,6 +268,7 @@ func (n *Network) mmDequeue(mm int) (msg.Request, bool) {
 			n.act.mm[c.base+mm] = 0
 		}
 		if ok {
+			sk.stats.DeliveredToMM.Inc()
 			return r, true
 		}
 	}
@@ -327,7 +276,7 @@ func (n *Network) mmDequeue(mm int) (msg.Request, bool) {
 }
 
 // MMWaiting reports whether a request may be waiting at memory module
-// mm; false guarantees MMDequeue(mm) would find nothing, so a driver can
+// mm; false guarantees Stepper.MMDequeue(mm) would find nothing, so a driver can
 // skip an idle module without touching its queues.
 func (n *Network) MMWaiting(mm int) bool { return n.anyCopy(n.act.mm, mm) }
 
@@ -359,21 +308,13 @@ func (n *Network) MMReply(mm int, rep msg.Reply) bool {
 	return true
 }
 
-// Collect drains the replies fully received at PE pe, recording
-// round-trip latencies. The returned slice aliases per-PE scratch and
-// is only valid until pe's next Collect.
-func (n *Network) Collect(pe int, cycle int64) []msg.Reply {
-	return n.collectInto(pe, cycle, n.onCollect, n.probe, n.trace)
-}
-
-// collectInto is Collect with the latency observation and event
-// emission left to the caller: observed directly into the shared stats
-// on the serial path, buffered per PE and replayed in PE order under
-// the parallel engine — round-trip means use Welford's sequence-
-// dependent update, so the float observation order must match the
-// serial engine's exactly. onReply is called once per reply; known is
-// false for replies with no in-flight record (hand-injected in tests).
-func (n *Network) collectInto(pe int, cycle int64, onReply func(lat int64, known bool), pr, tr obs.Probe) []msg.Reply {
+// collect is Stepper.Collect. Round-trip latencies are observed directly
+// into the shared stats on the serial path, buffered in the PE's sink and
+// replayed in PE order under a parallel engine — round-trip means use
+// Welford's sequence-dependent update, so the float observation order
+// must match the serial engine's exactly. Replies with no in-flight
+// record (hand-injected in tests) observe none.
+func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
 	if !n.anyCopy(n.act.pe, pe) {
 		return nil
 	}
@@ -392,20 +333,18 @@ func (n *Network) collectInto(pe int, cycle int64, onReply func(lat int64, known
 		if ok {
 			//ultravet:ok sharecheck n.inflight[pe] belongs to the worker owning PE pe (see the field doc)
 			delete(n.inflight[rep.PE], rep.ID)
+			if sk.rt != nil {
+				*sk.rt = append(*sk.rt, cycle-fl.issued)
+			} else {
+				sk.stats.observeRT(cycle - fl.issued)
+			}
 		}
-		onReply(cycle-fl.issued, ok)
-		if pr != nil {
-			pr.Emit(obs.Event{
-				Cycle: cycle, Kind: obs.KindReplyDeliver, PE: pe, Stage: -1,
-				MM: -1, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
-				Value: rep.Value,
-			})
-		}
-		if tr != nil && rep.TC.ID != 0 {
-			// Span completion: the tracer closes the span and files it
-			// in the flight recorder.
-			tr.Emit(obs.Event{
-				Cycle: cycle, Kind: obs.KindReplyDeliver, PE: pe, Stage: -1,
+		sk.stats.RepliesDelivered.Inc()
+		if to := sk.subs.For(obs.KindReplyDeliver, rep.TC.Traced()); to != 0 {
+			// For the tracer this completes the span: it closes it and
+			// files it in the flight recorder.
+			sk.out.Emit(obs.Event{
+				To: to, Cycle: cycle, Kind: obs.KindReplyDeliver, PE: pe, Stage: -1,
 				MM: -1, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
 				Value: rep.Value,
 			})

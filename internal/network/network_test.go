@@ -90,9 +90,23 @@ func newHarness(t testing.TB, cfg Config) *harness {
 }
 
 // step advances one cycle: network, then each MM retries its pending
-// reply or serves one new request.
+// reply or serves one new request, then every PE collects. The flushes
+// are no-ops under the serial engine every test but one drives it with.
 func (h *harness) step() {
+	h.st.FlushInject()
 	h.st.Step(h.cycle)
+	h.serve()
+	h.st.FlushMM()
+	for pe := 0; pe < h.net.Ports(); pe++ {
+		h.replies = append(h.replies, h.st.Collect(pe, h.cycle)...)
+	}
+	h.st.FlushCollect()
+	h.checkActivity()
+	h.cycle++
+}
+
+// serve is the memory side of one cycle.
+func (h *harness) serve() {
 	for mm := 0; mm < h.net.Ports(); mm++ {
 		if p := h.pending[mm]; p != nil {
 			if h.net.MMReply(mm, *p) {
@@ -100,22 +114,17 @@ func (h *harness) step() {
 			}
 			continue
 		}
-		if r, ok := h.net.MMDequeue(mm); ok {
+		if r, ok := h.st.MMDequeue(mm); ok {
 			old := h.words[r.Addr]
 			newVal, ret := msg.Apply(r.Op, old, r.Operand)
 			h.words[r.Addr] = newVal
 			h.served[mm]++
-			rep := msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr, Value: ret}
+			rep := msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr, Value: ret, TC: r.TC}
 			if !h.net.MMReply(mm, rep) {
 				h.pending[mm] = &rep
 			}
 		}
 	}
-	for pe := 0; pe < h.net.Ports(); pe++ {
-		h.replies = append(h.replies, h.net.Collect(pe, h.cycle)...)
-	}
-	h.checkActivity()
-	h.cycle++
 }
 
 // drain steps until the network empties or the cycle limit is hit.
@@ -160,7 +169,7 @@ func TestRoutingAllPairs(t *testing.T) {
 				addr := msg.Addr{MM: m, Word: 5}
 				h.words[addr] = int64(100*p + m)
 				req := msg.Request{ID: 1, PE: p, Op: msg.Load, Addr: addr, Issued: 0}
-				if !h.net.Inject(p, req, 0) {
+				if !h.st.Inject(p, req, 0) {
 					t.Fatalf("k=%d D=%d: inject refused", kd[0], kd[1])
 				}
 				h.drain(t, 200)
@@ -183,7 +192,7 @@ func TestUnloadedLatency(t *testing.T) {
 	cfg := Config{K: 2, Stages: 3, Combining: true}
 	h := newHarness(t, cfg)
 	req := msg.Request{ID: 1, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 0, Word: 0}}
-	h.net.Inject(0, req, 0)
+	h.st.Inject(0, req, 0)
 	for i := 0; i < 100 && len(h.replies) == 0; i++ {
 		h.step()
 	}
@@ -211,7 +220,7 @@ func TestHotSpotCombining(t *testing.T) {
 	addr := msg.Addr{MM: 3, Word: 7}
 	for p := 0; p < n; p++ {
 		req := msg.Request{ID: uint64(p + 1), PE: p, Op: msg.FetchAdd, Addr: addr, Operand: 1}
-		if !h.net.Inject(p, req, 0) {
+		if !h.st.Inject(p, req, 0) {
 			t.Fatalf("inject refused at PE %d", p)
 		}
 	}
@@ -250,7 +259,7 @@ func TestHotSpotWithoutCombining(t *testing.T) {
 	injected := 0
 	for p := 0; p < n; p++ {
 		req := msg.Request{ID: uint64(p + 1), PE: p, Op: msg.FetchAdd, Addr: addr, Operand: 1}
-		if h.net.Inject(p, req, 0) {
+		if h.st.Inject(p, req, 0) {
 			injected++
 		}
 	}
@@ -285,7 +294,7 @@ func TestMixedOpsSameCell(t *testing.T) {
 		default:
 			req = msg.Request{ID: uint64(p + 1), PE: p, Op: msg.Load, Addr: addr}
 		}
-		if !h.net.Inject(p, req, 0) {
+		if !h.st.Inject(p, req, 0) {
 			t.Fatalf("inject refused at PE %d", p)
 		}
 	}
@@ -311,7 +320,7 @@ func TestCopiesSpreadLoad(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for p := 0; p < n; p++ {
 			addr := msg.Addr{MM: (p + round) % n, Word: round}
-			h.net.Inject(p, msg.Request{ID: id, PE: p, Op: msg.FetchAdd, Addr: addr, Operand: 1}, h.cycle)
+			h.st.Inject(p, msg.Request{ID: id, PE: p, Op: msg.FetchAdd, Addr: addr, Operand: 1}, h.cycle)
 			id++
 		}
 		h.step()
@@ -326,8 +335,9 @@ func TestCopiesSpreadLoad(t *testing.T) {
 // alternating copies.
 func TestCopiesRoundRobin(t *testing.T) {
 	net := New(Config{K: 2, Stages: 2, Copies: 2})
-	net.Inject(0, msg.Request{ID: 1, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 1}}, 0)
-	net.Inject(0, msg.Request{ID: 2, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 2}}, 0)
+	st := NewStepper(net, nil)
+	st.Inject(0, msg.Request{ID: 1, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 1}}, 0)
+	st.Inject(0, msg.Request{ID: 2, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 2}}, 0)
 	if net.inflight[0][1].copy == net.inflight[0][2].copy {
 		t.Fatalf("both requests routed via copy %d", net.inflight[0][1].copy)
 	}
@@ -345,7 +355,7 @@ func TestBackpressureNoLoss(t *testing.T) {
 		for p := 0; p < n; p++ {
 			// All traffic to MM 0 to maximize contention.
 			req := msg.Request{ID: id, PE: p, Op: msg.FetchAdd, Addr: msg.Addr{MM: 0, Word: p % 2}, Operand: 1}
-			if h.net.Inject(p, req, h.cycle) {
+			if h.st.Inject(p, req, h.cycle) {
 				accepted++
 				id++
 			}
@@ -366,14 +376,14 @@ func TestBackpressureNoLoss(t *testing.T) {
 // further requests rather than dropping them.
 func TestInjectRefusalWhenFull(t *testing.T) {
 	cfg := Config{K: 2, Stages: 2, PNIQueueCapacity: 3, Combining: false}
-	net := New(cfg)
+	st := NewStepper(New(cfg), nil)
 	// 3-packet stores: only one fits in a 3-packet PNI queue.
 	r1 := msg.Request{ID: 1, PE: 0, Op: msg.Store, Addr: msg.Addr{MM: 0}, Operand: 1}
 	r2 := msg.Request{ID: 2, PE: 0, Op: msg.Store, Addr: msg.Addr{MM: 1}, Operand: 2}
-	if !net.Inject(0, r1, 0) {
+	if !st.Inject(0, r1, 0) {
 		t.Fatal("first inject refused")
 	}
-	if net.Inject(0, r2, 0) {
+	if st.Inject(0, r2, 0) {
 		t.Fatal("second inject accepted into a full PNI queue")
 	}
 }
@@ -393,7 +403,7 @@ func TestFetchAddConservation(t *testing.T) {
 			addr := msg.Addr{MM: (p * 7 % 4), Word: round % 3}
 			inc := int64(p + round)
 			req := msg.Request{ID: id, PE: p, Op: msg.FetchAdd, Addr: addr, Operand: inc}
-			if h.net.Inject(p, req, h.cycle) {
+			if h.st.Inject(p, req, h.cycle) {
 				want[addr] += inc
 				accepted++
 				id++

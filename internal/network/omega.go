@@ -61,10 +61,6 @@ type copyNet struct {
 	act         *activity
 	base, dbase int
 
-	stats   *Stats
-	probe   obs.Probe
-	trace   obs.Probe // request-tracing stream (reqtrace.Tracer); nil when off
-	prof    NetProfiler
 	copyIdx int
 }
 
@@ -162,9 +158,9 @@ func (c *copyNet) markRev(s, l int) {
 	c.act.rev[s][c.base+l] = 1
 }
 
-func newCopyNet(cfg Config, st *Stats, act *activity, idx int) *copyNet {
+func newCopyNet(cfg Config, act *activity, idx int) *copyNet {
 	t := newTopology(cfg.K, cfg.Stages)
-	c := &copyNet{topo: t, cfg: cfg, stats: st, act: act, base: idx * t.n, dbase: idx * t.group, copyIdx: idx}
+	c := &copyNet{topo: t, cfg: cfg, act: act, base: idx * t.n, dbase: idx * t.group, copyIdx: idx}
 	n := t.n
 	c.pniQ = make([]*reqQueue, n)
 	c.pniSrv = make([]reqServer, n)
@@ -203,23 +199,18 @@ func newCopyNet(cfg Config, st *Stats, act *activity, idx int) *copyNet {
 func (c *copyNet) line(sw, port int) int { return sw*c.topo.k + port }
 
 // sink directs one execution unit's observability output. The Stepper's
-// serial engine points it at the shared Stats and the real
-// probe/tracer; the parallel engine points it at
-// per-worker scratch counters and per-unit event buffers, merged in
-// deterministic unit order after each phase (see Stepper). The trace
-// stream is separate from the probe so hop recording for sampled
-// requests can run without paying for full event recording: a site
-// emits on it only when the carrier's TraceCtx is non-zero, so with
-// tracing attached but a request unsampled the cost is one nil check
-// plus one integer compare.
+// serial engine points it at the shared Stats and the network's fan-out;
+// a parallel engine points it at scratch counters and the unit's own
+// event buffer, merged in deterministic unit order after each phase (see
+// Stepper). subs is the network's set of attached consumers: a site
+// builds an event only when subs.For names somebody for it.
 type sink struct {
 	stats *Stats
-	probe obs.Probe
-	trace obs.Probe
-	// prof receives combine events for the guest profiler's contention
-	// heatmap; under the parallel engine each worker gets its own shard
-	// (merged order-free — combine counts are plain sums).
-	prof NetProfiler
+	subs  *obs.Subs
+	out   obs.Probe
+	// rt, when non-nil, buffers round-trip latencies for replay in PE
+	// order (parallel engines); nil observes them into stats directly.
+	rt *[]int64
 }
 
 // enqueueForward routes a request into the ToMM queue of stage s selected
@@ -237,26 +228,28 @@ func (c *copyNet) enqueueForward(s, sw int, r msg.Request, cycle int64, sk *sink
 				fop, farg, aPlan, bPlan, ok := msg.Combine(old.Op, old.Operand, r.Op, r.Operand)
 				if ok && q.updateCombined(i, fop, farg) {
 					aTC, bTC := old.TC, r.TC
-					if sk.trace != nil && (aTC.ID != 0 || bTC.ID != 0) {
-						// Record genealogy completely: a combine
-						// touching any traced request adopts the
-						// untraced partner mid-flight, so the tree a
-						// sampled request joins is whole. The queued
-						// survivor's context is stamped onto its
-						// entry so the combined request's onward hops
-						// are recorded too.
-						if aTC.ID == 0 {
-							aTC = msg.TraceCtx{ID: old.ID, Hops: r.TC.Hops}
+					if to := sk.subs.For(obs.KindCombine, aTC.Traced() || bTC.Traced()); to != 0 {
+						if to&obs.SubTrace != 0 {
+							// Record genealogy completely: a combine
+							// touching any traced request adopts the
+							// untraced partner mid-flight, so the tree
+							// a sampled request joins is whole. The
+							// queued survivor's context is stamped onto
+							// its entry so the combined request's
+							// onward hops are recorded too.
+							if !aTC.Traced() {
+								aTC = msg.TraceCtx{ID: old.ID, Hops: r.TC.Hops}
+							}
+							if !bTC.Traced() {
+								bTC = msg.TraceCtx{ID: r.ID, Hops: old.TC.Hops}
+							}
+							q.setTC(i, aTC)
 						}
-						if bTC.ID == 0 {
-							bTC = msg.TraceCtx{ID: r.ID, Hops: old.TC.Hops}
-						}
-						q.setTC(i, aTC)
-						sk.trace.Emit(obs.Event{
-							Cycle: cycle, Kind: obs.KindCombine, PE: r.PE,
+						sk.out.Emit(obs.Event{
+							To: to, Cycle: cycle, Kind: obs.KindCombine, PE: r.PE,
 							Stage: s, MM: -1, Copy: c.copyIdx,
 							ID: r.ID, ID2: old.ID, Op: r.Op, Addr: r.Addr,
-							Value: int64(old.PE),
+							Aux: int32(old.PE),
 						})
 					}
 					w.add(waitRec{
@@ -267,16 +260,6 @@ func (c *copyNet) enqueueForward(s, sw int, r msg.Request, cycle int64, sk *sink
 					})
 					sk.stats.Combines.Inc()
 					sk.stats.combineAtStage(s)
-					if sk.prof != nil {
-						sk.prof.ProfCombine(r.Addr)
-					}
-					if sk.probe != nil {
-						sk.probe.Emit(obs.Event{
-							Cycle: cycle, Kind: obs.KindCombine, PE: r.PE,
-							Stage: s, MM: -1, Copy: c.copyIdx,
-							ID: r.ID, ID2: old.ID, Op: r.Op, Addr: r.Addr,
-						})
-					}
 					return true
 				}
 			}
@@ -290,18 +273,11 @@ func (c *copyNet) enqueueForward(s, sw int, r msg.Request, cycle int64, sk *sink
 	}
 	q.push(r)
 	c.markFwd(s, idx)
-	if sk.probe != nil {
-		sk.probe.Emit(obs.Event{
-			Cycle: cycle, Kind: obs.KindStageArrive, PE: r.PE,
+	if to := sk.subs.For(obs.KindStageArrive, r.TC.Traced()); to != 0 {
+		sk.out.Emit(obs.Event{
+			To: to, Cycle: cycle, Kind: obs.KindStageArrive, PE: r.PE,
 			Stage: s, MM: -1, Copy: c.copyIdx,
-			ID: r.ID, Op: r.Op, Addr: r.Addr,
-		})
-	}
-	if sk.trace != nil && r.TC.ID != 0 {
-		sk.trace.Emit(obs.Event{
-			Cycle: cycle, Kind: obs.KindStageArrive, PE: r.PE,
-			Stage: s, MM: -1, Copy: c.copyIdx,
-			ID: r.ID, Op: r.Op, Addr: r.Addr, Value: int64(q.occupancy()),
+			ID: r.ID, Op: r.Op, Addr: r.Addr, Aux: int32(q.occupancy()),
 		})
 	}
 	return true
@@ -340,34 +316,19 @@ func (c *copyNet) acceptReply(s, sw, inPort int, rep msg.Reply, cycle int64, sk 
 		w.take(rep.ID)
 		qa.push(ra)
 		c.markRev(s, c.line(sw, pa))
-		if sk.probe != nil {
-			sk.probe.Emit(obs.Event{
-				Cycle: cycle, Kind: obs.KindDecombine, PE: -1,
-				Stage: s, MM: -1, Copy: c.copyIdx,
-				ID: rep.ID, ID2: rb.ID, Addr: rec.addr, Value: rep.Value,
-			})
-			c.emitReplyHop(s, ra, cycle, sk.probe)
-		}
-		if sk.trace != nil && (ra.TC.ID != 0 || rb.TC.ID != 0) {
-			sk.trace.Emit(obs.Event{
-				Cycle: cycle, Kind: obs.KindDecombine, PE: -1,
+		if to := sk.subs.For(obs.KindDecombine, ra.TC.Traced() || rb.TC.Traced()); to != 0 {
+			sk.out.Emit(obs.Event{
+				To: to, Cycle: cycle, Kind: obs.KindDecombine, PE: -1,
 				Stage: s, MM: -1, Copy: c.copyIdx,
 				ID: rep.ID, ID2: rb.ID, Addr: rec.addr, Value: rep.Value,
 			})
 		}
-		if sk.trace != nil && ra.TC.ID != 0 {
-			c.emitReplyHop(s, ra, cycle, sk.trace)
-		}
+		c.emitReplyHop(s, ra, cycle, sk)
 		// If qa == qb, qb's occupancy already includes ra.
 		if qb.spaceFor(rb.Packets()) {
 			qb.push(rb)
 			c.markRev(s, c.line(sw, pb))
-			if sk.probe != nil {
-				c.emitReplyHop(s, rb, cycle, sk.probe)
-			}
-			if sk.trace != nil && rb.TC.ID != 0 {
-				c.emitReplyHop(s, rb, cycle, sk.trace)
-			}
+			c.emitReplyHop(s, rb, cycle, sk)
 		} else {
 			c.revDefer[s][sw] = deferredReply{rep: rb, port: pb, valid: true}
 			c.act.deferred[c.dbase+sw]++
@@ -382,25 +343,19 @@ func (c *copyNet) acceptReply(s, sw, inPort int, rep msg.Reply, cycle int64, sk 
 	}
 	q.push(rep)
 	c.markRev(s, idx)
-	if sk.probe != nil {
-		c.emitReplyHop(s, rep, cycle, sk.probe)
-	}
-	if sk.trace != nil && rep.TC.ID != 0 {
-		c.emitReplyHop(s, rep, cycle, sk.trace)
-	}
+	c.emitReplyHop(s, rep, cycle, sk)
 	return true
 }
 
 // emitReplyHop records a reply entering a stage's ToPE queue.
-func (c *copyNet) emitReplyHop(s int, rep msg.Reply, cycle int64, pr obs.Probe) {
-	if pr == nil {
-		return
+func (c *copyNet) emitReplyHop(s int, rep msg.Reply, cycle int64, sk *sink) {
+	if to := sk.subs.For(obs.KindReplyHop, rep.TC.Traced()); to != 0 {
+		sk.out.Emit(obs.Event{
+			To: to, Cycle: cycle, Kind: obs.KindReplyHop, PE: rep.PE,
+			Stage: s, MM: -1, Copy: c.copyIdx,
+			ID: rep.ID, Op: rep.Op, Addr: rep.Addr, Value: rep.Value,
+		})
 	}
-	pr.Emit(obs.Event{
-		Cycle: cycle, Kind: obs.KindReplyHop, PE: rep.PE,
-		Stage: s, MM: -1, Copy: c.copyIdx,
-		ID: rep.ID, Op: rep.Op, Addr: rep.Addr, Value: rep.Value,
-	})
 }
 
 // flushDeferredSwitch retries delivery of the held second replies of
@@ -424,12 +379,7 @@ func (c *copyNet) flushDeferredAt(s, sw int, cycle int64, sk *sink) {
 		c.markRev(s, idx)
 		d.valid = false
 		c.act.deferred[c.dbase+sw]--
-		if sk.probe != nil {
-			c.emitReplyHop(s, d.rep, cycle, sk.probe)
-		}
-		if sk.trace != nil && d.rep.TC.ID != 0 {
-			c.emitReplyHop(s, d.rep, cycle, sk.trace)
-		}
+		c.emitReplyHop(s, d.rep, cycle, sk)
 	}
 }
 
@@ -470,16 +420,9 @@ func (c *copyNet) pumpRequest(cycle int64, s, l int, sk *sink) bool {
 					c.mmIn[mm].push(srv.req)
 					c.act.mm[c.base+mm] = 1
 					ok = true
-					if sk.probe != nil {
-						sk.probe.Emit(obs.Event{
-							Cycle: cycle, Kind: obs.KindMMArrive, PE: srv.req.PE,
-							Stage: -1, MM: mm, Copy: c.copyIdx,
-							ID: srv.req.ID, Op: srv.req.Op, Addr: srv.req.Addr,
-						})
-					}
-					if sk.trace != nil && srv.req.TC.ID != 0 {
-						sk.trace.Emit(obs.Event{
-							Cycle: cycle, Kind: obs.KindMMArrive, PE: srv.req.PE,
+					if to := sk.subs.For(obs.KindMMArrive, srv.req.TC.Traced()); to != 0 {
+						sk.out.Emit(obs.Event{
+							To: to, Cycle: cycle, Kind: obs.KindMMArrive, PE: srv.req.PE,
 							Stage: -1, MM: mm, Copy: c.copyIdx,
 							ID: srv.req.ID, Op: srv.req.Op, Addr: srv.req.Addr,
 						})
@@ -505,12 +448,12 @@ func (c *copyNet) pumpRequest(cycle int64, s, l int, sk *sink) bool {
 			srv.delivered = false
 			srv.start = cycle
 			srv.req = r
-			if sk.trace != nil && r.TC.ID != 0 {
+			if to := sk.subs.For(obs.KindStageDepart, r.TC.Traced()); to != 0 {
 				// Queue departure into the link server: together with
 				// the matching StageArrive this brackets the hop's
 				// queueing delay (Stage -1 is the PNI queue).
-				sk.trace.Emit(obs.Event{
-					Cycle: cycle, Kind: obs.KindStageDepart, PE: r.PE,
+				sk.out.Emit(obs.Event{
+					To: to, Cycle: cycle, Kind: obs.KindStageDepart, PE: r.PE,
 					Stage: s, MM: -1, Copy: c.copyIdx,
 					ID: r.ID, Op: r.Op, Addr: r.Addr,
 				})
@@ -570,14 +513,14 @@ func (c *copyNet) pumpReply(cycle int64, s, l int, sk *sink) bool {
 			srv.delivered = false
 			srv.start = cycle
 			srv.rep = r
-			if sk.trace != nil && r.TC.ID != 0 {
+			if to := sk.subs.For(obs.KindReplyDepart, r.TC.Traced()); to != 0 {
 				stage, mm := s, -1
 				if s == t.stages {
 					// MNI output queue: l is the MM number.
 					stage, mm = -1, l
 				}
-				sk.trace.Emit(obs.Event{
-					Cycle: cycle, Kind: obs.KindReplyDepart, PE: r.PE,
+				sk.out.Emit(obs.Event{
+					To: to, Cycle: cycle, Kind: obs.KindReplyDepart, PE: r.PE,
 					Stage: stage, MM: mm, Copy: c.copyIdx,
 					ID: r.ID, Op: r.Op, Addr: r.Addr,
 				})

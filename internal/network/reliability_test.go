@@ -21,7 +21,7 @@ func TestFailCopyDrainsAndReroutes(t *testing.T) {
 			for p := 0; p < n; p++ {
 				req := msg.Request{ID: id, PE: p, Op: msg.FetchAdd,
 					Addr: msg.Addr{MM: int(id) % n, Word: int(id) % 5}, Operand: 1}
-				if h.net.Inject(p, req, h.cycle) {
+				if h.st.Inject(p, req, h.cycle) {
 					accepted++
 					id++
 				}
@@ -47,7 +47,7 @@ func TestAllCopiesFailedRefusesTraffic(t *testing.T) {
 	net := New(Config{K: 2, Stages: 2, Copies: 2})
 	net.FailCopy(0)
 	net.FailCopy(1)
-	if net.Inject(0, msg.Request{ID: 1, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 1}}, 0) {
+	if NewStepper(net, nil).Inject(0, msg.Request{ID: 1, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 1}}, 0) {
 		t.Fatal("dead network accepted a request")
 	}
 }
@@ -63,7 +63,7 @@ func TestCombinesSpreadAcrossStages(t *testing.T) {
 		for p := 0; p < n; p++ {
 			req := msg.Request{ID: id, PE: p, Op: msg.FetchAdd,
 				Addr: msg.Addr{MM: 0, Word: 0}, Operand: 1}
-			if h.net.Inject(p, req, h.cycle) {
+			if h.st.Inject(p, req, h.cycle) {
 				id++
 			}
 		}

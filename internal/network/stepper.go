@@ -31,15 +31,14 @@ import (
 // Determinism contract (see DESIGN.md): units are visited in ascending
 // unit order and execute their feeder lines in ascending line order,
 // and shards are fixed by engine.Shard, never by map order or
-// scheduling. Under a parallel
-// engine, counters go to per-worker scratch (integer sums are
-// order-free), events go to per-unit buffers drained in unit order
-// after each phase, and round-trip latencies are buffered per PE and
-// replayed in PE order — exactly the sequence a serial engine produces
-// inline. The request-tracing stream (Network.SetTracer) gets per-unit
-// buffer twins with the same drain discipline, so span trees are
-// byte-identical too. Serial and parallel runs are therefore
-// byte-identical by construction.
+// scheduling. Every unit — a (copy, switch) pair, a PE, a memory-module
+// port — writes through a sink: the shared Stats and the network's
+// fan-out on the serial engine. Under a parallel engine, counters go to
+// scratch (integer sums are order-free), events go to the unit's one
+// buffer, drained in unit order into the fan-out after each phase, and
+// round-trip latencies are buffered per PE and replayed in PE order —
+// exactly the sequence a serial engine produces inline, for every
+// consumer at once: byte-identical runs by construction.
 type Stepper struct {
 	n   *Network
 	eng engine.Engine
@@ -48,19 +47,18 @@ type Stepper struct {
 	group int // switches per stage per copy
 	units int // copies × group
 
+	// ports holds the sink of port i's PE-side and MM-side phases at
+	// i&portMask: a serial engine has one for all (portMask 0), a
+	// parallel engine one per port over the scratch below (portMask -1).
+	ports    []sink
+	portMask int
+
 	// Parallel-only scratch, merged deterministically each cycle.
-	wstats      []Stats           // per-worker integer counters
-	swEvents    []obs.EventBuffer // per (copy, switch) unit
-	peEvents    []obs.EventBuffer // per PE (collect + tick phases)
-	mmEvents    []obs.EventBuffer // per MM (memory phase)
-	swTrace     []obs.EventBuffer // trace-stream twins of the above three:
-	peTrace     []obs.EventBuffer // hop events of traced requests, drained
-	mmTrace     []obs.EventBuffer // in the same unit order to the tracer
-	rtBuf       [][]int64         // per-PE round-trip latencies
-	peInjected  []int64
-	peDelivered []int64
-	mmDelivered []int64
-	collectFns  []func(lat int64, known bool)
+	wstats    []Stats           // per-worker integer counters (switch phases)
+	portStats []Stats           // per-port counters: PE i's phases and MM i's dequeues
+	swEvents  []obs.EventBuffer // per (copy, switch) unit
+	peEvents  []obs.EventBuffer // per PE (collect + tick phases)
+	rtBuf     [][]int64         // per-PE round-trip latencies
 
 	// Phase bodies are hoisted here so Step allocates nothing: each
 	// closure is built once in NewStepper and reads its per-cycle inputs
@@ -75,26 +73,19 @@ type Stepper struct {
 
 	// phase()'s own shard body and its inputs, hoisted the same way:
 	// the unit body, the flag array that says which units have work and
-	// how many of its bytes belong to each unit. serialSink is the
-	// reused serial-path sink.
-	phaseRun    unitFunc
-	phaseFlags  []uint8
-	phasePer    int
-	phaseProbed bool
-	phaseTraced bool
-	phaseBody   func(lo, hi, w int)
-	serialSink  sink
-
-	// nprof holds the guest profiler's per-worker combine shards
-	// (SetProfShards); nil when profiling is off.
-	nprof []NetProfiler
+	// how many of its bytes belong to each unit.
+	phaseRun   unitFunc
+	phaseFlags []uint8
+	phasePer   int
+	phaseBody  func(lo, hi, w int)
 }
 
 // unitFunc is the body of one phase for one (copy, switch) unit.
 type unitFunc func(ci, sw int, sk *sink)
 
 // NewStepper builds a stepper for n driven by eng (nil means the serial
-// engine). The network's probe must be attached before the first Step.
+// engine). The network's consumers must be attached before the first
+// Step.
 func NewStepper(n *Network, eng engine.Engine) *Stepper {
 	if eng == nil {
 		eng = engine.Serial{}
@@ -108,28 +99,17 @@ func NewStepper(n *Network, eng engine.Engine) *Stepper {
 		units: len(n.copies) * t.group,
 	}
 	st.buildPhases(t)
+	st.ports = []sink{{stats: &n.stats, subs: n.fan.Subs(), out: &n.fan}}
 	if st.par {
 		ports := n.Ports()
 		st.wstats = make([]Stats, eng.Workers())
+		st.portStats = make([]Stats, ports)
 		st.swEvents = make([]obs.EventBuffer, st.units)
 		st.peEvents = make([]obs.EventBuffer, ports)
-		st.mmEvents = make([]obs.EventBuffer, ports)
-		st.swTrace = make([]obs.EventBuffer, st.units)
-		st.peTrace = make([]obs.EventBuffer, ports)
-		st.mmTrace = make([]obs.EventBuffer, ports)
 		st.rtBuf = make([][]int64, ports)
-		st.peInjected = make([]int64, ports)
-		st.peDelivered = make([]int64, ports)
-		st.mmDelivered = make([]int64, ports)
-		st.collectFns = make([]func(int64, bool), ports)
-		for pe := range st.collectFns {
-			pe := pe
-			st.collectFns[pe] = func(lat int64, known bool) {
-				if known {
-					st.rtBuf[pe] = append(st.rtBuf[pe], lat)
-				}
-				st.peDelivered[pe]++
-			}
+		st.ports, st.portMask = make([]sink, ports), -1
+		for i := range st.ports {
+			st.ports[i] = sink{stats: &st.portStats[i], subs: n.fan.Subs(), out: &st.peEvents[i], rt: &st.rtBuf[i]}
 		}
 	}
 	return st
@@ -166,10 +146,7 @@ func (st *Stepper) buildPhases(t topology) {
 		}
 	}
 	st.phaseBody = func(lo, hi, w int) {
-		sk := sink{stats: &st.wstats[w]}
-		if st.nprof != nil {
-			sk.prof = st.nprof[w]
-		}
+		sk := sink{stats: &st.wstats[w], subs: st.n.fan.Subs()}
 		st.sweep(lo, hi, &sk)
 	}
 }
@@ -194,11 +171,8 @@ func (st *Stepper) sweep(lo, hi int, sk *sink) {
 		if u >= hi || !anySet(flags[i:i+per]) {
 			continue
 		}
-		if st.phaseProbed {
-			sk.probe = &st.swEvents[u]
-		}
-		if st.phaseTraced {
-			sk.trace = &st.swTrace[u]
+		if st.par {
+			sk.out = &st.swEvents[u]
 		}
 		for u >= (ci+1)*st.group {
 			ci++
@@ -220,38 +194,27 @@ func anySet(flags []uint8) bool {
 // is buffered and must be flushed).
 func (st *Stepper) Parallel() bool { return st.par }
 
-// SetProfShards gives each engine worker its own guest-profiler combine
-// shard (len must be eng.Workers(); nil detaches). Only meaningful with
-// a parallel engine — the serial path uses Network.SetProfiler.
-func (st *Stepper) SetProfShards(shards []NetProfiler) { st.nprof = shards }
-
-// Engine exposes the engine driving this stepper, for callers that
-// shard their own phases (machine.Step, trace.Run).
-func (st *Stepper) Engine() engine.Engine { return st.eng }
-
 // phase runs one network movement phase over the (copy, switch) units
 // that flags — per bytes to a unit — marks active. run must only touch
 // state owned by its unit.
 func (st *Stepper) phase(run unitFunc, flags []uint8, per int) {
-	n := st.n
 	st.phaseRun, st.phaseFlags, st.phasePer = run, flags, per
 	if !st.par {
-		st.serialSink = sink{stats: &n.stats, probe: n.probe, trace: n.trace, prof: n.prof}
-		st.sweep(0, st.units, &st.serialSink)
+		st.sweep(0, st.units, &st.ports[0])
 		return
 	}
-	st.phaseProbed = n.probe != nil
-	st.phaseTraced = n.trace != nil
 	st.eng.Run(st.units, st.phaseBody)
-	if st.phaseProbed {
-		for u := range st.swEvents {
-			st.swEvents[u].DrainTo(n.probe)
-		}
+	st.drain(st.swEvents)
+}
+
+// drain replays a set of unit buffers into the network's fan-out in unit
+// order. With no consumer attached no site emits, so nothing is buffered.
+func (st *Stepper) drain(bufs []obs.EventBuffer) {
+	if *st.n.fan.Subs() == 0 {
+		return
 	}
-	if st.phaseTraced {
-		for u := range st.swTrace {
-			st.swTrace[u].DrainTo(n.trace)
-		}
+	for u := range bufs {
+		bufs[u].DrainTo(&st.n.fan)
 	}
 }
 
@@ -280,111 +243,51 @@ func (st *Stepper) Step(cycle int64) {
 		st.phase(st.phRev, act.rev[s], k)
 	}
 
-	if st.par {
-		for w := range st.wstats {
-			st.n.stats.addCounts(&st.wstats[w])
-			st.wstats[w].resetCounts()
-		}
+	for w := range st.wstats {
+		st.n.stats.takeCombines(&st.wstats[w])
 	}
 }
 
-// Inject is Network.Inject routed through the stepper's sinks; safe to
-// call from the PE-tick phase worker that owns pe.
+// Inject offers a request at PE pe's network interface. Copies are tried
+// round-robin; Inject reports false when every copy's PNI queue is full
+// (the PE must retry next cycle). r.PE must equal pe. Safe to call from
+// the PE-tick phase worker that owns pe.
 func (st *Stepper) Inject(pe int, r msg.Request, cycle int64) bool {
-	if !st.par {
-		return st.n.Inject(pe, r, cycle)
-	}
-	var pr, tr obs.Probe
-	if st.n.probe != nil {
-		pr = &st.peEvents[pe]
-	}
-	if st.n.trace != nil {
-		tr = &st.peTrace[pe]
-	}
-	if st.n.injectInto(pe, r, cycle, pr, tr) {
-		st.peInjected[pe]++
-		return true
-	}
-	return false
+	return st.n.inject(pe, r, cycle, &st.ports[pe&st.portMask])
 }
 
-// Collect drains PE pe's replies; safe to call from the collect-phase
-// worker that owns pe. Under a parallel engine the latency
-// observations are buffered and replayed by FlushCollect.
+// Collect drains the replies fully received at PE pe, recording
+// round-trip latencies; the returned slice is only valid until pe's next
+// Collect. Safe to call from the collect-phase worker that owns pe.
+// Under a parallel engine the latency observations are buffered and
+// replayed by FlushCollect.
 func (st *Stepper) Collect(pe int, cycle int64) []msg.Reply {
-	if !st.par {
-		return st.n.Collect(pe, cycle)
-	}
-	var pr, tr obs.Probe
-	if st.n.probe != nil {
-		pr = &st.peEvents[pe]
-	}
-	if st.n.trace != nil {
-		tr = &st.peTrace[pe]
-	}
-	return st.n.collectInto(pe, cycle, st.collectFns[pe], pr, tr)
+	return st.n.collect(pe, cycle, &st.ports[pe&st.portMask])
 }
 
-// MMDequeue is Network.MMDequeue routed through the stepper's sinks;
-// safe to call from the MM-phase worker that owns mm.
+// MMDequeue removes the next fully assembled request waiting at memory
+// module mm; safe to call from the MM-phase worker that owns mm.
 func (st *Stepper) MMDequeue(mm int) (msg.Request, bool) {
-	if !st.par {
-		return st.n.MMDequeue(mm)
-	}
-	r, ok := st.n.mmDequeue(mm)
-	if ok {
-		st.mmDelivered[mm]++
-	}
-	return r, ok
+	return st.n.mmDequeue(mm, &st.ports[mm&st.portMask])
 }
 
-// PEProbe returns the probe PE pe must emit through while driven by
-// this stepper: the real probe when serial, pe's event buffer when
-// parallel (drained in PE order by the flushes).
-func (st *Stepper) PEProbe(pe int) obs.Probe {
-	if !st.par || st.n.probe == nil {
-		return st.n.probe
-	}
-	return &st.peEvents[pe]
-}
-
-// MMProbe is PEProbe for memory module mm.
-func (st *Stepper) MMProbe(mm int) obs.Probe {
-	if !st.par || st.n.probe == nil {
-		return st.n.probe
-	}
-	return &st.mmEvents[mm]
-}
-
-// MMTrace returns the trace stream memory module mm must emit through
-// while driven by this stepper: the tracer itself when serial, mm's
-// trace buffer when parallel (drained in MM order by FlushMM).
-func (st *Stepper) MMTrace(mm int) obs.Probe {
-	if !st.par || st.n.trace == nil {
-		return st.n.trace
-	}
-	return &st.mmTrace[mm]
-}
+// PEProbe returns the buffer PE pe must emit its own events (stalls,
+// cache) through under a parallel engine, so that they interleave with
+// the network's events for pe as inline; the flushes drain it.
+func (st *Stepper) PEProbe(pe int) obs.Probe { return &st.peEvents[pe] }
 
 // FlushCollect merges the collect phase's buffers: round-trip
 // latencies replayed in PE order (exactly the serial observation
 // sequence — the Welford mean is order-sensitive), reply counts, and
 // the PEs' buffered events.
 func (st *Stepper) FlushCollect() {
-	if !st.par {
-		return
-	}
 	s := &st.n.stats
 	for pe := range st.rtBuf {
 		for _, lat := range st.rtBuf[pe] {
-			s.RoundTrip.Observe(float64(lat))
-			if s.RoundTripHist != nil {
-				s.RoundTripHist.Observe(lat)
-			}
+			s.observeRT(lat)
 		}
 		st.rtBuf[pe] = st.rtBuf[pe][:0]
-		s.RepliesDelivered.Add(st.peDelivered[pe])
-		st.peDelivered[pe] = 0
+		take(&s.RepliesDelivered, &st.portStats[pe].RepliesDelivered)
 	}
 	st.DrainPEEvents()
 }
@@ -392,12 +295,8 @@ func (st *Stepper) FlushCollect() {
 // FlushInject merges the tick phase's buffers: per-PE injection counts
 // and the PEs' buffered events.
 func (st *Stepper) FlushInject() {
-	if !st.par {
-		return
-	}
-	for pe := range st.peInjected {
-		st.n.stats.Injected.Add(st.peInjected[pe])
-		st.peInjected[pe] = 0
+	for pe := range st.portStats {
+		take(&st.n.stats.Injected, &st.portStats[pe].Injected)
 	}
 	st.DrainPEEvents()
 }
@@ -405,40 +304,12 @@ func (st *Stepper) FlushInject() {
 // DrainPEEvents replays the PEs' buffered events in PE order. The
 // flushes call it; phases that buffer events without touching network
 // counters (IdealMemory ticks) call it directly.
-func (st *Stepper) DrainPEEvents() {
-	if !st.par {
-		return
-	}
-	if st.n.probe != nil {
-		for pe := range st.peEvents {
-			st.peEvents[pe].DrainTo(st.n.probe)
-		}
-	}
-	if st.n.trace != nil {
-		for pe := range st.peTrace {
-			st.peTrace[pe].DrainTo(st.n.trace)
-		}
-	}
-}
+func (st *Stepper) DrainPEEvents() { st.drain(st.peEvents) }
 
-// FlushMM merges the MM phase's buffers: delivered-to-MM counts and
-// the modules' buffered events, in MM order.
+// FlushMM merges the MM phase's delivered-to-MM counts. The modules'
+// own events are the bank's to flush (memory.Bank.Flush).
 func (st *Stepper) FlushMM() {
-	if !st.par {
-		return
-	}
-	for mm := range st.mmDelivered {
-		st.n.stats.DeliveredToMM.Add(st.mmDelivered[mm])
-		st.mmDelivered[mm] = 0
-	}
-	if st.n.probe != nil {
-		for mm := range st.mmEvents {
-			st.mmEvents[mm].DrainTo(st.n.probe)
-		}
-	}
-	if st.n.trace != nil {
-		for mm := range st.mmTrace {
-			st.mmTrace[mm].DrainTo(st.n.trace)
-		}
+	for mm := range st.portStats {
+		take(&st.n.stats.DeliveredToMM, &st.portStats[mm].DeliveredToMM)
 	}
 }

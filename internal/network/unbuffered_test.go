@@ -95,7 +95,7 @@ func TestQueuedBeatsUnbufferedAtScale(t *testing.T) {
 		for p := 0; p < n; p++ {
 			req := msg.Request{ID: id, PE: p, Op: msg.FetchAdd,
 				Addr: msg.Addr{MM: int(id*2654435761) % n, Word: int(id) % 97}}
-			if h.net.Inject(p, req, h.cycle) {
+			if h.st.Inject(p, req, h.cycle) {
 				id++
 			}
 		}

@@ -6,10 +6,12 @@
 // access-time distributions. This package makes the same visibility a
 // first-class part of the simulator instead of ad-hoc printf debugging:
 //
-//   - Probe is a one-method sink for typed Events. Every hardware
-//     package (network, memory, pe, cache, machine) holds an optional
-//     Probe and emits events only after a nil check, so a disabled probe
-//     costs one branch and zero allocations on the hot path.
+//   - Probe is a one-method sink for typed Events, and there is one
+//     instrumentation channel: each instrumented moment has one guard and
+//     builds one Event, addressed (Event.To, a Subs mask) to whichever of
+//     the recorder, the request tracer and the guest profiler is attached
+//     and has a use for it. A component's Fanout delivers it. With nobody
+//     listening a site costs one mask test and zero allocations.
 //   - Recorder is a fixed-capacity ring buffer Probe: when full it
 //     overwrites the oldest events, so tracing a long run keeps the tail.
 //   - Sampler accumulates periodic Snapshots of per-stage queue
@@ -24,15 +26,21 @@
 //
 // Every Event carries the network cycle it happened on (PE-side events
 // are scaled from PE cycles to network cycles by the machine), the event
-// Kind, and the subset of the remaining fields that Kind defines:
+// Kind, its audience To, and the subset of the remaining fields that Kind
+// defines. Aux is for the tracer alone; the recorder's exports never
+// print it, so Value stays what /events and the Chrome trace show.
 //
 //	KindInject        request accepted into the network.
 //	                  PE, ID, Op, Addr, Value (operand), Copy.
 //	KindStageArrive   request enqueued into a stage's ToMM queue after a
-//	                  switch hop. Stage, ID, PE, Op, Addr.
+//	                  switch hop. Stage, ID, PE, Op, Addr, Aux (queue
+//	                  occupancy in packets).
+//	KindStageDepart   request popped from a ToMM queue (Stage -1: the PNI
+//	                  queue) into its link server. Stage, ID, PE, Op, Addr.
 //	KindCombine       request absorbed into a queued partner for the
 //	                  same word (§3.3). Stage, ID (absorbed request),
-//	                  ID2 (surviving request), Addr.
+//	                  ID2 (surviving request), Addr, Aux (the
+//	                  survivor's PE).
 //	KindMMArrive      fully assembled request handed to the memory-side
 //	                  queue by the last stage. MM, ID.
 //	KindMNIBegin      memory module begins serving a request. MM, ID,
@@ -44,7 +52,10 @@
 //	                  ID (combined reply), ID2 (recreated absorbed
 //	                  request).
 //	KindReplyHop      reply enqueued into a stage's ToPE queue. Stage,
-//	                  ID, PE.
+//	                  ID, PE. From a memory module (MM set, Stage -1):
+//	                  reply enqueued into the MNI output queue.
+//	KindReplyDepart   reply popped from a ToPE queue (Stage -1 and MM set:
+//	                  the MNI queue) into its link server. Stage, ID, PE.
 //	KindReplyDeliver  reply handed to the requesting PE. PE, ID, Value.
 //	KindStallBegin    the PE entered a run of idle cycles. PE, Cause.
 //	KindStallEnd      the PE resumed executing. PE, Cause.
@@ -56,6 +67,16 @@
 // Cache events come from the timing-free functional cache model and
 // carry Cycle = -1; the Recorder preserves their order relative to the
 // surrounding timed events.
+//
+// The audience of each kind (Subs.For), R the recorder, T the request
+// tracer — for events of sampled requests only — and P the profiler:
+//
+//	R T P   Combine, MNIServe
+//	R T     Inject, StageArrive, MMArrive, MNIBegin, Decombine,
+//	        ReplyHop (in a switch), ReplyDeliver
+//	  T     StageDepart, ReplyDepart, ReplyHop (from a memory module)
+//	R       StallBegin, StallEnd, CacheHit, CacheMiss, CacheWriteBack:
+//	        pe and cache emit on the recorder's probe directly, To zero
 //
 // Stall causes attribute every idle PE cycle to the hardware reason the
 // paper's design cares about:

@@ -90,6 +90,14 @@ type Event struct {
 	Kind  Kind
 	Cause StallCause
 	Op    msg.Op
+	// To is the event's audience: the consumers its emit site found
+	// listening (Subs.For). Zero, from an emitter that holds the
+	// recorder's probe directly (pe, cache), means the recorder.
+	To Subs
+	// Aux is read by the request tracer only, so that Value stays what
+	// the recorder's exports print: the queue occupancy in packets for
+	// KindStageArrive, the surviving partner's PE for KindCombine.
+	Aux int32
 	// PE is the originating or stalling processing element; -1 when not
 	// applicable.
 	PE int
@@ -118,7 +126,9 @@ func (e Event) String() string {
 
 // Probe receives events from the instrumented machine. Implementations
 // must not retain the Event beyond the call (it may be reused). Every
-// emit site guards with a nil check, so a nil Probe is the free default.
+// emit site is guarded — by a nil check of the probe, or in network and
+// memory by a non-zero audience from Subs.For — so with nobody listening
+// no event is built.
 type Probe interface {
 	Emit(Event)
 }

@@ -14,6 +14,17 @@ import (
 	"ultracomputer/internal/obs"
 )
 
+// ReadHeaderTimeout and IdleTimeout bound how long a client may take to
+// send a request's headers and how long a kept-alive connection may sit
+// idle, on this server and on the session service's (internal/serve), so
+// a slow or silent client cannot hold a connection open forever. There
+// is deliberately no write timeout: /events?follow=1 streams for as long
+// as the run lasts.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
 // followPollInterval is how often /events?follow=1 checks for a newer
 // published State. Polling the atomic pointer is cheap and keeps the
 // server completely decoupled from the simulation goroutine (no
@@ -123,7 +134,7 @@ func (s *Server) Start(addr string) (hs *http.Server, bound string, err error) {
 	if err != nil {
 		return nil, "", err
 	}
-	hs = &http.Server{Handler: s.mux}
+	hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 	go func() { _ = hs.Serve(ln) }()
 	return hs, ln.Addr().String(), nil
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -281,5 +282,83 @@ func TestKindAndCauseStrings(t *testing.T) {
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got != 88 {
 		t.Fatalf("unsafe.Sizeof(obs.Event{}) = %d, want 88", got)
+	}
+}
+
+// TestSubsFor checks the audience rules: the profiler hears combines and
+// serves only, the depart kinds are the tracer's alone, an unsampled
+// carrier drops the tracer, and nobody attached means nobody addressed.
+func TestSubsFor(t *testing.T) {
+	all := SubRecord | SubTrace | SubProf
+	cases := []struct {
+		subs   Subs
+		kind   Kind
+		traced bool
+		want   Subs
+	}{
+		{all, KindCombine, true, all},
+		{all, KindMNIServe, false, SubRecord | SubProf},
+		{all, KindInject, true, SubRecord | SubTrace},
+		{all, KindReplyHop, false, SubRecord},
+		{all, KindStageDepart, true, SubTrace},
+		{all, KindReplyDepart, false, 0},
+		{SubRecord | SubProf, KindStageDepart, true, 0},
+		{SubTrace, KindStageArrive, false, 0},
+		{SubProf, KindInject, true, 0},
+		{SubProf, KindCombine, false, SubProf},
+		{0, KindCombine, true, 0},
+	}
+	for _, c := range cases {
+		if got := c.subs.For(c.kind, c.traced); got != c.want {
+			t.Errorf("%03b.For(%s, %v) = %03b, want %03b", c.subs, c.kind, c.traced, got, c.want)
+		}
+	}
+}
+
+// TestFanoutRouting checks that an event reaches exactly the attached
+// consumers it is addressed to, that a zero To means the recorder, that
+// the subscriber set follows Subscribe through the pointer units hold,
+// and that a buffered sequence drains in order.
+func TestFanoutRouting(t *testing.T) {
+	var f Fanout
+	subs := f.Subs()
+	rec, tr, pf := NewRecorder(8), NewRecorder(8), NewRecorder(8)
+	f.Subscribe(SubRecord, rec)
+	f.Subscribe(SubTrace, tr)
+	f.Subscribe(SubProf, pf)
+	if *subs != SubRecord|SubTrace|SubProf {
+		t.Fatalf("subs = %03b after three Subscribes", *subs)
+	}
+	var buf EventBuffer
+	buf.Emit(Event{Cycle: 1, To: SubRecord | SubTrace})
+	buf.Emit(Event{Cycle: 2, To: SubProf})
+	buf.Emit(Event{Cycle: 3}) // a PE-side emitter: no audience, the recorder's
+	buf.Emit(Event{Cycle: 4, To: SubTrace})
+	buf.DrainTo(&f)
+	if buf.Len() != 0 {
+		t.Fatalf("buffer holds %d events after DrainTo", buf.Len())
+	}
+	cycles := func(r *Recorder) (out []int64) {
+		for _, ev := range r.Events() {
+			out = append(out, ev.Cycle)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		r    *Recorder
+		want []int64
+	}{{"recorder", rec, []int64{1, 3}}, {"tracer", tr, []int64{1, 4}}, {"profiler", pf, []int64{2}}} {
+		if got := cycles(c.r); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s saw cycles %v, want %v", c.name, got, c.want)
+		}
+	}
+	f.Subscribe(SubTrace, nil)
+	if *subs != SubRecord|SubProf {
+		t.Fatalf("subs = %03b after detaching the tracer", *subs)
+	}
+	f.Emit(Event{Cycle: 5, To: SubTrace}) // addressed to nobody attached: dropped
+	if tr.Total() != 2 {
+		t.Fatalf("detached tracer received an event")
 	}
 }

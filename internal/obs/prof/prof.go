@@ -113,15 +113,14 @@ type peShard struct {
 	locks   map[int64]*sim.Histogram
 }
 
-// mmShard counts serves per word at one memory module; the MM phase
-// shards by module, so each shard has a single writer.
+// mmShard counts serves per word at one memory module.
 type mmShard struct {
 	served map[int]int64
 }
 
-// NetShard receives combine events from one engine worker (or from the
-// serial network). Shards are merged order-free — combining counts are
-// plain sums — so per-worker attribution cannot perturb determinism.
+// NetShard receives the network's combine events (shard 0, under every
+// engine: they arrive on the coordinating goroutine). Shards are merged
+// order-free — combining counts are plain sums.
 type NetShard struct {
 	combines map[msg.Addr]int64
 }
@@ -196,17 +195,14 @@ func (p *Profiler) SetMMs(n int) {
 	}
 }
 
-// NetShards returns n combine shards, one per engine worker, creating
-// them as needed. Shard 0 doubles as the serial network's sink.
-func (p *Profiler) NetShards(n int) []*NetShard {
-	for len(p.nets) < n {
+// NetShard returns combine shard i, creating it and any before it as
+// needed; shard 0 is the network's sink under every engine.
+func (p *Profiler) NetShard(i int) *NetShard {
+	for len(p.nets) <= i {
 		p.nets = append(p.nets, &NetShard{combines: make(map[msg.Addr]int64)})
 	}
-	return p.nets[:n]
+	return p.nets[i]
 }
-
-// NetShard returns combine shard i.
-func (p *Profiler) NetShard(i int) *NetShard { return p.NetShards(i + 1)[i] }
 
 // AddCriticalPaths attaches extracted critical paths (see
 // CriticalPaths) so they ride along in the JSONL export.
@@ -351,6 +347,7 @@ func (p *Profiler) ProfServe(mm, word int, op msg.Op) {
 	if mm < 0 || mm >= len(p.mms) {
 		return
 	}
+	//ultravet:ok sharecheck ProfServe runs only on the coordinator; shards emit into per-module buffers (memory.Bank.Flush)
 	p.mms[mm].served[word]++
 }
 

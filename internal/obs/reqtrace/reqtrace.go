@@ -173,14 +173,14 @@ func (t *Tracer) Emit(ev obs.Event) {
 		//ultravet:ok sharecheck Emit runs only on the coordinator; shards emit into per-unit buffers (network.Stepper)
 		t.active[ev.ID] = s
 	case obs.KindStageArrive:
-		t.hop(ev.ID, Hop{Kind: HopEnqueue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Q: int(ev.Value)})
+		t.hop(ev.ID, Hop{Kind: HopEnqueue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Q: int(ev.Aux)})
 	case obs.KindStageDepart:
 		t.hop(ev.ID, Hop{Kind: HopDequeue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1})
 	case obs.KindCombine:
 		// ev.ID is the absorbed child, ev.ID2 the surviving parent;
-		// ev.Value carries the parent's PE for mid-flight adoption.
+		// ev.Aux carries the parent's PE for mid-flight adoption.
 		child := t.spanOrAdopt(ev.ID, ev.PE, ev.Op.String(), ev.Addr, ev.Cycle)
-		parent := t.spanOrAdopt(ev.ID2, int(ev.Value), "", ev.Addr, ev.Cycle)
+		parent := t.spanOrAdopt(ev.ID2, int(ev.Aux), "", ev.Addr, ev.Cycle)
 		//ultravet:ok sharecheck Emit runs only on the coordinator; shards emit into per-unit buffers (network.Stepper)
 		child.Parent = ev.ID2
 		child.waitStart = ev.Cycle

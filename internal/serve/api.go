@@ -7,7 +7,13 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+
+	"ultracomputer/internal/obs/live"
 )
+
+// maxBodyBytes bounds every request body the API decodes. A config
+// carries its program as text; the largest shipped one is a few KiB.
+const maxBodyBytes = 1 << 20
 
 // API is the service's HTTP surface. See doc.go for the endpoint table.
 type API struct {
@@ -53,7 +59,7 @@ func (a *API) Start(addr string) (hs *http.Server, bound string, err error) {
 	if err != nil {
 		return nil, "", err
 	}
-	hs = &http.Server{Handler: a.mux}
+	hs = &http.Server{Handler: a.mux, ReadHeaderTimeout: live.ReadHeaderTimeout, IdleTimeout: live.IdleTimeout}
 	go func() { _ = hs.Serve(ln) }()
 	return hs, ln.Addr().String(), nil
 }
@@ -64,15 +70,28 @@ type apiError struct {
 	FieldErrors []FieldError `json:"field_errors,omitempty"`
 }
 
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes of it; a longer body fails with an *http.MaxBytesError.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	return dec.Decode(v)
+}
+
 // writeErr maps service errors to status codes: validation failures are
 // 422 with field-level detail, capacity rejections 503, state conflicts
-// 409, unknown sessions 404.
+// 409, unknown sessions 404, oversized bodies 413.
 func writeErr(w http.ResponseWriter, err error) {
 	var ve *ValidateError
 	var ce *CapacityError
+	var tooLarge *http.MaxBytesError
 	body := apiError{Error: err.Error()}
 	code := http.StatusBadRequest
 	switch {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &ve):
 		code = http.StatusUnprocessableEntity
 		body.FieldErrors = ve.Fields
@@ -129,7 +148,7 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Config *Config `json:"config"`
 	}
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req, false); err != nil {
 			writeErr(w, fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -192,9 +211,7 @@ func (a *API) handleStage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var cfg Config
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := decodeBody(w, r, &cfg, true); err != nil {
 		writeErr(w, fmt.Errorf("bad config body: %w", err))
 		return
 	}

@@ -32,10 +32,10 @@
 //
 //	GET    /healthz                            service health + capacity
 //	GET    /sessions                           session index
-//	POST   /sessions                           create (optional {name, config} body) → 201/503
+//	POST   /sessions                           create (optional {name, config} body) → 201/413/503
 //	GET    /sessions/{id}                      info + commit history
 //	DELETE /sessions/{id}                      drain and remove → 204
-//	PUT    /sessions/{id}/config/candidate     stage config → 200/422 (field errors)
+//	PUT    /sessions/{id}/config/candidate     stage config → 200/413/422 (field errors)
 //	GET    /sessions/{id}/config/candidate     staged candidate → 200/409
 //	DELETE /sessions/{id}/config/candidate     discard candidate → 204
 //	POST   /sessions/{id}/config/dry-run       §4.1 prediction (?rho=, ?config=running) → 200
@@ -55,5 +55,6 @@
 //
 // Error bodies are JSON: {"error": "...", "field_errors": [{"field",
 // "error"}, ...]} with 422 for validation, 409 for state conflicts, 404
-// for unknown sessions, 503 for admission rejection or drain.
+// for unknown sessions, 503 for admission rejection or drain, 413 for a
+// request body past 1 MiB (nothing is created or staged).
 package serve

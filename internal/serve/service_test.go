@@ -544,3 +544,35 @@ func TestDrainBeforeFirstSlice(t *testing.T) {
 	}
 	call(t, http.MethodGet, sURL+"/events?follow=1", nil, http.StatusOK, nil)
 }
+
+// TestOversizedBodyRejected posts bodies past the API's 1 MiB cap — a
+// session create and a config stage — and requires 413 with the uniform
+// error body, no session created, and no candidate staged.
+func TestOversizedBodyRejected(t *testing.T) {
+	svc, base := testAPI(t, Limits{})
+	var info SessionInfo
+	call(t, http.MethodPost, base+"/sessions", map[string]any{"name": "small"}, http.StatusCreated, &info)
+
+	cfg := validConfig()
+	cfg.Program += "; " + strings.Repeat("x", maxBodyBytes) + "\n"
+	var e apiError
+	call(t, http.MethodPost, base+"/sessions",
+		map[string]any{"name": "big", "config": cfg}, http.StatusRequestEntityTooLarge, &e)
+	if e.Error == "" {
+		t.Error("413 from POST /sessions without the uniform error body")
+	}
+	if n := len(svc.Sessions()); n != 1 {
+		t.Errorf("%d sessions after an oversized create, want the 1 from before", n)
+	}
+
+	e = apiError{}
+	sURL := base + "/sessions/" + info.ID
+	call(t, http.MethodPut, sURL+"/config/candidate", cfg, http.StatusRequestEntityTooLarge, &e)
+	if e.Error == "" {
+		t.Error("413 from PUT config/candidate without the uniform error body")
+	}
+	call(t, http.MethodGet, sURL+"/config/candidate", nil, http.StatusConflict, nil)
+	if n := len(svc.Sessions()); n != 1 {
+		t.Errorf("%d sessions after an oversized stage, want 1", n)
+	}
+}

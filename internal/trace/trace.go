@@ -143,45 +143,22 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 		hash = memory.Interleave{N: n}
 	}
 	bank := memory.NewBank(n, w.MMLatency, hash)
-	if w.Probe != nil {
-		net.SetProbe(w.Probe)
-		bank.SetProbe(w.Probe)
-	}
+	net.SetProbe(w.Probe)
+	bank.SetProbe(w.Probe)
 	if w.Tracer != nil {
 		net.SetTracer(w.Tracer)
 		bank.SetTracer(w.Tracer)
 	}
 	if w.Profiler != nil && w.Profiler.Enabled() {
-		// Per-MM serve shards are owned by the module phase's workers and
-		// per-PE issue shards by the generator's, so the same profiler
-		// value is safe under every engine.
+		// Serves and combines reach the profiler on this goroutine, and
+		// its per-PE issue shards are owned by the generator's workers.
 		w.Profiler.SetMMs(len(bank.Modules))
 		bank.SetProfiler(w.Profiler)
+		net.SetProfiler(w.Profiler.NetShard(0))
 	}
 	st := network.NewStepper(net, eng)
-	if w.Profiler != nil && w.Profiler.Enabled() {
-		if st.Parallel() {
-			shards := w.Profiler.NetShards(eng.Workers())
-			np := make([]network.NetProfiler, len(shards))
-			for i, sh := range shards {
-				np[i] = sh
-			}
-			st.SetProfShards(np)
-		} else {
-			net.SetProfiler(w.Profiler.NetShard(0))
-		}
-	}
 	if st.Parallel() {
-		if w.Probe != nil {
-			for mm, mod := range bank.Modules {
-				mod.SetProbe(st.MMProbe(mm))
-			}
-		}
-		if w.Tracer != nil {
-			for mm, mod := range bank.Modules {
-				mod.SetTracer(st.MMTrace(mm))
-			}
-		}
+		bank.Buffered()
 	}
 	rng := sim.NewRand(w.Seed)
 	peRng := make([]*sim.Rand, n)
@@ -350,6 +327,7 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 			owBuf[mm] = owBuf[mm][:0]
 		}
 		st.FlushMM()
+		bank.Flush()
 
 		eng.Run(n, collect)
 		for pe := range rtBuf {
