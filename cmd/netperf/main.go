@@ -13,25 +13,18 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"time"
 
 	"ultracomputer/internal/analytic"
 	"ultracomputer/internal/engine"
-	"ultracomputer/internal/isa"
-	"ultracomputer/internal/machine"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
-	"ultracomputer/internal/obs/prof"
 	"ultracomputer/internal/obs/reqtrace"
-	"ultracomputer/internal/serve"
 	"ultracomputer/internal/sim"
 	"ultracomputer/internal/trace"
 )
@@ -56,7 +49,6 @@ func main() {
 	reqRate := flag.Float64("reqtrace", 0, "fraction of the instrumented run's requests to trace causally (0 = off, 1 = all)")
 	spansOut := flag.String("spans", "", "write the instrumented run's request-trace spans as JSONL to this file (implies -reqtrace 1 when the rate is unset)")
 	flightDir := flag.String("flight-dir", "", "directory for alert-triggered flight-recorder dumps, flight-<cycle>.jsonl (implies -reqtrace 1 when the rate is unset)")
-	benchOut := flag.String("bench", "", "run the simulator benchmark suite and write JSON results to this file")
 	engineFlag := flag.String("engine", "serial", "execution engine for the instrumented run: serial or parallel (byte-identical outputs either way)")
 	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	flag.Parse()
@@ -67,14 +59,6 @@ func main() {
 		os.Exit(2)
 	}
 	defer eng.Close()
-
-	if *benchOut != "" {
-		if err := bench(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "netperf:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *traceOut != "" || *metricsOut != "" || *serveAddr != "" || *reqRate > 0 || *spansOut != "" || *flightDir != "" {
 		opts := observeOpts{
@@ -249,340 +233,6 @@ func observe(o observeOpts) error {
 		<-ch
 	}
 	return nil
-}
-
-// benchRow is one benchmark measurement: a (configuration, load) pair
-// driven for a fixed seeded run, reporting simulator speed and the
-// latency the simulated network delivered.
-type benchRow struct {
-	Config       string  `json:"config"`
-	K            int     `json:"k"`
-	Copies       int     `json:"copies"`
-	Ports        int     `json:"ports"`
-	Engine       string  `json:"engine"`
-	Workers      int     `json:"workers"`
-	Rate         float64 `json:"rate"`
-	ReqtraceRate float64 `json:"reqtrace_rate,omitempty"`
-	Spans        int64   `json:"spans,omitempty"`
-	Speedup      float64 `json:"speedup_vs_serial,omitempty"`
-	// OverheadPct is the wall-clock cost relative to the matching
-	// baseline row (profiler rows only).
-	OverheadPct  float64 `json:"overhead_pct,omitempty"`
-	Cycles       int64   `json:"cycles"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	Injected     int64   `json:"injected"`
-	Served       int64   `json:"served"`
-	Throughput   float64 `json:"throughput"`
-	Combines     int64   `json:"combines"`
-	RTMean       float64 `json:"rt_mean"`
-	RTP50        float64 `json:"rt_p50"`
-	RTP99        float64 `json:"rt_p99"`
-}
-
-// bench runs the fixed benchmark suite and writes the rows as JSON.
-// Two sections: the Figure 7 candidate switch shapes at two stable
-// loads on a 64-port machine under the serial engine (comparable with
-// earlier commits), then an engine scaling matrix — serial versus the
-// parallel engine at several worker counts — on a 256-port machine.
-// Seeded runs make the traffic identical between invocations, and the
-// engines are byte-identical by construction, so within a worker-count
-// column only wall-clock varies. Speedups are only meaningful when
-// host_cpus/gomaxprocs allow real parallelism; the matrix records the
-// host so single-core results are not mistaken for regressions.
-func bench(path string) error {
-	const (
-		ports   = 64
-		warmup  = 2000
-		measure = 20000
-	)
-	shapes := []struct {
-		name      string
-		k, copies int
-	}{
-		{"k2-d1", 2, 1},
-		{"k2-d2", 2, 2},
-		{"k4-d1", 4, 1},
-	}
-	stagesFor := func(k, ports int) int {
-		stages := 0
-		for n := 1; n < ports; n *= k {
-			stages++
-		}
-		return stages
-	}
-	runOne := func(cfg network.Config, name string, copies int, rate float64, warmup, measure int64, eng engine.Engine, engName string, workers int, tr *reqtrace.Tracer, pf *prof.Profiler) (benchRow, error) {
-		if err := cfg.Validate(); err != nil {
-			return benchRow{}, err
-		}
-		w := trace.Workload{Rate: rate, Hash: true, Seed: 17, Tracer: tr, Profiler: pf}
-		start := time.Now()
-		r := trace.RunEngine(cfg, w, warmup, measure, eng)
-		wall := time.Since(start).Seconds()
-		row := benchRow{
-			Config: name, K: cfg.K, Copies: copies, Ports: cfg.Ports(),
-			Engine: engName, Workers: workers, Rate: rate,
-			Cycles: warmup + measure, WallSeconds: wall,
-			CyclesPerSec: float64(warmup+measure) / wall,
-			Injected:     r.Injected, Served: r.Served,
-			Throughput: r.Throughput, Combines: r.Combines,
-			RTMean: r.RoundTrip.Value(), RTP50: r.RTP50, RTP99: r.RTP99,
-		}
-		if tr != nil {
-			row.ReqtraceRate = tr.Rate()
-			row.Spans = tr.Completed()
-		}
-		fmt.Printf("%-6s %-8s w=%-2d rate=%.2f  %8.0f cycles/s  rt p50=%.0f p99=%.0f  thpt=%.4f\n",
-			row.Config, row.Engine, row.Workers, row.Rate, row.CyclesPerSec, row.RTP50, row.RTP99, row.Throughput)
-		return row, nil
-	}
-
-	var rows []benchRow
-	for _, s := range shapes {
-		cfg := network.Config{K: s.k, Stages: stagesFor(s.k, ports), Copies: s.copies, Combining: true}
-		for _, rate := range []float64{0.10, 0.20} {
-			row, err := runOne(cfg, s.name, s.copies, rate, warmup, measure, nil, "serial", 0, nil, nil)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-		}
-	}
-
-	// Tracing overhead: the k2-d1 shape at the higher load with the
-	// request tracer attached at rate 0 (the nil-context fast path the
-	// zero-alloc test pins) and at a 1% sampling rate, beside the
-	// tracer-free row above. The three rows bound what -reqtrace costs.
-	trCfg := network.Config{K: 2, Stages: stagesFor(2, ports), Combining: true}
-	for _, tc := range []struct {
-		name string
-		rate float64
-	}{{"k2-d1+tr0", 0}, {"k2-d1+tr1%", 0.01}} {
-		tr := reqtrace.New(reqtrace.Config{Rate: tc.rate})
-		row, err := runOne(trCfg, tc.name, 1, 0.20, warmup, measure, nil, "serial", 0, tr, nil)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row)
-	}
-
-	// Profiler overhead on the synthetic workload: attached-but-disabled
-	// (every hook site sees a nil sink — should cost nothing) and fully
-	// enabled (heatmap + combine recording on every request).
-	for _, pc := range []struct {
-		name string
-		on   bool
-	}{{"k2-d1+prof-off", false}, {"k2-d1+prof", true}} {
-		pf := prof.New(prof.Config{PEs: ports})
-		pf.SetEnabled(pc.on)
-		row, err := runOne(trCfg, pc.name, 1, 0.20, warmup, measure, nil, "serial", 0, nil, pf)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row)
-	}
-
-	// Guest-machine profiler overhead: a hot-spot fetch-and-add loop on
-	// 8 PEs, run bare, with the profiler attached but disabled, and with
-	// it enabled. OverheadPct on the prof rows is relative to the bare
-	// row — the "<5% enabled, zero when off" contract.
-	guestRows, err := benchGuest()
-	if err != nil {
-		return err
-	}
-	rows = append(rows, guestRows...)
-
-	// Multi-tenant service overhead: aggregate guest cycles/sec at 1, 4
-	// and 8 concurrent ultraserve sessions of the same k2-d1 machine.
-	// Speedup on the s4/s8 rows is aggregate rate relative to the lone
-	// session — fair-share scheduling overhead shows up as it dropping
-	// below 1.
-	serveRows, err := benchServe()
-	if err != nil {
-		return err
-	}
-	rows = append(rows, serveRows...)
-
-	// Engine scaling matrix on the large machine.
-	const (
-		bigPorts   = 256
-		bigWarmup  = 500
-		bigMeasure = 4000
-		bigRate    = 0.20
-	)
-	bigCfg := network.Config{K: 2, Stages: stagesFor(2, bigPorts), Combining: true}
-	serialRow, err := runOne(bigCfg, "k2-big", 1, bigRate, bigWarmup, bigMeasure, nil, "serial", 0, nil, nil)
-	if err != nil {
-		return err
-	}
-	rows = append(rows, serialRow)
-	for _, w := range []int{2, 4, 8} {
-		eng := engine.NewParallel(w)
-		row, err := runOne(bigCfg, "k2-big", 1, bigRate, bigWarmup, bigMeasure, eng, "parallel", w, nil, nil)
-		eng.Close()
-		if err != nil {
-			return err
-		}
-		row.Speedup = serialRow.WallSeconds / row.WallSeconds
-		rows = append(rows, row)
-	}
-
-	return writeFile(path, func(f io.Writer) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
-			Ports      int        `json:"ports"`
-			Warmup     int64      `json:"warmup_cycles"`
-			Measure    int64      `json:"measure_cycles"`
-			Seed       uint64     `json:"seed"`
-			HostCPUs   int        `json:"host_cpus"`
-			GoMaxProcs int        `json:"gomaxprocs"`
-			Rows       []benchRow `json:"rows"`
-		}{ports, warmup, measure, 17, runtime.NumCPU(), runtime.GOMAXPROCS(0), rows})
-	})
-}
-
-// benchServe measures the multi-tenant service's scheduling cost:
-// N concurrent sessions of one k2-d1 guest machine (k=2, 64 ports,
-// 16 PEs hammering a shared word with fetch-and-adds), driven directly
-// through internal/serve — sessions share the service's scheduler
-// worker budget in round-robin cycle slices exactly as API clients
-// would, without HTTP in the measured path.
-func benchServe() ([]benchRow, error) {
-	cfg := serve.Config{
-		K: 2, Stages: 6, PEs: 16,
-		Limit: 5_000_000,
-		Program: `
-        li   r1, 100
-        li   r2, 1
-        li   r6, 2000
-loop:   faa  r3, 0(r1), r2
-        add  r4, r4, r3
-        addi r5, r5, 1
-        blt  r5, r6, loop
-        halt
-`,
-	}
-	var rows []benchRow
-	var lone float64
-	for _, n := range []int{1, 4, 8} {
-		svc := serve.NewService(serve.Limits{MaxSessions: n})
-		start := time.Now()
-		sessions := make([]*serve.Session, 0, n)
-		for i := 0; i < n; i++ {
-			s, err := svc.CreateSession(fmt.Sprintf("bench-%d", i))
-			if err != nil {
-				return nil, err
-			}
-			if err := s.StageCandidate(cfg); err != nil {
-				return nil, err
-			}
-			if _, err := s.CommitCandidate(""); err != nil {
-				return nil, err
-			}
-			if err := s.StartRun(); err != nil {
-				return nil, err
-			}
-			sessions = append(sessions, s)
-		}
-		var total int64
-		for _, s := range sessions {
-			for {
-				info := s.Info()
-				if info.State == serve.StateDone {
-					total += info.Cycles
-					break
-				}
-				if info.State == serve.StateFailed {
-					return nil, fmt.Errorf("bench session %s failed: %s", info.ID, info.Error)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		wall := time.Since(start).Seconds()
-		svc.Drain()
-		row := benchRow{
-			Config: fmt.Sprintf("serve-s%d", n), K: 2, Copies: 1, Ports: 64,
-			Engine: "serve", Workers: svc.Limits().Workers,
-			Cycles: total, WallSeconds: wall,
-			CyclesPerSec: float64(total) / wall,
-		}
-		if n == 1 {
-			lone = row.CyclesPerSec
-		} else if lone > 0 {
-			row.Speedup = row.CyclesPerSec / lone
-		}
-		fmt.Printf("%-9s sessions=%d  %8.0f aggregate cycles/s  wall=%.3fs\n",
-			row.Config, n, row.CyclesPerSec, row.WallSeconds)
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// benchGuest measures the guest profiler's wall-clock cost on a real
-// machine run (not the synthetic driver): 8 PEs hammering one shared
-// word with fetch-and-adds through a combining k=2, 4-stage network.
-// Each configuration takes the best of three runs to shed scheduler
-// noise.
-func benchGuest() ([]benchRow, error) {
-	prog := isa.MustAssemble(`
-        li   r1, 100
-        li   r2, 1
-        li   r6, 20000
-loop:   faa  r3, 0(r1), r2
-        add  r4, r4, r3
-        addi r5, r5, 1
-        blt  r5, r6, loop
-        halt
-`)
-	run := func(name string, attach, on bool) (benchRow, error) {
-		var best benchRow
-		for rep := 0; rep < 3; rep++ {
-			cfg := machine.Config{
-				Net:     network.Config{K: 2, Stages: 4, Combining: true},
-				Hashing: true,
-				PEs:     8,
-			}
-			m, _, err := machine.Load(cfg, prog, machine.LoadOptions{})
-			if err != nil {
-				return benchRow{}, err
-			}
-			if attach {
-				pf := prof.New(prof.Config{PEs: 8, Programs: []*isa.Program{prog}, File: "bench.s"})
-				pf.SetEnabled(on)
-				m.SetProfiler(pf)
-			}
-			start := time.Now()
-			m.MustRun(100_000_000)
-			wall := time.Since(start).Seconds()
-			if rep == 0 || wall < best.WallSeconds {
-				best = benchRow{
-					Config: name, K: 2, Copies: 1, Ports: 16,
-					Engine: "serial", Cycles: m.Cycles(),
-					WallSeconds: wall, CyclesPerSec: float64(m.Cycles()) / wall,
-				}
-			}
-		}
-		return best, nil
-	}
-	base, err := run("guest", false, false)
-	if err != nil {
-		return nil, err
-	}
-	rows := []benchRow{base}
-	for _, pc := range []struct {
-		name string
-		on   bool
-	}{{"guest+prof-off", false}, {"guest+prof", true}} {
-		row, err := run(pc.name, true, pc.on)
-		if err != nil {
-			return nil, err
-		}
-		row.OverheadPct = 100 * (row.WallSeconds - base.WallSeconds) / base.WallSeconds
-		fmt.Printf("%-15s %8.0f cycles/s  overhead %+.1f%%\n", row.Config, row.CyclesPerSec, row.OverheadPct)
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 func writeFile(path string, emit func(io.Writer) error) error {

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,7 @@ func (l *serveLog) ProfServe(mm, word int, op msg.Op) {
 // kinds renders a consumer's view of a run as "cycle:Kind@mm" strings.
 func kinds(r *obs.Recorder) (out []string) {
 	for _, ev := range r.Events() {
-		out = append(out, string(rune('0'+ev.Cycle))+":"+ev.Kind.String()+"@"+string(rune('0'+ev.MM)))
+		out = append(out, fmt.Sprintf("%d:%s@%d", ev.Cycle, ev.Kind, ev.MM))
 	}
 	return out
 }

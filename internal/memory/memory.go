@@ -42,12 +42,15 @@ type Module struct {
 	// requests issued.
 	Served sim.Counter
 
-	// subs is the set of consumers attached to the module's bank (empty
-	// and its own for a module outside a bank) and out where its events
-	// go: the bank's fan-out, or the module's buffer once Buffered.
+	// subs is the set of consumers attached to the module's bank (noSubs
+	// for a module outside a bank) and out where its events go: the
+	// bank's fan-out, or the module's buffer once Buffered.
 	subs *obs.Subs
 	out  obs.Probe
 }
+
+// noSubs is the empty, never written audience of a module outside a bank.
+var noSubs obs.Subs
 
 // ServeProfiler receives completed memory operations for the guest
 // profiler's contention heatmap (internal/obs/prof satisfies it). Calls
@@ -92,7 +95,7 @@ func NewModule(id int, latency int64) *Module {
 	if latency < 1 {
 		latency = 1
 	}
-	return &Module{id: id, latency: latency, words: make(map[int]int64), subs: new(obs.Subs)}
+	return &Module{id: id, latency: latency, words: make(map[int]int64), subs: &noSubs}
 }
 
 // ID reports the module number.

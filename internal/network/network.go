@@ -41,11 +41,12 @@ func (s *Stats) observeRT(lat int64) {
 	}
 }
 
-func (s *Stats) combineAtStage(stage int) {
+// atStage returns the combine counter of a stage, growing the slice to it.
+func (s *Stats) atStage(stage int) *int64 {
 	for len(s.perStageCombines) <= stage {
 		s.perStageCombines = append(s.perStageCombines, 0)
 	}
-	s.perStageCombines[stage]++
+	return &s.perStageCombines[stage]
 }
 
 // CombinesPerStage reports combinations by switch stage (stage 0 is
@@ -70,10 +71,7 @@ func (s *Stats) takeCombines(d *Stats) {
 	take(&s.Decombines, &d.Decombines)
 	for stage, c := range d.perStageCombines {
 		if c != 0 {
-			for len(s.perStageCombines) <= stage {
-				s.perStageCombines = append(s.perStageCombines, 0)
-			}
-			s.perStageCombines[stage] += c
+			*s.atStage(stage) += c
 			d.perStageCombines[stage] = 0
 		}
 	}

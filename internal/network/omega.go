@@ -259,7 +259,7 @@ func (c *copyNet) enqueueForward(s, sw int, r msg.Request, cycle int64, sk *sink
 						b:    side{id: r.ID, pe: r.PE, op: r.Op, plan: bPlan, tc: bTC},
 					})
 					sk.stats.Combines.Inc()
-					sk.stats.combineAtStage(s)
+					*sk.stats.atStage(s)++
 					return true
 				}
 			}

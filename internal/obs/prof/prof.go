@@ -21,11 +21,12 @@
 // hot-spot model — and per-lock wait-time histograms keyed by the F&A
 // cell address.
 //
-// Determinism contract: all hooks are called from engine phases that
-// shard by unit (PE ticks and delivers by PE, MM serves by module,
-// network combines by per-worker shard), every shard is merged in unit
-// order, and every exported collection is sorted — so profiles are
-// byte-identical between the serial and parallel engines.
+// Determinism contract: the PE hooks are called from engine phases that
+// shard by PE (ticks and delivers), module serves and network combines
+// arrive as events on the coordinating goroutine (obs.Fanout), every
+// shard is merged in unit order, and every exported collection is
+// sorted — so profiles are byte-identical between the serial and
+// parallel engines.
 package prof
 
 import (

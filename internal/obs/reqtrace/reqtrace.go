@@ -3,9 +3,10 @@
 // internal/obs cannot give. A sampled request carries a compact trace
 // context (msg.TraceCtx) from PE issue through every switch stage to the
 // memory module and back; every hop-record site in the network and
-// memory layers emits onto a dedicated trace stream, and the Tracer
-// assembles the events into Span timelines — per-hop enqueue/dequeue
-// cycles, wait-buffer residency, and the combining genealogy of §3.3
+// memory layers addresses its event to the tracer (obs.Subs.For), and
+// the Tracer assembles the events into Span timelines — per-hop
+// enqueue/dequeue cycles, wait-buffer residency, and the combining
+// genealogy of §3.3
 // (a child span links to the parent that absorbed it; decombining on the
 // return path closes the tree).
 //
@@ -71,9 +72,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Tracer assembles trace-stream events into request spans and keeps the
-// flight recorder. It implements obs.Probe for the machine's trace
-// stream and the sampling decision for the PNIs.
+// Tracer assembles the events addressed to it into request spans and
+// keeps the flight recorder. It implements obs.Probe, as the SubTrace
+// consumer of the network's and the bank's fan-out, and the sampling
+// decision for the PNIs.
 //
 // All events of one run arrive on the coordinator goroutine (serial
 // emission, or deterministic buffer drains under a parallel engine);
@@ -150,9 +152,9 @@ func (t *Tracer) ContextFor(id uint64) msg.TraceCtx {
 // Rate reports the configured sampling rate.
 func (t *Tracer) Rate() float64 { return t.cfg.Rate }
 
-// Emit assembles one trace-stream event into its span. It implements
-// obs.Probe; the machine's hop-record sites emit here only for events
-// whose carrier has a non-zero TraceCtx.
+// Emit assembles one event into its span. It implements obs.Probe; the
+// machine's hop-record sites address an event here only when its
+// carrier has a non-zero TraceCtx.
 func (t *Tracer) Emit(ev obs.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
