@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint verify lockcheck-mutants test race bench bench-compare bench-guard equivalence trace-smoke serve-smoke prof clean
+.PHONY: ci fmt build vet lint verify lockcheck-mutants test race bench bench-compare bench-guard equivalence serve-smoke prof clean
 
 ci: fmt vet lint verify lockcheck-mutants build race test equivalence bench-guard serve-smoke prof
 
@@ -118,14 +118,5 @@ prof: build
 serve-smoke: build
 	$(GO) run ./cmd/ultraserve -smoke
 
-# End-to-end smoke: produce a Chrome trace and a metrics series from the
-# shipped examples (outputs land in /tmp).
-trace-smoke: build
-	$(GO) run ./cmd/ultrasim -pes 8 -trace /tmp/ultrasim-trace.json \
-		-metrics /tmp/ultrasim-metrics.jsonl examples/asm/queue.s
-	$(GO) run ./cmd/netperf -simports 64 -hot 0.05 -rate 0.2 \
-		-metrics /tmp/netperf-hotspot.jsonl
-
 clean:
-	rm -f /tmp/ultrasim-trace.json /tmp/ultrasim-metrics.jsonl /tmp/netperf-hotspot.jsonl \
-		/tmp/ultraprof.pb.gz /tmp/ultraprof.jsonl
+	rm -f /tmp/ultraprof.pb.gz /tmp/ultraprof.jsonl

@@ -10,21 +10,23 @@
 // With -sim, each analytic curve is accompanied by simulated transit
 // times measured on a (necessarily smaller) instance of the same
 // configuration driven with uniform random fetch-and-add traffic.
+//
+// Any observation flag (-trace, -metrics, -serve, -reqtrace, -spans,
+// -flight-dir: the set shared with ultrasim, see internal/obs/live)
+// runs one instrumented simulation of -simports ports instead, shaped
+// by -rate, -hot, -combining and -measure.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
 
 	"ultracomputer/internal/analytic"
 	"ultracomputer/internal/engine"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
-	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/sim"
 	"ultracomputer/internal/trace"
 )
@@ -37,18 +39,13 @@ func main() {
 	simPorts := flag.Int("simports", 64, "simulated machine size (power of the switch radix)")
 	plot := flag.Bool("plot", false, "render the curves as an ASCII chart")
 	csvOut := flag.String("csv", "", "write the curves as CSV to this file (- for stdout)")
-	traceOut := flag.String("trace", "", "run one instrumented simulation and write a Chrome trace_event JSON to this file")
-	metricsOut := flag.String("metrics", "", "run one instrumented simulation and write sampled per-stage metrics as JSONL to this file")
+	var obsFlags live.Flags
+	obsFlags.Register(flag.CommandLine)
 	sampleEvery := flag.Int64("sample-every", 64, "network cycles between metrics samples")
 	hot := flag.Float64("hot", 0, "fraction of the instrumented run's traffic aimed at a single hot word (§3.1.2 hot spot)")
 	rate := flag.Float64("rate", 0.25, "traffic intensity of the instrumented run (requests per PE per cycle)")
 	combining := flag.Bool("combining", true, "combine requests in the instrumented run (disable to expose raw tree saturation)")
 	measure := flag.Int64("measure", 8000, "measured cycles of the instrumented run (after a 1000-cycle warmup)")
-	serveAddr := flag.String("serve", "", "run the instrumented simulation with live telemetry on this address (/metrics, /snapshot.json, /events, /trace/flight)")
-	confThreshold := flag.Float64("conformance-threshold", 0, "measured/predicted round-trip drift ratio that raises the model-conformance alert (0 = default)")
-	reqRate := flag.Float64("reqtrace", 0, "fraction of the instrumented run's requests to trace causally (0 = off, 1 = all)")
-	spansOut := flag.String("spans", "", "write the instrumented run's request-trace spans as JSONL to this file (implies -reqtrace 1 when the rate is unset)")
-	flightDir := flag.String("flight-dir", "", "directory for alert-triggered flight-recorder dumps, flight-<cycle>.jsonl (implies -reqtrace 1 when the rate is unset)")
 	engineFlag := flag.String("engine", "serial", "execution engine for the instrumented run: serial or parallel (byte-identical outputs either way)")
 	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	flag.Parse()
@@ -60,15 +57,10 @@ func main() {
 	}
 	defer eng.Close()
 
-	if *traceOut != "" || *metricsOut != "" || *serveAddr != "" || *reqRate > 0 || *spansOut != "" || *flightDir != "" {
-		opts := observeOpts{
-			tracePath: *traceOut, metricsPath: *metricsOut, serveAddr: *serveAddr,
-			every: *sampleEvery, ports: *simPorts, rate: *rate, hot: *hot,
-			combining: *combining, measure: *measure, threshold: *confThreshold,
-			reqRate: *reqRate, spansPath: *spansOut, flightDir: *flightDir,
-			eng: eng,
-		}
-		if err := observe(opts); err != nil {
+	if obsFlags.Any() {
+		kit := obsFlags.New(obs.DefaultRecorderCapacity, *sampleEvery, nil, nil)
+		w := trace.Workload{Rate: *rate, Hash: true, HotFraction: *hot, HotWord: 0, Seed: 17}
+		if err := observe(kit, w, *simPorts, *combining, *measure, eng); err != nil {
 			fmt.Fprintln(os.Stderr, "netperf:", err)
 			os.Exit(1)
 		}
@@ -108,143 +100,42 @@ func main() {
 	}
 }
 
-// observeOpts configures one instrumented simulation run.
-type observeOpts struct {
-	tracePath, metricsPath, serveAddr string
-	every                             int64
-	ports                             int
-	rate, hot                         float64
-	combining                         bool
-	measure                           int64
-	threshold                         float64
-	reqRate                           float64
-	spansPath, flightDir              string
-	eng                               engine.Engine
-}
-
 // observe drives one simulated run under synthetic traffic with the
-// event probe and metrics sampler attached, then writes the requested
-// trace and metrics files. With -hot, tree saturation toward the hot
-// module shows up in the per-stage occupancy series; with -serve the
-// same run is watchable live over HTTP, including the analytic
-// model-conformance drift that hot spots trip.
-func observe(o observeOpts) error {
+// kit's consumers attached, then writes the requested files. With -hot,
+// tree saturation toward the hot module shows up in the per-stage
+// occupancy series; with -serve the same run is watchable live over
+// HTTP, including the analytic model-conformance drift that hot spots
+// trip.
+func observe(kit *live.Kit, w trace.Workload, ports int, combining bool, measure int64, eng engine.Engine) error {
 	const k = 2
 	stages := 0
-	for n := 1; n < o.ports; n *= k {
+	for n := 1; n < ports; n *= k {
 		stages++
 	}
-	cfg := network.Config{K: k, Stages: stages, Combining: o.combining}
+	cfg := network.Config{K: k, Stages: stages, Combining: combining}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	w := trace.Workload{Rate: o.rate, Hash: true, HotFraction: o.hot, HotWord: 0, Seed: 17}
-	var rec *obs.Recorder
-	if o.tracePath != "" || o.serveAddr != "" {
-		rec = obs.NewRecorder(obs.DefaultRecorderCapacity)
-		w.Probe = rec
+	// trace.Run has no machine to Attach to: the workload carries the
+	// consumers (a nil *Recorder must stay a nil Probe).
+	if kit.Recorder != nil {
+		w.Probe = kit.Recorder
 	}
-	var sampler *obs.Sampler
-	if o.metricsPath != "" || o.serveAddr != "" || o.flightDir != "" {
-		sampler = obs.NewSampler(o.every)
-		w.Sampler = sampler
+	w.Sampler, w.Tracer = kit.Sampler, kit.Tracer
+	if err := kit.Start(os.Stdout, cfg, 0, nil); err != nil {
+		return err
 	}
-	var tracer *reqtrace.Tracer
-	if o.reqRate > 0 || o.spansPath != "" || o.flightDir != "" {
-		r := o.reqRate
-		if r == 0 {
-			r = 1
-		}
-		tracer = reqtrace.New(reqtrace.Config{Rate: r})
-		w.Tracer = tracer
-	}
-	var feed *live.Feed
-	var srv *live.Server
-	if o.serveAddr != "" || o.flightDir != "" {
-		if o.serveAddr != "" {
-			srv = live.NewServer()
-			if tracer != nil {
-				srv.SetFlight(tracer)
-			}
-		}
-		feed = &live.Feed{
-			Server:    srv,
-			Monitor:   live.NewMonitor(live.ModelFor(cfg, 0, o.threshold)),
-			Recorder:  rec,
-			Tracer:    tracer,
-			FlightDir: o.flightDir,
-		}
-		feed.Attach(sampler)
-		if srv != nil {
-			hs, bound, err := srv.Start(o.serveAddr)
-			if err != nil {
-				return err
-			}
-			defer hs.Close()
-			fmt.Printf("telemetry: http://%s/metrics\n", bound)
-		}
-	}
-	r := trace.RunEngine(cfg, w, 1000, o.measure, o.eng)
+	r := trace.RunEngine(cfg, w, 1000, measure, eng)
 	fmt.Printf("instrumented run: %d ports, %d stages, rate=%.3f hot=%.2f\n  %s\n",
-		cfg.Ports(), stages, o.rate, o.hot, r)
-	if feed != nil {
-		feed.Finish()
-		if st := feed.Last(); st != nil && st.Conformance != nil {
-			c := st.Conformance
-			fmt.Printf("model conformance: %s\n", c)
-			if c.Alerts > 0 {
-				fmt.Printf("  %d alerting windows (drift > %.2f or saturation)\n", c.Alerts, c.Threshold)
-			}
-		}
+		cfg.Ports(), stages, w.Rate, w.HotFraction, r)
+	if err := kit.Finish(os.Stdout); err != nil {
+		return err
 	}
-	if o.tracePath != "" {
-		if err := writeFile(o.tracePath, func(f io.Writer) error {
-			return obs.WriteChromeTrace(f, rec.Events())
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d events)\n", o.tracePath, rec.Len())
+	if kit.Sampler != nil {
+		fmt.Print(kit.Sampler.Summary())
 	}
-	if o.metricsPath != "" {
-		if err := writeFile(o.metricsPath, sampler.WriteJSONL); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d samples)\n%s", o.metricsPath, len(sampler.Snapshots()), sampler.Summary())
-	}
-	if tracer != nil {
-		fmt.Printf("request tracing: %d spans completed, %d combine links, mean latency %.1f cycles\n",
-			tracer.Completed(), tracer.CombineLinks(), tracer.MeanLatency())
-		if o.spansPath != "" {
-			if err := writeFile(o.spansPath, tracer.WriteSpansJSONL); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (inspect with: tables -spans %s)\n", o.spansPath, o.spansPath)
-		}
-		if feed != nil {
-			for _, p := range feed.FlightDumps() {
-				fmt.Printf("flight recorder dumped %s\n", p)
-			}
-		}
-	}
-	if o.serveAddr != "" {
-		fmt.Println("run finished; serving the final snapshot until interrupted (Ctrl-C)")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
-	}
+	kit.Hold(os.Stdout)
 	return nil
-}
-
-func writeFile(path string, emit func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeCSV emits one row per (config, p) point: config, p, T.

@@ -16,16 +16,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/lint/guest/mc"
 	"ultracomputer/internal/machine"
@@ -33,111 +30,58 @@ import (
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
 	"ultracomputer/internal/obs/prof"
-	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/serve"
 )
 
 func main() {
-	pes := flag.Int("pes", 4, "processing elements")
-	k := flag.Int("k", 2, "switch radix")
-	stages := flag.Int("stages", 4, "network stages (ports = k^stages)")
-	combining := flag.Bool("combining", true, "enable request combining")
-	hashing := flag.Bool("hashing", true, "hash addresses over memory modules")
-	local := flag.Int("local", 4096, "private memory words per PE")
-	lintFlag := flag.Bool("lint", false, "run the guest coherence/race lint before the program; findings abort the run")
+	// The machine flags are the config object's fields; -config supplies
+	// their defaults. Without it they start from the built-in base.
+	cfg := serve.Config{K: 2, Stages: 4, PEs: 4}.WithDefaults()
+	cfg.RegisterFlags(flag.CommandLine)
+	var obsFlags live.Flags
+	obsFlags.Register(flag.CommandLine)
 	verifyFlag := flag.Bool("verify", false, "model-check the program exhaustively at 2 PEs (`;mc:` properties, deadlock, lost updates) before the run; a violation prints its schedule and aborts")
-	limit := flag.Int64("limit", 100_000_000, "network-cycle limit")
 	dump := flag.String("dump", "", "shared memory range to print, lo:hi")
 	regs := flag.String("reg", "", "comma-separated integer registers to print per PE")
 	topo := flag.Bool("topo", false, "print the network wiring (the paper's Figure 2) and exit")
 	disasm := flag.Bool("disasm", false, "print the assembled program's disassembly and exit")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file (open in Perfetto)")
-	metricsOut := flag.String("metrics", "", "write sampled per-stage metrics as JSONL to this file")
-	sampleEvery := flag.Int64("sample-every", 64, "network cycles between metrics samples")
-	serveAddr := flag.String("serve", "", "serve live telemetry on this address while the run executes (/metrics, /snapshot.json, /events, /trace/flight, /healthz, /debug/pprof/)")
-	confThreshold := flag.Float64("conformance-threshold", 0, "measured/predicted round-trip drift ratio that raises the model-conformance alert (0 = default)")
-	reqRate := flag.Float64("reqtrace", 0, "fraction of memory requests to trace causally PE->switches->MM->PE (0 = off, 1 = all)")
 	profFlag := flag.Bool("prof", false, "profile the guest program: cycle-exact attribution of every PE cycle to its pc and state (execute / cache-hit / memory-wait / net-full-stall / spin)")
 	profOut := flag.String("prof-out", "", "write the guest profile to this file: .pb.gz/.pprof selects gzipped pprof protobuf (go tool pprof), anything else JSONL (tables -prof); implies -prof")
-	spansOut := flag.String("spans", "", "write completed request-trace spans as JSONL to this file (implies -reqtrace 1 when the rate is unset)")
-	flightDir := flag.String("flight-dir", "", "directory for alert-triggered flight-recorder dumps, flight-<cycle>.jsonl (implies -reqtrace 1 when the rate is unset)")
-	engineFlag := flag.String("engine", "serial", "execution engine: serial or parallel (byte-identical outputs either way)")
-	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	configPath := flag.String("config", "", "JSON machine config file (the same validated object ultraserve stores); explicitly set flags override its fields, and its program runs when no prog.s argument is given")
 	flag.Parse()
-
-	// -config: the ultraserve config object as the run description. Flags
-	// the user explicitly set still win, so `-config base.json -pes 32`
-	// works as expected.
-	var fileCfg *serve.Config
 	if *configPath != "" {
+		// The first parse found -config; the second lays the flags the
+		// command line actually gave back over the file's values.
 		c, err := serve.LoadConfigFile(*configPath)
 		if err != nil {
 			fatal(err)
 		}
-		fileCfg = &c
-		d := c.WithDefaults()
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["pes"] {
-			*pes = d.PEs
-		}
-		if !set["k"] {
-			*k = d.K
-		}
-		if !set["stages"] {
-			*stages = d.Stages
-		}
-		if !set["combining"] {
-			*combining = !d.NoCombining
-		}
-		if !set["hashing"] {
-			*hashing = !d.NoHashing
-		}
-		if !set["local"] {
-			*local = d.LocalWords
-		}
-		if !set["lint"] {
-			*lintFlag = d.Lint
-		}
-		if !set["limit"] {
-			*limit = d.Limit
-		}
-		if !set["sample-every"] {
-			*sampleEvery = d.SampleEvery
-		}
-		if !set["engine"] {
-			*engineFlag = d.Engine
-		}
-		if !set["workers"] {
-			*workers = d.Workers
-		}
+		cfg = c
+		flag.Parse()
 	}
 
 	if *topo {
-		fmt.Print(network.DescribeTopology(*k, *stages))
+		fmt.Print(network.DescribeTopology(cfg.K, cfg.Stages))
 		return
 	}
 
-	var src, srcName string
+	srcName := *configPath
 	switch {
 	case flag.NArg() == 1:
 		b, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
-		src, srcName = string(b), flag.Arg(0)
-	case flag.NArg() == 0 && fileCfg != nil:
-		src, srcName = fileCfg.Program, *configPath
-	default:
+		cfg.Program, srcName = string(b), flag.Arg(0)
+	case flag.NArg() != 0 || *configPath == "":
 		fmt.Fprintln(os.Stderr, "usage: ultrasim [flags] prog.s  (or -config cfg.json with an embedded program)")
 		os.Exit(2)
 	}
-	prog, err := isa.Assemble(src)
-	if err != nil {
-		fatal(err)
-	}
 	if *disasm {
+		prog, err := isa.Assemble(cfg.Program)
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Print(prog.Disassemble())
 		return
 	}
@@ -148,7 +92,7 @@ func main() {
 	// bound` — because the state space grows steeply with PEs; ultravet
 	// -mc-pes raises it offline).
 	if *verifyFlag {
-		res, err := mc.CheckSource(src, mc.Options{PEs: 2})
+		res, err := mc.CheckSource(cfg.Program, mc.Options{PEs: 2})
 		if err != nil {
 			fatal(err)
 		}
@@ -172,26 +116,7 @@ func main() {
 		}
 	}
 
-	cfg := machine.Config{
-		Net:     network.Config{K: *k, Stages: *stages, Combining: *combining},
-		Hashing: *hashing,
-		PEs:     *pes,
-	}
-	opts := machine.LoadOptions{
-		LocalWords: *local,
-		Lint:       *lintFlag,
-	}
-	if fileCfg != nil {
-		// Start from the config object (it carries fields no flag covers:
-		// copies, queue sizing, MM latency, cache, ideal memory), then
-		// re-apply the flag-covered fields so explicit flags win.
-		cfg = fileCfg.MachineConfig()
-		opts = fileCfg.LoadOptions()
-		cfg.Net.K, cfg.Net.Stages, cfg.Net.Combining = *k, *stages, *combining
-		cfg.Hashing, cfg.PEs = *hashing, *pes
-		opts.LocalWords, opts.Lint = *local, *lintFlag
-	}
-	m, isaCores, err := machine.Load(cfg, prog, opts)
+	m, isaCores, eng, err := cfg.Build()
 	if err != nil {
 		var le *machine.LintError
 		if errors.As(err, &le) {
@@ -202,150 +127,51 @@ func main() {
 		}
 		fatal(err)
 	}
-	eng, err := engine.New(*engineFlag, *workers)
-	if err != nil {
-		fatal(err)
-	}
 	defer eng.Close()
-	m.SetEngine(eng)
-	var rec *obs.Recorder
-	if *traceOut != "" || *serveAddr != "" {
-		rec = obs.NewRecorder(obs.DefaultRecorderCapacity)
-		m.SetProbe(rec)
-	}
-	var sampler *obs.Sampler
-	if *metricsOut != "" || *serveAddr != "" {
-		sampler = obs.NewSampler(*sampleEvery)
-		m.SetSampler(sampler)
-	}
-	var tracer *reqtrace.Tracer
-	if *reqRate > 0 || *spansOut != "" || *flightDir != "" {
-		r := *reqRate
-		if r == 0 {
-			r = 1
-		}
-		tracer = reqtrace.New(reqtrace.Config{Rate: r})
-		m.SetTracer(tracer)
-	}
+	cfg = cfg.WithDefaults()
+	mcfg := cfg.MachineConfig()
+
 	var profiler *prof.Profiler
 	if *profFlag || *profOut != "" {
 		profiler = prof.New(prof.Config{
-			PEs:      *pes,
-			Programs: []*isa.Program{prog},
+			PEs:      cfg.PEs,
+			Programs: []*isa.Program{isaCores[0].Program()},
 			File:     filepath.Base(srcName),
-			Source:   src,
+			Source:   cfg.Program,
 		})
-		m.SetProfiler(profiler)
+	}
+	kit := obsFlags.New(obs.DefaultRecorderCapacity, cfg.SampleEvery, nil, profiler)
+	kit.Attach(m)
+	if err := kit.Start(os.Stdout, mcfg.Net, mcfg.MMLatency, live.Windowed(m.Report)); err != nil {
+		fatal(err)
 	}
 
-	// Live telemetry: the server runs beside the simulation; the only
-	// thing the sim loop does for it is publish copy-on-sample States via
-	// the sampler's OnRecord hook (see internal/obs/live).
-	var feed *live.Feed
-	var hs *http.Server
-	if *serveAddr != "" {
-		srv := live.NewServer()
-		var prevRep machine.Report
-		if tracer != nil {
-			srv.SetFlight(tracer)
-		}
-		if profiler != nil {
-			profiler.EnableLive()
-			srv.SetProfile(profiler)
-		}
-		feed = &live.Feed{
-			Server:    srv,
-			Monitor:   live.NewMonitor(live.ModelFor(cfg.Net, cfg.MMLatency, *confThreshold)),
-			Recorder:  rec,
-			Tracer:    tracer,
-			FlightDir: *flightDir,
-			Report: func() any {
-				cur := m.Report()
-				win := cur.Delta(prevRep)
-				prevRep = cur
-				return struct {
-					Total  machine.Report `json:"total"`
-					Window machine.Report `json:"window"`
-				}{cur, win}
-			},
-		}
-		feed.Attach(sampler)
-		var bound string
-		hs, bound, err = srv.Start(*serveAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("telemetry: http://%s/metrics\n", bound)
-	}
-
-	cycles, done := m.Run(*limit)
+	cycles, done := m.Run(cfg.Limit)
 	if !done {
 		fmt.Fprintf(os.Stderr, "warning: cycle limit reached before all PEs halted\n")
 	}
 	fmt.Printf("ran %d PE cycles (%d network cycles)\n\n", cycles, m.Cycles())
 	fmt.Print(m.Report().String())
 
-	if feed != nil {
-		feed.Finish()
-		if st := feed.Last(); st != nil && st.Conformance != nil {
-			c := st.Conformance
-			fmt.Printf("model conformance: %s\n", c)
-			if c.Alerts > 0 {
-				fmt.Printf("  %d alerting windows (drift > %.2f or saturation)\n", c.Alerts, c.Threshold)
-			}
-		}
-	}
-
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, rec); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d events", *traceOut, rec.Len())
-		if d := rec.Overwritten(); d > 0 {
-			fmt.Printf("; ring dropped the oldest %d", d)
-		}
-		fmt.Println(")")
-	}
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, sampler); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d samples)\n", *metricsOut, len(sampler.Snapshots()))
-	}
-	if tracer != nil {
-		fmt.Printf("request tracing: %d spans completed, %d combine links, mean latency %.1f cycles\n",
-			tracer.Completed(), tracer.CombineLinks(), tracer.MeanLatency())
-		if d := tracer.Dropped(); d > 0 {
-			fmt.Printf("  tracer dropped %d events (ring too small for the sampling rate)\n", d)
-		}
-		if *spansOut != "" {
-			if err := writeSpans(*spansOut, tracer); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s (inspect with: tables -spans %s)\n", *spansOut, *spansOut)
-		}
-		if feed != nil {
-			for _, p := range feed.FlightDumps() {
-				fmt.Printf("flight recorder dumped %s\n", p)
-			}
-		}
+	if err := kit.Finish(os.Stdout); err != nil {
+		fatal(err)
 	}
 	if profiler != nil {
 		// Fold the tracer's combining genealogy into the profile: the
 		// longest dependent chains through each combining tree are the
 		// run's top slow paths.
-		if tracer != nil {
+		if tracer := kit.Tracer; tracer != nil {
 			spans := append(tracer.Spans(), tracer.SlowSpans()...)
 			profiler.AddCriticalPaths(prof.CriticalPaths(spans, 10))
 		}
 		printProfSummary(profiler)
 		if *profOut != "" {
-			if err := writeProfile(*profOut, profiler); err != nil {
-				fatal(err)
+			emit, how := profiler.WriteJSONL, "tables -prof "+*profOut
+			if strings.HasSuffix(*profOut, ".pb.gz") || strings.HasSuffix(*profOut, ".pprof") {
+				emit, how = profiler.WritePprof, "go tool pprof -top "+*profOut
 			}
-			how := "tables -prof " + *profOut
-			if profBinary(*profOut) {
-				how = "go tool pprof -top " + *profOut
+			if err := live.WriteFile(*profOut, emit); err != nil {
+				fatal(err)
 			}
 			fmt.Printf("wrote %s (inspect with: %s)\n", *profOut, how)
 		}
@@ -374,60 +200,7 @@ func main() {
 		}
 	}
 
-	if hs != nil {
-		fmt.Println("\nrun finished; serving the final snapshot until interrupted (Ctrl-C)")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
-		hs.Close()
-	}
-}
-
-func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, rec.Events()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeSpans(path string, tr *reqtrace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteSpansJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// profBinary reports whether the output path selects the pprof
-// protobuf format (otherwise JSONL).
-func profBinary(path string) bool {
-	return strings.HasSuffix(path, ".pb.gz") || strings.HasSuffix(path, ".pprof")
-}
-
-func writeProfile(path string, p *prof.Profiler) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if profBinary(path) {
-		err = p.WritePprof(f)
-	} else {
-		err = p.WriteJSONL(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	kit.Hold(os.Stdout)
 }
 
 // printProfSummary prints the profile's headline numbers: where the
@@ -484,18 +257,6 @@ func printProfSummary(p *prof.Profiler) {
 		fmt.Printf("  root %d  MM %d word %d  %d spans  depth %d  %d cycles\n",
 			cp.Root, cp.MM, cp.Word, cp.TreeSpans, cp.Depth, cp.Latency)
 	}
-}
-
-func writeMetrics(path string, s *obs.Sampler) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func parseRange(s string) (lo, hi int64, err error) {

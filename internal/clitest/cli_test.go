@@ -8,15 +8,20 @@
 package clitest
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 )
 
 // binDir holds the three binaries TestMain builds.
@@ -194,4 +199,110 @@ func TestHotspotPinned(t *testing.T) {
 		"s.jsonl":       "c031b0dee414cec1a9aa35416f790b4f9ead4ebaaa71c296473cbe9ac0bffd8f",
 		"s.jsonl.plain": "ff13a194268c690788ed29c2edd41784063f987d1142d53ba999aeff02bb7563",
 	})
+}
+
+// hotSrc makes every PE hammer one shared cell: with combining off, the
+// hot spot the conformance monitor exists to catch.
+const hotSrc = `
+        li   r1, 100
+        li   r2, 1
+        li   r6, 600
+loop:   faa  r3, 0(r1), r2
+        addi r5, r5, 1
+        blt  r5, r6, loop
+        halt
+`
+
+// -flight-dir alone (no -serve) must still build the monitor and feed
+// that trigger the dumps.
+func TestUltrasimFlightDirAlone(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "hot.s"), []byte(hotSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "d"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, dir, "ultrasim", "-pes", "64", "-stages", "6", "-combining=false", "-flight-dir", "d", "hot.s")
+	dumps, err := filepath.Glob(filepath.Join(dir, "d", "flight-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dumps) == 0 {
+		t.Error("a 64-PE uncombined hot spot under -flight-dir wrote no flight-*.jsonl")
+	}
+}
+
+// Machine flags are validated by the config's rule table, like the
+// fields of a -config file: a field error and exit 1, not a panic.
+func TestUltrasimBadFlagIsFieldError(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-pes", "64", "pes: 64 PEs but only 16 network ports (k^stages)"},
+		{"-k", "1", "k: switch radix k = 1, need >= 2"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			dir, _ := workdir(t)
+			res := run(t, dir, "ultrasim", tc.flag, tc.value, "queue.s")
+			if res.exit != 1 {
+				t.Errorf("exit %d, want 1", res.exit)
+			}
+			if !bytes.Contains(res.stderr, []byte(tc.want)) {
+				t.Errorf("stderr lacks %q:\n%s", tc.want, res.stderr)
+			}
+			if bytes.Contains(res.stderr, []byte("goroutine")) {
+				t.Errorf("stderr carries a goroutine trace:\n%s", res.stderr)
+			}
+		})
+	}
+}
+
+// hotspot -serve with request tracing on must hand the tracer to the
+// telemetry server: /trace/flight answers with spans, and the server
+// stays up after the run until interrupted.
+func TestHotspotServesFlight(t *testing.T) {
+	cmd := exec.Command(filepath.Join(binDir, "hotspot"), "-serve", "127.0.0.1:0", "-reqtrace", "1")
+	cmd.Dir = t.TempDir()
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Signal(os.Interrupt)
+		_ = cmd.Wait()
+	}()
+	var url string
+	lines := bufio.NewScanner(stdout)
+	for lines.Scan() {
+		if rest, ok := strings.CutPrefix(lines.Text(), "telemetry: "); ok {
+			url = strings.TrimSuffix(rest, "/metrics") + "/trace/flight"
+			break
+		}
+	}
+	if url == "" {
+		t.Fatal("hotspot -serve printed no telemetry address")
+	}
+	go io.Copy(io.Discard, stdout) // keep the child from blocking on a full pipe
+
+	// The run is over in milliseconds; afterwards the server must hold.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(url)
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK && bytes.Contains(body, []byte(`"id"`)) {
+				return
+			}
+			err = fmt.Errorf("status %d: %.200s", resp.StatusCode, body)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }

@@ -93,15 +93,11 @@ type Machine struct {
 
 	// idealPending holds replies generated under IdealMemory during
 	// this cycle, delivered at the start of the next (one-cycle
-	// paracomputer access).
+	// paracomputer access). Injections are buffered per PE during the
+	// tick phase (idealHold) and applied in PE order after its barrier,
+	// so the serialization is pe-major under every engine.
 	idealPending []idealReply
-	// tickPar marks a PE-tick phase running under a parallel engine:
-	// IdealMemory injections are then buffered per PE (idealHold) and
-	// applied in PE order after the phase barrier, reproducing the
-	// serial engine's pe-major serialization exactly.
-	tickPar      bool
 	idealHold    [][]msg.Request
-	idealBuckets [][]msg.Reply
 
 	// Phase bodies and MM ports are built once (ensureStepper) so Step
 	// allocates nothing in steady state: the closures read the cycle
@@ -111,7 +107,6 @@ type Machine struct {
 	mmStepFn  func(lo, hi, w int)
 	collectFn func(lo, hi, w int)
 	tickFn    func(lo, hi, w int)
-	idealFn   func(lo, hi, w int)
 }
 
 type idealReply struct {
@@ -147,11 +142,7 @@ func New(cfg Config, cores []pe.Core) *Machine {
 		var inject func(msg.Request) bool
 		if cfg.IdealMemory {
 			inject = func(r msg.Request) bool {
-				if m.tickPar {
-					m.idealHold[peID] = append(m.idealHold[peID], r)
-					return true
-				}
-				m.applyIdeal(peID, r)
+				m.idealHold[peID] = append(m.idealHold[peID], r)
 				return true
 			}
 		} else {
@@ -162,9 +153,9 @@ func New(cfg Config, cores []pe.Core) *Machine {
 	return m
 }
 
-// applyIdeal executes one request against memory immediately (the
-// serialization order is the order requests are issued within the
-// cycle) and schedules its reply for the next PE cycle.
+// applyIdeal executes one held request against memory (the
+// serialization order is PE order, then issue order, within the cycle)
+// and schedules its reply for the next PE cycle.
 func (m *Machine) applyIdeal(peID int, r msg.Request) {
 	mod := m.bank.Modules[r.Addr.MM]
 	newVal, ret := msg.Apply(r.Op, mod.Peek(r.Addr.Word), r.Operand)
@@ -297,10 +288,9 @@ func (m *Machine) ensureStepper() {
 			}
 		}
 		m.bank.Buffered()
-		if m.cfg.IdealMemory {
-			m.idealHold = make([][]msg.Request, len(m.pes))
-			m.idealBuckets = make([][]msg.Reply, len(m.pes))
-		}
+	}
+	if m.cfg.IdealMemory {
+		m.idealHold = make([][]msg.Request, len(m.pes))
 	}
 	m.mmPorts = make([]memory.Port, len(m.bank.Modules))
 	for mm := range m.mmPorts {
@@ -327,14 +317,6 @@ func (m *Machine) ensureStepper() {
 				continue
 			}
 			m.pes[i].Tick(m.peCycles, len(m.pes))
-		}
-	}
-	m.idealFn = func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			for _, rep := range m.idealBuckets[i] {
-				m.pes[i].Deliver(rep, m.peCycles)
-			}
-			m.idealBuckets[i] = m.idealBuckets[i][:0]
 		}
 	}
 }
@@ -401,20 +383,15 @@ func (m *Machine) Step() {
 		m.stepper.FlushCollect()
 	}
 	if m.cycle%m.cfg.PECycle == 0 {
-		m.tickPar = m.stepper.Parallel()
 		m.eng.Run(len(m.pes), m.tickFn)
-		m.tickPar = false
 		m.stepper.FlushInject()
-		if m.idealHold != nil {
-			// Apply the injections buffered during a parallel ideal
-			// tick in PE order — the serialization a serial tick
-			// produces inline.
-			for pe := range m.idealHold {
-				for _, r := range m.idealHold[pe] {
-					m.applyIdeal(pe, r)
-				}
-				m.idealHold[pe] = m.idealHold[pe][:0]
+		// Apply the IdealMemory injections the tick buffered, in PE
+		// order (idealHold is nil on a real network).
+		for pe := range m.idealHold {
+			for _, r := range m.idealHold[pe] {
+				m.applyIdeal(pe, r)
 			}
+			m.idealHold[pe] = m.idealHold[pe][:0]
 		}
 		m.peCycles++
 	}
@@ -453,22 +430,14 @@ func (m *Machine) observePEs(sn *obs.Snapshot) {
 }
 
 // stepIdealDeliver hands last cycle's ideal-memory replies to their
-// PEs. Under a parallel engine the global pending list is bucketed per
-// PE first (preserving each PE's delivery order) so the phase can
-// shard by PE.
+// PEs, in the PE order they were applied in, on the calling goroutine
+// (a delivery is a register write: not worth a sharded phase). Under a
+// parallel engine the PEs' probes are per-PE buffers, drained here.
 func (m *Machine) stepIdealDeliver() {
-	pending := m.idealPending
+	for _, ir := range m.idealPending {
+		m.pes[ir.pe].Deliver(ir.rep, m.peCycles)
+	}
 	m.idealPending = m.idealPending[:0]
-	if !m.stepper.Parallel() {
-		for _, ir := range pending {
-			m.pes[ir.pe].Deliver(ir.rep, m.peCycles)
-		}
-		return
-	}
-	for _, ir := range pending {
-		m.idealBuckets[ir.pe] = append(m.idealBuckets[ir.pe], ir.rep)
-	}
-	m.eng.Run(len(m.pes), m.idealFn)
 	m.stepper.DrainPEEvents()
 }
 

@@ -48,13 +48,36 @@
 //	/healthz        Liveness plus publish progress.
 //	/debug/pprof/   Standard net/http/pprof handlers.
 //
+// # Observation kit
+//
+// Kit is the one harness every driver observes a run through —
+// cmd/ultrasim, cmd/netperf, examples/hotspot and internal/serve
+// sessions. Flags is the shared flag set (Register); Flags.New builds
+// the consumers the requested outputs imply, by one rule:
+//
+//	output                      recorder  sampler  tracer  monitor+feed
+//	-trace                         x
+//	-metrics                                 x
+//	-reqtrace r                                       x (rate r)
+//	-spans                                            x (rate 1 unless -reqtrace)
+//	-flight-dir                              x        x (same)       x
+//	-serve, or a session's server  x         x                       x
+//
+// Attach hands the consumers to a machine (any Target); Start arms the
+// conformance monitor, wires /trace/flight and /profile and opens the
+// -serve listener; Finish marks the feed done, writes every requested
+// file and prints the summaries; Hold keeps the listener up until the
+// process is interrupted. The driver supplies only what differs: the
+// recorder capacity, the sampling period, a session's mounted Server,
+// and a guest profiler where one can be built.
+//
 // # Flight recorder
 //
 // When a Feed carries a reqtrace.Tracer and a FlightDir, every
 // conformance alert additionally dumps the tracer's current flight
-// ring to FlightDir/flight-<cycle>.jsonl (capped at MaxFlightDumps per
-// run), so the per-request traces that explain the alert are on disk
-// the moment it fires; State.FlightDumps lists the files written.
+// ring to FlightDir/flight-<cycle>.jsonl (at most DefaultMaxFlightDumps
+// per run), so the per-request traces that explain the alert are on
+// disk the moment it fires; State.FlightDumps lists the files written.
 //
 // # Model conformance
 //

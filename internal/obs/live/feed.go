@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"ultracomputer/internal/obs"
@@ -79,11 +78,8 @@ type Feed struct {
 	// Monitor, when non-nil, adds model conformance to each State.
 	Monitor *Monitor
 	// Recorder, when non-nil, is the probe ring recent events are
-	// copied from (at most TailEvents per publish).
+	// copied from (at most DefaultTailEvents per publish).
 	Recorder *obs.Recorder
-	// TailEvents caps the events copied per publish; <= 0 selects
-	// DefaultTailEvents.
-	TailEvents int
 	// Report, when non-nil, is called during each publish (on the
 	// simulation goroutine) to attach a driver-defined aggregate.
 	Report func() any
@@ -92,11 +88,9 @@ type Feed struct {
 	// alert dumps the tracer's ring of recent complete spans plus the
 	// slow-outlier reservoir to FlightDir/flight-<cycle>.jsonl.
 	Tracer *reqtrace.Tracer
-	// FlightDir is the directory flight dumps are written to.
+	// FlightDir is the directory flight dumps are written to (at most
+	// DefaultMaxFlightDumps per run).
 	FlightDir string
-	// MaxFlightDumps caps dumps per run; <= 0 selects
-	// DefaultMaxFlightDumps.
-	MaxFlightDumps int
 
 	seq         int64
 	prev        obs.Snapshot
@@ -147,12 +141,8 @@ func (f *Feed) Publish(sn obs.Snapshot) {
 	if f.Recorder != nil {
 		total := f.Recorder.Total()
 		fresh := total - f.prevEvents
-		limit := f.TailEvents
-		if limit <= 0 {
-			limit = DefaultTailEvents
-		}
-		if fresh > int64(limit) {
-			fresh = int64(limit)
+		if fresh > DefaultTailEvents {
+			fresh = DefaultTailEvents
 		}
 		st.Events = f.Recorder.Tail(int(fresh))
 		st.EventsTotal = total
@@ -174,29 +164,13 @@ func (f *Feed) Publish(sn obs.Snapshot) {
 // reservoir, as JSONL. Write errors drop the dump silently — the
 // flight recorder is diagnostics, never allowed to kill the run.
 func (f *Feed) dumpFlight(cycle int64) {
-	if f.Tracer == nil || f.FlightDir == "" {
-		return
-	}
-	max := f.MaxFlightDumps
-	if max <= 0 {
-		max = DefaultMaxFlightDumps
-	}
-	if len(f.flightDumps) >= max {
+	if f.Tracer == nil || f.FlightDir == "" || len(f.flightDumps) >= DefaultMaxFlightDumps {
 		return
 	}
 	path := filepath.Join(f.FlightDir, fmt.Sprintf("flight-%d.jsonl", cycle))
-	fh, err := os.Create(path)
-	if err != nil {
-		return
+	if WriteFile(path, f.Tracer.WriteFlightJSONL) == nil {
+		f.flightDumps = append(f.flightDumps, path)
 	}
-	err = f.Tracer.WriteFlightJSONL(fh)
-	if cerr := fh.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return
-	}
-	f.flightDumps = append(f.flightDumps, path)
 }
 
 // FlightDumps returns the flight files written so far (driver-side

@@ -43,15 +43,19 @@ type Config struct {
 	// Ring bounds the flight recorder's ring of completed spans
 	// (default 1024).
 	Ring int
-	// SlowCap bounds the slow-outlier reservoir (default 64).
-	SlowCap int
-	// SlowFactor marks a completion slow when its latency exceeds
-	// SlowFactor × the running mean latency (default 3).
-	SlowFactor float64
-	// MinSlowSamples is how many completions seed the running mean
-	// before outlier detection starts (default 32).
-	MinSlowSamples int64
 }
+
+// The flight recorder's slow-outlier policy.
+const (
+	// DefaultSlowCap bounds the slow-outlier reservoir.
+	DefaultSlowCap = 64
+	// DefaultSlowFactor marks a completion slow when its latency
+	// exceeds this multiple of the running mean latency.
+	DefaultSlowFactor = 3
+	// DefaultMinSlowSamples is how many completions seed the running
+	// mean before outlier detection starts.
+	DefaultMinSlowSamples = 32
+)
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
@@ -59,15 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Ring <= 0 {
 		c.Ring = 1024
-	}
-	if c.SlowCap <= 0 {
-		c.SlowCap = 64
-	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = 3
-	}
-	if c.MinSlowSamples <= 0 {
-		c.MinSlowSamples = 32
 	}
 	return c
 }
@@ -277,12 +272,12 @@ func (t *Tracer) complete(s *Span, cycle int64) {
 	t.completed++
 
 	lat := float64(s.Latency)
-	if t.latN >= t.cfg.MinSlowSamples && lat > t.cfg.SlowFactor*t.latMean {
+	if t.latN >= DefaultMinSlowSamples && lat > DefaultSlowFactor*t.latMean {
 		s.Slow = true
 		t.slowSeen++
-		if len(t.slow) < t.cfg.SlowCap {
+		if len(t.slow) < DefaultSlowCap {
 			t.slow = append(t.slow, s)
-		} else if j := t.rng.Intn(int(t.slowSeen)); j < t.cfg.SlowCap {
+		} else if j := t.rng.Intn(int(t.slowSeen)); j < DefaultSlowCap {
 			t.slow[j] = s
 		}
 	}

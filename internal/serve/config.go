@@ -2,9 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"ultracomputer/internal/analytic"
@@ -20,10 +22,11 @@ import (
 // Config is a machine configuration as a first-class object: everything
 // a run needs — network shape, PE population, timing, cache, engine and
 // the guest program — in one JSON-serializable value. It is the single
-// config format shared by the ultraserve config store, `ultrasim
-// -config` and the programmatic Build path, so a config dry-run,
-// committed and executed by the service describes exactly the run a
-// standalone ultrasim invocation would perform.
+// run description: the ultraserve config store keeps it, `ultrasim
+// -config` loads it, ultrasim's machine flags are bound to its fields
+// (RegisterFlags), and Build is the one way any of them becomes a
+// machine — so a config dry-run, committed and executed by the service
+// describes exactly the run a standalone ultrasim invocation performs.
 //
 // Zero values select the machine defaults (which match ultrasim's flag
 // defaults), so a minimal config is just k, stages and a program. The
@@ -306,20 +309,19 @@ var configRules = []struct {
 		}
 		return ""
 	}},
-	{"program", func(c *Config) string {
-		if strings.TrimSpace(c.Program) == "" {
-			return "guest program source is required"
-		}
-		if _, err := isa.Assemble(c.Program); err != nil {
-			return "does not assemble: " + err.Error()
-		}
-		return ""
-	}},
 }
 
 // Validate runs the rule table against the defaults-filled config and
 // returns a *ValidateError carrying every field-level failure, or nil.
 func (c Config) Validate() error {
+	_, _, err := c.validated()
+	return err
+}
+
+// validated is Validate that keeps its work: the defaults-filled config
+// and the assembled guest program (the last rule, "program", is the
+// assembly itself, so Build does not assemble a second time).
+func (c Config) validated() (Config, *isa.Program, error) {
 	d := c.WithDefaults()
 	var fields []FieldError
 	for _, r := range configRules {
@@ -327,10 +329,18 @@ func (c Config) Validate() error {
 			fields = append(fields, FieldError{Field: r.field, Msg: msg})
 		}
 	}
-	if len(fields) > 0 {
-		return &ValidateError{Fields: fields}
+	var prog *isa.Program
+	if strings.TrimSpace(d.Program) == "" {
+		fields = append(fields, FieldError{Field: "program", Msg: "guest program source is required"})
+	} else if p, err := isa.Assemble(d.Program); err != nil {
+		fields = append(fields, FieldError{Field: "program", Msg: "does not assemble: " + err.Error()})
+	} else {
+		prog = p
 	}
-	return nil
+	if len(fields) > 0 {
+		return d, nil, &ValidateError{Fields: fields}
+	}
+	return d, prog, nil
 }
 
 func (cc *CacheConfig) toCache() cache.Config {
@@ -359,43 +369,39 @@ func (c Config) LoadOptions() machine.LoadOptions {
 	return opts
 }
 
-// FromMachine is the inverse of MachineConfig/LoadOptions: it lifts a
-// flag-built simulator configuration into the shared config object, so
-// a command line can be captured, stored and replayed through the
-// service (the ultrasim flags → config round trip).
-func FromMachine(mc machine.Config, opts machine.LoadOptions, engineName string, workers int, limit int64, program string) Config {
-	c := Config{
-		K: mc.Net.K, Stages: mc.Net.Stages, Copies: mc.Net.Copies,
-		PEs:         mc.PEs,
-		NoCombining: !mc.Net.Combining, NoHashing: !mc.Hashing,
-		QueueCapacity:      mc.Net.QueueCapacity,
-		WaitBufferCapacity: mc.Net.WaitBufferCapacity,
-		PNIQueueCapacity:   mc.Net.PNIQueueCapacity,
-		MMLatency:          mc.MMLatency, PECycle: mc.PECycle,
-		MaxOutstanding: mc.MaxOutstanding, IdealMemory: mc.IdealMemory,
-		LocalWords: opts.LocalWords, Lint: opts.Lint,
-		Engine: engineName, Workers: workers, Limit: limit,
-		Program: program,
+// RegisterFlags binds ultrasim's machine flags to the config's fields,
+// each flag's default being the field's current value: load a config
+// file into c and parse, and exactly the flags given on the command
+// line override the file. The two switches that default on are stored
+// inverted, so they bind through BoolFunc.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.PEs, "pes", c.PEs, "processing elements")
+	fs.IntVar(&c.K, "k", c.K, "switch radix")
+	fs.IntVar(&c.Stages, "stages", c.Stages, "network stages (ports = k^stages)")
+	onByDefault := func(name, usage string, inverted *bool) {
+		fs.BoolFunc(name, usage+" (default true)", func(v string) error {
+			on, err := strconv.ParseBool(v)
+			*inverted = !on
+			return err
+		})
 	}
-	if opts.Cache != nil {
-		c.Cache = &CacheConfig{Sets: opts.Cache.Sets, Ways: opts.Cache.Ways, BlockWords: opts.Cache.BlockWords}
-	}
-	return c
+	onByDefault("combining", "enable request combining", &c.NoCombining)
+	onByDefault("hashing", "hash addresses over memory modules", &c.NoHashing)
+	fs.IntVar(&c.LocalWords, "local", c.LocalWords, "private memory words per PE")
+	fs.BoolVar(&c.Lint, "lint", c.Lint, "run the guest coherence/race lint before the program; findings abort the run")
+	fs.Int64Var(&c.Limit, "limit", c.Limit, "network-cycle limit")
+	fs.Int64Var(&c.SampleEvery, "sample-every", c.SampleEvery, "network cycles between metrics samples")
+	fs.StringVar(&c.Engine, "engine", c.Engine, "execution engine: serial or parallel (byte-identical outputs either way)")
+	fs.IntVar(&c.Workers, "workers", c.Workers, "parallel engine worker count (0 = GOMAXPROCS)")
 }
 
 // Build validates the config and assembles the full run: the machine,
 // its per-PE cores and the execution engine (which the caller owns and
-// must Close). It is the single construction path shared by ultraserve
-// sessions and `ultrasim -config`.
+// must Close). It is the single construction path: ultraserve sessions,
+// `ultrasim -config` and ultrasim's flags all build here.
 func (c Config) Build() (*machine.Machine, []*isa.Core, engine.Engine, error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	d := c.WithDefaults()
-	prog, err := isa.Assemble(d.Program)
+	d, prog, err := c.validated()
 	if err != nil {
-		// Validate assembles too, so this is unreachable; kept for belt
-		// and braces against rule drift.
 		return nil, nil, nil, err
 	}
 	m, cores, err := machine.Load(d.MachineConfig(), prog, d.LoadOptions())

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
@@ -151,20 +153,65 @@ func TestLoadConfigFileRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-func TestConfigMachineRoundTrip(t *testing.T) {
-	// flags → machine.Config → serve.Config → machine.Config must be a
-	// fixed point: the one-config-format-everywhere guarantee behind
-	// `ultrasim -config`.
-	orig := validConfig().WithDefaults()
-	mc, opts := orig.MachineConfig(), orig.LoadOptions()
-	back := FromMachine(mc, opts, orig.Engine, orig.Workers, orig.Limit, orig.Program).WithDefaults()
-	if back.MachineConfig() != mc {
-		t.Errorf("machine config round trip drifted:\n  orig %+v\n  back %+v", mc, back.MachineConfig())
+// parseFlags binds base to a fresh flag set through the real
+// RegisterFlags and parses args over it, the way ultrasim does.
+func parseFlags(t *testing.T, base Config, args ...string) (Config, *flag.FlagSet) {
+	t.Helper()
+	fs := flag.NewFlagSet("ultrasim", flag.ContinueOnError)
+	base.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
-	if back.LoadOptions() != opts {
-		t.Errorf("load options round trip drifted: %+v vs %+v", opts, back.LoadOptions())
+	return base, fs
+}
+
+// throughFile writes cfg as the JSON file `ultrasim -config` reads and
+// loads it back.
+func throughFile(t *testing.T, cfg Config) Config {
+	t.Helper()
+	b, err := json.MarshalIndent(cfg, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := back.Validate(); err != nil {
-		t.Errorf("round-tripped config invalid: %v", err)
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadConfigFile(path)
+	if err != nil {
+		t.Fatalf("config did not load back: %v\n%s", err, b)
+	}
+	return loaded
+}
+
+// Flags are the config object's fields: every registered flag must land
+// in a field the JSON file carries, so a command line can be captured
+// in a file and replayed. A flag registered without a row here fails
+// the test.
+func TestEveryFlagRoundTripsThroughFile(t *testing.T) {
+	values := map[string]string{
+		"pes": "3", "k": "4", "stages": "5", "combining": "false", "hashing": "false",
+		"local": "2048", "lint": "true", "limit": "5000", "sample-every": "32",
+		"engine": "parallel", "workers": "3",
+	}
+	base := validConfig()
+	_, fs := parseFlags(t, base)
+	fs.VisitAll(func(f *flag.Flag) {
+		v, ok := values[f.Name]
+		if !ok {
+			t.Errorf("flag -%s is registered but has no row in this test", f.Name)
+			return
+		}
+		delete(values, f.Name)
+		got, _ := parseFlags(t, base, "-"+f.Name+"="+v)
+		if got == base {
+			t.Errorf("-%s=%s changed no config field", f.Name, v)
+		}
+		if back := throughFile(t, got); back != got {
+			t.Errorf("-%s=%s did not survive the file:\n  flags %+v\n  file  %+v", f.Name, v, got, back)
+		}
+	})
+	for name := range values {
+		t.Errorf("flag -%s is no longer registered", name)
 	}
 }

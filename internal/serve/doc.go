@@ -22,7 +22,11 @@
 //     promotes candidate → running, RollbackRunning restores the
 //     previous running config as a fresh commit. Dry-run evaluates the
 //     paper's §4.1 closed form (predicted transit/round-trip time,
-//     saturation) against a config before a single cycle runs.
+//     saturation) against a config before a single cycle runs. The same
+//     object is cmd/ultrasim's run description — its machine flags are
+//     bound to the config's fields (Config.RegisterFlags), `-config`
+//     supplies their defaults — and Config.Build is the one
+//     construction path for sessions, files and flags alike.
 //
 //   - HTTP API (api.go): REST over the above, plus each session's live
 //     telemetry (internal/obs/live feed server) mounted under the

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -72,7 +73,6 @@ type Session struct {
 	eng      engine.Engine    // guarded by execMu
 	feed     *live.Feed       // guarded by execMu
 	builtSeq int64            // guarded by execMu; store.CommitSeq the machine was built from
-	prevRep  machine.Report   // guarded by execMu
 	effLimit int64            // guarded by execMu; session cycle quota: min(config limit, service quota)
 
 	// info mirrors builtSeq/effLimit for lock-free Info reads as one
@@ -478,8 +478,9 @@ func (s *Session) finishIfOverLocked() bool {
 }
 
 // ensureMachineLocked (execMu held) builds — or rebuilds, after a
-// commit/rollback — the machine from the store's running config, wiring
-// the per-session probe ring, sampler, conformance monitor and feed.
+// commit/rollback — the machine from the store's running config and
+// attaches the observation kit a served run gets (probe ring, sampler,
+// conformance monitor, feed) on the session's own feed server.
 func (s *Session) ensureMachineLocked() error {
 	// Never (re)build for a drained session: drain closed the machine
 	// for good, and a rebuild here would leak the engine (nothing will
@@ -501,32 +502,12 @@ func (s *Session) ensureMachineLocked() error {
 	if err != nil {
 		return err
 	}
-	rec := obs.NewRecorder(sessionRecorderCapacity)
-	m.SetProbe(rec)
-	sampler := obs.NewSampler(d.SampleEvery)
-	m.SetSampler(sampler)
-	s.prevRep = machine.Report{}
-	feed := &live.Feed{
-		Server:   s.lsrv,
-		Monitor:  live.NewMonitor(live.ModelFor(networkConfig(d), d.MMLatency, 0)),
-		Recorder: rec,
-		Report: func() any {
-			cur := m.Report()
-			// The feed only calls Report from Publish on the exec path,
-			// where every caller holds execMu; the analyzer cannot see
-			// through the stored closure.
-			//ultravet:ok lockcheck Report runs under execMu via the feed's Publish on the exec path
-			win := cur.Delta(s.prevRep)
-			//ultravet:ok lockcheck Report runs under execMu via the feed's Publish on the exec path
-			s.prevRep = cur
-			return struct {
-				Total  machine.Report `json:"total"`
-				Window machine.Report `json:"window"`
-			}{cur, win}
-		},
-	}
-	feed.Attach(sampler)
-	s.machine, s.eng, s.feed = m, eng, feed
+	kit := live.Flags{}.New(sessionRecorderCapacity, d.SampleEvery, s.lsrv, nil)
+	kit.Attach(m)
+	// Nothing listens (the feed server is mounted on the service's own
+	// listener), so Start has nothing to print and nothing to fail.
+	_ = kit.Start(io.Discard, networkConfig(d), d.MMLatency, live.Windowed(m.Report))
+	s.machine, s.eng, s.feed = m, eng, kit.Feed
 	s.builtSeq = seq
 	s.effLimit = d.Limit
 	if s.limits.MaxCycles > 0 && s.effLimit > s.limits.MaxCycles {
