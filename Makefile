@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint verify lockcheck-mutants test race bench bench-compare bench-guard equivalence serve-smoke prof clean
+.PHONY: ci fmt build vet lint verify lint-mutants test race bench bench-compare bench-guard equivalence serve-smoke prof clean
 
-ci: fmt vet lint verify lockcheck-mutants build race test equivalence bench-guard serve-smoke prof
+ci: fmt vet lint verify lint-mutants build race test equivalence bench-guard serve-smoke prof
 
 # Every Go file is gofmt-clean; any file gofmt would rewrite fails CI.
 fmt:
@@ -27,24 +27,31 @@ vet:
 lint:
 	$(GO) run ./cmd/ultravet ./... examples/asm/*.s internal/coord/guest/*.s
 
-# Prove the lock-discipline analyzer is live: the three seeded mutants —
-# re-creations of the PR 9 review bugs (lost wakeup, interrupt store
-# outside the lock, rebuild outside execMu) — must each be flagged. An
-# analyzer regression that stops seeing any of them fails CI here even
-# though the main tree stays clean.
-lockcheck-mutants:
-	@out=$$($(GO) run ./cmd/ultravet -enable lockcheck -baseline "" \
-		internal/lint/lockcheck/testdata/src/pr9mutants 2>&1); \
-	st=$$?; \
-	if [ $$st -eq 0 ]; then \
-		echo "lockcheck-mutants: expected findings, got a clean run"; exit 1; \
-	fi; \
-	for f in lostwakeup.go interruptstore.go rebuildrace.go; do \
-		echo "$$out" | grep -q "$$f" || { \
-			echo "lockcheck-mutants: seeded mutant $$f not flagged"; \
-			echo "$$out"; exit 1; }; \
-	done; \
-	echo "lockcheck-mutants: all 3 seeded PR 9 bugs flagged"
+# Prove the analyzers are live: each leg runs one analyzer over seeded
+# mutants that it must flag, so an analyzer regression that stops seeing
+# any of them fails CI here even though the main tree stays clean.
+# lockcheck: re-creations of the three PR 9 review bugs (lost wakeup,
+# interrupt store outside the lock, rebuild outside execMu). probegate:
+# copies of one PE stall site and one cache site with the Subs.For
+# audience guard stripped.
+lint-mutants:
+	@check() { \
+		analyzer=$$1; dir=$$2; shift 2; \
+		out=$$($(GO) run ./cmd/ultravet -enable $$analyzer -baseline "" $$dir 2>&1); \
+		if [ $$? -eq 0 ]; then \
+			echo "lint-mutants: $$analyzer: expected findings, got a clean run"; exit 1; \
+		fi; \
+		for f in "$$@"; do \
+			echo "$$out" | grep -q "$$f.*$$analyzer" || { \
+				echo "lint-mutants: $$analyzer: seeded mutant $$f not flagged"; \
+				echo "$$out"; exit 1; }; \
+		done; \
+		echo "lint-mutants: $$analyzer: all $$# seeded mutants flagged"; \
+	}; \
+	check lockcheck internal/lint/lockcheck/testdata/src/pr9mutants \
+		lostwakeup.go interruptstore.go rebuildrace.go && \
+	check probegate internal/lint/probegate/testdata/src/guardmutants \
+		stall.go cache.go
 
 # Exhaustive guest verification (internal/lint/guest/mc): model-check
 # every shipped assembly program — the examples and the coord guest

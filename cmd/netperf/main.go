@@ -116,12 +116,7 @@ func observe(kit *live.Kit, w trace.Workload, ports int, combining bool, measure
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	// trace.Run has no machine to Attach to: the workload carries the
-	// consumers (a nil *Recorder must stay a nil Probe).
-	if kit.Recorder != nil {
-		w.Probe = kit.Recorder
-	}
-	w.Sampler, w.Tracer = kit.Sampler, kit.Tracer
+	w.Observers = kit.Observers
 	if err := kit.Start(os.Stdout, cfg, 0, nil); err != nil {
 		return err
 	}

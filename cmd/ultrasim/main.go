@@ -141,7 +141,7 @@ func main() {
 		})
 	}
 	kit := obsFlags.New(obs.DefaultRecorderCapacity, cfg.SampleEvery, nil, profiler)
-	kit.Attach(m)
+	m.Observe(kit.Observers)
 	if err := kit.Start(os.Stdout, mcfg.Net, mcfg.MMLatency, live.Windowed(m.Report)); err != nil {
 		fatal(err)
 	}

@@ -4,9 +4,9 @@
 // Go packages (directories, or the literal ./... to expand the module)
 // run the host-side analyzers over the simulator's own sources. The
 // per-package analyzers (detstate, probegate) inspect one package at a
-// time; the whole-program analyzers (stagecheck, sharecheck, hotalloc,
-// lockcheck) run once over a module-wide call graph with interprocedural
-// write-set summaries (internal/lint/analysis):
+// time; the whole-program analyzers (sharecheck, hotalloc, lockcheck)
+// run once over a module-wide call graph with interprocedural write-set
+// summaries (internal/lint/analysis):
 //
 //	detstate   forbid wall-clock reads, global math/rand and unordered
 //	           map iteration in functions reachable from the cycle loop
@@ -15,11 +15,10 @@
 //	           audience (the zero-alloc contract), and every reqtrace
 //	           sampling call site (ContextFor, Emit) by a nil check of
 //	           the tracer
-//	stagecheck forbid Compute methods writing non-receiver shared state
-//	           and goroutine launches on phase paths outside
-//	           internal/engine
 //	sharecheck verify that everything transitively reachable from a
-//	           Compute-phase entry point writes only shard-owned state
+//	           Compute-phase entry point writes only shard-owned state,
+//	           and forbid goroutine launches on cycle paths outside
+//	           internal/engine
 //	hotalloc   flag heap-allocation sites reachable from the cycle loop
 //	lockcheck  enforce declared lock discipline (`// guarded by mu` field
 //	           comments): guarded-field access without the protecting
@@ -79,14 +78,12 @@ import (
 	"ultracomputer/internal/lint/lockcheck"
 	"ultracomputer/internal/lint/probegate"
 	"ultracomputer/internal/lint/sharecheck"
-	"ultracomputer/internal/lint/stagecheck"
 )
 
 // registry lists every host analyzer in stable order.
 var registry = []*analysis.Analyzer{
 	detstate.Analyzer,
 	probegate.Analyzer,
-	stagecheck.Analyzer,
 	sharecheck.Analyzer,
 	hotalloc.Analyzer,
 	lockcheck.Analyzer,

@@ -219,15 +219,15 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("-enable sharecheck,hotalloc selected %v", names(some))
 	}
 
-	most, _, err := selectAnalyzers("", "stagecheck")
+	most, _, err := selectAnalyzers("", "probegate")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(most) != len(registry)-1 {
-		t.Fatalf("-disable stagecheck selected %v", names(most))
+		t.Fatalf("-disable probegate selected %v", names(most))
 	}
 	for _, a := range most {
-		if a.Name == "stagecheck" {
+		if a.Name == "probegate" {
 			t.Fatal("disabled analyzer still selected")
 		}
 	}

@@ -75,7 +75,7 @@ func run(eng engine.Engine, combining bool, rounds int, kit *live.Kit) {
 		}
 	})
 	m.SetEngine(eng)
-	kit.Attach(m)
+	m.Observe(kit.Observers)
 	check(kit.Start(os.Stdout, cfg.Net, cfg.MMLatency, nil))
 	cycles := m.MustRun(100_000_000)
 	if got := m.ReadShared(7); got != 64*int64(rounds) {

@@ -76,8 +76,11 @@ type Cache struct {
 	clock int64
 	stats Stats
 
-	probe   obs.Probe
-	probePE int
+	// subs is the audience of the owning PE's machine, out where the
+	// cache's events go and pe whom they name (Observe).
+	subs *obs.Subs
+	out  obs.Probe
+	pe   int
 
 	// Write-back scratch reused across calls so the cached-ISA cycle
 	// path stays allocation-free in steady state. A slice returned by
@@ -89,24 +92,16 @@ type Cache struct {
 	flushWB []WriteBack
 }
 
-// SetProbe attaches an event probe emitting hit/miss/write-back events
-// attributed to PE pe. The cache is a timing-free functional model, so
-// its events carry Cycle = -1; recorders preserve their order relative
-// to the surrounding timed events.
-func (c *Cache) SetProbe(p obs.Probe, pe int) {
-	c.probe = p
-	c.probePE = pe
-}
+// noSubs is the empty, never written audience of a cache outside a PE.
+var noSubs obs.Subs
 
-// emit records one cache event for linear address a.
-func (c *Cache) emit(k obs.Kind, a int64) {
-	if c.probe == nil {
-		return
-	}
-	c.probe.Emit(obs.Event{
-		Cycle: -1, Kind: k, PE: c.probePE, Stage: -1, MM: -1, Copy: -1,
-		Value: a,
-	})
+// Observe points the cache's hit/miss/write-back events, attributed to
+// PE pe, at the sink of the PE that owns it (pe.Env.ObserveCache). The
+// cache is a timing-free functional model, so its events carry
+// Cycle = -1; recorders preserve their order relative to the surrounding
+// timed events.
+func (c *Cache) Observe(subs *obs.Subs, out obs.Probe, pe int) {
+	c.subs, c.out, c.pe = subs, out, pe
 }
 
 // New builds a cache; it panics on an invalid configuration.
@@ -114,7 +109,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, cfg.Sets)}
+	c := &Cache{cfg: cfg, sets: make([][]line, cfg.Sets), subs: &noSubs}
 	for i := range c.sets {
 		ways := make([]line, cfg.Ways)
 		for w := range ways {
@@ -150,49 +145,50 @@ func (c *Cache) find(set int, tag int64) *line {
 	return nil
 }
 
+// access is Read (store false) and Write (store true, v the value to
+// put): it ages the LRU clock, counts and reports the hit or miss, and on
+// a hit returns the word at a after the store, if any.
+func (c *Cache) access(a int64, store bool, v int64) (int64, bool) {
+	set, tag, off := c.locate(a)
+	c.clock++
+	l := c.find(set, tag)
+	if l != nil {
+		//ultravet:ok sharecheck l points into the receiver-owned c.sets; the cache is private to one PE
+		l.lru = c.clock
+		if store {
+			l.words[off] = v
+			l.dirty[off] = true
+		}
+		v = l.words[off]
+		c.stats.Hits.Inc()
+	} else {
+		c.stats.Misses.Inc()
+	}
+	// A hit and a miss have one audience, so the guard is a constant mask.
+	if to := c.subs.For(obs.KindCacheHit, false); to != 0 {
+		kind := obs.KindCacheMiss
+		if l != nil {
+			kind = obs.KindCacheHit
+		}
+		c.out.Emit(obs.Event{
+			To: to, Cycle: -1, Kind: kind, PE: c.pe, Stage: -1, MM: -1, Copy: -1,
+			Value: a,
+		})
+	}
+	return v, l != nil
+}
+
 // Read looks up address a. On a hit it returns the cached value; on a
 // miss the caller must fetch the block (Block(a) identifies it), call
 // Fill, and retry.
-func (c *Cache) Read(a int64) (v int64, hit bool) {
-	set, tag, off := c.locate(a)
-	c.clock++
-	if l := c.find(set, tag); l != nil {
-		//ultravet:ok sharecheck l points into the receiver-owned c.sets; the cache is private to one PE
-		l.lru = c.clock
-		c.stats.Hits.Inc()
-		if c.probe != nil {
-			c.emit(obs.KindCacheHit, a)
-		}
-		return l.words[off], true
-	}
-	c.stats.Misses.Inc()
-	if c.probe != nil {
-		c.emit(obs.KindCacheMiss, a)
-	}
-	return 0, false
-}
+func (c *Cache) Read(a int64) (v int64, hit bool) { return c.access(a, false, 0) }
 
 // Write updates address a in place on a hit (write-back: no central
 // memory traffic, §3.4). On a miss the caller must fetch the block
 // (write-allocate), call Fill, and retry.
 func (c *Cache) Write(a, v int64) (hit bool) {
-	set, tag, off := c.locate(a)
-	c.clock++
-	if l := c.find(set, tag); l != nil {
-		l.lru = c.clock
-		l.words[off] = v
-		l.dirty[off] = true
-		c.stats.Hits.Inc()
-		if c.probe != nil {
-			c.emit(obs.KindCacheHit, a)
-		}
-		return true
-	}
-	c.stats.Misses.Inc()
-	if c.probe != nil {
-		c.emit(obs.KindCacheMiss, a)
-	}
-	return false
+	_, hit = c.access(a, true, v)
+	return hit
 }
 
 // Block reports the first address of the block containing a, the unit of
@@ -253,16 +249,24 @@ func (c *Cache) evict(l *line, set int) []WriteBack {
 		if d {
 			//ultravet:ok hotalloc scratch reaches steady-state capacity (≤ BlockWords entries)
 			wbs = append(wbs, WriteBack{Addr: base + int64(i), Value: l.words[i]})
-			c.stats.WriteBacks.Inc()
-			if c.probe != nil {
-				c.emit(obs.KindCacheWriteBack, base+int64(i))
-			}
+			c.wroteBack(base + int64(i))
 		}
 	}
 	l.valid = false
 	c.stats.Evictions.Inc()
 	c.fillWB = wbs[:0]
 	return wbs
+}
+
+// wroteBack counts and reports the dirty word at a leaving the cache.
+func (c *Cache) wroteBack(a int64) {
+	c.stats.WriteBacks.Inc()
+	if to := c.subs.For(obs.KindCacheWriteBack, false); to != 0 {
+		c.out.Emit(obs.Event{
+			To: to, Cycle: -1, Kind: obs.KindCacheWriteBack, PE: c.pe,
+			Stage: -1, MM: -1, Copy: -1, Value: a,
+		})
+	}
 }
 
 // Release marks every cached entry in [lo, hi) available without a
@@ -309,11 +313,8 @@ func (c *Cache) Flush(lo, hi int64) []WriteBack {
 					//ultravet:ok hotalloc scratch reaches steady-state capacity after warmup
 					wbs = append(wbs, WriteBack{Addr: base + int64(i), Value: l.words[i]})
 					l.dirty[i] = false
-					c.stats.WriteBacks.Inc()
+					c.wroteBack(base + int64(i))
 					touched = true
-					if c.probe != nil {
-						c.emit(obs.KindCacheWriteBack, base+int64(i))
-					}
 				}
 			}
 			if touched {

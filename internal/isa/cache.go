@@ -5,7 +5,6 @@ import (
 
 	"ultracomputer/internal/cache"
 	"ultracomputer/internal/msg"
-	"ultracomputer/internal/obs"
 	"ultracomputer/internal/pe"
 )
 
@@ -22,6 +21,9 @@ const fillTagBase = 2 * NumRegs
 // coreCache is the cache subsystem state of a Core.
 type coreCache struct {
 	c *cache.Cache
+	// observed: c emits through the PE's sink (set on the first cached
+	// instruction, the cache's first access).
+	observed bool
 
 	// Block fill in progress. words is preallocated at construction
 	// (BlockWords long) and reused by every fill.
@@ -56,14 +58,6 @@ func (c *Core) Cache() *cache.Cache {
 		return nil
 	}
 	return c.cc.c
-}
-
-// SetProbe forwards the PE's event probe to the core's cache, if any
-// (called by pe.PE.SetProbe).
-func (c *Core) SetProbe(p obs.Probe, pe int) {
-	if c.cc != nil {
-		c.cc.c.SetProbe(p, pe)
-	}
 }
 
 // tickCache advances cache microcode; it returns a TickResult and true
@@ -140,6 +134,10 @@ func (c *Core) execCached(env *pe.Env, in Instr) pe.TickResult {
 	cc := c.cc
 	if cc == nil {
 		panic(fmt.Sprintf("isa: %v requires a core built with NewCoreWithCache", in.Op))
+	}
+	if !cc.observed {
+		env.ObserveCache(cc.c)
+		cc.observed = true
 	}
 	switch in.Op {
 	case CLDS:

@@ -276,7 +276,7 @@ func TestRegisterLockingOverlap(t *testing.T) {
 		if core.Reg(3) != 0 { // memory reads 0
 			t.Fatalf("r3 = %d, want 0", core.Reg(3))
 		}
-		return m.PE(0).Stats().IdleCycles.Value()
+		return m.Report().IdleCycles
 	}
 	a, b := idle(srcA), idle(srcB)
 	if b >= a {

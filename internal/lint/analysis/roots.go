@@ -7,7 +7,7 @@ import (
 )
 
 // Root discovery shared by the phase-discipline analyzers
-// (sharecheck, hotalloc, stagecheck): the simulator's hot loop is
+// (sharecheck, hotalloc): the simulator's hot loop is
 // entered either through conventionally named methods (Tick, Step,
 // Compute, …) or through the function literals handed to the execution
 // engine as phase units.

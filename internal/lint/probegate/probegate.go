@@ -6,8 +6,9 @@
 // dominated by a guard of one of two shapes. The first is a nil check of
 // the same expression — an enclosing `if p != nil { ... }` or an earlier
 // `if p == nil { return }` in the same block. The second is the audience
-// mask of the network and memory emit sites, whose destination is never
-// nil-tested because the mask already says whether anybody listens:
+// mask of the network, memory, PE and cache emit sites, whose destination
+// is never nil-tested because the mask already says whether anybody
+// listens:
 //
 //	if to := sk.subs.For(kind, traced); to != 0 {
 //		sk.out.Emit(obs.Event{To: to, ...})
@@ -21,9 +22,9 @@
 // pin down.
 //
 // Every sampling call t.ContextFor(id) or t.Emit(ev) on a
-// *reqtrace.Tracer or a pe.TraceSampler must be dominated by a nil check
-// of the same expression: request tracing is off by default (a nil
-// tracer) and an untraced run pays exactly that check.
+// *reqtrace.Tracer must be dominated by a nil check of the same
+// expression: request tracing is off by default (a nil tracer) and an
+// untraced run pays exactly that check.
 package probegate
 
 import (
@@ -38,7 +39,6 @@ import (
 const (
 	obsPath      = "ultracomputer/internal/obs"
 	reqtracePath = "ultracomputer/internal/obs/reqtrace"
-	pePath       = "ultracomputer/internal/pe"
 )
 
 // rule is one instantiation of the guard walker: which receiver types
@@ -63,11 +63,9 @@ var rules = []rule{
 			"and the zero-alloc contract requires guarding before building the event",
 	},
 	{
-		methods: map[string]bool{"ContextFor": true, "Emit": true},
-		isTarget: func(t types.Type) bool {
-			return isNamed(t, reqtracePath, "Tracer") || isNamed(t, pePath, "TraceSampler")
-		},
-		skipPkg: reqtracePath,
+		methods:  map[string]bool{"ContextFor": true, "Emit": true},
+		isTarget: func(t types.Type) bool { return isNamed(t, reqtracePath, "Tracer") },
+		skipPkg:  reqtracePath,
 		message: "reqtrace sampling call on %s without a dominating nil check: " +
 			"tracing is off by default (nil tracer) and an untraced run must pay only the check",
 	},

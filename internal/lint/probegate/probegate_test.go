@@ -16,3 +16,9 @@ func TestProbegate(t *testing.T) {
 func TestTracegate(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), probegate.Analyzer, "tracegate")
 }
+
+// TestGuardMutants runs the analyzer over copies of a PE and a cache
+// emit site with the audience guard stripped: both must be flagged.
+func TestGuardMutants(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), probegate.Analyzer, "guardmutants")
+}

@@ -1,16 +1,15 @@
 // Fixture for probegate's request-tracer rule: guarded and unguarded
-// sampling calls on *reqtrace.Tracer and pe.TraceSampler values.
+// sampling calls on *reqtrace.Tracer values.
 package tracegate
 
 import (
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/reqtrace"
-	"ultracomputer/internal/pe"
 )
 
 type pni struct {
-	tracer   pe.TraceSampler
+	tracer   *reqtrace.Tracer
 	concrete *reqtrace.Tracer
 }
 

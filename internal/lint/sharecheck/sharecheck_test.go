@@ -10,3 +10,9 @@ import (
 func TestSharecheck(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), sharecheck.Analyzer, "sharecheck", "phase")
 }
+
+// TestGoStmts runs the same analyzer over the goroutine-launch fixtures:
+// its second rule.
+func TestGoStmts(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), sharecheck.Analyzer, "gostmt")
+}

@@ -1,0 +1,40 @@
+// Fixture for sharecheck's second rule: goroutine launches on cycle
+// paths.
+package gostmt
+
+type unit struct {
+	local int64
+	queue []int64
+}
+
+// Tick is a cycle-path root: goroutine launches below it are flagged,
+// including through helpers.
+func (u *unit) Tick() {
+	go u.drain() // want `goroutine launched on a phase path \(reachable from Tick\)`
+	u.helper()
+}
+
+func (u *unit) helper() {
+	go func() { // want `goroutine launched on a phase path \(reachable from helper\)`
+		u.local = 0
+	}()
+}
+
+// Step shows the suppression: a guest goroutine synchronized with its
+// own tick via channel handshake is the blessed exception.
+func (u *unit) Step() {
+	go u.drain() //ultravet:ok sharecheck tick-synchronized guest goroutine
+}
+
+// Launch is not a cycle-path root and not reachable from one, so it may
+// use goroutines freely (host-side setup code does).
+func (u *unit) Launch() {
+	go u.drain()
+}
+
+func (u *unit) drain() { u.queue = u.queue[:0] }
+
+// Commit is also a root.
+func (u *unit) Commit() {
+	go u.drain() // want `goroutine launched on a phase path \(reachable from Commit\)`
+}

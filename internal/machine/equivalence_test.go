@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
+	"ultracomputer/internal/obs/prof"
 	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/pe"
 )
@@ -39,14 +41,12 @@ func runArtifact(t *testing.T, mk func() (*Machine, func(m *Machine) string), en
 		m.SetEngine(eng)
 	}
 	rec := obs.NewRecorder(1 << 20)
-	m.SetProbe(rec)
 	sampler := obs.NewSampler(16)
-	m.SetSampler(sampler)
 	// Sample at 0.6 so both branches of every hop-record site run (some
 	// requests traced, some not) and mid-flight adoption triggers when a
 	// traced request combines with an untraced one.
 	tr := reqtrace.New(reqtrace.Config{Rate: 0.6, Seed: 11, Ring: 1 << 14})
-	m.SetTracer(tr)
+	m.Observe(prof.Observers{Probe: rec, Sampler: sampler, Tracer: tr})
 	m.MustRun(5_000_000)
 
 	var a artifact
@@ -219,4 +219,50 @@ func diffArtifact(t *testing.T, workers int, want, got artifact) {
 	cmp("flight", want.flight, got.flight)
 	cmp("report", want.report, got.report)
 	cmp("final state", want.state, got.state)
+}
+
+// TestLateObserveEngineEquivalence attaches the consumers after the
+// machine has been stepping: a parallel run must still hand them, from
+// then on, exactly the events of a serial run that did the same. The PEs
+// and their caches emit through the stepper's per-PE buffers whenever
+// they were attached, never straight into a consumer from a worker (the
+// bug this pins: the recorder used to reach the PEs raw when attached
+// after the first Step, unordered and racing the coordinator's drains).
+func TestLateObserveEngineEquivalence(t *testing.T) {
+	run := func(workers int) []byte {
+		m, pcfg := cachedLeg(false)(t)
+		if workers > 0 {
+			eng := engine.NewParallel(workers)
+			defer eng.Close()
+			m.SetEngine(eng)
+		}
+		for i := 0; i < 60; i++ {
+			m.Step()
+		}
+		rec := obs.NewRecorder(1 << 20)
+		tr := reqtrace.New(reqtrace.Config{Rate: 1, Ring: 1 << 14})
+		pf := prof.New(pcfg)
+		m.Observe(prof.Observers{Probe: rec, Tracer: tr, Profiler: pf})
+		m.MustRun(5_000_000)
+		var b bytes.Buffer
+		for _, write := range []func(io.Writer) error{
+			func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) },
+			tr.WriteSpansJSONL, pf.WriteJSONL,
+		} {
+			if err := write(&b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kinds := map[obs.Kind]bool{}
+		for _, ev := range rec.Events() {
+			kinds[ev.Kind] = true
+		}
+		if !kinds[obs.KindStallBegin] || !kinds[obs.KindCacheHit] || tr.Completed() == 0 {
+			t.Fatalf("workers=%d: run proves nothing: kinds %v, %d spans", workers, kinds, tr.Completed())
+		}
+		return b.Bytes()
+	}
+	if serial, parallel := run(0), run(3); !bytes.Equal(serial, parallel) {
+		t.Errorf("exports of a late-attached run differ between the serial engine and 3 workers (%d vs %d bytes)", len(serial), len(parallel))
+	}
 }

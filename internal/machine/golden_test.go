@@ -143,9 +143,7 @@ func TestObservabilityGolden(t *testing.T) {
 			rec := obs.NewRecorder(1 << 20)
 			tr := reqtrace.New(reqtrace.Config{Rate: 0.25, Seed: 7, Ring: 1 << 14})
 			pf := prof.New(pcfg)
-			m.SetProbe(rec)
-			m.SetTracer(tr)
-			m.SetProfiler(pf)
+			m.Observe(prof.Observers{Probe: rec, Tracer: tr, Profiler: pf})
 			m.MustRun(5_000_000)
 			if rec.Overwritten() != 0 || (!m.cfg.IdealMemory && tr.CombineLinks() == 0) {
 				t.Fatalf("%s workers=%d: run proves nothing: links=%d overwritten=%d", leg.name, workers, tr.CombineLinks(), rec.Overwritten())

@@ -10,6 +10,7 @@ import (
 	"ultracomputer/internal/machine"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
+	"ultracomputer/internal/obs/prof"
 )
 
 func loadCfg(pes int) machine.Config {
@@ -108,7 +109,7 @@ func runTraced(t *testing.T) ([]obs.Event, int64) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(1 << 18)
-	m.SetProbe(rec)
+	m.Observe(prof.Observers{Probe: rec})
 	if _, done := m.Run(10_000_000); !done {
 		t.Fatal("queue.s did not halt")
 	}

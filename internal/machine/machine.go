@@ -15,7 +15,6 @@ import (
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/prof"
-	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/pe"
 )
 
@@ -74,13 +73,11 @@ type Machine struct {
 	cycle    int64 // network cycles elapsed
 	peCycles int64 // PE cycles elapsed
 
-	sampler *obs.Sampler
-	probe   obs.Probe
-	tracer  *reqtrace.Tracer
-	prof    *prof.Profiler
+	// observers is the run's set of consumers (Observe).
+	observers prof.Observers
 
 	// eng is the execution engine driving Step (default Serial); the
-	// stepper materializes lazily on the first Step so probes and
+	// stepper materializes lazily on the first Step so consumers and
 	// engine can be attached in any order beforehand.
 	eng     engine.Engine
 	stepper *network.Stepper
@@ -188,72 +185,46 @@ func SPMD(cfg Config, n int, prog pe.Program) *Machine {
 	return NewPrograms(cfg, progs)
 }
 
-// SetProbe attaches an event probe to every layer of the machine:
-// network injection/hops/combining, memory-module service, PE stalls,
-// and any caches the programs attach. Call before the first Step. A nil
-// probe (the default) costs nothing on the hot paths.
-func (m *Machine) SetProbe(p obs.Probe) {
-	m.probe = p
-	m.net.SetProbe(p)
-	m.bank.SetProbe(p)
-	for _, pp := range m.pes {
-		pp.SetProbe(p, m.cfg.PECycle)
+// Observe attaches the run's consumers to every layer of the machine,
+// replacing whatever was attached before (a nil field detaches): the
+// recorder probe takes network injection/hops/combining, memory-module
+// service, PE stalls and the events of any cache a program attaches; the
+// tracer stamps sampled requests with a trace context at the PNI and
+// takes their per-hop events; the profiler takes PE cycles, issues and
+// deliveries, module serves and combines; the sampler snapshots queue
+// occupancy, combining and MM utilization every Sampler.Every network
+// cycles. It may be called between Steps as well as before the first:
+// every unit emits through the stepper's sinks, so a late consumer sees
+// exactly the events from then on that an early one would have. With
+// nothing attached (the default) a site costs one mask test. Under
+// IdealMemory the trace context propagates into replies but no network
+// hops exist, so spans stay empty.
+func (m *Machine) Observe(o prof.Observers) {
+	m.observers = o
+	rec, tr, pr := o.Probes()
+	if o.Profiler != nil {
+		o.Profiler.SetMMs(len(m.bank.Modules))
+	}
+	m.net.SetProbe(rec)
+	m.net.SetTracer(tr)
+	m.net.SetProfiler(pr)
+	m.bank.SetProbe(rec)
+	m.bank.SetTracer(tr)
+	m.bank.SetProfiler(pr)
+	if m.stepper != nil {
+		m.wirePEs()
 	}
 }
 
-// SetTracer attaches a request tracer to every layer of the machine:
-// the PEs' PNIs stamp sampled requests with a trace context at issue,
-// and the network switches and memory modules address the per-hop events
-// of those requests to the tracer. Call before the first Step; nil (the
-// default) detaches. Under IdealMemory the trace context propagates
-// into replies but no network hops exist, so spans stay empty.
-func (m *Machine) SetTracer(t *reqtrace.Tracer) {
-	m.tracer = t
-	// Interface values must be built from a checked pointer: assigning a
-	// nil *Tracer directly would produce a non-nil interface.
-	var p obs.Probe
-	var s pe.TraceSampler
-	if t != nil {
-		p = t
-		s = t
-	}
-	m.net.SetTracer(p)
-	m.bank.SetTracer(p)
-	for _, pp := range m.pes {
-		pp.SetTracer(s)
+// wirePEs hands every PE its sink — the stepper's, so PE events
+// interleave with the network's events for the same PE under every
+// engine — and the tracer its PNI samples with.
+func (m *Machine) wirePEs() {
+	for i, p := range m.pes {
+		subs, out := m.stepper.PESink(i)
+		p.Observe(subs, out, m.cfg.PECycle, m.observers.Tracer)
 	}
 }
-
-// Tracer returns the attached request tracer, or nil.
-func (m *Machine) Tracer() *reqtrace.Tracer { return m.tracer }
-
-// SetProfiler attaches the guest profiler to every layer of the
-// machine: PEs attribute cycles and report issues/deliveries, memory
-// modules report serves, and the network reports combines. Call before
-// the first Step; nil (the default) detaches. An attached profiler with
-// Enabled()==false wires nothing, so it costs zero on the hot paths.
-func (m *Machine) SetProfiler(p *prof.Profiler) {
-	m.prof = p
-	// Interface values must be built from a checked pointer: assigning a
-	// nil *Profiler directly would produce a non-nil interface.
-	var peSink pe.Profiler
-	var mmSink memory.ServeProfiler
-	var netSink network.NetProfiler
-	if p != nil && p.Enabled() {
-		p.SetMMs(len(m.bank.Modules))
-		peSink = p
-		mmSink = p
-		netSink = p.NetShard(0)
-	}
-	for _, pp := range m.pes {
-		pp.SetProfiler(peSink)
-	}
-	m.bank.SetProfiler(mmSink)
-	m.net.SetProfiler(netSink)
-}
-
-// Profiler returns the attached guest profiler, or nil.
-func (m *Machine) Profiler() *prof.Profiler { return m.prof }
 
 // SetEngine selects the execution engine driving Step: nil or
 // engine.Serial for the in-line reference behavior, engine.NewParallel
@@ -267,10 +238,10 @@ func (m *Machine) SetEngine(e engine.Engine) {
 	m.eng = e
 }
 
-// ensureStepper builds the phased network driver on first use and,
-// under a parallel engine, gives every PE and every memory module its
-// own event buffer (drained in unit order each cycle, so every consumer
-// sees the events of a serial run, in the same order).
+// ensureStepper builds the phased network driver on first use, points
+// the PEs at its sinks and, under a parallel engine, gives every memory
+// module its own event buffer (drained in unit order each cycle, so
+// every consumer sees the events of a serial run, in the same order).
 func (m *Machine) ensureStepper() {
 	if m.stepper != nil {
 		return
@@ -279,14 +250,8 @@ func (m *Machine) ensureStepper() {
 		m.eng = engine.Serial{}
 	}
 	m.stepper = network.NewStepper(m.net, m.eng)
+	m.wirePEs()
 	if m.stepper.Parallel() {
-		// The PNI-side sampler stays the tracer itself: ContextFor is a
-		// pure hash, safe from any worker.
-		if m.probe != nil {
-			for i, p := range m.pes {
-				p.SetProbe(m.stepper.PEProbe(i), m.cfg.PECycle)
-			}
-		}
 		m.bank.Buffered()
 	}
 	if m.cfg.IdealMemory {
@@ -321,22 +286,8 @@ func (m *Machine) ensureStepper() {
 	}
 }
 
-// SetSampler attaches a metrics sampler; every Sampler.Every network
-// cycles Step records a snapshot of queue occupancy, combining and MM
-// utilization. Call before the first Step.
-func (m *Machine) SetSampler(s *obs.Sampler) { m.sampler = s }
-
 // Sampler returns the attached sampler, or nil.
-func (m *Machine) Sampler() *obs.Sampler { return m.sampler }
-
-// Net exposes the interconnect (for statistics).
-func (m *Machine) Net() *network.Network { return m.net }
-
-// Bank exposes the memory modules.
-func (m *Machine) Bank() *memory.Bank { return m.bank }
-
-// PE returns processing element i.
-func (m *Machine) PE(i int) *pe.PE { return m.pes[i] }
+func (m *Machine) Sampler() *obs.Sampler { return m.observers.Sampler }
 
 // NumPE reports the populated PE count.
 func (m *Machine) NumPE() int { return len(m.pes) }
@@ -395,37 +346,33 @@ func (m *Machine) Step() {
 		}
 		m.peCycles++
 	}
-	if m.sampler != nil && m.sampler.Due(m.cycle) {
+	if sam := m.observers.Sampler; sam != nil && sam.Due(m.cycle) {
 		// Snapshot assembly allocates, but only on sampling cycles
 		// (every Sampler.Every-th cycle), never in the steady-state tick.
 		//ultravet:ok hotalloc periodic sampling path, off the per-cycle steady state
-		sn := m.net.Snapshot(m.cycle)
-		//ultravet:ok hotalloc periodic sampling path, off the per-cycle steady state
-		m.bank.Observe(&sn)
-		//ultravet:ok hotalloc periodic sampling path, off the per-cycle steady state
-		m.observePEs(&sn)
-		//ultravet:ok hotalloc periodic sampling path, off the per-cycle steady state
-		m.sampler.Record(sn)
-		if m.prof != nil {
-			// Rebuild the live /profile payload (no-op unless live
-			// publishing was enabled; see prof.Profiler.EnableLive).
-			//ultravet:ok hotalloc periodic sampling path, off the per-cycle steady state
-			m.prof.Publish()
-		}
+		m.sample(sam)
 	}
 	m.cycle++
 }
 
-// observePEs fills the PE side of a periodic metrics snapshot: per-PE
-// instructions retired and stall cycles, served as labeled series at
-// /metrics.
-func (m *Machine) observePEs(sn *obs.Snapshot) {
+// sample records one periodic metrics snapshot: the network's queues,
+// the modules, and per-PE instructions retired and stall cycles, served
+// as labeled series at /metrics.
+func (m *Machine) sample(sam *obs.Sampler) {
+	sn := m.net.Snapshot(m.cycle)
+	m.bank.Observe(&sn)
 	sn.PEInstructions = make([]int64, len(m.pes))
 	sn.PEStallCycles = make([]int64, len(m.pes))
 	for i, p := range m.pes {
 		st := p.Stats()
 		sn.PEInstructions[i] = st.Instructions.Value()
 		sn.PEStallCycles[i] = st.IdleCycles.Value()
+	}
+	sam.Record(sn)
+	if pf := m.observers.Profiler; pf != nil {
+		// Rebuild the live /profile payload (no-op unless live
+		// publishing was enabled; see prof.Profiler.EnableLive).
+		pf.Publish()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
+	"ultracomputer/internal/obs/prof"
 	"ultracomputer/internal/pe"
 )
 
@@ -30,9 +31,8 @@ func hotSpotMachine(t *testing.T) (*Machine, *obs.Recorder, *obs.Sampler) {
 		}
 	})
 	rec := obs.NewRecorder(1 << 16)
-	m.SetProbe(rec)
 	s := obs.NewSampler(16)
-	m.SetSampler(s)
+	m.Observe(prof.Observers{Probe: rec, Sampler: s})
 	m.MustRun(1_000_000)
 	return m, rec, s
 }
@@ -188,8 +188,7 @@ func TestProbeOffMatchesProbeOn(t *testing.T) {
 			}
 		})
 		if instrument {
-			m.SetProbe(obs.NewRecorder(1 << 12))
-			m.SetSampler(obs.NewSampler(8))
+			m.Observe(prof.Observers{Probe: obs.NewRecorder(1 << 12), Sampler: obs.NewSampler(8)})
 		}
 		m.MustRun(1_000_000)
 		return m.Report()

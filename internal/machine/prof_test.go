@@ -40,7 +40,7 @@ func profQueueRun(t *testing.T, eng engine.Engine) (*Machine, *prof.Profiler, in
 		File:     "queue.s",
 		Source:   string(src),
 	})
-	m.SetProfiler(p)
+	m.Observe(prof.Observers{Profiler: p})
 	if eng != nil {
 		m.SetEngine(eng)
 	}
@@ -193,7 +193,7 @@ lock:   swp  r4, 0(r10), r1  ; test-and-set
 		t.Fatal(err)
 	}
 	p := prof.New(prof.Config{PEs: 4, Programs: []*isa.Program{prog}, File: "spin.s"})
-	m.SetProfiler(p)
+	m.Observe(prof.Observers{Profiler: p})
 	m.MustRun(5_000_000)
 	var spin int64
 	for _, row := range p.Merged().PEs {

@@ -28,14 +28,14 @@ func TestStepPEIsolation(t *testing.T) {
 		if err := m.StepPE(1, 1<<14); err != nil {
 			t.Fatalf("StepPE(1) step %d: %v", i, err)
 		}
-		if got := m.PE(0).Stats().Instructions.Value(); got != 0 {
+		if got := m.pes[0].Stats().Instructions.Value(); got != 0 {
 			t.Fatalf("PE0 executed %d instructions while PE1 was scheduled", got)
 		}
 	}
-	if !m.PE(1).Halted() {
+	if !m.pes[1].Halted() {
 		t.Fatal("PE1 not halted after its 5 instructions")
 	}
-	if got := m.PE(1).Stats().Instructions.Value(); got != 4 {
+	if got := m.pes[1].Stats().Instructions.Value(); got != 4 {
 		t.Fatalf("PE1 retired %d instructions, want 4 (halt retires none)", got)
 	}
 	if got := m.ReadShared(11); got != 1 {

@@ -9,11 +9,11 @@ import (
 	"ultracomputer/internal/obs"
 )
 
-// serveLog is a ServeProfiler recording its calls.
+// serveLog is a profiler probe recording the serves it is sent.
 type serveLog struct{ calls [][3]int }
 
-func (l *serveLog) ProfServe(mm, word int, op msg.Op) {
-	l.calls = append(l.calls, [3]int{mm, word, int(op)})
+func (l *serveLog) Emit(ev obs.Event) {
+	l.calls = append(l.calls, [3]int{ev.MM, ev.Addr.Word, int(ev.Op)})
 }
 
 // kinds renders a consumer's view of a run as "cycle:Kind@mm" strings.

@@ -52,19 +52,6 @@ type Module struct {
 // noSubs is the empty, never written audience of a module outside a bank.
 var noSubs obs.Subs
 
-// ServeProfiler receives completed memory operations for the guest
-// profiler's contention heatmap (internal/obs/prof satisfies it). Calls
-// arrive on the coordinating goroutine under every engine.
-type ServeProfiler interface {
-	ProfServe(mm, word int, op msg.Op)
-}
-
-// serveProbe adapts a ServeProfiler to the fan-out: of the events
-// addressed to the profiler a bank emits only KindMNIServe.
-type serveProbe struct{ p ServeProfiler }
-
-func (s serveProbe) Emit(ev obs.Event) { s.p.ProfServe(ev.MM, ev.Addr.Word, ev.Op) }
-
 // begin starts serving r.
 func (m *Module) begin(r msg.Request, cycle int64) {
 	m.busy = true
@@ -226,14 +213,9 @@ func (b *Bank) SetProbe(p obs.Probe) { b.fan.Subscribe(obs.SubRecord, p) }
 // only events of requests carrying a trace context.
 func (b *Bank) SetTracer(p obs.Probe) { b.fan.Subscribe(obs.SubTrace, p) }
 
-// SetProfiler subscribes the guest profiler's serve sink to every module.
-func (b *Bank) SetProfiler(p ServeProfiler) {
-	if p == nil {
-		b.fan.Subscribe(obs.SubProf, nil)
-		return
-	}
-	b.fan.Subscribe(obs.SubProf, serveProbe{p})
-}
+// SetProfiler subscribes the guest profiler to every module; of a
+// bank's events it receives the completed serves.
+func (b *Bank) SetProfiler(p obs.Probe) { b.fan.Subscribe(obs.SubProf, p) }
 
 // Buffered gives every module its own event buffer, for an engine that
 // steps modules on several workers at once; Flush then replays them in

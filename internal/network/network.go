@@ -136,28 +136,10 @@ func (n *Network) SetProbe(p obs.Probe) { n.fan.Subscribe(obs.SubRecord, p) }
 // context.
 func (n *Network) SetTracer(p obs.Probe) { n.fan.Subscribe(obs.SubTrace, p) }
 
-// NetProfiler receives combines for the guest profiler's per-address
-// contention heatmap (internal/obs/prof.NetShard satisfies it). Calls
-// arrive on the coordinating goroutine under every engine.
-type NetProfiler interface {
-	ProfCombine(addr msg.Addr)
-}
-
-// combineProbe adapts a NetProfiler to the fan-out: of the events
-// addressed to the profiler the network emits only KindCombine.
-type combineProbe struct{ p NetProfiler }
-
-func (c combineProbe) Emit(ev obs.Event) { c.p.ProfCombine(ev.Addr) }
-
-// SetProfiler subscribes the guest profiler's combine sink; nil detaches
-// it.
-func (n *Network) SetProfiler(p NetProfiler) {
-	if p == nil {
-		n.fan.Subscribe(obs.SubProf, nil)
-		return
-	}
-	n.fan.Subscribe(obs.SubProf, combineProbe{p})
-}
+// SetProfiler subscribes the guest profiler (a prof.Profiler, or its
+// NetShard when the caller has no PE events to deliver); nil detaches
+// it. Of the network's own events it receives the combines.
+func (n *Network) SetProfiler(p obs.Probe) { n.fan.Subscribe(obs.SubProf, p) }
 
 // New builds a network from cfg. It panics on an invalid configuration
 // (construction happens at setup time; see Config.Validate).

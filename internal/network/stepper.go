@@ -271,10 +271,14 @@ func (st *Stepper) MMDequeue(mm int) (msg.Request, bool) {
 	return st.n.mmDequeue(mm, &st.ports[mm&st.portMask])
 }
 
-// PEProbe returns the buffer PE pe must emit its own events (stalls,
-// cache) through under a parallel engine, so that they interleave with
-// the network's events for pe as inline; the flushes drain it.
-func (st *Stepper) PEProbe(pe int) obs.Probe { return &st.peEvents[pe] }
+// PESink returns where PE pe emits its own events (stalls, cache,
+// profiler moments): the network's audience and, under the serial engine
+// its fan-out, under a parallel one the buffer pe's network events share,
+// so that they interleave as inline; the flushes drain it.
+func (st *Stepper) PESink(pe int) (*obs.Subs, obs.Probe) {
+	sk := &st.ports[pe&st.portMask]
+	return sk.subs, sk.out
+}
 
 // FlushCollect merges the collect phase's buffers: round-trip
 // latencies replayed in PE order (exactly the serial observation

@@ -27,8 +27,9 @@
 // Every Event carries the network cycle it happened on (PE-side events
 // are scaled from PE cycles to network cycles by the machine), the event
 // Kind, its audience To, and the subset of the remaining fields that Kind
-// defines. Aux is for the tracer alone; the recorder's exports never
-// print it, so Value stays what /events and the Chrome trace show.
+// defines. Aux is for the tracer and the profiler; the recorder's
+// exports never print it, so Value stays what /events and the Chrome
+// trace show.
 //
 //	KindInject        request accepted into the network.
 //	                  PE, ID, Op, Addr, Value (operand), Copy.
@@ -63,10 +64,23 @@
 //	KindCacheMiss     private-cache miss. PE, Value (linear address).
 //	KindCacheWriteBack an evicted/flushed dirty word left the cache.
 //	                  PE, Value (linear address).
+//	KindProfCycle     one PE cycle elapsed (post-halt cycles included).
+//	                  PE, Aux (guest pc), Value (the obs.ProfState the
+//	                  cycle was spent in).
+//	KindProfIssue     a shared request left the PE. PE, Aux (guest pc),
+//	                  Op, Value (linear address), Addr (its module and
+//	                  word).
+//	KindProfDeliver   its reply reached the PE. PE, Aux (pc of the issuing
+//	                  instruction), Op, Value (linear address), ID (the
+//	                  returned value's bits), ID2 (issue-to-reply time
+//	                  in PE cycles).
 //
 // Cache events come from the timing-free functional cache model and
 // carry Cycle = -1; the Recorder preserves their order relative to the
-// surrounding timed events.
+// surrounding timed events. A PE and the caches its core owns emit
+// through the sink network.Stepper hands out for the PE — the network's
+// fan-out under the serial engine, the PE's buffer under a parallel one —
+// so every PE-side event carries its audience in To like any other.
 //
 // The audience of each kind (Subs.For), R the recorder, T the request
 // tracer — for events of sampled requests only — and P the profiler:
@@ -75,8 +89,8 @@
 //	R T     Inject, StageArrive, MMArrive, MNIBegin, Decombine,
 //	        ReplyHop (in a switch), ReplyDeliver
 //	  T     StageDepart, ReplyDepart, ReplyHop (from a memory module)
-//	R       StallBegin, StallEnd, CacheHit, CacheMiss, CacheWriteBack:
-//	        pe and cache emit on the recorder's probe directly, To zero
+//	R       StallBegin, StallEnd, CacheHit, CacheMiss, CacheWriteBack
+//	    P   ProfCycle, ProfIssue, ProfDeliver
 //
 // Stall causes attribute every idle PE cycle to the hardware reason the
 // paper's design cares about:

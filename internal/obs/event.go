@@ -34,6 +34,13 @@ const (
 	KindStageDepart
 	KindReplyDepart
 
+	// Guest-profiler moments, emitted by the PEs for the profiler alone
+	// (internal/obs/prof): one elapsed PE cycle, a shared request leaving
+	// the PE, its reply arriving.
+	KindProfCycle
+	KindProfIssue
+	KindProfDeliver
+
 	numKinds
 )
 
@@ -41,7 +48,7 @@ var kindNames = [...]string{
 	"Inject", "StageArrive", "Combine", "MMArrive", "MNIBegin",
 	"MNIServe", "Decombine", "ReplyHop", "ReplyDeliver", "StallBegin",
 	"StallEnd", "CacheHit", "CacheMiss", "CacheWriteBack",
-	"StageDepart", "ReplyDepart",
+	"StageDepart", "ReplyDepart", "ProfCycle", "ProfIssue", "ProfDeliver",
 }
 
 // String names the kind.
@@ -91,12 +98,12 @@ type Event struct {
 	Cause StallCause
 	Op    msg.Op
 	// To is the event's audience: the consumers its emit site found
-	// listening (Subs.For). Zero, from an emitter that holds the
-	// recorder's probe directly (pe, cache), means the recorder.
+	// listening (Subs.For), never empty.
 	To Subs
-	// Aux is read by the request tracer only, so that Value stays what
-	// the recorder's exports print: the queue occupancy in packets for
-	// KindStageArrive, the surviving partner's PE for KindCombine.
+	// Aux is never read by the recorder, so that Value stays what its
+	// exports print: the queue occupancy in packets for KindStageArrive
+	// and the surviving partner's PE for KindCombine (the tracer's), the
+	// guest pc for the KindProf kinds (the profiler's).
 	Aux int32
 	// PE is the originating or stalling processing element; -1 when not
 	// applicable.
@@ -109,12 +116,14 @@ type Event struct {
 	// applicable.
 	Copy int
 	// ID is the request ID the event concerns; ID2 a second request
-	// (combine partner, recreated decombine side).
+	// (combine partner, recreated decombine side). KindProfDeliver, which
+	// names no request, carries the returned value and the wait here.
 	ID, ID2 uint64
 	Addr    msg.Addr
 	// Value is kind-dependent: the operand for KindInject, the returned
 	// value for KindMNIServe/KindReplyDeliver, the linear address for
-	// cache events.
+	// cache events, KindProfIssue and KindProfDeliver, the ProfState for
+	// KindProfCycle.
 	Value int64
 }
 
@@ -126,9 +135,8 @@ func (e Event) String() string {
 
 // Probe receives events from the instrumented machine. Implementations
 // must not retain the Event beyond the call (it may be reused). Every
-// emit site is guarded — by a nil check of the probe, or in network and
-// memory by a non-zero audience from Subs.For — so with nobody listening
-// no event is built.
+// emit site is guarded by a non-zero audience from Subs.For, so with
+// nobody listening no event is built.
 type Probe interface {
 	Emit(Event)
 }

@@ -63,9 +63,11 @@
 //	-flight-dir                              x        x (same)       x
 //	-serve, or a session's server  x         x                       x
 //
-// Attach hands the consumers to a machine (any Target); Start arms the
-// conformance monitor, wires /trace/flight and /profile and opens the
-// -serve listener; Finish marks the feed done, writes every requested
+// The kit's consumers are one prof.Observers value (embedded in Kit):
+// a machine takes it whole (machine.Observe(kit.Observers)), a driver
+// without one copies it into trace.Workload, which embeds the same type.
+// Start arms the conformance monitor, wires /trace/flight and /profile
+// and opens the -serve listener; Finish marks the feed done, writes every requested
 // file and prints the summaries; Hold keeps the listener up until the
 // process is interrupted. The driver supplies only what differs: the
 // recorder capacity, the sampling period, a session's mounted Server,

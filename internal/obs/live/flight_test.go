@@ -11,6 +11,7 @@ import (
 
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
+	"ultracomputer/internal/obs/prof"
 	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/trace"
 )
@@ -30,7 +31,7 @@ func TestAlertDumpsFlight(t *testing.T) {
 	sampler := obs.NewSampler(512)
 	w := trace.Workload{
 		Rate: 0.20, HotFraction: 0.5, Hash: true, Seed: 17,
-		Sampler: sampler, Tracer: tr,
+		Observers: prof.Observers{Sampler: sampler, Tracer: tr},
 	}
 	feed := (&Feed{
 		Monitor:   NewMonitor(ModelFor(cfg, w.MMLatency, 0)),
@@ -100,7 +101,7 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 
 	tr := reqtrace.New(reqtrace.Config{Rate: 1, Seed: 7, Ring: 1024})
-	w := trace.Workload{Rate: 0.2, HotFraction: 0.5, Seed: 7, Tracer: tr}
+	w := trace.Workload{Rate: 0.2, HotFraction: 0.5, Seed: 7, Observers: prof.Observers{Tracer: tr}}
 	trace.Run(network.Config{K: 2, Stages: 4, Combining: true}, w, 200, 1000)
 
 	srv := NewServer()

@@ -44,25 +44,15 @@ func (f Flags) Any() bool {
 	return f != Flags{}
 }
 
-// Target is what a Kit attaches its consumers to. *machine.Machine is
-// one; a driver without a machine (trace.Workload) copies the Kit's
-// consumer fields instead.
-type Target interface {
-	SetProbe(obs.Probe)
-	SetSampler(*obs.Sampler)
-	SetTracer(*reqtrace.Tracer)
-	SetProfiler(*prof.Profiler)
-}
-
 // Kit is one run's observation harness: the consumers its Flags imply
-// (nil where nothing asked for one), the feed that publishes them, and
-// the end-of-run export. Use it in order: New, Attach, Start, the run,
-// Finish, Hold.
+// (nil where nothing asked for one; the driver takes them whole, as
+// machine.Observe(k.Observers) or into trace.Workload), the feed that
+// publishes them, and the end-of-run export. Use it in order: New, hand
+// over Observers, Start, the run, Finish, Hold.
 type Kit struct {
+	prof.Observers
+	// Recorder is Observers.Probe as the ring it is, for the exports.
 	Recorder *obs.Recorder
-	Sampler  *obs.Sampler
-	Tracer   *reqtrace.Tracer
-	Profiler *prof.Profiler
 	Feed     *Feed
 
 	flags Flags
@@ -76,13 +66,14 @@ type Kit struct {
 // session's; nil otherwise — it counts as -serve without the listener)
 // and the guest profiler when the driver could build one.
 func (f Flags) New(recorderCap int, every int64, srv *Server, p *prof.Profiler) *Kit {
-	k := &Kit{Profiler: p, flags: f, srv: srv}
+	k := &Kit{Observers: prof.Observers{Profiler: p}, flags: f, srv: srv}
 	if f.Serve != "" && srv == nil {
 		k.srv = NewServer()
 	}
 	served := k.srv != nil
 	if f.Trace != "" || served {
 		k.Recorder = obs.NewRecorder(recorderCap)
+		k.Probe = k.Recorder
 	}
 	if f.Metrics != "" || f.FlightDir != "" || served {
 		k.Sampler = obs.NewSampler(every)
@@ -99,23 +90,6 @@ func (f Flags) New(recorderCap int, every int64, srv *Server, p *prof.Profiler) 
 		k.Feed.Attach(k.Sampler)
 	}
 	return k
-}
-
-// Attach hands every consumer the kit built to t. Call before the run's
-// first cycle.
-func (k *Kit) Attach(t Target) {
-	if k.Recorder != nil {
-		t.SetProbe(k.Recorder)
-	}
-	if k.Sampler != nil {
-		t.SetSampler(k.Sampler)
-	}
-	if k.Tracer != nil {
-		t.SetTracer(k.Tracer)
-	}
-	if k.Profiler != nil {
-		t.SetProfiler(k.Profiler)
-	}
 }
 
 // Start arms the feed for a machine of the given network shape and MM

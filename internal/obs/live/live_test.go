@@ -12,6 +12,7 @@ import (
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
+	"ultracomputer/internal/obs/prof"
 	"ultracomputer/internal/trace"
 )
 
@@ -165,7 +166,8 @@ func TestServerConcurrentWithRun(t *testing.T) {
 	go func() {
 		defer close(done)
 		trace.Run(cfg, trace.Workload{
-			Rate: 0.15, Hash: true, Seed: 17, Probe: rec, Sampler: sampler,
+			Rate: 0.15, Hash: true, Seed: 17,
+			Observers: prof.Observers{Probe: rec, Sampler: sampler},
 		}, 1000, 8000)
 		feed.Finish()
 	}()

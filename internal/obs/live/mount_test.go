@@ -9,14 +9,14 @@ import (
 	"ultracomputer/internal/obs"
 )
 
-// Two feed servers mounted under prefixes on one mux must serve their
-// own feed's state independently — the multi-session shape
+// Two feed servers' handlers mounted under prefixes on one mux must
+// serve their own feed's state independently — the multi-session shape
 // internal/serve builds one of per session.
 func TestMountMultipleFeeds(t *testing.T) {
 	mux := http.NewServeMux()
 	srvA, srvB := NewFeedServer(), NewFeedServer()
-	srvA.Mount(mux, "/sessions/s1")
-	srvB.Mount(mux, "/sessions/s2/") // trailing slash tolerated
+	mux.Handle("/sessions/s1/", http.StripPrefix("/sessions/s1", srvA.Handler()))
+	mux.Handle("/sessions/s2/", http.StripPrefix("/sessions/s2", srvB.Handler()))
 
 	feedA := &Feed{Server: srvA}
 	feedB := &Feed{Server: srvB}

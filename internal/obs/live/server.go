@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -91,8 +90,8 @@ func NewServer() *Server {
 // registered (/healthz, /metrics, /snapshot.json, /events,
 // /trace/flight, /profile) and no process-wide /debug/pprof. A process
 // serving many simultaneous runs builds one feed server per feed and
-// mounts each under its own path prefix (Mount), the way
-// internal/serve publishes one telemetry surface per session.
+// mounts each Handler under its own path prefix (http.StripPrefix), the
+// way internal/serve publishes one telemetry surface per session.
 func NewFeedServer() *Server {
 	s := &Server{mux: http.NewServeMux()}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -102,18 +101,6 @@ func NewFeedServer() *Server {
 	s.mux.HandleFunc("/trace/flight", s.handleFlight)
 	s.mux.HandleFunc("/profile", s.handleProfile)
 	return s
-}
-
-// Mount registers this server's endpoints on mux beneath prefix, so
-// several servers — one Feed each — share one listener:
-//
-//	a.Mount(mux, "/sessions/s1")  // /sessions/s1/metrics, …/events, …
-//	b.Mount(mux, "/sessions/s2")
-//
-// The prefix must be non-empty and is taken without a trailing slash.
-func (s *Server) Mount(mux *http.ServeMux, prefix string) {
-	prefix = strings.TrimSuffix(prefix, "/")
-	mux.Handle(prefix+"/", http.StripPrefix(prefix, s.mux))
 }
 
 // Publish makes st the current State. st must not be mutated afterward.

@@ -316,9 +316,9 @@ func TestSubsFor(t *testing.T) {
 }
 
 // TestFanoutRouting checks that an event reaches exactly the attached
-// consumers it is addressed to, that a zero To means the recorder, that
-// the subscriber set follows Subscribe through the pointer units hold,
-// and that a buffered sequence drains in order.
+// consumers it is addressed to, that the subscriber set follows
+// Subscribe through the pointer units hold, and that a buffered sequence
+// drains in order.
 func TestFanoutRouting(t *testing.T) {
 	var f Fanout
 	subs := f.Subs()
@@ -332,7 +332,7 @@ func TestFanoutRouting(t *testing.T) {
 	var buf EventBuffer
 	buf.Emit(Event{Cycle: 1, To: SubRecord | SubTrace})
 	buf.Emit(Event{Cycle: 2, To: SubProf})
-	buf.Emit(Event{Cycle: 3}) // a PE-side emitter: no audience, the recorder's
+	buf.Emit(Event{Cycle: 3, To: SubRecord})
 	buf.Emit(Event{Cycle: 4, To: SubTrace})
 	buf.DrainTo(&f)
 	if buf.Len() != 0 {

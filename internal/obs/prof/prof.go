@@ -1,12 +1,11 @@
 // Package prof is the guest-program profiler (`ultraprof`): a
 // sampling-free, cycle-exact profiler for programs running on the
-// simulated machine. It is fed by the PE, network and memory hot paths
-// through the same sink pattern as the rest of the observability stack —
-// one nil check per hook when detached, zero allocations when disabled —
-// and attributes every cycle of every PE to the guest PC that was
-// current when the cycle elapsed, bucketed into the states of
-// obs.ProfState: execute, cache-hit, memory-wait, net-full-stall, spin
-// and halted.
+// simulated machine. It is an obs.Probe: the PE, network and memory hot
+// paths feed it through the one instrumentation channel — one mask test
+// per site when detached, zero allocations — and it attributes every
+// cycle of every PE to the guest PC that was current when the cycle
+// elapsed, bucketed into the states of obs.ProfState: execute,
+// cache-hit, memory-wait, net-full-stall, spin and halted.
 //
 // Spin detection is retroactive: cycles are buffered per PE until the
 // next value-returning reply; when the same instruction re-observes an
@@ -21,12 +20,14 @@
 // hot-spot model — and per-lock wait-time histograms keyed by the F&A
 // cell address.
 //
-// Determinism contract: the PE hooks are called from engine phases that
-// shard by PE (ticks and delivers), module serves and network combines
-// arrive as events on the coordinating goroutine (obs.Fanout), every
-// shard is merged in unit order, and every exported collection is
-// sorted — so profiles are byte-identical between the serial and
-// parallel engines.
+// Determinism contract: every event arrives on the coordinating
+// goroutine (obs.Fanout) — inline under the serial engine, drained from
+// the emitting unit's buffer in unit order under a parallel one — so
+// each PE's shard sees its own events in the order a serial run
+// produces, and every exported collection is sorted: profiles are
+// byte-identical between the serial and parallel engines. The one direct
+// caller, the synthetic driver's ProfIssue, touches only the shard of
+// the PE its worker owns.
 package prof
 
 import (
@@ -126,19 +127,20 @@ type NetShard struct {
 	combines map[msg.Addr]int64
 }
 
-// ProfCombine records one combine of two requests to addr
-// (network.NetProfiler).
-func (s *NetShard) ProfCombine(addr msg.Addr) { s.combines[addr]++ }
+// Emit implements obs.Probe for a network that subscribes the shard
+// alone: of the events addressed to the profiler a network emits only
+// KindCombine, one combine of two requests to ev.Addr.
+//
+//ultravet:ok sharecheck a fan-out's consumers run only on the coordinator; shards emit into per-unit buffers
+func (s *NetShard) Emit(ev obs.Event) { s.combines[ev.Addr]++ }
 
-// Profiler implements pe.Profiler, memory.ServeProfiler and (via
-// NetShard) network.NetProfiler.
+// Profiler is the obs.Probe a machine subscribes as obs.SubProf.
 type Profiler struct {
-	cfg     Config
-	enabled bool
-	pes     []peShard
-	mms     []mmShard
-	nets    []*NetShard
-	paths   []CriticalPath
+	cfg   Config
+	pes   []peShard
+	mms   []mmShard
+	nets  []*NetShard
+	paths []CriticalPath
 
 	// live is the pre-rendered /prof export, swapped in whole; like
 	// live.Server.cur it is atomic-only state with no guarding mutex,
@@ -147,12 +149,12 @@ type Profiler struct {
 	live   atomic.Pointer[[]byte]
 }
 
-// New builds an enabled profiler for cfg.
+// New builds a profiler for cfg.
 func New(cfg Config) *Profiler {
 	if cfg.PEs < 1 {
 		cfg.PEs = 1
 	}
-	p := &Profiler{cfg: cfg, enabled: true, pes: make([]peShard, cfg.PEs)}
+	p := &Profiler{cfg: cfg, pes: make([]peShard, cfg.PEs)}
 	for i := range p.pes {
 		s := &p.pes[i]
 		s.prog = p.progFor(i)
@@ -164,6 +166,7 @@ func New(cfg Config) *Profiler {
 		s.hashed = make(map[int64]msg.Addr)
 		s.locks = make(map[int64]*sim.Histogram)
 	}
+	p.NetShard(0) // Emit's combine sink, made here so the event path never allocates it
 	return p
 }
 
@@ -179,13 +182,8 @@ func (p *Profiler) progFor(pe int) *isa.Program {
 	return nil
 }
 
-// Enabled reports whether hooks should be wired. An attached-but-off
-// profiler costs nothing: the machine skips the sink wiring entirely.
-func (p *Profiler) Enabled() bool { return p.enabled }
-
-// SetEnabled turns the profiler on or off (effective at the next
-// SetProfiler wiring, not mid-run).
-func (p *Profiler) SetEnabled(on bool) { p.enabled = on }
+// Enabled reports whether there is a profiler to wire: off is nil.
+func (p *Profiler) Enabled() bool { return p != nil }
 
 // SetMMs pre-sizes the per-module serve shards (the machine calls this
 // with its module count before the run; module serves beyond the sized
@@ -209,7 +207,26 @@ func (p *Profiler) NetShard(i int) *NetShard {
 // CriticalPaths) so they ride along in the JSONL export.
 func (p *Profiler) AddCriticalPaths(cp []CriticalPath) { p.paths = append(p.paths, cp...) }
 
-// ProfCycle implements pe.Profiler: attribute one elapsed PE cycle.
+// Emit implements obs.Probe: it dispatches the five kinds addressed to
+// obs.SubProf (see the obs package documentation for their fields).
+func (p *Profiler) Emit(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindProfCycle:
+		p.ProfCycle(ev.PE, int(ev.Aux), obs.ProfState(ev.Value))
+	case obs.KindProfIssue:
+		p.ProfIssue(ev.PE, int(ev.Aux), ev.Op, ev.Value, ev.Addr)
+	case obs.KindProfDeliver:
+		p.ProfDeliver(ev.PE, int(ev.Aux), ev.Op, ev.Value, int64(ev.ID), int64(ev.ID2))
+	case obs.KindMNIServe:
+		p.ProfServe(ev.MM, ev.Addr.Word, ev.Op)
+	case obs.KindCombine:
+		p.nets[0].Emit(ev)
+	}
+}
+
+// ProfCycle attributes one elapsed PE cycle to the guest pc that was
+// current when the cycle began, classified coarsely; it refines
+// ProfExecute into cache-hit and (retroactively) spin.
 func (p *Profiler) ProfCycle(pe, pc int, state obs.ProfState) {
 	s := &p.pes[pe]
 	var op isa.Op = isa.NOP
@@ -295,7 +312,8 @@ func (s *peShard) verdict(spin bool) {
 	s.drainPending(spin)
 }
 
-// ProfIssue implements pe.Profiler: a shared request left PE pe.
+// ProfIssue records a shared request leaving PE pe: linear is the guest
+// address, hashed its (module, word) translation.
 func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Addr) {
 	s := &p.pes[pe]
 	a := s.addrs[linear]
@@ -312,9 +330,10 @@ func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Add
 	}
 }
 
-// ProfDeliver implements pe.Profiler: a reply reached PE pe. This is
-// where the spin verdict lands: a value-returning op at the same pc
-// re-observing an unchanged word marks the cycles since the previous
+// ProfDeliver records a reply reaching PE pe: pc is the instruction
+// that issued the request, wait the issue-to-complete time in PE cycles.
+// This is where the spin verdict lands: a value-returning op at the same
+// pc re-observing an unchanged word marks the cycles since the previous
 // observation as spin.
 func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, value int64, wait int64) {
 	s := &p.pes[pe]
@@ -342,8 +361,8 @@ func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, value int64,
 	}
 }
 
-// ProfServe implements memory.ServeProfiler: module mm served one
-// (possibly combined) request for word.
+// ProfServe records module mm serving one (possibly combined) request
+// for word.
 func (p *Profiler) ProfServe(mm, word int, op msg.Op) {
 	if mm < 0 || mm >= len(p.mms) {
 		return

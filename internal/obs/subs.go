@@ -19,8 +19,9 @@ const (
 	// SubTrace is the request tracer (internal/obs/reqtrace): it takes
 	// the events of sampled carriers only.
 	SubTrace
-	// SubProf is the guest profiler's contention heatmap
-	// (internal/obs/prof): it takes combines and completed serves.
+	// SubProf is the guest profiler (internal/obs/prof): it takes
+	// combines and completed serves for its contention heatmap and the
+	// PEs' KindProf events for everything else.
 	SubProf
 )
 
@@ -32,6 +33,8 @@ func (s Subs) For(k Kind, traced bool) Subs {
 	case KindStageDepart, KindReplyDepart:
 		s &= SubTrace
 	case KindCombine, KindMNIServe:
+	case KindProfCycle, KindProfIssue, KindProfDeliver:
+		s &= SubProf
 	default:
 		s &^= SubProf
 	}
@@ -43,10 +46,11 @@ func (s Subs) For(k Kind, traced bool) Subs {
 
 // Fanout delivers a component's events to the consumers attached to it;
 // it is the only code that knows who listens. The serial engine's units
-// emit into it directly; a parallel engine's units emit into their own
-// EventBuffer, which the coordinator drains into it in unit order, so
-// every consumer sees the events it would have seen inline, in the same
-// order, and needs no locking or per-worker state.
+// — switches, modules, PEs and their caches — emit into it directly; a
+// parallel engine's units emit into their own EventBuffer, which the
+// coordinator drains into it in unit order, so every consumer sees the
+// events it would have seen inline, in the same order, and needs no
+// locking or per-worker state.
 type Fanout struct {
 	subs Subs
 	dst  [3]Probe // by bit of Subs: recorder, tracer, profiler
@@ -69,12 +73,8 @@ func (f *Fanout) Subscribe(s Subs, p Probe) {
 // Emit implements Probe: ev goes to every attached consumer named in
 // ev.To.
 func (f *Fanout) Emit(ev Event) {
-	to := ev.To
-	if to == 0 {
-		to = SubRecord
-	}
 	for i, p := range f.dst {
-		if p != nil && to&(1<<i) != 0 {
+		if p != nil && ev.To&(1<<i) != 0 {
 			p.Emit(ev)
 		}
 	}

@@ -26,9 +26,7 @@ type CachedMem struct {
 // NewCache attaches a private write-back cache to this PE.
 func (c *Ctx) NewCache(cfg cache.Config) *CachedMem {
 	m := &CachedMem{ctx: c, c: cache.New(cfg)}
-	if c.core.probe != nil {
-		m.c.SetProbe(c.core.probe, c.core.probePE)
-	}
+	c.core.owner.observeCache(m.c)
 	return m
 }
 

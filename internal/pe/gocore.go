@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"ultracomputer/internal/msg"
-	"ultracomputer/internal/obs"
 )
 
 // GoCore runs a PE program written as an ordinary Go function against the
@@ -29,15 +28,7 @@ type GoCore struct {
 	freeTags []int // recycled tags, so the tag space stays bounded
 	halted   bool
 
-	probe   obs.Probe // forwarded to caches the program attaches
-	probePE int
-}
-
-// SetProbe stores the probe the machine attached to this PE so that
-// caches created later via Ctx.NewCache emit events through it.
-func (g *GoCore) SetProbe(p obs.Probe, pe int) {
-	g.probe = p
-	g.probePE = pe
+	owner *PE // set on the first tick; caches the program attaches emit through it
 }
 
 // Program is the body of a PE: it runs once and its return halts the PE.
@@ -105,13 +96,14 @@ func (g *GoCore) send(a *action) { g.actions <- a }
 func (g *GoCore) Tick(env *Env) TickResult {
 	if !g.started {
 		g.started = true
+		g.owner = env.pe
 		//ultravet:ok hotalloc one-time guest start on the first tick
 		ctx := &Ctx{core: g, pe: env.PEID(), npe: env.NumPE()}
 		// The guest goroutine advances only inside this PE's own Tick
 		// via the actions channel handshake, so it never runs
 		// concurrently with phase code.
 		//ultravet:ok hotalloc one-time guest start on the first tick
-		go func() { //ultravet:ok stagecheck tick-synchronized guest goroutine
+		go func() { //ultravet:ok sharecheck tick-synchronized guest goroutine
 			g.prog(ctx)
 			close(g.actions)
 		}()

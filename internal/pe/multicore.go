@@ -1,10 +1,6 @@
 package pe
 
-import (
-	"fmt"
-
-	"ultracomputer/internal/obs"
-)
+import "fmt"
 
 // MultiCore hardware-multiprograms k instruction streams on one PE
 // (§3.5): "if the latency remains an impediment to performance, we would
@@ -40,15 +36,6 @@ func NewMultiCore(cores ...Core) *MultiCore {
 
 // Streams reports the multiprogramming factor k.
 func (m *MultiCore) Streams() int { return len(m.cores) }
-
-// SetProbe forwards the probe to every stream that accepts one.
-func (m *MultiCore) SetProbe(p obs.Probe, pe int) {
-	for _, c := range m.cores {
-		if s, ok := c.(probeSettable); ok {
-			s.SetProbe(p, pe)
-		}
-	}
-}
 
 // Tick implements Core: offer the cycle to each stream in turn until one
 // executes.

@@ -17,9 +17,11 @@ package pe
 import (
 	"fmt"
 
+	"ultracomputer/internal/cache"
 	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/obs"
+	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/sim"
 )
 
@@ -72,17 +74,18 @@ type PE struct {
 	stats  Stats
 	halted bool
 
-	// probe receives PE-side events; probeScale converts the PE cycles
+	// subs is the set of consumers attached to the machine and out where
+	// this PE's events go (Observe): the network's fan-out, or under a
+	// parallel engine the PE's own buffer. scale converts the PE cycles
 	// Tick runs on to the network cycles events are stamped with.
-	probe      obs.Probe
-	probeScale int64
-	stall      obs.StallCause // current stall run's cause, CauseNone when running
+	subs  *obs.Subs
+	out   obs.Probe
+	scale int64
+	stall obs.StallCause // current stall run's cause, CauseNone when running
 
-	// prof receives guest-profiler hooks; pcer is the core's PC
-	// capability (cached at SetProfiler), profPC the pc captured at the
-	// top of the current tick so Issue/Deliver hooks see the pc of the
-	// issuing instruction rather than wherever the core moved to.
-	prof   Profiler
+	// pcer is the core's PC capability, profPC the pc captured at the top
+	// of the current tick so the profiler's issue and deliver events name
+	// the issuing instruction rather than wherever the core moved to.
 	pcer   PCer
 	profPC int
 
@@ -92,29 +95,8 @@ type PE struct {
 	env Env
 }
 
-// probeSettable lets a core receive the probe the machine attached to
-// its PE (GoCore and isa.Core forward it to their caches).
-type probeSettable interface {
-	SetProbe(p obs.Probe, pe int)
-}
-
-// Profiler is the guest-profiler sink (internal/obs/prof satisfies it
-// implicitly). Hooks follow the probe contract: one nil check when off,
-// and callees must not retain references past the call. All three are
-// invoked from the PE tick/deliver phases, which shard by PE, so the
-// profiler may keep per-PE state without locking.
-type Profiler interface {
-	// ProfCycle attributes one elapsed PE cycle to the guest pc that was
-	// current when the cycle began, classified coarsely; the profiler
-	// refines ProfExecute into cache-hit and (retroactively) spin.
-	ProfCycle(pe, pc int, state obs.ProfState)
-	// ProfIssue records a shared-memory request leaving the PE: linear is
-	// the guest address, hashed its (module, word) translation.
-	ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Addr)
-	// ProfDeliver records a reply arriving: pc is the instruction that
-	// issued the request, wait the issue-to-complete time in PE cycles.
-	ProfDeliver(pe, pc int, op msg.Op, linear int64, value int64, wait int64)
-}
+// noSubs is the empty, never written audience of a PE outside a machine.
+var noSubs obs.Subs
 
 // PCer is the optional Core capability the profiler needs to attribute
 // cycles to guest pcs (isa.Core has it; GoCore does not — its cycles
@@ -123,42 +105,32 @@ type PCer interface {
 	PC() int
 }
 
-// SetProfiler attaches a guest-profiler sink (nil detaches).
-func (p *PE) SetProfiler(pr Profiler) {
-	p.prof = pr
-	p.pcer = nil
-	if pr != nil {
-		p.pcer, _ = p.core.(PCer)
-	}
+// Observe hands the PE its event sink — the audience subs and the
+// destination out, from network.Stepper.PESink — with scale, the number
+// of network cycles per PE cycle (events are stamped in network cycles),
+// and the request tracer whose sampling decision the PNI stamps on each
+// request at issue (nil: no tracing). A cache the core owns joins the
+// same sink on its first use (Env.ObserveCache).
+func (p *PE) Observe(subs *obs.Subs, out obs.Probe, scale int64, tracer *reqtrace.Tracer) {
+	p.subs, p.out, p.scale = subs, out, max(scale, 1)
+	p.pni.tracer = tracer
 }
 
-// SetProbe attaches an event probe; scale is the number of network
-// cycles per PE cycle (events are stamped in network cycles). Cores
-// that can carry a probe (for cache events) receive it too.
-func (p *PE) SetProbe(pr obs.Probe, scale int64) {
-	if scale < 1 {
-		scale = 1
-	}
-	p.probe = pr
-	p.probeScale = scale
-	if ps, ok := p.core.(probeSettable); ok {
-		ps.SetProbe(pr, p.id)
-	}
-}
-
-// SetTracer attaches a request-tracing sampler to the PNI (nil
-// detaches): sampled requests leave the PE carrying a trace context.
-func (p *PE) SetTracer(t TraceSampler) { p.pni.tracer = t }
+// observeCache points c's events at this PE's sink.
+func (p *PE) observeCache(c *cache.Cache) { c.Observe(p.subs, p.out, p.id) }
 
 // New builds a PE around core with a PNI that hashes addresses with h and
 // injects into the network via inject. maxOutstanding bounds concurrent
 // shared requests (the paper's register-locking design allows several).
 func New(id int, core Core, h memory.Hasher, inject func(msg.Request) bool, maxOutstanding int) *PE {
 	p := &PE{
-		id:   id,
-		core: core,
-		pni:  newPNI(id, h, inject, maxOutstanding),
+		id:    id,
+		core:  core,
+		pni:   newPNI(id, h, inject, maxOutstanding),
+		subs:  &noSubs,
+		scale: 1,
 	}
+	p.pcer, _ = core.(PCer)
 	p.stats.CMWaitHist = sim.NewHistogram(256)
 	return p
 }
@@ -180,79 +152,81 @@ func (p *PE) Drained() bool { return p.pni.Outstanding() == 0 }
 
 // Tick runs one processor cycle.
 func (p *PE) Tick(cycle int64, npe int) {
-	if p.halted {
-		if p.prof != nil {
-			// Attribute even post-halt cycles so profiles sum to exactly
-			// PEs x measured cycles.
-			p.prof.ProfCycle(p.id, p.profPC, obs.ProfHalted)
+	// Post-halt cycles are attributed too, so profiles sum to exactly
+	// PEs x measured cycles.
+	state := obs.ProfHalted
+	if !p.halted {
+		if p.pcer != nil && *p.subs&obs.SubProf != 0 {
+			p.profPC = p.pcer.PC()
 		}
-		return
-	}
-	if p.prof != nil && p.pcer != nil {
-		p.profPC = p.pcer.PC()
-	}
-	p.env = Env{pe: p, cycle: cycle, npe: npe}
-	r := p.core.Tick(&p.env)
-	switch {
-	case r.Halted:
-		p.halted = true
-		p.endStall(cycle)
-		if p.prof != nil {
-			p.prof.ProfCycle(p.id, p.profPC, obs.ProfExecute)
-		}
-	case r.Executed:
-		p.stats.Instructions.Inc()
-		if r.LocalRef {
-			p.stats.LocalRefs.Inc()
-		}
-		p.endStall(cycle)
-		if p.prof != nil {
-			p.prof.ProfCycle(p.id, p.profPC, obs.ProfExecute)
-		}
-	default:
-		p.stats.IdleCycles.Inc()
-		cause := obs.CauseMemory
+		p.env = Env{pe: p, cycle: cycle, npe: npe}
+		r := p.core.Tick(&p.env)
+		state = obs.ProfExecute
 		switch {
-		case p.env.refusedNet:
-			cause = obs.CauseNetFull
-			p.stats.IdleNetFull.Inc()
-		case p.env.refusedPipe:
-			cause = obs.CausePipeline
-			p.stats.IdlePipeline.Inc()
+		case r.Halted:
+			p.halted = true
+			p.endStall(cycle)
+		case r.Executed:
+			p.stats.Instructions.Inc()
+			if r.LocalRef {
+				p.stats.LocalRefs.Inc()
+			}
+			p.endStall(cycle)
 		default:
-			p.stats.IdleMemory.Inc()
+			state = p.idle(cycle)
 		}
-		if p.prof != nil {
-			st := obs.ProfMemWait
-			if cause == obs.CauseNetFull {
-				st = obs.ProfNetStall
-			}
-			p.prof.ProfCycle(p.id, p.profPC, st)
-		}
-		if p.probe != nil && p.stall != cause {
-			if p.stall != obs.CauseNone {
-				p.probe.Emit(obs.Event{
-					Cycle: cycle * p.probeScale, Kind: obs.KindStallEnd,
-					PE: p.id, Stage: -1, MM: -1, Copy: -1, Cause: p.stall,
-				})
-			}
-			p.probe.Emit(obs.Event{
-				Cycle: cycle * p.probeScale, Kind: obs.KindStallBegin,
-				PE: p.id, Stage: -1, MM: -1, Copy: -1, Cause: cause,
-			})
-		}
-		p.stall = cause
+	}
+	if to := p.subs.For(obs.KindProfCycle, false); to != 0 {
+		p.out.Emit(obs.Event{
+			To: to, Cycle: cycle * p.scale, Kind: obs.KindProfCycle,
+			PE: p.id, Stage: -1, MM: -1, Copy: -1,
+			Aux: int32(p.profPC), Value: int64(state),
+		})
 	}
 }
 
-// endStall closes the current stall run, if any.
-func (p *PE) endStall(cycle int64) {
-	if p.stall == obs.CauseNone {
-		return
+// idle accounts one lost cycle to its cause, opening a new stall run
+// when the cause changed, and reports the profiler's name for it.
+func (p *PE) idle(cycle int64) obs.ProfState {
+	p.stats.IdleCycles.Inc()
+	cause, state := obs.CauseMemory, obs.ProfMemWait
+	switch {
+	case p.env.refusedNet:
+		cause, state = obs.CauseNetFull, obs.ProfNetStall
+		p.stats.IdleNetFull.Inc()
+	case p.env.refusedPipe:
+		cause = obs.CausePipeline
+		p.stats.IdlePipeline.Inc()
+	default:
+		p.stats.IdleMemory.Inc()
 	}
-	if p.probe != nil {
-		p.probe.Emit(obs.Event{
-			Cycle: cycle * p.probeScale, Kind: obs.KindStallEnd,
+	if p.stall != cause {
+		p.endStall(cycle)
+		p.stall = cause
+		if to := p.subs.For(obs.KindStallBegin, false); to != 0 {
+			p.out.Emit(obs.Event{
+				To: to, Cycle: cycle * p.scale, Kind: obs.KindStallBegin,
+				PE: p.id, Stage: -1, MM: -1, Copy: -1, Cause: cause,
+			})
+		}
+	}
+	return state
+}
+
+// endStall closes the current stall run, if any. It is small enough to
+// inline, so a PE that is not stalled — the common tick — pays one
+// compare and no call.
+func (p *PE) endStall(cycle int64) {
+	if p.stall != obs.CauseNone {
+		p.closeStall(cycle)
+	}
+}
+
+// closeStall reports the end of the current stall run.
+func (p *PE) closeStall(cycle int64) {
+	if to := p.subs.For(obs.KindStallEnd, false); to != 0 {
+		p.out.Emit(obs.Event{
+			To: to, Cycle: cycle * p.scale, Kind: obs.KindStallEnd,
 			PE: p.id, Stage: -1, MM: -1, Copy: -1, Cause: p.stall,
 		})
 	}
@@ -268,8 +242,13 @@ func (p *PE) Deliver(rep msg.Reply, cycle int64) {
 	}
 	p.stats.CMWait.Observe(float64(cycle - pr.issuedAt))
 	p.stats.CMWaitHist.Observe(cycle - pr.issuedAt)
-	if p.prof != nil {
-		p.prof.ProfDeliver(p.id, pr.pc, rep.Op, pr.addr, rep.Value, cycle-pr.issuedAt)
+	if to := p.subs.For(obs.KindProfDeliver, false); to != 0 {
+		p.out.Emit(obs.Event{
+			To: to, Cycle: cycle * p.scale, Kind: obs.KindProfDeliver,
+			PE: p.id, Stage: -1, MM: -1, Copy: -1, Op: rep.Op,
+			Aux: int32(pr.pc), Value: pr.addr,
+			ID: uint64(rep.Value), ID2: uint64(cycle - pr.issuedAt),
+		})
 	}
 	if pr.tag >= 0 {
 		p.core.Complete(pr.tag, rep.Value)
@@ -322,11 +301,20 @@ func (e *Env) Issue(op msg.Op, addr int64, operand int64, tag int) bool {
 	if op.ReturnsValue() {
 		e.pe.stats.SharedLoads.Inc()
 	}
-	if e.pe.prof != nil {
-		e.pe.prof.ProfIssue(e.pe.id, e.pe.profPC, op, addr, e.pe.pni.hash.Map(addr))
+	if to := e.pe.subs.For(obs.KindProfIssue, false); to != 0 {
+		p := e.pe
+		p.out.Emit(obs.Event{
+			To: to, Cycle: e.cycle * p.scale, Kind: obs.KindProfIssue,
+			PE: p.id, Stage: -1, MM: -1, Copy: -1, Op: op,
+			Aux: int32(p.profPC), Value: addr, Addr: p.pni.hash.Map(addr),
+		})
 	}
 	return true
 }
+
+// ObserveCache points a cache the core owns at its PE's event sink; the
+// core calls it before the cache's first access.
+func (e *Env) ObserveCache(c *cache.Cache) { e.pe.observeCache(c) }
 
 // CanIssue reports whether a request to addr could be accepted by the
 // pipelining rules right now (it does not probe network space).

@@ -3,6 +3,7 @@ package pe
 import (
 	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
+	"ultracomputer/internal/obs/reqtrace"
 )
 
 // PNI is the processor-network interface (§3.4). Of its four functions —
@@ -26,15 +27,9 @@ type PNI struct {
 	byAddr  map[int64]bool
 
 	// tracer, when non-nil, decides per request ID whether the request
-	// carries a causal-tracing context (internal/obs/reqtrace).
-	tracer TraceSampler
-}
-
-// TraceSampler stamps sampled requests with a trace context at issue.
-// The decision must be a pure function of the request ID so serial and
-// parallel engines sample identically (internal/obs/reqtrace.Tracer).
-type TraceSampler interface {
-	ContextFor(id uint64) msg.TraceCtx
+	// carries a causal-tracing context. The decision is a pure function
+	// of the ID, so serial and parallel engines sample identically.
+	tracer *reqtrace.Tracer
 }
 
 type pendingReq struct {

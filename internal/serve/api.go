@@ -82,7 +82,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) erro
 
 // writeErr maps service errors to status codes: validation failures are
 // 422 with field-level detail, capacity rejections 503, state conflicts
-// 409, unknown sessions 404, oversized bodies 413.
+// 409, unknown sessions 404, oversized bodies 413, a panic inside a
+// session's machine 500.
 func writeErr(w http.ResponseWriter, err error) {
 	var ve *ValidateError
 	var ce *CapacityError
@@ -99,6 +100,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrDraining):
 		code = http.StatusServiceUnavailable
+	case errors.Is(err, ErrMachinePanic):
+		code = http.StatusInternalServerError
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrConflict), errors.Is(err, ErrNoCandidate),

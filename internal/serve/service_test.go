@@ -576,3 +576,83 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Errorf("%d sessions after an oversized stage, want 1", n)
 	}
 }
+
+// TestPanickingSessionSparesNeighbours makes one session's machine panic
+// mid-slice on the single scheduler worker it shares with a neighbour,
+// and another's mid-way through a synchronous step. Each must end
+// StateFailed with the panic value in its Info and no machine left; the
+// worker, the API and the neighbour carry on, and the neighbour's report
+// is byte-identical to an undisturbed standalone run.
+func TestPanickingSessionSparesNeighbours(t *testing.T) {
+	svc, base := testAPI(t, Limits{Workers: 1, Slice: 64})
+	cfg := validConfig()
+	start := func(name string, panicAt int64) (*Session, string) {
+		var info SessionInfo
+		call(t, http.MethodPost, base+"/sessions", map[string]any{"name": name, "config": cfg}, http.StatusCreated, &info)
+		sURL := base + "/sessions/" + info.ID
+		call(t, http.MethodPost, sURL+"/config/commit", nil, http.StatusOK, nil)
+		s, err := svc.Session(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if panicAt > 0 {
+			var steps int64
+			s.execMu.Lock()
+			s.beforeStep = func() {
+				if steps++; steps == panicAt {
+					panic("pe 3: reply matches no outstanding request")
+				}
+			}
+			s.execMu.Unlock()
+		}
+		return s, sURL
+	}
+	failed := func(sURL string) {
+		t.Helper()
+		deadline := time.Now().Add(60 * time.Second)
+		var info SessionInfo
+		for info.State != StateFailed {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s stuck in %s, want failed", sURL, info.State)
+			}
+			time.Sleep(2 * time.Millisecond)
+			call(t, http.MethodGet, sURL, nil, http.StatusOK, &info)
+		}
+		if !strings.Contains(info.Error, "matches no outstanding request") || info.BuiltSeq != 0 {
+			t.Errorf("failed session info: %+v", info)
+		}
+		call(t, http.MethodGet, sURL+"/report", nil, http.StatusConflict, nil)
+		call(t, http.MethodGet, sURL+"/snapshot.json", nil, http.StatusOK, nil)
+	}
+
+	_, badURL := start("bad", 200) // its fourth slice
+	_, goodURL := start("good", 0)
+	call(t, http.MethodPost, badURL+"/start", nil, http.StatusOK, nil)
+	call(t, http.MethodPost, goodURL+"/start", nil, http.StatusOK, nil)
+	failed(badURL)
+
+	_, stepURL := start("stepped", 30)
+	call(t, http.MethodPost, stepURL+"/step?cycles=100", nil, http.StatusInternalServerError, nil)
+	failed(stepURL)
+
+	var goodInfo SessionInfo
+	call(t, http.MethodGet, goodURL, nil, http.StatusOK, &goodInfo)
+	waitState(t, base, goodInfo.ID, StateDone)
+	got := call(t, http.MethodGet, goodURL+"/report", nil, http.StatusOK, nil)
+	m, _, eng, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	m.Run(cfg.WithDefaults().Limit)
+	want, err := m.Report().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("the neighbour's report differs from an undisturbed run:\n%s\nvs\n%s", got, want)
+	}
+	if h := svc.Healthz(); !h.OK {
+		t.Errorf("service unhealthy after two session panics: %+v", h)
+	}
+}

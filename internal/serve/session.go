@@ -32,11 +32,16 @@ const (
 	// StateDone: every PE halted, or the cycle quota ran out.
 	StateDone SessionState = "done"
 	// StateFailed: the machine could not be built from the running
-	// config (e.g. guest lint findings); see Info.Error.
+	// config (e.g. guest lint findings) or panicked mid-run; see
+	// Info.Error.
 	StateFailed SessionState = "failed"
 	// StateDrained: shut down by service drain or deletion; terminal.
 	StateDrained SessionState = "drained"
 )
+
+// ErrMachinePanic marks a step that ended in a panic inside the
+// simulated machine (mapped to HTTP 500); the session is StateFailed.
+var ErrMachinePanic = errors.New("serve: machine panicked")
 
 // ErrConflict marks an operation invalid in the session's current state
 // (mapped to HTTP 409 by the API layer).
@@ -69,11 +74,12 @@ type Session struct {
 	// execMu serializes machine execution and rebuild.
 	execMu sync.Mutex
 	// Machine state.
-	machine  *machine.Machine // guarded by execMu
-	eng      engine.Engine    // guarded by execMu
-	feed     *live.Feed       // guarded by execMu
-	builtSeq int64            // guarded by execMu; store.CommitSeq the machine was built from
-	effLimit int64            // guarded by execMu; session cycle quota: min(config limit, service quota)
+	machine    *machine.Machine // guarded by execMu
+	eng        engine.Engine    // guarded by execMu
+	feed       *live.Feed       // guarded by execMu
+	builtSeq   int64            // guarded by execMu; store.CommitSeq the machine was built from
+	effLimit   int64            // guarded by execMu; session cycle quota: min(config limit, service quota)
+	beforeStep func()           // guarded by execMu; test hook run before each machine cycle, nil otherwise
 
 	// info mirrors builtSeq/effLimit for lock-free Info reads as one
 	// atomically-swapped pair, so a reader can never observe a fresh
@@ -309,19 +315,51 @@ func (s *Session) StepCycles(n int64) (ran int64, err error) {
 	if err := s.ensureMachineLocked(); err != nil {
 		return 0, err
 	}
+	if ran, err = s.advanceLocked(n); err != nil {
+		return ran, err
+	}
+	s.finishIfOverLocked()
+	return ran, nil
+}
+
+// advanceLocked (execMu held) steps the machine by up to n cycles,
+// stopping early at halt, at the quota, or at an interrupt — a large
+// step must not pin execMu against drain/delete/pause for its whole
+// duration — and reports how many cycles ran. A panic out of the machine
+// (a reply no PE is waiting for, a worker panic the engine re-raised) is
+// this session's failure alone: it is recovered into StateFailed with
+// the panic value in Info's Error, the feed is finished and the engine
+// released, and the caller — a scheduler worker every other session
+// shares, or an API handler — carries on.
+func (s *Session) advanceLocked(n int64) (ran int64, err error) {
 	m := s.machine
-	for ran < n && !m.Done() && m.Cycles() < s.effLimit {
-		// Honor interrupts mid-step: a large step must not pin execMu
-		// against drain/delete/pause for its whole duration. The caller
-		// learns how many cycles actually ran.
-		if s.interrupt.Load() {
-			break
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w at cycle %d: %v", ErrMachinePanic, m.Cycles(), p)
+			s.finishFeedLocked()
+			s.closeMachineLocked()
+			s.failLocked(err)
+		}
+	}()
+	for ran < n && !m.Done() && m.Cycles() < s.effLimit && !s.interrupt.Load() {
+		if s.beforeStep != nil {
+			s.beforeStep()
 		}
 		m.Step()
 		ran++
 	}
-	s.finishIfOverLocked()
 	return ran, nil
+}
+
+// failLocked (execMu held) moves a session that is not already drained
+// to StateFailed, with err for Info to show.
+func (s *Session) failLocked(err error) {
+	s.mu.Lock()
+	if s.state != StateDrained {
+		s.state = StateFailed
+		s.lastErr = err.Error()
+	}
+	s.mu.Unlock()
 }
 
 // ResetMachine discards the machine; the next start or step rebuilds
@@ -426,22 +464,10 @@ func (s *Session) runSlice() bool {
 	}
 	s.mu.Unlock()
 	if err := s.ensureMachineLocked(); err != nil {
-		s.mu.Lock()
-		if s.state != StateDrained {
-			s.state = StateFailed
-			s.lastErr = err.Error()
-		}
-		s.mu.Unlock()
+		s.failLocked(err)
 		return false
 	}
-	m := s.machine
-	for i := int64(0); i < s.limits.Slice; i++ {
-		if m.Done() || m.Cycles() >= s.effLimit || s.interrupt.Load() {
-			break
-		}
-		m.Step()
-	}
-	if s.finishIfOverLocked() {
+	if _, err := s.advanceLocked(s.limits.Slice); err != nil || s.finishIfOverLocked() {
 		return false
 	}
 	s.mu.Lock()
@@ -503,7 +529,7 @@ func (s *Session) ensureMachineLocked() error {
 		return err
 	}
 	kit := live.Flags{}.New(sessionRecorderCapacity, d.SampleEvery, s.lsrv, nil)
-	kit.Attach(m)
+	m.Observe(kit.Observers)
 	// Nothing listens (the feed server is mounted on the service's own
 	// listener), so Start has nothing to print and nothing to fail.
 	_ = kit.Start(io.Discard, networkConfig(d), d.MMLatency, live.Windowed(m.Report))

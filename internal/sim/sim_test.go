@@ -4,50 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"ultracomputer/internal/engine"
 )
-
-// phaseRecorder checks two-phase discipline: all Computes in a cycle must
-// run before any Commit of that cycle.
-type phaseRecorder struct {
-	log *[]string
-	id  string
-}
-
-func (p *phaseRecorder) Compute(cycle int64) { *p.log = append(*p.log, p.id+"C") }
-func (p *phaseRecorder) Commit(cycle int64)  { *p.log = append(*p.log, p.id+"X") }
-
-func TestClockTwoPhaseOrder(t *testing.T) {
-	var log []string
-	c := NewClock()
-	c.Register(&phaseRecorder{&log, "a"}, &phaseRecorder{&log, "b"})
-	c.Step()
-	want := []string{"aC", "bC", "aX", "bX"}
-	if len(log) != len(want) {
-		t.Fatalf("log = %v, want %v", log, want)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log = %v, want %v", log, want)
-		}
-	}
-	if c.Now() != 1 {
-		t.Fatalf("Now() = %d, want 1", c.Now())
-	}
-}
-
-func TestClockRunUntil(t *testing.T) {
-	c := NewClock()
-	n, ok := c.RunUntil(func() bool { return c.Now() >= 10 }, 100)
-	if !ok || n != 10 {
-		t.Fatalf("RunUntil = (%d, %v), want (10, true)", n, ok)
-	}
-	n, ok = c.RunUntil(func() bool { return false }, 5)
-	if ok || n != 5 {
-		t.Fatalf("RunUntil limit = (%d, %v), want (5, false)", n, ok)
-	}
-}
 
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
@@ -235,69 +192,5 @@ func TestCounter(t *testing.T) {
 	c.Reset()
 	if c.Value() != 0 {
 		t.Fatal("Reset failed")
-	}
-}
-
-// pipeTicker models a component that reads its left neighbor's
-// published value in Compute and publishes its own in Commit — the
-// shape the two-phase contract exists for. Cross-component reads make
-// any phase-discipline violation (or shard ordering leak) visible.
-type pipeTicker struct {
-	left    *pipeTicker
-	value   int64
-	staged  int64
-	history []int64
-}
-
-func (p *pipeTicker) Compute(cycle int64) {
-	in := cycle
-	if p.left != nil {
-		in = p.left.value
-	}
-	p.staged = p.value + in + 1
-}
-
-func (p *pipeTicker) Commit(cycle int64) {
-	p.value = p.staged
-	p.history = append(p.history, p.value)
-}
-
-func runPipeline(n int, cycles int64, eng engine.Engine) [][]int64 {
-	clk := NewClock()
-	clk.SetEngine(eng)
-	ts := make([]*pipeTicker, n)
-	for i := range ts {
-		ts[i] = &pipeTicker{}
-		if i > 0 {
-			ts[i].left = ts[i-1]
-		}
-		clk.Register(ts[i])
-	}
-	clk.Run(cycles)
-	out := make([][]int64, n)
-	for i, t := range ts {
-		out[i] = t.history
-	}
-	return out
-}
-
-// TestClockEngineEquivalence pins that a Clock produces identical state
-// trajectories under the serial path and the parallel engine at worker
-// counts that divide the component count unevenly.
-func TestClockEngineEquivalence(t *testing.T) {
-	const n, cycles = 13, 200
-	want := runPipeline(n, cycles, nil)
-	for _, workers := range []int{1, 3, 8} {
-		eng := engine.NewParallel(workers)
-		got := runPipeline(n, cycles, eng)
-		eng.Close()
-		for i := range want {
-			for c := range want[i] {
-				if got[i][c] != want[i][c] {
-					t.Fatalf("workers=%d: ticker %d cycle %d: %d vs serial %d",
-						workers, i, c, got[i][c], want[i][c])
-				}
-			}
-		}
 	}
 }

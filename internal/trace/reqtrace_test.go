@@ -17,8 +17,8 @@ func hotSpotTracer(t *testing.T, combining bool) (*reqtrace.Tracer, Result) {
 		Rate:        0.25,
 		HotFraction: 0.5,
 		Seed:        7,
-		Tracer:      tr,
 	}
+	w.Tracer = tr
 	res := Run(network.Config{K: 2, Stages: 4, Combining: combining}, w, 200, 1500)
 	return tr, res
 }

@@ -14,9 +14,7 @@ import (
 	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
-	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/prof"
-	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/sim"
 )
 
@@ -51,22 +49,12 @@ type Workload struct {
 	MMLatency int64
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Probe, when non-nil, receives every network/memory event of the
-	// run (inject, per-stage hops, combines, MNI service, replies).
-	Probe obs.Probe
-	// Sampler, when non-nil, records a metrics snapshot every
-	// Sampler.Every cycles of the run.
-	Sampler *obs.Sampler
-	// Tracer, when non-nil, samples requests for causal per-hop tracing
-	// (internal/obs/reqtrace); sampled requests carry a trace context and
-	// the run records their complete span trees.
-	Tracer *reqtrace.Tracer
-	// Profiler, when non-nil, records the contention heatmap side of the
-	// guest profiler — per-word accesses on injection, per-module serve
-	// counts, per-word combines. The synthetic runner has no PEs
-	// executing instructions, so the cycle-attribution side stays empty;
-	// netperf uses this to price the profiler's hot-path hooks.
-	Profiler *prof.Profiler
+	// Observers are the run's consumers. The synthetic runner has no PEs
+	// executing instructions, so the profiler sees only the contention
+	// heatmap side — per-word accesses on injection, per-module serve
+	// counts, per-word combines; netperf uses it to price the profiler's
+	// hot-path hooks.
+	prof.Observers
 }
 
 func (w Workload) withDefaults() Workload {
@@ -143,19 +131,18 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 		hash = memory.Interleave{N: n}
 	}
 	bank := memory.NewBank(n, w.MMLatency, hash)
-	net.SetProbe(w.Probe)
-	bank.SetProbe(w.Probe)
-	if w.Tracer != nil {
-		net.SetTracer(w.Tracer)
-		bank.SetTracer(w.Tracer)
-	}
-	if w.Profiler != nil && w.Profiler.Enabled() {
+	rec, tr, pr := w.Probes()
+	if w.Profiler != nil {
 		// Serves and combines reach the profiler on this goroutine, and
 		// its per-PE issue shards are owned by the generator's workers.
 		w.Profiler.SetMMs(len(bank.Modules))
-		bank.SetProfiler(w.Profiler)
-		net.SetProfiler(w.Profiler.NetShard(0))
 	}
+	net.SetProbe(rec)
+	net.SetTracer(tr)
+	net.SetProfiler(pr)
+	bank.SetProbe(rec)
+	bank.SetTracer(tr)
+	bank.SetProfiler(pr)
 	st := network.NewStepper(net, eng)
 	if st.Parallel() {
 		bank.Buffered()
@@ -247,7 +234,7 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 				req.TC = w.Tracer.ContextFor(req.ID)
 			}
 			if st.Inject(pe, req, cycle) {
-				if w.Profiler != nil && w.Profiler.Enabled() {
+				if w.Profiler != nil {
 					// Per-PE profiler shard, owned by this worker.
 					w.Profiler.ProfIssue(pe, 0, op, linear, req.Addr)
 				}
