@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint verify lint-mutants test race bench bench-compare bench-guard equivalence serve-smoke prof clean
+.PHONY: ci fmt build vet lint verify lint-mutants test race bench bench-compare bench-pairs bench-guard equivalence serve-smoke prof clean
 
 ci: fmt vet lint verify lint-mutants build race test equivalence bench-guard serve-smoke prof
 
@@ -87,6 +87,37 @@ bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.jsonl NEW=new.jsonl"; exit 2; }
 	$(GO) run ./bench -compare $(OLD) $(NEW)
 
+# The paired protocol of EXPERIMENTS.md for one workload: this checkout
+# against revision PARENT, N alternating pairs (which side runs first
+# flips every pair), a fresh process per run, 18 s untraced, seed
+# 1000 + 7·i for pair i. The parent's tree is unpacked under .bench_build/
+# and each side is built by its own bench/run.sh, so nothing is written
+# outside the checkout and nothing is fetched. Every run's -json record is
+# appended to .bench_build/$(W).OLD.jsonl / .NEW.jsonl; the per-pair list
+# and the comparison follow. Run it on a quiet host.
+#   make bench-pairs PARENT=HEAD~1 W=net-uniform [N=10]
+N ?= 10
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make bench-pairs PARENT=<rev> W=<workload> [N=10]"; exit 2; }
+	@set -eu; root=$$PWD; old=$$root/.bench_build/parent; \
+	rm -rf "$$old"; mkdir -p "$$old"; \
+	git archive "$(PARENT)" | tar -x -C "$$old"; \
+	: > "$$root/.bench_build/$(W).OLD.jsonl"; : > "$$root/.bench_build/$(W).NEW.jsonl"; \
+	cost() { sed -n '$$s/.*"host_cost_per_cycle":{"value":\([0-9.e+-]*\).*/\1/p' "$$root/.bench_build/$(W).$$1.jsonl"; }; \
+	pairs=; i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then order="OLD NEW"; else order="NEW OLD"; fi; \
+		for side in $$order; do \
+			if [ $$side = OLD ]; then dir=$$old; else dir=$$root; fi; \
+			(cd "$$dir" && sh bench/run.sh --workload $(W) --seed $$((1000 + 7 * i)) --seconds 18 --trace 0 -json) \
+				| sed -n 1p >> "$$root/.bench_build/$(W).$$side.jsonl"; \
+		done; \
+		pair=$$(printf '%.4g/%.4g' "$$(cost OLD)" "$$(cost NEW)"); pairs="$$pairs $$pair"; \
+		echo "pair $$i of $(N): host_cost_per_cycle parent/this change $$pair"; \
+		i=$$((i + 1)); \
+	done; \
+	echo "$(W) host_cost_per_cycle, parent/this change in pair order:$$pairs"; \
+	$(GO) run ./bench -compare "$$root/.bench_build/$(W).OLD.jsonl" "$$root/.bench_build/$(W).NEW.jsonl"
+
 # Engine equivalence: the serial and parallel engines must produce
 # byte-identical traces, metrics, reports and final state. Run under
 # the race detector (catches unsynchronized shard writes) and again
@@ -96,13 +127,13 @@ equivalence:
 	$(GO) test -race -count=1 -run 'EngineEquivalence|RunEngineEquivalence' ./internal/machine/ ./internal/trace/
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'EngineEquivalence|RunEngineEquivalence' ./internal/machine/ ./internal/trace/
 
-# Guard the observability contract: a disabled (nil) probe must add zero
+# Guard the allocation contract: a disabled (nil) probe must add zero
 # allocations to the hot paths, an enabled ring recorder must not
-# allocate per event, and an attached request tracer at sampling rate 0
-# must keep Machine.Step allocation-free.
+# allocate per event, an attached request tracer at sampling rate 0 must
+# keep Machine.Step allocation-free, and the network under steady traffic
+# must stay inside its budget (the growth-only tail of its queues).
 bench-guard:
-	$(GO) test ./internal/obs/ -run 'ZeroAlloc' -count=1 -v
-	$(GO) test ./internal/machine/ -run 'ZeroAlloc' -count=1 -v
+	$(GO) test ./internal/obs/ ./internal/machine/ ./internal/network/ -run 'ZeroAlloc|AllocBudget' -count=1 -v
 
 # Guest-profiler smoke: profile queue.s end to end in both export
 # formats, then validate each round-trips non-empty through its own

@@ -26,8 +26,7 @@ func (p *Program) RootsByName(names map[string]bool) []*Node {
 
 // EnginePhaseLiterals returns the function literals handed to an engine
 // phase runner: a method named Run declared in internal/engine
-// (engine.Engine.Run and its implementations), or a method named phase
-// (network.Stepper's per-unit phase driver). These literals are the
+// (engine.Engine.Run and its implementations). These literals are the
 // shard bodies the parallel engine executes concurrently, so they are
 // Compute-phase entry points. A literal reaches a runner either
 // directly as a call argument or — the zero-alloc idiom — hoisted into
@@ -133,11 +132,5 @@ func isPhaseRunner(obj *types.Func) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	switch obj.Name() {
-	case "Run":
-		return obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/engine")
-	case "phase":
-		return true
-	}
-	return false
+	return obj.Name() == "Run" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/engine")
 }

@@ -10,10 +10,10 @@
 // summaries (internal/lint/analysis), so a shared write two or ten calls
 // deep is flagged with its full call chain. Roots are the Compute-phase
 // entry points: methods named Compute and the function literals handed
-// to engine.Engine.Run or network.Stepper.phase (the shard bodies). For
-// every function transitively reachable from a root, the transitive
-// write set — expressed in the root's own frame — must stay inside
-// state the shard owns:
+// to engine.Engine.Run (the shard bodies). For every function
+// transitively reachable from a root, the transitive write set —
+// expressed in the root's own frame — must stay inside state the shard
+// owns:
 //
 //	allowed  writes to the root's receiver; writes reaching captured
 //	         slices/structs (the per-unit and per-worker scratch

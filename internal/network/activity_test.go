@@ -1,23 +1,25 @@
 package network
 
 import (
+	"slices"
 	"testing"
 
 	"ultracomputer/internal/msg"
+	"ultracomputer/internal/obs"
 	"ultracomputer/internal/sim"
 )
 
 // checkActivity asserts the activity-flag contract after a cycle:
 //
 //	(a) flag clear ⇒ link idle, for every link, MM arrival queue and PE
-//	    receive buffer, and the deferred count of every switch column
-//	    equals its valid revDefer registers;
+//	    receive buffer, and the deferred count of every unit equals its
+//	    valid revDefer registers;
 //	(b) the flags are tight: no more link flags are set than messages
 //	    could occupy links (a P-packet message holds at most P links),
 //	    and with nothing in flight every flag is clear.
 func (h *harness) checkActivity() {
 	h.t.Helper()
-	n, act := h.net, h.net.act
+	n, act := h.net, &h.net.act
 	set := 0
 	check := func(what string, flag uint8, idle bool) {
 		if flag != 0 {
@@ -26,53 +28,88 @@ func (h *harness) checkActivity() {
 			h.t.Fatalf("cycle %d: %s busy with its activity flag clear", h.cycle, what)
 		}
 	}
-	for ci, c := range n.copies {
-		t := c.topo
-		for s := -1; s < t.stages; s++ {
-			for p := 0; p < t.n; p++ {
-				l := t.fwdLine(s, p)
-				srv, q := &c.pniSrv[l], c.pniQ[l]
-				if s >= 0 {
-					srv, q = &c.fsrv[s][l], c.fq[s][l]
-				}
-				check("forward link", act.fwd[s+1][c.base+p], !srv.active && q.empty())
+	for i := range n.fwd {
+		f, r := &n.fwd[i], &n.rev[i]
+		check("forward link", act.fwd[i], !f.active && f.q.empty())
+		check("reverse link", act.rev[i], !r.active && r.q.empty())
+	}
+	stages := n.topo.stages
+	for u, got := range act.deferred {
+		valid := 0
+		for _, d := range n.revDefer[u*stages : (u+1)*stages] {
+			if d.valid {
+				valid++
 			}
 		}
-		for s := 0; s <= t.stages; s++ {
-			for p := 0; p < t.n; p++ {
-				l := t.revLine(s, p)
-				srv, q := &c.mmSrv[l], c.mmOut[l]
-				if s < t.stages {
-					srv, q = &c.rsrv[s][l], c.rq[s][l]
-				}
-				check("reverse link", act.rev[s][c.base+p], !srv.active && q.empty())
-			}
-		}
-		for sw := 0; sw < t.group; sw++ {
-			valid := 0
-			for s := 0; s < t.stages; s++ {
-				if c.revDefer[s][sw].valid {
-					valid++
-				}
-			}
-			if got := int(act.deferred[c.dbase+sw]); got != valid {
-				h.t.Fatalf("cycle %d: copy %d switch column %d counts %d deferred replies, holds %d",
-					h.cycle, ci, sw, got, valid)
-			}
+		if int(got) != valid {
+			h.t.Fatalf("cycle %d: unit %d counts %d deferred replies, holds %d", h.cycle, u, got, valid)
 		}
 	}
 	inFlight := n.InFlight()
 	if set > msg.PacketsWithData*inFlight {
 		h.t.Fatalf("cycle %d: %d link flags set for %d messages in flight", h.cycle, set, inFlight)
 	}
-	for _, c := range n.copies {
-		for port := 0; port < c.topo.n; port++ {
-			check("MM arrival queue", act.mm[c.base+port], c.mmIn[port].empty())
-			check("PE receive buffer", act.pe[c.base+port], len(c.peRecv[port]) == 0)
-		}
+	for i := range n.mmIn {
+		check("MM arrival queue", act.mm[i], n.mmIn[i].empty())
+		check("PE receive buffer", act.pe[i], len(n.peRecv[i]) == 0)
 	}
 	if inFlight == 0 && set != 0 {
 		h.t.Fatalf("cycle %d: %d activity flags set on a drained network", h.cycle, set)
+	}
+}
+
+// checkConservation asserts, after a cycle, the two invariants a change
+// of the link-state layout can silently break:
+//
+//	(a) every accepted request is owed exactly one reply, and the network
+//	    plus the harness's memory side hold exactly that many: Injected −
+//	    RepliesDelivered equals the queued requests, the requests in
+//	    service whose header has not moved on, the wait-buffer records
+//	    (one absorbed request each), the same on the reply side, the
+//	    deferred registers and whatever the two ends have not picked up.
+//	    (InFlight cannot stand in: it counts a delivered message again
+//	    while its tail still holds the server.)
+//	(b) no wait buffer holds two records with one key — the reason for the
+//	    one-outstanding-reference-per-location rule: a returning reply
+//	    names the record to decombine by that key alone.
+func (h *harness) checkConservation() {
+	h.t.Helper()
+	n := h.net
+	owed := 0
+	for i := range n.fwd {
+		f, r := &n.fwd[i], &n.rev[i]
+		owed += f.q.len() + r.q.len() + r.wb.len()
+		if f.active && !f.delivered {
+			owed++
+		}
+		if r.active && !r.delivered {
+			owed++
+		}
+		for a, rec := range r.wb.recs {
+			for _, other := range r.wb.recs[:a] {
+				if other.key == rec.key {
+					h.t.Fatalf("cycle %d: wait buffer %d holds two records keyed %d", h.cycle, i, rec.key)
+				}
+			}
+		}
+	}
+	for i := range n.mmIn {
+		owed += n.mmIn[i].len() + len(n.peRecv[i])
+	}
+	for _, d := range n.revDefer {
+		if d.valid {
+			owed++
+		}
+	}
+	for _, p := range h.pending {
+		if p != nil {
+			owed++
+		}
+	}
+	st := n.Stats()
+	if want := int(st.Injected.Value() - st.RepliesDelivered.Value()); owed != want {
+		h.t.Fatalf("cycle %d: %d replies owed by what the network holds, %d by the counters (injected %d, delivered %d)",
+			h.cycle, owed, want, st.Injected.Value(), st.RepliesDelivered.Value())
 	}
 }
 
@@ -160,42 +197,74 @@ func TestActivityTwoCopiesFailCopy(t *testing.T) {
 
 // TestSweepVisitsExactlyFlaggedUnits checks the word-at-a-time scan
 // against the obvious one for unit widths that do and do not divide
-// eight, over ranges that start and end off a word boundary.
+// eight, over ranges that start and end off a word boundary. The sweep
+// pumps what it visits, so every place it could visit is loaded with one
+// traced message — a link's queue, a unit's deferred register — and only
+// the pattern is flagged: a visit then shows as the event of that message
+// entering service (or leaving the register), whatever the flag said, and
+// the events come out in visiting order.
 func TestSweepVisitsExactlyFlaggedUnits(t *testing.T) {
-	for _, per := range []int{1, 2, 3, 4, 5, 8, 9, 16} {
+	for _, tc := range []struct {
+		kind phaseKind
+		cfg  Config // every shape has at least 41 units
+	}{
+		{phDeferred, Config{K: 2, Stages: 5, Copies: 3}}, // width 1
+		{phForward, Config{K: 2, Stages: 5, Copies: 3}},
+		{phReverse, Config{K: 3, Stages: 3, Copies: 5}},
+		{phForward, Config{K: 4, Stages: 3, Copies: 3}},
+		{phReverse, Config{K: 5, Stages: 2, Copies: 9}},
+		{phForward, Config{K: 8, Stages: 2, Copies: 6}},
+		{phReverse, Config{K: 9, Stages: 2, Copies: 5}},
+		{phForward, Config{K: 16, Stages: 2, Copies: 3}},
+	} {
 		const units = 41
-		flags := make([]uint8, units*per)
-		for i := range flags {
-			if i%7 == 3 || i%29 == 0 {
-				flags[i] = 1
-			}
-		}
-		// A long idle stretch in the middle.
-		for i := 10 * per; i < 30*per; i++ {
-			flags[i] = 0
-		}
-		var got []int
-		st := &Stepper{group: units, phaseFlags: flags, phasePer: per}
-		st.phaseRun = func(ci, sw int, _ *sink) { got = append(got, ci*units+sw) }
 		for _, r := range [][2]int{{0, units}, {3, 38}, {12, 13}, {5, 5}} {
-			got = got[:0]
-			st.sweep(r[0], r[1], &sink{})
-			var want []int
-			for u := r[0]; u < r[1]; u++ {
-				for _, f := range flags[u*per : (u+1)*per] {
-					if f != 0 {
-						want = append(want, u)
-						break
+			n := New(tc.cfg)
+			rec := obs.NewRecorder(1 << 12)
+			n.SetTracer(rec)
+			st := NewStepper(n, nil)
+			lines, per, stage := n.topo.lines, tc.cfg.K, 1
+			var flags []uint8
+			switch tc.kind {
+			case phForward: // the links out of stage 0
+				flags, stage = n.act.fwd[lines:2*lines], 0
+				for p := range flags {
+					id := uint64(p + 1)
+					n.fwd[lines+p].q.push(&msg.Request{ID: id, TC: msg.TraceCtx{ID: id}})
+				}
+			case phReverse: // the links out of stage 1
+				flags = n.act.rev[lines : 2*lines]
+				for p := range flags {
+					id := uint64(p + 1)
+					n.rev[lines+p].q.push(&msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}})
+				}
+			case phDeferred: // the units' stage-0 registers
+				flags, per = n.act.deferred, 1
+				for u := range flags {
+					id := uint64(u + 1)
+					n.revDefer[u*n.topo.stages] = deferredReply{
+						rep: msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}}, at: n.revAt(0, u*tc.cfg.K), valid: true,
 					}
 				}
 			}
-			if len(got) != len(want) {
-				t.Fatalf("per=%d range %v: visited %v, want %v", per, r, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("per=%d range %v: visited %v, want %v", per, r, got, want)
+			flags = flags[:units*per] // a load past the last shard's end panics
+			var want, got []int
+			for i := range flags {
+				// A long idle stretch in the middle.
+				if (i%7 == 3 || i%29 == 0) && (i < 10*per || i >= 30*per) {
+					flags[i] = 1
+					if i >= r[0]*per && i < r[1]*per {
+						want = append(want, i)
+					}
 				}
+			}
+			st.phKind, st.phStage, st.phaseFlags, st.phasePer = tc.kind, stage, flags, per
+			st.sweep(r[0], r[1], &st.ports[0])
+			for _, ev := range rec.Events() {
+				got = append(got, int(ev.ID)-1)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("kind %d width %d range %v: visited %v, want %v", tc.kind, per, r, got, want)
 			}
 		}
 	}

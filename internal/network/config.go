@@ -114,36 +114,48 @@ func (c Config) Ports() int {
 	return n
 }
 
-// topology holds the derived routing constants of one Omega copy.
+// topology holds the derived routing constants and the wiring tables of
+// one network: copies identical Omega networks laid end to end, copy ci
+// on lines [ci·n, ci·n+n). It is built once per Network and shared by
+// pointer; a hop is then a table lookup and one division by a tabulated
+// divisor instead of five divisions by run-time values.
 type topology struct {
 	k, stages, n int
-	group        int // n/k: switches per stage, also the shuffle modulus
+	group        int // n/k: switches per stage per copy, also the shuffle modulus
+	lines        int // copies·n: the length of every per-stage array
+	// shuf is the perfect k-shuffle over all lines (it never leaves a
+	// copy) and unshuf its inverse.
+	shuf, unshuf []int32
+	div          []int32 // [s] = k^(stages−1−s), the weight of stage s's routing digit
 }
 
-func newTopology(k, stages int) topology {
-	n := 1
-	for i := 0; i < stages; i++ {
-		n *= k
+func newTopology(k, stages, copies int) *topology {
+	n := Config{K: k, Stages: stages}.Ports()
+	t := &topology{k: k, stages: stages, n: n, group: n / k, lines: copies * n, div: make([]int32, stages)}
+	tab := make([]int32, 2*t.lines)
+	t.shuf, t.unshuf = tab[:t.lines:t.lines], tab[t.lines:]
+	for base := 0; base < t.lines; base += n {
+		for l := 0; l < n; l++ {
+			s := base + (l%t.group)*k + l/t.group
+			t.shuf[base+l], t.unshuf[s] = int32(s), int32(base+l)
+		}
 	}
-	return topology{k: k, stages: stages, n: n, group: n / k}
+	for s, d := stages-1, 1; s >= 0; s, d = s-1, d*k {
+		t.div[s] = int32(d)
+	}
+	return t
 }
 
 // digit extracts the stage-s routing digit of x: the base-k digits of x
 // are consumed most significant first, one per stage (destination-tag
 // routing; paper §3.1.1 with its bit numbering reversed to 0-indexed
 // stages counted from the PE side).
-func (t topology) digit(x, s int) int {
-	div := 1
-	for i := 0; i < t.stages-1-s; i++ {
-		div *= t.k
-	}
-	return (x / div) % t.k
-}
+func (t *topology) digit(x, s int) int { return x / int(t.div[s]) % t.k }
 
 // shuffle is the perfect k-shuffle applied to line numbers before every
 // stage: a left rotation of the base-k representation.
-func (t topology) shuffle(l int) int { return (l%t.group)*t.k + l/t.group }
+func (t *topology) shuffle(l int) int { return int(t.shuf[l]) }
 
 // unshuffle is the inverse permutation, used by the reverse (MM-to-PE)
 // path to retrace wires.
-func (t topology) unshuffle(l int) int { return (l%t.k)*t.group + l/t.k }
+func (t *topology) unshuffle(l int) int { return int(t.unshuf[l]) }

@@ -41,12 +41,13 @@ func (s *Stats) observeRT(lat int64) {
 	}
 }
 
-// atStage returns the combine counter of a stage, growing the slice to it.
-func (s *Stats) atStage(stage int) *int64 {
+// addAtStage adds c to the combine counter of a stage, growing the slice
+// to it.
+func (s *Stats) addAtStage(stage int, c int64) {
 	for len(s.perStageCombines) <= stage {
 		s.perStageCombines = append(s.perStageCombines, 0)
 	}
-	return &s.perStageCombines[stage]
+	s.perStageCombines[stage] += c
 }
 
 // CombinesPerStage reports combinations by switch stage (stage 0 is
@@ -71,7 +72,7 @@ func (s *Stats) takeCombines(d *Stats) {
 	take(&s.Decombines, &d.Decombines)
 	for stage, c := range d.perStageCombines {
 		if c != 0 {
-			*s.atStage(stage) += c
+			s.addAtStage(stage, c)
 			d.perStageCombines[stage] = 0
 		}
 	}
@@ -85,9 +86,27 @@ func (s *Stats) takeCombines(d *Stats) {
 // Request IDs must be unique among in-flight requests; the PNI layer in
 // internal/pe guarantees this, as do the trace generators.
 type Network struct {
-	cfg    Config
-	copies []*copyNet
-	next   []int // per-PE round-robin copy index
+	cfg  Config
+	topo *topology // shape and wiring tables; topo.n is Ports(), computed once
+	next []int     // per-PE round-robin copy index
+
+	// Link state: one record per link and direction, queue and server
+	// side by side, all copies laid end to end within a stage and stored
+	// by position (see fwdAt, revAt), so that act.fwd[i] / act.rev[i] is
+	// the activity flag of fwd[i] / rev[i] and unit u's k links in a phase
+	// are records [u·k, u·k+k) of the phase's stage.
+	fwd []fwdLink // [(s+1)·lines+p]: out of stage s; s == -1: the PNI links
+	rev []revLink // [s·lines+p]: out of stage s toward the PEs; s == stages: the MNI links
+	// Per-port buffers at the two ends, copy ci's at [ci·N, ci·N+N).
+	mmIn   []reqQueue    // [mm] fully assembled requests awaiting the MM
+	peRecv [][]msg.Reply // [pe] fully assembled replies for the PE
+	// revDefer holds, per switch ([u·stages+s]), the second reply
+	// synthesized by a decombination when its ToPE queue lacked space that
+	// cycle (a one-entry register in the hardware). While occupied, the
+	// switch refuses further incoming replies so the register cannot be
+	// overrun; it drains as the ToPE queues empty toward the PEs.
+	revDefer []deferredReply
+
 	// inflight tracks every in-flight request, sharded by the issuing
 	// PE (request IDs are unique per PE; the PNI layer and the trace
 	// generators both key IDs as pe<<32|seq). Entries are created at
@@ -106,7 +125,7 @@ type Network struct {
 	dead     []bool // fail-stopped copies (no new requests)
 	// act holds the activity flags of every copy's links, MM arrival
 	// queues and PE receive buffers (see activity).
-	act   *activity
+	act   activity
 	stats Stats
 	// fan delivers every event of the network, and of the PEs it carries
 	// traffic for, to the attached consumers (SetProbe, SetTracer,
@@ -148,21 +167,37 @@ func New(cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	t := newTopology(cfg.K, cfg.Stages, cfg.Copies)
 	n := &Network{
-		cfg:      cfg,
-		next:     make([]int, cfg.Ports()),
-		inflight: make([]map[uint64]inflightReq, cfg.Ports()),
+		cfg:        cfg,
+		topo:       t,
+		next:       make([]int, t.n),
+		inflight:   make([]map[uint64]inflightReq, t.n),
+		fwd:        make([]fwdLink, (t.stages+1)*t.lines),
+		rev:        make([]revLink, (t.stages+1)*t.lines),
+		mmIn:       make([]reqQueue, t.lines),
+		peRecv:     make([][]msg.Reply, t.lines),
+		revDefer:   make([]deferredReply, t.lines/t.k*t.stages),
+		act:        newActivity(t),
+		dead:       make([]bool, cfg.Copies),
+		collectBuf: make([][]msg.Reply, t.n),
 	}
 	for i := range n.inflight {
 		n.inflight[i] = make(map[uint64]inflightReq)
 	}
 	n.stats.RoundTripHist = sim.NewHistogram(2048)
-	n.act = newActivity(cfg.Copies, newTopology(cfg.K, cfg.Stages))
-	for i := 0; i < cfg.Copies; i++ {
-		n.copies = append(n.copies, newCopyNet(cfg, n.act, i))
+	// Only the capacities are set here: the queues' and wait buffers'
+	// backing arrays grow on first use, so an idle link costs no memory
+	// beyond its record.
+	for i := range n.fwd {
+		n.fwd[i].q.cap = cfg.QueueCapacity
+		n.rev[i].q.cap = cfg.QueueCapacity
+		n.rev[i].wb.cap = cfg.WaitBufferCapacity
 	}
-	n.dead = make([]bool, cfg.Copies)
-	n.collectBuf = make([][]msg.Reply, cfg.Ports())
+	for i := 0; i < t.lines; i++ {
+		n.fwd[i].q.cap = cfg.PNIQueueCapacity // the PNI links come first
+		n.mmIn[i].cap = cfg.QueueCapacity
+	}
 	return n
 }
 
@@ -193,7 +228,7 @@ func (n *Network) AliveCopies() int {
 func (n *Network) Config() Config { return n.cfg }
 
 // Ports reports N, the number of PE and MM ports.
-func (n *Network) Ports() int { return n.cfg.Ports() }
+func (n *Network) Ports() int { return n.topo.n }
 
 // Stats exposes the accumulated statistics.
 func (n *Network) Stats() *Stats { return &n.stats }
@@ -202,22 +237,22 @@ func (n *Network) Stats() *Stats { return &n.stats }
 // must equal pe: the reply path and the in-flight bookkeeping are both
 // keyed by the request's PE field.
 func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
-	if pe < 0 || pe >= n.Ports() {
-		panic(fmt.Sprintf("network: Inject at PE %d of %d", pe, n.Ports()))
+	ports := n.topo.n
+	if pe < 0 || pe >= ports {
+		panic(fmt.Sprintf("network: Inject at PE %d of %d", pe, ports))
 	}
 	if r.PE != pe {
 		panic(fmt.Sprintf("network: Inject at PE %d of request from PE %d", pe, r.PE))
 	}
-	for i := 0; i < len(n.copies); i++ {
-		ci := (n.next[pe] + i) % len(n.copies)
+	for i := 0; i < len(n.dead); i++ {
+		ci := (n.next[pe] + i) % len(n.dead)
 		if n.dead[ci] {
 			continue
 		}
-		c := n.copies[ci]
-		if c.pniQ[pe].spaceFor(r.Packets()) {
-			c.pniQ[pe].push(r)
-			c.markFwd(-1, pe)
-			n.next[pe] = (ci + 1) % len(n.copies)
+		at := n.fwdAt(-1, ci*ports+pe)
+		if n.fwd[at].q.spaceFor(r.Packets()) {
+			n.pushFwd(at, &r)
+			n.next[pe] = (ci + 1) % len(n.dead)
 			//ultravet:ok sharecheck n.inflight[pe] belongs to the worker owning PE pe (see the field doc)
 			n.inflight[pe][r.ID] = inflightReq{copy: ci, issued: cycle}
 			sk.stats.Injected.Inc()
@@ -237,22 +272,22 @@ func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
 // mmDequeue is Stepper.MMDequeue, searching the copies in order and
 // counting into the port's sink. It clears a copy's arrival flag when it
 // takes that copy's last request.
-func (n *Network) mmDequeue(mm int, sk *sink) (msg.Request, bool) {
-	for _, c := range n.copies {
-		if n.act.mm[c.base+mm] == 0 {
+func (n *Network) mmDequeue(mm int, sk *sink) (r msg.Request, ok bool) {
+	for i := mm; i < len(n.mmIn); i += n.topo.n {
+		if n.act.mm[i] == 0 {
 			continue
 		}
-		q := c.mmIn[mm]
-		r, ok := q.pop()
+		q := &n.mmIn[i]
+		ok = q.pop(&r)
 		if q.empty() {
-			n.act.mm[c.base+mm] = 0
+			n.act.mm[i] = 0
 		}
 		if ok {
 			sk.stats.DeliveredToMM.Inc()
 			return r, true
 		}
 	}
-	return msg.Request{}, false
+	return r, false
 }
 
 // MMWaiting reports whether a request may be waiting at memory module
@@ -263,8 +298,8 @@ func (n *Network) MMWaiting(mm int) bool { return n.anyCopy(n.act.mm, mm) }
 // anyCopy reports whether any copy has its flag for port set in a
 // per-port flag array.
 func (n *Network) anyCopy(flags []uint8, port int) bool {
-	for _, c := range n.copies {
-		if flags[c.base+port] != 0 {
+	for i := port; i < len(flags); i += n.topo.n {
+		if flags[i] != 0 {
 			return true
 		}
 	}
@@ -275,16 +310,22 @@ func (n *Network) anyCopy(flags []uint8, port int) bool {
 // reply returns through the copy that carried its request. It reports
 // false when that copy's MNI queue is full (the MM must retry).
 func (n *Network) MMReply(mm int, rep msg.Reply) bool {
+	ports := n.topo.n
+	if mm < 0 || mm >= ports {
+		panic(fmt.Sprintf("network: MMReply at MM %d of %d", mm, ports))
+	}
+	if rep.PE < 0 || rep.PE >= ports {
+		panic(fmt.Sprintf("network: MMReply at MM %d of reply to PE %d of %d", mm, rep.PE, ports))
+	}
 	fl, ok := n.inflight[rep.PE][rep.ID]
 	if !ok {
 		panic(fmt.Sprintf("network: MMReply for unknown request ID %d (PE %d)", rep.ID, rep.PE))
 	}
-	c := n.copies[fl.copy]
-	if !c.mmOut[mm].spaceFor(rep.Packets()) {
+	at := n.revAt(n.topo.stages, fl.copy*ports+mm)
+	if !n.rev[at].q.spaceFor(rep.Packets()) {
 		return false
 	}
-	c.mmOut[mm].push(rep)
-	c.markRev(n.cfg.Stages, mm)
+	n.pushRev(at, &rep)
 	return true
 }
 
@@ -299,12 +340,12 @@ func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
 		return nil
 	}
 	out := n.collectBuf[pe][:0]
-	for _, c := range n.copies {
-		if n.act.pe[c.base+pe] != 0 {
+	for i := pe; i < len(n.peRecv); i += n.topo.n {
+		if n.act.pe[i] != 0 {
 			//ultravet:ok hotalloc per-PE scratch reaches steady-state capacity after warmup
-			out = append(out, c.peRecv[pe]...)
-			c.peRecv[pe] = c.peRecv[pe][:0]
-			n.act.pe[c.base+pe] = 0
+			out = append(out, n.peRecv[i]...)
+			n.peRecv[i] = n.peRecv[i][:0]
+			n.act.pe[i] = 0
 		}
 	}
 	n.collectBuf[pe] = out[:0]
@@ -337,12 +378,8 @@ func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
 // forward switch queue into h — call periodically to build the
 // queue-length distribution behind the §4.1 delay analysis.
 func (n *Network) SampleQueues(h *sim.Histogram) {
-	for _, c := range n.copies {
-		for s := range c.fq {
-			for _, q := range c.fq[s] {
-				h.Observe(int64(q.occupancy()))
-			}
-		}
+	for i := n.topo.lines; i < len(n.fwd); i++ {
+		h.Observe(int64(n.fwd[i].q.occupancy()))
 	}
 }
 
@@ -351,7 +388,7 @@ func (n *Network) SampleQueues(h *sim.Histogram) {
 // nearest the PEs) and the cumulative traffic counters. Memory-side
 // fields are filled by the bank (memory.Bank.Observe).
 func (n *Network) Snapshot(cycle int64) obs.Snapshot {
-	stages := n.cfg.Stages
+	stages, lines := n.topo.stages, n.topo.lines
 	sn := obs.Snapshot{
 		Cycle:             cycle,
 		StageQueuePackets: make([]int64, stages),
@@ -360,32 +397,28 @@ func (n *Network) Snapshot(cycle int64) obs.Snapshot {
 		StageReplyOcc:     make([]float64, stages),
 	}
 	replyPackets := make([]int64, stages)
+	for s := 0; s < stages; s++ {
+		fwd, rev := n.fwd[(s+1)*lines:(s+2)*lines], n.rev[s*lines:(s+1)*lines]
+		for i := range fwd {
+			occ := int64(fwd[i].q.occupancy())
+			sn.StageQueuePackets[s] += occ
+			if occ > sn.StageQueueMax[s] {
+				sn.StageQueueMax[s] = occ
+			}
+			replyPackets[s] += int64(rev[i].q.occupancy())
+		}
+	}
+	// Every link but stage 0's into the PEs carries a wait buffer.
+	for i := lines; i < len(n.rev); i++ {
+		sn.WaitBufRecords += int64(n.rev[i].wb.len())
+	}
 	var mmWaiting int
-	for _, c := range n.copies {
-		for s := 0; s < stages; s++ {
-			for _, q := range c.fq[s] {
-				occ := int64(q.occupancy())
-				sn.StageQueuePackets[s] += occ
-				if occ > sn.StageQueueMax[s] {
-					sn.StageQueueMax[s] = occ
-				}
-			}
-			for _, q := range c.rq[s] {
-				replyPackets[s] += int64(q.occupancy())
-			}
-			for _, w := range c.wb[s] {
-				sn.WaitBufRecords += int64(w.len())
-			}
-		}
-		for _, q := range c.mmIn {
-			mmWaiting += q.len()
-		}
+	for i := range n.mmIn {
+		mmWaiting += n.mmIn[i].len()
 	}
-	if buffers := float64(len(n.copies) * stages * n.Ports()); buffers > 0 {
-		sn.WaitBufOcc = float64(sn.WaitBufRecords) / buffers
-	}
-	sn.MMPending = float64(mmWaiting) / float64(n.Ports())
-	queuesPerStage := float64(len(n.copies) * n.Ports())
+	queuesPerStage := float64(lines)
+	sn.WaitBufOcc = float64(sn.WaitBufRecords) / float64(lines*stages)
+	sn.MMPending = float64(mmWaiting) / float64(n.topo.n)
 	for s := 0; s < stages; s++ {
 		sn.StageQueueOcc[s] = float64(sn.StageQueuePackets[s]) / queuesPerStage
 		sn.StageReplyOcc[s] = float64(replyPackets[s]) / queuesPerStage
@@ -406,10 +439,24 @@ func (n *Network) Snapshot(cycle int64) obs.Snapshot {
 // network has fully drained.
 func (n *Network) InFlight() int {
 	total := 0
-	for _, c := range n.copies {
-		total += c.inFlightLocal()
-		for pe := range c.peRecv {
-			total += len(c.peRecv[pe])
+	for i := range n.fwd {
+		f, r := &n.fwd[i], &n.rev[i]
+		// Each wait record stands for one absorbed request whose reply
+		// is still owed (its partner is counted on the path).
+		total += f.q.len() + r.q.len() + r.wb.len()
+		if f.active {
+			total++
+		}
+		if r.active {
+			total++
+		}
+	}
+	for i := range n.mmIn {
+		total += n.mmIn[i].len() + len(n.peRecv[i])
+	}
+	for i := range n.revDefer {
+		if n.revDefer[i].valid {
+			total++
 		}
 	}
 	return total

@@ -27,25 +27,70 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestTopologyDigits(t *testing.T) {
-	tp := newTopology(2, 3)
+	tp := newTopology(2, 3, 1)
 	// x = 0b110 = 6: digits MSB-first are 1, 1, 0.
 	for s, want := range []int{1, 1, 0} {
 		if got := tp.digit(6, s); got != want {
 			t.Errorf("digit(6, %d) = %d, want %d", s, got, want)
 		}
 	}
-	tp4 := newTopology(4, 3)
+	tp4 := newTopology(4, 3, 1)
 	// x = 0o123 base 4 = 1*16+2*4+3 = 27: digits 1, 2, 3.
 	for s, want := range []int{1, 2, 3} {
 		if got := tp4.digit(27, s); got != want {
 			t.Errorf("base-4 digit(27, %d) = %d, want %d", s, got, want)
 		}
 	}
+	tp3 := newTopology(3, 4, 1)
+	// x = 2*27+0*9+1*3+2 = 59: base-3 digits 2, 0, 1, 2.
+	for s, want := range []int{2, 0, 1, 2} {
+		if got := tp3.digit(59, s); got != want {
+			t.Errorf("base-3 digit(59, %d) = %d, want %d", s, got, want)
+		}
+	}
+}
+
+// TestWiringTablesMatchClosedForms keeps the expressions the tables
+// replaced as their reference: the k-shuffle as a left rotation of the
+// base-k digits, its inverse, and the routing digit by repeated
+// multiplication — per copy, because a network's tables cover all its
+// copies and must never wire one into another.
+func TestWiringTablesMatchClosedForms(t *testing.T) {
+	for _, k := range []int{2, 3, 4, 8} {
+		for stages := 1; stages <= 4; stages++ {
+			const copies = 3
+			tp := newTopology(k, stages, copies)
+			if tp.lines != copies*tp.n || len(tp.shuf) != tp.lines || len(tp.unshuf) != tp.lines {
+				t.Fatalf("k=%d D=%d: %d lines, tables of %d and %d, want %d", k, stages, tp.lines, len(tp.shuf), len(tp.unshuf), copies*tp.n)
+			}
+			group := tp.n / k
+			for l := 0; l < tp.lines; l++ {
+				base, in := l/tp.n*tp.n, l%tp.n
+				if got, want := tp.shuffle(l), base+(in%group)*k+in/group; got != want {
+					t.Fatalf("k=%d D=%d: shuffle(%d) = %d, want %d", k, stages, l, got, want)
+				}
+				if got, want := tp.unshuffle(l), base+(in%k)*group+in/k; got != want {
+					t.Fatalf("k=%d D=%d: unshuffle(%d) = %d, want %d", k, stages, l, got, want)
+				}
+			}
+			for s := 0; s < stages; s++ {
+				div := 1
+				for i := 0; i < stages-1-s; i++ {
+					div *= k
+				}
+				for x := 0; x < tp.n; x++ {
+					if got, want := tp.digit(x, s), (x/div)%k; got != want {
+						t.Fatalf("k=%d D=%d: digit(%d, %d) = %d, want %d", k, stages, x, s, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestShuffleInverse(t *testing.T) {
-	for _, kd := range [][2]int{{2, 3}, {2, 5}, {4, 2}, {4, 3}, {8, 2}} {
-		tp := newTopology(kd[0], kd[1])
+	for _, kd := range [][2]int{{2, 3}, {2, 5}, {3, 2}, {3, 3}, {4, 2}, {4, 3}, {8, 2}} {
+		tp := newTopology(kd[0], kd[1], 1)
 		seen := make(map[int]bool)
 		for l := 0; l < tp.n; l++ {
 			s := tp.shuffle(l)
@@ -102,6 +147,7 @@ func (h *harness) step() {
 	}
 	h.st.FlushCollect()
 	h.checkActivity()
+	h.checkConservation()
 	h.cycle++
 }
 
@@ -160,7 +206,7 @@ func (h *harness) totalServed() int {
 // network: a load from every PE to every MM arrives and its reply returns
 // to the issuing PE, for several (k, D) shapes.
 func TestRoutingAllPairs(t *testing.T) {
-	for _, kd := range [][2]int{{2, 1}, {2, 3}, {4, 2}, {8, 1}} {
+	for _, kd := range [][2]int{{2, 1}, {2, 3}, {3, 2}, {3, 3}, {4, 2}, {8, 1}} {
 		cfg := Config{K: kd[0], Stages: kd[1], Combining: true}
 		n := cfg.Ports()
 		for p := 0; p < n; p++ {
@@ -426,12 +472,28 @@ func TestFetchAddConservation(t *testing.T) {
 	}
 }
 
+// TestMMReplyUnknownIDPanics: a reply the network cannot route is a
+// driver bug, and the panic names the argument that is wrong.
 func TestMMReplyUnknownIDPanics(t *testing.T) {
-	net := New(Config{K: 2, Stages: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MMReply with unknown ID did not panic")
-		}
-	}()
-	net.MMReply(0, msg.Reply{ID: 999})
+	for _, c := range []struct {
+		name string
+		mm   int
+		rep  msg.Reply
+		want string
+	}{
+		{"unknown ID", 0, msg.Reply{ID: 999}, "network: MMReply for unknown request ID 999 (PE 0)"},
+		{"module out of range", 2, msg.Reply{ID: 1}, "network: MMReply at MM 2 of 2"},
+		{"PE out of range", 1, msg.Reply{ID: 1, PE: -1}, "network: MMReply at MM 1 of reply to PE -1 of 2"},
+	} {
+		func() {
+			net := New(Config{K: 2, Stages: 1})
+			NewStepper(net, nil).Inject(0, msg.Request{ID: 1, Op: msg.Load}, 0)
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s: MMReply panicked with %v, want %q", c.name, got, c.want)
+				}
+			}()
+			net.MMReply(c.mm, c.rep)
+		}()
+	}
 }

@@ -31,8 +31,6 @@ type reqEntry struct {
 	combined bool // already absorbed a partner; may not combine again
 }
 
-func newReqQueue(capPackets int) *reqQueue { return &reqQueue{cap: capPackets} }
-
 // spaceFor reports whether pk more packets fit.
 func (q *reqQueue) spaceFor(pk int) bool { return q.packets+pk <= q.cap }
 
@@ -45,35 +43,36 @@ func (q *reqQueue) len() int { return len(q.entries) - q.head }
 // occupancy reports the queue occupancy in packets.
 func (q *reqQueue) occupancy() int { return q.packets }
 
-// push appends a request. The caller must have checked spaceFor.
-func (q *reqQueue) push(r msg.Request) {
+// push appends a copy of *r. The caller must have checked spaceFor.
+func (q *reqQueue) push(r *msg.Request) {
 	if q.head > 0 && len(q.entries) == cap(q.entries) {
 		n := copy(q.entries, q.entries[q.head:])
 		q.entries = q.entries[:n]
 		q.head = 0
 	}
-	q.entries = append(q.entries, reqEntry{req: r})
+	q.entries = append(q.entries, reqEntry{req: *r})
 	q.packets += r.Packets()
 }
 
-// pop removes and returns the head request.
-func (q *reqQueue) pop() (msg.Request, bool) {
+// pop moves the head request into *into; it reports false, leaving *into
+// alone, when the queue is empty.
+func (q *reqQueue) pop(into *msg.Request) bool {
 	if q.head == len(q.entries) {
-		return msg.Request{}, false
+		return false
 	}
-	e := q.entries[q.head]
+	*into = q.entries[q.head].req
 	q.head++
 	if q.head == len(q.entries) {
 		q.head = 0
 		q.entries = q.entries[:0]
 	}
-	q.packets -= e.req.Packets()
-	return e.req, true
+	q.packets -= into.Packets()
+	return true
 }
 
 // findCombinable returns the index of a queued entry that can absorb r
 // (same memory word, compatible operations, not yet combined), or -1.
-func (q *reqQueue) findCombinable(r msg.Request) int {
+func (q *reqQueue) findCombinable(r *msg.Request) int {
 	for i := q.head; i < len(q.entries); i++ {
 		e := &q.entries[i]
 		if e.combined || e.req.Addr != r.Addr {
@@ -120,35 +119,33 @@ type repQueue struct {
 	cap     int
 }
 
-func newRepQueue(capPackets int) *repQueue { return &repQueue{cap: capPackets} }
-
 func (q *repQueue) spaceFor(pk int) bool { return q.packets+pk <= q.cap }
 func (q *repQueue) empty() bool          { return q.head == len(q.entries) }
 func (q *repQueue) len() int             { return len(q.entries) - q.head }
 func (q *repQueue) occupancy() int       { return q.packets }
 
-func (q *repQueue) push(r msg.Reply) {
+func (q *repQueue) push(r *msg.Reply) {
 	if q.head > 0 && len(q.entries) == cap(q.entries) {
 		n := copy(q.entries, q.entries[q.head:])
 		q.entries = q.entries[:n]
 		q.head = 0
 	}
-	q.entries = append(q.entries, r)
+	q.entries = append(q.entries, *r)
 	q.packets += r.Packets()
 }
 
-func (q *repQueue) pop() (msg.Reply, bool) {
+func (q *repQueue) pop(into *msg.Reply) bool {
 	if q.head == len(q.entries) {
-		return msg.Reply{}, false
+		return false
 	}
-	r := q.entries[q.head]
+	*into = q.entries[q.head]
 	q.head++
 	if q.head == len(q.entries) {
 		q.head = 0
 		q.entries = q.entries[:0]
 	}
-	q.packets -= r.Packets()
-	return r, true
+	q.packets -= into.Packets()
+	return true
 }
 
 // side identifies one of the two original requests recorded in a wait
@@ -178,8 +175,6 @@ type waitBuffer struct {
 	cap  int
 }
 
-func newWaitBuffer(capRecs int) *waitBuffer { return &waitBuffer{cap: capRecs} }
-
 // hasSpace reports whether another record fits.
 func (w *waitBuffer) hasSpace() bool { return len(w.recs) < w.cap }
 
@@ -189,26 +184,17 @@ func (w *waitBuffer) len() int { return len(w.recs) }
 // add inserts a record. The caller must have checked hasSpace.
 func (w *waitBuffer) add(r waitRec) { w.recs = append(w.recs, r) }
 
-// take removes and returns the record keyed by id, if any. At most one
+// find returns the index of the record keyed by id, or -1. At most one
 // record can match: request IDs are unique among in-flight messages and
 // each queued request combines at most once per switch.
-func (w *waitBuffer) take(id uint64) (waitRec, bool) {
+func (w *waitBuffer) find(id uint64) int {
 	for i := range w.recs {
 		if w.recs[i].key == id {
-			r := w.recs[i]
-			w.recs = append(w.recs[:i], w.recs[i+1:]...)
-			return r, true
+			return i
 		}
 	}
-	return waitRec{}, false
+	return -1
 }
 
-// peek reports whether a record keyed by id exists without removing it.
-func (w *waitBuffer) peek(id uint64) (waitRec, bool) {
-	for i := range w.recs {
-		if w.recs[i].key == id {
-			return w.recs[i], true
-		}
-	}
-	return waitRec{}, false
-}
+// remove deletes record i, keeping the others in order.
+func (w *waitBuffer) remove(i int) { w.recs = append(w.recs[:i], w.recs[i+1:]...) }

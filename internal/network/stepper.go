@@ -44,8 +44,7 @@ type Stepper struct {
 	eng engine.Engine
 	par bool
 
-	group int // switches per stage per copy
-	units int // copies × group
+	units int // copies × switches per stage
 
 	// ports holds the sink of port i's PE-side and MM-side phases at
 	// i&portMask: a serial engine has one for all (portMask 0), a
@@ -60,28 +59,29 @@ type Stepper struct {
 	peEvents  []obs.EventBuffer // per PE (collect + tick phases)
 	rtBuf     [][]int64         // per-PE round-trip latencies
 
-	// Phase bodies are hoisted here so Step allocates nothing: each
-	// closure is built once in NewStepper and reads its per-cycle inputs
-	// from phCycle/phStage, set by the coordinator between barriers.
-	// phStage is the stage whose links the phase pumps: -1 for the PNI
-	// links on the forward path, Stages for the MNI links on the reverse.
+	// The phase in progress, set by the coordinator between barriers so
+	// that driving a cycle allocates nothing: what a flagged position
+	// means (phKind), the cycle, the stage whose links it pumps (-1 for
+	// the PNI links on the forward path, Stages for the MNI links on the
+	// reverse), the flags that say which positions have work and how many
+	// of them belong to each unit. phaseBody is the one shard body handed
+	// to the engine, built once in NewStepper.
+	phKind     phaseKind
 	phCycle    int64
 	phStage    int
-	phFwd      unitFunc
-	phDeferred unitFunc
-	phRev      unitFunc
-
-	// phase()'s own shard body and its inputs, hoisted the same way:
-	// the unit body, the flag array that says which units have work and
-	// how many of its bytes belong to each unit.
-	phaseRun   unitFunc
 	phaseFlags []uint8
 	phasePer   int
 	phaseBody  func(lo, hi, w int)
 }
 
-// unitFunc is the body of one phase for one (copy, switch) unit.
-type unitFunc func(ci, sw int, sk *sink)
+// phaseKind says what sweep does at a flagged position.
+type phaseKind uint8
+
+const (
+	phForward  phaseKind = iota // pumpRequest the link
+	phDeferred                  // flushDeferred the unit
+	phReverse                   // pumpReply the link
+)
 
 // NewStepper builds a stepper for n driven by eng (nil means the serial
 // engine). The network's consumers must be attached before the first
@@ -90,15 +90,16 @@ func NewStepper(n *Network, eng engine.Engine) *Stepper {
 	if eng == nil {
 		eng = engine.Serial{}
 	}
-	t := newTopology(n.cfg.K, n.cfg.Stages)
 	st := &Stepper{
 		n:     n,
 		eng:   eng,
 		par:   eng.Workers() > 0,
-		group: t.group,
-		units: len(n.copies) * t.group,
+		units: n.topo.lines / n.topo.k,
 	}
-	st.buildPhases(t)
+	st.phaseBody = func(lo, hi, w int) {
+		sk := sink{stats: &st.wstats[w], subs: st.n.fan.Subs()}
+		st.sweep(lo, hi, &sk)
+	}
 	st.ports = []sink{{stats: &n.stats, subs: n.fan.Subs(), out: &n.fan}}
 	if st.par {
 		ports := n.Ports()
@@ -115,79 +116,54 @@ func NewStepper(n *Network, eng engine.Engine) *Stepper {
 	return st
 }
 
-// buildPhases constructs every phase closure once. The bodies read the
-// cycle and the stage index from phCycle/phStage, which the Step
-// coordinator sets between engine barriers, so driving a cycle allocates
-// nothing. A unit's k flags sit side by side in the phase's flag array
-// at its switch's slots; the flag at slot p stands for line
-// fwdLine/revLine(p), ascending with p. A pump that leaves its server
-// inactive found the queue empty, so the unit — the link's owner in this
-// phase — clears the flag.
-func (st *Stepper) buildPhases(t topology) {
-	st.phFwd = func(ci, sw int, sk *sink) {
-		c, s := st.n.copies[ci], st.phStage
-		flags := st.phaseFlags[c.base:]
-		for p := sw * t.k; p < (sw+1)*t.k; p++ {
-			if flags[p] != 0 && !c.pumpRequest(st.phCycle, s, t.fwdLine(s, p), sk) {
-				flags[p] = 0
-			}
-		}
-	}
-	st.phDeferred = func(ci, sw int, sk *sink) {
-		st.n.copies[ci].flushDeferredSwitch(sw, st.phCycle, sk)
-	}
-	st.phRev = func(ci, sw int, sk *sink) {
-		c, s := st.n.copies[ci], st.phStage
-		flags := st.phaseFlags[c.base:]
-		for p := sw * t.k; p < (sw+1)*t.k; p++ {
-			if flags[p] != 0 && !c.pumpReply(st.phCycle, s, t.revLine(s, p), sk) {
-				flags[p] = 0
-			}
-		}
-	}
-	st.phaseBody = func(lo, hi, w int) {
-		sk := sink{stats: &st.wstats[w], subs: st.n.fan.Subs()}
-		st.sweep(lo, hi, &sk)
-	}
-}
-
-// sweep runs the current phase over the units in [lo, hi) that have a
-// non-zero byte among their phasePer flags, in ascending unit order.
-// Idle stretches are skipped eight flags per 64-bit load; the loads stay
-// inside the caller's own units, which under a parallel engine are the
-// only flags no other worker writes during the phase.
+// sweep runs the current phase over the units in [lo, hi), in ascending
+// unit order and ascending position within a unit: unit u's phasePer
+// flags sit side by side at [u·phasePer, (u+1)·phasePer) of phaseFlags,
+// flag p of a link phase is the link record at position p of the stage
+// (see activity), and u is the switch that link feeds. A pump that leaves
+// its server inactive found the queue empty, so the unit — the link's
+// owner in this phase — clears the flag. Idle stretches are skipped eight
+// flags per 64-bit load; the loads stay inside the caller's own units,
+// which under a parallel engine are the only flags no other worker writes
+// during the phase.
 func (st *Stepper) sweep(lo, hi int, sk *sink) {
-	flags, per := st.phaseFlags, st.phasePer
-	stride := 8 / per // whole units one 64-bit load covers; 0 for wider units
-	ci := lo / st.group
-	for u, end := lo, hi*per; u < hi; u++ {
-		i := u * per
-		// The tight loop: a large, lightly loaded machine spends its
-		// network time here.
-		for stride > 0 && i+8 <= end && binary.LittleEndian.Uint64(flags[i:]) == 0 {
-			u += stride
-			i += stride * per
-		}
-		if u >= hi || !anySet(flags[i:i+per]) {
-			continue
-		}
-		if st.par {
+	n, kind, cycle, s := st.n, st.phKind, st.phCycle, st.phStage
+	flags, per, par := st.phaseFlags, st.phasePer, st.par
+	for u := skipIdle(flags, per, lo, hi); u < hi; u = skipIdle(flags, per, u+1, hi) {
+		if par {
 			sk.out = &st.swEvents[u]
 		}
-		for u >= (ci+1)*st.group {
-			ci++
+		for p := u * per; p < (u+1)*per; p++ {
+			if flags[p] == 0 {
+				continue
+			}
+			switch kind {
+			case phForward:
+				if !n.pumpRequest(cycle, s, u, p, sk) {
+					flags[p] = 0
+				}
+			case phReverse:
+				if !n.pumpReply(cycle, s, u, p, sk) {
+					flags[p] = 0
+				}
+			case phDeferred:
+				n.flushDeferred(u, cycle, sk)
+			}
 		}
-		st.phaseRun(ci, u-ci*st.group, sk)
 	}
 }
 
-func anySet(flags []uint8) bool {
-	for _, f := range flags {
-		if f != 0 {
-			return true
+// skipIdle returns the first unit in [u, hi] that it cannot rule out with
+// whole 64-bit loads — eight flags at a time while they are all clear and
+// all inside [u·per, hi·per). This is the tight loop: a large, lightly
+// loaded machine spends its network time here.
+func skipIdle(flags []uint8, per, u, hi int) int {
+	if stride := 8 / per; stride > 0 { // whole units one load covers; 0 for wider units
+		for i, end := u*per, hi*per; i+8 <= end && binary.LittleEndian.Uint64(flags[i:]) == 0; i += stride * per {
+			u += stride
 		}
 	}
-	return false
+	return u
 }
 
 // Parallel reports whether a real worker pool is attached (observability
@@ -195,10 +171,10 @@ func anySet(flags []uint8) bool {
 func (st *Stepper) Parallel() bool { return st.par }
 
 // phase runs one network movement phase over the (copy, switch) units
-// that flags — per bytes to a unit — marks active. run must only touch
-// state owned by its unit.
-func (st *Stepper) phase(run unitFunc, flags []uint8, per int) {
-	st.phaseRun, st.phaseFlags, st.phasePer = run, flags, per
+// that flags — per bytes to a unit — marks active. A unit's work must
+// only touch state it owns in that phase.
+func (st *Stepper) phase(kind phaseKind, stage int, flags []uint8, per int) {
+	st.phKind, st.phStage, st.phaseFlags, st.phasePer = kind, stage, flags, per
 	if !st.par {
 		st.sweep(0, st.units, &st.ports[0])
 		return
@@ -228,19 +204,16 @@ func (st *Stepper) drain(bufs []obs.EventBuffer) {
 // stage per cycle, while the ready-at-start+1 rule in the pumps bounds
 // every message to at most one hop per cycle.
 func (st *Stepper) Step(cycle int64) {
-	stages, k := st.n.cfg.Stages, st.n.cfg.K
-	act := st.n.act
+	t, act := st.n.topo, &st.n.act
 	st.phCycle = cycle
 
-	for s := -1; s < stages; s++ {
-		st.phStage = s
-		st.phase(st.phFwd, act.fwd[s+1], k)
+	for s := -1; s < t.stages; s++ {
+		st.phase(phForward, s, act.fwd[(s+1)*t.lines:(s+2)*t.lines], t.k)
 	}
 
-	st.phase(st.phDeferred, act.deferred, 1)
-	for s := stages; s >= 0; s-- {
-		st.phStage = s
-		st.phase(st.phRev, act.rev[s], k)
+	st.phase(phDeferred, 0, act.deferred, 1)
+	for s := t.stages; s >= 0; s-- {
+		st.phase(phReverse, s, act.rev[s*t.lines:(s+1)*t.lines], t.k)
 	}
 
 	for w := range st.wstats {

@@ -12,7 +12,7 @@ import (
 // and the destination of each output, plus the unique PE→MM path for a
 // sample pair.
 func DescribeTopology(k, stages int) string {
-	t := newTopology(k, stages)
+	t := newTopology(k, stages, 1)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Omega network: %d PEs -> %d stages of %d %dx%d switches -> %d MMs\n",
 		t.n, stages, t.group, k, k, t.n)
@@ -60,7 +60,7 @@ func DescribeTopology(k, stages int) string {
 }
 
 // stageInputs lists what feeds each input port of switch sw at stage s.
-func stageInputs(t topology, s, sw int) []string {
+func stageInputs(t *topology, s, sw int) []string {
 	var ins []string
 	for port := 0; port < t.k; port++ {
 		inLine := sw*t.k + port

@@ -18,14 +18,14 @@ import (
 // and the survivors complete (a round stands for one network transit
 // plus the memory access).
 type Unbuffered struct {
-	topo topology
+	topo *topology
 	rng  *sim.Rand
 }
 
 // NewUnbuffered builds a kill-on-conflict banyan with k×k switches and
 // the given stage count.
 func NewUnbuffered(k, stages int, seed uint64) *Unbuffered {
-	return &Unbuffered{topo: newTopology(k, stages), rng: sim.NewRand(seed)}
+	return &Unbuffered{topo: newTopology(k, stages, 1), rng: sim.NewRand(seed)}
 }
 
 // Ports reports N.
