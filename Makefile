@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint verify lint-mutants test race bench bench-compare bench-pairs bench-guard equivalence serve-smoke prof clean
+.PHONY: ci fmt build vet lint verify lint-mutants test race bench bench-compare bench-pairs bench-guard equivalence serve-smoke prof prof-host clean
 
 ci: fmt vet lint verify lint-mutants build race test equivalence bench-guard serve-smoke prof
 
@@ -117,6 +117,18 @@ bench-pairs:
 	done; \
 	echo "$(W) host_cost_per_cycle, parent/this change in pair order:$$pairs"; \
 	$(GO) run ./bench -compare "$$root/.bench_build/$(W).OLD.jsonl" "$$root/.bench_build/$(W).NEW.jsonl"
+
+# Where the host's time goes in one benchmark op: CPU-profile it as a
+# plain Go benchmark (bench_test.go: NetUniformOp and NetHotspotOp are
+# bench/'s net-uniform and net-hotspot ops) and print the top of the
+# profile. Every "share of a CPU profile" in EXPERIMENTS.md and ROADMAP.md
+# comes from here. Binary and profile stay under .bench_build/.
+#   make prof-host [B=NetHotspotOp]
+B ?= NetUniformOp
+prof-host:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '$(B)$$' -benchtime 200x -cpuprofile .bench_build/host.prof -o .bench_build/host.test .
+	$(GO) tool pprof -top -nodecount 25 .bench_build/host.test .bench_build/host.prof
 
 # Engine equivalence: the serial and parallel engines must produce
 # byte-identical traces, metrics, reports and final state. Run under

@@ -6,6 +6,7 @@
 package ultracomputer
 
 import (
+	"fmt"
 	"testing"
 
 	"ultracomputer/internal/analytic"
@@ -366,6 +367,53 @@ type benchPort struct {
 
 func (p benchPort) Dequeue() (msg.Request, bool) { return p.st.MMDequeue(p.mm) }
 func (p benchPort) Reply(r msg.Reply) bool       { return p.net.MMReply(p.mm, r) }
+
+// netOp is one op of the repository benchmark's net-uniform and
+// net-hotspot workloads (bench/net.go: benchNet, netWorkload and the op
+// sizes, restated here because bench/ is a main package) as a plain Go
+// benchmark, so that -cpuprofile, -memprofile and interleaved test
+// binaries work on it: k = 2, combining and hashing on, every PE offering
+// p = 0.20, 200 warm-up + 500 measured cycles through trace.Run. It also
+// reports the op's host time per hop — one message crossing one link: a
+// request crosses stages+1 links and so does its reply, and the op injects
+// at the measured window's rate throughout.
+func netOp(b *testing.B, stages int, w trace.Workload) {
+	const warmup, measure = 200, 500
+	cfg := network.Config{K: 2, Stages: stages, Copies: 1, Combining: true}
+	w.Rate, w.Hash, w.Seed = 0.20, true, 1001
+	b.ReportAllocs()
+	var r trace.Result
+	for i := 0; i < b.N; i++ {
+		r = trace.Run(cfg, w, warmup, measure)
+	}
+	if r.Served == 0 || r.RoundTrip.N() == 0 {
+		b.Fatalf("no traffic flowed: %v", r)
+	}
+	b.ReportMetric(r.RoundTrip.Value(), "rtCycles")
+	hops := float64(r.Injected) * (warmup + measure) / measure * 2 * float64(stages+1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/hops, "ns/hop")
+}
+
+// BenchmarkNetUniformOp is the Figure 7 reference point on the benchmark's
+// 64-port machine: uniform fetch-and-adds. `make prof-host` profiles it.
+func BenchmarkNetUniformOp(b *testing.B) { netOp(b, 6, trace.Workload{}) }
+
+// BenchmarkNetHotspotOp sends 10 % of the references to one word, as 50 %
+// loads, 20 % stores and 30 % fetch-and-adds (§3.1.2): combining, wait
+// buffers and decombining.
+func BenchmarkNetHotspotOp(b *testing.B) {
+	netOp(b, 6, trace.Workload{HotFraction: 0.10, HotWord: 424242, LoadFrac: 0.5, StoreFrac: 0.2})
+}
+
+// BenchmarkNetHopCost runs the uniform op on 4 to 256 ports. If the cost
+// of a hop were cache misses on the link records, ns/hop would rise with
+// the size of the machine; it does not (DESIGN.md, "Link records and
+// activity flags").
+func BenchmarkNetHopCost(b *testing.B) {
+	for stages := 2; stages <= 8; stages++ {
+		b.Run(fmt.Sprintf("stages=%d", stages), func(b *testing.B) { netOp(b, stages, trace.Workload{}) })
+	}
+}
 
 // BenchmarkParaFetchAdd measures the ideal paracomputer's fetch-and-add
 // under goroutine contention.

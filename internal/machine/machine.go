@@ -158,10 +158,7 @@ func (m *Machine) applyIdeal(peID int, r msg.Request) {
 	newVal, ret := msg.Apply(r.Op, mod.Peek(r.Addr.Word), r.Operand)
 	mod.Poke(r.Addr.Word, newVal)
 	mod.Served.Inc()
-	m.idealPending = append(m.idealPending, idealReply{
-		pe:  peID,
-		rep: msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr, Value: ret, TC: r.TC},
-	})
+	m.idealPending = append(m.idealPending, idealReply{pe: peID, rep: r.Reply(ret)})
 }
 
 // NewPrograms is a convenience constructor wrapping each Program in a

@@ -127,12 +127,16 @@ func (m *Module) Step(cycle int64, port Port) {
 		if r.Addr.MM != m.id {
 			panic(fmt.Sprintf("memory: module %d received request for MM %d", m.id, r.Addr.MM))
 		}
-		newVal, ret := msg.Apply(r.Op, m.words[r.Addr.Word], r.Operand)
+		old := m.words[r.Addr.Word]
+		newVal, ret := msg.Apply(r.Op, old, r.Operand)
 		// m.words is this module's own storage; the MM phase shards by
 		// module, and addresses are interleaved so no two modules share
-		// a word.
-		//ultravet:ok sharecheck m.words belongs to this module; the MM phase shards by module
-		m.words[r.Addr.Word] = newVal
+		// a word. A read does not write it: an absent word reads as zero,
+		// so storing an unchanged value would only grow the map.
+		if newVal != old {
+			//ultravet:ok sharecheck m.words belongs to this module; the MM phase shards by module
+			m.words[r.Addr.Word] = newVal
+		}
 		m.Served.Inc()
 		m.busy = false
 		if to := m.subs.For(obs.KindMNIServe, r.TC.Traced()); to != 0 {
@@ -142,7 +146,7 @@ func (m *Module) Step(cycle int64, port Port) {
 				Value: ret,
 			})
 		}
-		rep := msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr, Value: ret, TC: r.TC}
+		rep := r.Reply(ret)
 		if !port.Reply(rep) {
 			// Copy before taking the address, so that only a blocked
 			// reply is heap-allocated, not every reply served.

@@ -62,6 +62,44 @@ func TestModuleServesWithLatency(t *testing.T) {
 	}
 }
 
+// TestReadDoesNotWriteTheStore: an operation that leaves a word's value
+// unchanged — a load, a fetch-and-add of zero, a fetch-and-max below the
+// value — must not insert the word (an absent word reads as zero, so the
+// entry would only grow the map), while a store of zero over a non-zero
+// word must still land.
+func TestReadDoesNotWriteTheStore(t *testing.T) {
+	m := NewModule(0, 1)
+	p := &scriptPort{in: []msg.Request{
+		{ID: 1, Op: msg.Load, Addr: msg.Addr{Word: 1}},
+		{ID: 2, Op: msg.FetchAdd, Addr: msg.Addr{Word: 2}, Operand: 0},
+		{ID: 3, Op: msg.FetchMax, Addr: msg.Addr{Word: 3}, Operand: -5},
+	}}
+	step := func(replies int) {
+		t.Helper()
+		for cycle := int64(0); len(p.out) < replies; cycle++ {
+			if cycle == 100 {
+				t.Fatalf("%d replies after %d cycles, want %d", len(p.out), cycle, replies)
+			}
+			m.Step(cycle, p)
+		}
+	}
+	step(3)
+	for _, rep := range p.out {
+		if rep.Value != 0 {
+			t.Errorf("%v on a fresh module replied %d, want 0", rep.Op, rep.Value)
+		}
+	}
+	if len(m.words) != 0 {
+		t.Fatalf("three reads left %d words in the store: %v", len(m.words), m.words)
+	}
+	m.Poke(4, 7)
+	p.in = []msg.Request{{ID: 4, Op: msg.Store, Addr: msg.Addr{Word: 4}, Operand: 0}}
+	step(4)
+	if got := m.Peek(4); got != 0 {
+		t.Fatalf("word 4 = %d after a store of 0 over 7", got)
+	}
+}
+
 func TestModuleRetriesBlockedReply(t *testing.T) {
 	m := NewModule(0, 1)
 	p := &scriptPort{

@@ -101,21 +101,26 @@ func (t TraceCtx) Traced() bool { return t.ID != 0 }
 
 // Request is a PE-to-MM message. The paper transmits only a D-bit amalgam
 // of origin and destination (each stage-j switch overwrites destination
-// bit m_j with origin bit p_j); we carry both PE and Addr explicitly and
-// account for the amalgam when sizing packets.
+// bit m_j with origin bit p_j, §3.1.1), so a message is its own return
+// route and no switch or interface keeps a table per request; we carry
+// both PE and Addr explicitly and account for the amalgam when sizing
+// packets. Copy and Issued are the rest of what the way back needs: the
+// network stamps both when it accepts the request, and the reply owed to
+// it (see Reply) carries them home.
 type Request struct {
 	ID      uint64 // unique tag assigned by the issuing PNI
 	PE      int    // originating processing element
 	Op      Op
+	Copy    uint8 // network copy carrying the request; its reply returns there
 	Addr    Addr
 	Operand int64 // store datum or fetch-and-phi operand
-	Issued  int64 // cycle the PNI injected the request (latency accounting)
+	Issued  int64 // network cycle of injection (round-trip latency)
 	// TC is the causal-tracing context; zero for untraced requests.
 	TC TraceCtx
 }
 
 // Packets reports the request's length in network packets.
-func (r Request) Packets() int {
+func (r *Request) Packets() int {
 	if r.Op == Load {
 		return PacketsWithoutData
 	}
@@ -127,21 +132,31 @@ func (r Request) String() string {
 	return fmt.Sprintf("req{%d pe%d %s %s %d}", r.ID, r.PE, r.Op, r.Addr, r.Operand)
 }
 
-// Reply is an MM-to-PE message answering one Request.
+// Reply is an MM-to-PE message answering one Request. Build it with
+// Request.Reply: a reply that drops Copy returns through copy 0 whichever
+// copy carried its request.
 type Reply struct {
-	ID    uint64
-	PE    int
-	Op    Op
-	Addr  Addr
-	Value int64 // the fetched (old) value; undefined for Store
+	ID     uint64
+	PE     int
+	Op     Op
+	Copy   uint8 // the request's: the copy the reply returns through
+	Addr   Addr
+	Value  int64 // the fetched (old) value; undefined for Store
+	Issued int64 // the request's: network cycle of injection
 	// TC is the causal-tracing context carried back from the request;
 	// replies synthesized by decombining carry the side's own context.
 	TC TraceCtx
 }
 
+// Reply builds the reply owed to r, carrying value and everything of the
+// request that rides back with it.
+func (r *Request) Reply(value int64) Reply {
+	return Reply{ID: r.ID, PE: r.PE, Op: r.Op, Copy: r.Copy, Addr: r.Addr, Value: value, Issued: r.Issued, TC: r.TC}
+}
+
 // Packets reports the reply's length in network packets. Store
 // acknowledgements carry no data.
-func (r Reply) Packets() int {
+func (r *Reply) Packets() int {
 	if r.Op == Store {
 		return PacketsWithoutData
 	}

@@ -3,6 +3,7 @@ package msg
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpString(t *testing.T) {
@@ -39,20 +40,51 @@ func TestReturnsValue(t *testing.T) {
 }
 
 func TestPackets(t *testing.T) {
-	if p := (Request{Op: Load}).Packets(); p != PacketsWithoutData {
+	if p := (&Request{Op: Load}).Packets(); p != PacketsWithoutData {
 		t.Errorf("load request packets = %d, want %d", p, PacketsWithoutData)
 	}
-	if p := (Request{Op: Store}).Packets(); p != PacketsWithData {
+	if p := (&Request{Op: Store}).Packets(); p != PacketsWithData {
 		t.Errorf("store request packets = %d, want %d", p, PacketsWithData)
 	}
-	if p := (Request{Op: FetchAdd}).Packets(); p != PacketsWithData {
+	if p := (&Request{Op: FetchAdd}).Packets(); p != PacketsWithData {
 		t.Errorf("fetch-add request packets = %d, want %d", p, PacketsWithData)
 	}
-	if p := (Reply{Op: Load}).Packets(); p != PacketsWithData {
+	if p := (&Reply{Op: Load}).Packets(); p != PacketsWithData {
 		t.Errorf("load reply packets = %d, want %d", p, PacketsWithData)
 	}
-	if p := (Reply{Op: Store}).Packets(); p != PacketsWithoutData {
+	if p := (&Reply{Op: Store}).Packets(); p != PacketsWithoutData {
 		t.Errorf("store ack packets = %d, want %d", p, PacketsWithoutData)
+	}
+}
+
+// TestMessageSizes pins what a hop copies: a message crosses a link by
+// value (queue entry, then server record), so a field added to either
+// struct is paid on every hop and should be a decision, not an accident.
+// Copy sits in Op's padding; Issued is a word of its own.
+func TestMessageSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 72 {
+		t.Errorf("Request is %d bytes, want 72", got)
+	}
+	if got := unsafe.Sizeof(Reply{}); got != 72 {
+		t.Errorf("Reply is %d bytes, want 72", got)
+	}
+}
+
+// TestRequestReplyCarriesEverything: the one constructor of the reply owed
+// to a request. Every field the way back needs rides with it — a reply
+// that dropped Copy would return through copy 0 and strand its wait-buffer
+// record in the copy that carried the request.
+func TestRequestReplyCarriesEverything(t *testing.T) {
+	r := Request{
+		ID: 11, PE: 22, Op: FetchAdd, Copy: 3, Addr: Addr{MM: 44, Word: 55},
+		Operand: 66, Issued: 77, TC: TraceCtx{ID: 88, Hops: 9},
+	}
+	want := Reply{
+		ID: 11, PE: 22, Op: FetchAdd, Copy: 3, Addr: Addr{MM: 44, Word: 55},
+		Value: 99, Issued: 77, TC: TraceCtx{ID: 88, Hops: 9},
+	}
+	if got := r.Reply(99); got != want {
+		t.Fatalf("Reply(99) = %+v, want %+v", got, want)
 	}
 }
 

@@ -14,7 +14,11 @@ import (
 //	(a) flag clear ⇒ link idle, for every link, MM arrival queue and PE
 //	    receive buffer, and the deferred count of every unit equals its
 //	    valid revDefer registers;
-//	(b) the flags are tight: no more link flags are set than messages
+//	(b) a link flag f > 1 skips the link's next f − 1 pumps, so the link
+//	    must be dormant for as long: its message delivered, and the pump
+//	    that follows — at cycle + f — no later than the cycle the tail
+//	    frees the link;
+//	(c) the flags are tight: no more link flags are set than messages
 //	    could occupy links (a P-packet message holds at most P links),
 //	    and with nothing in flight every flag is clear.
 func (h *harness) checkActivity() {
@@ -28,10 +32,18 @@ func (h *harness) checkActivity() {
 			h.t.Fatalf("cycle %d: %s busy with its activity flag clear", h.cycle, what)
 		}
 	}
+	dormant := func(what string, i int, flag uint8, tail bool, free int64) {
+		if flag > 1 && !(tail && h.cycle+int64(flag) <= free) {
+			h.t.Fatalf("cycle %d: %s %d sleeps until cycle %d (flag %d): message delivered %v, link free at cycle %d",
+				h.cycle, what, i, h.cycle+int64(flag), flag, tail, free)
+		}
+	}
 	for i := range n.fwd {
 		f, r := &n.fwd[i], &n.rev[i]
 		check("forward link", act.fwd[i], !f.active && f.q.empty())
 		check("reverse link", act.rev[i], !r.active && r.q.empty())
+		dormant("forward link", i, act.fwd[i], f.active && f.delivered, f.start+int64(f.req.Packets()))
+		dormant("reverse link", i, act.rev[i], r.active && r.delivered, r.start+int64(r.rep.Packets()))
 	}
 	stages := n.topo.stages
 	for u, got := range act.deferred {
@@ -195,6 +207,53 @@ func TestActivityTwoCopiesFailCopy(t *testing.T) {
 	})
 }
 
+// TestPushOntoDormantLinkIsExact: a message pushed onto a link whose flag
+// is counting down a tail (the push stores 1, the next pump is a no-op
+// that returns the remainder) enters service, and its reply comes home, on
+// the very cycles it does when every link is pumped every cycle.
+func TestPushOntoDormantLinkIsExact(t *testing.T) {
+	for _, exhaustive := range []bool{false, true} {
+		h := newHarness(t, Config{K: 2, Stages: 2})
+		pni := h.net.fwdAt(-1, 0)
+		inject := func(id uint64) {
+			r := msg.Request{ID: id, Op: msg.FetchAdd, Addr: msg.Addr{MM: 3}, Operand: 1} // 3 packets
+			if !h.st.Inject(0, r, h.cycle) {
+				t.Fatalf("inject %d refused", id)
+			}
+		}
+		var home []int64 // the cycle each reply was collected
+		inject(1)
+		for len(home) < 2 {
+			if h.cycle == 2 {
+				// Message 1 left the queue at cycle 0 and its header moved
+				// on at cycle 1; its tail holds the link through cycle 2.
+				if got := h.net.act.fwd[pni]; !exhaustive && got != 2 {
+					t.Fatalf("PNI link flag reads %d before cycle 2, want 2", got)
+				}
+				inject(2)
+			}
+			if h.cycle == 100 {
+				t.Fatalf("exhaustive %v: %d replies after 100 cycles", exhaustive, len(home))
+			}
+			if exhaustive {
+				for i := range h.net.act.fwd {
+					h.net.act.fwd[i], h.net.act.rev[i] = 1, 1
+				}
+			}
+			h.step() // increments h.cycle
+			if ln := &h.net.fwd[pni]; ln.req.ID == 2 && ln.start != 3 {
+				t.Fatalf("exhaustive %v: message 2 entered service at cycle %d, want 3", exhaustive, ln.start)
+			}
+			for len(home) < len(h.replies) {
+				home = append(home, h.cycle-1)
+			}
+		}
+		if want := []int64{11, 14}; !slices.Equal(home, want) {
+			t.Errorf("exhaustive %v: replies collected at cycles %v, want %v", exhaustive, home, want)
+		}
+	}
+}
+
 // TestSweepVisitsExactlyFlaggedUnits checks the word-at-a-time scan
 // against the obvious one for unit widths that do and do not divide
 // eight, over ranges that start and end off a word boundary. The sweep
@@ -202,7 +261,9 @@ func TestActivityTwoCopiesFailCopy(t *testing.T) {
 // traced message — a link's queue, a unit's deferred register — and only
 // the pattern is flagged: a visit then shows as the event of that message
 // entering service (or leaving the register), whatever the flag said, and
-// the events come out in visiting order.
+// the events come out in visiting order. Part of the pattern is flagged 2:
+// on a link that is a dormant tail, to be counted down and not visited; on
+// a unit's deferred registers it is a count, to be visited like any other.
 func TestSweepVisitsExactlyFlaggedUnits(t *testing.T) {
 	for _, tc := range []struct {
 		kind phaseKind
@@ -249,13 +310,30 @@ func TestSweepVisitsExactlyFlaggedUnits(t *testing.T) {
 			}
 			flags = flags[:units*per] // a load past the last shard's end panics
 			var want, got []int
+			after := make([]uint8, len(flags)) // the flags the sweep must leave
 			for i := range flags {
 				// A long idle stretch in the middle.
-				if (i%7 == 3 || i%29 == 0) && (i < 10*per || i >= 30*per) {
+				if i >= 10*per && i < 30*per {
+					continue
+				}
+				switch {
+				case i%11 == 5:
+					flags[i] = 2
+				case i%7 == 3 || i%29 == 0:
 					flags[i] = 1
-					if i >= r[0]*per && i < r[1]*per {
-						want = append(want, i)
-					}
+				}
+				after[i] = flags[i]
+				if flags[i] == 0 || i < r[0]*per || i >= r[1]*per {
+					continue
+				}
+				switch {
+				case tc.kind == phDeferred: // visited; the flush strikes its one register off the count
+					want = append(want, i)
+					after[i]--
+				case flags[i] == 2: // counted down
+					after[i] = 1
+				default: // visited; the pump takes the message into service: pump again
+					want = append(want, i)
 				}
 			}
 			st.phKind, st.phStage, st.phaseFlags, st.phasePer = tc.kind, stage, flags, per
@@ -265,6 +343,9 @@ func TestSweepVisitsExactlyFlaggedUnits(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("kind %d width %d range %v: visited %v, want %v", tc.kind, per, r, got, want)
+			}
+			if !slices.Equal(flags, after) {
+				t.Fatalf("kind %d width %d range %v: flags left %v, want %v", tc.kind, per, r, flags, after)
 			}
 		}
 	}

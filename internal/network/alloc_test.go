@@ -55,7 +55,7 @@ func TestStepAllocBudgetUnderTraffic(t *testing.T) {
 					cell := &mem[mm*words+r.Addr.Word]
 					var ret int64
 					*cell, ret = msg.Apply(r.Op, *cell, r.Operand)
-					pending[mm] = msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr, Value: ret}
+					pending[mm] = r.Reply(ret)
 					waiting[mm] = !n.MMReply(mm, pending[mm])
 				}
 			}

@@ -13,7 +13,10 @@
 // the queues are empty" (§4.0).
 package network
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes one network configuration, in the paper's terms:
 // switch size k, number of stages D (so N = k^D ports), number of
@@ -81,8 +84,8 @@ func (c Config) Validate() error {
 	if c.Stages < 1 {
 		return fmt.Errorf("network: Stages = %d, need >= 1", c.Stages)
 	}
-	if c.Copies < 0 {
-		return fmt.Errorf("network: Copies = %d, need >= 0", c.Copies)
+	if c.Copies < 0 || c.Copies > math.MaxUint8 { // a message names its copy in one byte
+		return fmt.Errorf("network: Copies = %d, need 0..%d", c.Copies, math.MaxUint8)
 	}
 	if c.QueueCapacity != 0 && c.QueueCapacity < msgMaxPackets {
 		return fmt.Errorf("network: QueueCapacity = %d, need >= %d (one full message)", c.QueueCapacity, msgMaxPackets)

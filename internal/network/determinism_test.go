@@ -39,7 +39,6 @@ func runSeededTraffic(t *testing.T, seed uint64) ([]obs.Event, map[msg.Addr]int6
 			}
 			h.st.Inject(p, msg.Request{
 				ID: id, PE: p, Op: op, Addr: addr, Operand: int64(rng.Intn(8)),
-				Issued: h.cycle,
 			}, h.cycle)
 			id++
 		}
@@ -52,9 +51,9 @@ func runSeededTraffic(t *testing.T, seed uint64) ([]obs.Event, map[msg.Addr]int6
 // TestSeededTrafficDeterminism runs the identical seeded workload twice:
 // the probe event streams — every inject, hop, combine and delivery, in
 // order — and the final memory contents must match exactly. This is the
-// repeatability the detstate analyzer (cmd/ultravet) guards: the network
-// keeps its in-flight state in a lookup-only map precisely so no
-// iteration order can leak into behavior.
+// repeatability the detstate analyzer (cmd/ultravet) guards: no map
+// iteration order may leak into behavior (the network's cycle path holds
+// no map at all: a message carries its own way back).
 func TestSeededTrafficDeterminism(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xdecade} {
 		ev1, words1 := runSeededTraffic(t, seed)
@@ -82,11 +81,10 @@ func TestSeededTrafficDeterminism(t *testing.T) {
 	}
 }
 
-// TestCombinedRequestEntriesCleaned exercises the in-flight bookkeeping
-// under heavy combining: requests whose replies materialize by
-// decombining never pass through MMReply, and their entries must still
-// be removed when the reply is collected (the old two-map scheme leaked
-// them).
+// TestCombinedRequestEntriesCleaned exercises the owed-reply counts under
+// heavy combining: requests whose replies materialize by decombining
+// never pass through MMReply, and must still be struck off when the reply
+// is collected — after the drain nobody is owed anything.
 func TestCombinedRequestEntriesCleaned(t *testing.T) {
 	cfg := Config{K: 2, Stages: 3, Combining: true}
 	h := newHarness(t, cfg)
@@ -104,11 +102,9 @@ func TestCombinedRequestEntriesCleaned(t *testing.T) {
 	if h.net.Stats().Combines.Value() == 0 {
 		t.Fatal("hot-spot workload produced no combines")
 	}
-	leaked := 0
-	for _, m := range h.net.inflight {
-		leaked += len(m)
-	}
-	if leaked != 0 {
-		t.Fatalf("%d in-flight entries leaked after drain", leaked)
+	for pe, owed := range h.net.outstanding {
+		if owed != 0 {
+			t.Fatalf("PE %d is still owed %d replies after drain", pe, owed)
+		}
 	}
 }

@@ -107,22 +107,13 @@ type Network struct {
 	// overrun; it drains as the ToPE queues empty toward the PEs.
 	revDefer []deferredReply
 
-	// inflight tracks every in-flight request, sharded by the issuing
-	// PE (request IDs are unique per PE; the PNI layer and the trace
-	// generators both key IDs as pe<<32|seq). Entries are created at
-	// Inject and removed when the reply is Collected, so IDs whose
-	// replies materialize by decombining (and never pass through
-	// MMReply) are cleaned up too. The per-PE split means the PE-tick
-	// phase (insert), the MM phase (lookup by rep.PE) and the collect
-	// phase (delete) of a parallel cycle never touch a map another
-	// worker owns.
-	//
-	// Determinism contract: these maps are lookup-only — no method may
-	// range over them, because Go's map iteration order would leak into
-	// simulation behavior. The detstate analyzer (cmd/ultravet) rejects
-	// any map range on a Tick/Step/Route/Collect path.
-	inflight []map[uint64]inflightReq
-	dead     []bool // fail-stopped copies (no new requests)
+	// outstanding counts, per PE, the replies it is owed. A message is its
+	// own return route (msg.Request.Copy, Issued), so the network routes by
+	// no table; this is its fault detector (ID-exact matching is the PNI's
+	// job, internal/pe). Written by inject and collect, both sharded by PE;
+	// the MM phase only reads it.
+	outstanding []int32
+	dead        []bool // fail-stopped copies (no new requests)
 	// act holds the activity flags of every copy's links, MM arrival
 	// queues and PE receive buffers (see activity).
 	act   activity
@@ -136,12 +127,6 @@ type Network struct {
 	// cycle (shard-owned: the collect phase is sharded by PE). The
 	// returned slice is only valid until that PE's next Collect.
 	collectBuf [][]msg.Reply
-}
-
-// inflightReq is the bookkeeping for one in-flight request.
-type inflightReq struct {
-	copy   int   // which network copy carries it (replies must return there)
-	issued int64 // inject cycle, for round-trip latency
 }
 
 // SetProbe subscribes an event probe (the recorder) to the network's
@@ -169,21 +154,18 @@ func New(cfg Config) *Network {
 	}
 	t := newTopology(cfg.K, cfg.Stages, cfg.Copies)
 	n := &Network{
-		cfg:        cfg,
-		topo:       t,
-		next:       make([]int, t.n),
-		inflight:   make([]map[uint64]inflightReq, t.n),
-		fwd:        make([]fwdLink, (t.stages+1)*t.lines),
-		rev:        make([]revLink, (t.stages+1)*t.lines),
-		mmIn:       make([]reqQueue, t.lines),
-		peRecv:     make([][]msg.Reply, t.lines),
-		revDefer:   make([]deferredReply, t.lines/t.k*t.stages),
-		act:        newActivity(t),
-		dead:       make([]bool, cfg.Copies),
-		collectBuf: make([][]msg.Reply, t.n),
-	}
-	for i := range n.inflight {
-		n.inflight[i] = make(map[uint64]inflightReq)
+		cfg:         cfg,
+		topo:        t,
+		next:        make([]int, t.n),
+		outstanding: make([]int32, t.n),
+		fwd:         make([]fwdLink, (t.stages+1)*t.lines),
+		rev:         make([]revLink, (t.stages+1)*t.lines),
+		mmIn:        make([]reqQueue, t.lines),
+		peRecv:      make([][]msg.Reply, t.lines),
+		revDefer:    make([]deferredReply, t.lines/t.k*t.stages),
+		act:         newActivity(t),
+		dead:        make([]bool, cfg.Copies),
+		collectBuf:  make([][]msg.Reply, t.n),
 	}
 	n.stats.RoundTripHist = sim.NewHistogram(2048)
 	// Only the capacities are set here: the queues' and wait buffers'
@@ -233,9 +215,10 @@ func (n *Network) Ports() int { return n.topo.n }
 // Stats exposes the accumulated statistics.
 func (n *Network) Stats() *Stats { return &n.stats }
 
-// inject is Stepper.Inject, counting and emitting into the PE's sink. r.PE
-// must equal pe: the reply path and the in-flight bookkeeping are both
-// keyed by the request's PE field.
+// inject is Stepper.Inject, counting and emitting into the PE's sink. It
+// stamps the accepted request with its way back: the copy that carries it
+// and the cycle it entered. r.PE must equal pe: the reply is routed by the
+// request's PE field.
 func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
 	ports := n.topo.n
 	if pe < 0 || pe >= ports {
@@ -251,10 +234,10 @@ func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
 		}
 		at := n.fwdAt(-1, ci*ports+pe)
 		if n.fwd[at].q.spaceFor(r.Packets()) {
+			r.Copy, r.Issued = uint8(ci), cycle
 			n.pushFwd(at, &r)
 			n.next[pe] = (ci + 1) % len(n.dead)
-			//ultravet:ok sharecheck n.inflight[pe] belongs to the worker owning PE pe (see the field doc)
-			n.inflight[pe][r.ID] = inflightReq{copy: ci, issued: cycle}
+			n.outstanding[pe]++
 			sk.stats.Injected.Inc()
 			if to := sk.subs.For(obs.KindInject, r.TC.Traced()); to != 0 {
 				sk.out.Emit(obs.Event{
@@ -307,8 +290,9 @@ func (n *Network) anyCopy(flags []uint8, port int) bool {
 }
 
 // MMReply enqueues a reply at memory module mm's network interface. The
-// reply returns through the copy that carried its request. It reports
-// false when that copy's MNI queue is full (the MM must retry).
+// reply returns through the copy that carried its request, which it names
+// itself (build it with msg.Request.Reply). It reports false when that
+// copy's MNI queue is full (the MM must retry).
 func (n *Network) MMReply(mm int, rep msg.Reply) bool {
 	ports := n.topo.n
 	if mm < 0 || mm >= ports {
@@ -317,11 +301,13 @@ func (n *Network) MMReply(mm int, rep msg.Reply) bool {
 	if rep.PE < 0 || rep.PE >= ports {
 		panic(fmt.Sprintf("network: MMReply at MM %d of reply to PE %d of %d", mm, rep.PE, ports))
 	}
-	fl, ok := n.inflight[rep.PE][rep.ID]
-	if !ok {
-		panic(fmt.Sprintf("network: MMReply for unknown request ID %d (PE %d)", rep.ID, rep.PE))
+	if int(rep.Copy) >= len(n.dead) {
+		panic(fmt.Sprintf("network: MMReply at MM %d of reply through copy %d of %d", mm, rep.Copy, len(n.dead)))
 	}
-	at := n.revAt(n.topo.stages, fl.copy*ports+mm)
+	if n.outstanding[rep.PE] == 0 {
+		panic(fmt.Sprintf("network: MMReply at MM %d of reply to PE %d, which has nothing outstanding", mm, rep.PE))
+	}
+	at := n.revAt(n.topo.stages, int(rep.Copy)*ports+mm)
 	if !n.rev[at].q.spaceFor(rep.Packets()) {
 		return false
 	}
@@ -329,12 +315,12 @@ func (n *Network) MMReply(mm int, rep msg.Reply) bool {
 	return true
 }
 
-// collect is Stepper.Collect. Round-trip latencies are observed directly
-// into the shared stats on the serial path, buffered in the PE's sink and
-// replayed in PE order under a parallel engine — round-trip means use
-// Welford's sequence-dependent update, so the float observation order
-// must match the serial engine's exactly. Replies with no in-flight
-// record (hand-injected in tests) observe none.
+// collect is Stepper.Collect. Round-trip latencies — the cycle less the
+// injection cycle the reply carries — are observed directly into the
+// shared stats on the serial path, buffered in the PE's sink and replayed
+// in PE order under a parallel engine — round-trip means use Welford's
+// sequence-dependent update, so the float observation order must match
+// the serial engine's exactly. A reply the PE is not owed is a fault.
 func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
 	if !n.anyCopy(n.act.pe, pe) {
 		return nil
@@ -349,16 +335,16 @@ func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
 		}
 	}
 	n.collectBuf[pe] = out[:0]
-	for _, rep := range out {
-		fl, ok := n.inflight[rep.PE][rep.ID]
-		if ok {
-			//ultravet:ok sharecheck n.inflight[pe] belongs to the worker owning PE pe (see the field doc)
-			delete(n.inflight[rep.PE], rep.ID)
-			if sk.rt != nil {
-				*sk.rt = append(*sk.rt, cycle-fl.issued)
-			} else {
-				sk.stats.observeRT(cycle - fl.issued)
-			}
+	for i := range out {
+		rep := &out[i]
+		if n.outstanding[pe] == 0 {
+			panic(fmt.Sprintf("network: Collect at PE %d of reply %d with nothing outstanding", pe, rep.ID))
+		}
+		n.outstanding[pe]--
+		if sk.rt != nil {
+			*sk.rt = append(*sk.rt, cycle-rep.Issued)
+		} else {
+			sk.stats.observeRT(cycle - rep.Issued)
 		}
 		sk.stats.RepliesDelivered.Inc()
 		if to := sk.subs.For(obs.KindReplyDeliver, rep.TC.Traced()); to != 0 {

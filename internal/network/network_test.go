@@ -15,6 +15,7 @@ func TestConfigValidate(t *testing.T) {
 		{K: 1, Stages: 3},
 		{K: 2, Stages: 0},
 		{K: 2, Stages: 3, Copies: -1},
+		{K: 2, Stages: 3, Copies: 256}, // a message names its copy in one byte
 		{K: 4, Stages: 40},
 	} {
 		if err := bad.Validate(); err == nil {
@@ -165,7 +166,7 @@ func (h *harness) serve() {
 			newVal, ret := msg.Apply(r.Op, old, r.Operand)
 			h.words[r.Addr] = newVal
 			h.served[mm]++
-			rep := msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr, Value: ret, TC: r.TC}
+			rep := r.Reply(ret)
 			if !h.net.MMReply(mm, rep) {
 				h.pending[mm] = &rep
 			}
@@ -214,7 +215,7 @@ func TestRoutingAllPairs(t *testing.T) {
 				h := newHarness(t, cfg)
 				addr := msg.Addr{MM: m, Word: 5}
 				h.words[addr] = int64(100*p + m)
-				req := msg.Request{ID: 1, PE: p, Op: msg.Load, Addr: addr, Issued: 0}
+				req := msg.Request{ID: 1, PE: p, Op: msg.Load, Addr: addr}
 				if !h.st.Inject(p, req, 0) {
 					t.Fatalf("k=%d D=%d: inject refused", kd[0], kd[1])
 				}
@@ -378,14 +379,21 @@ func TestCopiesSpreadLoad(t *testing.T) {
 }
 
 // TestCopiesRoundRobin confirms consecutive injections from one PE use
-// alternating copies.
+// alternating copies, and that each request is stamped with the copy that
+// carries it and the cycle it entered.
 func TestCopiesRoundRobin(t *testing.T) {
 	net := New(Config{K: 2, Stages: 2, Copies: 2})
 	st := NewStepper(net, nil)
-	st.Inject(0, msg.Request{ID: 1, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 1}}, 0)
-	st.Inject(0, msg.Request{ID: 2, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 2}}, 0)
-	if net.inflight[0][1].copy == net.inflight[0][2].copy {
-		t.Fatalf("both requests routed via copy %d", net.inflight[0][1].copy)
+	st.Inject(0, msg.Request{ID: 1, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 1}}, 7)
+	st.Inject(0, msg.Request{ID: 2, PE: 0, Op: msg.Load, Addr: msg.Addr{MM: 2}}, 8)
+	for ci, want := range []msg.Request{
+		{ID: 1, PE: 0, Op: msg.Load, Copy: 0, Addr: msg.Addr{MM: 1}, Issued: 7},
+		{ID: 2, PE: 0, Op: msg.Load, Copy: 1, Addr: msg.Addr{MM: 2}, Issued: 8},
+	} {
+		q := &net.fwd[net.fwdAt(-1, ci*net.Ports())].q // PE 0's PNI queue in copy ci
+		if q.len() != 1 || q.entries[q.head].req != want {
+			t.Fatalf("copy %d's PNI queue holds %+v, want only %+v", ci, q.entries[q.head:], want)
+		}
 	}
 }
 
@@ -472,8 +480,12 @@ func TestFetchAddConservation(t *testing.T) {
 	}
 }
 
-// TestMMReplyUnknownIDPanics: a reply the network cannot route is a
-// driver bug, and the panic names the argument that is wrong.
+// TestMMReplyUnknownIDPanics: a reply the network cannot route, or that
+// nobody is owed, is a driver bug, and the panic names the argument that
+// is wrong. (Matching a reply to its request by ID is the PNI's job —
+// pe.PE.Deliver panics on one that "matches no outstanding request"; the
+// network routes by what the reply carries and counts what each PE is
+// owed.)
 func TestMMReplyUnknownIDPanics(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -481,7 +493,8 @@ func TestMMReplyUnknownIDPanics(t *testing.T) {
 		rep  msg.Reply
 		want string
 	}{
-		{"unknown ID", 0, msg.Reply{ID: 999}, "network: MMReply for unknown request ID 999 (PE 0)"},
+		{"PE with nothing outstanding", 0, msg.Reply{ID: 999, PE: 1}, "network: MMReply at MM 0 of reply to PE 1, which has nothing outstanding"},
+		{"copy out of range", 0, msg.Reply{ID: 1, Copy: 1}, "network: MMReply at MM 0 of reply through copy 1 of 1"},
 		{"module out of range", 2, msg.Reply{ID: 1}, "network: MMReply at MM 2 of 2"},
 		{"PE out of range", 1, msg.Reply{ID: 1, PE: -1}, "network: MMReply at MM 1 of reply to PE -1 of 2"},
 	} {
@@ -496,4 +509,27 @@ func TestMMReplyUnknownIDPanics(t *testing.T) {
 			net.MMReply(c.mm, c.rep)
 		}()
 	}
+}
+
+// TestCollectUnowedReplyPanics: the count of what a PE is owed may not go
+// negative — a second reply to its only request is caught when collected.
+func TestCollectUnowedReplyPanics(t *testing.T) {
+	h := newHarness(t, Config{K: 2, Stages: 1})
+	h.st.Inject(0, msg.Request{ID: 1, Op: msg.Load}, 0)
+	rep := (&msg.Request{ID: 1, Op: msg.Load}).Reply(0)
+	if !h.net.MMReply(0, rep) || !h.net.MMReply(0, rep) {
+		t.Fatal("MNI queue refused a reply")
+	}
+	defer func() {
+		const want = "network: Collect at PE 0 of reply 1 with nothing outstanding"
+		if got := recover(); got != want {
+			t.Errorf("Collect panicked with %v, want %q", got, want)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		h.st.Step(h.cycle)
+		h.st.Collect(0, h.cycle)
+		h.cycle++
+	}
+	t.Error("the network delivered two replies to one request")
 }

@@ -39,25 +39,33 @@ type revLink struct {
 
 // activity holds the per-link activity flags that make a network cycle
 // cost host time in proportion to the messages in flight rather than to
-// the size of the machine. Every link has one byte:
+// the size of the machine. Every link has one byte, which says when the
+// link next needs its pump:
 //
-//	flag clear  ⇒  the link's server is inactive and its queue is empty
-//	            ⇒  pumping the link is a no-op, so the Stepper skips it
+//	0      the link's server is inactive and its queue is empty: pumping
+//	       it is a no-op until somebody pushes, so the Stepper skips it
+//	1      pump it next cycle
+//	n > 1  its message is delivered and the tail holds the link n − 1 more
+//	       cycles, during which a pump is a no-op whatever is queued behind:
+//	       the Stepper counts the flag down instead, without loading the
+//	       record
 //
-// A flag is set by whoever pushes into the link's queue and cleared only
-// by the pump that owns the link, after a pop attempt that leaves the
-// server inactive. Both happen in phases where the writing unit owns the
-// link (see DESIGN.md, "Link records and activity flags"), so the flags
-// are plain bytes: neighbouring flags belong to different units, which is
-// why a flag is a byte and not a bit — a byte is its own memory location,
-// a bit would need an atomic read-modify-write.
+// A flag is set to 1 by whoever pushes into the link's queue and otherwise
+// written only by the sweep that owns the link: the value its pump
+// returned, or the count-down. A push onto a dormant link thus costs one
+// no-op pump, which returns the remainder again, so skipping stays exact.
+// Both writers run in phases where the writing unit owns the link (see
+// DESIGN.md, "Link records and activity flags"), so the flags are plain
+// bytes: neighbouring flags belong to different units, which is why a flag
+// is a byte and not a bit — a byte is its own memory location, a bit would
+// need an atomic read-modify-write.
 //
 // fwd and rev run parallel to Network.fwd and Network.rev: flag i is link
 // record i's (see fwdAt, revAt). Within a stage they are indexed by
 // *position*: the slot of the switch port the link feeds, so that the k
 // links a (copy, switch) unit pumps in one phase are the k consecutive
-// bytes [u·k, u·k+k) of unit u and the Stepper can rule out eight idle
-// links with one 64-bit load.
+// bytes [u·k, u·k+k) of unit u and the Stepper reads eight links' flags
+// with one 64-bit load.
 type activity struct {
 	fwd []uint8
 	rev []uint8
@@ -113,7 +121,8 @@ func (n *Network) revAt(s, l int) int {
 // pushFwd queues a copy of *r on forward link at (a fwdAt index) and flags
 // the link; pushRev is its reverse twin. They are the only places a
 // message enters a link, which is what keeps "flag clear ⇒ queue empty"
-// true. The caller must have checked the queue's spaceFor.
+// true, and beside the sweep the only writers of a link flag. The caller
+// must have checked the queue's spaceFor.
 func (n *Network) pushFwd(at int, r *msg.Request) {
 	n.fwd[at].q.push(r)
 	n.act.fwd[at] = 1
@@ -184,8 +193,8 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64, sk *sink
 					w.add(waitRec{
 						key:  old.ID,
 						addr: old.Addr,
-						a:    side{id: old.ID, pe: old.PE, op: old.Op, plan: aPlan, tc: aTC},
-						b:    side{id: r.ID, pe: r.PE, op: r.Op, plan: bPlan, tc: bTC},
+						a:    side{id: old.ID, pe: old.PE, op: old.Op, issued: old.Issued, plan: aPlan, tc: aTC},
+						b:    side{id: r.ID, pe: r.PE, op: r.Op, issued: r.Issued, plan: bPlan, tc: bTC},
 					})
 					sk.stats.Combines.Inc()
 					sk.stats.addAtStage(s, 1)
@@ -236,8 +245,8 @@ func (n *Network) acceptReply(s, u int, src *revLink, cycle int64, sk *sink) boo
 	rep := &src.rep
 	if i := src.wb.find(rep.ID); i >= 0 {
 		rec := &src.wb.recs[i]
-		ra := synthReply(&rec.a, rec.addr, rep.Value)
-		rb := synthReply(&rec.b, rec.addr, rep.Value)
+		ra := synthReply(&rec.a, rec.addr, rep)
+		rb := synthReply(&rec.b, rec.addr, rep)
 		ata := n.revAt(s, u*t.k+t.digit(ra.PE, s))
 		atb := n.revAt(s, u*t.k+t.digit(rb.PE, s))
 		qa, qb := &n.rev[ata].q, &n.rev[atb].q
@@ -304,18 +313,22 @@ func (n *Network) flushDeferred(u int, cycle int64, sk *sink) {
 }
 
 // synthReply builds the reply owed to one side of a combined pair from
-// the combined reply's value (Figure 3), carrying the side's own trace
-// context back toward its PE.
-func synthReply(sd *side, addr msg.Addr, y int64) msg.Reply {
-	return msg.Reply{ID: sd.id, PE: sd.pe, Op: sd.op, Addr: addr, Value: sd.plan.Synthesize(y), TC: sd.tc}
+// the combined reply (Figure 3): its value transformed by the side's plan,
+// its copy, and the side's own injection cycle and trace context, carried
+// back toward the side's PE.
+func synthReply(sd *side, addr msg.Addr, combined *msg.Reply) msg.Reply {
+	return msg.Reply{
+		ID: sd.id, PE: sd.pe, Op: sd.op, Copy: combined.Copy, Addr: addr,
+		Value: sd.plan.Synthesize(combined.Value), Issued: sd.issued, TC: sd.tc,
+	}
 }
 
 // pumpRequest advances the forward link at position p of the links out of
-// stage s (s == -1: the PNI links) and reports whether it is still active
-// (false means the link is idle: nothing in service and the queue empty).
-// u = p/k is the unit that owns the link in this phase: the switch it
-// feeds, or for the last stage the switch it leaves.
-func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) bool {
+// stage s (s == -1: the PNI links) and returns the next value of its
+// activity flag (see activity). u = p/k is the unit that owns the link in
+// this phase: the switch it feeds, or for the last stage the switch it
+// leaves.
+func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 	t := n.topo
 	ln := &n.fwd[(s+1)*t.lines+p]
 	if ln.active && !ln.delivered {
@@ -346,31 +359,38 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) bool {
 			}
 		}
 	}
-	if ln.active && ln.delivered && cycle >= ln.start+int64(ln.req.Packets()) {
+	if ln.active {
+		if !ln.delivered {
+			return 1
+		}
+		if rest := ln.start + int64(ln.req.Packets()) - cycle; rest > 0 {
+			return uint8(rest) // the tail holds the link until start+P
+		}
 		ln.active = false
 	}
-	if !ln.active && ln.q.pop(&ln.req) {
-		ln.active, ln.delivered, ln.start = true, false, cycle
-		if to := sk.subs.For(obs.KindStageDepart, ln.req.TC.Traced()); to != 0 {
-			// Queue departure into the link server: together with
-			// the matching StageArrive this brackets the hop's
-			// queueing delay (Stage -1 is the PNI queue).
-			sk.out.Emit(obs.Event{
-				To: to, Cycle: cycle, Kind: obs.KindStageDepart, PE: ln.req.PE,
-				Stage: s, MM: -1, Copy: p / t.n,
-				ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
-			})
-		}
+	if !ln.q.pop(&ln.req) {
+		return 0
 	}
-	return ln.active
+	ln.active, ln.delivered, ln.start = true, false, cycle
+	if to := sk.subs.For(obs.KindStageDepart, ln.req.TC.Traced()); to != 0 {
+		// Queue departure into the link server: together with the
+		// matching StageArrive this brackets the hop's queueing delay
+		// (Stage -1 is the PNI queue).
+		sk.out.Emit(obs.Event{
+			To: to, Cycle: cycle, Kind: obs.KindStageDepart, PE: ln.req.PE,
+			Stage: s, MM: -1, Copy: p / t.n,
+			ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
+		})
+	}
+	return 1
 }
 
 // pumpReply advances the reverse link at position p of the links out of
-// stage s (s == stages: the MNI links) and reports whether it is still
-// active, as pumpRequest does. The link arrives at switch u = p/k of
-// stage s−1 — the shuffle that stored it at p and the unshuffle that
+// stage s (s == stages: the MNI links) and returns the next value of its
+// activity flag, as pumpRequest does. The link arrives at switch u = p/k
+// of stage s−1 — the shuffle that stored it at p and the unshuffle that
 // retraces its wire cancel — or, for stage 0, at a PE.
-func (n *Network) pumpReply(cycle int64, s, u, p int, sk *sink) bool {
+func (n *Network) pumpReply(cycle int64, s, u, p int, sk *sink) uint8 {
 	t := n.topo
 	ln := &n.rev[s*t.lines+p]
 	if ln.active && !ln.delivered {
@@ -391,23 +411,30 @@ func (n *Network) pumpReply(cycle int64, s, u, p int, sk *sink) bool {
 			}
 		}
 	}
-	if ln.active && ln.delivered && cycle >= ln.start+int64(ln.rep.Packets()) {
+	if ln.active {
+		if !ln.delivered {
+			return 1
+		}
+		if rest := ln.start + int64(ln.rep.Packets()) - cycle; rest > 0 {
+			return uint8(rest)
+		}
 		ln.active = false
 	}
-	if !ln.active && ln.q.pop(&ln.rep) {
-		ln.active, ln.delivered, ln.start = true, false, cycle
-		if to := sk.subs.For(obs.KindReplyDepart, ln.rep.TC.Traced()); to != 0 {
-			stage, mm := s, -1
-			if s == t.stages {
-				// MNI output queue: p is the module's line.
-				stage, mm = -1, p%t.n
-			}
-			sk.out.Emit(obs.Event{
-				To: to, Cycle: cycle, Kind: obs.KindReplyDepart, PE: ln.rep.PE,
-				Stage: stage, MM: mm, Copy: p / t.n,
-				ID: ln.rep.ID, Op: ln.rep.Op, Addr: ln.rep.Addr,
-			})
-		}
+	if !ln.q.pop(&ln.rep) {
+		return 0
 	}
-	return ln.active
+	ln.active, ln.delivered, ln.start = true, false, cycle
+	if to := sk.subs.For(obs.KindReplyDepart, ln.rep.TC.Traced()); to != 0 {
+		stage, mm := s, -1
+		if s == t.stages {
+			// MNI output queue: p is the module's line.
+			stage, mm = -1, p%t.n
+		}
+		sk.out.Emit(obs.Event{
+			To: to, Cycle: cycle, Kind: obs.KindReplyDepart, PE: ln.rep.PE,
+			Stage: stage, MM: mm, Copy: p / t.n,
+			ID: ln.rep.ID, Op: ln.rep.Op, Addr: ln.rep.Addr,
+		})
+	}
+	return 1
 }

@@ -149,14 +149,16 @@ func (q *repQueue) pop(into *msg.Reply) bool {
 }
 
 // side identifies one of the two original requests recorded in a wait
-// buffer entry, with the plan for synthesizing its reply and the trace
-// context the synthesized reply must carry back.
+// buffer entry, with the plan for synthesizing its reply and what the
+// synthesized reply must carry back: the request's own injection cycle
+// and trace context.
 type side struct {
-	id   uint64
-	pe   int
-	op   msg.Op
-	plan msg.ReplyPlan
-	tc   msg.TraceCtx
+	id     uint64
+	pe     int
+	op     msg.Op
+	issued int64
+	plan   msg.ReplyPlan
+	tc     msg.TraceCtx
 }
 
 // waitRec is one wait buffer entry: when the reply to the forwarded

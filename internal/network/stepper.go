@@ -2,6 +2,7 @@ package network
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"ultracomputer/internal/engine"
 	"ultracomputer/internal/msg"
@@ -23,10 +24,10 @@ import (
 // one destination switch, and a unit touches only its own feeder links
 // plus its own switch's queues, wait buffers and deferred registers.
 //
-// The cycle is activity-driven: a phase visits only the units with an
-// activity flag set on one of their feeder links, and a unit pumps only
-// its flagged links (see activity). A skipped pump is exactly a no-op,
-// so skipping changes host time and nothing else.
+// The cycle is activity-driven: a phase pumps only the links whose
+// activity flag says they need it this cycle (see activity). A skipped
+// pump is exactly a no-op, so skipping changes host time and nothing
+// else.
 //
 // Determinism contract (see DESIGN.md): units are visited in ascending
 // unit order and execute their feeder lines in ascending line order,
@@ -116,54 +117,60 @@ func NewStepper(n *Network, eng engine.Engine) *Stepper {
 	return st
 }
 
-// sweep runs the current phase over the units in [lo, hi), in ascending
-// unit order and ascending position within a unit: unit u's phasePer
-// flags sit side by side at [u·phasePer, (u+1)·phasePer) of phaseFlags,
-// flag p of a link phase is the link record at position p of the stage
-// (see activity), and u is the switch that link feeds. A pump that leaves
-// its server inactive found the queue empty, so the unit — the link's
-// owner in this phase — clears the flag. Idle stretches are skipped eight
-// flags per 64-bit load; the loads stay inside the caller's own units,
+// sweep runs the current phase over the units in [lo, hi) in ascending
+// position, which is ascending unit order and ascending position within a
+// unit: unit u's phasePer flags sit side by side at [u·phasePer,
+// (u+1)·phasePer) of phaseFlags, flag p of a link phase is the link record
+// at position p of the stage (see activity), and u is the switch that link
+// feeds. One 64-bit load reads eight flags and the set ones are taken from
+// that word, lowest first — a visit writes no flag of the phase but its
+// own, so the word stays true. Only the last, shorter-than-eight stretch
+// is assembled bytewise: the loads stay inside the caller's own units,
 // which under a parallel engine are the only flags no other worker writes
-// during the phase.
+// during the phase. A link flag above 1 is a dormant tail, counted down
+// without loading the record; any other set flag is pumped and takes the
+// value the pump returns. This is the tight loop: a large, lightly loaded
+// machine spends its network time here.
 func (st *Stepper) sweep(lo, hi int, sk *sink) {
 	n, kind, cycle, s := st.n, st.phKind, st.phCycle, st.phStage
 	flags, per, par := st.phaseFlags, st.phasePer, st.par
-	for u := skipIdle(flags, per, lo, hi); u < hi; u = skipIdle(flags, per, u+1, hi) {
-		if par {
-			sk.out = &st.swEvents[u]
+	end := hi * per
+	u, uEnd := 0, 0 // the last unit visited and the end of its positions
+	for p := lo * per; p < end; p += 8 {
+		var w uint64
+		if p+8 <= end {
+			w = binary.LittleEndian.Uint64(flags[p:])
+		} else {
+			for i, f := range flags[p:end] {
+				w |= uint64(f) << (8 * i)
+			}
 		}
-		for p := u * per; p < (u+1)*per; p++ {
-			if flags[p] == 0 {
+		for w != 0 {
+			sh := bits.TrailingZeros64(w) &^ 7
+			f := uint8(w >> sh)
+			w &^= 0xff << sh
+			q := p + sh>>3
+			if f > 1 && kind != phDeferred { // a deferred "flag" is a count
+				flags[q] = f - 1
 				continue
+			}
+			if q >= uEnd {
+				u = int(uint32(q) / uint32(per)) // positions fit: Config.Validate
+				uEnd = (u + 1) * per
+				if par {
+					sk.out = &st.swEvents[u]
+				}
 			}
 			switch kind {
 			case phForward:
-				if !n.pumpRequest(cycle, s, u, p, sk) {
-					flags[p] = 0
-				}
+				flags[q] = n.pumpRequest(cycle, s, u, q, sk)
 			case phReverse:
-				if !n.pumpReply(cycle, s, u, p, sk) {
-					flags[p] = 0
-				}
+				flags[q] = n.pumpReply(cycle, s, u, q, sk)
 			case phDeferred:
 				n.flushDeferred(u, cycle, sk)
 			}
 		}
 	}
-}
-
-// skipIdle returns the first unit in [u, hi] that it cannot rule out with
-// whole 64-bit loads — eight flags at a time while they are all clear and
-// all inside [u·per, hi·per). This is the tight loop: a large, lightly
-// loaded machine spends its network time here.
-func skipIdle(flags []uint8, per, u, hi int) int {
-	if stride := 8 / per; stride > 0 { // whole units one load covers; 0 for wider units
-		for i, end := u*per, hi*per; i+8 <= end && binary.LittleEndian.Uint64(flags[i:]) == 0; i += stride * per {
-			u += stride
-		}
-	}
-	return u
 }
 
 // Parallel reports whether a real worker pool is attached (observability

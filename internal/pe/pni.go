@@ -75,7 +75,6 @@ func (p *PNI) issue(op msg.Op, addr int64, operand int64, tag int, cycle int64, 
 		Op:      op,
 		Addr:    p.hash.Map(addr),
 		Operand: operand,
-		Issued:  cycle,
 	}
 	if p.tracer != nil {
 		req.TC = p.tracer.ContextFor(id)

@@ -222,6 +222,9 @@ var configRules = []struct {
 		if c.Copies < 1 {
 			return fmt.Sprintf("copies = %d, need >= 1", c.Copies)
 		}
+		if c.Copies > math.MaxUint8 {
+			return fmt.Sprintf("copies = %d, need <= %d (a message names its copy in one byte)", c.Copies, math.MaxUint8)
+		}
 		return ""
 	}},
 	{"pes", func(c *Config) string {

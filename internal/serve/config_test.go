@@ -58,6 +58,7 @@ func TestValidateTable(t *testing.T) {
 		{"huge k one stage", func(c *Config) { c.K = 1 << 30; c.Stages = 1; c.PEs = 1 }, []string{"stages"}},
 		{"overflowing k^stages", func(c *Config) { c.K = 1 << 31; c.Stages = 2; c.PEs = 1 }, []string{"stages"}},
 		{"pes beyond ports", func(c *Config) { c.PEs = 17 }, []string{"pes"}},
+		{"too many copies", func(c *Config) { c.Copies = 256 }, []string{"copies"}},
 		{"tiny queue", func(c *Config) { c.QueueCapacity = 2 }, []string{"queue_capacity"}},
 		{"tiny pni queue", func(c *Config) { c.PNIQueueCapacity = 1 }, []string{"pni_queue_capacity"}},
 		{"bad engine", func(c *Config) { c.Engine = "quantum" }, []string{"engine"}},

@@ -162,15 +162,11 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 
 	// Per-unit scratch: each phase writes only its own unit's slots,
 	// merged in unit order afterward. Request IDs are pe<<32|seq so
-	// every PE mints its own without a shared counter, and the issue
-	// timestamps live in per-PE maps: written by the generator that
-	// owns the PE, read (only) during the module phase, deleted by the
-	// collector that owns the PE — the phases are barrier-separated.
+	// every PE mints its own without a shared counter. A message carries
+	// its own injection cycle (the network stamps Issued), so transit
+	// times need no table here: a request or reply belongs to the
+	// measurement window when it was injected in it.
 	seq := make([]uint64, n)
-	issueCycle := make([]map[uint64]int64, n)
-	for pe := range issueCycle {
-		issueCycle[pe] = make(map[uint64]int64)
-	}
 	offered := make([]int64, n)
 	injected := make([]int64, n)
 	rtBuf := make([][]float64, n)                 // round-trips, replayed PE-major
@@ -226,7 +222,6 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 				ID: uint64(pe)<<32 | seq[pe], PE: pe, Op: op,
 				Addr:    hash.Map(linear),
 				Operand: 1,
-				Issued:  cycle,
 			}
 			if w.Tracer != nil {
 				// ContextFor is a pure hash of the ID — identical
@@ -240,8 +235,6 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 				}
 				if measuring {
 					injected[pe]++
-					//ultravet:ok sharecheck issueCycle[pe] belongs to the worker owning PE pe
-					issueCycle[pe][req.ID] = cycle
 				}
 			}
 		}
@@ -260,8 +253,8 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 			mod.Step(cycle, ports[mm])
 			if mod.Idle() {
 				if req, ok := st.MMDequeue(mm); ok {
-					if t0, tracked := issueCycle[req.PE][req.ID]; tracked {
-						owBuf[mm] = append(owBuf[mm], float64(cycle-t0))
+					if req.Issued >= warmup {
+						owBuf[mm] = append(owBuf[mm], float64(cycle-req.Issued))
 					}
 					mod.Accept(req, cycle)
 				}
@@ -273,10 +266,8 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 	collect := func(lo, hi, _ int) {
 		for pe := lo; pe < hi; pe++ {
 			for _, rep := range st.Collect(pe, cycle) {
-				if t0, tracked := issueCycle[rep.PE][rep.ID]; tracked {
-					rtBuf[pe] = append(rtBuf[pe], float64(cycle-t0))
-					//ultravet:ok sharecheck issueCycle[pe] belongs to the worker owning PE pe
-					delete(issueCycle[rep.PE], rep.ID)
+				if rep.Issued >= warmup {
+					rtBuf[pe] = append(rtBuf[pe], float64(cycle-rep.Issued))
 				}
 			}
 		}
