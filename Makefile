@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint verify lint-mutants test race bench bench-compare bench-pairs bench-guard equivalence serve-smoke prof prof-host clean
+.PHONY: ci fmt build vet lint verify lint-mutants test race fuzz-smoke bench bench-compare bench-pairs bench-guard equivalence serve-smoke prof prof-host clean
 
-ci: fmt vet lint verify lint-mutants build race test equivalence bench-guard serve-smoke prof
+ci: fmt vet lint verify lint-mutants build race test fuzz-smoke equivalence bench-guard serve-smoke prof
 
 # Every Go file is gofmt-clean; any file gofmt would rewrite fails CI.
 fmt:
@@ -74,6 +74,15 @@ race:
 test:
 	$(GO) test ./...
 
+# Native fuzzing, ten seconds of it: the assembler takes outside input
+# (serve.Config.Program), so FuzzAssemble requires that it never panics and
+# that whatever assembles survives Disassemble -> Assemble unchanged. Plain
+# `go test` already runs the seed corpus (every .s file in the repository
+# plus internal/isa/testdata/fuzz) as unit cases; a failure found here is
+# written to that directory and fails every later run until fixed.
+fuzz-smoke:
+	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
+
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.
 # Redirect it to keep a side of a comparison: make bench > NEW.jsonl
@@ -119,11 +128,12 @@ bench-pairs:
 	$(GO) run ./bench -compare "$$root/.bench_build/$(W).OLD.jsonl" "$$root/.bench_build/$(W).NEW.jsonl"
 
 # Where the host's time goes in one benchmark op: CPU-profile it as a
-# plain Go benchmark (bench_test.go: NetUniformOp and NetHotspotOp are
-# bench/'s net-uniform and net-hotspot ops) and print the top of the
-# profile. Every "share of a CPU profile" in EXPERIMENTS.md and ROADMAP.md
-# comes from here. Binary and profile stay under .bench_build/.
-#   make prof-host [B=NetHotspotOp]
+# plain Go benchmark (bench_test.go: NetUniformOp, NetHotspotOp and
+# GuestIdealOp are bench/'s net-uniform, net-hotspot and guest-ideal ops)
+# and print the top of the profile. Every "share of a CPU profile" in
+# EXPERIMENTS.md and ROADMAP.md comes from here. Binary and profile stay
+# under .bench_build/.
+#   make prof-host [B=NetHotspotOp|GuestIdealOp]
 B ?= NetUniformOp
 prof-host:
 	@mkdir -p .bench_build

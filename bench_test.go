@@ -7,12 +7,16 @@ package ultracomputer
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"ultracomputer/internal/analytic"
 	"ultracomputer/internal/apps"
+	"ultracomputer/internal/cache"
 	"ultracomputer/internal/coord"
 	"ultracomputer/internal/experiments"
+	"ultracomputer/internal/isa"
 	"ultracomputer/internal/machine"
 	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
@@ -403,6 +407,54 @@ func BenchmarkNetUniformOp(b *testing.B) { netOp(b, 6, trace.Workload{}) }
 // buffers and decombining.
 func BenchmarkNetHotspotOp(b *testing.B) {
 	netOp(b, 6, trace.Workload{HotFraction: 0.10, HotWord: 424242, LoadFrac: 0.5, StoreFrac: 0.2})
+}
+
+// BenchmarkGuestIdealOp is one op of the repository benchmark's guest-ideal
+// workload (bench/guest.go: guestConfig(true), guestCache, guestIdealIters
+// and guestRun, restated here because bench/ is a main package) as a plain
+// Go benchmark: the kernel of bench/testdata/spmd.s with fixed constants in
+// its fields, 1 024 iterations on each of 64 PEs with a 16×2×4 cache under
+// IdealMemory, through Load, Run and Report. The network and the MMs are
+// bypassed, so a profile of it (`make prof-host B=GuestIdealOp`) names
+// where a PE tick's host time goes: isa.Core.Tick, the cache, pe.PE.
+func BenchmarkGuestIdealOp(b *testing.B) {
+	tmpl, err := os.ReadFile("bench/testdata/spmd.s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := isa.Assemble(strings.NewReplacer(
+		"{{ITERS}}", "1024", "{{MUL}}", "7", "{{ADD}}", "13", "{{COUNTER}}", "64",
+		"{{SPAN}}", "128", "{{CBASE}}", "4096", "{{LMASK}}", "511", "{{CWORDS}}", "64",
+		"{{PHASE}}", "5",
+	).Replace(string(tmpl)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := machine.Config{
+		Net: network.Config{K: 2, Stages: 6, Copies: 1, Combining: true},
+		PEs: 64, Hashing: true, IdealMemory: true,
+	}
+	b.ReportAllocs()
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		m, _, err := machine.Load(cfg, prog, machine.LoadOptions{
+			Cache: &cache.Config{Sets: 16, Ways: 2, BlockWords: 4},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, done := m.Run(10_000_000); !done {
+			b.Fatal("kernel not halted")
+		}
+		if _, err := m.Report().JSON(); err != nil {
+			b.Fatal(err)
+		}
+		if got := m.ReadShared(64); got != 16*64 {
+			b.Fatalf("shared counter = %d, want %d", got, 16*64)
+		}
+		cycles = m.Cycles()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
 }
 
 // BenchmarkNetHopCost runs the uniform op on 4 to 256 ports. If the cost

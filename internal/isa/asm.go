@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Assemble translates assembly text into a Program. Syntax:
@@ -57,8 +58,11 @@ func Assemble(src string) (*Program, error) {
 		if line == "" {
 			continue
 		}
-		mnemonic, rest, _ := strings.Cut(line, " ")
-		mnemonic = strings.ToLower(strings.TrimSpace(mnemonic))
+		mnemonic, rest := line, ""
+		if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+			mnemonic, rest = line[:i], line[i:]
+		}
+		mnemonic = strings.ToLower(mnemonic)
 		op, ok := opByName(mnemonic)
 		if !ok {
 			return nil, asmErr(lineNo, "unknown mnemonic %q", mnemonic)
@@ -99,19 +103,6 @@ func asmErr(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("asm line %d: %s", line+1, fmt.Sprintf(format, args...))
 }
 
-var nameToOp = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for op, name := range opNames {
-		m[name] = op
-	}
-	return m
-}()
-
-func opByName(name string) (Op, bool) {
-	op, ok := nameToOp[name]
-	return op, ok
-}
-
 func isIdent(s string) bool {
 	if s == "" {
 		return false
@@ -138,26 +129,21 @@ func splitArgs(s string) []string {
 	return parts
 }
 
-func parseIntReg(s string) (int, error) {
-	if len(s) < 2 || (s[0] != 'r' && s[0] != 'R') {
-		return 0, fmt.Errorf("expected integer register, got %q", s)
+// parseReg parses register N of the file named by its prefix letter
+// ('r' or 'f', either case): decimal digits only, no sign.
+func parseReg(s string, file byte) (int, error) {
+	if len(s) < 2 || s[0]|0x20 != file {
+		kind := "integer"
+		if file == 'f' {
+			kind = "float"
+		}
+		return 0, fmt.Errorf("expected %s register, got %q", kind, s)
 	}
-	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 || n >= NumRegs {
+	n, err := strconv.ParseUint(s[1:], 10, 8)
+	if err != nil || n >= NumRegs {
 		return 0, fmt.Errorf("bad register %q", s)
 	}
-	return n, nil
-}
-
-func parseFloatReg(s string) (int, error) {
-	if len(s) < 2 || (s[0] != 'f' && s[0] != 'F') {
-		return 0, fmt.Errorf("expected float register, got %q", s)
-	}
-	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 || n >= NumRegs {
-		return 0, fmt.Errorf("bad register %q", s)
-	}
-	return n, nil
+	return int(n), nil
 }
 
 func parseImm(s string) (int64, error) {
@@ -180,170 +166,45 @@ func parseMem(s string) (imm int64, reg int, err error) {
 			return 0, 0, err
 		}
 	}
-	reg, err = parseIntReg(s[open+1 : len(s)-1])
+	reg, err = parseReg(s[open+1:len(s)-1], 'r')
 	return imm, reg, err
 }
 
-// encode builds one Instr from parsed arguments; labelArg is the branch
-// target to patch in pass two, if any.
+// encode builds one Instr from parsed arguments, operand by operand as
+// the opcode's row lists them; labelArg is the branch target to patch in
+// pass two, if any.
 func encode(op Op, args []string) (in Instr, labelArg string, err error) {
 	in.Op = op
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s expects %d operands, got %d", op, n, len(args))
-		}
-		return nil
+	want := rows[op].args
+	if len(args) != len(want) {
+		return in, "", fmt.Errorf("%s expects %d operands, got %d", op, len(want), len(args))
 	}
-	switch op {
-	case NOP, HALT:
-		err = need(0)
+	for i, o := range want {
+		switch o {
+		case oRd, oRs, oRt:
+			*in.reg(o - oRd), err = parseReg(args[i], 'r')
+		case oFd, oFs, oFt:
+			*in.reg(o - oFd), err = parseReg(args[i], 'f')
+		case oImm:
+			in.Imm, err = parseImm(args[i])
+		case oFImm:
+			in.FImm, err = strconv.ParseFloat(args[i], 64)
+		case oMem:
+			in.Imm, in.Rs, err = parseMem(args[i])
+		case oLabel:
+			if labelArg = args[i]; !isIdent(labelArg) {
+				err = fmt.Errorf("bad label %q", labelArg)
+			}
+		}
+		if err != nil {
+			return in, "", err
+		}
+	}
+	return in, labelArg, nil
+}
 
-	case LI:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				in.Imm, err = parseImm(args[1])
-			}
-		}
-	case FLI:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseFloatReg(args[0]); err == nil {
-				in.FImm, err = strconv.ParseFloat(args[1], 64)
-			}
-		}
-	case MOV:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				in.Rs, err = parseIntReg(args[1])
-			}
-		}
-	case FMOV, FSQRT, FNEG, FABS:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseFloatReg(args[0]); err == nil {
-				in.Rs, err = parseFloatReg(args[1])
-			}
-		}
-	case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR, SLT, SLE, SEQ, SNE:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				if in.Rs, err = parseIntReg(args[1]); err == nil {
-					in.Rt, err = parseIntReg(args[2])
-				}
-			}
-		}
-	case ADDI:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				if in.Rs, err = parseIntReg(args[1]); err == nil {
-					in.Imm, err = parseImm(args[2])
-				}
-			}
-		}
-	case FADD, FSUB, FMUL, FDIV:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseFloatReg(args[0]); err == nil {
-				if in.Rs, err = parseFloatReg(args[1]); err == nil {
-					in.Rt, err = parseFloatReg(args[2])
-				}
-			}
-		}
-	case FSLT, FSLE, FSEQ:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				if in.Rs, err = parseFloatReg(args[1]); err == nil {
-					in.Rt, err = parseFloatReg(args[2])
-				}
-			}
-		}
-	case CVTIF:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseFloatReg(args[0]); err == nil {
-				in.Rs, err = parseIntReg(args[1])
-			}
-		}
-	case CVTFI:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				in.Rs, err = parseFloatReg(args[1])
-			}
-		}
-	case BEQ, BNE, BLT, BGE:
-		if err = need(3); err == nil {
-			if in.Rs, err = parseIntReg(args[0]); err == nil {
-				if in.Rt, err = parseIntReg(args[1]); err == nil {
-					labelArg = args[2]
-				}
-			}
-		}
-	case JMP:
-		if err = need(1); err == nil {
-			labelArg = args[0]
-		}
-	case JAL:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				labelArg = args[1]
-			}
-		}
-	case JR:
-		if err = need(1); err == nil {
-			in.Rs, err = parseIntReg(args[0])
-		}
-	case LW, LDS:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				in.Imm, in.Rs, err = parseMem(args[1])
-			}
-		}
-	case SW, STS:
-		if err = need(2); err == nil {
-			if in.Rt, err = parseIntReg(args[0]); err == nil {
-				in.Imm, in.Rs, err = parseMem(args[1])
-			}
-		}
-	case FLDS:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseFloatReg(args[0]); err == nil {
-				in.Imm, in.Rs, err = parseMem(args[1])
-			}
-		}
-	case FSTS:
-		if err = need(2); err == nil {
-			if in.Rt, err = parseFloatReg(args[0]); err == nil {
-				in.Imm, in.Rs, err = parseMem(args[1])
-			}
-		}
-	case FAA, FAO, FAN, FAX, FAI, SWP:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				if in.Imm, in.Rs, err = parseMem(args[1]); err == nil {
-					in.Rt, err = parseIntReg(args[2])
-				}
-			}
-		}
-	case RDPE, RDNP:
-		if err = need(1); err == nil {
-			in.Rd, err = parseIntReg(args[0])
-		}
-	case CLDS:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(args[0]); err == nil {
-				in.Imm, in.Rs, err = parseMem(args[1])
-			}
-		}
-	case CSTS:
-		if err = need(2); err == nil {
-			if in.Rt, err = parseIntReg(args[0]); err == nil {
-				in.Imm, in.Rs, err = parseMem(args[1])
-			}
-		}
-	case CFLU, CREL:
-		if err = need(2); err == nil {
-			if in.Rs, err = parseIntReg(args[0]); err == nil {
-				in.Rt, err = parseIntReg(args[1])
-			}
-		}
-	default:
-		err = fmt.Errorf("unhandled opcode %v", op)
-	}
-	return in, labelArg, err
+// reg addresses the register field a register operand kind (less its
+// file's base: oRd or oFd) selects.
+func (i *Instr) reg(field operand) *int {
+	return [...]*int{&i.Rd, &i.Rs, &i.Rt}[field]
 }

@@ -130,7 +130,7 @@ func (c *Core) completeFill(tag int, value int64) {
 // execCached executes one cached-memory instruction (the pc advances
 // only on completion; a miss leaves the pc so the instruction re-runs
 // after the fill).
-func (c *Core) execCached(env *pe.Env, in Instr) pe.TickResult {
+func (c *Core) execCached(env *pe.Env, in *Instr) pe.TickResult {
 	cc := c.cc
 	if cc == nil {
 		panic(fmt.Sprintf("isa: %v requires a core built with NewCoreWithCache", in.Op))
@@ -141,30 +141,30 @@ func (c *Core) execCached(env *pe.Env, in Instr) pe.TickResult {
 	}
 	switch in.Op {
 	case CLDS:
-		addr := c.regs[in.Rs] + in.Imm
+		addr := c.regs.I[in.Rs] + in.Imm
 		if v, hit := cc.c.Read(addr); hit {
-			c.setI(in.Rd, v)
+			c.regs.setI(in.Rd, v)
 			c.pc++
 			return pe.TickResult{Executed: true, LocalRef: true}
 		}
 		cc.startFill(addr)
 		return pe.TickResult{}
 	case CSTS:
-		addr := c.regs[in.Rs] + in.Imm
-		if cc.c.Write(addr, c.regs[in.Rt]) {
+		addr := c.regs.I[in.Rs] + in.Imm
+		if cc.c.Write(addr, c.regs.I[in.Rt]) {
 			c.pc++
 			return pe.TickResult{Executed: true, LocalRef: true}
 		}
 		cc.startFill(addr)
 		return pe.TickResult{}
 	case CFLU:
-		lo, hi := c.regs[in.Rs], c.regs[in.Rt]
+		lo, hi := c.regs.I[in.Rs], c.regs.I[in.Rt]
 		cc.wb = append(cc.wb, cc.c.Flush(lo, hi)...)
 		cc.flushing = true
 		// pc advances when the flush drains (tickCache).
 		return pe.TickResult{}
 	case CREL:
-		lo, hi := c.regs[in.Rs], c.regs[in.Rt]
+		lo, hi := c.regs.I[in.Rs], c.regs.I[in.Rt]
 		cc.c.Release(lo, hi)
 		c.pc++
 		return pe.TickResult{Executed: true}

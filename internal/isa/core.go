@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ultracomputer/internal/msg"
 	"ultracomputer/internal/pe"
 )
 
@@ -15,10 +14,9 @@ import (
 type Core struct {
 	prog   *Program
 	pc     int
-	regs   [NumRegs]int64
-	fregs  [NumRegs]float64
-	lockI  [NumRegs]bool
-	lockF  [NumRegs]bool
+	regs   Regs
+	lockI  uint32 // bit d: integer register d awaits a reply
+	lockF  uint32 // the same for the float file
 	local  []int64
 	halted bool
 	cc     *coreCache // optional write-back cache (NewCoreWithCache)
@@ -33,10 +31,10 @@ func NewCore(prog *Program, localWords int) *Core {
 }
 
 // Reg reads integer register r (for result checking after a run).
-func (c *Core) Reg(r int) int64 { return c.regs[r] }
+func (c *Core) Reg(r int) int64 { return c.regs.I[r] }
 
 // FReg reads float register r.
-func (c *Core) FReg(r int) float64 { return c.fregs[r] }
+func (c *Core) FReg(r int) float64 { return c.regs.F[r] }
 
 // Local reads private-memory word a.
 func (c *Core) Local(a int) int64 { return c.local[a] }
@@ -64,15 +62,13 @@ func (c *Core) Complete(tag int, value int64) {
 		return
 	}
 	if tag < floatTagBase {
-		if tag > 0 { // r0 stays zero
-			c.regs[tag] = value
-		}
-		c.lockI[tag] = false
+		c.regs.setI(tag, value)
+		c.lockI &^= 1 << uint(tag)
 		return
 	}
 	f := tag - floatTagBase
-	c.fregs[f] = math.Float64frombits(uint64(value))
-	c.lockF[f] = false
+	c.regs.F[f] = math.Float64frombits(uint64(value))
+	c.lockF &^= 1 << uint(f)
 }
 
 // Tick implements pe.Core.
@@ -90,274 +86,93 @@ func (c *Core) Tick(env *pe.Env) pe.TickResult {
 		c.halted = true
 		return pe.TickResult{Halted: true}
 	}
-	in := c.prog.Instrs[c.pc]
+	in := &c.prog.Instrs[c.pc]
 
-	// Register-lock interlock: every register the instruction reads (or
-	// overwrites) must be unlocked; otherwise the cycle is lost.
-	if c.locked(in) {
+	// Register-lock interlock: every register the instruction reads or
+	// overwrites must be unlocked; otherwise the cycle is lost. Most
+	// ticks find no lock set at all.
+	if c.lockI|c.lockF != 0 && c.locked(in) {
 		return pe.TickResult{}
 	}
 
+	if next, ok := c.regs.Exec(in, c.pc); ok {
+		c.pc = next
+		return pe.TickResult{Executed: true}
+	}
 	switch in.Op {
-	case NOP:
 	case HALT:
 		c.halted = true
 		return pe.TickResult{Halted: true}
 
-	case LI:
-		c.setI(in.Rd, in.Imm)
-	case MOV:
-		c.setI(in.Rd, c.regs[in.Rs])
-	case ADD:
-		c.setI(in.Rd, c.regs[in.Rs]+c.regs[in.Rt])
-	case SUB:
-		c.setI(in.Rd, c.regs[in.Rs]-c.regs[in.Rt])
-	case MUL:
-		c.setI(in.Rd, c.regs[in.Rs]*c.regs[in.Rt])
-	case DIV:
-		if c.regs[in.Rt] == 0 {
-			c.setI(in.Rd, 0)
-		} else {
-			c.setI(in.Rd, c.regs[in.Rs]/c.regs[in.Rt])
-		}
-	case MOD:
-		if c.regs[in.Rt] == 0 {
-			c.setI(in.Rd, 0)
-		} else {
-			c.setI(in.Rd, c.regs[in.Rs]%c.regs[in.Rt])
-		}
-	case AND:
-		c.setI(in.Rd, c.regs[in.Rs]&c.regs[in.Rt])
-	case OR:
-		c.setI(in.Rd, c.regs[in.Rs]|c.regs[in.Rt])
-	case XOR:
-		c.setI(in.Rd, c.regs[in.Rs]^c.regs[in.Rt])
-	case SHL:
-		c.setI(in.Rd, c.regs[in.Rs]<<uint(c.regs[in.Rt]&63))
-	case SHR:
-		c.setI(in.Rd, c.regs[in.Rs]>>uint(c.regs[in.Rt]&63))
-	case ADDI:
-		c.setI(in.Rd, c.regs[in.Rs]+in.Imm)
-	case SLT:
-		c.setI(in.Rd, b2i(c.regs[in.Rs] < c.regs[in.Rt]))
-	case SLE:
-		c.setI(in.Rd, b2i(c.regs[in.Rs] <= c.regs[in.Rt]))
-	case SEQ:
-		c.setI(in.Rd, b2i(c.regs[in.Rs] == c.regs[in.Rt]))
-	case SNE:
-		c.setI(in.Rd, b2i(c.regs[in.Rs] != c.regs[in.Rt]))
-
-	case FLI:
-		c.fregs[in.Rd] = in.FImm
-	case FMOV:
-		c.fregs[in.Rd] = c.fregs[in.Rs]
-	case FADD:
-		c.fregs[in.Rd] = c.fregs[in.Rs] + c.fregs[in.Rt]
-	case FSUB:
-		c.fregs[in.Rd] = c.fregs[in.Rs] - c.fregs[in.Rt]
-	case FMUL:
-		c.fregs[in.Rd] = c.fregs[in.Rs] * c.fregs[in.Rt]
-	case FDIV:
-		c.fregs[in.Rd] = c.fregs[in.Rs] / c.fregs[in.Rt]
-	case FSQRT:
-		c.fregs[in.Rd] = math.Sqrt(c.fregs[in.Rs])
-	case FNEG:
-		c.fregs[in.Rd] = -c.fregs[in.Rs]
-	case FABS:
-		c.fregs[in.Rd] = math.Abs(c.fregs[in.Rs])
-	case FSLT:
-		c.setI(in.Rd, b2i(c.fregs[in.Rs] < c.fregs[in.Rt]))
-	case FSLE:
-		c.setI(in.Rd, b2i(c.fregs[in.Rs] <= c.fregs[in.Rt]))
-	case FSEQ:
-		c.setI(in.Rd, b2i(c.fregs[in.Rs] == c.fregs[in.Rt]))
-	case CVTIF:
-		c.fregs[in.Rd] = float64(c.regs[in.Rs])
-	case CVTFI:
-		c.setI(in.Rd, int64(c.fregs[in.Rs]))
-
-	case BEQ:
-		if c.regs[in.Rs] == c.regs[in.Rt] {
-			c.pc = int(in.Imm)
-			return pe.TickResult{Executed: true}
-		}
-	case BNE:
-		if c.regs[in.Rs] != c.regs[in.Rt] {
-			c.pc = int(in.Imm)
-			return pe.TickResult{Executed: true}
-		}
-	case BLT:
-		if c.regs[in.Rs] < c.regs[in.Rt] {
-			c.pc = int(in.Imm)
-			return pe.TickResult{Executed: true}
-		}
-	case BGE:
-		if c.regs[in.Rs] >= c.regs[in.Rt] {
-			c.pc = int(in.Imm)
-			return pe.TickResult{Executed: true}
-		}
-	case JMP:
-		c.pc = int(in.Imm)
-		return pe.TickResult{Executed: true}
-	case JAL:
-		c.setI(in.Rd, int64(c.pc+1))
-		c.pc = int(in.Imm)
-		return pe.TickResult{Executed: true}
-	case JR:
-		c.pc = int(c.regs[in.Rs])
-		return pe.TickResult{Executed: true}
+	case RDPE:
+		c.regs.setI(in.Rd, int64(env.PEID()))
+	case RDNP:
+		c.regs.setI(in.Rd, int64(env.NumPE()))
 
 	case LW:
-		c.setI(in.Rd, c.local[c.localAddr(in)])
+		c.regs.setI(in.Rd, c.local[c.localAddr(in)])
 		c.pc++
 		return pe.TickResult{Executed: true, LocalRef: true}
 	case SW:
-		c.local[c.localAddr(in)] = c.regs[in.Rt]
+		c.local[c.localAddr(in)] = c.regs.I[in.Rt]
 		c.pc++
 		return pe.TickResult{Executed: true, LocalRef: true}
-
-	case LDS:
-		return c.issueShared(env, in, msg.Load, 0, in.Rd)
-	case STS:
-		return c.issueShared(env, in, msg.Store, c.regs[in.Rt], -1)
-	case FAA:
-		return c.issueShared(env, in, msg.FetchAdd, c.regs[in.Rt], in.Rd)
-	case FAO:
-		return c.issueShared(env, in, msg.FetchOr, c.regs[in.Rt], in.Rd)
-	case FAN:
-		return c.issueShared(env, in, msg.FetchAnd, c.regs[in.Rt], in.Rd)
-	case FAX:
-		return c.issueShared(env, in, msg.FetchMax, c.regs[in.Rt], in.Rd)
-	case FAI:
-		return c.issueShared(env, in, msg.FetchMin, c.regs[in.Rt], in.Rd)
-	case SWP:
-		return c.issueShared(env, in, msg.Swap, c.regs[in.Rt], in.Rd)
-	case FLDS:
-		return c.issueSharedF(env, in)
-	case FSTS:
-		return c.issueShared(env, in, msg.Store, int64(math.Float64bits(c.fregs[in.Rt])), -1)
-
-	case RDPE:
-		c.setI(in.Rd, int64(env.PEID()))
-	case RDNP:
-		c.setI(in.Rd, int64(env.NumPE()))
 
 	case CLDS, CSTS, CFLU, CREL:
 		return c.execCached(env, in)
 
 	default:
+		if in.Op.Class() == ClassShared {
+			return c.issueShared(env, in)
+		}
 		panic(fmt.Sprintf("isa: unhandled opcode %v at pc %d", in.Op, c.pc))
 	}
 	c.pc++
 	return pe.TickResult{Executed: true}
 }
 
-// issueShared issues one shared-memory request; tag < 0 means no value is
-// awaited (stores). On success the destination register is locked and the
-// PE moves on; on refusal the cycle is lost and the instruction retries.
-func (c *Core) issueShared(env *pe.Env, in Instr, op msg.Op, operand int64, dest int) pe.TickResult {
-	addr := c.regs[in.Rs] + in.Imm
+// issueShared issues the request of a ClassShared instruction as its row
+// describes it: the address is imm(rs), the operand the register named
+// as Rt (of either file), and the reply lands in — and until then locks —
+// the register named as Rd; a row without one (the stores) awaits no
+// value. On refusal the cycle is lost and the instruction retries.
+func (c *Core) issueShared(env *pe.Env, in *Instr) pe.TickResult {
+	r := &rows[in.Op]
+	var operand int64
+	switch {
+	case r.intSel[oRt] != 0:
+		operand = c.regs.I[in.Rt]
+	case r.floatSel[oRt] != 0:
+		operand = int64(math.Float64bits(c.regs.F[in.Rt]))
+	}
 	tag := -1
-	if dest >= 0 {
-		tag = dest
+	switch {
+	case r.intSel[oRd] != 0:
+		tag = in.Rd
+	case r.floatSel[oRd] != 0:
+		tag = floatTagBase + in.Rd
 	}
-	if !env.Issue(op, addr, operand, tag) {
+	if !env.Issue(r.mem, c.regs.I[in.Rs]+in.Imm, operand, tag) {
 		return pe.TickResult{}
 	}
-	if dest >= 0 {
-		c.lockI[dest] = true
-	}
+	d := uint32(1) << uint(in.Rd)
+	c.lockI |= d & r.intSel[oRd]
+	c.lockF |= d & r.floatSel[oRd]
 	c.pc++
 	return pe.TickResult{Executed: true}
 }
 
-// issueSharedF issues a shared float load locking a float register.
-func (c *Core) issueSharedF(env *pe.Env, in Instr) pe.TickResult {
-	addr := c.regs[in.Rs] + in.Imm
-	if !env.Issue(msg.Load, addr, 0, floatTagBase+in.Rd) {
-		return pe.TickResult{}
-	}
-	c.lockF[in.Rd] = true
-	c.pc++
-	return pe.TickResult{Executed: true}
-}
-
-// locked reports whether any register the instruction needs is locked.
-func (c *Core) locked(in Instr) bool {
-	switch in.Op {
-	case NOP, HALT, JMP, LI, RDPE, RDNP:
-		return in.usesIntDest() && c.lockI[in.Rd]
-	case FLI:
-		return c.lockF[in.Rd]
-	case MOV, ADDI:
-		return c.lockI[in.Rs] || c.lockI[in.Rd]
-	case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR, SLT, SLE, SEQ, SNE:
-		return c.lockI[in.Rs] || c.lockI[in.Rt] || c.lockI[in.Rd]
-	case FMOV, FSQRT, FNEG, FABS:
-		return c.lockF[in.Rs] || c.lockF[in.Rd]
-	case FADD, FSUB, FMUL, FDIV:
-		return c.lockF[in.Rs] || c.lockF[in.Rt] || c.lockF[in.Rd]
-	case FSLT, FSLE, FSEQ:
-		return c.lockF[in.Rs] || c.lockF[in.Rt] || c.lockI[in.Rd]
-	case CVTIF:
-		return c.lockI[in.Rs] || c.lockF[in.Rd]
-	case CVTFI:
-		return c.lockF[in.Rs] || c.lockI[in.Rd]
-	case BEQ, BNE, BLT, BGE:
-		return c.lockI[in.Rs] || c.lockI[in.Rt]
-	case JAL:
-		return c.lockI[in.Rd]
-	case JR:
-		return c.lockI[in.Rs]
-	case LW:
-		return c.lockI[in.Rs] || c.lockI[in.Rd]
-	case SW:
-		return c.lockI[in.Rs] || c.lockI[in.Rt]
-	case LDS:
-		return c.lockI[in.Rs] || c.lockI[in.Rd]
-	case STS:
-		return c.lockI[in.Rs] || c.lockI[in.Rt]
-	case FAA, FAO, FAN, FAX, FAI, SWP:
-		return c.lockI[in.Rs] || c.lockI[in.Rt] || c.lockI[in.Rd]
-	case FLDS:
-		return c.lockI[in.Rs] || c.lockF[in.Rd]
-	case FSTS:
-		return c.lockI[in.Rs] || c.lockF[in.Rt]
-	case CLDS:
-		return c.lockI[in.Rs] || c.lockI[in.Rd]
-	case CSTS, CFLU, CREL:
-		return c.lockI[in.Rs] || c.lockI[in.Rt]
-	}
-	return false
-}
-
-// usesIntDest reports whether the opcode writes an integer destination.
-func (i Instr) usesIntDest() bool {
-	switch i.Op {
-	case LI, RDPE, RDNP:
-		return true
-	}
-	return false
+// locked reports whether any register the instruction names is locked.
+func (c *Core) locked(in *Instr) bool {
+	useI, useF, defI, defF := in.Regs()
+	return c.lockI&(useI|defI)|c.lockF&(useF|defF) != 0
 }
 
 // localAddr computes and bounds-checks a private-memory address.
-func (c *Core) localAddr(in Instr) int {
-	a := c.regs[in.Rs] + in.Imm
+func (c *Core) localAddr(in *Instr) int {
+	a := c.regs.I[in.Rs] + in.Imm
 	if a < 0 || a >= int64(len(c.local)) {
 		panic(fmt.Sprintf("isa: local address %d out of [0,%d) at pc %d", a, len(c.local), c.pc))
 	}
 	return int(a)
-}
-
-func (c *Core) setI(r int, v int64) {
-	if r != 0 {
-		c.regs[r] = v
-	}
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

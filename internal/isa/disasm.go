@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,7 +20,7 @@ func (p *Program) Disassemble() string {
 		}
 	}
 	for _, in := range p.Instrs {
-		if isBranch(in.Op) {
+		if in.Op.hasTarget() {
 			pc := int(in.Imm)
 			if _, ok := names[pc]; !ok {
 				names[pc] = "L" + strconv.Itoa(pc)
@@ -62,7 +63,7 @@ func (p *Program) InstrString(pc int) string {
 			names[at] = name
 		}
 	}
-	if in := p.Instrs[pc]; isBranch(in.Op) {
+	if in := p.Instrs[pc]; in.Op.hasTarget() {
 		if _, ok := names[int(in.Imm)]; !ok {
 			names[int(in.Imm)] = "L" + strconv.Itoa(int(in.Imm))
 		}
@@ -70,80 +71,48 @@ func (p *Program) InstrString(pc int) string {
 	return disasmInstr(p.Instrs[pc], names)
 }
 
-func isBranch(op Op) bool {
-	switch op {
-	case BEQ, BNE, BLT, BGE, JMP, JAL:
-		return true
-	}
-	return false
+// hasTarget reports whether Imm holds a pc the assembler resolved from a
+// label.
+func (o Op) hasTarget() bool {
+	return o < numOps && (rows[o].flow == flowBranch || rows[o].flow == flowJump)
 }
 
-// disasmInstr renders one instruction in the assembler's input syntax.
+// disasmInstr renders one instruction in the assembler's input syntax,
+// operand by operand as the opcode's row lists them.
 func disasmInstr(in Instr, names map[int]string) string {
-	r := func(n int) string { return "r" + strconv.Itoa(n) }
-	f := func(n int) string { return "f" + strconv.Itoa(n) }
-	mem := func() string { return fmt.Sprintf("%d(%s)", in.Imm, r(in.Rs)) }
-	lbl := func() string { return names[int(in.Imm)] }
-	op := in.Op.String()
-	switch in.Op {
-	case NOP, HALT:
-		return op
-	case LI:
-		return fmt.Sprintf("%s %s, %d", op, r(in.Rd), in.Imm)
-	case FLI:
-		return fmt.Sprintf("%s %s, %s", op, f(in.Rd), formatFloat(in.FImm))
-	case MOV:
-		return fmt.Sprintf("%s %s, %s", op, r(in.Rd), r(in.Rs))
-	case FMOV, FSQRT, FNEG, FABS:
-		return fmt.Sprintf("%s %s, %s", op, f(in.Rd), f(in.Rs))
-	case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR, SLT, SLE, SEQ, SNE:
-		return fmt.Sprintf("%s %s, %s, %s", op, r(in.Rd), r(in.Rs), r(in.Rt))
-	case ADDI:
-		return fmt.Sprintf("%s %s, %s, %d", op, r(in.Rd), r(in.Rs), in.Imm)
-	case FADD, FSUB, FMUL, FDIV:
-		return fmt.Sprintf("%s %s, %s, %s", op, f(in.Rd), f(in.Rs), f(in.Rt))
-	case FSLT, FSLE, FSEQ:
-		return fmt.Sprintf("%s %s, %s, %s", op, r(in.Rd), f(in.Rs), f(in.Rt))
-	case CVTIF:
-		return fmt.Sprintf("%s %s, %s", op, f(in.Rd), r(in.Rs))
-	case CVTFI:
-		return fmt.Sprintf("%s %s, %s", op, r(in.Rd), f(in.Rs))
-	case BEQ, BNE, BLT, BGE:
-		return fmt.Sprintf("%s %s, %s, %s", op, r(in.Rs), r(in.Rt), lbl())
-	case JMP:
-		return fmt.Sprintf("%s %s", op, lbl())
-	case JAL:
-		return fmt.Sprintf("%s %s, %s", op, r(in.Rd), lbl())
-	case JR:
-		return fmt.Sprintf("%s %s", op, r(in.Rs))
-	case LW, LDS:
-		return fmt.Sprintf("%s %s, %s", op, r(in.Rd), mem())
-	case SW, STS:
-		return fmt.Sprintf("%s %s, %s", op, r(in.Rt), mem())
-	case FLDS:
-		return fmt.Sprintf("%s %s, %s", op, f(in.Rd), mem())
-	case FSTS:
-		return fmt.Sprintf("%s %s, %s", op, f(in.Rt), mem())
-	case FAA, FAO, FAN, FAX, FAI, SWP:
-		return fmt.Sprintf("%s %s, %s, %s", op, r(in.Rd), mem(), r(in.Rt))
-	case RDPE, RDNP:
-		return fmt.Sprintf("%s %s", op, r(in.Rd))
-	case CLDS:
-		return fmt.Sprintf("%s %s, %s", op, r(in.Rd), mem())
-	case CSTS:
-		return fmt.Sprintf("%s %s, %s", op, r(in.Rt), mem())
-	case CFLU, CREL:
-		return fmt.Sprintf("%s %s, %s", op, r(in.Rs), r(in.Rt))
-	default:
-		return fmt.Sprintf("; unknown %s", op)
+	if in.Op >= numOps {
+		return "; unknown " + in.Op.String()
 	}
+	var b strings.Builder
+	b.WriteString(in.Op.String())
+	sep := " "
+	for _, o := range rows[in.Op].args {
+		b.WriteString(sep)
+		sep = ", "
+		switch o {
+		case oRd, oRs, oRt:
+			fmt.Fprintf(&b, "r%d", *in.reg(o - oRd))
+		case oFd, oFs, oFt:
+			fmt.Fprintf(&b, "f%d", *in.reg(o - oFd))
+		case oImm:
+			fmt.Fprintf(&b, "%d", in.Imm)
+		case oFImm:
+			b.WriteString(formatFloat(in.FImm))
+		case oMem:
+			fmt.Fprintf(&b, "%d(r%d)", in.Imm, in.Rs)
+		case oLabel:
+			b.WriteString(names[int(in.Imm)])
+		}
+	}
+	return b.String()
 }
 
 // formatFloat renders a float immediate so the assembler reparses it as
-// a float (always with a decimal point or exponent).
+// the same float: finite values always with a decimal point or exponent,
+// NaN and the infinities as strconv writes (and reads) them.
 func formatFloat(v float64) string {
 	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") {
+	if !strings.ContainsAny(s, ".eE") && !math.IsNaN(v) && !math.IsInf(v, 0) {
 		s += ".0"
 	}
 	return s

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,44 +41,28 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDisassembleAllOpcodeForms round-trips one canonical instruction of
+// every opcode, enumerated from the instruction table (table_test.go),
+// through assemble → disassemble → assemble.
 func TestDisassembleAllOpcodeForms(t *testing.T) {
-	src := `
-start:	nop
-	li    r1, -5
-	fli   f1, 2.5
-	fli   f2, 3.0
-	mov   r2, r1
-	add   r3, r1, r2
-	addi  r4, r3, 7
-	fadd  f3, f1, f2
-	fsqrt f4, f3
-	fslt  r5, f1, f2
-	cvtif f5, r1
-	cvtfi r6, f5
-	beq   r1, r2, start
-	jal   r31, sub
-	jmp   end
-sub:	jr    r31
-	lw    r7, 2(r1)
-	sw    r7, 3(r1)
-	lds   r8, 4(r1)
-	sts   r8, 5(r1)
-	flds  f6, 6(r1)
-	fsts  f6, 7(r1)
-	faa   r9, 8(r1), r2
-	swp   r10, 9(r1), r2
-	rdpe  r11
-	rdnp  r12
-end:	halt
-`
+	src := "start:\n"
+	for op := Op(0); op < numOps; op++ {
+		src += "\t" + disasmInstr(canonical(op), map[int]string{0: "start"}) + "\n"
+	}
 	p1 := MustAssemble(src)
 	p2, err := Assemble(p1.Disassemble())
 	if err != nil {
 		t.Fatalf("reassembly failed: %v\n%s", err, p1.Disassemble())
 	}
+	if len(p1.Instrs) != int(numOps) || len(p2.Instrs) != int(numOps) {
+		t.Fatalf("%d opcodes assembled to %d instructions, reassembled to %d", numOps, len(p1.Instrs), len(p2.Instrs))
+	}
 	for i := range p1.Instrs {
 		if p1.Instrs[i] != p2.Instrs[i] {
 			t.Fatalf("instr %d: %v vs %v", i, p1.Instrs[i], p2.Instrs[i])
+		}
+		if want := canonical(Op(i)); p1.Instrs[i] != want {
+			t.Fatalf("%v assembled to %+v, want %+v", Op(i), p1.Instrs[i], want)
 		}
 	}
 	// Original labels survive.
@@ -87,11 +72,15 @@ end:	halt
 }
 
 func TestFormatFloatReparses(t *testing.T) {
-	for _, v := range []float64{0, 1, -2.5, 1e-9, 12345.6789, 3} {
+	for _, v := range []float64{0, 1, -2.5, 1e-9, 12345.6789, 3,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.MaxFloat64} {
 		s := formatFloat(v)
-		p := MustAssemble("fli f1, " + s + "\nhalt")
-		if p.Instrs[0].FImm != v {
-			t.Fatalf("%v formatted as %q reparsed to %v", v, s, p.Instrs[0].FImm)
+		p, err := Assemble("fli f1, " + s + "\nhalt")
+		if err != nil {
+			t.Fatalf("%v formatted as %q: %v", v, s, err)
+		}
+		if got := p.Instrs[0].FImm; math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("%v formatted as %q reparsed to %v", v, s, got)
 		}
 	}
 }

@@ -14,7 +14,11 @@
 // LDS/STS variants.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+
+	"ultracomputer/internal/msg"
+)
 
 // Op is an opcode.
 type Op uint8
@@ -93,27 +97,164 @@ const (
 	numOps
 )
 
-var opNames = map[Op]string{
-	NOP: "nop", HALT: "halt", LI: "li", MOV: "mov", ADD: "add", SUB: "sub",
-	MUL: "mul", DIV: "div", MOD: "mod", AND: "and", OR: "or", XOR: "xor",
-	SHL: "shl", SHR: "shr", ADDI: "addi", SLT: "slt", SLE: "sle",
-	SEQ: "seq", SNE: "sne", FLI: "fli", FMOV: "fmov", FADD: "fadd",
-	FSUB: "fsub", FMUL: "fmul", FDIV: "fdiv", FSQRT: "fsqrt", FNEG: "fneg",
-	FABS: "fabs", FSLT: "fslt", FSLE: "fsle", FSEQ: "fseq", CVTIF: "cvtif",
-	CVTFI: "cvtfi", BEQ: "beq", BNE: "bne", BLT: "blt", BGE: "bge",
-	JMP: "jmp", JAL: "jal", JR: "jr", LW: "lw", SW: "sw", LDS: "lds",
-	STS: "sts", FAA: "faa", FAO: "fao", FAN: "fan", FAX: "fax", FAI: "fai",
-	SWP: "swp", FLDS: "flds", FSTS: "fsts", RDPE: "rdpe", RDNP: "rdnp",
-	CLDS: "clds", CSTS: "csts", CFLU: "cflu", CREL: "crel",
+// Class says which part of the machine executes an opcode.
+type Class uint8
+
+// The execution classes.
+const (
+	ClassReg        Class = iota // registers and pc only: Regs.Exec is the whole instruction
+	ClassHalt                    // stops the PE
+	ClassPE                      // reads the PE's identity from its environment
+	ClassPrivate                 // private memory, one cycle
+	ClassShared                  // one request through the network: Op.Mem names it
+	ClassCached                  // one word through the write-back cache
+	ClassCacheRange              // flush or release of a cached address range
+)
+
+// operand is one assembly operand: where it sits in the source text is
+// its position in the row, where it sits in the Instr is its kind.
+type operand uint8
+
+const (
+	oRd    operand = iota // integer register in Instr.Rd
+	oRs                   // integer register in Instr.Rs
+	oRt                   // integer register in Instr.Rt
+	oFd                   // float register in Instr.Rd
+	oFs                   // float register in Instr.Rs
+	oFt                   // float register in Instr.Rt
+	oImm                  // integer immediate in Instr.Imm
+	oFImm                 // float immediate in Instr.FImm
+	oMem                  // imm(rs): Instr.Imm and the integer register in Instr.Rs
+	oLabel                // label, resolved to a pc in Instr.Imm
+)
+
+// flow says how control leaves an instruction.
+type flow uint8
+
+const (
+	flowNext     flow = iota // to pc+1 (a ClassHalt instruction: nowhere)
+	flowBranch               // to pc+1 or to Imm
+	flowJump                 // to Imm
+	flowIndirect             // to a pc held in a register
+)
+
+type ops = []operand
+
+// row describes one opcode. Everything else that depends on the opcode
+// but not on register values — assembling and disassembling it, the
+// registers it reads and writes, its control-flow successors, who
+// executes it — is derived from its row (DESIGN.md §5).
+type row struct {
+	name  string
+	args  ops    // assembly operands in source order
+	class Class  // zero: register-only
+	mem   msg.Op // the request a ClassShared opcode issues
+	flow  flow   // zero: falls through
+
+	// Derived by init from args: for each of Rd, Rs, Rt, all ones when
+	// the row names that field as a register of the file, else zero.
+	intSel, floatSel [3]uint32
+}
+
+var rows = [numOps]row{
+	NOP:   {name: "nop"},
+	HALT:  {name: "halt", class: ClassHalt},
+	LI:    {name: "li", args: ops{oRd, oImm}},
+	MOV:   {name: "mov", args: ops{oRd, oRs}},
+	ADD:   {name: "add", args: ops{oRd, oRs, oRt}},
+	SUB:   {name: "sub", args: ops{oRd, oRs, oRt}},
+	MUL:   {name: "mul", args: ops{oRd, oRs, oRt}},
+	DIV:   {name: "div", args: ops{oRd, oRs, oRt}},
+	MOD:   {name: "mod", args: ops{oRd, oRs, oRt}},
+	AND:   {name: "and", args: ops{oRd, oRs, oRt}},
+	OR:    {name: "or", args: ops{oRd, oRs, oRt}},
+	XOR:   {name: "xor", args: ops{oRd, oRs, oRt}},
+	SHL:   {name: "shl", args: ops{oRd, oRs, oRt}},
+	SHR:   {name: "shr", args: ops{oRd, oRs, oRt}},
+	ADDI:  {name: "addi", args: ops{oRd, oRs, oImm}},
+	SLT:   {name: "slt", args: ops{oRd, oRs, oRt}},
+	SLE:   {name: "sle", args: ops{oRd, oRs, oRt}},
+	SEQ:   {name: "seq", args: ops{oRd, oRs, oRt}},
+	SNE:   {name: "sne", args: ops{oRd, oRs, oRt}},
+	FLI:   {name: "fli", args: ops{oFd, oFImm}},
+	FMOV:  {name: "fmov", args: ops{oFd, oFs}},
+	FADD:  {name: "fadd", args: ops{oFd, oFs, oFt}},
+	FSUB:  {name: "fsub", args: ops{oFd, oFs, oFt}},
+	FMUL:  {name: "fmul", args: ops{oFd, oFs, oFt}},
+	FDIV:  {name: "fdiv", args: ops{oFd, oFs, oFt}},
+	FSQRT: {name: "fsqrt", args: ops{oFd, oFs}},
+	FNEG:  {name: "fneg", args: ops{oFd, oFs}},
+	FABS:  {name: "fabs", args: ops{oFd, oFs}},
+	FSLT:  {name: "fslt", args: ops{oRd, oFs, oFt}},
+	FSLE:  {name: "fsle", args: ops{oRd, oFs, oFt}},
+	FSEQ:  {name: "fseq", args: ops{oRd, oFs, oFt}},
+	CVTIF: {name: "cvtif", args: ops{oFd, oRs}},
+	CVTFI: {name: "cvtfi", args: ops{oRd, oFs}},
+	BEQ:   {name: "beq", args: ops{oRs, oRt, oLabel}, flow: flowBranch},
+	BNE:   {name: "bne", args: ops{oRs, oRt, oLabel}, flow: flowBranch},
+	BLT:   {name: "blt", args: ops{oRs, oRt, oLabel}, flow: flowBranch},
+	BGE:   {name: "bge", args: ops{oRs, oRt, oLabel}, flow: flowBranch},
+	JMP:   {name: "jmp", args: ops{oLabel}, flow: flowJump},
+	JAL:   {name: "jal", args: ops{oRd, oLabel}, flow: flowJump},
+	JR:    {name: "jr", args: ops{oRs}, flow: flowIndirect},
+	LW:    {name: "lw", args: ops{oRd, oMem}, class: ClassPrivate},
+	SW:    {name: "sw", args: ops{oRt, oMem}, class: ClassPrivate},
+	LDS:   {name: "lds", args: ops{oRd, oMem}, class: ClassShared, mem: msg.Load},
+	STS:   {name: "sts", args: ops{oRt, oMem}, class: ClassShared, mem: msg.Store},
+	FAA:   {name: "faa", args: ops{oRd, oMem, oRt}, class: ClassShared, mem: msg.FetchAdd},
+	FAO:   {name: "fao", args: ops{oRd, oMem, oRt}, class: ClassShared, mem: msg.FetchOr},
+	FAN:   {name: "fan", args: ops{oRd, oMem, oRt}, class: ClassShared, mem: msg.FetchAnd},
+	FAX:   {name: "fax", args: ops{oRd, oMem, oRt}, class: ClassShared, mem: msg.FetchMax},
+	FAI:   {name: "fai", args: ops{oRd, oMem, oRt}, class: ClassShared, mem: msg.FetchMin},
+	SWP:   {name: "swp", args: ops{oRd, oMem, oRt}, class: ClassShared, mem: msg.Swap},
+	FLDS:  {name: "flds", args: ops{oFd, oMem}, class: ClassShared, mem: msg.Load},
+	FSTS:  {name: "fsts", args: ops{oFt, oMem}, class: ClassShared, mem: msg.Store},
+	RDPE:  {name: "rdpe", args: ops{oRd}, class: ClassPE},
+	RDNP:  {name: "rdnp", args: ops{oRd}, class: ClassPE},
+	CLDS:  {name: "clds", args: ops{oRd, oMem}, class: ClassCached},
+	CSTS:  {name: "csts", args: ops{oRt, oMem}, class: ClassCached},
+	CFLU:  {name: "cflu", args: ops{oRs, oRt}, class: ClassCacheRange},
+	CREL:  {name: "crel", args: ops{oRs, oRt}, class: ClassCacheRange},
+}
+
+func init() {
+	for op := range rows {
+		r := &rows[op]
+		for _, o := range r.args {
+			switch {
+			case o <= oRt:
+				r.intSel[o-oRd] = ^uint32(0)
+			case o <= oFt:
+				r.floatSel[o-oFd] = ^uint32(0)
+			case o == oMem:
+				r.intSel[oRs] = ^uint32(0)
+			}
+		}
+	}
 }
 
 // String names the opcode.
 func (o Op) String() string {
-	if n, ok := opNames[o]; ok {
-		return n
+	if o < numOps {
+		return rows[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
+
+func opByName(name string) (Op, bool) {
+	for op := range rows {
+		if rows[op].name == name {
+			return Op(op), true
+		}
+	}
+	return 0, false
+}
+
+// Class reports which part of the machine executes the opcode.
+func (o Op) Class() Class { return rows[o].class }
+
+// Mem reports the request a ClassShared opcode sends to memory.
+func (o Op) Mem() msg.Op { return rows[o].mem }
 
 // NumRegs is the size of each register file.
 const NumRegs = 32
@@ -126,6 +267,17 @@ type Instr struct {
 	Rt   int     // second source
 	Imm  int64   // integer immediate / local or shared offset / branch target
 	FImm float64 // float immediate
+}
+
+// Regs reports the registers the instruction reads (Rs, Rt where its row
+// names them) and writes (Rd), one bit mask per register file. Bit 0 of
+// the integer masks is r0: the core's interlock locks it like any
+// register, liveness must never count it — each consumer masks.
+func (i *Instr) Regs() (useI, useF, defI, defF uint32) {
+	r := &rows[i.Op]
+	d, s, t := uint32(1)<<uint(i.Rd), uint32(1)<<uint(i.Rs), uint32(1)<<uint(i.Rt)
+	return s&r.intSel[oRs] | t&r.intSel[oRt], s&r.floatSel[oRs] | t&r.floatSel[oRt],
+		d & r.intSel[oRd], d & r.floatSel[oRd]
 }
 
 // String renders the instruction in assembly-like form.
@@ -151,4 +303,31 @@ func (p *Program) Line(pc int) int {
 		return 0
 	}
 	return p.Lines[pc]
+}
+
+// Succs lists the static control-flow successors of the instruction at
+// pc. A successor may be len(Instrs), one past the end, where execution
+// halts; a conditional branch lists pc+1, then its target. The list is
+// exact unless the instruction jumps through a register: then it is the
+// conservative one, every pc that follows a jump which left a return
+// address in a register.
+func (p *Program) Succs(pc int) (succs []int, exact bool) {
+	in := &p.Instrs[pc]
+	switch r := &rows[in.Op]; {
+	case r.class == ClassHalt:
+		return nil, true
+	case r.flow == flowBranch:
+		return []int{pc + 1, int(in.Imm)}, true
+	case r.flow == flowJump:
+		return []int{int(in.Imm)}, true
+	case r.flow == flowIndirect:
+		for at := range p.Instrs {
+			call := &rows[p.Instrs[at].Op]
+			if call.flow == flowJump && call.intSel[oRd] != 0 && at+1 < len(p.Instrs) {
+				succs = append(succs, at+1)
+			}
+		}
+		return succs, false
+	}
+	return []int{pc + 1}, true
 }

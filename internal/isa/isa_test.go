@@ -47,10 +47,35 @@ func TestAssembleErrors(t *testing.T) {
 		"lds r1, 4[r2]",       // bad mem operand
 		"fadd f1, f2, r3",     // int reg in float slot
 		"9bad: nop\njmp 9bad", // bad label name
+		"beq r1, r2, ",        // empty label operand
+		"li r+1, 3",           // a register number is decimal digits only:
+		"li r-0, 3",           // no sign,
+		"fli f+3, 1.5",        // in either file
+		"lds r1, 0(r+2)",      // or inside a memory operand,
+		"li r0x1, 3",          // no base prefix
+		"li r1_0, 3",          // and no digit separator
 	}
 	for _, src := range cases {
 		if _, err := isa.Assemble(src); err == nil {
 			t.Errorf("isa.Assemble(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestAssembleWhitespace: any whitespace separates the mnemonic from its
+// operands — programs arrive over HTTP (serve.Config.Program), tabs and all.
+func TestAssembleWhitespace(t *testing.T) {
+	p, err := isa.Assemble("\tli\tr1, 42\nx:\tADDI \t r2,\tr1 , -1\r\n\thalt\t; done")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []isa.Instr{{Op: isa.LI, Rd: 1, Imm: 42}, {Op: isa.ADDI, Rd: 2, Rs: 1, Imm: -1}, {Op: isa.HALT}}
+	if len(p.Instrs) != len(want) {
+		t.Fatalf("assembled %d instructions, want %d", len(p.Instrs), len(want))
+	}
+	for i := range want {
+		if p.Instrs[i] != want[i] {
+			t.Errorf("instr %d = %+v, want %+v", i, p.Instrs[i], want[i])
 		}
 	}
 }

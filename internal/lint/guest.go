@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"ultracomputer/internal/isa"
+	"ultracomputer/internal/msg"
 )
 
 // Finding is one guest-lint diagnostic.
@@ -177,21 +178,26 @@ func summarize(prog *isa.Program, pe, npes int) *peSummary {
 		if !it.reached[pc] {
 			continue
 		}
-		switch in.Op {
-		case isa.LDS, isa.FLDS:
-			s.record(pc, plainLoad)
-		case isa.STS, isa.FSTS:
-			s.record(pc, plainStore)
-		case isa.FAA, isa.FAO, isa.FAN, isa.FAX, isa.FAI, isa.SWP:
-			if addr, ok := it.addrOf(pc); ok {
-				s.syncCells[addr] = true
-				s.accesses = append(s.accesses, access{pc: pc, class: rmw, addr: addr})
+		switch in.Op.Class() {
+		case isa.ClassShared:
+			switch in.Op.Mem() {
+			case msg.Load:
+				s.record(pc, plainLoad)
+			case msg.Store:
+				s.record(pc, plainStore)
+			default: // the fetch-and-phi family
+				if addr, ok := it.addrOf(pc); ok {
+					s.syncCells[addr] = true
+					s.accesses = append(s.accesses, access{pc: pc, class: rmw, addr: addr})
+				}
 			}
-		case isa.CLDS:
-			s.record(pc, cachedLoad)
-		case isa.CSTS:
-			s.record(pc, cachedStore)
-		case isa.CFLU, isa.CREL:
+		case isa.ClassCached:
+			if in.Op == isa.CLDS {
+				s.record(pc, cachedLoad)
+			} else {
+				s.record(pc, cachedStore)
+			}
+		case isa.ClassCacheRange:
 			f := fence{pc: pc, flush: in.Op == isa.CFLU}
 			f.lo, f.loKnown = it.regVal(pc, in.Rs)
 			f.hi, f.hiKnown = it.regVal(pc, in.Rt)
@@ -217,12 +223,11 @@ func (s *peSummary) findSpinCells() {
 		if !s.it.reached[pc] {
 			continue
 		}
-		switch in.Op {
-		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-		default:
+		succs, exact := s.it.prog.Succs(pc)
+		if !exact || len(succs) != 2 { // not a conditional branch
 			continue
 		}
-		target := int(in.Imm)
+		target := succs[1]
 		if target > pc { // not a backward branch
 			continue
 		}

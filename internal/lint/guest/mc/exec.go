@@ -69,116 +69,24 @@ func (c *checker) step(s *state, p int) stepEffect {
 		c.haltPE(pe)
 		return stepEffect{}
 	}
-	in := c.prog.Instrs[pe.pc]
+	in := &c.prog.Instrs[pe.pc]
 
+	// Register-only instructions are the ISA's one definition
+	// (isa.Regs.Exec, shared with the core); what follows — memory, the
+	// cache, interleaving, lost updates — is the checker's own.
+	if next, ok := pe.Exec(in, pe.pc); ok {
+		pe.pc = next
+		return stepEffect{}
+	}
 	switch in.Op {
-	case isa.NOP:
 	case isa.HALT:
 		c.haltPE(pe)
 		return stepEffect{}
 
-	case isa.LI:
-		pe.set(in.Rd, in.Imm)
-	case isa.MOV:
-		pe.set(in.Rd, pe.reg(in.Rs))
-	case isa.ADD:
-		pe.set(in.Rd, pe.reg(in.Rs)+pe.reg(in.Rt))
-	case isa.SUB:
-		pe.set(in.Rd, pe.reg(in.Rs)-pe.reg(in.Rt))
-	case isa.MUL:
-		pe.set(in.Rd, pe.reg(in.Rs)*pe.reg(in.Rt))
-	case isa.DIV:
-		if pe.reg(in.Rt) == 0 {
-			pe.set(in.Rd, 0)
-		} else {
-			pe.set(in.Rd, pe.reg(in.Rs)/pe.reg(in.Rt))
-		}
-	case isa.MOD:
-		if pe.reg(in.Rt) == 0 {
-			pe.set(in.Rd, 0)
-		} else {
-			pe.set(in.Rd, pe.reg(in.Rs)%pe.reg(in.Rt))
-		}
-	case isa.AND:
-		pe.set(in.Rd, pe.reg(in.Rs)&pe.reg(in.Rt))
-	case isa.OR:
-		pe.set(in.Rd, pe.reg(in.Rs)|pe.reg(in.Rt))
-	case isa.XOR:
-		pe.set(in.Rd, pe.reg(in.Rs)^pe.reg(in.Rt))
-	case isa.SHL:
-		pe.set(in.Rd, pe.reg(in.Rs)<<uint(pe.reg(in.Rt)&63))
-	case isa.SHR:
-		pe.set(in.Rd, pe.reg(in.Rs)>>uint(pe.reg(in.Rt)&63))
-	case isa.ADDI:
-		pe.set(in.Rd, pe.reg(in.Rs)+in.Imm)
-	case isa.SLT:
-		pe.set(in.Rd, b2i(pe.reg(in.Rs) < pe.reg(in.Rt)))
-	case isa.SLE:
-		pe.set(in.Rd, b2i(pe.reg(in.Rs) <= pe.reg(in.Rt)))
-	case isa.SEQ:
-		pe.set(in.Rd, b2i(pe.reg(in.Rs) == pe.reg(in.Rt)))
-	case isa.SNE:
-		pe.set(in.Rd, b2i(pe.reg(in.Rs) != pe.reg(in.Rt)))
-
-	case isa.FLI:
-		pe.fregs[in.Rd] = in.FImm
-	case isa.FMOV:
-		pe.fregs[in.Rd] = pe.fregs[in.Rs]
-	case isa.FADD:
-		pe.fregs[in.Rd] = pe.fregs[in.Rs] + pe.fregs[in.Rt]
-	case isa.FSUB:
-		pe.fregs[in.Rd] = pe.fregs[in.Rs] - pe.fregs[in.Rt]
-	case isa.FMUL:
-		pe.fregs[in.Rd] = pe.fregs[in.Rs] * pe.fregs[in.Rt]
-	case isa.FDIV:
-		pe.fregs[in.Rd] = pe.fregs[in.Rs] / pe.fregs[in.Rt]
-	case isa.FSQRT:
-		pe.fregs[in.Rd] = math.Sqrt(pe.fregs[in.Rs])
-	case isa.FNEG:
-		pe.fregs[in.Rd] = -pe.fregs[in.Rs]
-	case isa.FABS:
-		pe.fregs[in.Rd] = math.Abs(pe.fregs[in.Rs])
-	case isa.FSLT:
-		pe.set(in.Rd, b2i(pe.fregs[in.Rs] < pe.fregs[in.Rt]))
-	case isa.FSLE:
-		pe.set(in.Rd, b2i(pe.fregs[in.Rs] <= pe.fregs[in.Rt]))
-	case isa.FSEQ:
-		pe.set(in.Rd, b2i(pe.fregs[in.Rs] == pe.fregs[in.Rt]))
-	case isa.CVTIF:
-		pe.fregs[in.Rd] = float64(pe.reg(in.Rs))
-	case isa.CVTFI:
-		pe.set(in.Rd, int64(pe.fregs[in.Rs]))
-
-	case isa.BEQ:
-		if pe.reg(in.Rs) == pe.reg(in.Rt) {
-			pe.pc = int(in.Imm)
-			return stepEffect{}
-		}
-	case isa.BNE:
-		if pe.reg(in.Rs) != pe.reg(in.Rt) {
-			pe.pc = int(in.Imm)
-			return stepEffect{}
-		}
-	case isa.BLT:
-		if pe.reg(in.Rs) < pe.reg(in.Rt) {
-			pe.pc = int(in.Imm)
-			return stepEffect{}
-		}
-	case isa.BGE:
-		if pe.reg(in.Rs) >= pe.reg(in.Rt) {
-			pe.pc = int(in.Imm)
-			return stepEffect{}
-		}
-	case isa.JMP:
-		pe.pc = int(in.Imm)
-		return stepEffect{}
-	case isa.JAL:
-		pe.set(in.Rd, int64(pe.pc+1))
-		pe.pc = int(in.Imm)
-		return stepEffect{}
-	case isa.JR:
-		pe.pc = int(pe.reg(in.Rs))
-		return stepEffect{}
+	case isa.RDPE:
+		pe.set(in.Rd, int64(p))
+	case isa.RDNP:
+		pe.set(in.Rd, int64(len(s.pes)))
 
 	case isa.LW:
 		pe.set(in.Rd, pe.local[pe.reg(in.Rs)+in.Imm])
@@ -198,7 +106,7 @@ func (c *checker) step(s *state, p int) stepEffect {
 	case isa.FAA, isa.FAO, isa.FAN, isa.FAX, isa.FAI, isa.SWP:
 		addr := pe.reg(in.Rs) + in.Imm
 		old := c.readMem(s, addr)
-		newVal, ret := msg.Apply(rmwOp(in.Op), old, pe.reg(in.Rt))
+		newVal, ret := msg.Apply(in.Op.Mem(), old, pe.reg(in.Rt))
 		c.writeMem(s, p, addr, newVal)
 		pe.set(in.Rd, ret)
 		noteRead(pe, addr, false)
@@ -206,19 +114,14 @@ func (c *checker) step(s *state, p int) stepEffect {
 		return stepEffect{wroteMem: true}
 	case isa.FLDS:
 		addr := pe.reg(in.Rs) + in.Imm
-		pe.fregs[in.Rd] = math.Float64frombits(uint64(c.readMem(s, addr)))
+		pe.F[in.Rd] = math.Float64frombits(uint64(c.readMem(s, addr)))
 		noteRead(pe, addr, false)
 	case isa.FSTS:
 		addr := pe.reg(in.Rs) + in.Imm
 		lost := checkPlainStore(pe, addr)
-		c.writeMem(s, p, addr, int64(math.Float64bits(pe.fregs[in.Rt])))
+		c.writeMem(s, p, addr, int64(math.Float64bits(pe.F[in.Rt])))
 		pe.pc++
 		return stepEffect{lostUpdate: lost, addr: addr, wroteMem: true}
-
-	case isa.RDPE:
-		pe.set(in.Rd, int64(p))
-	case isa.RDNP:
-		pe.set(in.Rd, int64(len(s.pes)))
 
 	case isa.CLDS:
 		addr := pe.reg(in.Rs) + in.Imm
@@ -272,22 +175,4 @@ func (c *checker) step(s *state, p int) stepEffect {
 // one canonical encoding.
 func (c *checker) haltPE(pe *peState) {
 	*pe = peState{pc: -1, halted: true, lastRead: -1}
-}
-
-func rmwOp(op isa.Op) msg.Op {
-	switch op {
-	case isa.FAA:
-		return msg.FetchAdd
-	case isa.FAO:
-		return msg.FetchOr
-	case isa.FAN:
-		return msg.FetchAnd
-	case isa.FAX:
-		return msg.FetchMax
-	case isa.FAI:
-		return msg.FetchMin
-	case isa.SWP:
-		return msg.Swap
-	}
-	panic(fmt.Sprintf("mc: not a fetch-and-phi op: %v", op))
 }

@@ -14,101 +14,13 @@ type liveSets struct {
 	fin []uint64 // live float registers at each pc
 }
 
-// succs lists the static control-flow successors of pc. JR is resolved
-// conservatively to every instruction following a JAL (the return sites),
-// mirroring the guest lint's CFG.
-func succs(prog *isa.Program, pc int, retSites []int) []int {
-	in := prog.Instrs[pc]
-	switch in.Op {
-	case isa.HALT:
-		return nil
-	case isa.JMP, isa.JAL:
-		return []int{int(in.Imm)}
-	case isa.JR:
-		return retSites
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-		return []int{pc + 1, int(in.Imm)}
-	default:
-		if pc+1 < len(prog.Instrs) {
-			return []int{pc + 1}
-		}
-		return nil
-	}
-}
-
-func returnSites(prog *isa.Program) []int {
-	var sites []int
-	for pc, in := range prog.Instrs {
-		if in.Op == isa.JAL && pc+1 < len(prog.Instrs) {
-			sites = append(sites, pc+1)
-		}
-	}
-	return sites
-}
-
-// useDef computes the (use, def) register masks of one instruction for
-// the integer and float files. r0 is hardwired zero: it is never a use
-// or a def.
-func useDef(in isa.Instr) (useI, defI, useF, defF uint64) {
-	bit := func(r int) uint64 {
-		if r == 0 {
-			return 0 // r0 reads as zero, writes are discarded
-		}
-		return 1 << uint(r)
-	}
-	fbit := func(r int) uint64 { return 1 << uint(r) } // f0 is a real register
-	switch in.Op {
-	case isa.NOP, isa.HALT, isa.JMP:
-	case isa.LI, isa.RDPE, isa.RDNP:
-		defI = bit(in.Rd)
-	case isa.MOV, isa.ADDI:
-		useI = bit(in.Rs)
-		defI = bit(in.Rd)
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD, isa.AND, isa.OR,
-		isa.XOR, isa.SHL, isa.SHR, isa.SLT, isa.SLE, isa.SEQ, isa.SNE:
-		useI = bit(in.Rs) | bit(in.Rt)
-		defI = bit(in.Rd)
-	case isa.FLI:
-		defF = fbit(in.Rd)
-	case isa.FMOV, isa.FSQRT, isa.FNEG, isa.FABS:
-		useF = fbit(in.Rs)
-		defF = fbit(in.Rd)
-	case isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV:
-		useF = fbit(in.Rs) | fbit(in.Rt)
-		defF = fbit(in.Rd)
-	case isa.FSLT, isa.FSLE, isa.FSEQ:
-		useF = fbit(in.Rs) | fbit(in.Rt)
-		defI = bit(in.Rd)
-	case isa.CVTIF:
-		useI = bit(in.Rs)
-		defF = fbit(in.Rd)
-	case isa.CVTFI:
-		useF = fbit(in.Rs)
-		defI = bit(in.Rd)
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-		useI = bit(in.Rs) | bit(in.Rt)
-	case isa.JAL:
-		defI = bit(in.Rd)
-	case isa.JR:
-		useI = bit(in.Rs)
-	case isa.LW, isa.LDS, isa.CLDS:
-		useI = bit(in.Rs)
-		defI = bit(in.Rd)
-	case isa.SW, isa.STS, isa.CSTS:
-		useI = bit(in.Rs) | bit(in.Rt)
-	case isa.FAA, isa.FAO, isa.FAN, isa.FAX, isa.FAI, isa.SWP:
-		useI = bit(in.Rs) | bit(in.Rt)
-		defI = bit(in.Rd)
-	case isa.FLDS:
-		useI = bit(in.Rs)
-		defF = fbit(in.Rd)
-	case isa.FSTS:
-		useI = bit(in.Rs)
-		useF = fbit(in.Rt)
-	case isa.CFLU, isa.CREL:
-		useI = bit(in.Rs) | bit(in.Rt)
-	}
-	return
+// useDef reports the (use, def) register masks of one instruction for
+// the integer and float files, as its row in the instruction table names
+// them. r0 is hardwired zero — it reads as zero and writes are discarded
+// — so it is never a use or a def; f0 is a real register.
+func useDef(in *isa.Instr) (useI, defI, useF, defF uint64) {
+	ui, uf, di, df := in.Regs()
+	return uint64(ui &^ 1), uint64(di &^ 1), uint64(uf), uint64(df)
 }
 
 // liveness runs the classic backward dataflow to a fixpoint. assertUse
@@ -116,20 +28,21 @@ func useDef(in isa.Instr) (useI, defI, useF, defF uint64) {
 func liveness(prog *isa.Program, assertUse map[int]uint64) *liveSets {
 	n := len(prog.Instrs)
 	ls := &liveSets{in: make([]uint64, n), fin: make([]uint64, n)}
-	retSites := returnSites(prog)
 	useI := make([]uint64, n)
 	defI := make([]uint64, n)
 	useF := make([]uint64, n)
 	defF := make([]uint64, n)
-	for pc, in := range prog.Instrs {
-		useI[pc], defI[pc], useF[pc], defF[pc] = useDef(in)
+	succs := make([][]int, n)
+	for pc := range prog.Instrs {
+		useI[pc], defI[pc], useF[pc], defF[pc] = useDef(&prog.Instrs[pc])
 		useI[pc] |= assertUse[pc]
+		succs[pc], _ = prog.Succs(pc)
 	}
 	for changed := true; changed; {
 		changed = false
 		for pc := n - 1; pc >= 0; pc-- {
 			var outI, outF uint64
-			for _, s := range succs(prog, pc, retSites) {
+			for _, s := range succs[pc] {
 				if s >= 0 && s < n {
 					outI |= ls.in[s]
 					outF |= ls.fin[s]

@@ -19,7 +19,7 @@ func TestUseDefGolden(t *testing.T) {
 	var got bytes.Buffer
 	for op := isa.Op(0); !strings.HasPrefix(op.String(), "op("); op++ {
 		for _, in := range []isa.Instr{{Op: op, Rd: 1, Rs: 2, Rt: 3}, {Op: op}} {
-			useI, defI, useF, defF := useDef(in)
+			useI, defI, useF, defF := useDef(&in)
 			fmt.Fprintf(&got, "%-5s rd=%d rs=%d rt=%d  useI=%#x defI=%#x useF=%#x defF=%#x\n",
 				op, in.Rd, in.Rs, in.Rt, useI, defI, useF, defF)
 		}

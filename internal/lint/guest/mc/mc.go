@@ -211,26 +211,24 @@ func newChecker(prog *isa.Program, anno *Annotations, src string, opts Options) 
 		}
 	}
 	hasAssert := func(pc int) bool { return len(anno.Asserts[pc]) > 0 }
-	retSites := returnSites(prog)
 	c.visible = make([]bool, n)
 	for pc, in := range prog.Instrs {
-		vis := hasAssert(pc)
-		switch in.Op {
-		case isa.HALT, isa.JR,
-			isa.LDS, isa.STS, isa.FAA, isa.FAO, isa.FAN, isa.FAX, isa.FAI,
-			isa.SWP, isa.FLDS, isa.FSTS,
-			isa.CLDS, isa.CSTS, isa.CFLU, isa.CREL:
+		// Visible: an assertion here; a jump through a register, whose
+		// real successor the static list only approximates; or any class
+		// but the three whose effects stay inside the PE — halt and
+		// everything that reaches shared memory or the cache, and
+		// whatever class comes next.
+		succs, exact := prog.Succs(pc)
+		vis := hasAssert(pc) || !exact
+		if cl := in.Op.Class(); cl != isa.ClassReg && cl != isa.ClassPE && cl != isa.ClassPrivate {
 			vis = true
 		}
-		for _, sc := range succs(prog, pc, retSites) {
+		for _, sc := range succs {
 			if sc < 0 || sc >= n {
 				vis = true // falling off the program is a halt
 			} else if c.regMask[sc] != c.regMask[pc] || hasAssert(sc) {
 				vis = true
 			}
-		}
-		if pc+1 >= n && in.Op != isa.HALT && in.Op != isa.JMP && in.Op != isa.JAL {
-			vis = true
 		}
 		c.visible[pc] = vis
 	}
@@ -387,7 +385,7 @@ func (c *checker) checkState(s *state, k key) *Violation {
 		}
 		for _, p := range c.anno.Asserts[pe.pc] {
 			actx := &EvalCtx{NPEs: len(s.pes), PE: i, Mem: mem,
-				Reg: func(r int) int64 { return pe.regs[r] }}
+				Reg: func(r int) int64 { return pe.I[r] }}
 			if !p.Holds(actx) {
 				v := c.newViolation(KindAssert, s, k)
 				v.Prop, v.Line = p.Src, p.Line

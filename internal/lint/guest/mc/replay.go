@@ -33,6 +33,10 @@ type ReplayReport struct {
 // of a deadlock replay, in network cycles.
 const replayStepBudget = 1 << 16
 
+// wordCache is the model's per-word infinite cache, realized in hardware
+// terms: one-word blocks in a cache big enough that nothing evicts.
+var wordCache = cache.Config{Sets: 4096, Ways: 2, BlockWords: 1}
+
 // Replay runs v's schedule against a machine executing src and checks
 // that the violated property really fails there. src must be the same
 // source the checker saw.
@@ -53,12 +57,7 @@ func Replay(src string, v *Violation) (*ReplayReport, error) {
 		PEs:     v.PEs,
 		Hashing: true,
 	}
-	m, cores, err := machine.Load(cfg, prog, machine.LoadOptions{
-		// One-word blocks in a cache big enough that nothing evicts:
-		// the model's per-word infinite cache, realized in hardware
-		// terms.
-		Cache: &cache.Config{Sets: 4096, Ways: 2, BlockWords: 1},
-	})
+	m, cores, err := machine.Load(cfg, prog, machine.LoadOptions{Cache: &wordCache})
 	if err != nil {
 		return nil, err
 	}

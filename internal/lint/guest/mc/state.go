@@ -28,12 +28,11 @@ type cline struct {
 
 // peState is one PE's part of a model state.
 type peState struct {
-	pc     int
-	halted bool
-	regs   [isa.NumRegs]int64
-	fregs  [isa.NumRegs]float64
-	cache  map[int64]cline // cached shared words
-	local  map[int64]int64 // sparse private memory
+	pc       int
+	halted   bool
+	isa.Regs                 // r0 stays zero: neither Exec nor set writes it
+	cache    map[int64]cline // cached shared words
+	local    map[int64]int64 // sparse private memory
 
 	// Lost-update tracking: the address of the PE's most recent shared
 	// read, and whether another PE has written it since. A plain store
@@ -43,14 +42,13 @@ type peState struct {
 	lastDirty bool
 }
 
-// reg reads an integer register (r0 is hard-wired zero by construction:
-// set never writes it).
-func (p *peState) reg(r int) int64 { return p.regs[r] }
+// reg reads an integer register.
+func (p *peState) reg(r int) int64 { return p.I[r] }
 
 // set writes an integer register, discarding writes to r0.
 func (p *peState) set(r int, v int64) {
 	if r != 0 {
-		p.regs[r] = v
+		p.I[r] = v
 	}
 }
 
@@ -127,11 +125,11 @@ func (c *checker) encode(s *state) []byte {
 		liveI, liveF := c.liveAt(p.pc)
 		for m := liveI; m != 0; m &= m - 1 {
 			r := trailingZeros(m)
-			buf = binary.AppendVarint(buf, p.regs[r])
+			buf = binary.AppendVarint(buf, p.I[r])
 		}
 		for m := liveF; m != 0; m &= m - 1 {
 			r := trailingZeros(m)
-			buf = binary.AppendUvarint(buf, math.Float64bits(p.fregs[r]))
+			buf = binary.AppendUvarint(buf, math.Float64bits(p.F[r]))
 		}
 		addrs = sortedKeysC(p.cache, addrs)
 		buf = binary.AppendUvarint(buf, uint64(len(addrs)))
@@ -196,10 +194,10 @@ func (c *checker) decode(enc []byte) *state {
 		p.lastDirty = rdB()
 		liveI, liveF := c.liveAt(p.pc)
 		for m := liveI; m != 0; m &= m - 1 {
-			p.regs[trailingZeros(m)] = rdV()
+			p.I[trailingZeros(m)] = rdV()
 		}
 		for m := liveF; m != 0; m &= m - 1 {
-			p.fregs[trailingZeros(m)] = math.Float64frombits(rdU())
+			p.F[trailingZeros(m)] = math.Float64frombits(rdU())
 		}
 		for n := rdU(); n > 0; n-- {
 			a := rdV()

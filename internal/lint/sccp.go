@@ -11,7 +11,11 @@
 // variables) come out ⊤ and are deliberately invisible to the lint.
 package lint
 
-import "ultracomputer/internal/isa"
+import (
+	"math/bits"
+
+	"ultracomputer/internal/isa"
+)
 
 // val is one lattice value: a known constant or ⊤ (unknown).
 type val struct {
@@ -52,9 +56,8 @@ type interp struct {
 	prog     *isa.Program
 	pe, npes int
 
-	in       []regState // joined state on entry to each pc
-	reached  []bool
-	retSites []int // pcs following JALs: jr successors when the target is ⊤
+	in      []regState // joined state on entry to each pc
+	reached []bool
 }
 
 // run computes the reachable pcs and their entry states for one PE.
@@ -64,11 +67,6 @@ func analyze(prog *isa.Program, pe, npes int) *interp {
 		prog: prog, pe: pe, npes: npes,
 		in:      make([]regState, n),
 		reached: make([]bool, n),
-	}
-	for pc, instr := range prog.Instrs {
-		if instr.Op == isa.JAL && pc+1 < n {
-			it.retSites = append(it.retSites, pc+1)
-		}
 	}
 	if n == 0 {
 		return it
@@ -85,7 +83,7 @@ func analyze(prog *isa.Program, pe, npes int) *interp {
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		out, succs := it.step(pc, it.in[pc])
+		out, succs := it.transfer(pc, it.in[pc])
 		for _, s := range succs {
 			if s < 0 || s >= n {
 				continue
@@ -103,143 +101,48 @@ func analyze(prog *isa.Program, pe, npes int) *interp {
 	return it
 }
 
-// step applies the transfer function of the instruction at pc to state s,
-// returning the out-state and the successor pcs (pruned when branch
-// operands are fully known).
-func (it *interp) step(pc int, s regState) (regState, []int) {
-	in := it.prog.Instrs[pc]
-	get := func(r int) val {
-		if r == 0 {
-			return con(0)
-		}
-		return s[r]
+// transfer applies the transfer function of the instruction at pc to state
+// s, returning the out-state and the successor pcs (pruned when branch
+// operands are fully known). The lattice has no arithmetic of its own:
+// a register-only instruction whose every source is a known integer is
+// folded by executing it (isa.Regs.Exec, the core's own ALU) on a scratch
+// register file; anything else sends the registers it defines to ⊤ and
+// takes its static successors.
+func (it *interp) transfer(pc int, s regState) (regState, []int) {
+	in := &it.prog.Instrs[pc]
+	useI, useF, defI, _ := in.Regs()
+	useI, defI = useI&^1, defI&^1 // r0 is zero in s and in r, and stays so
+	known := useF == 0            // the float file is not tracked
+	var r isa.Regs
+	for m := useI; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		known = known && s[i].known
+		r.I[i] = s[i].v
 	}
-	set := func(r int, v val) {
-		if r != 0 {
-			s[r] = v
+	switch cl := in.Op.Class(); {
+	case cl == isa.ClassReg && known:
+		next, _ := r.Exec(in, pc)
+		for m := defI; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			s[i] = con(r.I[i])
 		}
+		return s, []int{next}
+	case cl == isa.ClassPE:
+		// This PE's identity is a constant of the analysis.
+		id := it.pe
+		if in.Op == isa.RDNP {
+			id = it.npes
+		}
+		if in.Rd != 0 {
+			s[in.Rd] = con(int64(id))
+		}
+		return s, []int{pc + 1}
 	}
-	bin := func(f func(a, b int64) int64) {
-		a, b := get(in.Rs), get(in.Rt)
-		if a.known && b.known {
-			set(in.Rd, con(f(a.v, b.v)))
-		} else {
-			set(in.Rd, top)
-		}
+	for m := defI; m != 0; m &= m - 1 {
+		s[bits.TrailingZeros32(m)] = top
 	}
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	next := []int{pc + 1}
-
-	switch in.Op {
-	case isa.HALT:
-		next = nil
-	case isa.NOP, isa.SW, isa.STS, isa.FSTS, isa.CSTS, isa.CFLU, isa.CREL:
-		// No integer register effect.
-	case isa.LI:
-		set(in.Rd, con(in.Imm))
-	case isa.MOV:
-		set(in.Rd, get(in.Rs))
-	case isa.ADD:
-		bin(func(a, b int64) int64 { return a + b })
-	case isa.SUB:
-		bin(func(a, b int64) int64 { return a - b })
-	case isa.MUL:
-		bin(func(a, b int64) int64 { return a * b })
-	case isa.DIV:
-		bin(func(a, b int64) int64 {
-			if b == 0 {
-				return 0
-			}
-			return a / b
-		})
-	case isa.MOD:
-		bin(func(a, b int64) int64 {
-			if b == 0 {
-				return 0
-			}
-			return a % b
-		})
-	case isa.AND:
-		bin(func(a, b int64) int64 { return a & b })
-	case isa.OR:
-		bin(func(a, b int64) int64 { return a | b })
-	case isa.XOR:
-		bin(func(a, b int64) int64 { return a ^ b })
-	case isa.SHL:
-		bin(func(a, b int64) int64 { return a << uint(b&63) })
-	case isa.SHR:
-		bin(func(a, b int64) int64 { return a >> uint(b&63) })
-	case isa.ADDI:
-		if a := get(in.Rs); a.known {
-			set(in.Rd, con(a.v+in.Imm))
-		} else {
-			set(in.Rd, top)
-		}
-	case isa.SLT:
-		bin(func(a, b int64) int64 { return b2i(a < b) })
-	case isa.SLE:
-		bin(func(a, b int64) int64 { return b2i(a <= b) })
-	case isa.SEQ:
-		bin(func(a, b int64) int64 { return b2i(a == b) })
-	case isa.SNE:
-		bin(func(a, b int64) int64 { return b2i(a != b) })
-
-	case isa.FSLT, isa.FSLE, isa.FSEQ, isa.CVTFI:
-		// Float comparisons and conversion write the int file with a
-		// value the int lattice does not model.
-		set(in.Rd, top)
-	case isa.FLI, isa.FMOV, isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV,
-		isa.FSQRT, isa.FNEG, isa.FABS, isa.CVTIF, isa.FLDS:
-		// Pure float-file effects.
-
-	case isa.LW, isa.LDS, isa.CLDS:
-		set(in.Rd, top)
-	case isa.FAA, isa.FAO, isa.FAN, isa.FAX, isa.FAI, isa.SWP:
-		set(in.Rd, top)
-
-	case isa.RDPE:
-		set(in.Rd, con(int64(it.pe)))
-	case isa.RDNP:
-		set(in.Rd, con(int64(it.npes)))
-
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
-		a, b := get(in.Rs), get(in.Rt)
-		if a.known && b.known {
-			taken := false
-			switch in.Op {
-			case isa.BEQ:
-				taken = a.v == b.v
-			case isa.BNE:
-				taken = a.v != b.v
-			case isa.BLT:
-				taken = a.v < b.v
-			case isa.BGE:
-				taken = a.v >= b.v
-			}
-			if taken {
-				next = []int{int(in.Imm)}
-			}
-		} else {
-			next = []int{pc + 1, int(in.Imm)}
-		}
-	case isa.JMP:
-		next = []int{int(in.Imm)}
-	case isa.JAL:
-		set(in.Rd, con(int64(pc+1)))
-		next = []int{int(in.Imm)}
-	case isa.JR:
-		if a := get(in.Rs); a.known {
-			next = []int{int(a.v)}
-		} else {
-			next = it.retSites
-		}
-	}
-	return s, next
+	succs, _ := it.prog.Succs(pc)
+	return s, succs
 }
 
 // succs re-derives the successor list of a reached pc from its final
@@ -248,7 +151,7 @@ func (it *interp) succs(pc int) []int {
 	if !it.reached[pc] {
 		return nil
 	}
-	_, next := it.step(pc, it.in[pc])
+	_, next := it.transfer(pc, it.in[pc])
 	var out []int
 	for _, s := range next {
 		if s >= 0 && s < len(it.prog.Instrs) && it.reached[s] {

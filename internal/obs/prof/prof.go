@@ -234,7 +234,7 @@ func (p *Profiler) ProfCycle(pe, pc int, state obs.ProfState) {
 	if known {
 		op = s.prog.Instrs[pc].Op
 	}
-	if state == obs.ProfExecute && (op == isa.CLDS || op == isa.CSTS) {
+	if state == obs.ProfExecute && op.Class() == isa.ClassCached {
 		// A retiring cached access was satisfied by the write-back cache
 		// (a miss burns memory-wait cycles first, then retires as a hit).
 		state = obs.ProfCacheHit
