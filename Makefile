@@ -33,7 +33,11 @@ lint:
 # lockcheck: re-creations of the three PR 9 review bugs (lost wakeup,
 # interrupt store outside the lock, rebuild outside execMu). probegate:
 # copies of one PE stall site and one cache site with the Subs.For
-# audience guard stripped.
+# audience guard stripped. detstate: memory.Module.Step serving by a map
+# walk, and a Stepper.Step helper stamping time.Now. hotalloc: the switch
+# queue's push making its backing array per call, and a phase body
+# building a capturing closure per unit. sharecheck: phase bodies bumping
+# a package-level counter and inserting into a captured map.
 lint-mutants:
 	@check() { \
 		analyzer=$$1; dir=$$2; shift 2; \
@@ -51,7 +55,13 @@ lint-mutants:
 	check lockcheck internal/lint/lockcheck/testdata/src/pr9mutants \
 		lostwakeup.go interruptstore.go rebuildrace.go && \
 	check probegate internal/lint/probegate/testdata/src/guardmutants \
-		stall.go cache.go
+		stall.go cache.go && \
+	check detstate internal/lint/detstate/testdata/src/stepmutants \
+		mapserve.go stamp.go && \
+	check hotalloc internal/lint/hotalloc/testdata/src/allocmutants \
+		push.go phase.go && \
+	check sharecheck internal/lint/sharecheck/testdata/src/phasemutants \
+		counter.go mapinsert.go
 
 # Exhaustive guest verification (internal/lint/guest/mc): model-check
 # every shipped assembly program — the examples and the coord guest

@@ -16,3 +16,10 @@ func TestSharecheck(t *testing.T) {
 func TestGoStmts(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), sharecheck.Analyzer, "gostmt")
 }
+
+// TestPhaseMutants runs the analyzer over two engine phase bodies with a
+// package-level counter and a captured map written from every shard:
+// both must be flagged.
+func TestPhaseMutants(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), sharecheck.Analyzer, "phasemutants")
+}
