@@ -2,24 +2,26 @@
 // halves, selected by the kind of argument:
 //
 // Go packages (directories, or the literal ./... to expand the module)
-// run the host-side analyzers over the simulator's own sources. The
-// per-package analyzers (detstate, probegate) inspect one package at a
-// time; the whole-program analyzers (sharecheck, hotalloc, lockcheck)
-// run once over a module-wide call graph with interprocedural write-set
-// summaries (internal/lint/analysis):
+// run the host-side analyzers over the simulator's own sources. All five
+// run once over one module-wide program (internal/lint/analysis): every
+// package, one call graph, interprocedural write-set summaries, and the
+// cycle roots declared in analysis/roots.go — functions and methods
+// named Tick, Step or Collect plus the function literals handed to the
+// execution engine as phase units:
 //
 //	detstate   forbid wall-clock reads, global math/rand and unordered
-//	           map iteration in functions reachable from the cycle loop
+//	           map iteration in functions reachable, inside their
+//	           package, from the cycle roots
 //	probegate  require every obs.Probe Emit call site to be guarded by
 //	           a nil check of the probe or by a non-zero obs.Subs.For
 //	           audience (the zero-alloc contract), and every reqtrace
 //	           sampling call site (ContextFor, Emit) by a nil check of
 //	           the tracer
-//	sharecheck verify that everything transitively reachable from a
-//	           Compute-phase entry point writes only shard-owned state,
-//	           and forbid goroutine launches on cycle paths outside
+//	sharecheck verify that everything transitively reachable from an
+//	           engine phase body writes only shard-owned state, and
+//	           forbid goroutine launches on cycle paths outside
 //	           internal/engine
-//	hotalloc   flag heap-allocation sites reachable from the cycle loop
+//	hotalloc   flag heap-allocation sites reachable from the cycle roots
 //	lockcheck  enforce declared lock discipline (`// guarded by mu` field
 //	           comments): guarded-field access without the protecting
 //	           mutex — with the proving call chain — plus mixed
@@ -41,19 +43,15 @@
 // Both honor -enable/-disable by those names. A `.s` file opts out of
 // the model checker with `;ultravet:ok guestmc <reason>`.
 //
-// Intentional findings are silenced in source with
-// `//ultravet:ok <analyzer> <reason>`; everything else accumulates in a
-// committed baseline (-baseline, default .ultravet-baseline.json) and
-// the exit status is 1 only when a finding is NOT in the baseline — CI
-// fails on new findings, not on the accepted backlog. IDs are stable
-// across unrelated edits (they hash analyzer, file and message, never
-// line numbers).
+// There is one way to accept a finding: `//ultravet:ok <analyzer>
+// <reason>` on or above the line, for any of the five host analyzers.
+// Everything else is reported, and any reported finding makes the exit
+// status 1.
 //
 // Usage:
 //
-//	ultravet ./...                          # text diagnostics, baseline diff
+//	ultravet ./...                          # text diagnostics
 //	ultravet -json ./...                    # all findings as JSON
-//	ultravet -write-baseline ./...          # accept the current findings
 //	ultravet -enable sharecheck,hotalloc ./...
 //	ultravet -list
 //	ultravet -pes 8 -copies 2 examples/asm/tickets.s
@@ -106,9 +104,7 @@ func main() {
 		mcPEs    = flag.Int("mc-pes", 2, "PE count the guestmc model checker enumerates exhaustively (state space grows steeply; a file's `;mc: bound` can cap it lower)")
 		mcStates = flag.Int("mc-states", mc.DefaultMaxStates, "guestmc state budget per file; exhausting it is itself a finding")
 		cexDir   = flag.String("cex", "", "directory to write guestmc counterexample schedules to, <prog>.cex.jsonl (replayable via internal/lint/guest/mc.Replay)")
-		jsonOut  = flag.Bool("json", false, "print every finding as a JSON array (stable IDs, canonical order)")
-		baseline = flag.String("baseline", ".ultravet-baseline.json", "accepted-findings file; exit 1 only on findings missing from it (empty string disables)")
-		writeBL  = flag.Bool("write-baseline", false, "write the current findings to the baseline file and exit 0")
+		jsonOut  = flag.Bool("json", false, "print every finding as a JSON array in canonical order")
 		list     = flag.Bool("list", false, "list the registered analyzers and exit")
 		enable   = flag.String("enable", "", "comma-separated analyzers to run (default: all)")
 		disable  = flag.String("disable", "", "comma-separated analyzers to skip")
@@ -171,38 +167,18 @@ func main() {
 			all = append(all, guestMC(path, *mcPEs, *mcStates, *cexDir)...)
 		}
 	}
-	findings.AssignIDs(all)
-
-	if *writeBL {
-		if *baseline == "" {
-			fatal(fmt.Errorf("-write-baseline needs a -baseline path"))
-		}
-		if err := findings.SaveBaseline(*baseline, all); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "ultravet: wrote %d finding(s) to %s\n", len(all), *baseline)
-		return
-	}
-
-	base := findings.Baseline{}
-	if *baseline != "" {
-		base, err = findings.LoadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	fresh := findings.Diff(all, base)
+	findings.Sort(all)
 
 	if *jsonOut {
-		if err := findings.WriteJSON(os.Stdout, all); err != nil {
-			fatal(err)
-		}
+		err = findings.WriteJSON(os.Stdout, all)
 	} else {
-		findings.WriteText(os.Stdout, fresh)
+		err = findings.WriteText(os.Stdout, all)
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "ultravet: %d new finding(s) (%d total, %d baselined)\n",
-			len(fresh), len(all), len(all)-len(fresh))
+	if err != nil {
+		fatal(err)
+	}
+	if len(all) > 0 {
+		fmt.Fprintf(os.Stderr, "ultravet: %d finding(s)\n", len(all))
 		os.Exit(1)
 	}
 }
@@ -275,8 +251,8 @@ func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, map[string]b
 	return hosts, guests, nil
 }
 
-// hostLint loads every package dir, runs the per-package analyzers on
-// each and the whole-program analyzers once over all of them together.
+// hostLint loads every package dir and runs the analyzers once over all
+// of them together.
 func hostLint(analyzers []*analysis.Analyzer, dirs []string) []findings.Finding {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
@@ -290,11 +266,16 @@ func hostLint(analyzers []*analysis.Analyzer, dirs []string) []findings.Finding 
 		}
 		pkgs = append(pkgs, pkg)
 	}
+	prog := analysis.BuildProgram(pkgs)
 
 	var out []findings.Finding
-	collect := func(a *analysis.Analyzer, pkg *analysis.Package, diags []analysis.Diagnostic) {
+	for _, a := range analyzers {
+		diags, err := analysis.RunProgram(a, prog)
+		if err != nil {
+			fatal(err)
+		}
 		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
+			pos := prog.Fset.Position(d.Pos)
 			out = append(out, findings.Finding{
 				Analyzer: a.Name,
 				File:     relPath(pos.Filename),
@@ -303,36 +284,6 @@ func hostLint(analyzers []*analysis.Analyzer, dirs []string) []findings.Finding 
 				Message:  d.Message,
 				Chain:    d.Chain,
 			})
-		}
-	}
-
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			continue
-		}
-		for _, pkg := range pkgs {
-			diags, err := analysis.Run(a, pkg)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", a.Name, err))
-			}
-			collect(a, pkg, diags)
-		}
-	}
-
-	var prog *analysis.Program
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		if prog == nil {
-			prog = analysis.BuildProgram(pkgs)
-		}
-		diags, err := analysis.RunProgram(a, prog)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", a.Name, err))
-		}
-		if len(pkgs) > 0 {
-			collect(a, pkgs[0], diags) // one shared fset: any package resolves positions
 		}
 	}
 	return out
@@ -410,7 +361,7 @@ func guestMC(path string, pes, maxStates int, cexDir string) []findings.Finding 
 }
 
 // relPath makes name working-directory-relative when possible, keeping
-// findings and baselines machine-independent.
+// findings machine-independent.
 func relPath(name string) string {
 	wd, err := os.Getwd()
 	if err != nil {

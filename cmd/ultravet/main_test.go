@@ -17,13 +17,13 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files")
 
 // TestJSONGolden pins the `ultravet -json` byte stream: the guest lint
-// runs over the racy fixture, IDs are assigned, and the serialized
-// array must match the committed golden file exactly — same findings,
-// same canonical order, same stable IDs — run after run.
+// runs over the racy fixture, the findings are sorted, and the
+// serialized array must match the committed golden file exactly — same
+// findings, same canonical order — run after run.
 func TestJSONGolden(t *testing.T) {
 	gather := func() []findings.Finding {
 		fs := guestLint(filepath.Join("testdata", "racy.s"), 4, 1)
-		findings.AssignIDs(fs)
+		findings.Sort(fs)
 		return fs
 	}
 
@@ -63,13 +63,13 @@ func TestJSONGolden(t *testing.T) {
 
 // TestMutantJSONGolden pins the guestmc half of `ultravet -json`: the
 // model checker runs over a seeded-bug fixture and the serialized finding
-// — kind, counterexample length, stable ID — must match the committed
+// — kind, counterexample length — must match the committed
 // golden byte for byte, run after run (the search is deterministic).
 func TestMutantJSONGolden(t *testing.T) {
 	fixture := filepath.Join("..", "..", "internal", "lint", "testdata", "handoff_noflush.s")
 	gather := func() []findings.Finding {
 		fs := guestMC(fixture, 2, mc.DefaultMaxStates, "")
-		findings.AssignIDs(fs)
+		findings.Sort(fs)
 		return fs
 	}
 
@@ -108,7 +108,7 @@ func TestMutantJSONGolden(t *testing.T) {
 
 // TestLockcheckJSONGolden pins the lockcheck half of `ultravet -json`:
 // the analyzer runs over the seeded PR 9 mutants and the serialized
-// findings — messages, proving chains, stable IDs — must match the
+// findings — messages, proving chains — must match the
 // committed golden byte for byte, run after run. Paths in findings are
 // working-directory-relative, so the test runs from the module root
 // like CI does.
@@ -125,7 +125,7 @@ func TestLockcheckJSONGolden(t *testing.T) {
 	dir := filepath.Join("internal", "lint", "lockcheck", "testdata", "src", "pr9mutants")
 	gather := func() []findings.Finding {
 		fs := hostLint([]*analysis.Analyzer{lockcheck.Analyzer}, []string{dir})
-		findings.AssignIDs(fs)
+		findings.Sort(fs)
 		return fs
 	}
 

@@ -24,9 +24,6 @@ const (
 	// CostFlop covers one floating-point multiply-add pair with its
 	// register traffic.
 	CostFlop = 2
-	// CostIndex covers loop index/address arithmetic per element, which
-	// touches private (cached) memory.
-	CostIndex = 1
 	// CostLoop covers loop initialization overhead per loop entered.
 	CostLoop = 2
 )
@@ -76,9 +73,6 @@ type Reducer struct {
 	gen      int64 // generation cell
 	total    int64 // folded sum
 }
-
-// ReducerCells reports the shared footprint for p participants.
-func ReducerCells(p int) int64 { return int64(p) + 3 }
 
 // NewReducer lays out a reducer for p PEs in the arena. Every PE must
 // call Sum the same number of times.

@@ -15,9 +15,6 @@ type RWLock struct {
 	base int64
 }
 
-// RWLockCells is the shared-memory footprint of an RWLock.
-const RWLockCells = 2
-
 // NewRWLock lays out a readers–writers lock at base.
 func NewRWLock(m Mem, base int64) *RWLock {
 	m.Store(base, 0)

@@ -39,9 +39,6 @@ func (c *Core) FReg(r int) float64 { return c.regs.F[r] }
 // Local reads private-memory word a.
 func (c *Core) Local(a int) int64 { return c.local[a] }
 
-// SetLocal initializes private-memory word a (loader use).
-func (c *Core) SetLocal(a int, v int64) { c.local[a] = v }
-
 // Halted reports whether the core has executed HALT.
 func (c *Core) Halted() bool { return c.halted }
 

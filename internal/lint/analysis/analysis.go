@@ -1,64 +1,37 @@
 // Package analysis is a minimal, dependency-free analogue of
-// golang.org/x/tools/go/analysis: an Analyzer inspects one type-checked
-// package at a time and reports position-anchored diagnostics. The repo
-// vendors no external modules, so ultravet's analyzers are written
-// against this API instead; it mirrors the upstream shape (Analyzer,
-// Pass, Diagnostic) closely enough that porting to the real framework is
-// mechanical.
+// golang.org/x/tools/go/analysis for ultravet's host analyzers: an
+// Analyzer runs once over a Program — every loaded package, one call
+// graph, per-function write sets, the //ultravet:ok suppression table —
+// and reports position-anchored diagnostics. The repo vendors no
+// external modules, so the analyzers are written against this API.
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 )
 
-// Analyzer describes one static check. Exactly one of Run and
-// RunProgram must be set: Run inspects one package at a time;
-// RunProgram sees the whole loaded program at once (call graph, write
-// sets, fact store) and is how the interprocedural analyzers are built.
+// Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and on the ultravet
-	// command line.
+	// Name identifies the analyzer in diagnostics, in //ultravet:ok
+	// comments and on the ultravet command line.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
-	// Run applies the analyzer to one package, reporting findings via
-	// pass.Report. The result value is unused by the driver (it exists
-	// for API parity with x/tools).
-	Run func(*Pass) (interface{}, error)
-	// RunProgram applies the analyzer once to a whole Program.
+	// RunProgram applies the analyzer once to a whole Program,
+	// reporting findings via pass.Report.
 	RunProgram func(*ProgramPass) error
 }
 
-// Pass is the view an Analyzer gets of one package.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	// Report delivers one diagnostic to the driver.
-	Report func(Diagnostic)
-}
-
-// Reportf reports a formatted diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
 // Diagnostic is one finding. Chain, when set, is the call path from an
-// analyzer's entry point to the function holding the flagged site
-// (interprocedural analyzers fill it in; per-package ones leave it
-// empty).
+// analyzer's entry point to the function holding the flagged site.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 	Chain   string
 }
 
-// ProgramPass is the view a whole-program Analyzer gets.
+// ProgramPass is the view an Analyzer gets of the program.
 type ProgramPass struct {
 	Analyzer *Analyzer
 	Prog     *Program
@@ -68,36 +41,15 @@ type ProgramPass struct {
 	Report func(Diagnostic)
 }
 
-// Reportf reports a formatted diagnostic at pos with a call chain.
+// Reportf reports a formatted diagnostic at pos with a call chain
+// (empty for a site that needs none).
 func (p *ProgramPass) Reportf(pos token.Pos, chain string, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Chain: chain})
 }
 
-// Run applies a to pkg, collecting diagnostics in file order. A
-// whole-program analyzer sees a single-package program (the analysistest
-// path); the ultravet driver instead builds one Program over every
-// package and calls RunProgram once.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	if a.RunProgram != nil {
-		return RunProgram(a, BuildProgram([]*Package{pkg}))
-	}
-	var diags []Diagnostic
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Report:    func(d Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %v", a.Name, err)
-	}
-	return diags, nil
-}
-
-// RunProgram applies a whole-program analyzer to prog, dropping
-// diagnostics suppressed by //ultravet:ok comments for this analyzer.
+// RunProgram applies a to prog, dropping diagnostics suppressed by
+// //ultravet:ok comments for this analyzer. The ultravet driver builds
+// one Program over every package; analysistest builds one per fixture.
 func RunProgram(a *Analyzer, prog *Program) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := &ProgramPass{

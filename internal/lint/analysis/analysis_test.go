@@ -1,27 +1,18 @@
 package analysis_test
 
 import (
-	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"ultracomputer/internal/lint/analysis"
+	"ultracomputer/internal/lint/analysis/analysistest"
 )
 
-// loadCallgraph loads the testdata/src/callgraph fixture and builds a
-// one-package program over it.
+// loadCallgraph loads the testdata/src/callgraph fixture as a
+// one-package program.
 func loadCallgraph(t *testing.T) *analysis.Program {
 	t.Helper()
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "callgraph"))
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	return analysis.BuildProgram([]*analysis.Package{pkg})
+	return analysistest.LoadProgram(t, "testdata", "callgraph")
 }
 
 // node finds a program node by its stable name.
@@ -136,63 +127,12 @@ func TestReachableAndPathTo(t *testing.T) {
 	}
 }
 
-// TestFactStoreRoundTrip checks that a store survives Export/Import
-// byte-exactly and that the program publishes a summary fact for every
-// named function.
-func TestFactStoreRoundTrip(t *testing.T) {
+// TestSummaryReceiverWrite reads a write-set summary directly: (A).Go
+// stores through its receiver, and that is all it writes.
+func TestSummaryReceiverWrite(t *testing.T) {
 	prog := loadCallgraph(t)
-
-	// The write-set pass publishes a SummaryFact per declared function;
-	// (A).Go writes through its receiver.
-	goA := node(t, prog, "callgraph.(A).Go")
-	key := analysis.ObjKey(goA.Obj)
-	if !strings.HasSuffix(key, ".(A).Go") {
-		t.Fatalf("ObjKey((A).Go) = %q, want pkgpath.(A).Go", key)
-	}
-	var sf analysis.SummaryFact
-	if ok, err := prog.Facts.Get(key, &sf); err != nil || !ok {
-		t.Fatalf("Get(%s) = %v, %v; want a published summary", key, ok, err)
-	}
-	found := false
-	for _, w := range sf.Writes {
-		if w.Kind == "write" && w.Region == "receiver" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("(A).Go summary %+v lacks a receiver write", sf.Writes)
-	}
-
-	// Round trip: Export, Import into a fresh store, re-Export; the two
-	// serializations must match byte for byte and every key must
-	// survive.
-	data, err := prog.Facts.Export()
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	fresh := analysis.NewFactStore()
-	if err := fresh.Import(data); err != nil {
-		t.Fatalf("Import: %v", err)
-	}
-	again, err := fresh.Export()
-	if err != nil {
-		t.Fatalf("re-Export: %v", err)
-	}
-	if !bytes.Equal(data, again) {
-		t.Errorf("Export → Import → Export is not byte-identical:\n%s\nvs\n%s", data, again)
-	}
-	if got, want := strings.Join(fresh.Keys(), "\n"), strings.Join(prog.Facts.Keys(), "\n"); got != want {
-		t.Errorf("imported keys:\n%s\nwant:\n%s", got, want)
-	}
-
-	// Keys come back sorted regardless of insertion order.
-	s := analysis.NewFactStore()
-	for _, k := range []string{"zz.f", "aa.f", "mm.(T).m"} {
-		if err := s.Set(k, analysis.SummaryFact{}); err != nil {
-			t.Fatalf("Set(%s): %v", k, err)
-		}
-	}
-	if got := s.Keys(); got[0] != "aa.f" || got[1] != "mm.(T).m" || got[2] != "zz.f" {
-		t.Errorf("Keys() = %v, want sorted order", got)
+	effs := analysis.SortedEffects(node(t, prog, "callgraph.(A).Go").Summary)
+	if len(effs) != 1 || effs[0].Kind != analysis.EffWrite || effs[0].Reg.Kind != analysis.RegRecv {
+		t.Errorf("(A).Go summary = %+v, want one receiver write", effs)
 	}
 }

@@ -10,7 +10,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -31,27 +30,34 @@ func TestData() string {
 	return d
 }
 
-// Run loads each fixture package testdata/src/<pkg>, applies the
-// analyzer, and reports unexpected or missing diagnostics through t.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
+// LoadProgram loads the fixture package testdata/src/<name> as a
+// one-package Program.
+func LoadProgram(t *testing.T, testdata, name string) *analysis.Program {
 	t.Helper()
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
+	dir := filepath.Join(testdata, "src", name)
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatalf("analysistest: loading %s: %v", dir, err)
+	}
+	return analysis.BuildProgram([]*analysis.Package{pkg})
+}
+
+// Run loads each fixture package testdata/src/<pkg>, applies the
+// analyzer, and reports unexpected or missing diagnostics through t.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
+	t.Helper()
 	for _, name := range pkgs {
-		dir := filepath.Join(testdata, "src", name)
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			t.Errorf("analysistest: loading %s: %v", dir, err)
-			continue
-		}
-		diags, err := analysis.Run(a, pkg)
+		prog := LoadProgram(t, testdata, name)
+		diags, err := analysis.RunProgram(a, prog)
 		if err != nil {
 			t.Errorf("analysistest: running %s on %s: %v", a.Name, name, err)
 			continue
 		}
-		check(t, pkg, name, diags)
+		check(t, prog.Pkgs[0], name, diags)
 	}
 }
 
@@ -156,14 +162,4 @@ func splitQuoted(s string) []string {
 		}
 	}
 	return out
-}
-
-// Sprint formats diagnostics for debugging test failures.
-func Sprint(pkg *analysis.Package, diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		fmt.Fprintf(&b, "%s:%d: %s\n", filepath.Base(pos.Filename), pos.Line, d.Message)
-	}
-	return b.String()
 }

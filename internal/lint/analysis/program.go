@@ -12,15 +12,13 @@ import (
 // Program is a whole-module view for interprocedural analyzers: every
 // loaded package, a call graph whose nodes are function bodies (declared
 // functions, methods and function literals), per-node write-set
-// summaries (writeset.go), a cross-package fact store (facts.go) and the
-// //ultravet:ok suppression table.
+// summaries (writeset.go) and the //ultravet:ok suppression table.
 type Program struct {
 	Fset  *token.FileSet
 	Pkgs  []*Package
 	Nodes []*Node // deterministic: sorted by source position
 	ByObj map[*types.Func]*Node
 	ByLit map[*ast.FuncLit]*Node
-	Facts *FactStore
 
 	// suppress[analyzer][filename][line] marks //ultravet:ok lines.
 	suppress map[string]map[string]map[int]bool
@@ -125,14 +123,13 @@ func (n *Node) InspectOwn(f func(ast.Node) bool) {
 }
 
 // BuildProgram indexes pkgs into a Program: nodes, call graph, write-set
-// summaries, facts and suppressions. Packages should be passed in a
+// summaries and suppressions. Packages should be passed in a
 // deterministic order (the loader's callers sort by import path).
 func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Pkgs:     pkgs,
 		ByObj:    map[*types.Func]*Node{},
 		ByLit:    map[*ast.FuncLit]*Node{},
-		Facts:    NewFactStore(),
 		suppress: map[string]map[string]map[int]bool{},
 	}
 	if len(pkgs) > 0 {
@@ -184,9 +181,8 @@ func BuildProgram(pkgs []*Package) *Program {
 		p.addEdges(n, methods)
 	}
 
-	// Pass 3: write sets (writeset.go) and the exported fact store.
+	// Pass 3: write sets (writeset.go).
 	p.buildWriteSets()
-	p.exportFacts()
 	return p
 }
 

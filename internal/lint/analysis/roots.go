@@ -6,33 +6,44 @@ import (
 	"strings"
 )
 
-// Root discovery shared by the phase-discipline analyzers
-// (sharecheck, hotalloc): the simulator's hot loop is
-// entered either through conventionally named methods (Tick, Step,
-// Compute, …) or through the function literals handed to the execution
-// engine as phase units.
+// The cycle path is declared here, once: the simulator's hot loop is
+// entered through the methods product code names Tick, Step or Collect
+// (machine.Machine.Step, pe.PE.Tick, memory.Module.Step,
+// network.Stepper.Step and Collect, network.Network.collect) and through
+// the function literals handed to the execution engine as phase units.
+// detstate, hotalloc and sharecheck's goroutine rule all start from
+// CycleRoots; sharecheck's shard-isolation rule starts from the phase
+// literals alone, because they are the shard bodies.
 
-// RootsByName returns the declared functions/methods whose name is in
-// names, in deterministic node order.
-func (p *Program) RootsByName(names map[string]bool) []*Node {
+// CycleRootNames are the names a declared function or method bears to be
+// a cycle-path entry point.
+var CycleRootNames = map[string]bool{
+	"Tick": true, "tick": true,
+	"Step": true, "step": true,
+	"Collect": true, "collect": true,
+}
+
+// CycleRoots returns the cycle path's entry points: the declared
+// functions and methods named in CycleRootNames, in deterministic node
+// order, then EnginePhaseLiterals.
+func (p *Program) CycleRoots() []*Node {
 	var out []*Node
 	for _, n := range p.Nodes {
-		if n.Obj != nil && names[n.Obj.Name()] {
+		if n.Obj != nil && CycleRootNames[n.Obj.Name()] {
 			out = append(out, n)
 		}
 	}
-	return out
+	return append(out, p.EnginePhaseLiterals()...)
 }
 
 // EnginePhaseLiterals returns the function literals handed to an engine
 // phase runner: a method named Run declared in internal/engine
 // (engine.Engine.Run and its implementations). These literals are the
-// shard bodies the parallel engine executes concurrently, so they are
-// Compute-phase entry points. A literal reaches a runner either
-// directly as a call argument or — the zero-alloc idiom — hoisted into
-// a struct field or variable once and passed by name every cycle; one
-// step of dataflow (func literals assigned to the variable the call
-// site names) covers the hoisted form.
+// shard bodies the parallel engine executes concurrently. A literal
+// reaches a runner either directly as a call argument or — the
+// zero-alloc idiom — hoisted into a struct field or variable once and
+// passed by name every cycle; one step of dataflow (func literals
+// assigned to the variable the call site names) covers the hoisted form.
 func (p *Program) EnginePhaseLiterals() []*Node {
 	assigned := p.literalAssignments()
 	var out []*Node

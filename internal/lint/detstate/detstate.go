@@ -5,9 +5,18 @@
 // traces (the paper's simulation methodology, §4.2, depends on exact
 // repeatability for its paired ideal-vs-real comparisons).
 //
-// A function is on a tick path when it is reachable, through the
-// package's own call graph, from a function or method named Tick, Step,
-// Route, Collect or their unexported variants. Within tick paths the
+// A function is on a tick path when it is reachable from a cycle root
+// (analysis.CycleRoots: functions and methods named Tick, Step or
+// Collect, either case, and the engine's phase literals) through the
+// call-graph edges that stay inside the caller's package. The
+// per-package reach is a choice, not a limit of the call graph: a
+// package's tick path is what it must keep deterministic itself, and what
+// it calls in another package is held to the rule from that package's own
+// roots. Followed across packages the same walk reaches the collect-then-sort
+// map ranges of the profile exporter (internal/obs/prof/export.go,
+// internal/isa/spans.go, through Machine.sample → Profiler.Publish) and
+// the benchmark's span timer (through interface dispatch on Engine.Run):
+// host-side code the rule does not mean. Within tick paths the
 // analyzer reports:
 //
 //   - calls to time.Now / time.Since / time.Until (wall-clock input);
@@ -30,17 +39,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detstate",
 	Doc: "forbid wall-clock reads, global math/rand and unordered map iteration " +
-		"in functions reachable from Tick/Step/Route/Collect",
-	Run: run,
-}
-
-// rootNames are the entry points of the cycle loop; reachability starts
-// here.
-var rootNames = map[string]bool{
-	"Tick": true, "tick": true,
-	"Step": true, "step": true,
-	"Route": true, "route": true,
-	"Collect": true, "collect": true,
+		"in functions reachable, inside their package, from the cycle roots " +
+		"(Tick/Step/Collect and engine phase units)",
+	RunProgram: run,
 }
 
 // globalRandFns are the math/rand package-level functions that draw from
@@ -57,105 +58,52 @@ var globalRandFns = map[string]bool{
 // timeFns are the wall-clock readers.
 var timeFns = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-func run(pass *analysis.Pass) (interface{}, error) {
-	// Map every package-level function object to its declaration.
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				decls[obj] = fd
-			}
+func run(pass *analysis.ProgramPass) error {
+	prog := pass.Prog
+	samePackage := func(n *analysis.Node, e analysis.Edge) bool { return e.Callee.Pkg == n.Pkg }
+	reach := prog.Reachable(prog.CycleRoots(), samePackage)
+	for _, n := range prog.Nodes { // position-sorted
+		if reach[n] {
+			checkFunc(pass, n)
 		}
 	}
-
-	// Intra-package call graph: obj -> callee objs.
-	callees := func(fd *ast.FuncDecl) []*types.Func {
-		var out []*types.Func
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var id *ast.Ident
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				id = fun
-			case *ast.SelectorExpr:
-				id = fun.Sel
-			default:
-				return true
-			}
-			if obj, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
-				if _, local := decls[obj]; local {
-					out = append(out, obj)
-				}
-			}
-			return true
-		})
-		return out
-	}
-
-	// Reachability from the root names.
-	reachable := map[*types.Func]bool{}
-	var work []*types.Func
-	for obj := range decls {
-		if rootNames[obj.Name()] {
-			reachable[obj] = true
-			work = append(work, obj)
-		}
-	}
-	for len(work) > 0 {
-		obj := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, callee := range callees(decls[obj]) {
-			if !reachable[callee] {
-				reachable[callee] = true
-				work = append(work, callee)
-			}
-		}
-	}
-
-	for obj := range reachable {
-		checkFunc(pass, decls[obj])
-	}
-	return nil, nil
+	return nil
 }
 
-// checkFunc reports nondeterminism sources inside one tick-path function.
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
+// checkFunc reports nondeterminism sources inside one tick-path
+// function's own frame (a nested literal is its own node, reached
+// through its containment edge).
+func checkFunc(pass *analysis.ProgramPass, n *analysis.Node) {
+	info := n.Pkg.Info
+	n.InspectOwn(func(x ast.Node) bool {
+		switch x := x.(type) {
 		case *ast.SelectorExpr:
-			pkgName, ok := qualifier(pass, n)
+			pkgName, ok := qualifier(info, x)
 			if !ok {
 				return true
 			}
 			switch {
-			case pkgName.Imported().Path() == "time" && timeFns[n.Sel.Name]:
-				pass.Reportf(n.Pos(),
+			case pkgName.Imported().Path() == "time" && timeFns[x.Sel.Name]:
+				pass.Reportf(x.Pos(), "",
 					"call to time.%s on a tick path: wall-clock input makes runs unrepeatable",
-					n.Sel.Name)
-			case pkgName.Imported().Path() == "math/rand" && globalRandFns[n.Sel.Name]:
-				pass.Reportf(n.Pos(),
+					x.Sel.Name)
+			case pkgName.Imported().Path() == "math/rand" && globalRandFns[x.Sel.Name]:
+				pass.Reportf(x.Pos(), "",
 					"use of global math/rand.%s on a tick path: use a component-owned seeded sim.Rand",
-					n.Sel.Name)
+					x.Sel.Name)
 			}
 		case *ast.RangeStmt:
-			tv, ok := pass.TypesInfo.Types[n.X]
+			tv, ok := info.Types[x.X]
 			if !ok {
 				return true
 			}
 			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if isKeyCollectionLoop(n) {
+			if isKeyCollectionLoop(x) {
 				return true
 			}
-			pass.Reportf(n.Pos(),
+			pass.Reportf(x.Pos(), "",
 				"range over map on a tick path: iteration order is nondeterministic; "+
 					"iterate sorted keys or keep the state slice-backed")
 		}
@@ -165,12 +113,12 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 // qualifier resolves the package a selector like time.Now is qualified
 // with, if it is a package at all.
-func qualifier(pass *analysis.Pass, sel *ast.SelectorExpr) (*types.PkgName, bool) {
+func qualifier(info *types.Info, sel *ast.SelectorExpr) (*types.PkgName, bool) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return nil, false
 	}
-	pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
+	pkgName, ok := info.Uses[id].(*types.PkgName)
 	return pkgName, ok
 }
 

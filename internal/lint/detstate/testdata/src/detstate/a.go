@@ -28,6 +28,8 @@ func (m *machine) Step(cycle int64) {
 // body is on the tick path too.
 func (m *machine) helper() {
 	_ = time.Since(time.Unix(0, 0)) // want `call to time\.Since on a tick path`
+	//ultravet:ok detstate host-side progress meter, never fed back into the simulation
+	_ = time.Now()
 }
 
 // sortedTick shows the blessed pattern: collecting keys into a slice and

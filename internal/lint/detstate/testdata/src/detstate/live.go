@@ -30,10 +30,10 @@ func (p *publisher) Step(cycle int64) {
 	p.cur.Store(sn)
 }
 
-// Route is also a root: stamping the snapshot with wall time or walking
+// Collect is also a root: stamping the snapshot with wall time or walking
 // the in-flight map in hash order would leak nondeterminism into the
 // published state, and both are flagged.
-func (p *publisher) Route(cycle int64) {
+func (p *publisher) Collect(cycle int64) {
 	sn := &snapshot{cycle: time.Now().UnixNano()} // want `call to time\.Now on a tick path`
 	for id := range p.inflight {                  // want `range over map on a tick path`
 		sn.queues = append(sn.queues, int(id))

@@ -1,34 +1,19 @@
 // Package findings is the common currency of the ultravet CLI: a
 // diagnostic from any analyzer — host-side Go analysis or guest ISA
-// lint — normalized into one record with a stable identity, so runs can
-// be diffed against a committed baseline and CI fails only on NEW
-// findings.
-//
-// Identity is deliberately line-blind: the ID hashes the analyzer, the
-// repo-relative file and the message, plus an occurrence index to
-// disambiguate repeats, but never the line number. Inserting code above
-// an accepted finding moves it without changing what it says, and the
-// baseline must not churn when that happens. The trade-off is that two
-// textually identical findings in one file are told apart only by
-// their order, which is stable because renders and diffs always work on
-// the canonically sorted slice.
+// lint — normalized into one record, sorted into one canonical order and
+// rendered as text or JSON.
 package findings
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 )
 
 // Finding is one normalized diagnostic.
 type Finding struct {
-	ID       string `json:"id"`
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -49,7 +34,7 @@ func (f Finding) String() string {
 }
 
 // Sort orders findings canonically: analyzer, file, line, column,
-// message. Every render, ID assignment and diff works on this order.
+// message. Every render works on this order.
 func Sort(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -69,28 +54,7 @@ func Sort(fs []Finding) {
 	})
 }
 
-// AssignIDs sorts fs and fills in each finding's stable ID:
-// sha256(analyzer, file, message, occurrence)[:12]. The occurrence
-// index counts same-keyed findings in canonical order.
-func AssignIDs(fs []Finding) {
-	Sort(fs)
-	occ := map[[3]string]int{}
-	for i := range fs {
-		key := [3]string{fs[i].Analyzer, fs[i].File, fs[i].Message}
-		h := sha256.New()
-		h.Write([]byte(fs[i].Analyzer))
-		h.Write([]byte{0})
-		h.Write([]byte(fs[i].File))
-		h.Write([]byte{0})
-		h.Write([]byte(fs[i].Message))
-		h.Write([]byte{0})
-		h.Write([]byte(strconv.Itoa(occ[key])))
-		occ[key]++
-		fs[i].ID = hex.EncodeToString(h.Sum(nil))[:12]
-	}
-}
-
-// WriteJSON renders fs (canonically sorted, IDs assigned) as an
+// WriteJSON renders fs (canonically sorted) as an
 // indented JSON array, one deterministic byte stream per finding set.
 func WriteJSON(w io.Writer, fs []Finding) error {
 	if fs == nil {
@@ -109,54 +73,4 @@ func WriteText(w io.Writer, fs []Finding) error {
 		}
 	}
 	return nil
-}
-
-// Baseline is the set of accepted finding IDs, loaded from a committed
-// JSON findings file.
-type Baseline map[string]bool
-
-// LoadBaseline reads a findings JSON file into an ID set. A missing
-// file is an empty baseline, not an error.
-func LoadBaseline(path string) (Baseline, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return Baseline{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var fs []Finding
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	b := make(Baseline, len(fs))
-	for _, f := range fs {
-		b[f.ID] = true
-	}
-	return b, nil
-}
-
-// SaveBaseline writes fs as the new baseline file.
-func SaveBaseline(path string, fs []Finding) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSON(f, fs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Diff returns the findings whose IDs are not in the baseline,
-// preserving order.
-func Diff(fs []Finding, base Baseline) []Finding {
-	var out []Finding
-	for _, f := range fs {
-		if !base[f.ID] {
-			out = append(out, f)
-		}
-	}
-	return out
 }

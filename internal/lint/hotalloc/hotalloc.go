@@ -4,10 +4,10 @@
 // the parallel engine extends it to every phase body): a heap
 // allocation per tick turns into GC pressure that dwarfs the simulated
 // work at the paper's 4096-PE scale. hotalloc walks the whole-program
-// call graph from the cycle-loop entry points — functions and methods
-// named Tick, Step, Route, Compute or Commit, plus the function
-// literals handed to the execution engine as phase units — and flags
-// every potential heap-allocation site reachable from them:
+// call graph from the cycle roots (analysis.CycleRoots: functions and
+// methods named Tick, Step or Collect, plus the function literals handed
+// to the execution engine as phase units) and flags every potential
+// heap-allocation site reachable from them:
 //
 //	make/new calls; slice, map and address-taken composite literals;
 //	variable-capturing closures (one closure object per evaluation);
@@ -23,8 +23,7 @@
 //     once (lazy initialization, error paths) and its allocations are
 //     not charged to the cycle loop.
 //
-// Everything still flagged must either be fixed or land in the
-// committed baseline (see cmd/ultravet); the AllocsPerRun regression
+// Everything still flagged must be fixed; the AllocsPerRun regression
 // test in internal/machine is the dynamic proof of the same contract.
 package hotalloc
 
@@ -39,23 +38,13 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flag heap-allocation sites reachable from the cycle loop " +
-		"(Tick/Step/Route/Compute/Commit and engine phase units)",
+		"(Tick/Step/Collect and engine phase units)",
 	RunProgram: run,
-}
-
-// rootNames are the cycle-loop entry points.
-var rootNames = map[string]bool{
-	"Tick": true, "tick": true,
-	"Step": true, "step": true,
-	"Route": true, "route": true,
-	"Compute": true, "compute": true,
-	"Commit": true, "commit": true,
 }
 
 func run(pass *analysis.ProgramPass) error {
 	prog := pass.Prog
-	roots := prog.RootsByName(rootNames)
-	roots = append(roots, prog.EnginePhaseLiterals()...)
+	roots := prog.CycleRoots()
 
 	// A call edge annotated //ultravet:ok hotalloc is a cold boundary:
 	// don't walk through it.

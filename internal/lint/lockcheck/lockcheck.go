@@ -72,24 +72,32 @@ type checker struct {
 	diags []analysis.Diagnostic
 }
 
-// LockFact is the per-function summary published to the fact store
-// (key "lockcheck:<objkey>"): what the fixpoint proved about a named
-// function, for cross-package callers and future separate compilation.
-type LockFact struct {
-	// EntryHeld lists the locks held on entry along every call path
-	// ("(Struct).mu", with " (read)" for share-held).
-	EntryHeld []string `json:"entry_held,omitempty"`
-	// Acquires lists the locks the function may take, directly or via
-	// callees.
-	Acquires []string `json:"acquires,omitempty"`
-	// Unreachable marks functions with no call sites in the program.
-	Unreachable bool `json:"unreachable,omitempty"`
+func run(pass *analysis.ProgramPass) error {
+	c := check(pass.Prog)
+	sort.Slice(c.diags, func(i, j int) bool {
+		if c.diags[i].Pos != c.diags[j].Pos {
+			return c.diags[i].Pos < c.diags[j].Pos
+		}
+		return c.diags[i].Message < c.diags[j].Message
+	})
+	seen := map[string]bool{}
+	for _, d := range c.diags {
+		key := fmt.Sprintf("%d/%s", d.Pos, d.Message)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		pass.Report(d)
+	}
+	return nil
 }
 
-func run(pass *analysis.ProgramPass) error {
+// check walks every body, runs the two fixpoints and applies the four
+// rules, leaving the diagnostics (unsorted, possibly repeated) in diags.
+func check(prog *analysis.Program) *checker {
 	c := &checker{
-		prog:  pass.Prog,
-		gt:    scanGuards(pass.Prog),
+		prog:  prog,
+		gt:    scanGuards(prog),
 		facts: map[*analysis.Node]*funcFacts{},
 		entry: map[*analysis.Node]*entrySet{},
 		acq:   map[*analysis.Node]map[lockID]bool{},
@@ -108,24 +116,7 @@ func run(pass *analysis.ProgramPass) error {
 	c.checkMixedAccess()
 	c.checkLockOrder()
 	c.checkStaleRecheck()
-	c.exportFacts()
-
-	sort.Slice(c.diags, func(i, j int) bool {
-		if c.diags[i].Pos != c.diags[j].Pos {
-			return c.diags[i].Pos < c.diags[j].Pos
-		}
-		return c.diags[i].Message < c.diags[j].Message
-	})
-	seen := map[string]bool{}
-	for _, d := range c.diags {
-		key := fmt.Sprintf("%d/%s", d.Pos, d.Message)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		pass.Report(d)
-	}
-	return nil
+	return c
 }
 
 // buildIncoming indexes every call-graph edge by callee, pairing it
@@ -498,7 +489,7 @@ func (c *checker) checkLockOrder() {
 			if !reachable {
 				continue
 			}
-			for _, a := range c.sortedLocks(eff) {
+			for _, a := range sortedLocks(c, eff) {
 				if a == aq.lock {
 					if eff[a] == modeExcl && !selfSeen[aq.pos] {
 						selfSeen[aq.pos] = true
@@ -535,8 +526,8 @@ func (c *checker) checkLockOrder() {
 				continue
 			}
 			callee := e.Callee
-			for _, a := range c.sortedLocks(eff) {
-				for _, b := range c.sortedLockSet(c.acq[callee]) {
+			for _, a := range sortedLocks(c, eff) {
+				for _, b := range sortedLocks(c, c.acq[callee]) {
 					if a == b {
 						if eff[a] == modeExcl && !selfSeen[e.Pos] {
 							selfSeen[e.Pos] = true
@@ -672,7 +663,7 @@ func (c *checker) checkStaleRecheck() {
 				}
 				hd, _ := c.eff(n, cv.def.held)
 				reported := false
-				for _, B := range c.sortedLocks(hb) {
+				for _, B := range sortedLocks(c, hb) {
 					if hd[B] != 0 {
 						continue // the local was computed under the same lock
 					}
@@ -704,51 +695,13 @@ func (c *checker) checkStaleRecheck() {
 	}
 }
 
-// ---- facts ----
-
-// exportFacts publishes each named function's entry-held and
-// may-acquire sets under "lockcheck:<objkey>".
-func (c *checker) exportFacts() {
-	for _, n := range c.prog.Nodes {
-		if n.Obj == nil {
-			continue
-		}
-		fact := LockFact{}
-		e := c.entry[n]
-		if e.top {
-			fact.Unreachable = true
-		} else {
-			for _, l := range c.sortedLocks(e.held) {
-				name := c.gt.name(l)
-				if e.held[l] == modeShared {
-					name += " (read)"
-				}
-				fact.EntryHeld = append(fact.EntryHeld, name)
-			}
-		}
-		for _, l := range c.sortedLockSet(c.acq[n]) {
-			fact.Acquires = append(fact.Acquires, c.gt.name(l))
-		}
-		// Best effort, mirroring the write-set export: a marshal failure
-		// would be a bug in LockFact itself.
-		_ = c.prog.Facts.Set("lockcheck:"+analysis.ObjKey(n.Obj), fact)
-	}
-}
-
 // ---- helpers ----
 
-func (c *checker) sortedLocks(h heldSet) []lockID {
-	out := make([]lockID, 0, len(h))
-	for l := range h {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return c.gt.name(out[i]) < c.gt.name(out[j]) })
-	return out
-}
-
-func (c *checker) sortedLockSet(s map[lockID]bool) []lockID {
-	out := make([]lockID, 0, len(s))
-	for l := range s {
+// sortedLocks lists a lock-keyed set (a held set, a may-acquire set) by
+// lock name.
+func sortedLocks[V any](c *checker, set map[lockID]V) []lockID {
+	out := make([]lockID, 0, len(set))
+	for l := range set {
 		out = append(out, l)
 	}
 	sort.Slice(out, func(i, j int) bool { return c.gt.name(out[i]) < c.gt.name(out[j]) })
@@ -756,8 +709,7 @@ func (c *checker) sortedLockSet(s map[lockID]bool) []lockID {
 }
 
 // loc renders a short file:line for message text (base name only, so
-// messages — and the line-blind finding IDs derived from them — do not
-// depend on the checkout path).
+// messages do not depend on the checkout path).
 func (c *checker) loc(pos token.Pos) string {
 	p := c.prog.Fset.Position(pos)
 	name := p.Filename

@@ -20,65 +20,13 @@ func TestPR9Mutants(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), lockcheck.Analyzer, "pr9mutants")
 }
 
-// loadFixture builds a Program over one fixture package and runs the
-// analyzer, returning the program (for facts) and the diagnostics.
-func loadFixture(t *testing.T, pkg string) (*analysis.Program, []analysis.Diagnostic) {
-	t.Helper()
-	l, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.LoadDir(analysistest.TestData() + "/src/" + pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := analysis.BuildProgram([]*analysis.Package{p})
-	diags, err := analysis.RunProgram(lockcheck.Analyzer, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog, diags
-}
-
-// TestEntryHeldFacts checks the exported per-function summaries: the
-// fixpoint must prove the *Locked helper convention without
-// annotations, and publish what each function acquires.
-func TestEntryHeldFacts(t *testing.T) {
-	prog, _ := loadFixture(t, "lockcheck")
-
-	var fact lockcheck.LockFact
-	get := func(key string) lockcheck.LockFact {
-		t.Helper()
-		fact = lockcheck.LockFact{}
-		ok, err := prog.Facts.Get(key, &fact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("no fact under %q; have %v", key, prog.Facts.Keys())
-		}
-		return fact
-	}
-
-	base := "lockcheck:" + prog.Pkgs[0].Path
-	if f := get(base + ".(counter).bumpLocked"); len(f.EntryHeld) != 1 || f.EntryHeld[0] != "(counter).mu" {
-		t.Errorf("bumpLocked entry-held = %v, want [(counter).mu]", f.EntryHeld)
-	}
-	if f := get(base + ".(counter).bumpMaybe"); len(f.EntryHeld) != 0 {
-		t.Errorf("bumpMaybe entry-held = %v, want empty (meet over a locked and an unlocked caller)", f.EntryHeld)
-	}
-	if f := get(base + ".(counter).Bump"); len(f.Acquires) != 1 || f.Acquires[0] != "(counter).mu" {
-		t.Errorf("Bump acquires = %v, want [(counter).mu]", f.Acquires)
-	}
-	if f := get(base + ".(table).Lookup"); len(f.Acquires) != 1 || f.Acquires[0] != "(table).rw" {
-		t.Errorf("Lookup acquires = %v, want [(table).rw]", f.Acquires)
-	}
-}
-
 // TestProvingChains checks that unguarded-access findings carry the
 // call chain that proves the unlocked route in.
 func TestProvingChains(t *testing.T) {
-	_, diags := loadFixture(t, "pr9mutants")
+	diags, err := analysis.RunProgram(lockcheck.Analyzer, analysistest.LoadProgram(t, analysistest.TestData(), "pr9mutants"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rebuild []analysis.Diagnostic
 	for _, d := range diags {
 		if strings.Contains(d.Message, "(session).machine") {

@@ -77,27 +77,37 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "require every obs.Probe Emit call site to be guarded by a nil check of the probe or by a " +
 		"non-zero obs.Subs.For audience, and every reqtrace sampling call site (ContextFor, Emit) " +
 		"by a nil check of the tracer",
-	Run: func(pass *analysis.Pass) (interface{}, error) {
+	RunProgram: func(prog *analysis.ProgramPass) error {
 		for i := range rules {
 			r := &rules[i]
-			if r.skipPkg != "" && pass.Pkg != nil && strings.HasPrefix(pass.Pkg.Path(), r.skipPkg) {
-				continue
-			}
-			for _, f := range pass.Files {
-				for _, d := range f.Decls {
-					if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-						checkBlock(pass, r, fd.Body.List, map[string]bool{})
+			for _, pkg := range prog.Prog.Pkgs {
+				if r.skipPkg != "" && strings.HasPrefix(pkg.Types.Path(), r.skipPkg) {
+					continue
+				}
+				pass := &pkgPass{ProgramPass: prog, TypesInfo: pkg.Info}
+				for _, f := range pkg.Files {
+					for _, d := range f.Decls {
+						if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+							checkBlock(pass, r, fd.Body.List, map[string]bool{})
+						}
 					}
 				}
 			}
 		}
-		return nil, nil
+		return nil
 	},
+}
+
+// pkgPass is the program pass plus the type information of the package
+// whose statements are being walked.
+type pkgPass struct {
+	*analysis.ProgramPass
+	TypesInfo *types.Info
 }
 
 // checkBlock walks one statement list in order, threading the set of
 // guarded expressions (rendered as source text) known to be non-nil.
-func checkBlock(pass *analysis.Pass, rule *rule, stmts []ast.Stmt, guarded map[string]bool) {
+func checkBlock(pass *pkgPass, rule *rule, stmts []ast.Stmt, guarded map[string]bool) {
 	for _, s := range stmts {
 		checkStmt(pass, rule, s, guarded)
 		// An early return on nil (`if p == nil { return }`) guards the
@@ -112,7 +122,7 @@ func checkBlock(pass *analysis.Pass, rule *rule, stmts []ast.Stmt, guarded map[s
 
 // checkStmt dispatches one statement, recursing into nested blocks with
 // the appropriate guard set.
-func checkStmt(pass *analysis.Pass, rule *rule, s ast.Stmt, guarded map[string]bool) {
+func checkStmt(pass *pkgPass, rule *rule, s ast.Stmt, guarded map[string]bool) {
 	switch s := s.(type) {
 	case nil:
 	case *ast.IfStmt:
@@ -182,7 +192,7 @@ func checkStmt(pass *analysis.Pass, rule *rule, s ast.Stmt, guarded map[string]b
 // checkExpr scans a leaf statement or an expression (conditions, range
 // operands) for guarded calls and for nested function literals, which
 // start unguarded.
-func checkExpr(pass *analysis.Pass, rule *rule, e ast.Node, guarded map[string]bool) {
+func checkExpr(pass *pkgPass, rule *rule, e ast.Node, guarded map[string]bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -197,7 +207,7 @@ func checkExpr(pass *analysis.Pass, rule *rule, e ast.Node, guarded map[string]b
 
 // reportUnguardedCall flags call if it invokes one of the rule's methods
 // on an unguarded target expression.
-func reportUnguardedCall(pass *analysis.Pass, rule *rule, call *ast.CallExpr, guarded map[string]bool) {
+func reportUnguardedCall(pass *pkgPass, rule *rule, call *ast.CallExpr, guarded map[string]bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !rule.methods[sel.Sel.Name] {
 		return
@@ -210,7 +220,7 @@ func reportUnguardedCall(pass *analysis.Pass, rule *rule, call *ast.CallExpr, gu
 	if guarded[expr] || guarded[maskKey+addressee(call)] {
 		return
 	}
-	pass.Reportf(call.Pos(), rule.message, expr)
+	pass.Reportf(call.Pos(), "", rule.message, expr)
 }
 
 // maskKey prefixes the guard-set entry of an audience variable, keeping
@@ -222,7 +232,7 @@ const maskKey = "To: "
 //	if v := <obs.Subs expression calling For>; v != 0 {
 //
 // (the test possibly one && conjunct) and returns v.
-func audienceVar(pass *analysis.Pass, rule *rule, s *ast.IfStmt) string {
+func audienceVar(pass *pkgPass, rule *rule, s *ast.IfStmt) string {
 	def, ok := s.Init.(*ast.AssignStmt)
 	if !rule.mask || !ok || def.Tok != token.DEFINE || len(def.Lhs) != 1 || len(def.Rhs) != 1 {
 		return ""
@@ -252,7 +262,7 @@ func addressee(call *ast.CallExpr) string {
 // nilCheckedTarget reports the target expression a condition proves
 // non-nil. With wantNil false it matches `x != nil` (possibly a && ...
 // conjunct); with wantNil true it matches a bare `x == nil`.
-func nilCheckedTarget(pass *analysis.Pass, rule *rule, cond ast.Expr, wantNil bool) string {
+func nilCheckedTarget(pass *pkgPass, rule *rule, cond ast.Expr, wantNil bool) string {
 	return comparedTarget(cond, "nil", wantNil, func(x ast.Expr) bool {
 		tv, ok := pass.TypesInfo.Types[x]
 		return ok && rule.isTarget(tv.Type)

@@ -34,7 +34,7 @@ func (u *unit) Launch() {
 
 func (u *unit) drain() { u.queue = u.queue[:0] }
 
-// Commit is also a root.
-func (u *unit) Commit() {
-	go u.drain() // want `goroutine launched on a phase path \(reachable from Commit\)`
+// Collect is also a root.
+func (u *unit) Collect() {
+	go u.drain() // want `goroutine launched on a phase path \(reachable from Collect\)`
 }

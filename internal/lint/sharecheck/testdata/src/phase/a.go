@@ -2,7 +2,7 @@ package phase
 
 import "ultracomputer/internal/engine"
 
-// Phase literals handed to engine.Engine.Run are Compute-phase roots:
+// Phase literals handed to engine.Engine.Run are the shard-isolation roots:
 // the shard-ownership rules apply to everything they capture.
 
 type driver struct {
@@ -15,7 +15,7 @@ type driver struct {
 
 // hoisted stores its phase body in a field once (the zero-alloc idiom)
 // and passes it to the engine by name every cycle: the literal is still
-// a Compute-phase root via the one-step dataflow in EnginePhaseLiterals.
+// a root via the one-step dataflow in EnginePhaseLiterals.
 type hoisted struct {
 	eng  engine.Engine
 	body func(lo, hi, w int)

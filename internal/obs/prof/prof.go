@@ -31,7 +31,6 @@
 package prof
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"ultracomputer/internal/isa"
@@ -397,25 +396,6 @@ func (p *Profiler) LiveProfile() []byte {
 		return *b
 	}
 	return nil
-}
-
-// sortedAggKeys returns one PE shard's aggregation keys in (node, pc,
-// state) order, giving map iteration a canonical sequence.
-func (s *peShard) sortedAggKeys() []runAggKey {
-	keys := make([]runAggKey, 0, len(s.agg))
-	for k := range s.agg {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		if keys[i].pc != keys[j].pc {
-			return keys[i].pc < keys[j].pc
-		}
-		return keys[i].state < keys[j].state
-	})
-	return keys
 }
 
 // callPath expands a node into its chain of call-site pcs, innermost

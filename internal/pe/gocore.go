@@ -256,7 +256,6 @@ func (c *Ctx) Compute(n int) {
 	// One action per guest operation is the price of the Go-guest
 	// programming model; GoCore models programmability, not host cost
 	// (use isa.Core for allocation-free guests).
-	//ultravet:ok hotalloc guest handshake allocates one action per operation by design
 	a := &action{kind: aCompute, n: n, done: make(chan int64, 1)}
 	c.core.send(a)
 	<-a.done

@@ -34,9 +34,6 @@ func NewMultiCore(cores ...Core) *MultiCore {
 	return &MultiCore{cores: cores}
 }
 
-// Streams reports the multiprogramming factor k.
-func (m *MultiCore) Streams() int { return len(m.cores) }
-
 // Tick implements Core: offer the cycle to each stream in turn until one
 // executes.
 func (m *MultiCore) Tick(env *Env) TickResult {

@@ -316,10 +316,6 @@ func (e *Env) Issue(op msg.Op, addr int64, operand int64, tag int) bool {
 // core calls it before the cache's first access.
 func (e *Env) ObserveCache(c *cache.Cache) { e.pe.observeCache(c) }
 
-// CanIssue reports whether a request to addr could be accepted by the
-// pipelining rules right now (it does not probe network space).
-func (e *Env) CanIssue(addr int64) bool { return e.pe.pni.canIssue(addr) }
-
 // Pending reports how many of this PE's shared-memory requests are still
 // outstanding (stores awaiting acknowledgement included).
 func (e *Env) Pending() int { return e.pe.pni.Outstanding() }

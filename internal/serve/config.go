@@ -149,6 +149,12 @@ func (c Config) Ports() int {
 // whole service before quotas ever see it.
 const maxValidPorts = 1 << 20
 
+// maxValidWorkers bounds the parallel engine's pool for any config that
+// survives Validate: engine.NewParallel starts one goroutine per worker,
+// each spinning at the barrier, so an unbounded count would let one
+// config exhaust the host.
+const maxValidWorkers = 1024
+
 // boundedPorts computes k^stages, reporting failure as soon as the
 // running product exceeds max — including after the final multiply — so
 // the result is exact and the computation can never overflow: both
@@ -297,6 +303,9 @@ var configRules = []struct {
 	{"workers", func(c *Config) string {
 		if c.Workers < 0 {
 			return fmt.Sprintf("workers = %d, need >= 0", c.Workers)
+		}
+		if c.Workers > maxValidWorkers {
+			return fmt.Sprintf("workers = %d, need <= %d (each worker is a goroutine spinning at the barrier)", c.Workers, maxValidWorkers)
 		}
 		return ""
 	}},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -42,6 +43,10 @@ func fieldsOf(t *testing.T, err error) []string {
 	return names
 }
 
+// TestValidateTable has a row for every entry of configRules (and the
+// program rule), named by the field error it must produce, plus the edge
+// cases past reviews found; the loop at the end fails when a rule is
+// added without a row.
 func TestValidateTable(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -61,13 +66,28 @@ func TestValidateTable(t *testing.T) {
 		{"too many copies", func(c *Config) { c.Copies = 256 }, []string{"copies"}},
 		{"tiny queue", func(c *Config) { c.QueueCapacity = 2 }, []string{"queue_capacity"}},
 		{"tiny pni queue", func(c *Config) { c.PNIQueueCapacity = 1 }, []string{"pni_queue_capacity"}},
-		{"bad engine", func(c *Config) { c.Engine = "quantum" }, []string{"engine"}},
+		{"wait_buffer_capacity", func(c *Config) { c.WaitBufferCapacity = -1 }, []string{"wait_buffer_capacity"}},
+		{"mm_latency", func(c *Config) { c.MMLatency = -1 }, []string{"mm_latency"}},
+		{"pe_cycle", func(c *Config) { c.PECycle = -2 }, []string{"pe_cycle"}},
+		{"max_outstanding", func(c *Config) { c.MaxOutstanding = -1 }, []string{"max_outstanding"}},
+		{"local_words", func(c *Config) { c.LocalWords = -4096 }, []string{"local_words"}},
 		{"bad cache", func(c *Config) { c.Cache = &CacheConfig{Sets: 3, Ways: 1, BlockWords: 4} }, []string{"cache"}},
+		{"bad engine", func(c *Config) { c.Engine = "quantum" }, []string{"engine"}},
+		{"workers", func(c *Config) { c.Workers = -1 }, []string{"workers"}},
+		// engine.NewParallel starts a goroutine per worker: a million of
+		// them validated until the rule got its upper bound.
+		{"workers a million", func(c *Config) { c.Engine = "parallel"; c.Workers = 1_000_000 }, []string{"workers"}},
+		{"limit", func(c *Config) { c.Limit = -1 }, []string{"limit"}},
+		{"sample_every", func(c *Config) { c.SampleEvery = -64 }, []string{"sample_every"}},
 		{"empty program", func(c *Config) { c.Program = "  \n" }, []string{"program"}},
 		{"unassemblable program", func(c *Config) { c.Program = "bogus r1, r2" }, []string{"program"}},
 		{"several at once", func(c *Config) { c.K = 0; c.Program = "" }, []string{"k", "program"}},
 	}
+	covered := map[string]bool{}
 	for _, tc := range cases {
+		for _, f := range tc.fields {
+			covered[f] = true
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := validConfig()
 			tc.mutate(&cfg)
@@ -84,11 +104,96 @@ func TestValidateTable(t *testing.T) {
 			}
 		})
 	}
+	for _, r := range configRules {
+		if !covered[r.field] {
+			t.Errorf("rule %q has no row in this table", r.field)
+		}
+	}
 }
 
 // The k=0 case above also trips stages/pes rules: field errors
 // accumulate rather than short-circuit, so a client fixes everything in
 // one round trip.
+
+// TestQuotaTable has a row for every check of Limits.checkConfig, named
+// by the field error it must produce; each row's config passes Validate,
+// so the quota is what refuses it.
+func TestQuotaTable(t *testing.T) {
+	cases := []struct {
+		name, field string
+		limits      Limits
+		mutate      func(*Config)
+	}{
+		{"pes", "pes", Limits{MaxPEs: 4}, func(c *Config) {}},
+		{"stages", "stages", Limits{MaxPorts: 8}, func(c *Config) {}},
+		{"local_words", "local_words", Limits{MaxMemoryWords: 1 << 12}, func(c *Config) {}},
+		// pes × local_words = 2^64 wraps to 0 words as a product.
+		{"local_words wrapping", "local_words", DefaultLimits(), func(c *Config) { c.PEs = 16; c.LocalWords = 1 << 60 }},
+		// A session's parallel engine would spin its pool from build to
+		// delete; the service's parallelism is across sessions.
+		{"engine", "engine", DefaultLimits(), func(c *Config) { c.Engine = "parallel" }},
+	}
+	if got := DefaultLimits().checkConfig(validConfig()); len(got) != 0 {
+		t.Fatalf("the default quotas refuse the base config: %v", got)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := validConfig()
+			tc.mutate(&cfg)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("row must pass Validate: %v", err)
+			}
+			got := tc.limits.checkConfig(cfg)
+			if len(got) != 1 || got[0].Field != tc.field {
+				t.Errorf("quota errors = %v, want one on %q", got, tc.field)
+			}
+		})
+	}
+}
+
+// FuzzConfig: a config arrives over HTTP (and through `ultrasim
+// -config`), so decoding, validating and quota-checking one must never
+// panic, and whatever all three accept must be something the service can
+// afford to build: worker pool, ports, PEs and private memory inside
+// their bounds, on the serial engine. The seeds under
+// testdata/fuzz/FuzzConfig are the configs that once got through. `go
+// test` runs the corpus as unit cases; `make fuzz-smoke` fuzzes.
+func FuzzConfig(f *testing.F) {
+	valid, err := json.Marshal(validConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Config
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&c) != nil {
+			return
+		}
+		l := DefaultLimits()
+		if c.Validate() != nil || len(l.checkConfig(c)) != 0 {
+			return
+		}
+		d := c.WithDefaults()
+		if d.Engine != "serial" {
+			t.Errorf("accepted engine %q", d.Engine)
+		}
+		if d.Workers < 0 || d.Workers > maxValidWorkers {
+			t.Errorf("accepted workers = %d", d.Workers)
+		}
+		ports, ok := boundedPorts(d.K, d.Stages, l.MaxPorts)
+		if !ok {
+			t.Fatalf("accepted k = %d, stages = %d: more than %d ports", d.K, d.Stages, l.MaxPorts)
+		}
+		if d.PEs < 1 || d.PEs > ports || d.PEs > l.MaxPEs {
+			t.Fatalf("accepted pes = %d on %d ports (quota %d)", d.PEs, ports, l.MaxPEs)
+		}
+		if d.LocalWords < 1 || int64(d.LocalWords) > l.MaxMemoryWords/int64(d.PEs) {
+			t.Errorf("accepted local_words = %d on %d PEs (quota %d words)", d.LocalWords, d.PEs, l.MaxMemoryWords)
+		}
+	})
+}
 
 func TestWithDefaultsMatchesUltrasimFlags(t *testing.T) {
 	d := Config{K: 2, Stages: 4, Program: "halt"}.WithDefaults()

@@ -82,6 +82,14 @@ func (l Limits) withDefaults() Limits {
 func (l Limits) checkConfig(cfg Config) []FieldError {
 	d := cfg.WithDefaults()
 	var fields []FieldError
+	// A parallel engine's workers never park: a session would hold them
+	// spinning from build to delete, and at the sizes the quotas admit
+	// the barrier costs more than it saves. The scheduler's workers are
+	// the service's parallelism.
+	if d.Engine != "serial" {
+		fields = append(fields, FieldError{Field: "engine",
+			Msg: fmt.Sprintf("engine %q is not offered to sessions: the service's parallelism is across sessions; use `ultrasim -engine parallel` for one large run", d.Engine)})
+	}
 	if l.MaxPEs > 0 && d.PEs > l.MaxPEs {
 		fields = append(fields, FieldError{Field: "pes",
 			Msg: fmt.Sprintf("%d PEs exceeds the per-session quota of %d", d.PEs, l.MaxPEs)})
@@ -94,9 +102,11 @@ func (l Limits) checkConfig(cfg Config) []FieldError {
 				Msg: fmt.Sprintf("k^stages network ports exceed the per-session quota of %d", l.MaxPorts)})
 		}
 	}
-	if l.MaxMemoryWords > 0 && d.MemoryWords() > l.MaxMemoryWords {
+	// By division, not d.MemoryWords(): the product of two wild fields
+	// can wrap to something small.
+	if l.MaxMemoryWords > 0 && d.PEs >= 1 && int64(d.LocalWords) > l.MaxMemoryWords/int64(d.PEs) {
 		fields = append(fields, FieldError{Field: "local_words",
-			Msg: fmt.Sprintf("%d private-memory words (pes × local_words) exceeds the per-session quota of %d", d.MemoryWords(), l.MaxMemoryWords)})
+			Msg: fmt.Sprintf("%d × %d private-memory words (pes × local_words) exceeds the per-session quota of %d", d.PEs, d.LocalWords, l.MaxMemoryWords)})
 	}
 	return fields
 }

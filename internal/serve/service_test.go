@@ -324,6 +324,27 @@ func TestPortsQuotaRejection(t *testing.T) {
 	call(t, http.MethodPut, base+"/sessions/"+info.ID+"/config/candidate", cfg, http.StatusOK, nil)
 }
 
+// TestParallelEngineRefused: a session may not hold a parallel engine's
+// never-parking pool; staging one is a 422 with a field error on engine,
+// and nothing is staged.
+func TestParallelEngineRefused(t *testing.T) {
+	_, base := testAPI(t, Limits{})
+	var info SessionInfo
+	call(t, http.MethodPost, base+"/sessions", nil, http.StatusCreated, &info)
+
+	cfg := validConfig()
+	cfg.Engine = "parallel"
+	var resp struct {
+		FieldErrors []FieldError `json:"field_errors"`
+	}
+	raw := call(t, http.MethodPut, base+"/sessions/"+info.ID+"/config/candidate", cfg,
+		http.StatusUnprocessableEntity, &resp)
+	if len(resp.FieldErrors) != 1 || resp.FieldErrors[0].Field != "engine" {
+		t.Errorf("want one field error on engine, got %s", raw)
+	}
+	call(t, http.MethodGet, base+"/sessions/"+info.ID+"/config/candidate", nil, http.StatusConflict, nil)
+}
+
 // TestDrainInterruptsSynchronousStep: a big POST /step must yield to a
 // concurrent drain within one machine cycle instead of pinning execMu
 // until the step count is exhausted — and a drained session must refuse
