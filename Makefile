@@ -83,19 +83,23 @@ race:
 test:
 	$(GO) test ./...
 
-# Native fuzzing, ten seconds a target, of the two places outside input
-# enters. The assembler (serve.Config.Program): FuzzAssemble requires
-# that it never panics and that whatever assembles survives Disassemble
-# -> Assemble unchanged. The config object (HTTP bodies, `ultrasim
-# -config`): FuzzConfig requires that strict decoding, Validate and the
-# default quotas never panic and that whatever passes all three is inside
-# the workers, ports, PEs and memory bounds. Plain `go test` already runs
-# each seed corpus (every .s file in the repository, and the files under
-# the packages' testdata/fuzz) as unit cases; a failure found here is
-# written to that directory and fails every later run until fixed.
+# Native fuzzing, ten seconds a target, of the three places outside
+# input enters. The assembler (serve.Config.Program): FuzzAssemble
+# requires that it never panics and that whatever assembles survives
+# Disassemble -> Assemble unchanged. The config object (HTTP bodies,
+# `ultrasim -config`): FuzzConfig requires that strict decoding, Validate
+# and the default quotas never panic and that whatever passes all three
+# is inside the workers, ports, PEs and memory bounds. A span dump
+# (`tables -spans`): FuzzReadSpans requires that reading never panics and
+# that whatever reads survives write -> read -> write unchanged. Plain
+# `go test` already runs each seed corpus (every .s file in the
+# repository, one hot-spot span dump, and the files under the packages'
+# testdata/fuzz) as unit cases; a failure found here is written to that
+# directory and fails every later run until fixed.
 fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzConfig -fuzztime 10s
+	$(GO) test ./internal/obs/reqtrace -run '^$$' -fuzz FuzzReadSpans -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.
@@ -142,12 +146,12 @@ bench-pairs:
 	$(GO) run ./bench -compare "$$root/.bench_build/$(W).OLD.jsonl" "$$root/.bench_build/$(W).NEW.jsonl"
 
 # Where the host's time goes in one benchmark op: CPU-profile it as a
-# plain Go benchmark (bench_test.go: NetUniformOp, NetHotspotOp and
-# GuestIdealOp are bench/'s net-uniform, net-hotspot and guest-ideal ops)
-# and print the top of the profile. Every "share of a CPU profile" in
-# EXPERIMENTS.md and ROADMAP.md comes from here. Binary and profile stay
-# under .bench_build/.
-#   make prof-host [B=NetHotspotOp|GuestIdealOp]
+# plain Go benchmark (bench_test.go: NetUniformOp, NetHotspotOp,
+# NetObservedOp and GuestIdealOp are bench/'s net-uniform, net-hotspot,
+# net-observed and guest-ideal ops) and print the top of the profile.
+# Every "share of a CPU profile" in EXPERIMENTS.md and ROADMAP.md comes
+# from here. Binary and profile stay under .bench_build/.
+#   make prof-host [B=NetHotspotOp|NetObservedOp|GuestIdealOp]
 B ?= NetUniformOp
 prof-host:
 	@mkdir -p .bench_build
@@ -166,10 +170,12 @@ equivalence:
 # Guard the allocation contract: a disabled (nil) probe must add zero
 # allocations to the hot paths, an enabled ring recorder must not
 # allocate per event, an attached request tracer at sampling rate 0 must
-# keep Machine.Step allocation-free, and the network under steady traffic
-# must stay inside its budget (the growth-only tail of its queues).
+# keep Machine.Step allocation-free, one at rate 1 must trace a request
+# on recycled storage once its ring has wrapped, and the network under
+# steady traffic must stay inside its budget (the growth-only tail of its
+# queues).
 bench-guard:
-	$(GO) test ./internal/obs/ ./internal/machine/ ./internal/network/ -run 'ZeroAlloc|AllocBudget' -count=1 -v
+	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/machine/ ./internal/network/ -run 'ZeroAlloc|AllocBudget' -count=1 -v
 
 # Guest-profiler smoke: profile queue.s end to end in both export
 # formats, then validate each round-trips non-empty through its own

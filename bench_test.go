@@ -21,6 +21,9 @@ import (
 	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
+	"ultracomputer/internal/obs"
+	"ultracomputer/internal/obs/prof"
+	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/para"
 	"ultracomputer/internal/pe"
 	"ultracomputer/internal/sim"
@@ -381,13 +384,19 @@ func (p benchPort) Reply(r msg.Reply) bool       { return p.net.MMReply(p.mm, r)
 // reports the op's host time per hop — one message crossing one link: a
 // request crosses stages+1 links and so does its reply, and the op injects
 // at the measured window's rate throughout.
-func netOp(b *testing.B, stages int, w trace.Workload) {
+//
+// observe, when not nil, runs before every op: it attaches what an
+// observed op makes anew each time.
+func netOp(b *testing.B, stages int, w trace.Workload, observe func(*trace.Workload)) {
 	const warmup, measure = 200, 500
 	cfg := network.Config{K: 2, Stages: stages, Copies: 1, Combining: true}
 	w.Rate, w.Hash, w.Seed = 0.20, true, 1001
 	b.ReportAllocs()
 	var r trace.Result
 	for i := 0; i < b.N; i++ {
+		if observe != nil {
+			observe(&w)
+		}
 		r = trace.Run(cfg, w, warmup, measure)
 	}
 	if r.Served == 0 || r.RoundTrip.N() == 0 {
@@ -400,13 +409,30 @@ func netOp(b *testing.B, stages int, w trace.Workload) {
 
 // BenchmarkNetUniformOp is the Figure 7 reference point on the benchmark's
 // 64-port machine: uniform fetch-and-adds. `make prof-host` profiles it.
-func BenchmarkNetUniformOp(b *testing.B) { netOp(b, 6, trace.Workload{}) }
+func BenchmarkNetUniformOp(b *testing.B) { netOp(b, 6, trace.Workload{}, nil) }
 
 // BenchmarkNetHotspotOp sends 10 % of the references to one word, as 50 %
 // loads, 20 % stores and 30 % fetch-and-adds (§3.1.2): combining, wait
 // buffers and decombining.
 func BenchmarkNetHotspotOp(b *testing.B) {
-	netOp(b, 6, trace.Workload{HotFraction: 0.10, HotWord: 424242, LoadFrac: 0.5, StoreFrac: 0.2})
+	netOp(b, 6, trace.Workload{HotFraction: 0.10, HotWord: 424242, LoadFrac: 0.5, StoreFrac: 0.2}, nil)
+}
+
+// BenchmarkNetObservedOp is the uniform op with everything attached, as
+// the repository benchmark's net-observed workload attaches it
+// (bench/net.go: obsKit): one recorder ring of 1 << 16 events reset per
+// op, and per op a sampler every 64 cycles, a request tracer at rate 1
+// and a profiler. `make prof-host B=NetObservedOp` names where an
+// observed cycle goes.
+func BenchmarkNetObservedOp(b *testing.B) {
+	rec := obs.NewRecorder(1 << 16)
+	netOp(b, 6, trace.Workload{}, func(w *trace.Workload) {
+		rec.Reset()
+		w.Probe = rec
+		w.Sampler = obs.NewSampler(64)
+		w.Tracer = reqtrace.New(reqtrace.Config{Rate: 1})
+		w.Profiler = prof.New(prof.Config{PEs: 64})
+	})
 }
 
 // BenchmarkGuestIdealOp is one op of the repository benchmark's guest-ideal
@@ -463,7 +489,7 @@ func BenchmarkGuestIdealOp(b *testing.B) {
 // activity flags").
 func BenchmarkNetHopCost(b *testing.B) {
 	for stages := 2; stages <= 8; stages++ {
-		b.Run(fmt.Sprintf("stages=%d", stages), func(b *testing.B) { netOp(b, stages, trace.Workload{}) })
+		b.Run(fmt.Sprintf("stages=%d", stages), func(b *testing.B) { netOp(b, stages, trace.Workload{}, nil) })
 	}
 }
 

@@ -17,7 +17,7 @@ type EventBuffer struct {
 // Emit implements Probe by appending. The backing array is retained
 // across drains, so steady-state emission does not allocate.
 //
-//ultravet:ok sharecheck each EventBuffer is owned by one shard unit (see type doc)
+//ultravet:ok sharecheck each EventBuffer is owned by one shard unit (silent while Tracer.Emit's hop write stands for the summary key)
 func (b *EventBuffer) Emit(ev Event) { b.evs = append(b.evs, ev) }
 
 // Len reports the number of buffered events.

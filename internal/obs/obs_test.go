@@ -171,6 +171,33 @@ func TestRecorderTail(t *testing.T) {
 	}
 }
 
+// TestRecorderWrapAnyCapacity: the ring is indexed by compare, not by
+// remainder, so a capacity that is no power of two must still hand back
+// the newest events in order at every fill level and every position of
+// the oldest, for a tail that does and does not cross the wrap.
+func TestRecorderWrapAnyCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 3, 5, 7} {
+		r := NewRecorder(capacity)
+		for emitted := 1; emitted <= 3*capacity+1; emitted++ {
+			r.Emit(Event{Cycle: int64(emitted)})
+			held := min(emitted, capacity)
+			for n := 1; n <= held; n++ {
+				got := r.Tail(n)
+				if n == held {
+					got = r.Events()
+				}
+				ok := len(got) == n
+				for i := 0; ok && i < n; i++ {
+					ok = got[i].Cycle == int64(emitted-n+1+i)
+				}
+				if !ok {
+					t.Fatalf("capacity %d, %d emitted: newest %d = %v, want cycles %d..%d", capacity, emitted, n, got, emitted-n+1, emitted)
+				}
+			}
+		}
+	}
+}
+
 func TestDefaultCapacities(t *testing.T) {
 	if NewRecorder(0).Len() != 0 {
 		t.Error("zero-capacity recorder not empty")

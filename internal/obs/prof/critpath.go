@@ -128,7 +128,7 @@ func extractPath(root *reqtrace.Span, byID map[uint64]*reqtrace.Span) CriticalPa
 		}
 		for _, h := range s.Hops {
 			if h.Kind == reqtrace.HopCombine {
-				st.CombineStage = h.Stage
+				st.CombineStage = int(h.Stage)
 				break
 			}
 		}

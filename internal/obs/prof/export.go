@@ -274,8 +274,7 @@ func (p *Profiler) mergeAddrs() []AddrRow {
 			st := s.addrs[lin]
 			r := rows[lin]
 			if r == nil {
-				h := s.hashed[lin]
-				r = &AddrRow{Addr: lin, MM: h.MM, Word: h.Word}
+				r = &AddrRow{Addr: lin, MM: st.hashed.MM, Word: st.hashed.Word}
 				rows[lin] = r
 			}
 			r.Accesses += st.accesses

@@ -90,11 +90,13 @@ type spinKey struct {
 	addr int64
 }
 
-// addrStat is the PE-side slice of the per-word heatmap.
-type addrStat struct {
-	accesses int64 // requests issued to the word
-	rmw      int64 // of which fetch-and-phi / swap
-	waits    int64 // summed issue-to-reply cycles
+// addrRec is the PE-side slice of the per-word heatmap: one record per
+// shared word the PE touched, kept by value in peShard.addrs.
+type addrRec struct {
+	hashed   msg.Addr // (module, word), learned at issue
+	accesses int64    // requests issued to the word
+	rmw      int64    // of which fetch-and-phi / swap
+	waits    int64    // summed issue-to-reply cycles
 }
 
 // peShard is one PE's private profiler state; hooks touch only the
@@ -109,8 +111,7 @@ type peShard struct {
 	stack   []frame
 	curNode int32
 	lastVal map[spinKey]int64
-	addrs   map[int64]*addrStat
-	hashed  map[int64]msg.Addr // linear -> (module, word), learned at issue
+	addrs   map[int64]addrRec // by linear address
 	locks   map[int64]*sim.Histogram
 }
 
@@ -161,8 +162,7 @@ func New(cfg Config) *Profiler {
 		s.nodes = []stackNode{{parent: -1, callpc: -1}}
 		s.nodeIdx = make(map[int64]int32)
 		s.lastVal = make(map[spinKey]int64)
-		s.addrs = make(map[int64]*addrStat)
-		s.hashed = make(map[int64]msg.Addr)
+		s.addrs = make(map[int64]addrRec)
 		s.locks = make(map[int64]*sim.Histogram)
 	}
 	p.NetShard(0) // Emit's combine sink, made here so the event path never allocates it
@@ -269,7 +269,7 @@ func (s *peShard) childNode(pc int) int32 {
 	}
 	id := int32(len(s.nodes))
 	s.nodes = append(s.nodes, stackNode{parent: s.curNode, callpc: int32(pc)})
-	//ultravet:ok sharecheck s is the per-PE shard; the tick phase shards by PE
+	//ultravet:ok sharecheck s is the per-PE shard; the tick phase shards by PE (silent while NetShard.Emit's map write stands for the summary key)
 	s.nodeIdx[key] = id
 	return id
 }
@@ -315,18 +315,16 @@ func (s *peShard) verdict(spin bool) {
 // address, hashed its (module, word) translation.
 func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Addr) {
 	s := &p.pes[pe]
-	a := s.addrs[linear]
-	if a == nil {
-		//ultravet:ok hotalloc first touch of a shared word allocates its stat record once
-		a = &addrStat{}
-		//ultravet:ok sharecheck s is the per-PE shard owned by the worker issuing for PE pe
-		s.addrs[linear] = a
-		s.hashed[linear] = hashed
+	a, ok := s.addrs[linear]
+	if !ok {
+		a.hashed = hashed
 	}
 	a.accesses++
 	if op != msg.Load && op != msg.Store {
 		a.rmw++
 	}
+	//ultravet:ok sharecheck s is the per-PE shard owned by the worker issuing for PE pe
+	s.addrs[linear] = a
 }
 
 // ProfDeliver records a reply reaching PE pe: pc is the instruction
@@ -337,13 +335,8 @@ func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Add
 func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, value int64, wait int64) {
 	s := &p.pes[pe]
 	a := s.addrs[linear]
-	if a == nil {
-		//ultravet:ok hotalloc first touch of a shared word allocates its stat record once
-		a = &addrStat{}
-		s.addrs[linear] = a
-	}
-	//ultravet:ok sharecheck a points into the per-PE shard's addrs map; the deliver phase shards by PE
 	a.waits += wait
+	s.addrs[linear] = a
 	if op != msg.Load && op != msg.Store {
 		h := s.locks[linear]
 		if h == nil {
@@ -366,7 +359,7 @@ func (p *Profiler) ProfServe(mm, word int, op msg.Op) {
 	if mm < 0 || mm >= len(p.mms) {
 		return
 	}
-	//ultravet:ok sharecheck ProfServe runs only on the coordinator; shards emit into per-module buffers (memory.Bank.Flush)
+	//ultravet:ok sharecheck ProfServe runs only on the coordinator; shards emit into per-module buffers (silent while NetShard.Emit's map write stands for the summary key)
 	p.mms[mm].served[word]++
 }
 

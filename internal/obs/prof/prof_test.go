@@ -112,6 +112,39 @@ func TestSpinReclassification(t *testing.T) {
 
 // TestPprofRoundTrip: synthetic samples survive encode → ParsePprof
 // with values, function names and state labels intact.
+// TestHeatmapZeroAllocOnKnownWords: the per-word heatmap keeps its
+// records by value, one map per PE; the first touch of a word may grow
+// it, every later issue and delivery on that word allocates nothing —
+// and the merged rows are sums over the PEs under the translation
+// learned at issue.
+func TestHeatmapZeroAllocOnKnownWords(t *testing.T) {
+	const words = 100
+	p := New(Config{PEs: 2})
+	touch := func() {
+		for pe := 0; pe < 2; pe++ {
+			for w := int64(0); w < words; w++ {
+				p.ProfIssue(pe, 0, msg.FetchAdd, w, msg.Addr{MM: int(w % 8), Word: int(w)})
+				p.ProfIssue(pe, 0, msg.Load, w, msg.Addr{MM: int(w % 8), Word: int(w)})
+				p.ProfDeliver(pe, 0, msg.Load, w, 0, 10+w)
+			}
+		}
+	}
+	touch()
+	if avg := testing.AllocsPerRun(10, touch); avg != 0 {
+		t.Errorf("issue and delivery on known words allocate %.1f times a round, want 0", avg)
+	}
+	rows := p.Merged().Addrs
+	if len(rows) != words {
+		t.Fatalf("%d heatmap rows, want %d", len(rows), words)
+	}
+	for _, r := range rows {
+		// 12 rounds on 2 PEs: two issues (one of them an RMW) and one delivery each.
+		if r.MM != int(r.Addr%8) || r.Word != int(r.Addr) || r.Accesses != 48 || r.RMW != 24 || r.WaitCycles != 24*(10+r.Addr) {
+			t.Errorf("heatmap row %+v", r)
+		}
+	}
+}
+
 func TestPprofRoundTrip(t *testing.T) {
 	prog := isa.MustAssemble(`
 start:  li  r1, 1

@@ -34,18 +34,28 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{buf: make([]Event, capacity)}
 }
 
+// at is the ring slot i places after the oldest event, 0 <= i <=
+// len(buf): a compare, not a division by a run-time length, per event.
+// Callers hold mu.
+func (r *Recorder) at(i int) int {
+	if i += r.start; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
 // Emit implements Probe.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
 	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = ev
+		r.buf[r.at(r.n)] = ev
 		r.n++
 		return
 	}
 	r.buf[r.start] = ev
-	r.start = (r.start + 1) % len(r.buf)
+	r.start = r.at(1)
 	r.overwritten++
 }
 
@@ -75,10 +85,15 @@ func (r *Recorder) Overwritten() int64 {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
+	return r.tail(r.n)
+}
+
+// tail copies the newest n held events, oldest first: the ring is at
+// most two runs of the buffer. Callers hold mu; 0 <= n <= r.n.
+func (r *Recorder) tail(n int) []Event {
+	out := make([]Event, n)
+	k := copy(out, r.buf[r.at(r.n-n):])
+	copy(out[k:], r.buf)
 	return out
 }
 
@@ -94,11 +109,7 @@ func (r *Recorder) Tail(n int) []Event {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]Event, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(r.start+r.n-n+i)%len(r.buf)]
-	}
-	return out
+	return r.tail(n)
 }
 
 // Reset discards all held events (capacity is kept).

@@ -12,10 +12,7 @@ import (
 // completion order — one JSON object per line. Output is byte-
 // deterministic for a deterministic run.
 func (t *Tracer) WriteSpansJSONL(w io.Writer) error {
-	t.mu.Lock()
-	spans := t.ringSpans()
-	t.mu.Unlock()
-	return writeJSONL(w, spans)
+	return writeJSONL(w, t.Spans())
 }
 
 // WriteFlightJSONL dumps the flight recorder: the completed-span ring in
@@ -26,24 +23,22 @@ func (t *Tracer) WriteSpansJSONL(w io.Writer) error {
 func (t *Tracer) WriteFlightJSONL(w io.Writer) error {
 	t.mu.Lock()
 	spans := t.ringSpans()
-	inRing := make(map[uint64]bool, len(spans))
-	for _, s := range spans {
-		inRing[s.ID] = true
-	}
-	var evicted []*Span
+	inRing := len(spans)
 	for _, s := range t.slow {
-		if !inRing[s.ID] {
-			evicted = append(evicted, s)
+		if s.refs == 1 { // held by the reservoir alone: out of the ring
+			spans = append(spans, s)
 		}
 	}
-	t.mu.Unlock()
+	evicted := spans[inRing:]
 	sort.Slice(evicted, func(i, j int) bool {
 		if evicted[i].Done != evicted[j].Done {
 			return evicted[i].Done < evicted[j].Done
 		}
 		return evicted[i].ID < evicted[j].ID
 	})
-	return writeJSONL(w, append(spans, evicted...))
+	spans = copySpans(spans)
+	t.mu.Unlock()
+	return writeJSONL(w, spans)
 }
 
 func writeJSONL(w io.Writer, spans []*Span) error {
@@ -93,12 +88,8 @@ type chromeSpanEvent struct {
 // combine's child to its parent. One trace microsecond equals one
 // network cycle.
 func (t *Tracer) WriteChrome(w io.Writer) error {
-	t.mu.Lock()
-	spans := t.ringSpans()
-	t.mu.Unlock()
-
 	var out []chromeSpanEvent
-	for _, s := range spans {
+	for _, s := range t.Spans() {
 		tid := int64(s.ID & 0xffffffff)
 		out = append(out, chromeSpanEvent{
 			Name: "thread_name", Ph: "M", PID: s.PE, TID: tid,

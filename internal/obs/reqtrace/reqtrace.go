@@ -73,18 +73,31 @@ func (c Config) withDefaults() Config {
 // decision for the PNIs.
 //
 // All events of one run arrive on the coordinator goroutine (serial
-// emission, or deterministic buffer drains under a parallel engine);
-// the mutex exists for concurrent HTTP exports, not for emission.
+// emission, or deterministic buffer drains under a parallel engine), so
+// the active map and the spans under assembly are the emitter's own and
+// need no lock. mu guards what a concurrent HTTP export can see — the
+// completed spans and the counters — and the emitter takes it once when
+// it opens a span and once when it completes one, not per event.
 //
-//lockcheck:guards mu: active, ring, head, n, slow, slowSeen, rng, completed, combineLinks, dropped, latN, latMean
+// A completed span is held by the flight ring and, if it is an outlier,
+// by the slow reservoir. When its last hold goes it is put on the free
+// list, and the next span to open reuses it: struct, Hops and Children
+// backing arrays. Nothing handed to a caller aliases that storage (see
+// copySpans). A span made fresh gets room for the longest trip completed
+// so far: the hop count is a property of the machine being traced, so it
+// is learned, not configured.
+//
+//lockcheck:guards mu: ring, head, n, slow, slowSeen, rng, free, hopCap, opened, completed, combineLinks, dropped, latN, latMean
 type Tracer struct {
 	cfg  Config
 	all  bool   // Rate >= 1: trace everything
 	thr  uint64 // sampling cutoff on the 64-bit hash
 	seed uint64
 
-	mu     sync.Mutex
+	// active holds the spans under assembly; emitter-only.
 	active map[uint64]*Span
+
+	mu sync.Mutex
 	// ring is the circular flight-recorder buffer of completed spans in
 	// completion order; head indexes the oldest.
 	ring     []*Span
@@ -93,7 +106,10 @@ type Tracer struct {
 	slow     []*Span
 	slowSeen int64
 	rng      *sim.Rand
+	free     []*Span // released spans awaiting reuse
+	hopCap   int     // most hops any completed span recorded
 
+	opened       int64
 	completed    int64
 	combineLinks int64
 	dropped      int64
@@ -110,6 +126,7 @@ func New(cfg Config) *Tracer {
 		seed:   cfg.Seed,
 		active: make(map[uint64]*Span),
 		ring:   make([]*Span, cfg.Ring),
+		slow:   make([]*Span, 0, DefaultSlowCap),
 		rng:    sim.NewRand(cfg.Seed ^ 0x5ca1ab1e),
 	}
 	switch {
@@ -151,82 +168,76 @@ func (t *Tracer) Rate() float64 { return t.cfg.Rate }
 // machine's hop-record sites address an event here only when its
 // carrier has a non-zero TraceCtx.
 func (t *Tracer) Emit(ev obs.Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	stage, ncopy, mm := int8(ev.Stage), int16(ev.Copy), int32(ev.MM)
 	switch ev.Kind {
 	case obs.KindInject:
-		// Allocation and bookkeeping below run only for sampled requests
-		// (hop sites emit only on a non-zero TraceCtx), off the untraced
-		// steady state the zero-alloc contract pins; and Emit runs only on
-		// the coordinator goroutine — parallel shards emit into per-unit
-		// buffers drained in unit order (network.Stepper).
-		//ultravet:ok hotalloc sampled-request path, off the untraced steady state
-		s := &Span{
-			ID: ev.ID, PE: ev.PE, Op: ev.Op.String(),
-			MM: ev.Addr.MM, Word: ev.Addr.Word, Issued: ev.Cycle,
-		}
-		//ultravet:ok hotalloc sampled-request path, off the untraced steady state
-		s.Hops = append(s.Hops, Hop{Kind: HopInject, Cycle: ev.Cycle, Stage: -1, Copy: ev.Copy, MM: -1})
+		s := t.open(ev.ID, ev.PE, ev.Op.String(), ev.Addr, ev.Cycle)
 		//ultravet:ok sharecheck Emit runs only on the coordinator; shards emit into per-unit buffers (network.Stepper)
-		t.active[ev.ID] = s
+		s.Hops = append(s.Hops, Hop{Kind: HopInject, Cycle: ev.Cycle, Stage: -1, Copy: ncopy, MM: -1})
 	case obs.KindStageArrive:
-		t.hop(ev.ID, Hop{Kind: HopEnqueue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Q: int(ev.Aux)})
+		t.hop(ev.ID, Hop{Kind: HopEnqueue, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Q: ev.Aux})
 	case obs.KindStageDepart:
-		t.hop(ev.ID, Hop{Kind: HopDequeue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1})
+		t.hop(ev.ID, Hop{Kind: HopDequeue, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1})
 	case obs.KindCombine:
 		// ev.ID is the absorbed child, ev.ID2 the surviving parent;
 		// ev.Aux carries the parent's PE for mid-flight adoption.
 		child := t.spanOrAdopt(ev.ID, ev.PE, ev.Op.String(), ev.Addr, ev.Cycle)
 		parent := t.spanOrAdopt(ev.ID2, int(ev.Aux), "", ev.Addr, ev.Cycle)
-		//ultravet:ok sharecheck Emit runs only on the coordinator; shards emit into per-unit buffers (network.Stepper)
 		child.Parent = ev.ID2
 		child.waitStart = ev.Cycle
-		child.Hops = append(child.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID2})
+		child.Hops = append(child.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Peer: ev.ID2})
 		parent.Children = append(parent.Children, ev.ID)
-		parent.Hops = append(parent.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID})
+		parent.Hops = append(parent.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Peer: ev.ID})
+		t.mu.Lock()
 		t.combineLinks++
+		t.mu.Unlock()
 	case obs.KindDecombine:
 		// ev.ID keys the wait-buffer record (the parent); ev.ID2 is the
 		// recreated child reply.
 		if p, ok := t.active[ev.ID]; ok {
-			p.Hops = append(p.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID2})
+			p.Hops = append(p.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Peer: ev.ID2})
 		}
 		if c, ok := t.active[ev.ID2]; ok {
-			c.Hops = append(c.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID})
+			c.Hops = append(c.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Peer: ev.ID})
 			c.WaitCycles = ev.Cycle - c.waitStart
 		}
 	case obs.KindMMArrive:
-		t.hop(ev.ID, Hop{Kind: HopMMArrive, Cycle: ev.Cycle, Stage: -1, Copy: ev.Copy, MM: ev.MM})
+		t.hop(ev.ID, Hop{Kind: HopMMArrive, Cycle: ev.Cycle, Stage: -1, Copy: ncopy, MM: mm})
 	case obs.KindMNIBegin:
-		s := t.hop(ev.ID, Hop{Kind: HopMNIBegin, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: ev.MM})
+		s := t.hop(ev.ID, Hop{Kind: HopMNIBegin, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: mm})
 		if s != nil && s.Op == "" {
 			s.Op = ev.Op.String()
 		}
 	case obs.KindMNIServe:
-		s := t.hop(ev.ID, Hop{Kind: HopMNIServe, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: ev.MM})
+		s := t.hop(ev.ID, Hop{Kind: HopMNIServe, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: mm})
 		if s != nil && s.Op == "" {
 			s.Op = ev.Op.String()
 		}
 	case obs.KindReplyHop:
 		if ev.MM >= 0 {
-			t.hop(ev.ID, Hop{Kind: HopReplyOut, Cycle: ev.Cycle, Stage: -1, Copy: ev.Copy, MM: ev.MM})
+			t.hop(ev.ID, Hop{Kind: HopReplyOut, Cycle: ev.Cycle, Stage: -1, Copy: ncopy, MM: mm})
 		} else {
-			t.hop(ev.ID, Hop{Kind: HopReplyHop, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1})
+			t.hop(ev.ID, Hop{Kind: HopReplyHop, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1})
 		}
 	case obs.KindReplyDepart:
-		t.hop(ev.ID, Hop{Kind: HopReplyDepart, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: ev.MM})
+		t.hop(ev.ID, Hop{Kind: HopReplyDepart, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: mm})
 	case obs.KindReplyDeliver:
-		s, ok := t.active[ev.ID]
-		if !ok {
-			t.dropped++
+		s := t.hop(ev.ID, Hop{Kind: HopDeliver, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: -1})
+		if s == nil {
 			return
 		}
-		s.Hops = append(s.Hops, Hop{Kind: HopDeliver, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: -1})
 		s.Value = ev.Value
 		t.complete(s, ev.Cycle)
 	default:
-		t.dropped++
+		t.drop()
 	}
+}
+
+// drop counts an event that matched no open span.
+func (t *Tracer) drop() {
+	t.mu.Lock()
+	t.dropped++
+	t.mu.Unlock()
 }
 
 // hop appends h to the active span id, returning the span (nil and a
@@ -235,10 +246,35 @@ func (t *Tracer) Emit(ev obs.Event) {
 func (t *Tracer) hop(id uint64, h Hop) *Span {
 	s, ok := t.active[id]
 	if !ok {
-		t.dropped++
+		t.drop()
 		return nil
 	}
 	s.Hops = append(s.Hops, h)
+	return s
+}
+
+// open starts the span of request id in the active set, on recycled
+// storage when the free list has any. It runs only for sampled requests
+// (hop sites emit only on a non-zero TraceCtx), off the untraced steady
+// state the zero-alloc contract pins, and allocates only until the free
+// list has caught up with the requests in flight.
+func (t *Tracer) open(id uint64, pe int, op string, addr msg.Addr, cycle int64) *Span {
+	t.mu.Lock()
+	t.opened++
+	var s *Span
+	if n := len(t.free); n > 0 {
+		s = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		//ultravet:ok hotalloc warm-up of the sampled-request path; steady state reuses the free list
+		s = &Span{Hops: make([]Hop, 0, t.hopCap)}
+	}
+	t.mu.Unlock()
+	*s = Span{
+		ID: id, PE: pe, Op: op, MM: addr.MM, Word: addr.Word, Issued: cycle,
+		Hops: s.Hops[:0], Children: s.Children[:0],
+	}
+	t.active[id] = s
 	return s
 }
 
@@ -250,13 +286,17 @@ func (t *Tracer) spanOrAdopt(id uint64, pe int, op string, addr msg.Addr, cycle 
 	if s, ok := t.active[id]; ok {
 		return s
 	}
-	//ultravet:ok hotalloc sampled-request path, off the untraced steady state
-	s := &Span{
-		ID: id, PE: pe, Op: op, MM: addr.MM, Word: addr.Word,
-		Issued: cycle, Adopted: true,
-	}
-	t.active[id] = s
+	s := t.open(id, pe, op, addr, cycle)
+	s.Adopted = true
 	return s
+}
+
+// release drops one of the tracer's holds on a completed span; the last
+// one recycles it. Callers hold mu.
+func (t *Tracer) release(s *Span) {
+	if s.refs--; s.refs == 0 {
+		t.free = append(t.free, s)
+	}
 }
 
 // complete closes a span: it leaves the active set, enters the flight
@@ -269,7 +309,13 @@ func (t *Tracer) complete(s *Span, cycle int64) {
 	delete(t.active, s.ID)
 	s.Done = cycle
 	s.Latency = cycle - s.Issued
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.completed++
+	if len(s.Hops) > t.hopCap {
+		t.hopCap = len(s.Hops)
+	}
 
 	lat := float64(s.Latency)
 	if t.latN >= DefaultMinSlowSamples && lat > DefaultSlowFactor*t.latMean {
@@ -277,20 +323,34 @@ func (t *Tracer) complete(s *Span, cycle int64) {
 		t.slowSeen++
 		if len(t.slow) < DefaultSlowCap {
 			t.slow = append(t.slow, s)
+			s.refs++
 		} else if j := t.rng.Intn(int(t.slowSeen)); j < DefaultSlowCap {
+			t.release(t.slow[j])
 			t.slow[j] = s
+			s.refs++
 		}
 	}
 	t.latN++
 	t.latMean += (lat - t.latMean) / float64(t.latN)
 
+	s.refs++
 	if t.n < len(t.ring) {
-		t.ring[(t.head+t.n)%len(t.ring)] = s
+		t.ring[t.ringIndex(t.n)] = s
 		t.n++
 	} else {
+		t.release(t.ring[t.head])
 		t.ring[t.head] = s
-		t.head = (t.head + 1) % len(t.ring)
+		t.head = t.ringIndex(1)
 	}
+}
+
+// ringIndex is the ring slot i places after the oldest, 0 <= i <=
+// len(ring). Callers hold mu.
+func (t *Tracer) ringIndex(i int) int {
+	if i += t.head; i >= len(t.ring) {
+		i -= len(t.ring)
+	}
+	return i
 }
 
 // Completed reports the number of spans closed so far.
@@ -304,7 +364,7 @@ func (t *Tracer) Completed() int64 {
 func (t *Tracer) Active() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.active)
+	return int(t.opened - t.completed)
 }
 
 // CombineLinks reports how many parent←child genealogy links have been
@@ -330,25 +390,58 @@ func (t *Tracer) MeanLatency() float64 {
 	return t.latMean
 }
 
-// ringSpans returns the flight ring oldest-first. Callers hold mu.
+// ringSpans lists the flight ring oldest-first. Callers hold mu.
 func (t *Tracer) ringSpans() []*Span {
 	out := make([]*Span, 0, t.n)
 	for i := 0; i < t.n; i++ {
-		out = append(out, t.ring[(t.head+i)%len(t.ring)])
+		out = append(out, t.ring[t.ringIndex(i)])
 	}
 	return out
 }
 
-// Spans snapshots the flight ring (completed spans, oldest first).
+// copySpans replaces every span of list with a deep copy in storage cut
+// from three arrays made here — spans, hops, children — so that what a
+// caller holds is its own: the tracer recycles the originals. Callers
+// hold mu; list is theirs to overwrite.
+func copySpans(list []*Span) []*Span {
+	var nh, nc int
+	for _, s := range list {
+		nh += len(s.Hops)
+		nc += len(s.Children)
+	}
+	spans := make([]Span, len(list))
+	hops := make([]Hop, 0, nh)
+	kids := make([]uint64, 0, nc)
+	for i, s := range list {
+		c := &spans[i]
+		*c = *s
+		c.waitStart, c.refs = 0, 0
+		// Full slice expressions: a caller's append cannot reach the
+		// next span's share.
+		hops = append(hops, s.Hops...)
+		c.Hops = hops[len(hops)-len(s.Hops) : len(hops) : len(hops)]
+		c.Children = nil
+		if len(s.Children) > 0 {
+			kids = append(kids, s.Children...)
+			c.Children = kids[len(kids)-len(s.Children) : len(kids) : len(kids)]
+		}
+		list[i] = c
+	}
+	return list
+}
+
+// Spans snapshots the flight ring (completed spans, oldest first). The
+// result is the caller's own copy.
 func (t *Tracer) Spans() []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.ringSpans()
+	return copySpans(t.ringSpans())
 }
 
-// SlowSpans snapshots the slow-outlier reservoir in capture order.
+// SlowSpans snapshots the slow-outlier reservoir in capture order. The
+// result is the caller's own copy.
 func (t *Tracer) SlowSpans() []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]*Span(nil), t.slow...)
+	return copySpans(append([]*Span(nil), t.slow...))
 }

@@ -3,8 +3,11 @@ package reqtrace
 import (
 	"bytes"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/obs"
@@ -187,10 +190,8 @@ func TestSpansJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("read %d spans of %d written", len(spans), len(want))
 	}
 	for i, s := range spans {
-		w := *want[i]
-		w.waitStart = 0 // not serialized
-		if !reflect.DeepEqual(*s, w) {
-			t.Errorf("span %d read back as\n %+v, wrote\n %+v", i, *s, w)
+		if !reflect.DeepEqual(s, want[i]) {
+			t.Errorf("span %d read back as\n %+v, wrote\n %+v", i, *s, *want[i])
 		}
 	}
 	var second bytes.Buffer
@@ -203,4 +204,219 @@ func TestSpansJSONLRoundTrip(t *testing.T) {
 	if _, err := ReadSpans(bytes.NewReader([]byte(`{"id":1,"hops":[{"kind":"teleport"}]}`))); err == nil {
 		t.Error("ReadSpans accepted an unknown hop kind")
 	}
+}
+
+// trip feeds one whole uncombined request that opens at cycle and is
+// delivered at cycle+latency: inject, 30 switch hops, deliver.
+func trip(tr *Tracer, id uint64, cycle, latency int64) {
+	tr.Emit(ev(obs.KindInject, cycle, id))
+	for h := 1; h <= 30; h++ {
+		e := ev(obs.KindStageArrive, cycle+int64(h)*latency/32, id)
+		e.Stage, e.Aux = h%6, int32(h)
+		tr.Emit(e)
+	}
+	tr.Emit(ev(obs.KindReplyDeliver, cycle+latency, id))
+}
+
+// pairTrip feeds two requests in flight together, child absorbed by
+// parent at stage 2 and decombined on the way back; both take 32 cycles.
+func pairTrip(tr *Tracer, parent, child uint64, cycle int64) {
+	for _, id := range []uint64{parent, child} {
+		tr.Emit(ev(obs.KindInject, cycle, id))
+		for h := 1; h <= 4; h++ {
+			e := ev(obs.KindStageArrive, cycle+int64(h), id)
+			e.Stage = h / 2
+			tr.Emit(e)
+		}
+	}
+	c := ev(obs.KindCombine, cycle+5, child)
+	c.ID2, c.Aux, c.Stage = parent, int32(parent>>32), 2
+	tr.Emit(c)
+	for h := 6; h <= 24; h++ {
+		e := ev(obs.KindStageDepart, cycle+int64(h), parent)
+		e.Stage = h % 6
+		tr.Emit(e)
+	}
+	d := ev(obs.KindDecombine, cycle+25, parent)
+	d.ID2, d.Stage = child, 2
+	tr.Emit(d)
+	tr.Emit(ev(obs.KindReplyDeliver, cycle+32, parent))
+	tr.Emit(ev(obs.KindReplyDeliver, cycle+32, child))
+}
+
+// TestTracerSteadyStateZeroAlloc: once the flight ring has wrapped, a
+// traced request costs no allocation — the span the ring evicts is the
+// span the next request opens, hop array and children array included —
+// for lone requests and combined pairs alike.
+func TestTracerSteadyStateZeroAlloc(t *testing.T) {
+	const ring = 64
+	tr := New(Config{Rate: 1, Ring: ring})
+	id, cycle := uint64(1)<<32, int64(0)
+	feed := func() {
+		id, cycle = id+3, cycle+40
+		trip(tr, id, cycle, 32)
+		pairTrip(tr, id+1, id+2, cycle)
+	}
+	for tr.Completed() < 2*ring {
+		feed()
+	}
+	if avg := testing.AllocsPerRun(200, feed); avg != 0 {
+		t.Errorf("a traced request and a combined pair allocate %.2f times after warm-up, want 0", avg)
+	}
+	if tr.Active() != 0 || tr.Dropped() != 0 || tr.CombineLinks() == 0 {
+		t.Errorf("active %d, dropped %d, combine links %d: the feed is not what it claims", tr.Active(), tr.Dropped(), tr.CombineLinks())
+	}
+}
+
+// TestSnapshotIsOwnedByCaller: what Spans and SlowSpans hand out is a
+// copy. The tracer goes on to recycle every span the snapshot was taken
+// of — four ring-fuls of later requests — and the snapshot must not
+// change by a byte.
+func TestSnapshotIsOwnedByCaller(t *testing.T) {
+	const ring = 8
+	tr := New(Config{Rate: 1, Ring: ring})
+	id := uint64(1) << 32
+	feed := func(n int64, latency int64) {
+		for ; n > 0; n -= 3 {
+			id += 3
+			trip(tr, id, int64(id&0xffff)*7, latency)
+			pairTrip(tr, id+1, id+2, int64(id&0xffff)*7)
+		}
+	}
+	feed(DefaultMinSlowSamples+ring, 32)
+	feed(3, 400) // the lone trip of this round is an outlier
+	snap := append(tr.Spans(), tr.SlowSpans()...)
+	if len(snap) != ring+1 || !snap[ring].Slow {
+		t.Fatalf("snapshot of %d spans, last slow = %v; want %d ring spans and one slow span", len(snap), snap[len(snap)-1].Slow, ring)
+	}
+	var before, after bytes.Buffer
+	if err := writeJSONL(&before, snap); err != nil {
+		t.Fatal(err)
+	}
+	feed(4*ring, 32)
+	if err := writeJSONL(&after, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("a snapshot changed under its holder while the tracer ran on:\n%s\nbecame\n%s", before.Bytes(), after.Bytes())
+	}
+}
+
+// TestSlowSpanSurvivesRingEviction: a span the slow reservoir holds is
+// not recycled when the ring lets go of it; after the ring has wrapped
+// twice the flight dump still carries it, whole, behind the ring.
+func TestSlowSpanSurvivesRingEviction(t *testing.T) {
+	const ring = 4
+	tr := New(Config{Rate: 1, Ring: ring})
+	for i := uint64(1); i <= DefaultMinSlowSamples; i++ {
+		trip(tr, i, int64(i)*10, 32)
+	}
+	const slowID = 1000
+	trip(tr, slowID, 5000, 400)
+	slow := tr.SlowSpans()
+	if len(slow) != 1 || slow[0].ID != slowID || !slow[0].Slow || slow[0].Latency != 400 {
+		t.Fatalf("slow reservoir after the outlier: %+v", slow)
+	}
+	for i := uint64(1); i <= 2*ring; i++ {
+		trip(tr, 2000+i, 6000+int64(i)*10, 32)
+	}
+	var dump bytes.Buffer
+	if err := tr.WriteFlightJSONL(&dump); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSpans(&dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != ring+1 {
+		t.Fatalf("flight dump has %d spans, want the ring's %d and the evicted slow one", len(got), ring)
+	}
+	for i, s := range got[:ring] {
+		if want := uint64(2000 + ring + 1 + i); s.ID != want {
+			t.Errorf("ring span %d is request %d, want %d", i, s.ID, want)
+		}
+	}
+	if !reflect.DeepEqual(got[ring], slow[0]) {
+		t.Errorf("the slow span left the ring as\n %+v\nand is dumped as\n %+v", *slow[0], *got[ring])
+	}
+}
+
+// TestHopSize pins the hop record at 40 bytes: hops are most of what a
+// traced run keeps live, and a field widened back to int costs 40 %.
+func TestHopSize(t *testing.T) {
+	if got := unsafe.Sizeof(Hop{}); got > 40 {
+		t.Errorf("Hop is %d bytes, want <= 40", got)
+	}
+}
+
+// outOfRange are span lines whose hop fields do not fit the narrowed
+// Hop: a decoder that wrapped them would render a wrong machine.
+var outOfRange = []string{
+	`{"id":1,"hops":[{"kind":"enqueue","cycle":4,"stage":300,"copy":0,"mm":-1}]}`,
+	`{"id":1,"hops":[{"kind":"enqueue","cycle":4,"stage":0,"copy":70000,"mm":-1}]}`,
+	`{"id":1,"hops":[{"kind":"mm-arrive","cycle":4,"stage":-1,"copy":0,"mm":1099511627776}]}`,
+}
+
+func TestReadSpansRejectsOutOfRange(t *testing.T) {
+	for _, line := range outOfRange {
+		if spans, err := ReadSpans(strings.NewReader(line)); err == nil {
+			t.Errorf("ReadSpans accepted %s as %+v", line, spans[0].Hops)
+		}
+	}
+}
+
+// TestReadSpansOfParentDump: testdata/hotspot.spans.jsonl was written by
+// the tracer as it was before Hop's fields were narrowed (netperf
+// -simports 16 -hot 0.4 -rate 0.15 -reqtrace 1, one combining tree and
+// two lone requests of the dump). It must read, and write back to the
+// same bytes.
+func TestReadSpansOfParentDump(t *testing.T) {
+	want, err := os.ReadFile("testdata/hotspot.spans.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := ReadSpans(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := writeJSONL(&got, spans); err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != 8 || !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%d spans read; rewriting them changed the bytes", len(spans))
+	}
+}
+
+// FuzzReadSpans: ReadSpans never panics, and whatever it accepts is
+// stable under write -> read -> write.
+func FuzzReadSpans(f *testing.F) {
+	dump, err := os.ReadFile("testdata/hotspot.spans.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dump)
+	for _, line := range outOfRange {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, err := ReadSpans(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := writeJSONL(&first, spans); err != nil {
+			t.Fatalf("spans read from %q do not write: %v", data, err)
+		}
+		again, err := ReadSpans(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadSpans rejects what writeJSONL wrote:\n%s\n%v", first.Bytes(), err)
+		}
+		if err := writeJSONL(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("write -> read -> write is not the identity:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

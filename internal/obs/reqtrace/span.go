@@ -82,15 +82,21 @@ func (k *HopKind) UnmarshalJSON(b []byte) error {
 // Hop is one recorded point on a traced request's path. Stage is -1 off
 // the switch stages (PNI/MNI ends), MM is -1 off the memory side, Copy
 // is -1 where the network copy is not meaningful.
+//
+// The fields are as narrow as network.Config.Validate's bounds allow
+// (Stages <= 20, Copies <= 255, ports <= 2^20), 40 bytes a hop: hops
+// are most of what a traced run keeps live. The declaration order is the
+// JSON key order, and encoding/json writes a narrow integer as the same
+// text and refuses one that overflows on the way in.
 type Hop struct {
 	Kind  HopKind `json:"kind"`
 	Cycle int64   `json:"cycle"`
-	Stage int     `json:"stage"`
-	Copy  int     `json:"copy"`
-	MM    int     `json:"mm"`
+	Stage int8    `json:"stage"`
+	Copy  int16   `json:"copy"`
+	MM    int32   `json:"mm"`
 	// Q is the ToMM queue occupancy in packets right after an enqueue
 	// (zero otherwise).
-	Q int `json:"q,omitempty"`
+	Q int32 `json:"q,omitempty"`
 	// Peer is the partner span of a combine/decombine hop.
 	Peer uint64 `json:"peer,omitempty"`
 }
@@ -142,6 +148,9 @@ type Span struct {
 	// waitStart is the combine cycle, kept until the decombine hop
 	// computes WaitCycles.
 	waitStart int64
+	// refs counts the tracer's holds on a completed span (flight ring,
+	// slow reservoir); the hold that drops it to zero recycles the span.
+	refs uint8
 }
 
 // Combined reports whether the span participated in a combine on either

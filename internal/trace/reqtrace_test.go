@@ -154,7 +154,7 @@ func TestTracerSpanShape(t *testing.T) {
 		// A request that reached memory itself (was not absorbed into a
 		// partner) must have served at its own module.
 		for _, h := range s.Hops {
-			if h.Kind == reqtrace.HopMNIServe && h.MM != s.MM {
+			if h.Kind == reqtrace.HopMNIServe && int(h.MM) != s.MM {
 				t.Fatalf("span %d served at MM %d, addressed MM %d", s.ID, h.MM, s.MM)
 			}
 		}
