@@ -148,10 +148,11 @@ bench-pairs:
 # Where the host's time goes in one benchmark op: CPU-profile it as a
 # plain Go benchmark (bench_test.go: NetUniformOp, NetHotspotOp,
 # NetObservedOp and GuestIdealOp are bench/'s net-uniform, net-hotspot,
-# net-observed and guest-ideal ops) and print the top of the profile.
+# net-observed and guest-ideal ops; ServeSessionOp is one serve-lifecycle
+# session without the HTTP) and print the top of the profile.
 # Every "share of a CPU profile" in EXPERIMENTS.md and ROADMAP.md comes
 # from here. Binary and profile stay under .bench_build/.
-#   make prof-host [B=NetHotspotOp|NetObservedOp|GuestIdealOp]
+#   make prof-host [B=NetHotspotOp|NetObservedOp|GuestIdealOp|ServeSessionOp]
 B ?= NetUniformOp
 prof-host:
 	@mkdir -p .bench_build
@@ -168,14 +169,17 @@ equivalence:
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'EngineEquivalence|RunEngineEquivalence' ./internal/machine/ ./internal/trace/
 
 # Guard the allocation contract: a disabled (nil) probe must add zero
-# allocations to the hot paths, an enabled ring recorder must not
-# allocate per event, an attached request tracer at sampling rate 0 must
-# keep Machine.Step allocation-free, one at rate 1 must trace a request
-# on recycled storage once its ring has wrapped, and the network under
-# steady traffic must stay inside its budget (the growth-only tail of its
-# queues).
+# allocations to the hot paths, an enabled ring recorder and a served
+# run's feed must not allocate per event, an attached request tracer at
+# sampling rate 0 must keep Machine.Step allocation-free, one at rate 1
+# must trace a request on recycled storage once its ring has wrapped, the
+# network under steady traffic must stay inside its budget (the
+# growth-only tail of its queues), and what is built per run is sized by
+# its reader: a served kit without -trace under 64 KB whatever ring
+# capacity its caller names, a 16-PE session's build and kit under 1.5 MB,
+# a cache within five allocations.
 bench-guard:
-	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/machine/ ./internal/network/ -run 'ZeroAlloc|AllocBudget' -count=1 -v
+	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ -run 'ZeroAlloc|AllocBudget' -count=1 -v
 
 # Guest-profiler smoke: profile queue.s end to end in both export
 # formats, then validate each round-trips non-empty through its own
@@ -194,7 +198,9 @@ prof: build
 # lifecycle (create+stage, §4.1 dry-run, commit, start), wait for both,
 # and require each session's /report bytes to be identical to a
 # standalone in-process run of the same config — the session-isolation
-# and determinism guarantee, checked end to end over real HTTP.
+# and determinism guarantee, checked end to end over real HTTP. Then the
+# abuse scenarios: a session that spins to its cycle limit sampling every
+# cycle must not grow the service's heap with its samples.
 serve-smoke: build
 	$(GO) run ./cmd/ultraserve -smoke
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"ultracomputer/internal/analytic"
 	"ultracomputer/internal/apps"
@@ -26,6 +27,7 @@ import (
 	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/para"
 	"ultracomputer/internal/pe"
+	"ultracomputer/internal/serve"
 	"ultracomputer/internal/sim"
 	"ultracomputer/internal/trace"
 )
@@ -435,6 +437,21 @@ func BenchmarkNetObservedOp(b *testing.B) {
 	})
 }
 
+// spmdKernel is the benchmark's guest kernel (bench/testdata/spmd.s, whose
+// fields bench/guest.go draws from the seed) with fixed constants and the
+// given iteration count.
+func spmdKernel(b *testing.B, iters string) string {
+	tmpl, err := os.ReadFile("bench/testdata/spmd.s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return strings.NewReplacer(
+		"{{ITERS}}", iters, "{{MUL}}", "7", "{{ADD}}", "13", "{{COUNTER}}", "64",
+		"{{SPAN}}", "128", "{{CBASE}}", "4096", "{{LMASK}}", "511", "{{CWORDS}}", "64",
+		"{{PHASE}}", "5",
+	).Replace(string(tmpl))
+}
+
 // BenchmarkGuestIdealOp is one op of the repository benchmark's guest-ideal
 // workload (bench/guest.go: guestConfig(true), guestCache, guestIdealIters
 // and guestRun, restated here because bench/ is a main package) as a plain
@@ -444,15 +461,7 @@ func BenchmarkNetObservedOp(b *testing.B) {
 // bypassed, so a profile of it (`make prof-host B=GuestIdealOp`) names
 // where a PE tick's host time goes: isa.Core.Tick, the cache, pe.PE.
 func BenchmarkGuestIdealOp(b *testing.B) {
-	tmpl, err := os.ReadFile("bench/testdata/spmd.s")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := isa.Assemble(strings.NewReplacer(
-		"{{ITERS}}", "1024", "{{MUL}}", "7", "{{ADD}}", "13", "{{COUNTER}}", "64",
-		"{{SPAN}}", "128", "{{CBASE}}", "4096", "{{LMASK}}", "511", "{{CWORDS}}", "64",
-		"{{PHASE}}", "5",
-	).Replace(string(tmpl)))
+	prog, err := isa.Assemble(spmdKernel(b, "1024"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -479,6 +488,57 @@ func BenchmarkGuestIdealOp(b *testing.B) {
 			b.Fatalf("shared counter = %d, want %d", got, 16*64)
 		}
 		cycles = m.Cycles()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
+}
+
+// BenchmarkServeSessionOp is one session lifecycle of the repository
+// benchmark's serve-lifecycle workload without the HTTP around it
+// (bench/serve.go's 16-PE shape restated: k = 2, 4 stages, a 16×2×4 cache,
+// 32 iterations of bench/testdata/spmd.s with fixed constants): create
+// with the config staged, commit, start on the shared scheduler, wait for
+// done, fetch the report, delete. `make prof-host B=ServeSessionOp` names
+// where a session's host time goes — validation, Build, the observation
+// kit, the scheduler's slices, the report.
+func BenchmarkServeSessionOp(b *testing.B) {
+	cfg := serve.Config{
+		Name: "bench-op", K: 2, Stages: 4, PEs: 16, Limit: 5_000_000,
+		Cache:   &serve.CacheConfig{Sets: 16, Ways: 2, BlockWords: 4},
+		Program: spmdKernel(b, "32"),
+	}
+	svc := serve.NewService(serve.Limits{})
+	defer svc.Drain()
+	b.ReportAllocs()
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		s, err := svc.CreateSession(cfg.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.StageCandidate(cfg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.CommitCandidate(""); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.StartRun(); err != nil {
+			b.Fatal(err)
+		}
+		// Sleep, not spin: a polling loop would be the top of the profile.
+		info := s.Info()
+		for ; info.State == serve.StateRunning; info = s.Info() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if info.State != serve.StateDone || !info.Halted {
+			b.Fatalf("session ended %s (halted %v): %s", info.State, info.Halted, info.Error)
+		}
+		if rep, err := s.ReportJSON(); err != nil || len(rep) == 0 {
+			b.Fatalf("report: %d bytes, %v", len(rep), err)
+		}
+		if err := svc.DeleteSession(s.ID()); err != nil {
+			b.Fatal(err)
+		}
+		cycles = info.Cycles
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
 }

@@ -72,7 +72,7 @@ type line struct {
 // Cache is one PE's private cache.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	lines []line // set i is lines[i*Ways : (i+1)*Ways]
 	clock int64
 	stats Stats
 
@@ -109,16 +109,18 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, cfg.Sets), subs: &noSubs}
-	for i := range c.sets {
-		ways := make([]line, cfg.Ways)
-		for w := range ways {
-			ways[w].words = make([]int64, cfg.BlockWords)
-			ways[w].dirty = make([]bool, cfg.BlockWords)
-		}
-		c.sets[i] = ways
+	// Three slabs, not an allocation per set and two per line: a machine
+	// builds one cache per PE. Each line's slices are capped at its own
+	// block, so nothing can grow into a neighbour's.
+	bw := cfg.BlockWords
+	lines := make([]line, cfg.Sets*cfg.Ways)
+	words := make([]int64, len(lines)*bw)
+	dirty := make([]bool, len(lines)*bw)
+	for i := range lines {
+		lines[i].words = words[i*bw : (i+1)*bw : (i+1)*bw]
+		lines[i].dirty = dirty[i*bw : (i+1)*bw : (i+1)*bw]
 	}
-	return c
+	return &Cache{cfg: cfg, lines: lines, subs: &noSubs}
 }
 
 // Stats exposes the activity counters.
@@ -136,8 +138,9 @@ func (c *Cache) locate(a int64) (set int, tag int64, off int) {
 }
 
 func (c *Cache) find(set int, tag int64) *line {
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+	for w := range ways {
+		l := &ways[w]
 		if l.valid && l.tag == tag {
 			return l
 		}
@@ -153,7 +156,7 @@ func (c *Cache) access(a int64, store bool, v int64) (int64, bool) {
 	c.clock++
 	l := c.find(set, tag)
 	if l != nil {
-		//ultravet:ok sharecheck l points into the receiver-owned c.sets; the cache is private to one PE
+		//ultravet:ok sharecheck l points into the receiver-owned c.lines; the cache is private to one PE
 		l.lru = c.clock
 		if store {
 			l.words[off] = v
@@ -215,9 +218,10 @@ func (c *Cache) Fill(blockAddr int64, words []int64) []WriteBack {
 	set, tag, _ := c.locate(blockAddr)
 	c.clock++
 	// Victim: an invalid way if any, else LRU.
-	victim := &c.sets[set][0]
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+	victim := &ways[0]
+	for w := range ways {
+		l := &ways[w]
 		if !l.valid {
 			victim = l
 			break
@@ -274,9 +278,10 @@ func (c *Cache) wroteBack(a int64) {
 // for dead private variables and to end a read-only sharing period.
 func (c *Cache) Release(lo, hi int64) {
 	bw := int64(c.cfg.BlockWords)
-	for set := range c.sets {
-		for w := range c.sets[set] {
-			l := &c.sets[set][w]
+	for set := 0; set < c.cfg.Sets; set++ {
+		ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+		for w := range ways {
+			l := &ways[w]
 			if !l.valid {
 				continue
 			}
@@ -297,9 +302,10 @@ func (c *Cache) Release(lo, hi int64) {
 func (c *Cache) Flush(lo, hi int64) []WriteBack {
 	wbs := c.flushWB[:0]
 	bw := int64(c.cfg.BlockWords)
-	for set := range c.sets {
-		for w := range c.sets[set] {
-			l := &c.sets[set][w]
+	for set := 0; set < c.cfg.Sets; set++ {
+		ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+		for w := range ways {
+			l := &ways[w]
 			if !l.valid {
 				continue
 			}

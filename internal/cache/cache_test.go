@@ -225,3 +225,37 @@ func TestCacheCoherentWithBacking(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewAllocBudget: a cache is the Cache and three slabs (lines,
+// words, dirty bits) — not an allocation per set and two per line; a
+// 64-PE machine builds 64 of them per Load. Lines must still not alias
+// one another.
+func TestNewAllocBudget(t *testing.T) {
+	cfg := Config{Sets: 16, Ways: 2, BlockWords: 4}
+	if n := testing.AllocsPerRun(100, func() { New(cfg) }); n > 5 {
+		t.Errorf("New(%+v) makes %v allocations, budget 5", cfg, n)
+	}
+	c := New(cfg)
+	seen := map[*int64]bool{}
+	for set := 0; set < cfg.Sets; set++ {
+		ways := c.lines[set*cfg.Ways : (set+1)*cfg.Ways]
+		if len(ways) != cfg.Ways {
+			t.Fatalf("set %d has %d ways, want %d", set, len(ways), cfg.Ways)
+		}
+		for i := range ways {
+			l := &ways[i]
+			if len(l.words) != cfg.BlockWords || cap(l.words) != cfg.BlockWords ||
+				len(l.dirty) != cfg.BlockWords || cap(l.dirty) != cfg.BlockWords {
+				t.Fatalf("line slices not capped at the block: words %d/%d dirty %d/%d",
+					len(l.words), cap(l.words), len(l.dirty), cap(l.dirty))
+			}
+			if seen[&l.words[0]] {
+				t.Fatal("two lines share a block of words")
+			}
+			seen[&l.words[0]] = true
+		}
+	}
+	if len(seen) != cfg.Sets*cfg.Ways {
+		t.Errorf("%d distinct lines, want %d", len(seen), cfg.Sets*cfg.Ways)
+	}
+}

@@ -14,9 +14,11 @@
 //     listening a site costs one mask test and zero allocations.
 //   - Recorder is a fixed-capacity ring buffer Probe: when full it
 //     overwrites the oldest events, so tracing a long run keeps the tail.
+//     It is the -trace consumer (a served run's events go to live.Feed).
 //   - Sampler accumulates periodic Snapshots of per-stage queue
 //     occupancy, combine rate and memory-module utilization into a time
-//     series, with percentile summaries built on sim.Histogram.
+//     series (or, under LastOnly, keeps the last one), with percentile
+//     summaries built on sim.Histogram.
 //   - WriteChromeTrace renders recorded events as a Chrome trace_event
 //     JSON file (one track per PE, per switch stage, per MM) loadable in
 //     chrome://tracing or Perfetto; Sampler.WriteJSONL emits the metrics

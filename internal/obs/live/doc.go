@@ -14,9 +14,9 @@
 //     simulator state — and Sampler.OnRecord hands it to Feed.Publish,
 //     still on the simulation goroutine.
 //  2. Feed.Publish assembles an immutable *State (snapshot, analytic
-//     model conformance, recent probe events copied out of the ring
-//     Recorder, an optional driver-supplied report) and stores it into
-//     the Server with a single atomic pointer swap.
+//     model conformance, the window's newest probe events copied out of
+//     the feed's own tail, an optional driver-supplied report) and
+//     stores it into the Server with a single atomic pointer swap.
 //  3. HTTP handler goroutines load the pointer and read the frozen
 //     State. Nothing they do can perturb the simulation, so runs with
 //     and without -serve produce byte-identical results, and the
@@ -34,9 +34,15 @@
 //	                gauges (measured vs predicted latency, drift
 //	                ratio, alert state).
 //	/snapshot.json  The full current State as one JSON document.
-//	/events         Recent probe events as JSONL; ?follow=1 streams
-//	                new events as they are published until the run
-//	                finishes.
+//	/events         The newest probe events of the current State as
+//	                JSONL (at most DefaultTailEvents = 256 per
+//	                State); ?follow=1 streams each newly published
+//	                State's events until the run finishes. It is a
+//	                sampled peek, not a log: a State is published
+//	                every sample period and a follower polls every
+//	                25 ms, so windows of more than 256 events are
+//	                cut to their newest 256 and a fast run publishes
+//	                States no follower sees. -trace is the record.
 //	/trace/flight   The request tracer's flight recorder as JSONL: the
 //	                ring of recent complete spans plus slow outliers
 //	                (404 unless a tracer is attached via
@@ -57,11 +63,22 @@
 //
 //	output                      recorder  sampler  tracer  monitor+feed
 //	-trace                         x
-//	-metrics                                 x
+//	-metrics                                 x (keeps the series)
 //	-reqtrace r                                       x (rate r)
 //	-spans                                            x (rate 1 unless -reqtrace)
 //	-flight-dir                              x        x (same)       x
-//	-serve, or a session's server  x         x                       x
+//	-serve, or a session's server            x                       x (takes the events)
+//
+// Each consumer is sized by its reader. A served run's events go to the
+// feed, which keeps the newest DefaultTailEvents of them in a fixed tail
+// (256 × 88 B ≈ 22 KB) — all a State ever carries — and its sampler keeps
+// the last snapshot (and its per-stage occupancy histograms), not the
+// series: what a served run without -trace or -metrics holds is fixed
+// when it is built, however long it runs and however often it samples.
+// The recorder ring (the caller's
+// capacity, 92 MB at obs.DefaultRecorderCapacity) is built for -trace
+// alone, and a run that is traced and served has the feed pass every
+// event on to it; the sampler's series is kept for -metrics alone.
 //
 // The kit's consumers are one prof.Observers value (embedded in Kit):
 // a machine takes it whole (machine.Observe(kit.Observers)), a driver
@@ -70,8 +87,8 @@
 // and opens the -serve listener; Finish marks the feed done, writes every requested
 // file and prints the summaries; Hold keeps the listener up until the
 // process is interrupted. The driver supplies only what differs: the
-// recorder capacity, the sampling period, a session's mounted Server,
-// and a guest profiler where one can be built.
+// -trace ring's capacity, the sampling period, a session's mounted
+// Server, and a guest profiler where one can be built.
 //
 // # Flight recorder
 //

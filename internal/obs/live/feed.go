@@ -10,7 +10,8 @@ import (
 
 // DefaultTailEvents bounds how many probe events one published State
 // carries — enough for /events to show a request lifecycle or two per
-// window without copying the whole ring every sample.
+// window — and so sizes the tail a Feed keeps. A power of two: the tail
+// is indexed by mask.
 const DefaultTailEvents = 256
 
 // maxAlerts bounds the alert history carried by each State.
@@ -71,15 +72,24 @@ type State struct {
 // Feed assembles States on the simulation goroutine and publishes them
 // to a Server. Wire it with Attach (or set Sampler.OnRecord to Publish
 // by hand); all fields must be configured before the run starts.
+//
+// A Feed is also the served run's event consumer (obs.Probe): it keeps
+// the newest DefaultTailEvents events, which is all a State ever
+// carries, and passes each one on to the -trace ring when there is one.
+//
+// A Feed is written and read on the simulating goroutine only — Emit
+// from the emit sites (inline under the serial engine, on the
+// coordinator's drain under the parallel one), Publish from
+// Sampler.OnRecord, Finish and Last from the driver between cycles —
+// so it has no lock. The frozen State is the only hand-off: an HTTP
+// handler reaches a run through Server.Current and never through the
+// Feed.
 type Feed struct {
 	// Server receives each published State; nil accumulates state
 	// locally only (Last still works), which the tests use.
 	Server *Server
 	// Monitor, when non-nil, adds model conformance to each State.
 	Monitor *Monitor
-	// Recorder, when non-nil, is the probe ring recent events are
-	// copied from (at most DefaultTailEvents per publish).
-	Recorder *obs.Recorder
 	// Report, when non-nil, is called during each publish (on the
 	// simulation goroutine) to attach a driver-defined aggregate.
 	Report func() any
@@ -92,9 +102,18 @@ type Feed struct {
 	// DefaultMaxFlightDumps per run).
 	FlightDir string
 
-	seq         int64
-	prev        obs.Snapshot
-	havePrev    bool
+	// next, when non-nil, receives every event after the feed: the
+	// -trace ring of a run that is traced as well as served.
+	next obs.Probe
+
+	seq      int64
+	prev     obs.Snapshot
+	havePrev bool
+	// tail holds the newest events, event i (counting from 0) in slot
+	// i mod DefaultTailEvents; total counts every event emitted and
+	// prevEvents is total as of the previous publish.
+	tail        [DefaultTailEvents]obs.Event
+	total       int64
 	prevEvents  int64
 	alerts      []AlertEvent
 	flightDumps []string
@@ -106,6 +125,30 @@ type Feed struct {
 func (f *Feed) Attach(s *obs.Sampler) *Feed {
 	s.OnRecord = f.Publish
 	return f
+}
+
+// Emit implements obs.Probe: ev becomes the newest event of the tail.
+func (f *Feed) Emit(ev obs.Event) {
+	f.tail[f.total&(DefaultTailEvents-1)] = ev
+	f.total++
+	if f.next != nil {
+		f.next.Emit(ev)
+	}
+}
+
+// fresh copies out the events emitted since the previous publish,
+// oldest first — the newest DefaultTailEvents of them when there were
+// more — and marks them published.
+func (f *Feed) fresh() []obs.Event {
+	n := min(f.total-f.prevEvents, DefaultTailEvents)
+	f.prevEvents = f.total
+	if n == 0 {
+		return nil
+	}
+	out := make([]obs.Event, n)
+	k := copy(out, f.tail[(f.total-n)&(DefaultTailEvents-1):])
+	copy(out[k:], f.tail[:])
+	return out
 }
 
 // Publish builds the immutable State for one recorded snapshot and
@@ -138,16 +181,8 @@ func (f *Feed) Publish(sn obs.Snapshot) {
 	if f.havePrev {
 		st.MMSkew = servedSkew(f.prev.MMServedPerModule, sn.MMServedPerModule)
 	}
-	if f.Recorder != nil {
-		total := f.Recorder.Total()
-		fresh := total - f.prevEvents
-		if fresh > DefaultTailEvents {
-			fresh = DefaultTailEvents
-		}
-		st.Events = f.Recorder.Tail(int(fresh))
-		st.EventsTotal = total
-		f.prevEvents = total
-	}
+	st.Events = f.fresh()
+	st.EventsTotal = f.total
 	if f.Report != nil {
 		st.Report = f.Report()
 	}

@@ -51,7 +51,9 @@ func (f Flags) Any() bool {
 // over Observers, Start, the run, Finish, Hold.
 type Kit struct {
 	prof.Observers
-	// Recorder is Observers.Probe as the ring it is, for the exports.
+	// Recorder is the -trace ring, nil unless -trace asked for it. It is
+	// Observers.Probe itself, or what a served run's feed passes every
+	// event on to.
 	Recorder *obs.Recorder
 	Feed     *Feed
 
@@ -60,23 +62,28 @@ type Kit struct {
 	hs    *http.Server // the -serve listener, once Start opened it
 }
 
-// New builds the consumers f's outputs imply. The caller supplies what
-// differs between drivers: the recorder's ring capacity, the sampling
-// period in network cycles, an already mounted feed server (a service
-// session's; nil otherwise — it counts as -serve without the listener)
-// and the guest profiler when the driver could build one.
+// New builds the consumers f's outputs imply, each sized by its reader.
+// The caller supplies what differs between drivers: the capacity of the
+// -trace ring (unused without -trace: a served run's events live in the
+// feed's own tail), the sampling period in network cycles, an already
+// mounted feed server (a service session's; nil otherwise — it counts
+// as -serve without the listener) and the guest profiler when the driver
+// could build one.
 func (f Flags) New(recorderCap int, every int64, srv *Server, p *prof.Profiler) *Kit {
 	k := &Kit{Observers: prof.Observers{Profiler: p}, flags: f, srv: srv}
 	if f.Serve != "" && srv == nil {
 		k.srv = NewServer()
 	}
 	served := k.srv != nil
-	if f.Trace != "" || served {
+	if f.Trace != "" {
 		k.Recorder = obs.NewRecorder(recorderCap)
 		k.Probe = k.Recorder
 	}
 	if f.Metrics != "" || f.FlightDir != "" || served {
 		k.Sampler = obs.NewSampler(every)
+		// Only -metrics exports the series; every other reader (the
+		// feed, a session's final publish) wants the last snapshot.
+		k.Sampler.LastOnly = f.Metrics == ""
 	}
 	if f.ReqRate > 0 || f.Spans != "" || f.FlightDir != "" {
 		rate := f.ReqRate
@@ -86,8 +93,12 @@ func (f Flags) New(recorderCap int, every int64, srv *Server, p *prof.Profiler) 
 		k.Tracer = reqtrace.New(reqtrace.Config{Rate: rate})
 	}
 	if f.FlightDir != "" || served {
-		k.Feed = &Feed{Server: k.srv, Recorder: k.Recorder, Tracer: k.Tracer, FlightDir: f.FlightDir}
+		k.Feed = &Feed{Server: k.srv, Tracer: k.Tracer, FlightDir: f.FlightDir}
 		k.Feed.Attach(k.Sampler)
+	}
+	if served {
+		k.Feed.next = k.Probe
+		k.Probe = k.Feed
 	}
 	return k
 }

@@ -3,6 +3,8 @@ package live
 import (
 	"fmt"
 	"testing"
+
+	"ultracomputer/internal/obs"
 )
 
 // The one rule for which consumers an output implies (doc.go's table).
@@ -21,8 +23,10 @@ func TestKitConsumersFollowOutputs(t *testing.T) {
 		{name: "-reqtrace", flags: Flags{ReqRate: 0.5}, tracer: true},
 		{name: "-spans", flags: Flags{Spans: "s"}, tracer: true},
 		{name: "-flight-dir", flags: Flags{FlightDir: "d"}, sampler: true, tracer: true, feed: true},
-		{name: "-serve", flags: Flags{Serve: ":0"}, rec: true, sampler: true, feed: true, live: true},
-		{name: "session", srv: mounted, rec: true, sampler: true, feed: true, live: true},
+		{name: "-serve", flags: Flags{Serve: ":0"}, sampler: true, feed: true, live: true},
+		{name: "session", srv: mounted, sampler: true, feed: true, live: true},
+		{name: "-trace -serve", flags: Flags{Trace: "t", Serve: ":0"}, rec: true, sampler: true, feed: true, live: true},
+		{name: "-metrics -serve", flags: Flags{Metrics: "m", Serve: ":0"}, sampler: true, feed: true, live: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,8 +39,27 @@ func TestKitConsumersFollowOutputs(t *testing.T) {
 			if tc.srv != nil && k.srv != tc.srv {
 				t.Error("a mounted server must be used, not replaced")
 			}
-			if k.Feed != nil && (k.Feed.Tracer != k.Tracer || k.Feed.Recorder != k.Recorder) {
-				t.Error("the feed must see the kit's tracer and recorder")
+			if k.Feed != nil && k.Feed.Tracer != k.Tracer {
+				t.Error("the feed must see the kit's tracer")
+			}
+			// Events go where a reader is: to a served run's feed, which
+			// passes them on to the -trace ring, or to that ring directly.
+			var probe, next obs.Probe
+			if tc.rec {
+				probe = k.Recorder
+			}
+			if tc.live {
+				probe, next = k.Feed, probe
+			}
+			if k.Probe != probe {
+				t.Errorf("the run's probe is %T, want %T", k.Probe, probe)
+			}
+			if k.Feed != nil && k.Feed.next != next {
+				t.Errorf("the feed passes events on to %T, want %T", k.Feed.next, next)
+			}
+			// The series is kept for -metrics alone.
+			if k.Sampler != nil && k.Sampler.LastOnly != (tc.flags.Metrics == "") {
+				t.Errorf("sampler LastOnly = %v with -metrics %q", k.Sampler.LastOnly, tc.flags.Metrics)
 			}
 		})
 	}

@@ -51,17 +51,15 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Hand-feed two snapshots through the sampler so the second one
 	// carries rates and a conformance verdict.
-	rec := obs.NewRecorder(16)
-	for i := 0; i < 3; i++ {
-		rec.Emit(obs.Event{Cycle: int64(60 + i), Kind: obs.KindInject, Op: msg.FetchAdd, PE: i, Stage: -1, MM: -1, Copy: 0, ID: uint64(i + 1)})
-	}
 	sampler := obs.NewSampler(64)
 	feed := (&Feed{
-		Server:   srv,
-		Monitor:  NewMonitor(ModelFor(network.Config{K: 2, Stages: 6, Combining: true}, 2, 0)),
-		Recorder: rec,
-		Report:   func() any { return map[string]int{"pes": 64} },
+		Server:  srv,
+		Monitor: NewMonitor(ModelFor(network.Config{K: 2, Stages: 6, Combining: true}, 2, 0)),
+		Report:  func() any { return map[string]int{"pes": 64} },
 	}).Attach(sampler)
+	for i := 0; i < 3; i++ {
+		feed.Emit(obs.Event{Cycle: int64(60 + i), Kind: obs.KindInject, Op: msg.FetchAdd, PE: i, Stage: -1, MM: -1, Copy: 0, ID: uint64(i + 1)})
+	}
 	sampler.Record(obs.Snapshot{
 		Cycle: 64, Injected: 400, MMServed: 300, RTCount: 250, RTSum: 8000,
 		StageQueueOcc: []float64{0.5, 0.25}, StageQueuePackets: []int64{32, 16},
@@ -70,8 +68,8 @@ func TestServerEndpoints(t *testing.T) {
 	})
 	// Two more events land in the second window; /events serves only the
 	// events new to the current window.
-	rec.Emit(obs.Event{Cycle: 100, Kind: obs.KindCombine, Op: msg.FetchAdd, PE: -1, Stage: 2, MM: -1, Copy: 0, ID: 1, ID2: 2})
-	rec.Emit(obs.Event{Cycle: 120, Kind: obs.KindReplyDeliver, Op: msg.FetchAdd, PE: 1, Stage: -1, MM: 3, Copy: 0, ID: 2})
+	feed.Emit(obs.Event{Cycle: 100, Kind: obs.KindCombine, Op: msg.FetchAdd, PE: -1, Stage: 2, MM: -1, Copy: 0, ID: 1, ID2: 2})
+	feed.Emit(obs.Event{Cycle: 120, Kind: obs.KindReplyDeliver, Op: msg.FetchAdd, PE: 1, Stage: -1, MM: 3, Copy: 0, ID: 2})
 	sampler.Record(obs.Snapshot{
 		Cycle: 128, Injected: 810, MMServed: 700, RTCount: 600, RTSum: 20000,
 		StageQueueOcc: []float64{0.6, 0.3}, StageQueuePackets: []int64{38, 19},
@@ -154,12 +152,10 @@ func TestServerConcurrentWithRun(t *testing.T) {
 	defer ts.Close()
 
 	cfg := network.Config{K: 2, Stages: 6, Combining: true}
-	rec := obs.NewRecorder(obs.DefaultRecorderCapacity)
 	sampler := obs.NewSampler(64)
 	feed := (&Feed{
-		Server:   srv,
-		Monitor:  NewMonitor(ModelFor(cfg, 0, 0)),
-		Recorder: rec,
+		Server:  srv,
+		Monitor: NewMonitor(ModelFor(cfg, 0, 0)),
 	}).Attach(sampler)
 
 	done := make(chan struct{})
@@ -167,7 +163,7 @@ func TestServerConcurrentWithRun(t *testing.T) {
 		defer close(done)
 		trace.Run(cfg, trace.Workload{
 			Rate: 0.15, Hash: true, Seed: 17,
-			Observers: prof.Observers{Probe: rec, Sampler: sampler},
+			Observers: prof.Observers{Probe: feed, Sampler: sampler},
 		}, 1000, 8000)
 		feed.Finish()
 	}()

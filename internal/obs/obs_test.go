@@ -154,45 +154,56 @@ func TestSamplerOnRecord(t *testing.T) {
 	}
 }
 
-func TestRecorderTail(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(Event{Cycle: int64(i)})
+// TestSamplerLastOnly: dropping the series changes nothing but the
+// series — the hook sees the same snapshots with the same rates, Last
+// and the occupancy summary agree with a retaining sampler's.
+func TestSamplerLastOnly(t *testing.T) {
+	keep, drop := NewSampler(64), NewSampler(64)
+	drop.LastOnly = true
+	if _, ok := drop.Last(); ok {
+		t.Error("Last() reports a snapshot before the first Record")
 	}
-	tail := r.Tail(2)
-	if len(tail) != 2 || tail[0].Cycle != 8 || tail[1].Cycle != 9 {
-		t.Errorf("Tail(2) = %v, want cycles [8 9]", tail)
+	var seen [2][]Snapshot
+	for i, s := range []*Sampler{keep, drop} {
+		s.OnRecord = func(sn Snapshot) { seen[i] = append(seen[i], sn) }
+		for c := int64(1); c <= 5; c++ {
+			s.Record(Snapshot{Cycle: 64 * c, Injected: 100 * c * c, RTCount: 3 * c, RTSum: float64(40 * c * c),
+				StageQueuePackets: []int64{c, 2 * c}, StageQueueMax: []int64{1, c}})
+		}
 	}
-	if got := r.Tail(100); len(got) != 4 {
-		t.Errorf("Tail(100) returned %d events, want the full ring (4)", len(got))
+	if !reflect.DeepEqual(seen[0], seen[1]) {
+		t.Errorf("OnRecord saw different snapshots:\nkeep %+v\ndrop %+v", seen[0], seen[1])
 	}
-	if r.Tail(0) != nil || r.Tail(-1) != nil {
-		t.Error("Tail of non-positive n must be nil")
+	kl, _ := keep.Last()
+	dl, ok := drop.Last()
+	if !ok || !reflect.DeepEqual(kl, dl) || !reflect.DeepEqual(kl, keep.Snapshots()[4]) {
+		t.Errorf("Last() = %+v (ok %v), want the retaining sampler's newest %+v", dl, ok, kl)
+	}
+	if keep.Summary() != drop.Summary() {
+		t.Errorf("summaries differ:\n%s\n%s", keep.Summary(), drop.Summary())
+	}
+	if n := len(drop.Snapshots()); n != 0 {
+		t.Errorf("a LastOnly sampler retained %d snapshots", n)
 	}
 }
 
 // TestRecorderWrapAnyCapacity: the ring is indexed by compare, not by
 // remainder, so a capacity that is no power of two must still hand back
-// the newest events in order at every fill level and every position of
-// the oldest, for a tail that does and does not cross the wrap.
+// the held events in order at every fill level and every position of
+// the oldest.
 func TestRecorderWrapAnyCapacity(t *testing.T) {
 	for _, capacity := range []int{1, 3, 5, 7} {
 		r := NewRecorder(capacity)
 		for emitted := 1; emitted <= 3*capacity+1; emitted++ {
 			r.Emit(Event{Cycle: int64(emitted)})
 			held := min(emitted, capacity)
-			for n := 1; n <= held; n++ {
-				got := r.Tail(n)
-				if n == held {
-					got = r.Events()
-				}
-				ok := len(got) == n
-				for i := 0; ok && i < n; i++ {
-					ok = got[i].Cycle == int64(emitted-n+1+i)
-				}
-				if !ok {
-					t.Fatalf("capacity %d, %d emitted: newest %d = %v, want cycles %d..%d", capacity, emitted, n, got, emitted-n+1, emitted)
-				}
+			got := r.Events()
+			ok := len(got) == held
+			for i := 0; ok && i < held; i++ {
+				ok = got[i].Cycle == int64(emitted-held+1+i)
+			}
+			if !ok {
+				t.Fatalf("capacity %d, %d emitted: Events() = %v, want cycles %d..%d", capacity, emitted, got, emitted-held+1, emitted)
 			}
 		}
 	}

@@ -7,12 +7,13 @@ import "sync"
 // the most recent window. The buffer is allocated up front and Emit
 // never allocates.
 //
-// Recorder is safe for concurrent use: the live-telemetry server tails
-// the ring from HTTP handler goroutines while the simulation emits, and
-// under the parallel execution engine Emit may be reached from a merge
-// running concurrently with those readers. A plain mutex keeps every
-// accessor coherent; it is uncontended on the hot path (the simulation
-// is the only writer).
+// Recorder is safe for concurrent use: a plain mutex keeps every
+// accessor coherent, so a driver may read Len, Total or Events from
+// another goroutine while the simulation emits. Nothing in the
+// repository does so on a hot path — a served run's HTTP handlers read
+// frozen States (internal/obs/live), never this ring, and a run that is
+// not traced builds no Recorder at all — so the lock is uncontended
+// (the simulation is the only writer) and is paid only under -trace.
 type Recorder struct {
 	mu          sync.Mutex
 	buf         []Event // guarded by mu
@@ -81,35 +82,15 @@ func (r *Recorder) Overwritten() int64 {
 	return r.overwritten
 }
 
-// Events returns the held events oldest-first.
+// Events returns a copy of the held events oldest-first: the ring is
+// at most two runs of the buffer.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.tail(r.n)
-}
-
-// tail copies the newest n held events, oldest first: the ring is at
-// most two runs of the buffer. Callers hold mu; 0 <= n <= r.n.
-func (r *Recorder) tail(n int) []Event {
-	out := make([]Event, n)
-	k := copy(out, r.buf[r.at(r.n-n):])
+	out := make([]Event, r.n)
+	k := copy(out, r.buf[r.start:])
 	copy(out[k:], r.buf)
 	return out
-}
-
-// Tail returns up to n of the most recently emitted events, oldest
-// first. It copies, so the result stays valid (and safe to hand to
-// another goroutine) as the ring advances.
-func (r *Recorder) Tail(n int) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n > r.n {
-		n = r.n
-	}
-	if n <= 0 {
-		return nil
-	}
-	return r.tail(n)
 }
 
 // Reset discards all held events (capacity is kept).

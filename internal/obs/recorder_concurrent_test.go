@@ -6,9 +6,8 @@ import (
 )
 
 // TestRecorderConcurrent hammers one Recorder from writer and reader
-// goroutines simultaneously — the shape of a live-telemetry run, where
-// HTTP handlers Tail and snapshot the ring while the simulation emits.
-// Run under -race (make race does) this is the regression test for the
+// goroutines simultaneously: a driver may read the ring from another
+// goroutine while the simulation emits. Run under -race (make race does) this is the regression test for the
 // Recorder's internal locking: before the mutex the ring indices tore
 // and the race detector fired.
 func TestRecorderConcurrent(t *testing.T) {
@@ -38,7 +37,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			for i := 0; i < events; i++ {
 				switch i % 4 {
 				case 0:
-					rec.Tail(16)
+					rec.Overwritten()
 				case 1:
 					rec.Len()
 				case 2:
@@ -58,8 +57,8 @@ func TestRecorderConcurrent(t *testing.T) {
 	if rec.Len() != 512 {
 		t.Fatalf("Len() = %d, want full ring of 512", rec.Len())
 	}
-	if tail := rec.Tail(32); len(tail) != 32 {
-		t.Fatalf("Tail(32) returned %d events", len(tail))
+	if evs := rec.Events(); len(evs) != 512 {
+		t.Fatalf("Events() returned %d events", len(evs))
 	}
 	if got := rec.Overwritten(); got != int64(writers*events-512) {
 		t.Fatalf("Overwritten() = %d, want %d", got, writers*events-512)

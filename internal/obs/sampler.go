@@ -79,6 +79,9 @@ type Snapshot struct {
 // Sampler accumulates Snapshots every Every cycles into a time series
 // and feeds per-stage occupancy histograms for percentile summaries.
 // Drivers call Due each cycle and Record when it reports true.
+//
+// The series grows by one Snapshot per sample for the life of the run;
+// a run nobody will export it from sets LastOnly and holds O(1).
 type Sampler struct {
 	// Every is the sampling interval in network cycles. Non-positive
 	// intervals disable sampling: Due never reports true, so a
@@ -93,8 +96,16 @@ type Sampler struct {
 	// publish the value to other goroutines but must not mutate it.
 	OnRecord func(Snapshot)
 
+	// LastOnly drops the time series: Snapshots and WriteJSONL then have
+	// nothing to return, while Last, OnRecord, the rate fields and the
+	// occupancy histograms work as ever. Set it before the run, when the
+	// series has no reader (live.Flags.New does, unless -metrics was
+	// asked).
+	LastOnly bool
+
 	snaps  []Snapshot
 	last   Snapshot
+	n      int              // snapshots recorded
 	occ    []*sim.Histogram // per-stage total queued packets
 	maxOcc []sim.Mean       // per-stage fullest single queue, averaged over snapshots
 }
@@ -120,7 +131,7 @@ func (s *Sampler) Due(cycle int64) bool {
 // Record appends one snapshot, filling its rate fields from the
 // previous one and updating the percentile histograms.
 func (s *Sampler) Record(sn Snapshot) {
-	if dt := sn.Cycle - s.last.Cycle; len(s.snaps) > 0 && dt > 0 {
+	if dt := sn.Cycle - s.last.Cycle; s.n > 0 && dt > 0 {
 		sn.InjectRate = float64(sn.Injected-s.last.Injected) / float64(dt)
 		sn.CombineRate = float64(sn.Combines-s.last.Combines) / float64(dt)
 		sn.ServeRate = float64(sn.MMServed-s.last.MMServed) / float64(dt)
@@ -140,15 +151,22 @@ func (s *Sampler) Record(sn Snapshot) {
 	for st, mx := range sn.StageQueueMax {
 		s.maxOcc[st].Observe(float64(mx))
 	}
-	s.snaps = append(s.snaps, sn)
+	if !s.LastOnly {
+		s.snaps = append(s.snaps, sn)
+	}
 	s.last = sn
+	s.n++
 	if s.OnRecord != nil {
 		s.OnRecord(sn)
 	}
 }
 
-// Snapshots returns the recorded time series.
+// Snapshots returns the recorded time series (nil under LastOnly).
 func (s *Sampler) Snapshots() []Snapshot { return s.snaps }
+
+// Last returns the most recently recorded snapshot; ok is false before
+// the first one.
+func (s *Sampler) Last() (sn Snapshot, ok bool) { return s.last, s.n > 0 }
 
 // StageOccupancy returns the histogram of total queued packets at the
 // given stage across all snapshots, or nil if never sampled.
@@ -175,7 +193,7 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 // network backs up.
 func (s *Sampler) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "queue occupancy by stage over %d samples (total packets: mean p50 p95 p99; fullest queue mean/peak)\n", len(s.snaps))
+	fmt.Fprintf(&b, "queue occupancy by stage over %d samples (total packets: mean p50 p95 p99; fullest queue mean/peak)\n", s.n)
 	for st, h := range s.occ {
 		var mxMean, mxPeak float64
 		if st < len(s.maxOcc) {

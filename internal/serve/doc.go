@@ -54,7 +54,7 @@
 //	GET    /sessions/{id}/report               machine report JSON (ultrasim-identical bytes)
 //	GET    /sessions/{id}/metrics              Prometheus text (per-session feed)
 //	GET    /sessions/{id}/snapshot.json        latest published telemetry State
-//	GET    /sessions/{id}/events?follow=1      probe-event JSONL stream
+//	GET    /sessions/{id}/events?follow=1      probe-event JSONL, newest ≤ 256 per published State
 //	GET    /sessions/{id}/healthz              per-session feed health
 //
 // Error bodies are JSON: {"error": "...", "field_errors": [{"field",

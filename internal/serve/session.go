@@ -47,11 +47,6 @@ var ErrMachinePanic = errors.New("serve: machine panicked")
 // (mapped to HTTP 409 by the API layer).
 var ErrConflict = errors.New("serve: operation not valid in current session state")
 
-// sessionRecorderCapacity sizes each session's probe-event ring. Far
-// smaller than the single-run default (1<<20): a service hosts many
-// sessions and /events only ever tails the ring.
-const sessionRecorderCapacity = 1 << 15
-
 // Session is one tenant's simulation: a config store, at most one live
 // machine built from the store's running config, and a per-session
 // telemetry surface (live.Feed + feed server). Machine execution is
@@ -505,8 +500,9 @@ func (s *Session) finishIfOverLocked() bool {
 
 // ensureMachineLocked (execMu held) builds — or rebuilds, after a
 // commit/rollback — the machine from the store's running config and
-// attaches the observation kit a served run gets (probe ring, sampler,
-// conformance monitor, feed) on the session's own feed server.
+// attaches the observation kit a served run gets (sampler, conformance
+// monitor, and the feed with its event tail) on the session's own feed
+// server. A session has no -trace, so the kit builds no recorder ring.
 func (s *Session) ensureMachineLocked() error {
 	// Never (re)build for a drained session: drain closed the machine
 	// for good, and a rebuild here would leak the engine (nothing will
@@ -528,7 +524,7 @@ func (s *Session) ensureMachineLocked() error {
 	if err != nil {
 		return err
 	}
-	kit := live.Flags{}.New(sessionRecorderCapacity, d.SampleEvery, s.lsrv, nil)
+	kit := live.Flags{}.New(0, d.SampleEvery, s.lsrv, nil)
 	m.Observe(kit.Observers)
 	// Nothing listens (the feed server is mounted on the service's own
 	// listener), so Start has nothing to print and nothing to fail.
@@ -558,8 +554,8 @@ func (s *Session) sampleLocked() obs.Snapshot {
 	m := s.machine
 	sn := obs.Snapshot{Cycle: m.Cycles()}
 	if sam := m.Sampler(); sam != nil {
-		if ss := sam.Snapshots(); len(ss) > 0 {
-			sn = ss[len(ss)-1]
+		if last, ok := sam.Last(); ok {
+			sn = last
 			sn.Cycle = m.Cycles()
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"time"
 )
@@ -23,6 +24,10 @@ loop:   faa  r3, 0(r1), r2
         blt  r5, r6, loop
         halt
 `
+
+// spinForever is the cheapest abuse: every PE loops without touching
+// memory until a cycle limit stops the session.
+const spinForever = "spin: jmp spin\n"
 
 // smokeConfig is the shared config both smoke sessions run and the
 // standalone machine is built from.
@@ -95,21 +100,8 @@ func Smoke(out io.Writer) error {
 	// Wait for both to run to completion under the shared scheduler.
 	deadline := time.Now().Add(120 * time.Second)
 	for _, id := range ids {
-		for {
-			var info SessionInfo
-			if err := smokeDo(http.MethodGet, base+"/sessions/"+id, nil, http.StatusOK, &info); err != nil {
-				return fmt.Errorf("poll %s: %w", id, err)
-			}
-			if info.State == StateDone {
-				break
-			}
-			if info.State == StateFailed {
-				return fmt.Errorf("session %s failed: %s", id, info.Error)
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("session %s still %s at deadline", id, info.State)
-			}
-			time.Sleep(20 * time.Millisecond)
+		if err := smokeWaitDone(base, id, deadline); err != nil {
+			return err
 		}
 	}
 
@@ -136,7 +128,85 @@ func Smoke(out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "serve-smoke: OK — both session reports byte-identical to the standalone run (%d bytes)\n", len(want))
+	return smokeSpin(out, base)
+}
+
+// smokeWaitDone polls a session until it is done.
+func smokeWaitDone(base, id string, deadline time.Time) error {
+	for {
+		var info SessionInfo
+		if err := smokeDo(http.MethodGet, base+"/sessions/"+id, nil, http.StatusOK, &info); err != nil {
+			return fmt.Errorf("poll %s: %w", id, err)
+		}
+		switch {
+		case info.State == StateDone:
+			return nil
+		case info.State == StateFailed:
+			return fmt.Errorf("session %s failed: %s", id, info.Error)
+		case time.Now().After(deadline):
+			return fmt.Errorf("session %s still %s at deadline", id, info.State)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// smokeSpin is the abuse scenario "a session that does nothing, for as
+// long as it is allowed, sampled as often as it can ask": every PE
+// spins to the cycle limit with sample_every = 1. It must bounce off —
+// the service's heap may not grow with the number of samples (the
+// series only -metrics exports is not kept for a session) — and the
+// final State must still carry the last sample.
+func smokeSpin(out io.Writer, base string) error {
+	const limit, maxGrowth = 100_000, 4 << 20
+	cfg := Config{Name: "spin", K: 2, Stages: 4, Limit: limit, SampleEvery: 1, Program: spinForever}
+	body, err := json.Marshal(struct {
+		Config *Config `json:"config"`
+	}{&cfg})
+	if err != nil {
+		return err
+	}
+	var info SessionInfo
+	if err := smokeDo(http.MethodPost, base+"/sessions", body, http.StatusCreated, &info); err != nil {
+		return fmt.Errorf("create spin session: %w", err)
+	}
+	sURL := base + "/sessions/" + info.ID
+	if err := smokeDo(http.MethodPost, sURL+"/config/commit", nil, http.StatusOK, nil); err != nil {
+		return fmt.Errorf("commit spin session: %w", err)
+	}
+	before := liveHeap()
+	if err := smokeDo(http.MethodPost, sURL+"/start", nil, http.StatusOK, nil); err != nil {
+		return fmt.Errorf("start spin session: %w", err)
+	}
+	if err := smokeWaitDone(base, info.ID, time.Now().Add(120*time.Second)); err != nil {
+		return err
+	}
+	after := liveHeap()
+	var st struct {
+		Cycle int64 `json:"cycle"`
+		Done  bool  `json:"done"`
+	}
+	if err := smokeDo(http.MethodGet, sURL+"/snapshot.json", nil, http.StatusOK, &st); err != nil {
+		return fmt.Errorf("spin session snapshot: %w", err)
+	}
+	if !st.Done || st.Cycle != limit {
+		return fmt.Errorf("spin session ended at cycle %d (done %v), want its limit %d", st.Cycle, st.Done, limit)
+	}
+	if after > before && after-before > maxGrowth {
+		return fmt.Errorf("spin session: heap grew by %d bytes over %d samples (bound %d)", after-before, limit, maxGrowth)
+	}
+	if err := smokeDo(http.MethodDelete, sURL, nil, http.StatusNoContent, nil); err != nil {
+		return fmt.Errorf("delete spin session: %w", err)
+	}
+	fmt.Fprintf(out, "serve-smoke: OK — a session spinning to its limit at sample_every=1 held O(1) observation state (%d samples)\n", limit)
 	return nil
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // smokeDo performs one API call, checks the status, and decodes the
