@@ -37,7 +37,7 @@ func (c *Core) Reg(r int) int64 { return c.regs.I[r] }
 func (c *Core) FReg(r int) float64 { return c.regs.F[r] }
 
 // Local reads private-memory word a.
-func (c *Core) Local(a int) int64 { return c.local[a] }
+func (c *Core) Local(a int) int64 { return c.local[c.checkLocal(int64(a))] }
 
 // Halted reports whether the core has executed HALT.
 func (c *Core) Halted() bool { return c.halted }
@@ -167,7 +167,11 @@ func (c *Core) locked(in *Instr) bool {
 
 // localAddr computes and bounds-checks a private-memory address.
 func (c *Core) localAddr(in *Instr) int {
-	a := c.regs.I[in.Rs] + in.Imm
+	return c.checkLocal(c.regs.I[in.Rs] + in.Imm)
+}
+
+// checkLocal panics unless a is a private-memory address.
+func (c *Core) checkLocal(a int64) int {
 	if a < 0 || a >= int64(len(c.local)) {
 		panic(fmt.Sprintf("isa: local address %d out of [0,%d) at pc %d", a, len(c.local), c.pc))
 	}
