@@ -147,12 +147,13 @@ bench-pairs:
 
 # Where the host's time goes in one benchmark op: CPU-profile it as a
 # plain Go benchmark (bench_test.go: NetUniformOp, NetHotspotOp,
-# NetObservedOp and GuestIdealOp are bench/'s net-uniform, net-hotspot,
-# net-observed and guest-ideal ops; ServeSessionOp is one serve-lifecycle
-# session without the HTTP) and print the top of the profile.
+# NetObservedOp, GuestSpmdOp and GuestIdealOp are bench/'s net-uniform,
+# net-hotspot, net-observed, guest-spmd and guest-ideal ops;
+# ServeSessionOp is one serve-lifecycle session without the HTTP) and
+# print the top of the profile.
 # Every "share of a CPU profile" in EXPERIMENTS.md and ROADMAP.md comes
 # from here. Binary and profile stay under .bench_build/.
-#   make prof-host [B=NetHotspotOp|NetObservedOp|GuestIdealOp|ServeSessionOp]
+#   make prof-host [B=NetHotspotOp|NetObservedOp|GuestSpmdOp|GuestIdealOp|ServeSessionOp]
 B ?= NetUniformOp
 prof-host:
 	@mkdir -p .bench_build
@@ -176,10 +177,13 @@ equivalence:
 # network under steady traffic must stay inside its budget (the
 # growth-only tail of its queues), and what is built per run is sized by
 # its reader: a served kit without -trace under 64 KB whatever ring
-# capacity its caller names, a 16-PE session's build and kit under 1.5 MB,
-# a cache within five allocations.
+# capacity its caller names, a 16-PE session's build and kit under 213 KiB,
+# a cache within five allocations. Private memory is paid for by the page
+# stored to: a core under 1 KiB (20 KiB at 1 Mi words), Load of the
+# benchmark's 64-PE shape under 1 MiB, and neither lw/sw over touched
+# pages nor the PNI's outstanding-request list at its limit allocates.
 bench-guard:
-	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ -run 'ZeroAlloc|AllocBudget' -count=1 -v
+	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ -run 'ZeroAlloc|AllocBudget' -count=1 -v
 
 # Guest-profiler smoke: profile queue.s end to end in both export
 # formats, then validate each round-trips non-empty through its own

@@ -8,6 +8,7 @@ package ultracomputer
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -440,34 +441,32 @@ func BenchmarkNetObservedOp(b *testing.B) {
 // spmdKernel is the benchmark's guest kernel (bench/testdata/spmd.s, whose
 // fields bench/guest.go draws from the seed) with fixed constants and the
 // given iteration count.
-func spmdKernel(b *testing.B, iters string) string {
+func spmdKernel(b *testing.B, iters int) string {
 	tmpl, err := os.ReadFile("bench/testdata/spmd.s")
 	if err != nil {
 		b.Fatal(err)
 	}
 	return strings.NewReplacer(
-		"{{ITERS}}", iters, "{{MUL}}", "7", "{{ADD}}", "13", "{{COUNTER}}", "64",
+		"{{ITERS}}", strconv.Itoa(iters), "{{MUL}}", "7", "{{ADD}}", "13", "{{COUNTER}}", "64",
 		"{{SPAN}}", "128", "{{CBASE}}", "4096", "{{LMASK}}", "511", "{{CWORDS}}", "64",
 		"{{PHASE}}", "5",
 	).Replace(string(tmpl))
 }
 
-// BenchmarkGuestIdealOp is one op of the repository benchmark's guest-ideal
-// workload (bench/guest.go: guestConfig(true), guestCache, guestIdealIters
-// and guestRun, restated here because bench/ is a main package) as a plain
-// Go benchmark: the kernel of bench/testdata/spmd.s with fixed constants in
-// its fields, 1 024 iterations on each of 64 PEs with a 16×2×4 cache under
-// IdealMemory, through Load, Run and Report. The network and the MMs are
-// bypassed, so a profile of it (`make prof-host B=GuestIdealOp`) names
-// where a PE tick's host time goes: isa.Core.Tick, the cache, pe.PE.
-func BenchmarkGuestIdealOp(b *testing.B) {
-	prog, err := isa.Assemble(spmdKernel(b, "1024"))
+// guestOp is one op of the repository benchmark's guest workloads
+// (bench/guest.go: guestConfig, guestCache and guestRun, restated here
+// because bench/ is a main package) as a plain Go benchmark: the kernel of
+// bench/testdata/spmd.s with fixed constants in its fields, iters
+// iterations on each of 64 PEs with a 16×2×4 cache, through Load, Run and
+// Report.
+func guestOp(b *testing.B, iters int, ideal bool) {
+	prog, err := isa.Assemble(spmdKernel(b, iters))
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := machine.Config{
 		Net: network.Config{K: 2, Stages: 6, Copies: 1, Combining: true},
-		PEs: 64, Hashing: true, IdealMemory: true,
+		PEs: 64, Hashing: true, IdealMemory: ideal,
 	}
 	b.ReportAllocs()
 	var cycles int64
@@ -484,12 +483,52 @@ func BenchmarkGuestIdealOp(b *testing.B) {
 		if _, err := m.Report().JSON(); err != nil {
 			b.Fatal(err)
 		}
-		if got := m.ReadShared(64); got != 16*64 {
-			b.Fatalf("shared counter = %d, want %d", got, 16*64)
+		// Every PE publishes once per 64 iterations.
+		if got, want := m.ReadShared(64), int64(iters/64*64); got != want {
+			b.Fatalf("shared counter = %d, want %d", got, want)
 		}
 		cycles = m.Cycles()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
+}
+
+// BenchmarkGuestIdealOp is the guest-ideal op (guestIdealIters = 1 024
+// iterations under IdealMemory). The network and the MMs are bypassed, so
+// a profile of it (`make prof-host B=GuestIdealOp`) names where a PE
+// tick's host time goes: isa.Core.Tick, the cache, pe.PE.
+func BenchmarkGuestIdealOp(b *testing.B) { guestOp(b, 1024, true) }
+
+// BenchmarkGuestSpmdOp is the guest-spmd op (guestSpmdIters = 64
+// iterations through the real network and MMs): the ultrasim path, PNI
+// and reply delivery included.
+func BenchmarkGuestSpmdOp(b *testing.B) { guestOp(b, 64, false) }
+
+// BenchmarkMachineLoad is what a machine costs before its first cycle:
+// Load of the benchmark kernel with the benchmark's cache at k = 4, six
+// stages (4096 ports), on 64 PEs and on the paper's 4096. B/op is the
+// footprint figure ROADMAP item 5 quotes; it is a benchmark so that
+// tier-1 never builds the 4096-port network.
+func BenchmarkMachineLoad(b *testing.B) {
+	prog, err := isa.Assemble(spmdKernel(b, 64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pes := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("pes=%d", pes), func(b *testing.B) {
+			cfg := machine.Config{
+				Net: network.Config{K: 4, Stages: 6, Copies: 1, Combining: true},
+				PEs: pes, Hashing: true,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := machine.Load(cfg, prog, machine.LoadOptions{
+					Cache: &cache.Config{Sets: 16, Ways: 2, BlockWords: 4},
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkServeSessionOp is one session lifecycle of the repository
@@ -504,7 +543,7 @@ func BenchmarkServeSessionOp(b *testing.B) {
 	cfg := serve.Config{
 		Name: "bench-op", K: 2, Stages: 4, PEs: 16, Limit: 5_000_000,
 		Cache:   &serve.CacheConfig{Sets: 16, Ways: 2, BlockWords: 4},
-		Program: spmdKernel(b, "32"),
+		Program: spmdKernel(b, 32),
 	}
 	svc := serve.NewService(serve.Limits{})
 	defer svc.Drain()

@@ -17,17 +17,39 @@ type Core struct {
 	regs   Regs
 	lockI  uint32 // bit d: integer register d awaits a reply
 	lockF  uint32 // the same for the float file
-	local  []int64
 	halted bool
 	cc     *coreCache // optional write-back cache (NewCoreWithCache)
+
+	// Private memory is localWords words of address space whose pages
+	// exist from their first store: word a lives in pages[a>>pageShift]
+	// at offset a&(pageWords-1), and a nil page reads as zeros.
+	localWords int
+	pages      []*[pageWords]int64
+	// inline backs pages when the table fits (the default LocalWords
+	// does), so the table costs no allocation of its own.
+	inline [inlinePages]*[pageWords]int64
 }
 
+const (
+	pageShift   = 9
+	pageWords   = 1 << pageShift
+	inlinePages = 8
+)
+
 // NewCore builds an interpreter with localWords words of private memory.
+// The words are address space: a 4 KiB page is allocated at the first
+// store into it, so a core costs what its program stores, not localWords.
 func NewCore(prog *Program, localWords int) *Core {
 	if localWords < 1 {
 		localWords = 1
 	}
-	return &Core{prog: prog, local: make([]int64, localWords)}
+	c := &Core{prog: prog, localWords: localWords}
+	if n := (localWords + pageWords - 1) >> pageShift; n <= inlinePages {
+		c.pages = c.inline[:n]
+	} else {
+		c.pages = make([]*[pageWords]int64, n)
+	}
+	return c
 }
 
 // Reg reads integer register r (for result checking after a run).
@@ -37,7 +59,7 @@ func (c *Core) Reg(r int) int64 { return c.regs.I[r] }
 func (c *Core) FReg(r int) float64 { return c.regs.F[r] }
 
 // Local reads private-memory word a.
-func (c *Core) Local(a int) int64 { return c.local[c.checkLocal(int64(a))] }
+func (c *Core) Local(a int) int64 { return c.loadLocal(c.checkLocal(int64(a))) }
 
 // Halted reports whether the core has executed HALT.
 func (c *Core) Halted() bool { return c.halted }
@@ -107,11 +129,11 @@ func (c *Core) Tick(env *pe.Env) pe.TickResult {
 		c.regs.setI(in.Rd, int64(env.NumPE()))
 
 	case LW:
-		c.regs.setI(in.Rd, c.local[c.localAddr(in)])
+		c.regs.setI(in.Rd, c.loadLocal(c.localAddr(in)))
 		c.pc++
 		return pe.TickResult{Executed: true, LocalRef: true}
 	case SW:
-		c.local[c.localAddr(in)] = c.regs.I[in.Rt]
+		c.storeLocal(c.localAddr(in), c.regs.I[in.Rt])
 		c.pc++
 		return pe.TickResult{Executed: true, LocalRef: true}
 
@@ -172,8 +194,26 @@ func (c *Core) localAddr(in *Instr) int {
 
 // checkLocal panics unless a is a private-memory address.
 func (c *Core) checkLocal(a int64) int {
-	if a < 0 || a >= int64(len(c.local)) {
-		panic(fmt.Sprintf("isa: local address %d out of [0,%d) at pc %d", a, len(c.local), c.pc))
+	if a < 0 || a >= int64(c.localWords) {
+		panic(fmt.Sprintf("isa: local address %d out of [0,%d) at pc %d", a, c.localWords, c.pc))
 	}
 	return int(a)
+}
+
+// loadLocal reads checked address a; a page never stored to reads 0.
+func (c *Core) loadLocal(a int) int64 {
+	if p := c.pages[a>>pageShift]; p != nil {
+		return p[a&(pageWords-1)]
+	}
+	return 0
+}
+
+// storeLocal writes checked address a, allocating its page on first touch.
+func (c *Core) storeLocal(a int, v int64) {
+	i := a >> pageShift
+	if c.pages[i] == nil {
+		//ultravet:ok hotalloc first store into a page: at most ceil(localWords/512) per core for the life of the machine
+		c.pages[i] = new([pageWords]int64)
+	}
+	c.pages[i][a&(pageWords-1)] = v
 }

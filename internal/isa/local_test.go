@@ -2,6 +2,7 @@ package isa_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -98,5 +99,28 @@ func TestLocalMemoryContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewCoreAllocBudget: a core's private memory is address space until
+// stored to, so building one costs the interpreter and its page table —
+// not localWords × 8 B (32 KiB at the default 4096 words, 8 MiB at 1 << 20).
+func TestNewCoreAllocBudget(t *testing.T) {
+	prog := isa.MustAssemble("\thalt\n")
+	for _, tc := range []struct {
+		words  int
+		budget uint64
+	}{
+		{4096, 1 << 10},
+		{1 << 20, 20 << 10},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := isa.NewCore(prog, tc.words)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.budget {
+			t.Errorf("NewCore(prog, %d) allocates %d bytes, budget %d", tc.words, got, tc.budget)
+		}
+		runtime.KeepAlive(c)
 	}
 }

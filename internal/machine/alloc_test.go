@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
+	"ultracomputer/internal/cache"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs/prof"
@@ -155,4 +157,68 @@ loop:   faa  r3, 0(r1), r2
 			t.Fatalf("Machine.Step with profiler=nil allocates %.2f times per cycle, want 0", avg)
 		}
 	})
+}
+
+// TestStepZeroAllocLocalTraffic: private memory allocates a page at the
+// first store into it and never again. The guests sweep lw/sw over two
+// pages; once both have been stored to, Step allocates nothing.
+func TestStepZeroAllocLocalTraffic(t *testing.T) {
+	prog := isa.MustAssemble(`
+        li   r1, 0
+        li   r2, 1023
+loop:   lw   r3, 0(r1)
+        addi r3, r3, 1
+        sw   r3, 0(r1)
+        addi r1, r1, 1
+        and  r1, r1, r2
+        jmp  loop
+`)
+	const n = 8
+	cores := make([]pe.Core, n)
+	for i := range cores {
+		cores[i] = isa.NewCore(prog, 4096)
+	}
+	m := New(Config{
+		Net:     network.Config{K: 2, Stages: 4, Combining: true},
+		Hashing: true,
+		PEs:     n,
+	}, cores)
+
+	// 1024 words × 6 instructions × PECycle 2 network cycles per sweep:
+	// past one full sweep both pages exist.
+	for i := 0; i < 15_000; i++ {
+		m.Step()
+	}
+	if got := cores[0].(*isa.Core).Local(1023); got == 0 {
+		t.Fatal("warm-up did not reach the second page")
+	}
+
+	if avg := testing.AllocsPerRun(500, m.Step); avg != 0 {
+		t.Fatalf("Machine.Step allocates %.2f times per cycle under lw/sw traffic over touched pages, want 0", avg)
+	}
+}
+
+// TestLoadAllocBudget: Load of the benchmark's guest shape (64 PEs,
+// k = 2, six stages, a 16×2×4 cache a PE) allocates the network, the
+// MMs, the caches and the interpreters — no private memory, which is
+// address space until a guest stores to it (32 KiB a PE, 2 MiB of the
+// parent's ≈ 2.7 MB, at the default LocalWords).
+func TestLoadAllocBudget(t *testing.T) {
+	const budget = 1 << 20
+	prog := isa.MustAssemble("\thalt\n")
+	cfg := Config{
+		Net: network.Config{K: 2, Stages: 6, Copies: 1, Combining: true},
+		PEs: 64, Hashing: true,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, _, err := Load(cfg, prog, LoadOptions{Cache: &cache.Config{Sets: 16, Ways: 2, BlockWords: 4}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("Load of the 64-PE benchmark shape allocates %d bytes, budget %d", got, budget)
+	}
+	runtime.KeepAlive(m)
 }

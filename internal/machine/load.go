@@ -12,7 +12,10 @@ import (
 
 // LoadOptions configures Load's core construction and preflight checks.
 type LoadOptions struct {
-	// LocalWords is the private memory size per PE (defaults to 4096).
+	// LocalWords is the private address space per PE in words (defaults
+	// to 4096): the bound lw/sw are checked against. Its 512-word
+	// (4 KiB) pages are allocated at the first store into each, so a PE
+	// costs what its program stores, not this figure.
 	LocalWords int
 	// Cache, when non-nil, gives every core a private write-back cache
 	// of this shape, enabling the clds/csts/cflu/crel instructions.

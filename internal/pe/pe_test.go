@@ -164,3 +164,43 @@ func TestRequestIDsUniquePerPE(t *testing.T) {
 		}
 	}
 }
+
+// TestPNIZeroAlloc: the outstanding-request list grows to the pipelining
+// limit once; after that a full window of issues and its completions, in
+// an order that exercises the swap-remove, allocate nothing.
+func TestPNIZeroAlloc(t *testing.T) {
+	const window = 12
+	var ids [window]uint64
+	n := 0
+	p := newPNI(3, memory.Interleave{N: 4}, func(r msg.Request) bool {
+		ids[n] = r.ID
+		n++
+		return true
+	}, window)
+	round := func() {
+		n = 0
+		for a := int64(0); a < window; a++ {
+			if !p.issue(msg.Load, 100+a, 0, int(a), 0, 0) {
+				t.Fatalf("issue %d of %d refused", a, window)
+			}
+		}
+		if p.issue(msg.Load, 200, 0, 0, 0, 0) {
+			t.Fatalf("issue beyond %d outstanding accepted", window)
+		}
+		// Evens first, then odds: completions out of issue order.
+		for _, start := range []int{0, 1} {
+			for i := start; i < window; i += 2 {
+				if pr, ok := p.complete(msg.Reply{ID: ids[i]}); !ok || pr.tag != i {
+					t.Fatalf("complete of request %d = %+v, %v", i, pr, ok)
+				}
+			}
+		}
+		if p.Outstanding() != 0 {
+			t.Fatalf("outstanding = %d after a full round, want 0", p.Outstanding())
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("issue/complete at %d outstanding allocates %.2f times per round after the first, want 0", window, avg)
+	}
+}

@@ -22,9 +22,10 @@ type PNI struct {
 	inject         func(msg.Request) bool
 	maxOutstanding int
 
-	seq     uint32
-	pending map[uint64]pendingReq
-	byAddr  map[int64]bool
+	seq uint32
+	// pending holds the outstanding requests in no particular order: at
+	// most maxOutstanding of them, so a scan beats two maps.
+	pending []pendingReq
 
 	// tracer, when non-nil, decides per request ID whether the request
 	// carries a causal-tracing context. The decision is a pure function
@@ -33,6 +34,7 @@ type PNI struct {
 }
 
 type pendingReq struct {
+	id       uint64
 	tag      int
 	addr     int64
 	issuedAt int64
@@ -48,8 +50,6 @@ func newPNI(pe int, h memory.Hasher, inject func(msg.Request) bool, maxOutstandi
 		hash:           h,
 		inject:         inject,
 		maxOutstanding: maxOutstanding,
-		pending:        make(map[uint64]pendingReq),
-		byAddr:         make(map[int64]bool),
 	}
 }
 
@@ -58,7 +58,15 @@ func (p *PNI) Outstanding() int { return len(p.pending) }
 
 // canIssue applies the pipelining restrictions for a new request to addr.
 func (p *PNI) canIssue(addr int64) bool {
-	return len(p.pending) < p.maxOutstanding && !p.byAddr[addr]
+	if len(p.pending) >= p.maxOutstanding {
+		return false
+	}
+	for i := range p.pending {
+		if p.pending[i].addr == addr {
+			return false
+		}
+	}
+	return true
 }
 
 // issue translates, tags and injects one request. It reports false when
@@ -83,20 +91,21 @@ func (p *PNI) issue(op msg.Op, addr int64, operand int64, tag int, cycle int64, 
 		p.seq-- // ID not consumed
 		return false
 	}
-	p.pending[id] = pendingReq{tag: tag, addr: addr, issuedAt: cycle, pc: pc}
-	p.byAddr[addr] = true
+	p.pending = append(p.pending, pendingReq{id: id, tag: tag, addr: addr, issuedAt: cycle, pc: pc})
 	return true
 }
 
 // complete matches a reply to its outstanding request, returning the
 // pending record (tag, linear address, issue cycle, issuing pc).
 func (p *PNI) complete(rep msg.Reply) (pendingReq, bool) {
-	pr, found := p.pending[rep.ID]
-	if !found {
-		return pendingReq{}, false
+	for i := range p.pending {
+		if p.pending[i].id == rep.ID {
+			pr := p.pending[i]
+			last := len(p.pending) - 1
+			p.pending[i] = p.pending[last]
+			p.pending = p.pending[:last]
+			return pr, true
+		}
 	}
-	//ultravet:ok sharecheck p.pending belongs to this PE's interface; the deliver phase shards by PE
-	delete(p.pending, rep.ID)
-	delete(p.byAddr, pr.addr)
-	return pr, true
+	return pendingReq{}, false
 }

@@ -68,8 +68,10 @@ type Config struct {
 	// IdealMemory bypasses the network: the §2.1 paracomputer ideal.
 	IdealMemory bool `json:"ideal_memory,omitempty"`
 
-	// LocalWords is the private memory per PE (default 4096); Cache,
-	// when set, gives every PE a write-back cache enabling the
+	// LocalWords is the private memory a PE may address, in words
+	// (default 4096); its 4 KiB pages are allocated on first store, and
+	// admission control counts the bound, not the pages. Cache, when
+	// set, gives every PE a write-back cache enabling the
 	// clds/csts/cflu/crel instructions.
 	LocalWords int          `json:"local_words,omitempty"`
 	Cache      *CacheConfig `json:"cache,omitempty"`
@@ -171,8 +173,9 @@ func boundedPorts(k, stages, max int) (int, bool) {
 	return n, true
 }
 
-// MemoryWords is the session's private-memory footprint in words
-// (PEs × LocalWords) — the quantity the service's memory quota bounds.
+// MemoryWords is the most private memory the session's guests may come
+// to hold, in words (PEs × LocalWords) — the quantity the service's
+// memory quota bounds; what is allocated is the pages they have stored to.
 func (c Config) MemoryWords() int64 {
 	d := c.WithDefaults()
 	return int64(d.PEs) * int64(d.LocalWords)

@@ -18,7 +18,11 @@ type Limits struct {
 	// when a config is staged (field-level errors, so clients see them
 	// next to any validation problems). MaxPorts bounds k^stages — the
 	// network's port count, which drives the build-time allocation
-	// footprint independently of the populated PE count.
+	// footprint independently of the populated PE count. MaxMemoryWords
+	// bounds pes × local_words, the private memory the session's guests
+	// may touch: pages are allocated on first store (4 KiB each), so the
+	// quota is what a running guest can come to hold, not what a build
+	// allocates, and admission counts the bound.
 	MaxPEs         int   `json:"max_pes"`
 	MaxPorts       int   `json:"max_ports"`
 	MaxMemoryWords int64 `json:"max_memory_words"`

@@ -222,6 +222,9 @@ func TestPauseAndStep(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	call(t, http.MethodPost, sURL+"/pause", nil, http.StatusOK, nil)
+	// Pause does not wait for the slice in flight, which publishes one
+	// last sample as it yields: let that land before the first reading.
+	time.Sleep(50 * time.Millisecond)
 	var p1, p2 SessionInfo
 	call(t, http.MethodGet, sURL, nil, http.StatusOK, &p1)
 	time.Sleep(50 * time.Millisecond)
