@@ -421,8 +421,10 @@ func (n *Network) Snapshot(cycle int64) obs.Snapshot {
 }
 
 // InFlight counts messages resident anywhere in the network, including
-// replies delivered to PE buffers but not yet collected. Zero means the
-// network has fully drained.
+// replies delivered to PE buffers but not yet collected, each once: a
+// link's server counts its message until the header is delivered, then
+// the message counts where it went. Zero means the network has fully
+// drained, every tail included (a tail ends before its message arrives).
 func (n *Network) InFlight() int {
 	total := 0
 	for i := range n.fwd {
@@ -430,10 +432,10 @@ func (n *Network) InFlight() int {
 		// Each wait record stands for one absorbed request whose reply
 		// is still owed (its partner is counted on the path).
 		total += f.q.len() + r.q.len() + r.wb.len()
-		if f.active {
+		if f.active && !f.delivered {
 			total++
 		}
-		if r.active {
+		if r.active && !r.delivered {
 			total++
 		}
 	}

@@ -42,18 +42,19 @@ type revLink struct {
 // the size of the machine. Every link has one byte, which says when the
 // link next needs its pump:
 //
-//	0      the link's server is inactive and its queue is empty: pumping
-//	       it is a no-op until somebody pushes, so the Stepper skips it
+//	0      its queue is empty and its server idle or done — the message
+//	       delivered, its tail left for the pump a push triggers to check:
+//	       pumping it is a no-op until somebody pushes, so it is skipped
 //	1      pump it next cycle
-//	n > 1  its message is delivered and the tail holds the link n − 1 more
-//	       cycles, during which a pump is a no-op whatever is queued behind:
-//	       the Stepper counts the flag down instead, without loading the
-//	       record
+//	n > 1  a pump is a no-op for n − 1 more cycles, whatever is queued
+//	       behind: the message is delivered and its tail holds the link,
+//	       or an end stage (MNI, PNI) is assembling it; the Stepper counts
+//	       the flag down instead, without loading the record
 //
 // A flag is set to 1 by whoever pushes into the link's queue and otherwise
 // written only by the sweep that owns the link: the value its pump
-// returned, or the count-down. A push onto a dormant link thus costs one
-// no-op pump, which returns the remainder again, so skipping stays exact.
+// returned, or the count-down. A push onto a dormant link thus costs at
+// most one no-op pump, which returns the remainder, so skipping is exact.
 // Both writers run in phases where the writing unit owns the link (see
 // DESIGN.md, "Link records and activity flags"), so the flags are plain
 // bytes: neighbouring flags belong to different units, which is why a flag
@@ -331,37 +332,36 @@ func synthReply(sd *side, addr msg.Addr, combined *msg.Reply) msg.Reply {
 func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 	t := n.topo
 	ln := &n.fwd[(s+1)*t.lines+p]
+	lastStage := s == t.stages-1
 	if ln.active && !ln.delivered {
-		pk := int64(ln.req.Packets())
-		lastStage := s == t.stages-1
-		ready := cycle >= ln.start+1
-		if lastStage {
-			// The MNI assembles the full message before the MM
-			// sees it.
-			ready = cycle >= ln.start+pk
-		}
-		if ready {
-			if !lastStage {
-				ln.delivered = n.enqueueForward(s+1, u, &ln.req, cycle, sk)
-			} else if in := &n.mmIn[p]; in.spaceFor(int(pk)) {
-				// The last stage's links are stored in line order:
-				// position p is copy p/N's module p%N.
-				in.push(&ln.req)
-				n.act.mm[p] = 1
-				ln.delivered = true
-				if to := sk.subs.For(obs.KindMMArrive, ln.req.TC.Traced()); to != 0 {
-					sk.out.Emit(obs.Event{
-						To: to, Cycle: cycle, Kind: obs.KindMMArrive, PE: ln.req.PE,
-						Stage: -1, MM: p % t.n, Copy: p / t.n,
-						ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
-					})
-				}
+		// A header is deliverable the cycle after its message entered
+		// service, and no pump comes sooner; the MNI assembles the full
+		// message before the MM sees it.
+		if !lastStage {
+			ln.delivered = n.enqueueForward(s+1, u, &ln.req, cycle, sk)
+		} else if rest := ln.start + int64(ln.req.Packets()) - cycle; rest > 0 {
+			return uint8(rest)
+		} else if in := &n.mmIn[p]; in.spaceFor(ln.req.Packets()) {
+			// The last stage's links are stored in line order:
+			// position p is copy p/N's module p%N.
+			in.push(&ln.req)
+			n.act.mm[p] = 1
+			ln.delivered = true
+			if to := sk.subs.For(obs.KindMMArrive, ln.req.TC.Traced()); to != 0 {
+				sk.out.Emit(obs.Event{
+					To: to, Cycle: cycle, Kind: obs.KindMMArrive, PE: ln.req.PE,
+					Stage: -1, MM: p % t.n, Copy: p / t.n,
+					ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
+				})
 			}
 		}
 	}
 	if ln.active {
 		if !ln.delivered {
 			return 1
+		}
+		if ln.q.empty() {
+			return 0 // the pump a push triggers checks the tail
 		}
 		if rest := ln.start + int64(ln.req.Packets()) - cycle; rest > 0 {
 			return uint8(rest) // the tail holds the link until start+P
@@ -382,6 +382,9 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 			ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
 		})
 	}
+	if lastStage {
+		return uint8(ln.req.Packets()) // the MNI has its last packet at start+P
+	}
 	return 1
 }
 
@@ -393,27 +396,25 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 func (n *Network) pumpReply(cycle int64, s, u, p int, sk *sink) uint8 {
 	t := n.topo
 	ln := &n.rev[s*t.lines+p]
+	toPE := s == 0
 	if ln.active && !ln.delivered {
-		toPE := s == 0
-		ready := cycle >= ln.start+1
-		if toPE {
-			// The PNI assembles the full reply before the PE sees it.
-			ready = cycle >= ln.start+int64(ln.rep.Packets())
-		}
-		if ready {
-			if toPE {
-				pe := t.unshuf[p]
-				n.peRecv[pe] = append(n.peRecv[pe], ln.rep)
-				n.act.pe[pe] = 1
-				ln.delivered = true
-			} else {
-				ln.delivered = n.acceptReply(s-1, u, ln, cycle, sk)
-			}
+		if !toPE {
+			ln.delivered = n.acceptReply(s-1, u, ln, cycle, sk)
+		} else if rest := ln.start + int64(ln.rep.Packets()) - cycle; rest > 0 {
+			return uint8(rest) // the PNI assembles the full reply before the PE sees it
+		} else {
+			pe := t.unshuf[p]
+			n.peRecv[pe] = append(n.peRecv[pe], ln.rep)
+			n.act.pe[pe] = 1
+			ln.delivered = true
 		}
 	}
 	if ln.active {
 		if !ln.delivered {
 			return 1
+		}
+		if ln.q.empty() {
+			return 0
 		}
 		if rest := ln.start + int64(ln.rep.Packets()) - cycle; rest > 0 {
 			return uint8(rest)
@@ -435,6 +436,9 @@ func (n *Network) pumpReply(cycle int64, s, u, p int, sk *sink) uint8 {
 			Stage: stage, MM: mm, Copy: p / t.n,
 			ID: ln.rep.ID, Op: ln.rep.Op, Addr: ln.rep.Addr,
 		})
+	}
+	if toPE {
+		return uint8(ln.rep.Packets()) // the PNI has its last packet at start+P
 	}
 	return 1
 }

@@ -50,7 +50,8 @@ func (q *reqQueue) push(r *msg.Request) {
 		q.entries = q.entries[:n]
 		q.head = 0
 	}
-	q.entries = append(q.entries, reqEntry{req: *r})
+	q.entries = append(q.entries, reqEntry{})
+	q.entries[len(q.entries)-1].req = *r
 	q.packets += r.Packets()
 }
 

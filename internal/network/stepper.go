@@ -127,7 +127,7 @@ func NewStepper(n *Network, eng engine.Engine) *Stepper {
 // own, so the word stays true. Only the last, shorter-than-eight stretch
 // is assembled bytewise: the loads stay inside the caller's own units,
 // which under a parallel engine are the only flags no other worker writes
-// during the phase. A link flag above 1 is a dormant tail, counted down
+// during the phase. A link flag above 1 is a dormant link, counted down
 // without loading the record; any other set flag is pumped and takes the
 // value the pump returns. This is the tight loop: a large, lightly loaded
 // machine spends its network time here.
