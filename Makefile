@@ -83,7 +83,7 @@ race:
 test:
 	$(GO) test ./...
 
-# Native fuzzing, ten seconds a target, of the three places outside
+# Native fuzzing, ten seconds a target, of the four places outside
 # input enters. The assembler (serve.Config.Program): FuzzAssemble
 # requires that it never panics and that whatever assembles survives
 # Disassemble -> Assemble unchanged. The config object (HTTP bodies,
@@ -91,15 +91,18 @@ test:
 # and the default quotas never panic and that whatever passes all three
 # is inside the workers, ports, PEs and memory bounds. A span dump
 # (`tables -spans`): FuzzReadSpans requires that reading never panics and
-# that whatever reads survives write -> read -> write unchanged. Plain
-# `go test` already runs each seed corpus (every .s file in the
-# repository, one hot-spot span dump, and the files under the packages'
-# testdata/fuzz) as unit cases; a failure found here is written to that
+# that whatever reads survives write -> read -> write unchanged. A
+# profile (`tables -prof`): FuzzParsePprof requires that ParsePprof
+# never panics and that what WritePprof writes parses back to the
+# samples it was written from. Plain `go test` already runs each seed
+# corpus (every .s file in the repository, one hot-spot span dump, and
+# the files under the packages' testdata/fuzz) as unit cases; a failure found here is written to that
 # directory and fails every later run until fixed.
 fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzConfig -fuzztime 10s
 	$(GO) test ./internal/obs/reqtrace -run '^$$' -fuzz FuzzReadSpans -fuzztime 10s
+	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.
@@ -184,9 +187,10 @@ equivalence:
 # pages nor the PNI's outstanding-request list at its limit allocates.
 # And a message costs the sweep what it must: at most 2.25 link pumps per
 # message per link crossed at p = 0.2 (a count, not a time, so the host
-# cannot move it).
+# cannot move it). An observed event is 72 bytes, which the compiler
+# copies inline into every consumer.
 bench-guard:
-	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ -run 'ZeroAlloc|AllocBudget|PumpBudget' -count=1 -v
+	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize' -count=1 -v
 
 # Guest-profiler smoke: profile queue.s end to end in both export
 # formats, then validate each round-trips non-empty through its own

@@ -174,7 +174,7 @@ func (c *Cache) access(a int64, store bool, v int64) (int64, bool) {
 			kind = obs.KindCacheHit
 		}
 		c.out.Emit(obs.Event{
-			To: to, Cycle: -1, Kind: kind, PE: c.pe, Stage: -1, MM: -1, Copy: -1,
+			To: to, Cycle: -1, Kind: kind, PE: int32(c.pe), Stage: -1, MM: -1, Copy: -1,
 			Value: a,
 		})
 	}
@@ -267,7 +267,7 @@ func (c *Cache) wroteBack(a int64) {
 	c.stats.WriteBacks.Inc()
 	if to := c.subs.For(obs.KindCacheWriteBack, false); to != 0 {
 		c.out.Emit(obs.Event{
-			To: to, Cycle: -1, Kind: obs.KindCacheWriteBack, PE: c.pe,
+			To: to, Cycle: -1, Kind: obs.KindCacheWriteBack, PE: int32(c.pe),
 			Stage: -1, MM: -1, Copy: -1, Value: a,
 		})
 	}

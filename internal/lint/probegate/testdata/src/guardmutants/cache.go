@@ -16,7 +16,7 @@ func (c *cache) wroteBack(a int64) {
 	c.writeBacks++
 	to := c.subs.For(obs.KindCacheWriteBack, false)
 	c.out.Emit(obs.Event{ // want `obs\.Probe Emit on c\.out without a dominating nil check`
-		To: to, Cycle: -1, Kind: obs.KindCacheWriteBack, PE: c.pe,
+		To: to, Cycle: -1, Kind: obs.KindCacheWriteBack, PE: int32(c.pe),
 		Stage: -1, MM: -1, Copy: -1, Value: a,
 	})
 }

@@ -19,7 +19,7 @@ type pe struct {
 func (p *pe) closeStall(cycle int64) {
 	p.out.Emit(obs.Event{ // want `obs\.Probe Emit on p\.out without a dominating nil check`
 		To: obs.SubRecord, Cycle: cycle * p.scale, Kind: obs.KindStallEnd,
-		PE: p.id, Stage: -1, MM: -1, Copy: -1, Cause: p.stall,
+		PE: int32(p.id), Stage: -1, MM: -1, Copy: -1, Cause: p.stall,
 	})
 	p.stall = obs.CauseNone
 }

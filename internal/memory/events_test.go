@@ -13,7 +13,7 @@ import (
 type serveLog struct{ calls [][3]int }
 
 func (l *serveLog) Emit(ev obs.Event) {
-	l.calls = append(l.calls, [3]int{ev.MM, ev.Addr.Word, int(ev.Op)})
+	l.calls = append(l.calls, [3]int{int(ev.MM), ev.Addr.Word, int(ev.Op)})
 }
 
 // kinds renders a consumer's view of a run as "cycle:Kind@mm" strings.

@@ -59,8 +59,8 @@ func (m *Module) begin(r msg.Request, cycle int64) {
 	m.busyUntil = cycle + m.latency
 	if to := m.subs.For(obs.KindMNIBegin, r.TC.Traced()); to != 0 {
 		m.out.Emit(obs.Event{
-			To: to, Cycle: cycle, Kind: obs.KindMNIBegin, PE: r.PE, Stage: -1,
-			MM: m.id, Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
+			To: to, Cycle: cycle, Kind: obs.KindMNIBegin, PE: int32(r.PE), Stage: -1,
+			MM: int32(m.id), Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
 		})
 	}
 }
@@ -70,8 +70,8 @@ func (m *Module) begin(r msg.Request, cycle int64) {
 func (m *Module) replied(rep msg.Reply, cycle int64) {
 	if to := m.subs.For(obs.KindReplyHop, rep.TC.Traced()) & obs.SubTrace; to != 0 {
 		m.out.Emit(obs.Event{
-			To: to, Cycle: cycle, Kind: obs.KindReplyHop, PE: rep.PE, Stage: -1,
-			MM: m.id, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
+			To: to, Cycle: cycle, Kind: obs.KindReplyHop, PE: int32(rep.PE), Stage: -1,
+			MM: int32(m.id), Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
 		})
 	}
 }
@@ -141,8 +141,8 @@ func (m *Module) Step(cycle int64, port Port) {
 		m.busy = false
 		if to := m.subs.For(obs.KindMNIServe, r.TC.Traced()); to != 0 {
 			m.out.Emit(obs.Event{
-				To: to, Cycle: cycle, Kind: obs.KindMNIServe, PE: r.PE, Stage: -1,
-				MM: m.id, Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
+				To: to, Cycle: cycle, Kind: obs.KindMNIServe, PE: int32(r.PE), Stage: -1,
+				MM: int32(m.id), Copy: -1, ID: r.ID, Op: r.Op, Addr: r.Addr,
 				Value: ret,
 			})
 		}

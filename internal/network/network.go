@@ -241,8 +241,8 @@ func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
 			sk.stats.Injected.Inc()
 			if to := sk.subs.For(obs.KindInject, r.TC.Traced()); to != 0 {
 				sk.out.Emit(obs.Event{
-					To: to, Cycle: cycle, Kind: obs.KindInject, PE: pe, Stage: -1,
-					MM: r.Addr.MM, Copy: ci, ID: r.ID, Op: r.Op, Addr: r.Addr,
+					To: to, Cycle: cycle, Kind: obs.KindInject, PE: int32(pe), Stage: -1,
+					MM: int32(r.Addr.MM), Copy: int16(ci), ID: r.ID, Op: r.Op, Addr: r.Addr,
 					Value: r.Operand,
 				})
 			}
@@ -351,7 +351,7 @@ func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
 			// For the tracer this completes the span: it closes it and
 			// files it in the flight recorder.
 			sk.out.Emit(obs.Event{
-				To: to, Cycle: cycle, Kind: obs.KindReplyDeliver, PE: pe, Stage: -1,
+				To: to, Cycle: cycle, Kind: obs.KindReplyDeliver, PE: int32(pe), Stage: -1,
 				MM: -1, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
 				Value: rep.Value,
 			})

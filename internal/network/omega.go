@@ -185,8 +185,8 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64, sk *sink
 							q.setTC(i, aTC)
 						}
 						sk.out.Emit(obs.Event{
-							To: to, Cycle: cycle, Kind: obs.KindCombine, PE: r.PE,
-							Stage: s, MM: -1, Copy: l / t.n,
+							To: to, Cycle: cycle, Kind: obs.KindCombine, PE: int32(r.PE),
+							Stage: int8(s), MM: -1, Copy: int16(l / t.n),
 							ID: r.ID, ID2: old.ID, Op: r.Op, Addr: r.Addr,
 							Aux: int32(old.PE),
 						})
@@ -213,8 +213,8 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64, sk *sink
 	}
 	if to := sk.subs.For(obs.KindStageArrive, r.TC.Traced()); to != 0 {
 		sk.out.Emit(obs.Event{
-			To: to, Cycle: cycle, Kind: obs.KindStageArrive, PE: r.PE,
-			Stage: s, MM: -1, Copy: l / t.n,
+			To: to, Cycle: cycle, Kind: obs.KindStageArrive, PE: int32(r.PE),
+			Stage: int8(s), MM: -1, Copy: int16(l / t.n),
 			ID: r.ID, Op: r.Op, Addr: r.Addr, Aux: int32(q.occupancy()),
 		})
 	}
@@ -259,7 +259,7 @@ func (n *Network) acceptReply(s, u int, src *revLink, cycle int64, sk *sink) boo
 		if to := sk.subs.For(obs.KindDecombine, ra.TC.Traced() || rb.TC.Traced()); to != 0 {
 			sk.out.Emit(obs.Event{
 				To: to, Cycle: cycle, Kind: obs.KindDecombine, PE: -1,
-				Stage: s, MM: -1, Copy: u / t.group,
+				Stage: int8(s), MM: -1, Copy: int16(u / t.group),
 				ID: rep.ID, ID2: rb.ID, Addr: ra.Addr, Value: rep.Value,
 			})
 		}
@@ -289,8 +289,8 @@ func (n *Network) acceptReply(s, u int, src *revLink, cycle int64, sk *sink) boo
 func (n *Network) emitReplyHop(s, u int, rep *msg.Reply, cycle int64, sk *sink) {
 	if to := sk.subs.For(obs.KindReplyHop, rep.TC.Traced()); to != 0 {
 		sk.out.Emit(obs.Event{
-			To: to, Cycle: cycle, Kind: obs.KindReplyHop, PE: rep.PE,
-			Stage: s, MM: -1, Copy: u / n.topo.group,
+			To: to, Cycle: cycle, Kind: obs.KindReplyHop, PE: int32(rep.PE),
+			Stage: int8(s), MM: -1, Copy: int16(u / n.topo.group),
 			ID: rep.ID, Op: rep.Op, Addr: rep.Addr, Value: rep.Value,
 		})
 	}
@@ -349,8 +349,8 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 			ln.delivered = true
 			if to := sk.subs.For(obs.KindMMArrive, ln.req.TC.Traced()); to != 0 {
 				sk.out.Emit(obs.Event{
-					To: to, Cycle: cycle, Kind: obs.KindMMArrive, PE: ln.req.PE,
-					Stage: -1, MM: p % t.n, Copy: p / t.n,
+					To: to, Cycle: cycle, Kind: obs.KindMMArrive, PE: int32(ln.req.PE),
+					Stage: -1, MM: int32(p % t.n), Copy: int16(p / t.n),
 					ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
 				})
 			}
@@ -377,8 +377,8 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 		// matching StageArrive this brackets the hop's queueing delay
 		// (Stage -1 is the PNI queue).
 		sk.out.Emit(obs.Event{
-			To: to, Cycle: cycle, Kind: obs.KindStageDepart, PE: ln.req.PE,
-			Stage: s, MM: -1, Copy: p / t.n,
+			To: to, Cycle: cycle, Kind: obs.KindStageDepart, PE: int32(ln.req.PE),
+			Stage: int8(s), MM: -1, Copy: int16(p / t.n),
 			ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
 		})
 	}
@@ -426,14 +426,14 @@ func (n *Network) pumpReply(cycle int64, s, u, p int, sk *sink) uint8 {
 	}
 	ln.active, ln.delivered, ln.start = true, false, cycle
 	if to := sk.subs.For(obs.KindReplyDepart, ln.rep.TC.Traced()); to != 0 {
-		stage, mm := s, -1
+		stage, mm := int8(s), int32(-1)
 		if s == t.stages {
 			// MNI output queue: p is the module's line.
-			stage, mm = -1, p%t.n
+			stage, mm = -1, int32(p%t.n)
 		}
 		sk.out.Emit(obs.Event{
-			To: to, Cycle: cycle, Kind: obs.KindReplyDepart, PE: ln.rep.PE,
-			Stage: stage, MM: mm, Copy: p / t.n,
+			To: to, Cycle: cycle, Kind: obs.KindReplyDepart, PE: int32(ln.rep.PE),
+			Stage: stage, MM: mm, Copy: int16(p / t.n),
 			ID: ln.rep.ID, Op: ln.rep.Op, Addr: ln.rep.Addr,
 		})
 	}

@@ -134,83 +134,84 @@ func (b *traceBuilder) observe(ev Event) {
 	if ev.Cycle > b.maxCycle {
 		b.maxCycle = ev.Cycle
 	}
+	pe, stage, mm := int(ev.PE), int(ev.Stage), int(ev.MM)
 	switch ev.Kind {
 	case KindInject:
 		r := b.req(ev.ID)
 		r.inject = ev.Cycle
-		r.pe = ev.PE
+		r.pe = pe
 		r.label = fmt.Sprintf("%s %s", ev.Op, ev.Addr)
-		b.pes[ev.PE] = true
+		b.pes[pe] = true
 	case KindStageArrive:
 		r := b.req(ev.ID)
-		r.hops = append(r.hops, hop{ev.Stage, ev.Cycle})
+		r.hops = append(r.hops, hop{stage, ev.Cycle})
 		if r.label == "" {
 			r.label = fmt.Sprintf("%s %s", ev.Op, ev.Addr)
 		}
-		b.stages[ev.Stage] = true
+		b.stages[stage] = true
 	case KindCombine:
 		r := b.req(ev.ID)
 		r.combineCycle = ev.Cycle
-		r.combineStage = ev.Stage
+		r.combineStage = stage
 		b.into[ev.ID] = ev.ID2
-		b.stages[ev.Stage] = true
+		b.stages[stage] = true
 		b.instants = append(b.instants, chromeEvent{
 			Name: "combine", Cat: "combine", Ph: "i", TS: ev.Cycle,
-			PID: pidNet, TID: ev.Stage,
+			PID: pidNet, TID: stage,
 			Args: map[string]any{"absorbed": ev.ID, "into": ev.ID2, "addr": ev.Addr.String()},
 		})
 	case KindMMArrive:
 		b.req(ev.ID).mmArrive = ev.Cycle
-		b.mms[ev.MM] = true
+		b.mms[mm] = true
 	case KindMNIBegin:
 		s := b.mniGet(ev.ID)
-		s.mm = ev.MM
+		s.mm = mm
 		s.begin = ev.Cycle
 		s.hasBegin = true
 		s.label = fmt.Sprintf("%s %s", ev.Op, ev.Addr)
-		b.mms[ev.MM] = true
+		b.mms[mm] = true
 	case KindMNIServe:
 		s := b.mniGet(ev.ID)
-		s.mm = ev.MM
+		s.mm = mm
 		s.serve = ev.Cycle
 		s.hasServe = true
 		if s.label == "" {
 			s.label = fmt.Sprintf("%s %s", ev.Op, ev.Addr)
 		}
-		b.mms[ev.MM] = true
+		b.mms[mm] = true
 	case KindDecombine:
 		b.instants = append(b.instants, chromeEvent{
 			Name: "decombine", Cat: "combine", Ph: "i", TS: ev.Cycle,
-			PID: pidNet, TID: ev.Stage,
+			PID: pidNet, TID: stage,
 			Args: map[string]any{"combined": ev.ID, "recreated": ev.ID2},
 		})
-		b.stages[ev.Stage] = true
+		b.stages[stage] = true
 	case KindReplyHop:
 		r := b.req(ev.ID)
-		r.replyHops = append(r.replyHops, hop{ev.Stage, ev.Cycle})
-		b.stages[ev.Stage] = true
+		r.replyHops = append(r.replyHops, hop{stage, ev.Cycle})
+		b.stages[stage] = true
 	case KindReplyDeliver:
 		r := b.req(ev.ID)
 		r.deliver = ev.Cycle
 		r.delivered = true
 		r.value = ev.Value
 		if r.pe < 0 {
-			r.pe = ev.PE
+			r.pe = pe
 		}
-		b.pes[ev.PE] = true
+		b.pes[pe] = true
 	case KindStallBegin:
-		b.pes[ev.PE] = true
-		if i, open := b.openStall[ev.PE]; open {
+		b.pes[pe] = true
+		if i, open := b.openStall[pe]; open {
 			b.stalls[i].end = ev.Cycle
 			b.stalls[i].open = false
 		}
-		b.openStall[ev.PE] = len(b.stalls)
-		b.stalls = append(b.stalls, stallSpan{pe: ev.PE, cause: ev.Cause, begin: ev.Cycle, open: true})
+		b.openStall[pe] = len(b.stalls)
+		b.stalls = append(b.stalls, stallSpan{pe: pe, cause: ev.Cause, begin: ev.Cycle, open: true})
 	case KindStallEnd:
-		if i, open := b.openStall[ev.PE]; open {
+		if i, open := b.openStall[pe]; open {
 			b.stalls[i].end = ev.Cycle
 			b.stalls[i].open = false
-			delete(b.openStall, ev.PE)
+			delete(b.openStall, pe)
 		}
 	}
 }

@@ -90,6 +90,14 @@ func (c StallCause) String() string {
 // Event is one observation. It is a flat value type so that emitting
 // into a preallocated Recorder never allocates; which fields are
 // meaningful depends on Kind (see the package documentation).
+//
+// The machine-shape fields are as narrow as network.Config.Validate's
+// bounds allow (ports <= 2^20, Stages <= 20, Copies <= 255), as
+// reqtrace.Hop's are: 72 bytes an event. An event is copied out of its
+// emit site's literal and again into every Probe.Emit, and at this size
+// the compiler copies it inline; a wider one costs a runtime block copy
+// each time (TestEventSize). Emit sites convert what they store;
+// consumers widen with int(...) where they read.
 type Event struct {
 	// Cycle is the network cycle of the observation; -1 for events from
 	// untimed models (the functional cache).
@@ -107,14 +115,14 @@ type Event struct {
 	Aux int32
 	// PE is the originating or stalling processing element; -1 when not
 	// applicable.
-	PE int
-	// Stage is the switch stage (0 = PE side); -1 when not applicable.
-	Stage int
+	PE int32
 	// MM is the memory module; -1 when not applicable.
-	MM int
+	MM int32
+	// Stage is the switch stage (0 = PE side); -1 when not applicable.
+	Stage int8
 	// Copy is the network copy carrying the request; -1 when not
 	// applicable.
-	Copy int
+	Copy int16
 	// ID is the request ID the event concerns; ID2 a second request
 	// (combine partner, recreated decombine side). KindProfDeliver, which
 	// names no request, carries the returned value and the wait here.

@@ -71,12 +71,12 @@
 //
 // Each consumer is sized by its reader. A served run's events go to the
 // feed, which keeps the newest DefaultTailEvents of them in a fixed tail
-// (256 × 88 B ≈ 22 KB) — all a State ever carries — and its sampler keeps
+// (256 × 72 B ≈ 18 KB) — all a State ever carries — and its sampler keeps
 // the last snapshot (and its per-stage occupancy histograms), not the
 // series: what a served run without -trace or -metrics holds is fixed
 // when it is built, however long it runs and however often it samples.
 // The recorder ring (the caller's
-// capacity, 92 MB at obs.DefaultRecorderCapacity) is built for -trace
+// capacity, 75 MB at obs.DefaultRecorderCapacity) is built for -trace
 // alone, and a run that is traced and served has the feed pass every
 // event on to it; the sampler's series is kept for -metrics alone.
 //

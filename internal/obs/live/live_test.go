@@ -58,7 +58,7 @@ func TestServerEndpoints(t *testing.T) {
 		Report:  func() any { return map[string]int{"pes": 64} },
 	}).Attach(sampler)
 	for i := 0; i < 3; i++ {
-		feed.Emit(obs.Event{Cycle: int64(60 + i), Kind: obs.KindInject, Op: msg.FetchAdd, PE: i, Stage: -1, MM: -1, Copy: 0, ID: uint64(i + 1)})
+		feed.Emit(obs.Event{Cycle: int64(60 + i), Kind: obs.KindInject, Op: msg.FetchAdd, PE: int32(i), Stage: -1, MM: -1, Copy: 0, ID: uint64(i + 1)})
 	}
 	sampler.Record(obs.Snapshot{
 		Cycle: 64, Injected: 400, MMServed: 300, RTCount: 250, RTSum: 8000,

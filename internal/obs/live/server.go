@@ -187,7 +187,7 @@ func toEventJSON(ev obs.Event) eventJSON {
 	}
 	return eventJSON{
 		Cycle: ev.Cycle, Kind: ev.Kind.String(), Op: ev.Op.String(),
-		Cause: cause, PE: ev.PE, Stage: ev.Stage, MM: ev.MM, Copy: ev.Copy,
+		Cause: cause, PE: int(ev.PE), Stage: int(ev.Stage), MM: int(ev.MM), Copy: int(ev.Copy),
 		ID: ev.ID, ID2: ev.ID2,
 		AddrMM: ev.Addr.MM, AddrWord: ev.Addr.Word, Value: ev.Value,
 	}

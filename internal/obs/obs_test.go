@@ -315,11 +315,43 @@ func TestKindAndCauseStrings(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the Event layout: the recorder ring is sized in
-// events, so a field added to Event must fit the existing padding.
+// TestEventSize pins the Event layout at 72 bytes: every emit copies an
+// event into each consumer, and the recorder ring is sized in events, so
+// a field added to Event must fit the existing padding and a field
+// widened back to int costs the copy the compiler does inline.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 88 {
-		t.Fatalf("unsafe.Sizeof(obs.Event{}) = %d, want 88", got)
+	if got := unsafe.Sizeof(Event{}); got != 72 {
+		t.Fatalf("unsafe.Sizeof(obs.Event{}) = %d, want 72", got)
+	}
+}
+
+// TestEventFieldBounds: the narrowed fields hold every value a machine
+// network.Config.Validate admits can emit — ports up to 2^20, so PE and
+// MM up to 2^20 - 1; Stages up to 20, so stage 19; Copies up to 255, so
+// copy 254 — and the -1 that means "not applicable" in each, through a
+// Recorder and back unchanged.
+func TestEventFieldBounds(t *testing.T) {
+	const maxPort = 1<<20 - 1
+	// pe, mm, stage, copy as the emit sites hold them: ints.
+	cases := [][4]int{
+		{maxPort, maxPort, 19, 254},
+		{-1, -1, -1, -1},
+		{maxPort, -1, 19, -1},
+		{0, maxPort, -1, 254},
+	}
+	r := NewRecorder(len(cases))
+	for i, c := range cases {
+		r.Emit(Event{Cycle: int64(i), ID: uint64(i + 1),
+			PE: int32(c[0]), MM: int32(c[1]), Stage: int8(c[2]), Copy: int16(c[3])})
+	}
+	got := r.Events()
+	if len(got) != len(cases) {
+		t.Fatalf("recorder holds %d events, want %d", len(got), len(cases))
+	}
+	for i, ev := range got {
+		if back := [4]int{int(ev.PE), int(ev.MM), int(ev.Stage), int(ev.Copy)}; back != cases[i] || ev.ID != uint64(i+1) {
+			t.Errorf("event %d: pe, mm, stage, copy %v came back as %v", i, cases[i], back)
+		}
 	}
 }
 

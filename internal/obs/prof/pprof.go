@@ -338,20 +338,29 @@ func (r *pbreader) field() (field int, val uint64, sub []byte, err error) {
 		if err != nil {
 			return 0, 0, nil, err
 		}
-		if uint64(r.pos)+n > uint64(len(r.b)) {
+		// Against what is left, not pos+n: a length near 2^64 wraps
+		// the sum.
+		if n > uint64(len(r.b)-r.pos) {
 			return 0, 0, nil, fmt.Errorf("pprof: truncated field %d", field)
 		}
 		sub = r.b[r.pos : r.pos+int(n)]
 		r.pos += int(n)
 		return field, 0, sub, nil
 	case 5:
-		r.pos += 4
-		return field, 0, nil, nil
+		return field, 0, nil, r.skip(4, field)
 	case 1:
-		r.pos += 8
-		return field, 0, nil, nil
+		return field, 0, nil, r.skip(8, field)
 	}
 	return 0, 0, nil, fmt.Errorf("pprof: unsupported wire type %d", key&7)
+}
+
+// skip steps over the n-byte payload of a fixed32 or fixed64 field.
+func (r *pbreader) skip(n, field int) error {
+	if n > len(r.b)-r.pos {
+		return fmt.Errorf("pprof: truncated field %d", field)
+	}
+	r.pos += n
+	return nil
 }
 
 func packedU64s(b []byte) ([]uint64, error) {

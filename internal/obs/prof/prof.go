@@ -211,13 +211,13 @@ func (p *Profiler) AddCriticalPaths(cp []CriticalPath) { p.paths = append(p.path
 func (p *Profiler) Emit(ev obs.Event) {
 	switch ev.Kind {
 	case obs.KindProfCycle:
-		p.ProfCycle(ev.PE, int(ev.Aux), obs.ProfState(ev.Value))
+		p.ProfCycle(int(ev.PE), int(ev.Aux), obs.ProfState(ev.Value))
 	case obs.KindProfIssue:
-		p.ProfIssue(ev.PE, int(ev.Aux), ev.Op, ev.Value, ev.Addr)
+		p.ProfIssue(int(ev.PE), int(ev.Aux), ev.Op, ev.Value, ev.Addr)
 	case obs.KindProfDeliver:
-		p.ProfDeliver(ev.PE, int(ev.Aux), ev.Op, ev.Value, int64(ev.ID), int64(ev.ID2))
+		p.ProfDeliver(int(ev.PE), int(ev.Aux), ev.Op, ev.Value, int64(ev.ID), int64(ev.ID2))
 	case obs.KindMNIServe:
-		p.ProfServe(ev.MM, ev.Addr.Word, ev.Op)
+		p.ProfServe(int(ev.MM), ev.Addr.Word, ev.Op)
 	case obs.KindCombine:
 		p.nets[0].Emit(ev)
 	}

@@ -11,18 +11,22 @@ import (
 	"ultracomputer/internal/obs/reqtrace"
 )
 
-// TestFuncAttribution drives the profiler by hand through a program
-// with two labeled regions and checks flat/cum rollup and source
-// mapping in the merged view.
-func TestFuncAttribution(t *testing.T) {
-	prog := isa.MustAssemble(`
+// toySrc has two labeled regions and a call, so profiles of it carry
+// stacks.
+const toySrc = `
         li   r1, 5
         jal  r31, work
         halt
 work:   addi r1, r1, -1
         bne  r1, r0, work
         jr   r31
-`)
+`
+
+// TestFuncAttribution drives the profiler by hand through a program
+// with two labeled regions and checks flat/cum rollup and source
+// mapping in the merged view.
+func TestFuncAttribution(t *testing.T) {
+	prog := isa.MustAssemble(toySrc)
 	p := New(Config{PEs: 1, Programs: []*isa.Program{prog}, File: "toy.s"})
 	// pc 0,1 in _start; jal at 1 targets work (pc 3); return pc is 2.
 	p.ProfCycle(0, 0, obs.ProfExecute)
@@ -184,6 +188,65 @@ start:  li  r1, 1
 	if !states["execute"] || !states["halted"] {
 		t.Errorf("state labels lost: %v", states)
 	}
+}
+
+// truncatedPprof are profile.proto inputs whose last field claims bytes
+// the input does not have: a length-delimited field whose length is
+// 2^64 - 1 (pos + n wraps to less than the input's length), and a fixed32
+// and a fixed64 field cut short.
+var truncatedPprof = [][]byte{
+	{0x0a, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	{0x0d, 0x01, 0x02},
+	{0x09, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07},
+}
+
+func TestParsePprofRejectsTruncated(t *testing.T) {
+	for _, b := range truncatedPprof {
+		if _, err := ParsePprof(b); err == nil {
+			t.Errorf("ParsePprof(% x) accepted a truncated field", b)
+		}
+	}
+}
+
+// FuzzParsePprof: ParsePprof never panics (cmd/tables -prof feeds it
+// files from disk), and a profile WritePprof writes — of the PE cycles
+// the input spells, three bytes a cycle — parses back to the samples it
+// was written from: value, state label, leaf function and pc.
+func FuzzParsePprof(f *testing.F) {
+	for _, b := range truncatedPprof {
+		f.Add(b)
+	}
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 3, 0, 0, 4, 0, 1, 2, 5, 1, 6, 2})
+	prog := isa.MustAssemble(toySrc)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ParsePprof(data) // an error is fine; a panic is not
+
+		p := New(Config{PEs: 2, Programs: []*isa.Program{prog}, File: "toy.s"})
+		for i := 0; i+2 < len(data); i += 3 {
+			p.ProfCycle(int(data[i]%2), int(data[i+1]%8), obs.ProfState(data[i+2]%uint8(obs.NumProfStates)))
+		}
+		m := p.Merged()
+		b, err := p.PprofBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := ParsePprof(b)
+		if err != nil {
+			t.Fatalf("ParsePprof of WritePprof's output: %v", err)
+		}
+		if len(pp.Samples) != len(m.samples) || pp.TotalValue() != m.TotalCycles {
+			t.Fatalf("%d samples of %d cycles parsed back as %d of %d", len(m.samples), m.TotalCycles, len(pp.Samples), pp.TotalValue())
+		}
+		for i := range pp.Samples {
+			got, want := &pp.Samples[i], &m.samples[i]
+			leaf := pp.Locations[got.LocIDs[0]]
+			if len(got.Values) != 1 || got.Values[0] != want.cycles || got.Labels["state"] != want.state.String() ||
+				pp.FuncName(got) != m.funcAt(want.pc, want.state) || leaf.Address != uint64(want.pc)+1 ||
+				len(got.LocIDs) != 1+len(want.stack) {
+				t.Errorf("sample %d %+v parsed back as %+v (leaf %+v)", i, *want, *got, leaf)
+			}
+		}
+	})
 }
 
 // TestCriticalPaths: a three-span combining tree (two children absorbed

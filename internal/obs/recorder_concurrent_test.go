@@ -25,7 +25,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < events; i++ {
-				rec.Emit(Event{Kind: KindInject, Cycle: int64(i), PE: w})
+				rec.Emit(Event{Kind: KindInject, Cycle: int64(i), PE: int32(w)})
 			}
 		}(w)
 	}

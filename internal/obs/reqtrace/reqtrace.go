@@ -74,7 +74,7 @@ func (c Config) withDefaults() Config {
 //
 // All events of one run arrive on the coordinator goroutine (serial
 // emission, or deterministic buffer drains under a parallel engine), so
-// the active map and the spans under assembly are the emitter's own and
+// the active table and the spans under assembly are the emitter's own and
 // need no lock. mu guards what a concurrent HTTP export can see — the
 // completed spans and the counters — and the emitter takes it once when
 // it opens a span and once when it completes one, not per event.
@@ -87,7 +87,7 @@ func (c Config) withDefaults() Config {
 // so far: the hop count is a property of the machine being traced, so it
 // is learned, not configured.
 //
-//lockcheck:guards mu: ring, head, n, slow, slowSeen, rng, free, hopCap, opened, completed, combineLinks, dropped, latN, latMean
+//lockcheck:guards mu: ring, head, n, slow, slowSeen, rng, free, hopCap, made, opened, completed, combineLinks, dropped, latN, latMean
 type Tracer struct {
 	cfg  Config
 	all  bool   // Rate >= 1: trace everything
@@ -95,7 +95,7 @@ type Tracer struct {
 	seed uint64
 
 	// active holds the spans under assembly; emitter-only.
-	active map[uint64]*Span
+	active spanTable
 
 	mu sync.Mutex
 	// ring is the circular flight-recorder buffer of completed spans in
@@ -108,6 +108,7 @@ type Tracer struct {
 	rng      *sim.Rand
 	free     []*Span // released spans awaiting reuse
 	hopCap   int     // most hops any completed span recorded
+	made     int     // spans allocated, in the free list or not
 
 	opened       int64
 	completed    int64
@@ -122,13 +123,13 @@ type Tracer struct {
 func New(cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
 	t := &Tracer{
-		cfg:    cfg,
-		seed:   cfg.Seed,
-		active: make(map[uint64]*Span),
-		ring:   make([]*Span, cfg.Ring),
-		slow:   make([]*Span, 0, DefaultSlowCap),
-		rng:    sim.NewRand(cfg.Seed ^ 0x5ca1ab1e),
+		cfg:  cfg,
+		seed: cfg.Seed,
+		ring: make([]*Span, cfg.Ring),
+		slow: make([]*Span, 0, DefaultSlowCap),
+		rng:  sim.NewRand(cfg.Seed ^ 0x5ca1ab1e),
 	}
+	t.active.reserve(0)
 	switch {
 	case cfg.Rate >= 1:
 		t.all = true
@@ -168,59 +169,58 @@ func (t *Tracer) Rate() float64 { return t.cfg.Rate }
 // machine's hop-record sites address an event here only when its
 // carrier has a non-zero TraceCtx.
 func (t *Tracer) Emit(ev obs.Event) {
-	stage, ncopy, mm := int8(ev.Stage), int16(ev.Copy), int32(ev.MM)
 	switch ev.Kind {
 	case obs.KindInject:
-		s := t.open(ev.ID, ev.PE, ev.Op.String(), ev.Addr, ev.Cycle)
+		s := t.open(ev.ID, int(ev.PE), ev.Op.String(), ev.Addr, ev.Cycle)
 		//ultravet:ok sharecheck Emit runs only on the coordinator; shards emit into per-unit buffers (network.Stepper)
-		s.Hops = append(s.Hops, Hop{Kind: HopInject, Cycle: ev.Cycle, Stage: -1, Copy: ncopy, MM: -1})
+		s.Hops = append(s.Hops, Hop{Kind: HopInject, Cycle: ev.Cycle, Stage: -1, Copy: ev.Copy, MM: -1})
 	case obs.KindStageArrive:
-		t.hop(ev.ID, Hop{Kind: HopEnqueue, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Q: ev.Aux})
+		t.hop(ev.ID, Hop{Kind: HopEnqueue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Q: ev.Aux})
 	case obs.KindStageDepart:
-		t.hop(ev.ID, Hop{Kind: HopDequeue, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1})
+		t.hop(ev.ID, Hop{Kind: HopDequeue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1})
 	case obs.KindCombine:
 		// ev.ID is the absorbed child, ev.ID2 the surviving parent;
 		// ev.Aux carries the parent's PE for mid-flight adoption.
-		child := t.spanOrAdopt(ev.ID, ev.PE, ev.Op.String(), ev.Addr, ev.Cycle)
+		child := t.spanOrAdopt(ev.ID, int(ev.PE), ev.Op.String(), ev.Addr, ev.Cycle)
 		parent := t.spanOrAdopt(ev.ID2, int(ev.Aux), "", ev.Addr, ev.Cycle)
 		child.Parent = ev.ID2
 		child.waitStart = ev.Cycle
-		child.Hops = append(child.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Peer: ev.ID2})
+		child.Hops = append(child.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID2})
 		parent.Children = append(parent.Children, ev.ID)
-		parent.Hops = append(parent.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Peer: ev.ID})
+		parent.Hops = append(parent.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID})
 		t.mu.Lock()
 		t.combineLinks++
 		t.mu.Unlock()
 	case obs.KindDecombine:
 		// ev.ID keys the wait-buffer record (the parent); ev.ID2 is the
 		// recreated child reply.
-		if p, ok := t.active[ev.ID]; ok {
-			p.Hops = append(p.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Peer: ev.ID2})
+		if p := t.active.get(ev.ID); p != nil {
+			p.Hops = append(p.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID2})
 		}
-		if c, ok := t.active[ev.ID2]; ok {
-			c.Hops = append(c.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1, Peer: ev.ID})
+		if c := t.active.get(ev.ID2); c != nil {
+			c.Hops = append(c.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID})
 			c.WaitCycles = ev.Cycle - c.waitStart
 		}
 	case obs.KindMMArrive:
-		t.hop(ev.ID, Hop{Kind: HopMMArrive, Cycle: ev.Cycle, Stage: -1, Copy: ncopy, MM: mm})
+		t.hop(ev.ID, Hop{Kind: HopMMArrive, Cycle: ev.Cycle, Stage: -1, Copy: ev.Copy, MM: ev.MM})
 	case obs.KindMNIBegin:
-		s := t.hop(ev.ID, Hop{Kind: HopMNIBegin, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: mm})
+		s := t.hop(ev.ID, Hop{Kind: HopMNIBegin, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: ev.MM})
 		if s != nil && s.Op == "" {
 			s.Op = ev.Op.String()
 		}
 	case obs.KindMNIServe:
-		s := t.hop(ev.ID, Hop{Kind: HopMNIServe, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: mm})
+		s := t.hop(ev.ID, Hop{Kind: HopMNIServe, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: ev.MM})
 		if s != nil && s.Op == "" {
 			s.Op = ev.Op.String()
 		}
 	case obs.KindReplyHop:
 		if ev.MM >= 0 {
-			t.hop(ev.ID, Hop{Kind: HopReplyOut, Cycle: ev.Cycle, Stage: -1, Copy: ncopy, MM: mm})
+			t.hop(ev.ID, Hop{Kind: HopReplyOut, Cycle: ev.Cycle, Stage: -1, Copy: ev.Copy, MM: ev.MM})
 		} else {
-			t.hop(ev.ID, Hop{Kind: HopReplyHop, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: -1})
+			t.hop(ev.ID, Hop{Kind: HopReplyHop, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1})
 		}
 	case obs.KindReplyDepart:
-		t.hop(ev.ID, Hop{Kind: HopReplyDepart, Cycle: ev.Cycle, Stage: stage, Copy: ncopy, MM: mm})
+		t.hop(ev.ID, Hop{Kind: HopReplyDepart, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: ev.MM})
 	case obs.KindReplyDeliver:
 		s := t.hop(ev.ID, Hop{Kind: HopDeliver, Cycle: ev.Cycle, Stage: -1, Copy: -1, MM: -1})
 		if s == nil {
@@ -244,8 +244,8 @@ func (t *Tracer) drop() {
 // dropped count when the id is unknown — an event for a request whose
 // span already closed or was never opened).
 func (t *Tracer) hop(id uint64, h Hop) *Span {
-	s, ok := t.active[id]
-	if !ok {
+	s := t.active.get(id)
+	if s == nil {
 		t.drop()
 		return nil
 	}
@@ -267,15 +267,26 @@ func (t *Tracer) open(id uint64, pe int, op string, addr msg.Addr, cycle int64) 
 		t.free = t.free[:n-1]
 	} else {
 		//ultravet:ok hotalloc warm-up of the sampled-request path; steady state reuses the free list
-		s = &Span{Hops: make([]Hop, 0, t.hopCap)}
+		s = t.fresh()
 	}
 	t.mu.Unlock()
 	*s = Span{
 		ID: id, PE: pe, Op: op, MM: addr.MM, Word: addr.Word, Issued: cycle,
 		Hops: s.Hops[:0], Children: s.Children[:0],
 	}
-	t.active[id] = s
+	t.active.put(id, s)
 	return s
+}
+
+// fresh makes a span with room for the longest trip completed so far,
+// and reserves room in the active table for twice the spans made. Spans
+// under assembly never outnumber spans made, so the table is never more
+// than half full, and it grows here, with the spans, and nowhere on the
+// steady state's path. Callers hold mu.
+func (t *Tracer) fresh() *Span {
+	t.made++
+	t.active.reserve(2 * t.made)
+	return &Span{Hops: make([]Hop, 0, t.hopCap)}
 }
 
 // spanOrAdopt returns the active span for id, opening an adopted span if
@@ -283,7 +294,7 @@ func (t *Tracer) open(id uint64, pe int, op string, addr msg.Addr, cycle int64) 
 // completely whenever either party of a combine is traced, so a traced
 // child's parent (and vice versa) enters the tree mid-flight.
 func (t *Tracer) spanOrAdopt(id uint64, pe int, op string, addr msg.Addr, cycle int64) *Span {
-	if s, ok := t.active[id]; ok {
+	if s := t.active.get(id); s != nil {
 		return s
 	}
 	s := t.open(id, pe, op, addr, cycle)
@@ -306,7 +317,7 @@ func (t *Tracer) release(s *Span) {
 // replacement choices come from a seeded generator consumed only here,
 // so the flight recorder's contents are reproducible too.
 func (t *Tracer) complete(s *Span, cycle int64) {
-	delete(t.active, s.ID)
+	t.active.del(s.ID)
 	s.Done = cycle
 	s.Latency = cycle - s.Issued
 

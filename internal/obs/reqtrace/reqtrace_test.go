@@ -63,7 +63,7 @@ func TestContextForSampling(t *testing.T) {
 // ev builds one event of request id.
 func ev(kind obs.Kind, cycle int64, id uint64) obs.Event {
 	return obs.Event{
-		To: obs.SubTrace, Kind: kind, Cycle: cycle, ID: id, PE: int(id >> 32),
+		To: obs.SubTrace, Kind: kind, Cycle: cycle, ID: id, PE: int32(id >> 32),
 		Stage: -1, MM: -1, Copy: 0, Op: msg.FetchAdd, Addr: msg.Addr{MM: 5, Word: 9},
 	}
 }
@@ -212,7 +212,7 @@ func trip(tr *Tracer, id uint64, cycle, latency int64) {
 	tr.Emit(ev(obs.KindInject, cycle, id))
 	for h := 1; h <= 30; h++ {
 		e := ev(obs.KindStageArrive, cycle+int64(h)*latency/32, id)
-		e.Stage, e.Aux = h%6, int32(h)
+		e.Stage, e.Aux = int8(h%6), int32(h)
 		tr.Emit(e)
 	}
 	tr.Emit(ev(obs.KindReplyDeliver, cycle+latency, id))
@@ -225,7 +225,7 @@ func pairTrip(tr *Tracer, parent, child uint64, cycle int64) {
 		tr.Emit(ev(obs.KindInject, cycle, id))
 		for h := 1; h <= 4; h++ {
 			e := ev(obs.KindStageArrive, cycle+int64(h), id)
-			e.Stage = h / 2
+			e.Stage = int8(h / 2)
 			tr.Emit(e)
 		}
 	}
@@ -234,7 +234,7 @@ func pairTrip(tr *Tracer, parent, child uint64, cycle int64) {
 	tr.Emit(c)
 	for h := 6; h <= 24; h++ {
 		e := ev(obs.KindStageDepart, cycle+int64(h), parent)
-		e.Stage = h % 6
+		e.Stage = int8(h % 6)
 		tr.Emit(e)
 	}
 	d := ev(obs.KindDecombine, cycle+25, parent)

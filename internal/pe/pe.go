@@ -179,7 +179,7 @@ func (p *PE) Tick(cycle int64, npe int) {
 	if to := p.subs.For(obs.KindProfCycle, false); to != 0 {
 		p.out.Emit(obs.Event{
 			To: to, Cycle: cycle * p.scale, Kind: obs.KindProfCycle,
-			PE: p.id, Stage: -1, MM: -1, Copy: -1,
+			PE: int32(p.id), Stage: -1, MM: -1, Copy: -1,
 			Aux: int32(p.profPC), Value: int64(state),
 		})
 	}
@@ -206,7 +206,7 @@ func (p *PE) idle(cycle int64) obs.ProfState {
 		if to := p.subs.For(obs.KindStallBegin, false); to != 0 {
 			p.out.Emit(obs.Event{
 				To: to, Cycle: cycle * p.scale, Kind: obs.KindStallBegin,
-				PE: p.id, Stage: -1, MM: -1, Copy: -1, Cause: cause,
+				PE: int32(p.id), Stage: -1, MM: -1, Copy: -1, Cause: cause,
 			})
 		}
 	}
@@ -227,7 +227,7 @@ func (p *PE) closeStall(cycle int64) {
 	if to := p.subs.For(obs.KindStallEnd, false); to != 0 {
 		p.out.Emit(obs.Event{
 			To: to, Cycle: cycle * p.scale, Kind: obs.KindStallEnd,
-			PE: p.id, Stage: -1, MM: -1, Copy: -1, Cause: p.stall,
+			PE: int32(p.id), Stage: -1, MM: -1, Copy: -1, Cause: p.stall,
 		})
 	}
 	p.stall = obs.CauseNone
@@ -245,7 +245,7 @@ func (p *PE) Deliver(rep msg.Reply, cycle int64) {
 	if to := p.subs.For(obs.KindProfDeliver, false); to != 0 {
 		p.out.Emit(obs.Event{
 			To: to, Cycle: cycle * p.scale, Kind: obs.KindProfDeliver,
-			PE: p.id, Stage: -1, MM: -1, Copy: -1, Op: rep.Op,
+			PE: int32(p.id), Stage: -1, MM: -1, Copy: -1, Op: rep.Op,
 			Aux: int32(pr.pc), Value: pr.addr,
 			ID: uint64(rep.Value), ID2: uint64(cycle - pr.issuedAt),
 		})
@@ -305,7 +305,7 @@ func (e *Env) Issue(op msg.Op, addr int64, operand int64, tag int) bool {
 		p := e.pe
 		p.out.Emit(obs.Event{
 			To: to, Cycle: e.cycle * p.scale, Kind: obs.KindProfIssue,
-			PE: p.id, Stage: -1, MM: -1, Copy: -1, Op: op,
+			PE: int32(p.id), Stage: -1, MM: -1, Copy: -1, Op: op,
 			Aux: int32(p.profPC), Value: addr, Addr: p.pni.hash.Map(addr),
 		})
 	}

@@ -61,7 +61,8 @@ func TestSpinSessionRetainsNoSeries(t *testing.T) {
 // observation kit (the 16-PE shape of the benchmark's serve-lifecycle)
 // allocates what the machine needs — network, MMs, caches; the PEs'
 // private memory is address space until the guest stores to it — and
-// about 22 KB of observation: 193 KiB measured, plus a tenth.
+// about 18 KB of observation: 193 KiB measured (with 88-byte events),
+// plus a tenth.
 func TestSessionBuildAllocBudget(t *testing.T) {
 	const budget = 213 << 10
 	svc := NewService(Limits{})
