@@ -1,7 +1,8 @@
 // Package clitest is the referee for the command-line surface: it
-// builds cmd/ultrasim, cmd/netperf and examples/hotspot once, runs them
-// in a scratch directory with relative output names, and pins the
-// SHA-256 of every file they write (and of ultrasim's standard output).
+// builds cmd/ultrasim, cmd/netperf, cmd/tables and examples/hotspot
+// once, runs them in a scratch directory with relative output names, and
+// pins the SHA-256 of every file they write (and of the standard output
+// of ultrasim and tables).
 // Simulation is seeded and the exporters sort their keys, so the bytes
 // are stable across hosts, engines and worker counts; a changed hash is
 // a changed export.
@@ -24,7 +25,7 @@ import (
 	"time"
 )
 
-// binDir holds the three binaries TestMain builds.
+// binDir holds the four binaries TestMain builds.
 var binDir string
 
 func TestMain(m *testing.M) {
@@ -35,7 +36,8 @@ func TestMain(m *testing.M) {
 	}
 	binDir = dir
 	build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator),
-		"ultracomputer/cmd/ultrasim", "ultracomputer/cmd/netperf", "ultracomputer/examples/hotspot")
+		"ultracomputer/cmd/ultrasim", "ultracomputer/cmd/netperf", "ultracomputer/cmd/tables",
+		"ultracomputer/examples/hotspot")
 	if out, err := build.CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "clitest: go build: %v\n%s", err, out)
 		os.RemoveAll(dir)
@@ -199,6 +201,25 @@ func TestHotspotPinned(t *testing.T) {
 		"s.jsonl":       "c031b0dee414cec1a9aa35416f790b4f9ead4ebaaa71c296473cbe9ac0bffd8f",
 		"s.jsonl.plain": "ff13a194268c690788ed29c2edd41784063f987d1142d53ba999aeff02bb7563",
 	})
+}
+
+// The paper's Tables 1–3 at -quick sizes. Their rows come from the §4.2
+// applications, which run as Go guests (pe.GoCore), so these pin the Go
+// guest's cycle accounting as well as the renderers.
+func TestTablesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-table", "1", "-quick"}, "85365ae378669dd54006943c66fc107624d041d88159692c3bd9d29d1d217766"},
+		{[]string{"-table", "2", "-quick"}, "6472ad288e38612d42430a8c889a1f0aa71d7a42db2c0e49fb16401af75d458f"},
+		{[]string{"-table", "3", "-quick"}, "ec5e96396ae16a0c28f14566e64fe5604d063d4be597e32568bd54415257e030"},
+		{[]string{"-table", "1", "-quick", "-json"}, "54cf7a387cc1da2cd3dacd77a818f1a53f922a1d1baa2d6bfb31c965811f8033"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			pin(t, mustRun(t, t.TempDir(), "tables", tc.args...), map[string]string{"stdout": tc.want})
+		})
+	}
 }
 
 // hotSrc makes every PE hammer one shared cell: with combining off, the
