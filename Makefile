@@ -84,7 +84,7 @@ test:
 	$(GO) test ./...
 
 # Native fuzzing, ten seconds a target, of the four places outside
-# input enters. The assembler (serve.Config.Program): FuzzAssemble
+# input enters and of the combining rules. The assembler (serve.Config.Program): FuzzAssemble
 # requires that it never panics and that whatever assembles survives
 # Disassemble -> Assemble unchanged. The config object (HTTP bodies,
 # `ultrasim -config`): FuzzConfig requires that strict decoding, Validate
@@ -94,15 +94,19 @@ test:
 # that whatever reads survives write -> read -> write unchanged. A
 # profile (`tables -prof`): FuzzParsePprof requires that ParsePprof
 # never panics and that what WritePprof writes parses back to the
-# samples it was written from. Plain `go test` already runs each seed
-# corpus (every .s file in the repository, one hot-spot span dump, and
-# the files under the packages' testdata/fuzz) as unit cases; a failure found here is written to that
+# samples it was written from. The combining rules (msg.Combine):
+# FuzzCombine requires that a combined pair, and that pair combined again
+# with a third request, end in a state some serial order of the requests
+# produces (§2.1). Plain `go test` already runs each seed corpus (every .s
+# file in the repository, one hot-spot span dump, and the files under the
+# packages' testdata/fuzz) as unit cases; a failure found here is written to that
 # directory and fails every later run until fixed.
 fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzConfig -fuzztime 10s
 	$(GO) test ./internal/obs/reqtrace -run '^$$' -fuzz FuzzReadSpans -fuzztime 10s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 10s
+	$(GO) test ./internal/msg -run '^$$' -fuzz FuzzCombine -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.
@@ -188,7 +192,8 @@ equivalence:
 # And a message costs the sweep what it must: at most 2.25 link pumps per
 # message per link crossed at p = 0.2 (a count, not a time, so the host
 # cannot move it). An observed event is 72 bytes, which the compiler
-# copies inline into every consumer.
+# copies inline into every consumer. A Go guest's blocking operations
+# allocate nothing once its tag table has grown.
 bench-guard:
 	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize' -count=1 -v
 

@@ -16,7 +16,7 @@
 //     address hashing
 //   - internal/cache    — the write-back PE cache with release/flush
 //   - internal/pe       — processing elements: PNI pipelining rules,
-//     register-locking cores, goroutine-backed programs
+//     register-locking cores, coroutine-backed programs
 //   - internal/isa      — a small assembly language, assembler and
 //     interpreter for instruction-level simulation
 //   - internal/machine  — the assembled machine and its measurements

@@ -29,11 +29,10 @@
 // order. Only internal/engine itself may start goroutines there.
 //
 // A site that is intentionally safe (e.g. synchronized by a mechanism
-// the lattice cannot see, or the one legitimate goroutine: a
-// guest-program goroutine that advances in lockstep with its own Tick
-// via a channel handshake and therefore never runs concurrently with
-// phase code) is silenced with `//ultravet:ok sharecheck <reason>` on or
-// above the line.
+// the lattice cannot see) is silenced with `//ultravet:ok sharecheck
+// <reason>` on or above the line. No product goroutine launch needs one:
+// a Go guest (pe.GoCore) is a coroutine its PE's Tick resumes, not a
+// goroutine.
 package sharecheck
 
 import (
@@ -98,8 +97,7 @@ func checkGoStmts(pass *analysis.ProgramPass, n *analysis.Node) {
 		if gs, ok := x.(*ast.GoStmt); ok {
 			pass.Reportf(gs.Pos(), "",
 				"goroutine launched on a phase path (reachable from %s): worker scheduling "+
-					"belongs to internal/engine; annotate //ultravet:ok sharecheck only for "+
-					"tick-synchronized guest goroutines", enclosingName(n))
+					"belongs to internal/engine", enclosingName(n))
 		}
 		return true
 	})

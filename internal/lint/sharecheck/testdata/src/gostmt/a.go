@@ -20,10 +20,10 @@ func (u *unit) helper() {
 	}()
 }
 
-// Step shows the suppression: a guest goroutine synchronized with its
-// own tick via channel handshake is the blessed exception.
+// Step shows that the rule honours a suppression like every other
+// finding.
 func (u *unit) Step() {
-	go u.drain() //ultravet:ok sharecheck tick-synchronized guest goroutine
+	go u.drain() //ultravet:ok sharecheck fixture: suppression is honoured
 }
 
 // Launch is not a cycle-path root and not reachable from one, so it may

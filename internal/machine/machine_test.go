@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"ultracomputer/internal/network"
@@ -234,5 +235,51 @@ func TestPartialPopulation(t *testing.T) {
 	m.MustRun(1_000_000)
 	if m.ReadShared(0) != 48 {
 		t.Fatalf("counter = %d, want 48", m.ReadShared(0))
+	}
+}
+
+// TestGoGuestPanicSurfacesFromStep: a Go guest runs inside its PE's Tick,
+// so its panic unwinds through Step to whoever steps the machine, where a
+// recover (a test's, or a served session's) sees the guest's own value.
+func TestGoGuestPanicSurfacesFromStep(t *testing.T) {
+	m := SPMD(cfg16(), 4, func(ctx *pe.Ctx) {
+		ctx.FetchAdd(0, 1)
+		if ctx.PE() == 2 {
+			panic("guest bug")
+		}
+		ctx.Compute(3)
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		m.MustRun(1_000_000)
+		return nil
+	}()
+	if got != "guest bug" {
+		t.Fatalf("recovered %v, want the guest's panic value", got)
+	}
+}
+
+// TestGoGuestRunsOnlyInsideTick: a guest's Go code runs only while its
+// PE ticks, so plain Go state it writes may be read between Steps
+// without synchronization (go test -race checks the claim).
+func TestGoGuestRunsOnlyInsideTick(t *testing.T) {
+	const n = 50
+	count := 0
+	m := SPMD(cfg16(), 1, func(ctx *pe.Ctx) {
+		for i := 0; i < n; i++ {
+			ctx.Compute(1)
+			count++
+		}
+	})
+	for !m.Done() {
+		m.Step()
+		seen := count
+		runtime.Gosched()
+		if count != seen {
+			t.Fatalf("guest moved its counter %d -> %d between Steps", seen, count)
+		}
+	}
+	if count != n {
+		t.Fatalf("count = %d, want %d", count, n)
 	}
 }

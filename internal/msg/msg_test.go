@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -151,70 +152,132 @@ func TestCombinablePairs(t *testing.T) {
 	}
 }
 
-// outcome records the result of executing a pair of operations against a
-// memory cell: the cell's final value and each request's returned value.
-type outcome struct {
-	final, retA, retB int64
+// combineOps lists every operation, for generated cases to index.
+var combineOps = []Op{Load, Store, FetchAdd, FetchAnd, FetchOr, FetchMax, FetchMin, Swap}
+
+// ref is one request to a memory cell.
+type ref struct {
+	op  Op
+	arg int64
 }
 
-// serialize applies first then second to a cell holding v.
-func serialize(v int64, firstOp Op, firstArg int64, secondOp Op, secondArg int64) (final, ret1, ret2 int64) {
-	v1, r1 := Apply(firstOp, v, firstArg)
-	v2, r2 := Apply(secondOp, v1, secondArg)
-	return v2, r1, r2
+func (r ref) String() string { return fmt.Sprintf("%v(%d)", r.op, r.arg) }
+
+// combine merges queued request a with arriving request b.
+func combine(a, b ref) (fwd ref, aPlan, bPlan ReplyPlan, ok bool) {
+	fwd.op, fwd.arg, aPlan, bPlan, ok = Combine(a.op, a.arg, b.op, b.arg)
+	return fwd, aPlan, bPlan, ok
+}
+
+// someSerialOrder reports whether applying refs one after another in
+// some order to a cell holding v leaves final in the cell and returns
+// rets[i] to refs[i]. Stores return no value, so their rets are ignored.
+func someSerialOrder(v int64, refs []ref, final int64, rets ...int64) bool {
+	order := make([]int, 0, len(refs))
+	var try func(used int) bool
+	try = func(used int) bool {
+		if len(order) == len(refs) {
+			cell := v
+			for _, i := range order {
+				var ret int64
+				cell, ret = Apply(refs[i].op, cell, refs[i].arg)
+				if refs[i].op != Store && ret != rets[i] {
+					return false
+				}
+			}
+			return cell == final
+		}
+		for i := range refs {
+			if used&(1<<i) == 0 {
+				order = append(order, i)
+				if try(used | 1<<i) {
+					return true
+				}
+				order = order[:len(order)-1]
+			}
+		}
+		return false
+	}
+	return try(0)
+}
+
+// combineViolation checks the serialization principle (§2.1) on one cell
+// holding v: executing a combined request and synthesizing the replies
+// must be indistinguishable from executing the originals one after the
+// other in some order. It checks a combined with b, then that combined
+// request combined again with c, both as the queued request and as the
+// arriving one (a later stage's queue holds either). It describes the
+// first case no serial order explains, or returns "".
+func combineViolation(v int64, a, b, c ref) string {
+	ab, aPlan, bPlan, ok := combine(a, b)
+	if !ok {
+		return "" // non-combinable pairs are out of scope
+	}
+	final, y := Apply(ab.op, v, ab.arg)
+	retA, retB := aPlan.Synthesize(y), bPlan.Synthesize(y)
+	if !someSerialOrder(v, []ref{a, b}, final, retA, retB) {
+		return fmt.Sprintf("%v then %v on cell %d: combined leaves %d and returns %d, %d",
+			a, b, v, final, retA, retB)
+	}
+	for _, cQueued := range []bool{false, true} {
+		var fwd ref
+		var abPlan, cPlan ReplyPlan
+		if cQueued {
+			fwd, cPlan, abPlan, ok = combine(c, ab)
+		} else {
+			fwd, abPlan, cPlan, ok = combine(ab, c)
+		}
+		if !ok {
+			continue
+		}
+		final, y := Apply(fwd.op, v, fwd.arg)
+		yAB := abPlan.Synthesize(y)
+		retA, retB, retC := aPlan.Synthesize(yAB), bPlan.Synthesize(yAB), cPlan.Synthesize(y)
+		if !someSerialOrder(v, []ref{a, b, c}, final, retA, retB, retC) {
+			return fmt.Sprintf("(%v then %v) with %v queued=%v on cell %d: combined leaves %d and returns %d, %d, %d",
+				a, b, c, cQueued, v, final, retA, retB, retC)
+		}
+	}
+	return ""
 }
 
 // TestCombineMatchesSomeSerialization is the central correctness property
-// of the combining network (the serialization principle, §2.1): for every
-// combinable pair, executing the single combined request and synthesizing
-// the two replies must be indistinguishable from executing the two
-// requests one after the other in some order.
+// of the combining network (the serialization principle, §2.1) on 20 000
+// random cases of combineViolation: every combinable pair, and every
+// combined pair combined again with a third request.
 func TestCombineMatchesSomeSerialization(t *testing.T) {
-	ops := []Op{Load, Store, FetchAdd, FetchAnd, FetchOr, FetchMax, FetchMin, Swap}
-	f := func(aIdx, bIdx uint8, v, e, fArg int64) bool {
-		aOp := ops[int(aIdx)%len(ops)]
-		bOp := ops[int(bIdx)%len(ops)]
-		fwdOp, fwdArg, aPlan, bPlan, ok := Combine(aOp, e, bOp, fArg)
-		if !ok {
-			return true // non-combinable pairs are out of scope
+	check := func(ai, bi, ci uint8, v, e, f, g int64) bool {
+		n := uint8(len(combineOps))
+		msg := combineViolation(v, ref{combineOps[ai%n], e}, ref{combineOps[bi%n], f}, ref{combineOps[ci%n], g})
+		if msg != "" {
+			t.Log(msg)
 		}
-		newV, y := Apply(fwdOp, v, fwdArg)
-		gotA := aPlan.Synthesize(y)
-		gotB := bPlan.Synthesize(y)
-
-		// Stores return no value; mask their returns for comparison.
-		mask := func(op Op, r int64) int64 {
-			if op == Store {
-				return 0
-			}
-			return r
-		}
-		got := outcome{newV, mask(aOp, gotA), mask(bOp, gotB)}
-
-		fin1, r1a, r1b := serialize(v, aOp, e, bOp, fArg)
-		want1 := outcome{fin1, mask(aOp, r1a), mask(bOp, r1b)}
-		fin2, r2b, r2a := serialize(v, bOp, fArg, aOp, e)
-		want2 := outcome{fin2, mask(aOp, r2a), mask(bOp, r2b)}
-
-		if got != want1 && got != want2 {
-			t.Logf("pair %v(%d)/%v(%d) on cell %d: combined %v, serial %v or %v",
-				aOp, e, bOp, fArg, v, got, want1, want2)
-			return false
-		}
-		return true
+		return msg == ""
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzCombine searches for operation and operand triples on which
+// combining breaks the serialization principle (combineViolation). The
+// corpus under testdata/fuzz/FuzzCombine holds the paper's heterogeneous
+// store-first rules nested three deep and operands that overflow.
+func FuzzCombine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ai, bi, ci uint8, v, e, fArg, g int64) {
+		n := uint8(len(combineOps))
+		if msg := combineViolation(v, ref{combineOps[ai%n], e}, ref{combineOps[bi%n], fArg}, ref{combineOps[ci%n], g}); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 // TestCombineStoreInvariant checks the invariant the network relies on:
 // when the forwarded operation is a Store (whose reply carries no data),
 // both reply plans must be Known.
 func TestCombineStoreInvariant(t *testing.T) {
-	ops := []Op{Load, Store, FetchAdd, FetchAnd, FetchOr, FetchMax, FetchMin, Swap}
-	for _, a := range ops {
-		for _, b := range ops {
+	for _, a := range combineOps {
+		for _, b := range combineOps {
 			fwdOp, _, aPlan, bPlan, ok := Combine(a, 3, b, 5)
 			if !ok || fwdOp != Store {
 				continue

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"ultracomputer/internal/obs"
 )
 
 // WriteSpansJSONL writes the flight ring — the last completed spans, in
@@ -68,30 +70,16 @@ func ReadSpans(r io.Reader) ([]*Span, error) {
 	}
 }
 
-// chromeSpanEvent is one trace_event entry of the span export.
-type chromeSpanEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int64          `json:"tid"`
-	ID   uint64         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChrome renders the flight ring as a Chrome trace_event file
 // (chrome://tracing / Perfetto): one process per PE, one thread per
 // request, an X slice per hop segment, and flow arrows connecting each
 // combine's child to its parent. One trace microsecond equals one
 // network cycle.
 func (t *Tracer) WriteChrome(w io.Writer) error {
-	var out []chromeSpanEvent
+	var out []obs.ChromeEvent
 	for _, s := range t.Spans() {
-		tid := int64(s.ID & 0xffffffff)
-		out = append(out, chromeSpanEvent{
+		tid := int(s.ID & 0xffffffff)
+		out = append(out, obs.ChromeEvent{
 			Name: "thread_name", Ph: "M", PID: s.PE, TID: tid,
 			Args: map[string]any{"name": spanTitle(s)},
 		})
@@ -107,31 +95,26 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			if h.Peer != 0 {
 				args["peer"] = h.Peer
 			}
-			out = append(out, chromeSpanEvent{
+			out = append(out, obs.ChromeEvent{
 				Name: h.Kind.String(), Cat: "hop", Ph: "X",
 				TS: h.Cycle, Dur: end - h.Cycle, PID: s.PE, TID: tid, Args: args,
 			})
 			if h.Kind == HopCombine && s.Parent != 0 && h.Peer == s.Parent {
 				// Flow arrow child → parent, keyed by the child's ID.
-				out = append(out, chromeSpanEvent{
+				out = append(out, obs.ChromeEvent{
 					Name: "combine", Cat: "genealogy", Ph: "s",
 					TS: h.Cycle, PID: s.PE, TID: tid, ID: s.ID,
 				})
 			}
 			if h.Kind == HopCombine && h.Peer != s.Parent {
-				out = append(out, chromeSpanEvent{
+				out = append(out, obs.ChromeEvent{
 					Name: "combine", Cat: "genealogy", Ph: "f", BP: "e",
 					TS: h.Cycle, PID: s.PE, TID: tid, ID: h.Peer,
 				})
 			}
 		}
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(map[string]any{"traceEvents": out}); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return obs.EncodeChrome(w, out, nil)
 }
 
 func spanTitle(s *Span) string {

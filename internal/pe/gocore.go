@@ -1,32 +1,37 @@
 package pe
 
 import (
+	"iter"
 	"math"
+	"slices"
 
 	"ultracomputer/internal/msg"
 )
 
 // GoCore runs a PE program written as an ordinary Go function against the
-// simulated machine. The program runs in its own goroutine in lockstep
-// with the simulator: every Ctx call costs simulated processor cycles and
-// shared-memory traffic, so timing results are deterministic — the
-// goroutine is always either blocked offering its next action or blocked
-// awaiting that action's result.
+// simulated machine. The program is a coroutine of its PE's Tick: Tick
+// resumes it, and it runs until its next Ctx call hands the core an
+// action. So guest code runs only inside Tick, a guest panic unwinds
+// through Tick to whoever steps the machine, and every Ctx call costs
+// simulated processor cycles and shared-memory traffic: timing results
+// are deterministic.
 //
 // This mirrors the paper's methodology: WASHCLOTH simulated parallel
 // scientific programs at the instruction level; here the arithmetic runs
 // natively in Go while every memory reference and compute burst is
 // charged to the simulated PE.
 type GoCore struct {
-	prog     Program
-	actions  chan *action
-	started  bool
-	cur      *action
-	waiting  map[int]*action // tag -> blocking action awaiting its reply
-	handles  map[int]*Handle // tag -> async handle awaiting its reply
-	nextTag  int
-	freeTags []int // recycled tags, so the tag space stays bounded
-	halted   bool
+	next  func() (*action, bool) // resumes the program until its next action
+	yield func(*action) bool     // hands the program's action to Tick
+	ctx   Ctx
+	act   action  // the one action the program has outstanding
+	cur   *action // &act while Tick serves it, nil once it is done
+	own   Handle  // what a blocking FetchOp waits on
+	// handles maps a tag to the handle awaiting its reply; nil marks a
+	// free tag, so tags stay below the outstanding-request limit
+	// (required by MultiCore's tag partitioning).
+	handles []*Handle
+	halted  bool
 
 	owner *PE // set on the first tick; caches the program attaches emit through it
 }
@@ -36,38 +41,41 @@ type Program func(ctx *Ctx)
 
 // NewGoCore wraps prog.
 func NewGoCore(prog Program) *GoCore {
-	return &GoCore{
-		prog:    prog,
-		actions: make(chan *action),
-		waiting: make(map[int]*action),
-		handles: make(map[int]*Handle),
-	}
+	g := &GoCore{}
+	g.ctx.core = g
+	g.own.core = g
+	g.next, _ = iter.Pull(func(yield func(*action) bool) {
+		g.yield = yield
+		prog(&g.ctx)
+	})
+	return g
 }
 
-type actionKind int
+type actionKind uint8
 
 const (
 	aCompute actionKind = iota
-	aValueOp            // blocking shared op returning a value
-	aStore              // asynchronous shared store
-	aAsync              // asynchronous value op via a Handle
+	aIssue              // shared request: a store, or a value op answered into h
 	aWait               // consume a Handle's value
 	aFence              // wait until no requests are outstanding
 )
 
 type action struct {
 	kind     actionKind
-	n        int
 	localRef bool
+	n        int
 	op       msg.Op
 	addr     int64
 	operand  int64
 	h        *Handle
-	done     chan int64
+	value    int64
+}
 
-	issued    bool
-	completed bool
-	value     int64
+// do hands a to Tick and returns its value once Tick has served it.
+func (g *GoCore) do(a action) int64 {
+	g.act = a
+	g.yield(&g.act)
+	return g.act.value
 }
 
 // Handle names an asynchronous shared-memory request (the paper's locked
@@ -81,42 +89,23 @@ type Handle struct {
 
 // Wait blocks the simulated PE until the value arrives, then returns it.
 // If the value already arrived, Wait is free.
-func (h *Handle) Wait() int64 {
-	a := &action{kind: aWait, h: h, done: make(chan int64, 1)}
-	h.core.send(a)
-	return <-a.done
-}
+func (h *Handle) Wait() int64 { return h.core.do(action{kind: aWait, h: h}) }
 
 // WaitF is Wait for a float64 stored as IEEE bits.
 func (h *Handle) WaitF() float64 { return math.Float64frombits(uint64(h.Wait())) }
 
-func (g *GoCore) send(a *action) { g.actions <- a }
-
 // Tick implements Core.
 func (g *GoCore) Tick(env *Env) TickResult {
-	if !g.started {
-		g.started = true
+	if g.owner == nil {
 		g.owner = env.pe
-		//ultravet:ok hotalloc one-time guest start on the first tick
-		ctx := &Ctx{core: g, pe: env.PEID(), npe: env.NumPE()}
-		// The guest goroutine advances only inside this PE's own Tick
-		// via the actions channel handshake, so it never runs
-		// concurrently with phase code.
-		//ultravet:ok hotalloc one-time guest start on the first tick
-		go func() { //ultravet:ok sharecheck tick-synchronized guest goroutine
-			g.prog(ctx)
-			close(g.actions)
-		}()
+		g.ctx.pe, g.ctx.npe = env.PEID(), env.NumPE()
 	}
-	if g.halted {
-		return TickResult{Halted: true}
-	}
-	for {
+	for !g.halted {
 		if g.cur == nil {
-			a, ok := <-g.actions
+			a, ok := g.next()
 			if !ok {
 				g.halted = true
-				return TickResult{Halted: true}
+				break
 			}
 			g.cur = a
 		}
@@ -124,116 +113,58 @@ func (g *GoCore) Tick(env *Env) TickResult {
 		switch a.kind {
 		case aCompute:
 			if a.n <= 0 {
-				// The guest goroutine is parked on <-a.done and only this
-				// PE's Tick sends: the channel is the tick-synchronized
-				// handshake, not cross-shard communication.
-				//ultravet:ok sharecheck a.done handshake wakes this PE's own parked guest goroutine
-				a.done <- 0
 				g.cur = nil
 				continue
 			}
 			a.n--
 			if a.n == 0 {
-				a.done <- 0
 				g.cur = nil
 			}
 			return TickResult{Executed: true, LocalRef: a.localRef}
 
-		case aValueOp:
-			if !a.issued {
-				tag := g.peekTag()
-				if env.Issue(a.op, a.addr, a.operand, tag) {
-					g.takeTag()
-					a.issued = true
-					//ultravet:ok sharecheck g.waiting belongs to this PE's core; the tick phase shards by PE
-					g.waiting[tag] = a
-					return TickResult{Executed: true}
+		case aIssue:
+			tag := -1
+			if a.h != nil {
+				if tag = slices.Index(g.handles, nil); tag < 0 {
+					tag = len(g.handles)
+					g.handles = append(g.handles, nil)
 				}
+			}
+			if !env.Issue(a.op, a.addr, a.operand, tag) {
 				return TickResult{}
 			}
-			if a.completed {
-				a.done <- a.value
-				g.cur = nil
-				continue // the data arrived earlier; no cycle lost now
-			}
-			return TickResult{} // idle, waiting on central memory
-
-		case aStore:
-			if env.Issue(a.op, a.addr, a.operand, -1) {
-				a.done <- 0
-				g.cur = nil
-				return TickResult{Executed: true}
-			}
-			return TickResult{}
-
-		case aAsync:
-			tag := g.peekTag()
-			if env.Issue(a.op, a.addr, a.operand, tag) {
-				g.takeTag()
+			if a.h != nil {
+				a.h.ready = false
 				g.handles[tag] = a.h
-				a.done <- 0
-				g.cur = nil
-				return TickResult{Executed: true}
 			}
-			return TickResult{}
+			g.cur = nil
+			return TickResult{Executed: true}
 
 		case aWait:
-			if a.h.ready {
-				a.done <- a.h.value
-				g.cur = nil
-				continue // value already present: consuming it is free
+			if !a.h.ready {
+				return TickResult{} // idle, register still locked
 			}
-			return TickResult{} // idle, register still locked
+			a.value = a.h.value
+			g.cur = nil // the value is present: consuming it is free
 
 		case aFence:
-			if env.Pending() == 0 {
-				a.done <- 0
-				g.cur = nil
-				continue
+			if env.Pending() > 0 {
+				return TickResult{} // idle, draining the store pipeline
 			}
-			return TickResult{} // idle, draining the store pipeline
+			g.cur = nil
 		}
 	}
-}
-
-// peekTag returns the tag the next issue would use; takeTag consumes it.
-// Tags are recycled on completion so the tag space stays bounded by the
-// outstanding-request limit (required by MultiCore's tag partitioning).
-func (g *GoCore) peekTag() int {
-	if n := len(g.freeTags); n > 0 {
-		return g.freeTags[n-1]
-	}
-	return g.nextTag
-}
-
-func (g *GoCore) takeTag() {
-	if n := len(g.freeTags); n > 0 {
-		g.freeTags = g.freeTags[:n-1]
-		return
-	}
-	g.nextTag++
+	return TickResult{Halted: true}
 }
 
 // Complete implements Core: a shared-memory reply arrived.
 func (g *GoCore) Complete(tag int, value int64) {
-	if a, ok := g.waiting[tag]; ok {
-		delete(g.waiting, tag)
-		g.freeTags = append(g.freeTags, tag)
-		// a is this core's own in-flight action record; the deliver
-		// phase shards by PE, so no other worker can touch it.
-		//ultravet:ok sharecheck the action record belongs to this PE's core
-		a.completed = true
-		a.value = value
-		return
+	if tag < 0 || tag >= len(g.handles) || g.handles[tag] == nil {
+		panic("pe: completion for unknown tag")
 	}
-	if h, ok := g.handles[tag]; ok {
-		delete(g.handles, tag)
-		g.freeTags = append(g.freeTags, tag)
-		h.ready = true
-		h.value = value
-		return
-	}
-	panic("pe: completion for unknown tag")
+	h := g.handles[tag]
+	g.handles[tag] = nil
+	h.ready, h.value = true, value
 }
 
 // Ctx is the API a Program uses to act on the machine. Every method costs
@@ -252,29 +183,19 @@ func (c *Ctx) PE() int { return c.pe }
 func (c *Ctx) NumPE() int { return c.npe }
 
 // Compute spends n processor cycles of pure register-to-register work.
-func (c *Ctx) Compute(n int) {
-	// One action per guest operation is the price of the Go-guest
-	// programming model; GoCore models programmability, not host cost
-	// (use isa.Core for allocation-free guests).
-	a := &action{kind: aCompute, n: n, done: make(chan int64, 1)}
-	c.core.send(a)
-	<-a.done
-}
+func (c *Ctx) Compute(n int) { c.core.do(action{kind: aCompute, n: n}) }
 
 // Private spends n processor cycles each making one private-memory
 // reference (satisfied by the local cache, §3.2's 95%-hit assumption).
-func (c *Ctx) Private(n int) {
-	a := &action{kind: aCompute, n: n, localRef: true, done: make(chan int64, 1)}
-	c.core.send(a)
-	<-a.done
-}
+func (c *Ctx) Private(n int) { c.core.do(action{kind: aCompute, n: n, localRef: true}) }
 
 // FetchOp performs a blocking fetch-and-phi on shared memory, returning
-// the fetched (old) value.
+// the fetched (old) value. It costs what an issue and a Wait cost: one
+// cycle to issue, idle until the reply, and nothing to consume it.
 func (c *Ctx) FetchOp(op msg.Op, addr, operand int64) int64 {
-	a := &action{kind: aValueOp, op: op, addr: addr, operand: operand, done: make(chan int64, 1)}
-	c.core.send(a)
-	return <-a.done
+	h := &c.core.own
+	c.core.do(action{kind: aIssue, op: op, addr: addr, operand: operand, h: h})
+	return h.Wait()
 }
 
 // Load reads shared memory, blocking until the value returns.
@@ -292,18 +213,14 @@ func (c *Ctx) TestAndSet(addr int64) bool { return c.FetchOp(msg.FetchOr, addr, 
 
 // Store writes shared memory without waiting for the acknowledgement.
 func (c *Ctx) Store(addr, v int64) {
-	a := &action{kind: aStore, op: msg.Store, addr: addr, operand: v, done: make(chan int64, 1)}
-	c.core.send(a)
-	<-a.done
+	c.core.do(action{kind: aIssue, op: msg.Store, addr: addr, operand: v})
 }
 
 // FetchOpAsync issues a fetch-and-phi and returns immediately with a
 // Handle (the locked register); the PE keeps executing.
 func (c *Ctx) FetchOpAsync(op msg.Op, addr, operand int64) *Handle {
 	h := &Handle{core: c.core}
-	a := &action{kind: aAsync, op: op, addr: addr, operand: operand, h: h, done: make(chan int64, 1)}
-	c.core.send(a)
-	<-a.done
+	c.core.do(action{kind: aIssue, op: op, addr: addr, operand: operand, h: h})
 	return h
 }
 
@@ -326,11 +243,7 @@ func (c *Ctx) Pause() { c.Compute(1) }
 // pipelining caveat), so a store that publishes data must be fenced
 // before the synchronization that announces it; coord.Barrier.Wait
 // fences automatically.
-func (c *Ctx) Fence() {
-	a := &action{kind: aFence, done: make(chan int64, 1)}
-	c.core.send(a)
-	<-a.done
-}
+func (c *Ctx) Fence() { c.core.do(action{kind: aFence}) }
 
 // LoadF reads a shared word holding IEEE float64 bits.
 func (c *Ctx) LoadF(addr int64) float64 { return math.Float64frombits(uint64(c.Load(addr))) }

@@ -214,3 +214,39 @@ func TestCachedMemBasics(t *testing.T) {
 }
 
 func testCacheCfg() cache.Config { return cache.Config{Sets: 4, Ways: 2, BlockWords: 4} }
+
+// TestGoCoreZeroAlloc: once the tag table and the PNI's outstanding list
+// have grown, a Go guest's blocking Compute, Load, FetchAdd and Store
+// allocate nothing — the core hands the program's one action back and
+// forth and a blocking op waits on a handle the core owns.
+func TestGoCoreZeroAlloc(t *testing.T) {
+	const rounds = 200 // more than AllocsPerRun's warm-up plus its runs
+	done := 0
+	f := &fakeNet{}
+	p := New(0, NewGoCore(func(ctx *Ctx) {
+		for i := 0; i < rounds; i++ {
+			ctx.Compute(2)
+			v := ctx.Load(8)
+			ctx.FetchAdd(9, v)
+			ctx.Store(8, v+1)
+			done++
+		}
+	}), memory.Interleave{N: 4}, f.inject, 8)
+	var cycle int64
+	round := func() {
+		for start := done; done == start && !p.Halted(); cycle++ {
+			p.Tick(cycle, 1)
+			for _, r := range f.reqs {
+				p.Deliver(msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr}, cycle)
+			}
+			f.reqs = f.reqs[:0]
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("a round of blocking guest ops allocates %.2f times after warm-up, want 0", avg)
+	}
+	for !p.Halted() {
+		round()
+	}
+}

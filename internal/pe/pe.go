@@ -2,8 +2,8 @@
 // processor-network interfaces (PNIs, §3.4/§3.5).
 //
 // A PE couples a Core — the instruction-executing part, either the mini
-// ISA interpreter in internal/isa or a goroutine-backed program (GoCore)
-// — to a PNI that translates linear shared addresses to (module, word)
+// ISA interpreter in internal/isa or a Go program run as a coroutine of
+// the PE's Tick (GoCore) — to a PNI that translates linear shared addresses to (module, word)
 // pairs via hashing, assigns network-unique request IDs, enforces the
 // pipelining restrictions (at most one outstanding reference per memory
 // location, bounded outstanding requests), and matches replies back to
