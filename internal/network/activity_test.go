@@ -3,7 +3,9 @@ package network
 import (
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/obs"
@@ -120,6 +122,44 @@ func (h *harness) checkConservation() {
 	if want := int(st.Injected.Value() - st.RepliesDelivered.Value()); owed != want {
 		h.t.Fatalf("cycle %d: %d replies owed by what the network holds, %d by the counters (injected %d, delivered %d)",
 			h.cycle, owed, want, st.Injected.Value(), st.RepliesDelivered.Value())
+	}
+}
+
+// checkAliasing asserts, after a cycle, that no two queues share a backing
+// element within their live entries (entries[head:]): every link queue and
+// MM arrival queue may start in a slab it shares with its neighbours, and
+// an append that ran past its own slots would write theirs.
+func (h *harness) checkAliasing() {
+	h.t.Helper()
+	n := h.net
+	type extent struct {
+		lo, hi uintptr
+		what   string
+		i      int
+	}
+	var live []extent
+	add := func(what string, i int, p unsafe.Pointer, count int, size uintptr) {
+		lo := uintptr(p)
+		live = append(live, extent{lo, lo + uintptr(count)*size, what, i})
+	}
+	for i := range n.fwd {
+		if q := &n.fwd[i].q; !q.empty() {
+			add("forward queue", i, unsafe.Pointer(&q.entries[q.head]), q.len(), unsafe.Sizeof(q.entries[0]))
+		}
+		if q := &n.rev[i].q; !q.empty() {
+			add("reverse queue", i, unsafe.Pointer(&q.entries[q.head]), q.len(), unsafe.Sizeof(q.entries[0]))
+		}
+	}
+	for i := range n.mmIn {
+		if q := &n.mmIn[i]; !q.empty() {
+			add("MM arrival queue", i, unsafe.Pointer(&q.entries[q.head]), q.len(), unsafe.Sizeof(q.entries[0]))
+		}
+	}
+	sort.Slice(live, func(a, b int) bool { return live[a].lo < live[b].lo })
+	for i := 1; i < len(live); i++ {
+		if a, b := live[i-1], live[i]; b.lo < a.hi {
+			h.t.Fatalf("cycle %d: the live entries of %s %d and %s %d share backing storage", h.cycle, a.what, a.i, b.what, b.i)
+		}
 	}
 }
 

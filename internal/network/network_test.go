@@ -149,6 +149,7 @@ func (h *harness) step() {
 	h.st.FlushCollect()
 	h.checkActivity()
 	h.checkConservation()
+	h.checkAliasing()
 	h.cycle++
 }
 

@@ -1,9 +1,12 @@
 package network
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"ultracomputer/internal/msg"
+	"ultracomputer/internal/sim"
 )
 
 func req(id uint64, pe int, op msg.Op, mm, word int, arg int64) msg.Request {
@@ -121,6 +124,122 @@ func TestWaitBuffer(t *testing.T) {
 	}
 	if w.find(10) != -1 || w.find(20) != 0 {
 		t.Fatal("removed record still present, or its neighbour lost")
+	}
+}
+
+// TestQueueSpillKeepsOrder drives three request queues and three reply
+// queues, each carved side by side from one slab of three slots per queue,
+// through seeded pushes, pops and combines at the paper's 15-packet
+// capacity, and checks every queue against a plain-slice model after each
+// operation. Queues run past their three slots both with a popped prefix
+// (push compacts inside the slab first) and with a combined entry aboard,
+// and no operation on one queue writes a slab slot of another.
+func TestQueueSpillKeepsOrder(t *testing.T) {
+	const queues, slots = 3, 3
+	reqSlab, repSlab := make([]reqEntry, queues*slots), make([]msg.Reply, queues*slots)
+	var (
+		rq     [queues]reqQueue
+		pq     [queues]repQueue
+		rModel [queues][]reqEntry
+		pModel [queues][]msg.Reply
+	)
+	for i := range rq {
+		rq[i] = reqQueue{entries: reqSlab[slots*i : slots*i : slots*i+slots], cap: 15}
+		pq[i] = repQueue{entries: repSlab[slots*i : slots*i : slots*i+slots], cap: 15}
+	}
+	inSlab := func(i int) bool { return unsafe.SliceData(rq[i].entries) == &reqSlab[slots*i] }
+	rng := sim.NewRand(11)
+	var id uint64
+	compactedInSlab, spilledCombined := 0, 0
+	for step := 0; step < 5000; step++ {
+		i := rng.Intn(queues)
+		q, p := &rq[i], &pq[i]
+		// A queue that spilled and drained goes back to its slots, so the
+		// sequence spills many times.
+		if q.empty() && !inSlab(i) {
+			*q = reqQueue{entries: reqSlab[slots*i : slots*i : slots*i+slots], cap: 15}
+		}
+		if p.empty() && unsafe.SliceData(p.entries) != &repSlab[slots*i] {
+			*p = repQueue{entries: repSlab[slots*i : slots*i : slots*i+slots], cap: 15}
+		}
+		reqBefore, repBefore := slices.Clone(reqSlab), slices.Clone(repSlab)
+		switch op := rng.Intn(5); {
+		case op < 2: // push a request and a reply
+			id++
+			r := req(id, i, msg.Load, 0, rng.Intn(2), 0)
+			if rng.Bernoulli(0.5) {
+				r.Op, r.Operand = msg.FetchAdd, int64(id)
+			}
+			if q.spaceFor(r.Packets()) {
+				if q.head > 0 && len(q.entries) == cap(q.entries) && inSlab(i) {
+					compactedInSlab++
+				}
+				if q.head == 0 && len(q.entries) == cap(q.entries) && inSlab(i) && slices.ContainsFunc(rModel[i], func(e reqEntry) bool { return e.combined }) {
+					spilledCombined++
+				}
+				q.push(&r)
+				rModel[i] = append(rModel[i], reqEntry{req: r})
+			}
+			rep := r.Reply(int64(id) * 10)
+			if p.spaceFor(rep.Packets()) {
+				p.push(&rep)
+				pModel[i] = append(pModel[i], rep)
+			}
+		case op < 4: // pop both
+			var r msg.Request
+			if ok := q.pop(&r); ok != (len(rModel[i]) > 0) || ok && r != rModel[i][0].req {
+				t.Fatalf("step %d: queue %d popped %v (ok %v), model head %v", step, i, r, ok, rModel[i])
+			} else if ok {
+				rModel[i] = rModel[i][1:]
+			}
+			var rep msg.Reply
+			if ok := p.pop(&rep); ok != (len(pModel[i]) > 0) || ok && rep != pModel[i][0] {
+				t.Fatalf("step %d: reply queue %d popped %v (ok %v), model %v", step, i, rep, ok, pModel[i])
+			} else if ok {
+				pModel[i] = pModel[i][1:]
+			}
+		default: // combine into a random entry that has not combined yet
+			if len(rModel[i]) == 0 {
+				continue
+			}
+			j := rng.Intn(len(rModel[i]))
+			e := &rModel[i][j]
+			if e.combined {
+				continue
+			}
+			if want := slices.IndexFunc(rModel[i], func(m reqEntry) bool {
+				return !m.combined && m.req.Addr == e.req.Addr && msg.Combinable(m.req.Op, e.req.Op)
+			}); q.findCombinable(&e.req) != q.head+want {
+				t.Fatalf("step %d: queue %d findCombinable = %d, model says %d", step, i, q.findCombinable(&e.req)-q.head, want)
+			}
+			if !q.updateCombined(q.head+j, e.req.Op, e.req.Operand+1) {
+				t.Fatalf("step %d: queue %d refused a combine that keeps its packets", step, i)
+			}
+			e.req.Operand++
+			e.combined = true
+		}
+		for k := 0; k < queues*slots; k++ {
+			if owner := k / slots; owner != i && (reqSlab[k] != reqBefore[k] || repSlab[k] != repBefore[k]) {
+				t.Fatalf("step %d: an operation on queue %d wrote slab slot %d of queue %d", step, i, k, owner)
+			}
+		}
+		for k := range rq {
+			packets := 0
+			for _, e := range rModel[k] {
+				packets += e.req.Packets()
+			}
+			if !slices.Equal(rq[k].entries[rq[k].head:], rModel[k]) || rq[k].occupancy() != packets {
+				t.Fatalf("step %d: request queue %d holds %v (%d packets), model %v (%d)",
+					step, k, rq[k].entries[rq[k].head:], rq[k].occupancy(), rModel[k], packets)
+			}
+			if !slices.Equal(pq[k].entries[pq[k].head:], pModel[k]) {
+				t.Fatalf("step %d: reply queue %d holds %v, model %v", step, k, pq[k].entries[pq[k].head:], pModel[k])
+			}
+		}
+	}
+	t.Logf("%d pushes compacted inside the slab, %d spilled it with a combined entry aboard", compactedInSlab, spilledCombined)
+	if compactedInSlab == 0 || spilledCombined == 0 {
+		t.Fatalf("the sequence never compacted inside the slab (%d) or spilled with a combined entry (%d)", compactedInSlab, spilledCombined)
 	}
 }
 

@@ -126,6 +126,7 @@ func TestParallelUnsampledBuffersNothing(t *testing.T) {
 			h.st.FlushCollect()
 			h.checkActivity()
 			h.checkConservation()
+			h.checkAliasing()
 		}
 		st := h.net.Stats()
 		if st.Combines.Value() == 0 || st.Decombines.Value() == 0 || st.RepliesDelivered.Value() == 0 || pes[0].Stats().IdlePipeline.Value() == 0 {
