@@ -83,13 +83,16 @@ race:
 test:
 	$(GO) test ./...
 
-# Native fuzzing, ten seconds a target, of the four places outside
+# Native fuzzing, ten seconds a target, of the five places outside
 # input enters and of the combining rules. The assembler (serve.Config.Program): FuzzAssemble
 # requires that it never panics and that whatever assembles survives
 # Disassemble -> Assemble unchanged. The config object (HTTP bodies,
 # `ultrasim -config`): FuzzConfig requires that strict decoding, Validate
 # and the default quotas never panic and that whatever passes all three
-# is inside the workers, ports, PEs and memory bounds. A span dump
+# is inside the workers, ports, PEs and memory bounds. ultrasim's command
+# line: FuzzFlagsRoundTrip requires that whatever RegisterFlags parses into
+# a valid Config comes back from its JSON file through LoadConfigFile
+# unchanged. A span dump
 # (`tables -spans`): FuzzReadSpans requires that reading never panics and
 # that whatever reads survives write -> read -> write unchanged. A
 # profile (`tables -prof`): FuzzParsePprof requires that ParsePprof
@@ -104,6 +107,7 @@ test:
 fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzConfig -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzFlagsRoundTrip -fuzztime 10s
 	$(GO) test ./internal/obs/reqtrace -run '^$$' -fuzz FuzzReadSpans -fuzztime 10s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 10s
 	$(GO) test ./internal/msg -run '^$$' -fuzz FuzzCombine -fuzztime 10s
@@ -193,9 +197,11 @@ equivalence:
 # message per link crossed at p = 0.2 (a count, not a time, so the host
 # cannot move it). An observed event is 72 bytes, which the compiler
 # copies inline into every consumer. A Go guest's blocking operations
-# allocate nothing once its tag table has grown.
+# allocate nothing once its tag table has grown. One benchmark-shaped
+# trace.Run op, uniform and hot-spot, stays under an object budget 5 %
+# above today's count, which its seed fixes on every host.
 bench-guard:
-	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize' -count=1 -v
+	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ ./internal/trace/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize' -count=1 -v
 
 # Guest-profiler smoke: profile queue.s end to end in both export
 # formats, then validate each round-trips non-empty through its own

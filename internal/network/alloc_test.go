@@ -13,8 +13,9 @@ import (
 // benchmark's 64-port shape at the Figure 7 reference rate (p = 0.2),
 // uniform and with 10 % of references to one hot word, 2 000 cycles after
 // a 1 000-cycle warm-up may allocate fewer than one object per two
-// cycles. What is left by then is the growth-only tail of the lazily
-// grown queue arrays (about one object per eight cycles, still falling);
+// cycles. What is left by then is the growth-only tail of the arrays of
+// the queues that outgrew their three slab slots and of the wait buffers
+// (about one object per six cycles, still falling);
 // a closure, a boxed port or a by-value escape on the cycle path costs at
 // least one per cycle. The driver around the network allocates nothing,
 // so Inject, MMDequeue, MMReply and Collect are inside the budget too.

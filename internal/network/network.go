@@ -168,9 +168,6 @@ func New(cfg Config) *Network {
 		collectBuf:  make([][]msg.Reply, t.n),
 	}
 	n.stats.RoundTripHist = sim.NewHistogram(2048)
-	// Only the capacities are set here: the queues' and wait buffers'
-	// backing arrays grow on first use, so an idle link costs no memory
-	// beyond its record.
 	for i := range n.fwd {
 		n.fwd[i].q.cap = cfg.QueueCapacity
 		n.rev[i].q.cap = cfg.QueueCapacity
@@ -181,6 +178,25 @@ func New(cfg Config) *Network {
 		n.mmIn[i].cap = cfg.QueueCapacity
 	}
 	return n
+}
+
+// carve gives each link queue and MM arrival queue still without storage
+// its first three slots, side by side in one slab per message type, so
+// that only a queue holding more than three messages grows an array of its
+// own (DESIGN.md, "Why a queue starts in a slab"). Stepper.Step calls it.
+func (n *Network) carve() {
+	reqs, reps := make([]reqEntry, 3*(len(n.fwd)+len(n.mmIn))), make([]msg.Reply, 3*len(n.rev))
+	for i := range n.fwd {
+		if q := &n.fwd[i].q; q.entries == nil {
+			q.entries = reqs[3*i : 3*i : 3*i+3]
+		}
+		if q := &n.rev[i].q; q.entries == nil {
+			q.entries = reps[3*i : 3*i : 3*i+3]
+		}
+		if j := len(n.fwd) + i; i < len(n.mmIn) && n.mmIn[i].entries == nil {
+			n.mmIn[i].entries = reqs[3*j : 3*j : 3*j+3]
+		}
+	}
 }
 
 // FailCopy fail-stops network copy i: no new requests enter it, but

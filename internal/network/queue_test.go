@@ -128,12 +128,13 @@ func TestWaitBuffer(t *testing.T) {
 }
 
 // TestQueueSpillKeepsOrder drives three request queues and three reply
-// queues, each carved side by side from one slab of three slots per queue,
-// through seeded pushes, pops and combines at the paper's 15-packet
-// capacity, and checks every queue against a plain-slice model after each
-// operation. Queues run past their three slots both with a popped prefix
-// (push compacts inside the slab first) and with a combined entry aboard,
-// and no operation on one queue writes a slab slot of another.
+// queues, carved side by side from one slab of three slots per queue as
+// Network.carve carves them, through seeded pushes, pops and combines at
+// the paper's 15-packet capacity, and checks every queue against a
+// plain-slice model after each operation. Queues run past their three
+// slots both with a popped prefix (push compacts inside the slab first)
+// and with a combined entry aboard, and no operation on one queue writes a
+// slab slot of another.
 func TestQueueSpillKeepsOrder(t *testing.T) {
 	const queues, slots = 3, 3
 	reqSlab, repSlab := make([]reqEntry, queues*slots), make([]msg.Reply, queues*slots)

@@ -213,6 +213,9 @@ func (st *Stepper) drain(bufs []obs.EventBuffer) {
 func (st *Stepper) Step(cycle int64) {
 	t, act := st.n.topo, &st.n.act
 	st.phCycle = cycle
+	if st.n.mmIn[0].entries == nil { // only a Step pushes into an MM arrival queue
+		st.n.carve() //ultravet:ok hotalloc one-time carve of the queue slabs before the network's first cycle
+	}
 
 	for s := -1; s < t.stages; s++ {
 		st.phase(phForward, s, act.fwd[(s+1)*t.lines:(s+2)*t.lines], t.k)

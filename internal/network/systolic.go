@@ -166,18 +166,9 @@ func (s *SystolicQueue) Step(in *msg.Request, canExit bool) (out SystolicOutput,
 // right entry that already has a match-column partner is skipped —
 // pairwise combination only — which we detect by the slot being marked.
 func (s *SystolicQueue) matchAt(i int, it msg.Request) (int, bool) {
-	for j := i; j <= i+1; j++ {
-		if j < 0 || j >= s.height {
-			continue
-		}
-		if !s.right[j].valid || s.match[j].valid {
-			continue
-		}
-		r := s.right[j].req
-		if isCombinedMark(r) {
-			continue
-		}
-		if r.Addr == it.Addr && msg.Combinable(r.Op, it.Op) {
+	for j := i; j <= i+1 && j < s.height; j++ {
+		if r := &s.right[j]; r.valid && !s.match[j].valid && !isCombinedMark(r.req) &&
+			r.req.Addr == it.Addr && msg.Combinable(r.req.Op, it.Op) {
 			return j, true
 		}
 	}

@@ -21,10 +21,7 @@ func DescribeTopology(k, stages int) string {
 	for s := 0; s < stages; s++ {
 		fmt.Fprintf(&b, "stage %d:\n", s)
 		for sw := 0; sw < t.group; sw++ {
-			ins := make([]string, 0, k)
-			for _, src := range stageInputs(t, s, sw) {
-				ins = append(ins, src)
-			}
+			ins := stageInputs(t, s, sw)
 			outs := make([]string, 0, k)
 			for port := 0; port < k; port++ {
 				line := sw*k + port
