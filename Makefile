@@ -199,7 +199,9 @@ equivalence:
 # copies inline into every consumer. A Go guest's blocking operations
 # allocate nothing once its tag table has grown. One benchmark-shaped
 # trace.Run op, uniform and hot-spot, stays under an object budget 5 %
-# above today's count, which its seed fixes on every host.
+# above today's count, which its seed fixes on every host. The benchmark
+# kernel's cached traffic (clds/csts, cflu, crel, fills and write-backs)
+# allocates nothing once each core's write-back queue has grown.
 bench-guard:
 	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ ./internal/trace/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize' -count=1 -v
 

@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/sim"
@@ -73,8 +74,10 @@ type line struct {
 type Cache struct {
 	cfg   Config
 	lines []line // set i is lines[i*Ways : (i+1)*Ways]
-	clock int64
-	stats Stats
+	// log2 of BlockWords and of Sets, for locate
+	blockShift, setShift uint
+	clock                int64
+	stats                Stats
 
 	// subs is the audience of the owning PE's machine, out where the
 	// cache's events go and pe whom they name (Observe).
@@ -120,7 +123,11 @@ func New(cfg Config) *Cache {
 		lines[i].words = words[i*bw : (i+1)*bw : (i+1)*bw]
 		lines[i].dirty = dirty[i*bw : (i+1)*bw : (i+1)*bw]
 	}
-	return &Cache{cfg: cfg, lines: lines, subs: &noSubs}
+	return &Cache{
+		cfg: cfg, lines: lines, subs: &noSubs,
+		blockShift: uint(bits.TrailingZeros(uint(bw))),
+		setShift:   uint(bits.TrailingZeros(uint(cfg.Sets))),
+	}
 }
 
 // Stats exposes the activity counters.
@@ -129,12 +136,17 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 // Config returns the cache shape.
 func (c *Cache) Config() Config { return c.cfg }
 
+// locate splits address a into its set, tag and word offset. Sets and
+// BlockWords are powers of two (Validate), so a shift and a mask do it;
+// a negative address keeps the division, which rounds toward zero, and
+// so the index panic it always had.
 func (c *Cache) locate(a int64) (set int, tag int64, off int) {
-	block := a / int64(c.cfg.BlockWords)
-	off = int(a % int64(c.cfg.BlockWords))
-	set = int(block % int64(c.cfg.Sets))
-	tag = block / int64(c.cfg.Sets)
-	return set, tag, off
+	if a < 0 {
+		block := a / int64(c.cfg.BlockWords)
+		return int(block % int64(c.cfg.Sets)), block / int64(c.cfg.Sets), int(a % int64(c.cfg.BlockWords))
+	}
+	block := a >> c.blockShift
+	return int(block & int64(c.cfg.Sets-1)), block >> c.setShift, int(a & int64(c.cfg.BlockWords-1))
 }
 
 func (c *Cache) find(set int, tag int64) *line {
@@ -197,7 +209,10 @@ func (c *Cache) Write(a, v int64) (hit bool) {
 // Block reports the first address of the block containing a, the unit of
 // fetch on a miss.
 func (c *Cache) Block(a int64) int64 {
-	return a / int64(c.cfg.BlockWords) * int64(c.cfg.BlockWords)
+	if a < 0 {
+		return a / int64(c.cfg.BlockWords) * int64(c.cfg.BlockWords)
+	}
+	return a &^ int64(c.cfg.BlockWords-1)
 }
 
 // BlockWords reports the line size in words.

@@ -33,8 +33,11 @@ type coreCache struct {
 	issued   int
 	received int
 
-	// Write-backs (from evictions and flushes) awaiting issue.
-	wb []cache.WriteBack
+	// Write-backs (from evictions and flushes) awaiting issue:
+	// wb[wbNext:]. The queue is the core's own array, reused by every
+	// batch; it never aliases the cache's scratch (queue).
+	wb     []cache.WriteBack
+	wbNext int
 	// flushing: after the write-back queue drains, wait for all
 	// acknowledgements before the CFLU instruction completes (§3.4's
 	// flush must guarantee central memory is updated).
@@ -69,10 +72,10 @@ func (c *Core) tickCache(env *pe.Env) (pe.TickResult, bool) {
 		return pe.TickResult{}, false
 	}
 	// Drain pending write-backs first: one pipelined store per cycle.
-	if len(cc.wb) > 0 {
-		w := cc.wb[0]
+	if cc.wbNext < len(cc.wb) {
+		w := cc.wb[cc.wbNext]
 		if env.Issue(msg.Store, w.Addr, w.Value, -1) {
-			cc.wb = cc.wb[1:]
+			cc.wbNext++
 		}
 		return pe.TickResult{}, true
 	}
@@ -96,7 +99,7 @@ func (c *Core) tickCache(env *pe.Env) (pe.TickResult, bool) {
 		if cc.received < n {
 			return pe.TickResult{}, true // waiting on the block
 		}
-		cc.wb = cc.c.Fill(cc.block, cc.words)
+		cc.queue(cc.c.Fill(cc.block, cc.words))
 		cc.filling = false
 		// Fall through to re-execute the faulting instruction this
 		// cycle only if no write-backs queued; otherwise they drain
@@ -104,6 +107,15 @@ func (c *Core) tickCache(env *pe.Env) (pe.TickResult, bool) {
 		return pe.TickResult{}, true
 	}
 	return pe.TickResult{}, false
+}
+
+// queue copies wbs, which alias the cache's scratch, into the core's own
+// write-back queue. Both callers run with the queue drained (a fill
+// completes, and a flush starts, only once tickCache has issued every
+// queued store), so the queue restarts at its head and its array is
+// reused from one batch to the next.
+func (cc *coreCache) queue(wbs []cache.WriteBack) {
+	cc.wb, cc.wbNext = append(cc.wb[:0], wbs...), 0
 }
 
 // startFill begins fetching the block containing addr. Every word of
@@ -159,7 +171,7 @@ func (c *Core) execCached(env *pe.Env, in *Instr) pe.TickResult {
 		return pe.TickResult{}
 	case CFLU:
 		lo, hi := c.regs.I[in.Rs], c.regs.I[in.Rt]
-		cc.wb = append(cc.wb, cc.c.Flush(lo, hi)...)
+		cc.queue(cc.c.Flush(lo, hi))
 		cc.flushing = true
 		// pc advances when the flush drains (tickCache).
 		return pe.TickResult{}
