@@ -162,11 +162,15 @@ func (c *Cache) find(set int, tag int64) *line {
 
 // access is Read (store false) and Write (store true, v the value to
 // put): it ages the LRU clock, counts and reports the hit or miss, and on
-// a hit returns the word at a after the store, if any.
-func (c *Cache) access(a int64, store bool, v int64) (int64, bool) {
+// a hit returns the word at a after the store, if any. A quiet miss
+// changes nothing (ReadHit, WriteHit).
+func (c *Cache) access(a int64, store bool, v int64, quiet bool) (int64, bool) {
 	set, tag, off := c.locate(a)
-	c.clock++
 	l := c.find(set, tag)
+	if l == nil && quiet {
+		return 0, false
+	}
+	c.clock++
 	if l != nil {
 		//ultravet:ok sharecheck l points into the receiver-owned c.lines; the cache is private to one PE
 		l.lru = c.clock
@@ -196,13 +200,24 @@ func (c *Cache) access(a int64, store bool, v int64) (int64, bool) {
 // Read looks up address a. On a hit it returns the cached value; on a
 // miss the caller must fetch the block (Block(a) identifies it), call
 // Fill, and retry.
-func (c *Cache) Read(a int64) (v int64, hit bool) { return c.access(a, false, 0) }
+func (c *Cache) Read(a int64) (v int64, hit bool) { return c.access(a, false, 0, false) }
+
+// ReadHit is Read on a hit; a miss leaves the cache untouched — no count,
+// no event, no LRU tick — so the caller may make the access later with
+// Read.
+func (c *Cache) ReadHit(a int64) (v int64, hit bool) { return c.access(a, false, 0, true) }
+
+// WriteHit is Write on a hit; a miss leaves the cache untouched.
+func (c *Cache) WriteHit(a, v int64) (hit bool) {
+	_, hit = c.access(a, true, v, true)
+	return hit
+}
 
 // Write updates address a in place on a hit (write-back: no central
 // memory traffic, §3.4). On a miss the caller must fetch the block
 // (write-allocate), call Fill, and retry.
 func (c *Cache) Write(a, v int64) (hit bool) {
-	_, hit = c.access(a, true, v)
+	_, hit = c.access(a, true, v, false)
 	return hit
 }
 

@@ -139,48 +139,43 @@ func (c *Core) completeFill(tag int, value int64) {
 	cc.received++
 }
 
-// execCached executes one cached-memory instruction (the pc advances
-// only on completion; a miss leaves the pc so the instruction re-runs
-// after the fill).
+// busy reports whether cache microcode is in progress (false without a
+// cache).
+func (cc *coreCache) busy() bool {
+	return cc != nil && (cc.wbNext < len(cc.wb) || cc.flushing || cc.filling)
+}
+
+// observeCache points the cache at the PE's sink before its first access.
+func (c *Core) observeCache(env *pe.Env) {
+	if !c.cc.observed {
+		env.ObserveCache(c.cc.c)
+		c.cc.observed = true
+	}
+}
+
+// execCached runs what private leaves of a cached-memory instruction: a
+// load or store that misses counts its miss and starts the block's fill
+// (the pc stays, so the instruction re-runs as a hit after it), and a
+// flush queues its write-backs (the pc advances when they drain,
+// tickCache).
 func (c *Core) execCached(env *pe.Env, in *Instr) pe.TickResult {
 	cc := c.cc
 	if cc == nil {
 		panic(fmt.Sprintf("isa: %v requires a core built with NewCoreWithCache", in.Op))
 	}
-	if !cc.observed {
-		env.ObserveCache(cc.c)
-		cc.observed = true
-	}
-	switch in.Op {
+	c.observeCache(env)
+	switch addr := c.regs.I[in.Rs] + in.Imm; in.Op {
 	case CLDS:
-		addr := c.regs.I[in.Rs] + in.Imm
-		if v, hit := cc.c.Read(addr); hit {
-			c.regs.setI(in.Rd, v)
-			c.pc++
-			return pe.TickResult{Executed: true, LocalRef: true}
-		}
+		cc.c.Read(addr)
 		cc.startFill(addr)
-		return pe.TickResult{}
 	case CSTS:
-		addr := c.regs.I[in.Rs] + in.Imm
-		if cc.c.Write(addr, c.regs.I[in.Rt]) {
-			c.pc++
-			return pe.TickResult{Executed: true, LocalRef: true}
-		}
+		cc.c.Write(addr, c.regs.I[in.Rt])
 		cc.startFill(addr)
-		return pe.TickResult{}
 	case CFLU:
-		lo, hi := c.regs.I[in.Rs], c.regs.I[in.Rt]
-		cc.queue(cc.c.Flush(lo, hi))
+		cc.queue(cc.c.Flush(c.regs.I[in.Rs], c.regs.I[in.Rt]))
 		cc.flushing = true
-		// pc advances when the flush drains (tickCache).
-		return pe.TickResult{}
-	case CREL:
-		lo, hi := c.regs.I[in.Rs], c.regs.I[in.Rt]
-		cc.c.Release(lo, hi)
-		c.pc++
-		return pe.TickResult{Executed: true}
 	default:
 		panic(fmt.Sprintf("isa: execCached on %v", in.Op))
 	}
+	return pe.TickResult{}
 }

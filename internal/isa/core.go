@@ -114,40 +114,105 @@ func (c *Core) Tick(env *pe.Env) pe.TickResult {
 		return pe.TickResult{}
 	}
 
-	if next, ok := c.regs.Exec(in, c.pc); ok {
-		c.pc = next
-		return pe.TickResult{Executed: true}
+	if ran, local := c.private(env, in); ran {
+		return pe.TickResult{Executed: true, LocalRef: local}
 	}
-	switch in.Op {
-	case HALT:
+	// What private leaves: what other units see, and the private
+	// instructions that miss or fault.
+	switch in.Op.Class() {
+	case ClassHalt:
 		c.halted = true
 		return pe.TickResult{Halted: true}
+	case ClassShared:
+		return c.issueShared(env, in)
+	case ClassCached, ClassCacheRange:
+		return c.execCached(env, in)
+	case ClassPrivate:
+		c.localAddr(in) // out of range: panics
+	}
+	panic(fmt.Sprintf("isa: unhandled opcode %v at pc %d", in.Op, c.pc))
+}
 
+// private executes the instruction at pc if no other unit can see it —
+// registers, the PE's identity, private memory in range, a cache hit, a
+// release — and reports whether it ran and whether it referenced private
+// memory. Anything else it leaves as it found it: a shared, halt or
+// flush instruction, a cache miss, an address out of range. Tick and
+// Burst execute private instructions here and only here.
+func (c *Core) private(env *pe.Env, in *Instr) (ran, local bool) {
+	if next, ok := c.regs.Exec(in, c.pc); ok {
+		c.pc = next
+		return true, false
+	}
+	switch in.Op {
 	case RDPE:
 		c.regs.setI(in.Rd, int64(env.PEID()))
 	case RDNP:
 		c.regs.setI(in.Rd, int64(env.NumPE()))
-
-	case LW:
-		c.regs.setI(in.Rd, c.loadLocal(c.localAddr(in)))
-		c.pc++
-		return pe.TickResult{Executed: true, LocalRef: true}
-	case SW:
-		c.storeLocal(c.localAddr(in), c.regs.I[in.Rt])
-		c.pc++
-		return pe.TickResult{Executed: true, LocalRef: true}
-
-	case CLDS, CSTS, CFLU, CREL:
-		return c.execCached(env, in)
-
-	default:
-		if in.Op.Class() == ClassShared {
-			return c.issueShared(env, in)
+	case LW, SW:
+		a := c.regs.I[in.Rs] + in.Imm
+		if a < 0 || a >= int64(c.localWords) {
+			return false, false
 		}
-		panic(fmt.Sprintf("isa: unhandled opcode %v at pc %d", in.Op, c.pc))
+		if in.Op == LW {
+			c.regs.setI(in.Rd, c.loadLocal(int(a)))
+		} else {
+			c.storeLocal(int(a), c.regs.I[in.Rt])
+		}
+		local = true
+	case CLDS, CSTS, CREL:
+		if c.cc == nil {
+			return false, false // execCached panics
+		}
+		c.observeCache(env)
+		k := c.cc.c
+		switch in.Op {
+		case CLDS:
+			v, hit := k.ReadHit(c.regs.I[in.Rs] + in.Imm)
+			if !hit {
+				return false, false
+			}
+			c.regs.setI(in.Rd, v)
+		case CSTS:
+			if !k.WriteHit(c.regs.I[in.Rs]+in.Imm, c.regs.I[in.Rt]) {
+				return false, false
+			}
+		case CREL:
+			k.Release(c.regs.I[in.Rs], c.regs.I[in.Rt])
+		}
+		local = in.Op != CREL
+	default:
+		return false, false
 	}
 	c.pc++
-	return pe.TickResult{Executed: true}
+	return true, local
+}
+
+// Burst implements pe.Burster: it retires up to limit of the private
+// instructions that follow, exactly as that many Ticks would, and stops
+// before anything else — a locked register, a shared, halt or flush
+// instruction, a cache miss or fault, a pc off the program, cache
+// microcode in progress — which then runs in a Tick at its own cycle.
+// Bit i of local marks the i-th retired instruction as a private-memory
+// reference.
+func (c *Core) Burst(env *pe.Env, limit int) (n int, local uint64) {
+	if c.halted || c.cc.busy() {
+		return 0, 0
+	}
+	for ; n < limit && c.pc >= 0 && c.pc < len(c.prog.Instrs); n++ {
+		in := &c.prog.Instrs[c.pc]
+		if c.lockI|c.lockF != 0 && c.locked(in) {
+			break
+		}
+		ran, l := c.private(env, in)
+		if !ran {
+			break
+		}
+		if l {
+			local |= 1 << uint(n)
+		}
+	}
+	return n, local
 }
 
 // issueShared issues the request of a ClassShared instruction as its row

@@ -88,6 +88,12 @@ type Machine struct {
 	// replay. -1 is normal operation.
 	solo int
 
+	// horizon is the last PE cycle of the Run call in progress, 0 outside
+	// one: a PE may retire private instructions ahead of the clock up to
+	// it (pe.PE.TickAhead), because Run's caller reads nothing before Run
+	// returns.
+	horizon int64
+
 	// idealPending holds replies generated under IdealMemory during
 	// this cycle, delivered at the start of the next (one-cycle
 	// paracomputer access). Injections are buffered per PE during the
@@ -278,7 +284,7 @@ func (m *Machine) ensureStepper() {
 			if m.solo >= 0 && i != m.solo {
 				continue
 			}
-			m.pes[i].Tick(m.peCycles, len(m.pes))
+			m.pes[i].TickAhead(m.peCycles, len(m.pes), m.horizon)
 		}
 	}
 }
@@ -399,8 +405,16 @@ func (m *Machine) Done() bool {
 }
 
 // Run steps until Done or the network-cycle limit; it reports the PE
-// cycles elapsed and whether the machine finished.
+// cycles elapsed and whether the machine finished. Inside the call a PE
+// may retire private instructions ahead of the clock, never past the
+// last PE cycle before limit, so what its caller reads afterwards is
+// what Step would have left.
 func (m *Machine) Run(limit int64) (peCycles int64, done bool) {
+	if limit > m.cycle {
+		// PE cycle c ticks at network cycle c·PECycle.
+		m.horizon = (limit - 1) / m.cfg.PECycle
+		defer func() { m.horizon = 0 }()
+	}
 	for m.cycle < limit {
 		if m.Done() {
 			return m.peCycles, true

@@ -89,6 +89,14 @@ type PE struct {
 	pcer   PCer
 	profPC int
 
+	// burster is the core's Burster capability. ahead counts the PE
+	// cycles whose instructions a burst has already retired; the PE pays
+	// them back one per tick, so Stats are exact at every cycle boundary.
+	// aheadLocal holds their private references, bit 0 the next tick's.
+	burster    Burster
+	ahead      int
+	aheadLocal uint64
+
 	// env is the Env handed to the core each tick, a field rather than a
 	// stack value because passing &env through the Core interface would
 	// force a heap allocation every cycle.
@@ -131,6 +139,7 @@ func New(id int, core Core, h memory.Hasher, inject func(msg.Request) bool, maxO
 		scale: 1,
 	}
 	p.pcer, _ = core.(PCer)
+	p.burster, _ = core.(Burster)
 	p.stats.CMWaitHist = sim.NewHistogram(256)
 	return p
 }
@@ -150,8 +159,48 @@ func (p *PE) Halted() bool { return p.halted }
 // Drained reports whether the PE has no outstanding shared requests.
 func (p *PE) Drained() bool { return p.pni.Outstanding() == 0 }
 
+// Burster is the optional Core capability of retiring, in one call, the
+// instructions that follow an executed one and that no other unit can
+// see (isa.Core has it). Burst retires at most limit of them, leaving the
+// core where that many Ticks would, and reports how many it retired and,
+// in bit i of local, whether the i-th referenced private memory. It stops
+// before anything that could stall or that another unit could see.
+type Burster interface {
+	Burst(env *Env, limit int) (n int, local uint64)
+}
+
+// maxBurst caps a burst: the width of aheadLocal.
+const maxBurst = 64
+
 // Tick runs one processor cycle.
-func (p *PE) Tick(cycle int64, npe int) {
+func (p *PE) Tick(cycle int64, npe int) { p.TickAhead(cycle, npe, 0) }
+
+// TickAhead is Tick that, after an executed instruction and with no
+// consumer subscribed, lets a Burster core retire the private
+// instructions that follow in the same call, none past PE cycle horizon;
+// the ticks of their cycles then only count them. Stats stay exact at
+// every cycle boundary, but registers, pc, private memory and cache run
+// ahead up to horizon, so only a caller that reads none of them before
+// then (Machine.Run) passes a horizon beyond cycle.
+func (p *PE) TickAhead(cycle int64, npe int, horizon int64) {
+	if p.ahead > 0 {
+		p.payBack()
+		return
+	}
+	p.tick(cycle, npe, horizon)
+}
+
+// payBack counts one instruction a burst retired, on its own cycle.
+func (p *PE) payBack() {
+	p.ahead--
+	p.stats.Instructions.Inc()
+	if p.aheadLocal&1 != 0 {
+		p.stats.LocalRefs.Inc()
+	}
+	p.aheadLocal >>= 1
+}
+
+func (p *PE) tick(cycle int64, npe int, horizon int64) {
 	// Post-halt cycles are attributed too, so profiles sum to exactly
 	// PEs x measured cycles.
 	state := obs.ProfHalted
@@ -172,6 +221,9 @@ func (p *PE) Tick(cycle int64, npe int) {
 				p.stats.LocalRefs.Inc()
 			}
 			p.endStall(cycle)
+			if p.burster != nil && cycle < horizon && *p.subs == 0 {
+				p.ahead, p.aheadLocal = p.burster.Burst(&p.env, int(min(horizon-cycle, maxBurst)))
+			}
 		default:
 			state = p.idle(cycle)
 		}
