@@ -100,7 +100,9 @@ test:
 # samples it was written from. The combining rules (msg.Combine):
 # FuzzCombine requires that a combined pair, and that pair combined again
 # with a third request, end in a state some serial order of the requests
-# produces (§2.1). Plain `go test` already runs each seed corpus (every .s
+# produces (§2.1). Machine.Run against Step: FuzzRunMatchesStep requires
+# that a generated 2-3 PE program stopped by Run at a fuzzed cycle stands
+# where stepping leaves it. Plain `go test` already runs each seed corpus (every .s
 # file in the repository, one hot-spot span dump, and the files under the
 # packages' testdata/fuzz) as unit cases; a failure found here is written to that
 # directory and fails every later run until fixed.
@@ -111,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/reqtrace -run '^$$' -fuzz FuzzReadSpans -fuzztime 10s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 10s
 	$(GO) test ./internal/msg -run '^$$' -fuzz FuzzCombine -fuzztime 10s
+	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzRunMatchesStep -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.
