@@ -193,9 +193,8 @@ func (c *Core) private(env *pe.Env, in *Instr) (ran, local bool) {
 // before anything else — a locked register, a shared, halt or flush
 // instruction, a cache miss or fault, a pc off the program, cache
 // microcode in progress — which then runs in a Tick at its own cycle.
-// Bit i of local marks the i-th retired instruction as a private-memory
-// reference.
-func (c *Core) Burst(env *pe.Env, limit int) (n int, local uint64) {
+// locals counts the retired instructions that referenced private memory.
+func (c *Core) Burst(env *pe.Env, limit int) (n, locals int) {
 	if c.halted || c.cc.busy() {
 		return 0, 0
 	}
@@ -204,15 +203,20 @@ func (c *Core) Burst(env *pe.Env, limit int) (n int, local uint64) {
 		if c.lockI|c.lockF != 0 && c.locked(in) {
 			break
 		}
+		// The cache's index arithmetic may fault on a negative address,
+		// and a fault must surface at its own cycle.
+		if in.Op.Class() == ClassCached && c.regs.I[in.Rs]+in.Imm < 0 {
+			break
+		}
 		ran, l := c.private(env, in)
 		if !ran {
 			break
 		}
 		if l {
-			local |= 1 << uint(n)
+			locals++
 		}
 	}
-	return n, local
+	return n, locals
 }
 
 // issueShared issues the request of a ClassShared instruction as its row

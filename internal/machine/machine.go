@@ -90,7 +90,7 @@ type Machine struct {
 
 	// horizon is the last PE cycle of the Run call in progress, 0 outside
 	// one: a PE may retire private instructions ahead of the clock up to
-	// it (pe.PE.TickAhead), because Run's caller reads nothing before Run
+	// it (pe.PE.Tick), because Run's caller reads nothing before Run
 	// returns.
 	horizon int64
 
@@ -284,7 +284,7 @@ func (m *Machine) ensureStepper() {
 			if m.solo >= 0 && i != m.solo {
 				continue
 			}
-			m.pes[i].TickAhead(m.peCycles, len(m.pes), m.horizon)
+			m.pes[i].Tick(m.peCycles, len(m.pes), m.horizon)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func TestParallelUnsampledBuffersNothing(t *testing.T) {
 		}
 		for ; h.cycle < 1000; h.cycle++ {
 			for _, p := range pes {
-				p.Tick(h.cycle, n)
+				p.Tick(h.cycle, n, 0)
 			}
 			look(h.st.peEvents)
 			h.st.FlushInject()

@@ -95,9 +95,9 @@ func TestPEEventsOneChannel(t *testing.T) {
 			if cycle == 2 {
 				pe.Deliver(msg.Reply{ID: f.reqs[0].ID, PE: 3, Op: msg.Load, Addr: f.reqs[0].Addr, Value: 42}, int64(cycle))
 			}
-			pe.Tick(int64(cycle), 4)
+			pe.Tick(int64(cycle), 4, 0)
 		}
-		pe.Tick(int64(len(script)), 4) // halted
+		pe.Tick(int64(len(script)), 4, 0) // halted
 		if buffered {
 			if r.Total()+tc.Total()+p.Total() != 0 {
 				t.Fatalf("a buffered PE delivered events before the drain")

@@ -44,7 +44,7 @@ func (d *driver) run(t *testing.T, limit int64) {
 	t.Helper()
 	served := 0
 	for ; d.cycle < limit; d.cycle++ {
-		d.p.Tick(d.cycle, 1)
+		d.p.Tick(d.cycle, 1, 0)
 		// Serve newly injected requests.
 		for ; served < len(d.f.reqs); served++ {
 			r := d.f.reqs[served]
@@ -235,7 +235,7 @@ func TestGoCoreZeroAlloc(t *testing.T) {
 	var cycle int64
 	round := func() {
 		for start := done; done == start && !p.Halted(); cycle++ {
-			p.Tick(cycle, 1)
+			p.Tick(cycle, 1, 0)
 			for _, r := range f.reqs {
 				p.Deliver(msg.Reply{ID: r.ID, PE: r.PE, Op: r.Op, Addr: r.Addr}, cycle)
 			}

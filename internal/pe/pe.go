@@ -91,11 +91,10 @@ type PE struct {
 
 	// burster is the core's Burster capability. ahead counts the PE
 	// cycles whose instructions a burst has already retired; the PE pays
-	// them back one per tick, so Stats are exact at every cycle boundary.
-	// aheadLocal holds their private references, bit 0 the next tick's.
-	burster    Burster
-	ahead      int
-	aheadLocal uint64
+	// them back one per tick, so Instructions is exact at every cycle
+	// boundary.
+	burster Burster
+	ahead   int
 
 	// env is the Env handed to the core each tick, a field rather than a
 	// stack value because passing &env through the Core interface would
@@ -162,42 +161,34 @@ func (p *PE) Drained() bool { return p.pni.Outstanding() == 0 }
 // Burster is the optional Core capability of retiring, in one call, the
 // instructions that follow an executed one and that no other unit can
 // see (isa.Core has it). Burst retires at most limit of them, leaving the
-// core where that many Ticks would, and reports how many it retired and,
-// in bit i of local, whether the i-th referenced private memory. It stops
-// before anything that could stall or that another unit could see.
+// core where that many Ticks would, and reports how many it retired and
+// how many of those referenced private memory. It stops before anything
+// that could stall or that another unit could see.
 type Burster interface {
-	Burst(env *Env, limit int) (n int, local uint64)
+	Burst(env *Env, limit int) (n, locals int)
 }
 
-// maxBurst caps a burst: the width of aheadLocal.
+// maxBurst caps a burst, so one PE's call stays near its peers' cost
+// within a tick phase while a burst ended by the cap still pays only one
+// ordinary tick per 64 instructions.
 const maxBurst = 64
 
-// Tick runs one processor cycle.
-func (p *PE) Tick(cycle int64, npe int) { p.TickAhead(cycle, npe, 0) }
-
-// TickAhead is Tick that, after an executed instruction and with no
-// consumer subscribed, lets a Burster core retire the private
-// instructions that follow in the same call, none past PE cycle horizon;
-// the ticks of their cycles then only count them. Stats stay exact at
-// every cycle boundary, but registers, pc, private memory and cache run
-// ahead up to horizon, so only a caller that reads none of them before
-// then (Machine.Run) passes a horizon beyond cycle.
-func (p *PE) TickAhead(cycle int64, npe int, horizon int64) {
+// Tick runs one processor cycle. After an executed instruction, with no
+// consumer subscribed and horizon beyond cycle, a Burster core retires
+// the private instructions that follow in the same call, none past PE
+// cycle horizon; the ticks of their cycles then only count them.
+// Instructions stays exact at every cycle boundary, but LocalRefs,
+// registers, pc, private memory and cache run ahead up to horizon, so
+// only a caller that reads none of them before then (Machine.Run) passes
+// a horizon beyond cycle; every other caller passes 0.
+func (p *PE) Tick(cycle int64, npe int, horizon int64) {
 	if p.ahead > 0 {
-		p.payBack()
+		// An instruction a burst retired, counted on its own cycle.
+		p.ahead--
+		p.stats.Instructions.Inc()
 		return
 	}
 	p.tick(cycle, npe, horizon)
-}
-
-// payBack counts one instruction a burst retired, on its own cycle.
-func (p *PE) payBack() {
-	p.ahead--
-	p.stats.Instructions.Inc()
-	if p.aheadLocal&1 != 0 {
-		p.stats.LocalRefs.Inc()
-	}
-	p.aheadLocal >>= 1
 }
 
 func (p *PE) tick(cycle int64, npe int, horizon int64) {
@@ -222,7 +213,9 @@ func (p *PE) tick(cycle int64, npe int, horizon int64) {
 			}
 			p.endStall(cycle)
 			if p.burster != nil && cycle < horizon && *p.subs == 0 {
-				p.ahead, p.aheadLocal = p.burster.Burst(&p.env, int(min(horizon-cycle, maxBurst)))
+				n, locals := p.burster.Burst(&p.env, int(min(horizon-cycle, maxBurst)))
+				p.ahead = n
+				p.stats.LocalRefs.Add(int64(locals))
 			}
 		default:
 			state = p.idle(cycle)

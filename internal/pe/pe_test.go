@@ -49,7 +49,7 @@ func TestPNIOneOutstandingPerLocation(t *testing.T) {
 		return TickResult{Executed: true}
 	}}
 	p := newTestPE(core, f)
-	p.Tick(0, 4)
+	p.Tick(0, 4, 0)
 	if !issued[0] || issued[1] || !issued[2] {
 		t.Fatalf("issued = %v, want [true false true]", issued)
 	}
@@ -76,7 +76,7 @@ func TestPNIMaxOutstanding(t *testing.T) {
 		return TickResult{Executed: true}
 	}}
 	p := newTestPE(core, f) // maxOutstanding = 4
-	p.Tick(0, 4)
+	p.Tick(0, 4, 0)
 	if p.PNI().Outstanding() != 4 {
 		t.Fatalf("outstanding = %d, want 4 (bounded)", p.PNI().Outstanding())
 	}
@@ -91,7 +91,7 @@ func TestPNIRefusedInjectLeavesNoState(t *testing.T) {
 		return TickResult{Executed: true}
 	}}
 	p := newTestPE(core, f)
-	p.Tick(0, 4)
+	p.Tick(0, 4, 0)
 	if p.PNI().Outstanding() != 0 {
 		t.Fatal("refused issue left pending state")
 	}
@@ -118,7 +118,7 @@ func TestPEStatsAccounting(t *testing.T) {
 	}}
 	p := newTestPE(core, f)
 	for i := int64(0); i < 6; i++ {
-		p.Tick(i, 4)
+		p.Tick(i, 4, 0)
 	}
 	s := p.Stats()
 	if s.Instructions.Value() != 2 || s.IdleCycles.Value() != 1 || s.LocalRefs.Value() != 1 {
@@ -151,7 +151,7 @@ func TestRequestIDsUniquePerPE(t *testing.T) {
 	}}
 	p := newTestPE(core, f)
 	for i := int64(0); i < 4; i++ {
-		p.Tick(i, 4)
+		p.Tick(i, 4, 0)
 	}
 	seen := map[uint64]bool{}
 	for _, r := range f.reqs {
