@@ -18,12 +18,13 @@
 //	                             combinatorially without being coordination
 //	                             algorithms)
 //
-// Expressions are integer-valued over + - * / % (division by zero is 0,
-// like the ISA), comparisons == != < <= > >=, && || and unary minus, with
-// the atoms: integer literals, npes (the PE count under check), pe (the
-// evaluating PE, asserts only), r<N> (that PE's integer register, asserts
-// only) and M[<expr>] (a shared-memory word). Booleans are 0/1, so
-// invariants are written as expressions that must stay nonzero.
+// Expressions are Go expressions, parsed by go/parser with Go's
+// precedence and integer literals, narrowed to + - * / % (division by
+// zero is 0, like the ISA), comparisons == != < <= > >= (not chained),
+// && || and unary minus over the atoms: npes (the PE count under check),
+// pe (the evaluating PE, asserts only), r<N> (that PE's integer register,
+// asserts only) and M[<expr>] (a shared-memory word). Booleans are 0/1,
+// so invariants are written as expressions that must stay nonzero.
 //
 // A line `;ultravet:ok guestmc <reason>` anywhere in the file suppresses
 // the checker's findings for that file (the guest-side analogue of the
@@ -32,6 +33,10 @@ package mc
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"sort"
 	"strconv"
 	"strings"
@@ -294,254 +299,85 @@ func (n *node) eval(ctx *EvalCtx) int64 {
 	panic("mc: unreachable operator " + n.op)
 }
 
-// --- recursive-descent parser ---
+// --- parser: a Go expression, narrowed to the language ---
 
-type parser struct {
-	toks      []string
-	pos       int
-	allowRegs bool
-}
-
+// parseExpr parses src with Go's expression grammar, so precedence and
+// literals are Go's, and lowers the tree to a node. allowRegs admits pe
+// and r<N> (assert expressions).
 func parseExpr(src string, allowRegs bool) (*node, error) {
-	toks, err := tokenize(src)
+	// Go reads these as a comment or a line break; the language has neither.
+	if strings.Contains(src, "//") || strings.Contains(src, "/*") || strings.ContainsAny(src, "\r\n") {
+		return nil, fmt.Errorf("bad expression %q", src)
+	}
+	e, err := parser.ParseExpr(src)
 	if err != nil {
 		return nil, err
 	}
-	if len(toks) == 0 {
-		return nil, fmt.Errorf("empty expression")
+	fail := func(format string, args ...any) *node {
+		if err == nil {
+			err = fmt.Errorf(format, args...)
+		}
+		return nil
 	}
-	p := &parser{toks: toks, allowRegs: allowRegs}
-	n, err := p.or()
+	var lower func(e ast.Expr) *node
+	lower = func(e ast.Expr) *node {
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			return lower(e.X)
+		case *ast.BasicLit:
+			v, perr := strconv.ParseInt(e.Value, 0, 64)
+			if e.Kind != token.INT || perr != nil {
+				return fail("bad literal %s", e.Value)
+			}
+			return &node{kind: nLit, val: v}
+		case *ast.Ident:
+			name := e.Name
+			isReg := len(name) > 1 && name[0] == 'r' && name[1] >= '0' && name[1] <= '9'
+			switch {
+			case name == "npes":
+				return &node{kind: nNPEs}
+			case (name == "pe" || isReg) && !allowRegs:
+				return fail("%s is only available in assert expressions", name)
+			case name == "pe":
+				return &node{kind: nPE}
+			case isReg:
+				r, perr := strconv.Atoi(name[1:])
+				if perr != nil || r >= isa.NumRegs {
+					return fail("bad register %q", name)
+				}
+				return &node{kind: nReg, val: int64(r)}
+			}
+		case *ast.IndexExpr:
+			if m, ok := e.X.(*ast.Ident); ok && m.Name == "M" {
+				return &node{kind: nMem, a: lower(e.Index)}
+			}
+		case *ast.UnaryExpr:
+			if e.Op == token.SUB {
+				return &node{kind: nNeg, a: lower(e.X)}
+			}
+		case *ast.BinaryExpr:
+			switch e.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				if isComparison(e.X) || isComparison(e.Y) {
+					return fail("chained comparison %s: parenthesize one side", types.ExprString(e))
+				}
+			case token.ADD, token.SUB, token.MUL, token.QUO, token.REM, token.LAND, token.LOR:
+			default:
+				return fail("operator %s is not in the language", e.Op)
+			}
+			return &node{kind: nBin, op: e.Op.String(), a: lower(e.X), b: lower(e.Y)}
+		}
+		return fail("%s is not in the language", types.ExprString(e))
+	}
+	n := lower(e)
 	if err != nil {
 		return nil, err
-	}
-	if p.pos != len(p.toks) {
-		return nil, fmt.Errorf("trailing %q", p.toks[p.pos])
 	}
 	return n, nil
 }
 
-func tokenize(s string) ([]string, error) {
-	var toks []string
-	for i := 0; i < len(s); {
-		c := s[i]
-		switch {
-		case c == ' ' || c == '\t':
-			i++
-		case c >= '0' && c <= '9':
-			j := i
-			for j < len(s) && (isAlnum(s[j])) {
-				j++
-			}
-			toks = append(toks, s[i:j])
-			i = j
-		case isAlpha(c):
-			j := i
-			for j < len(s) && isAlnum(s[j]) {
-				j++
-			}
-			toks = append(toks, s[i:j])
-			i = j
-		case strings.ContainsRune("[]()+-*/%", rune(c)):
-			toks = append(toks, string(c))
-			i++
-		case c == '=' || c == '!' || c == '<' || c == '>':
-			if i+1 < len(s) && s[i+1] == '=' {
-				toks = append(toks, s[i:i+2])
-				i += 2
-			} else if c == '<' || c == '>' {
-				toks = append(toks, string(c))
-				i++
-			} else {
-				return nil, fmt.Errorf("bad operator %q", string(c))
-			}
-		case c == '&' || c == '|':
-			if i+1 < len(s) && s[i+1] == c {
-				toks = append(toks, s[i:i+2])
-				i += 2
-			} else {
-				return nil, fmt.Errorf("bad operator %q", string(c))
-			}
-		default:
-			return nil, fmt.Errorf("bad character %q", string(c))
-		}
-	}
-	return toks, nil
-}
-
-func isAlpha(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-func isAlnum(c byte) bool { return isAlpha(c) || (c >= '0' && c <= '9') }
-
-func (p *parser) peek() string {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
-	}
-	return ""
-}
-
-func (p *parser) next() string {
-	t := p.peek()
-	p.pos++
-	return t
-}
-
-func (p *parser) expect(t string) error {
-	if p.peek() != t {
-		return fmt.Errorf("expected %q, got %q", t, p.peek())
-	}
-	p.pos++
-	return nil
-}
-
-func (p *parser) or() (*node, error) {
-	n, err := p.and()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek() == "||" {
-		p.next()
-		b, err := p.and()
-		if err != nil {
-			return nil, err
-		}
-		n = &node{kind: nBin, op: "||", a: n, b: b}
-	}
-	return n, nil
-}
-
-func (p *parser) and() (*node, error) {
-	n, err := p.cmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek() == "&&" {
-		p.next()
-		b, err := p.cmp()
-		if err != nil {
-			return nil, err
-		}
-		n = &node{kind: nBin, op: "&&", a: n, b: b}
-	}
-	return n, nil
-}
-
-func (p *parser) cmp() (*node, error) {
-	n, err := p.sum()
-	if err != nil {
-		return nil, err
-	}
-	switch op := p.peek(); op {
-	case "==", "!=", "<", "<=", ">", ">=":
-		p.next()
-		b, err := p.sum()
-		if err != nil {
-			return nil, err
-		}
-		n = &node{kind: nBin, op: op, a: n, b: b}
-	}
-	return n, nil
-}
-
-func (p *parser) sum() (*node, error) {
-	n, err := p.term()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch op := p.peek(); op {
-		case "+", "-":
-			p.next()
-			b, err := p.term()
-			if err != nil {
-				return nil, err
-			}
-			n = &node{kind: nBin, op: op, a: n, b: b}
-		default:
-			return n, nil
-		}
-	}
-}
-
-func (p *parser) term() (*node, error) {
-	n, err := p.unary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch op := p.peek(); op {
-		case "*", "/", "%":
-			p.next()
-			b, err := p.unary()
-			if err != nil {
-				return nil, err
-			}
-			n = &node{kind: nBin, op: op, a: n, b: b}
-		default:
-			return n, nil
-		}
-	}
-}
-
-func (p *parser) unary() (*node, error) {
-	if p.peek() == "-" {
-		p.next()
-		a, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &node{kind: nNeg, a: a}, nil
-	}
-	return p.atom()
-}
-
-func (p *parser) atom() (*node, error) {
-	t := p.next()
-	switch {
-	case t == "":
-		return nil, fmt.Errorf("unexpected end of expression")
-	case t == "(":
-		n, err := p.or()
-		if err != nil {
-			return nil, err
-		}
-		return n, p.expect(")")
-	case t == "npes":
-		return &node{kind: nNPEs}, nil
-	case t == "pe":
-		if !p.allowRegs {
-			return nil, fmt.Errorf("pe is only available in assert expressions")
-		}
-		return &node{kind: nPE}, nil
-	case t == "M":
-		if err := p.expect("["); err != nil {
-			return nil, err
-		}
-		a, err := p.or()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("]"); err != nil {
-			return nil, err
-		}
-		return &node{kind: nMem, a: a}, nil
-	case t[0] == 'r' && len(t) > 1 && t[1] >= '0' && t[1] <= '9':
-		if !p.allowRegs {
-			return nil, fmt.Errorf("register %s is only available in assert expressions", t)
-		}
-		r, err := strconv.Atoi(t[1:])
-		if err != nil || r < 0 || r >= isa.NumRegs {
-			return nil, fmt.Errorf("bad register %q", t)
-		}
-		return &node{kind: nReg, val: int64(r)}, nil
-	case t[0] >= '0' && t[0] <= '9':
-		v, err := strconv.ParseInt(t, 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad literal %q", t)
-		}
-		return &node{kind: nLit, val: v}, nil
-	default:
-		return nil, fmt.Errorf("unknown atom %q", t)
-	}
+// isComparison reports whether e is an unparenthesized comparison.
+func isComparison(e ast.Expr) bool {
+	b, ok := e.(*ast.BinaryExpr)
+	return ok && b.Op.Precedence() == token.EQL.Precedence()
 }
