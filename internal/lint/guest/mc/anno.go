@@ -18,7 +18,8 @@
 //	                             combinatorially without being coordination
 //	                             algorithms)
 //
-// Expressions are Go expressions, parsed by go/parser with Go's
+// A directive ends at the next `;`, so a trailing assembler comment is
+// allowed. Expressions are Go expressions, parsed by go/parser with Go's
 // precedence and integer literals, narrowed to + - * / % (division by
 // zero is 0, like the ISA), comparisons == != < <= > >= (not chained),
 // && || and unary minus over the atoms: npes (the PE count under check),
@@ -102,8 +103,9 @@ func ParseAnnotations(src string, prog *isa.Program) (*Annotations, error) {
 		if j < 0 {
 			continue
 		}
-		text := strings.TrimSpace(raw[j+len(";mc:"):])
-		dir, rest, _ := strings.Cut(text, " ")
+		// The directive ends where an assembler comment after it starts.
+		text, _, _ := strings.Cut(raw[j+len(";mc:"):], ";")
+		dir, rest, _ := strings.Cut(strings.TrimSpace(text), " ")
 		rest = strings.TrimSpace(rest)
 		switch dir {
 		case "invariant", "final":

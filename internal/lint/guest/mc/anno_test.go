@@ -1,6 +1,13 @@
 package mc
 
-import "testing"
+import (
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"ultracomputer/internal/isa"
+)
 
 // TestExprLanguage pins the `;mc:` expression language: what parses, what
 // it evaluates to, and what is rejected. Every row runs as a plain
@@ -96,5 +103,41 @@ func TestExprLanguage(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReadmeAnnotations assembles README's `;mc:` example block, with
+// the labels its regions name, and parses every directive in it: each is
+// followed by an assembler comment, which ends the directive.
+func TestReadmeAnnotations(t *testing.T) {
+	readme, err := os.ReadFile("../../../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, _ := strings.Cut(string(readme), "The `;mc:` annotation language")
+	_, block, _ = strings.Cut(block, "```asm\n")
+	block, _, ok := strings.Cut(block, "```")
+	if !ok {
+		t.Fatal("README has no ;mc: example block")
+	}
+	src := block + "wcs:    li r1, 1\nwend:   li r1, 2\nrgo:    li r1, 3\nrend:   halt\n"
+	prog, err := isa.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ParseAnnotations(src, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asserts int
+	for _, ps := range a.Asserts {
+		asserts += len(ps)
+	}
+	got := []int{len(a.Invariants), len(a.Finals), len(a.Regions), len(a.NoConcur), a.Bound, asserts}
+	if want := []int{1, 1, 2, 1, 2, 1}; !slices.Equal(got, want) {
+		t.Fatalf("invariants, finals, regions, noconcur, bound, asserts = %v, want %v", got, want)
+	}
+	if n := strings.Count(block, ";mc:"); n != 7 {
+		t.Fatalf("README's block has %d directives; this test expects 7", n)
 	}
 }
