@@ -83,7 +83,7 @@ race:
 test:
 	$(GO) test ./...
 
-# Native fuzzing, ten seconds a target, of the five places outside
+# Native fuzzing, ten seconds a target, of the six places outside
 # input enters and of the combining rules. The assembler (serve.Config.Program): FuzzAssemble
 # requires that it never panics and that whatever assembles survives
 # Disassemble -> Assemble unchanged. The config object (HTTP bodies,
@@ -97,13 +97,17 @@ test:
 # that whatever reads survives write -> read -> write unchanged. A
 # profile (`tables -prof`): FuzzParsePprof requires that ParsePprof
 # never panics and that what WritePprof writes parses back to the
-# samples it was written from. The combining rules (msg.Combine):
+# samples it was written from. A `.s` file's `;mc:` lines (`ultravet`,
+# `ultrasim -verify`): FuzzParseAnnotations requires that a line appended
+# to a small program either fails to parse or yields properties that
+# evaluate without a panic and parse again from their source to the same
+# value. The combining rules (msg.Combine):
 # FuzzCombine requires that a combined pair, and that pair combined again
 # with a third request, end in a state some serial order of the requests
 # produces (§2.1). Machine.Run against Step: FuzzRunMatchesStep requires
 # that a generated 2-3 PE program stopped by Run at a fuzzed cycle stands
 # where stepping leaves it. Plain `go test` already runs each seed corpus (every .s
-# file in the repository, one hot-spot span dump, and the files under the
+# file and `;mc:` line in the repository, one hot-spot span dump, and the files under the
 # packages' testdata/fuzz) as unit cases; a failure found here is written to that
 # directory and fails every later run until fixed.
 fuzz-smoke:
@@ -114,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 10s
 	$(GO) test ./internal/msg -run '^$$' -fuzz FuzzCombine -fuzztime 10s
 	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzRunMatchesStep -fuzztime 10s
+	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzParseAnnotations -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.
