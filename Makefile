@@ -36,21 +36,27 @@ lint:
 # walk, and a Stepper.Step helper stamping time.Now. hotalloc: the switch
 # queue's push making its backing array per call, and a phase body
 # building a capturing closure per unit. sharecheck: phase bodies bumping
-# a package-level counter and inserting into a captured map.
+# a package-level counter and inserting into a captured map. The two guest
+# legs take .s files by path. guest: a plain-store race, a stale cached
+# re-read, a cached store never flushed, and (at two network copies) a
+# flush that lands after the release. guestmc: the coordination programs
+# with one seeded bug each, which deadlock, break a `;mc: final` or break
+# a `;mc: noconcur`, so this leg also runs the `;mc:` parser.
 lint-mutants:
 	@check() { \
-		analyzer=$$1; dir=$$2; shift 2; \
-		out=$$($(GO) run ./cmd/ultravet -enable $$analyzer $$dir 2>&1); \
+		analyzer=$$1; args=$$2; shift 2; \
+		out=$$($(GO) run ./cmd/ultravet -enable $$analyzer $$args 2>&1); \
 		if [ $$? -eq 0 ]; then \
 			echo "lint-mutants: $$analyzer: expected findings, got a clean run"; exit 1; \
 		fi; \
 		for f in "$$@"; do \
-			echo "$$out" | grep -q "$$f.*$$analyzer" || { \
+			echo "$$out" | grep -q "/$$f:[0-9:]*: $$analyzer:" || { \
 				echo "lint-mutants: $$analyzer: seeded mutant $$f not flagged"; \
 				echo "$$out"; exit 1; }; \
 		done; \
 		echo "lint-mutants: $$analyzer: all $$# seeded mutants flagged"; \
 	}; \
+	t=internal/lint/testdata; \
 	check lockcheck internal/lint/lockcheck/testdata/src/pr9mutants \
 		lostwakeup.go interruptstore.go rebuildrace.go && \
 	check probegate internal/lint/probegate/testdata/src/guardmutants \
@@ -60,7 +66,13 @@ lint-mutants:
 	check hotalloc internal/lint/hotalloc/testdata/src/allocmutants \
 		push.go phase.go && \
 	check sharecheck internal/lint/sharecheck/testdata/src/phasemutants \
-		counter.go mapinsert.go
+		counter.go mapinsert.go && \
+	check guest "-copies 2 $$t/racy.s $$t/stale.s $$t/handoff_noflush.s $$t/lateflush.s" \
+		racy.s stale.s handoff_noflush.s lateflush.s && \
+	check guestmc "$$t/barrier_dropped_release.s $$t/barrier_off_by_one.s $$t/queue_faa_swapped.s \
+		$$t/queue_turn_off_by_one.s $$t/rw_no_recheck.s $$t/handoff_noflush.s" \
+		barrier_dropped_release.s barrier_off_by_one.s queue_faa_swapped.s \
+		queue_turn_off_by_one.s rw_no_recheck.s handoff_noflush.s
 
 # Exhaustive guest verification (internal/lint/guest/mc): model-check
 # every shipped assembly program — the examples and the coord guest
