@@ -281,7 +281,7 @@ func (c *Cache) evict(l *line, set int) []WriteBack {
 	base := (l.tag*int64(c.cfg.Sets) + int64(set)) * int64(c.cfg.BlockWords)
 	for i, d := range l.dirty {
 		if d {
-			//ultravet:ok hotalloc scratch reaches steady-state capacity (≤ BlockWords entries)
+			// The scratch stops growing at BlockWords entries.
 			wbs = append(wbs, WriteBack{Addr: base + int64(i), Value: l.words[i]})
 			c.wroteBack(base + int64(i))
 		}
@@ -346,7 +346,6 @@ func (c *Cache) Flush(lo, hi int64) []WriteBack {
 			touched := false
 			for i, d := range l.dirty {
 				if d {
-					//ultravet:ok hotalloc scratch reaches steady-state capacity after warmup
 					wbs = append(wbs, WriteBack{Addr: base + int64(i), Value: l.words[i]})
 					l.dirty[i] = false
 					c.wroteBack(base + int64(i))

@@ -344,7 +344,6 @@ func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
 	out := n.collectBuf[pe][:0]
 	for i := pe; i < len(n.peRecv); i += n.topo.n {
 		if n.act.pe[i] != 0 {
-			//ultravet:ok hotalloc per-PE scratch reaches steady-state capacity after warmup
 			out = append(out, n.peRecv[i]...)
 			n.peRecv[i] = n.peRecv[i][:0]
 			n.act.pe[i] = 0
