@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // The documents may only name things that exist. TestDocsNameWhatExists
@@ -141,6 +142,21 @@ func TestDocsNameWhatExists(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestChangesLineBudget keeps CHANGES.md a log of one short line per
+// change: no line may exceed 400 characters, counted as runes. The detail
+// lives in git log and docs/experiments/.
+func TestChangesLineBudget(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "CHANGES.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range strings.Split(string(data), "\n") {
+		if n := utf8.RuneCountInString(l); n > 400 {
+			t.Errorf("CHANGES.md:%d is %d characters, over the 400 budget", i+1, n)
 		}
 	}
 }
