@@ -37,7 +37,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"sort"
 	"strconv"
 	"strings"
@@ -311,10 +310,15 @@ func parseExpr(src string, allowRegs bool) (*node, error) {
 	if strings.Contains(src, "//") || strings.Contains(src, "/*") || strings.ContainsAny(src, "\r\n") {
 		return nil, fmt.Errorf("bad expression %q", src)
 	}
-	e, err := parser.ParseExpr(src)
+	fset := token.NewFileSet()
+	e, err := parser.ParseExprFrom(fset, "", src, 0)
 	if err != nil {
 		return nil, err
 	}
+	text := func(n ast.Node) string {
+		return src[fset.Position(n.Pos()).Offset:fset.Position(n.End()).Offset]
+	}
+	// fail keeps the first error; lowering goes on with a nil node.
 	fail := func(format string, args ...any) *node {
 		if err == nil {
 			err = fmt.Errorf(format, args...)
@@ -334,7 +338,7 @@ func parseExpr(src string, allowRegs bool) (*node, error) {
 			return &node{kind: nLit, val: v}
 		case *ast.Ident:
 			name := e.Name
-			isReg := len(name) > 1 && name[0] == 'r' && name[1] >= '0' && name[1] <= '9'
+			isReg := len(name) > 1 && name[0] == 'r' && '0' <= name[1] && name[1] <= '9'
 			switch {
 			case name == "npes":
 				return &node{kind: nNPEs}
@@ -361,7 +365,7 @@ func parseExpr(src string, allowRegs bool) (*node, error) {
 			switch e.Op {
 			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
 				if isComparison(e.X) || isComparison(e.Y) {
-					return fail("chained comparison %s: parenthesize one side", types.ExprString(e))
+					return fail("chained comparison %s: parenthesize one side", text(e))
 				}
 			case token.ADD, token.SUB, token.MUL, token.QUO, token.REM, token.LAND, token.LOR:
 			default:
@@ -369,7 +373,7 @@ func parseExpr(src string, allowRegs bool) (*node, error) {
 			}
 			return &node{kind: nBin, op: e.Op.String(), a: lower(e.X), b: lower(e.Y)}
 		}
-		return fail("%s is not in the language", types.ExprString(e))
+		return fail("%s is not in the language", text(e))
 	}
 	n := lower(e)
 	if err != nil {
