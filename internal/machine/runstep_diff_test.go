@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 
 	"ultracomputer/internal/isa"
@@ -32,7 +33,7 @@ func (tc twinCase) diffTwins(a, b *twin) string {
 			return fmt.Sprintf("core %d pc/halted: stepped %d/%v, run %d/%v", i, ca.PC(), ca.Halted(), cb.PC(), cb.Halted())
 		}
 		for r := 0; r < isa.NumRegs; r++ {
-			if ca.Reg(r) != cb.Reg(r) || ca.FReg(r) != cb.FReg(r) {
+			if ca.Reg(r) != cb.Reg(r) || math.Float64bits(ca.FReg(r)) != math.Float64bits(cb.FReg(r)) {
 				return fmt.Sprintf("core %d r%d/f%d: stepped %d/%g, run %d/%g", i, r, r, ca.Reg(r), ca.FReg(r), cb.Reg(r), cb.FReg(r))
 			}
 		}

@@ -45,8 +45,9 @@ func (tc twinCase) sweeps(end int64) [][]int64 {
 
 // runTwins runs tc under cfg: one twin stepped cycle by cycle, the others
 // driven by Run over the stop lists sweeps returns for the run's end
-// cycle, each compared with the stepped twin at every stop.
-func runTwins(t *testing.T, tc twinCase, cfg twinConfig, sweeps func(end int64) [][]int64) {
+// cycle, each compared with the stepped twin at every stop. It returns
+// the first difference.
+func runTwins(t *testing.T, tc twinCase, cfg twinConfig, sweeps func(end int64) [][]int64) error {
 	t.Helper()
 	var eng engine.Engine
 	if cfg.parallel {
@@ -56,7 +57,7 @@ func runTwins(t *testing.T, tc twinCase, cfg twinConfig, sweeps func(end int64) 
 	}
 	probe := tc.build(t, cfg, eng)
 	if _, done := probe.m.Run(twinLimit); !done {
-		t.Fatalf("%s did not finish in %d cycles", tc.name, int64(twinLimit))
+		return fmt.Errorf("%s did not finish in %d cycles", tc.name, int64(twinLimit))
 	}
 	end := probe.m.Cycles()
 
@@ -78,7 +79,7 @@ func runTwins(t *testing.T, tc twinCase, cfg twinConfig, sweeps func(end int64) 
 			next[j]++
 			b.m.Run(c)
 			if d := tc.diffTwins(a, b); d != "" {
-				t.Fatalf("twin %d stopped by Run(%d) differs from the stepped twin: %s", j, c, d)
+				return fmt.Errorf("twin %d stopped by Run(%d) differs from the stepped twin: %s", j, c, d)
 			}
 			compared++
 		}
@@ -86,15 +87,16 @@ func runTwins(t *testing.T, tc twinCase, cfg twinConfig, sweeps func(end int64) 
 	for j, b := range bs {
 		// Past the end, Run must find the machine done and leave it.
 		if _, done := b.m.Run(twinLimit); !done {
-			t.Fatalf("twin %d: Run past the end reports not done", j)
+			return fmt.Errorf("twin %d: Run past the end reports not done", j)
 		}
 		if d := tc.diffTwins(a, b); d != "" {
-			t.Fatalf("twin %d after Run past the end: %s", j, d)
+			return fmt.Errorf("twin %d after Run past the end: %s", j, d)
 		}
 	}
 	if compared == 0 || !a.m.Done() {
-		t.Fatalf("%d stops compared; stepped twin done: %v", compared, a.m.Done())
+		return fmt.Errorf("%d stops compared; stepped twin done: %v", compared, a.m.Done())
 	}
+	return nil
 }
 
 // kernelSource is the benchmark's guest kernel (bench/testdata/spmd.s)
@@ -151,7 +153,11 @@ func twinCases(t testing.TB) []twinCase {
 func TestRunMatchesStep(t *testing.T) {
 	for _, tc := range twinCases(t) {
 		for _, cfg := range twinConfigs() {
-			t.Run(tc.name+"/"+cfg.String(), func(t *testing.T) { runTwins(t, tc, cfg, tc.sweeps) })
+			t.Run(tc.name+"/"+cfg.String(), func(t *testing.T) {
+				if err := runTwins(t, tc, cfg, tc.sweeps); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }
