@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint verify lint-mutants test race fuzz-smoke bench bench-compare bench-pairs bench-guard equivalence serve-smoke prof prof-host clean
+.PHONY: ci fmt build vet lint verify lint-mutants test race fuzz-smoke bench bench-compare bench-pairs bench-guard serve-smoke prof prof-host clean
 
-ci: fmt vet lint verify lint-mutants build race test fuzz-smoke equivalence bench-guard serve-smoke prof
+ci: fmt vet lint verify lint-mutants build race test fuzz-smoke bench-guard serve-smoke prof
 
 # Every Go file is gofmt-clean; any file gofmt would rewrite fails CI.
 fmt:
@@ -33,11 +33,10 @@ lint:
 # interrupt store outside the lock, rebuild outside execMu). probegate:
 # copies of one PE stall site and one cache site with the Subs.For
 # audience guard stripped. detstate: memory.Module.Step serving by a map
-# walk, and a Stepper.Step helper stamping time.Now. hotalloc: the switch
-# queue's push making its backing array per call, and a phase body
-# building a capturing closure per unit. sharecheck: phase bodies bumping
-# a package-level counter and inserting into a captured map. The two guest
-# legs take .s files by path. guest: a plain-store race, a stale cached
+# walk, a Stepper.Step helper stamping time.Now, and a Machine.Step
+# ticking each PE on its own goroutine. hotalloc: the switch queue's push
+# making its backing array per call, and a phase body building a
+# capturing closure per unit. The two guest legs take .s files by path. guest: a plain-store race, a stale cached
 # re-read, a cached store never flushed, and (at two network copies) a
 # flush that lands after the release. guestmc: the coordination programs
 # with one seeded bug each, which deadlock, break a `;mc: final` or break
@@ -62,11 +61,9 @@ lint-mutants:
 	check probegate internal/lint/probegate/testdata/src/guardmutants \
 		stall.go cache.go && \
 	check detstate internal/lint/detstate/testdata/src/stepmutants \
-		mapserve.go stamp.go && \
+		mapserve.go stamp.go spawn.go && \
 	check hotalloc internal/lint/hotalloc/testdata/src/allocmutants \
 		push.go phase.go && \
-	check sharecheck internal/lint/sharecheck/testdata/src/phasemutants \
-		counter.go mapinsert.go && \
 	check guest "-copies 2 $$t/racy.s $$t/stale.s $$t/handoff_noflush.s $$t/lateflush.s" \
 		racy.s stale.s handoff_noflush.s lateflush.s && \
 	check guestmc "$$t/barrier_dropped_release.s $$t/barrier_off_by_one.s $$t/queue_faa_swapped.s \
@@ -103,7 +100,7 @@ test:
 # that whatever assembles survives Disassemble -> Assemble unchanged. The config object (HTTP bodies,
 # `ultrasim -config`): FuzzConfig requires that strict decoding, Validate
 # and the default quotas never panic and that whatever passes all three
-# is inside the workers, ports, PEs and memory bounds. ultrasim's command
+# is inside the ports, PEs and memory bounds. ultrasim's command
 # line: FuzzFlagsRoundTrip requires that whatever RegisterFlags parses into
 # a valid Config comes back from its JSON file through LoadConfigFile
 # unchanged. A span dump
@@ -198,15 +195,6 @@ prof-host:
 	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '$(B)$$' -benchtime 200x -cpuprofile .bench_build/host.prof -o .bench_build/host.test .
 	$(GO) tool pprof -top -nodecount 25 .bench_build/host.test .bench_build/host.prof
-
-# Engine equivalence: the serial and parallel engines must produce
-# byte-identical traces, metrics, reports and final state. Run under
-# the race detector (catches unsynchronized shard writes) and again
-# pinned to a single P (proves the worker barrier cannot deadlock
-# without real parallelism).
-equivalence:
-	$(GO) test -race -count=1 -run 'EngineEquivalence|RunEngineEquivalence' ./internal/machine/ ./internal/trace/
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'EngineEquivalence|RunEngineEquivalence' ./internal/machine/ ./internal/trace/
 
 # Guard the allocation contract: a disabled (nil) probe must add zero
 # allocations to the hot paths, an enabled ring recorder and a served

@@ -23,7 +23,6 @@ import (
 	"os"
 
 	"ultracomputer/internal/analytic"
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
@@ -46,21 +45,12 @@ func main() {
 	rate := flag.Float64("rate", 0.25, "traffic intensity of the instrumented run (requests per PE per cycle)")
 	combining := flag.Bool("combining", true, "combine requests in the instrumented run (disable to expose raw tree saturation)")
 	measure := flag.Int64("measure", 8000, "measured cycles of the instrumented run (after a 1000-cycle warmup)")
-	engineFlag := flag.String("engine", "serial", "execution engine for the instrumented run: serial or parallel (byte-identical outputs either way)")
-	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	flag.Parse()
-
-	eng, err := engine.New(*engineFlag, *workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netperf:", err)
-		os.Exit(2)
-	}
-	defer eng.Close()
 
 	if obsFlags.Any() {
 		kit := obsFlags.New(obs.DefaultRecorderCapacity, *sampleEvery, nil, nil)
 		w := trace.Workload{Rate: *rate, Hash: true, HotFraction: *hot, HotWord: 0, Seed: 17}
-		if err := observe(kit, w, *simPorts, *combining, *measure, eng); err != nil {
+		if err := observe(kit, w, *simPorts, *combining, *measure); err != nil {
 			fmt.Fprintln(os.Stderr, "netperf:", err)
 			os.Exit(1)
 		}
@@ -106,7 +96,7 @@ func main() {
 // occupancy series; with -serve the same run is watchable live over
 // HTTP, including the analytic model-conformance drift that hot spots
 // trip.
-func observe(kit *live.Kit, w trace.Workload, ports int, combining bool, measure int64, eng engine.Engine) error {
+func observe(kit *live.Kit, w trace.Workload, ports int, combining bool, measure int64) error {
 	const k = 2
 	stages := 0
 	for n := 1; n < ports; n *= k {
@@ -120,7 +110,7 @@ func observe(kit *live.Kit, w trace.Workload, ports int, combining bool, measure
 	if err := kit.Start(os.Stdout, cfg, 0, nil); err != nil {
 		return err
 	}
-	r := trace.RunEngine(cfg, w, 1000, measure, eng)
+	r := trace.Run(cfg, w, 1000, measure)
 	fmt.Printf("instrumented run: %d ports, %d stages, rate=%.3f hot=%.2f\n  %s\n",
 		cfg.Ports(), stages, w.Rate, w.HotFraction, r)
 	if err := kit.Finish(os.Stdout); err != nil {

@@ -116,7 +116,7 @@ func main() {
 		}
 	}
 
-	m, isaCores, eng, err := cfg.Build()
+	m, isaCores, _, err := cfg.Build()
 	if err != nil {
 		var le *machine.LintError
 		if errors.As(err, &le) {
@@ -127,7 +127,6 @@ func main() {
 		}
 		fatal(err)
 	}
-	defer eng.Close()
 	cfg = cfg.WithDefaults()
 	mcfg := cfg.MachineConfig()
 

@@ -2,25 +2,22 @@
 // halves, selected by the kind of argument:
 //
 // Go packages (directories, or the literal ./... to expand the module)
-// run the host-side analyzers over the simulator's own sources. All five
+// run the host-side analyzers over the simulator's own sources. All four
 // run once over one module-wide program (internal/lint/analysis): every
 // package, one call graph, interprocedural write-set summaries, and the
 // cycle roots declared in analysis/roots.go — functions and methods
-// named Tick, Step or Collect plus the function literals handed to the
-// execution engine as phase units:
+// named Tick, Step or Collect plus the function literals handed to an
+// engine.Engine as phase units:
 //
 //	detstate   forbid wall-clock reads, global math/rand and unordered
 //	           map iteration in functions reachable, inside their
-//	           package, from the cycle roots
+//	           package, from the cycle roots, and goroutine launches in
+//	           any function reachable from them
 //	probegate  require every obs.Probe Emit call site to be guarded by
 //	           a nil check of the probe or by a non-zero obs.Subs.For
 //	           audience (the zero-alloc contract), and every reqtrace
 //	           sampling call site (ContextFor, Emit) by a nil check of
 //	           the tracer
-//	sharecheck verify that everything transitively reachable from an
-//	           engine phase body writes only shard-owned state, and
-//	           forbid goroutine launches on cycle paths outside
-//	           internal/engine
 //	hotalloc   flag heap-allocation sites reachable from the cycle roots
 //	lockcheck  enforce declared lock discipline (`// guarded by mu` field
 //	           comments): guarded-field access without the protecting
@@ -44,7 +41,7 @@
 // the model checker with `;ultravet:ok guestmc <reason>`.
 //
 // There is one way to accept a finding: `//ultravet:ok <analyzer>
-// <reason>` on or above the line, for any of the five host analyzers.
+// <reason>` on or above the line, for any of the four host analyzers.
 // Everything else is reported, and any reported finding makes the exit
 // status 1.
 //
@@ -52,7 +49,7 @@
 //
 //	ultravet ./...                          # text diagnostics
 //	ultravet -json ./...                    # all findings as JSON
-//	ultravet -enable sharecheck,hotalloc ./...
+//	ultravet -enable detstate,hotalloc ./...
 //	ultravet -list
 //	ultravet -pes 8 -copies 2 examples/asm/tickets.s
 package main
@@ -75,14 +72,12 @@ import (
 	"ultracomputer/internal/lint/hotalloc"
 	"ultracomputer/internal/lint/lockcheck"
 	"ultracomputer/internal/lint/probegate"
-	"ultracomputer/internal/lint/sharecheck"
 )
 
 // registry lists every host analyzer in stable order.
 var registry = []*analysis.Analyzer{
 	detstate.Analyzer,
 	probegate.Analyzer,
-	sharecheck.Analyzer,
 	hotalloc.Analyzer,
 	lockcheck.Analyzer,
 }

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/machine"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
@@ -35,25 +34,20 @@ func main() {
 	var obsFlags live.Flags
 	obsFlags.Register(flag.CommandLine)
 	sampleEvery := flag.Int64("sample-every", 16, "network cycles between metrics samples")
-	engineFlag := flag.String("engine", "serial", "execution engine: serial or parallel (byte-identical outputs either way)")
-	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	const rounds = 32
 	fmt.Println("64 PEs performing fetch-and-adds on ONE shared cell")
 	fmt.Printf("%-14s %12s %14s %12s %12s\n",
 		"switches", "PE cycles", "CM access", "combines", "MM ops")
-	eng, err := engine.New(*engineFlag, *workers)
-	check(err)
-	defer eng.Close()
 	served := obsFlags.New(obs.DefaultRecorderCapacity, *sampleEvery, nil, nil)
-	run(eng, true, rounds, served)
+	run(true, rounds, served)
 	// The uncombined control keeps only the request tracing.
 	plain := live.Flags{ReqRate: obsFlags.ReqRate}
 	if obsFlags.Spans != "" {
 		plain.Spans = obsFlags.Spans + ".plain"
 	}
-	run(eng, false, rounds, plain.New(obs.DefaultRecorderCapacity, *sampleEvery, nil, nil))
+	run(false, rounds, plain.New(obs.DefaultRecorderCapacity, *sampleEvery, nil, nil))
 	fmt.Println("\ncombining turns a serial hot spot into logarithmic fan-in:")
 	fmt.Println("memory serves far fewer operations and latency stays flat.")
 	if served.Tracer != nil {
@@ -64,7 +58,7 @@ func main() {
 }
 
 // run executes the experiment once under kit's observation.
-func run(eng engine.Engine, combining bool, rounds int, kit *live.Kit) {
+func run(combining bool, rounds int, kit *live.Kit) {
 	cfg := machine.Config{
 		Net:     network.Config{K: 2, Stages: 6, Combining: combining},
 		Hashing: true,
@@ -74,7 +68,6 @@ func run(eng engine.Engine, combining bool, rounds int, kit *live.Kit) {
 			ctx.FetchAdd(7, 1)
 		}
 	})
-	m.SetEngine(eng)
 	m.Observe(kit.Observers)
 	check(kit.Start(os.Stdout, cfg.Net, cfg.MMLatency, nil))
 	cycles := m.MustRun(100_000_000)

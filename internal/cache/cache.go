@@ -172,7 +172,6 @@ func (c *Cache) access(a int64, store bool, v int64, quiet bool) (int64, bool) {
 	}
 	c.clock++
 	if l != nil {
-		//ultravet:ok sharecheck l points into the receiver-owned c.lines; the cache is private to one PE
 		l.lru = c.clock
 		if store {
 			l.words[off] = v

@@ -144,24 +144,16 @@ func TestUltrasimPinned(t *testing.T) {
 		"s.jsonl": queueSpans,
 		"p.jsonl": "06493a3a5a864dfc243a06dd8335be8876316d24d0199ff223dcc1c6dd3d6698",
 	}
-	for _, engine := range [][]string{
-		{"-engine", "serial"},
-		{"-engine", "parallel", "-workers", "3"},
-	} {
-		t.Run(engine[1], func(t *testing.T) {
-			dir, _ := workdir(t)
-			args := append([]string{"-pes", "8", "-sample-every", "32"}, ultrasimObserve...)
-			args = append(append(args, engine...), "queue.s")
-			pin(t, mustRun(t, dir, "ultrasim", args...), want)
-			// cmd/tables renders the span dump and the profile.
-			pin(t, mustRun(t, dir, "tables", "-spans", "s.jsonl"), map[string]string{
-				"stdout": "7eea4dde69b18bb19d67cfe16183f6d425e3d306c1314093cca07a177d453379",
-			})
-			pin(t, mustRun(t, dir, "tables", "-prof", "p.jsonl"), map[string]string{
-				"stdout": "c7c64f00ec792afff73f9a455d8833d30697639c5fb64f681b20dd13f918949f",
-			})
-		})
-	}
+	dir, _ := workdir(t)
+	args := append([]string{"-pes", "8", "-sample-every", "32"}, ultrasimObserve...)
+	pin(t, mustRun(t, dir, "ultrasim", append(args, "queue.s")...), want)
+	// cmd/tables renders the span dump and the profile.
+	pin(t, mustRun(t, dir, "tables", "-spans", "s.jsonl"), map[string]string{
+		"stdout": "7eea4dde69b18bb19d67cfe16183f6d425e3d306c1314093cca07a177d453379",
+	})
+	pin(t, mustRun(t, dir, "tables", "-prof", "p.jsonl"), map[string]string{
+		"stdout": "c7c64f00ec792afff73f9a455d8833d30697639c5fb64f681b20dd13f918949f",
+	})
 }
 
 // The same run described by a config file that says 4 PEs, with -pes 8

@@ -1,198 +1,32 @@
-// Package engine provides pluggable execution backends for the
-// simulation kernel. A cycle of the simulated machine decomposes into a
-// sequence of phases, each a loop over independent units (PEs, Omega
-// switch columns, memory modules). An Engine runs one such phase: the
-// Serial engine executes the units inline on the calling goroutine; the
-// Parallel engine partitions them into fixed contiguous shards and
-// drives a persistent worker pool through phase → barrier → phase.
-//
-// Determinism contract: shards are a pure function of (n, workers) —
-// Shard below — chosen once, never derived from map order or scheduling.
-// Run returns only after every unit has executed (a full barrier), so a
-// caller that merges per-unit buffers in unit order after each phase
-// observes exactly the order a Serial engine would have produced inline.
-// The barrier uses sync/atomic operations, which both make the
-// coordinator/worker hand-off visible to the race detector and give the
-// happens-before edges that let one phase read what the previous phase
-// wrote from a different worker.
+// Package engine is the seam through which machine.Machine.Step runs
+// the phases of a cycle. A cycle of the simulated machine decomposes into
+// a sequence of phases, each a loop over units (memory modules, PEs), and
+// an Engine runs one such phase. The simulator is single-threaded: Serial
+// executes every phase inline on the calling goroutine, in ascending unit
+// order, which is the serialization every golden, report and trace is
+// pinned against. The seam remains only so that the benchmark's phase
+// timer (bench/guest.go) can wrap each phase in a span.
 package engine
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// Engine executes the independent units of one simulation phase.
+// Engine executes the units of one simulation phase.
 //
-// Run calls fn over contiguous index ranges that exactly cover [0, n)
-// and returns after all of them have completed. fn receives the shard's
-// half-open range [lo, hi) and the executing worker's index (always 0
-// for the Serial engine); fn must not touch state owned by units
-// outside its range.
+// Run calls fn over index ranges that exactly cover [0, n), in ascending
+// order, and returns after all of them have completed. fn receives the
+// range [lo, hi) and a worker index, always 0.
 type Engine interface {
 	Run(n int, fn func(lo, hi, worker int))
-	// Workers reports the pool size; 0 means units run inline on the
-	// caller's goroutine (no scratch buffers needed).
-	Workers() int
-	// Close releases the worker pool. The engine must not be used after.
-	Close()
 }
 
-// Shard returns the half-open range of unit indexes shard w (of
-// `shards` total) owns out of n units: contiguous, deterministic, and
-// balanced to within one unit. It is the single source of truth for
-// work partitioning — every phase of a run splits the same way.
-func Shard(n, shards, w int) (lo, hi int) {
-	return w * n / shards, (w + 1) * n / shards
-}
-
-// New builds an engine from the conventional -engine/-workers flag
-// values: "serial" (or empty) ignores workers; "parallel" starts a pool
-// of the given size, defaulting to GOMAXPROCS when workers <= 0. The
-// caller owns the returned engine and must Close it.
-func New(kind string, workers int) (Engine, error) {
-	switch kind {
-	case "", "serial":
-		return Serial{}, nil
-	case "parallel":
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		return NewParallel(workers), nil
-	}
-	return nil, fmt.Errorf("unknown engine %q (want serial or parallel)", kind)
-}
-
-// Serial executes every phase inline on the calling goroutine. It is
-// the reference engine: the parallel engine is correct exactly when its
-// observable output is byte-identical to Serial's.
+// Serial executes every phase inline on the calling goroutine.
 type Serial struct{}
 
+// Run calls fn(0, n, 0) when there is any unit to run.
 func (Serial) Run(n int, fn func(lo, hi, worker int)) {
 	if n > 0 {
 		fn(0, n, 0)
 	}
 }
 
-func (Serial) Workers() int { return 0 }
-func (Serial) Close()       {}
-
-// Parallel drives phases across a persistent pool of worker
-// goroutines. Workers are started once at construction and parked on a
-// spin-then-yield barrier between phases; no goroutines are spawned per
-// cycle or per phase.
-type Parallel struct {
-	workers int
-
-	// Phase hand-off: the coordinator publishes n/fn, then bumps epoch
-	// (release); workers observe the new epoch (acquire), run their
-	// fixed shard, and decrement pending. The coordinator spins on
-	// pending reaching zero (acquire), which orders every worker's
-	// writes before the next phase begins. No mutex is involved, so the
-	// plain n/fn fields carry no lockcheck guard annotation: their
-	// happens-before edges come from the epoch barrier, a protocol
-	// outside mutex discipline (the runtime race detector covers it).
-	n       int
-	fn      func(lo, hi, worker int)
-	epoch   atomic.Uint64
-	pending atomic.Int64
-	failed  atomic.Pointer[workerPanic]
-
-	closed atomic.Bool
-	wg     sync.WaitGroup
-}
-
-type workerPanic struct {
-	worker int
-	value  any
-}
-
-// NewParallel starts a pool of the given size (minimum 1). The pool
-// spins briefly between phases and yields the processor while idle, so
-// it makes progress — and stays deterministic — even at GOMAXPROCS=1.
-func NewParallel(workers int) *Parallel {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Parallel{workers: workers}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go p.loop(w)
-	}
-	return p
-}
-
-func (p *Parallel) Workers() int { return p.workers }
-
-// Run executes one phase. It must only be called from the single
-// coordinating goroutine that owns the engine.
-func (p *Parallel) Run(n int, fn func(lo, hi, worker int)) {
-	if n <= 0 {
-		return
-	}
-	p.n, p.fn = n, fn
-	p.pending.Store(int64(p.workers))
-	p.epoch.Add(1)
-	for spins := 0; p.pending.Load() != 0; spins++ {
-		pause(spins)
-	}
-	p.fn = nil
-	if wp := p.failed.Load(); wp != nil {
-		p.failed.Store(nil)
-		panic(fmt.Sprintf("engine: worker %d panicked: %v", wp.worker, wp.value))
-	}
-}
-
-// Close stops the workers and waits for them to exit.
-func (p *Parallel) Close() {
-	if p.closed.Swap(true) {
-		return
-	}
-	p.wg.Wait()
-}
-
-func (p *Parallel) loop(w int) {
-	defer p.wg.Done()
-	var seen uint64
-	for spins := 0; ; spins++ {
-		e := p.epoch.Load()
-		if e == seen {
-			if p.closed.Load() {
-				return
-			}
-			pause(spins)
-			continue
-		}
-		seen = e
-		spins = 0
-		p.runShard(w)
-	}
-}
-
-// runShard executes worker w's fixed shard of the current phase,
-// capturing a panic so the coordinator can re-raise it instead of
-// spinning forever on a barrier that will never drain.
-func (p *Parallel) runShard(w int) {
-	defer p.pending.Add(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			p.failed.CompareAndSwap(nil, &workerPanic{worker: w, value: r})
-		}
-	}()
-	lo, hi := Shard(p.n, p.workers, w)
-	if lo < hi {
-		p.fn(lo, hi, w)
-	}
-}
-
-// pause backs off an idle spin loop: a short busy wait to catch
-// phase hand-offs that are only nanoseconds away, then yield so that
-// sibling workers (and the coordinator) can run even on a single P.
-func pause(spins int) {
-	if spins < 64 {
-		return
-	}
-	runtime.Gosched()
-}
+// Close does nothing: a Serial engine holds no resources. It remains for
+// the callers of serve.Config.Build that release what Build returns.
+func (Serial) Close() {}

@@ -1,7 +1,7 @@
 // Package analysis is a minimal, dependency-free analogue of
 // golang.org/x/tools/go/analysis for ultravet's host analyzers: an
 // Analyzer runs once over a Program — every loaded package, one call
-// graph, per-function write sets, the //ultravet:ok suppression table —
+// graph, per-function alias regions, the //ultravet:ok suppression table —
 // and reports position-anchored diagnostics. The repo vendors no
 // external modules, so the analyzers are written against this API.
 package analysis

@@ -126,13 +126,3 @@ func TestReachableAndPathTo(t *testing.T) {
 		t.Errorf("(A).Go should stay reachable when only contains edges are pruned")
 	}
 }
-
-// TestSummaryReceiverWrite reads a write-set summary directly: (A).Go
-// stores through its receiver, and that is all it writes.
-func TestSummaryReceiverWrite(t *testing.T) {
-	prog := loadCallgraph(t)
-	effs := analysis.SortedEffects(node(t, prog, "callgraph.(A).Go").Summary)
-	if len(effs) != 1 || effs[0].Kind != analysis.EffWrite || effs[0].Reg.Kind != analysis.RegRecv {
-		t.Errorf("(A).Go summary = %+v, want one receiver write", effs)
-	}
-}

@@ -11,8 +11,9 @@ import (
 
 // Program is a whole-module view for interprocedural analyzers: every
 // loaded package, a call graph whose nodes are function bodies (declared
-// functions, methods and function literals), per-node write-set
-// summaries (writeset.go) and the //ultravet:ok suppression table.
+// functions, methods and function literals), per-node alias
+// environments and allocation sites (regions.go) and the //ultravet:ok
+// suppression table.
 type Program struct {
 	Fset  *token.FileSet
 	Pkgs  []*Package
@@ -35,9 +36,8 @@ const (
 	// receiver type implements the interface.
 	EdgeDynamic
 	// EdgeContains links a function to a literal declared inside it. The
-	// literal may run later, elsewhere (an engine worker, a defer); the
-	// edge keeps its effects and reachability attributed to the code
-	// that built it.
+	// literal may run later, elsewhere (a defer, a phase runner); the
+	// edge keeps its reachability attributed to the code that built it.
 	EdgeContains
 )
 
@@ -46,10 +46,6 @@ type Edge struct {
 	Pos    token.Pos
 	Kind   EdgeKind
 	Callee *Node
-	// Call is the call expression for Static/Dynamic edges (nil for
-	// Contains); the write-set fixpoint uses its receiver and argument
-	// expressions to translate callee effects into the caller's frame.
-	Call *ast.CallExpr
 	// Go marks a call that is the operand of a `go` statement: the
 	// callee starts on a fresh goroutine, so it inherits none of the
 	// caller's execution context (held locks in particular).
@@ -70,13 +66,11 @@ type Node struct {
 
 	name string
 
-	// Write-set analysis results (writeset.go).
-	recv    *types.Var
-	params  map[*types.Var]int
-	env     map[*types.Var]Region
-	Effects []Effect
-	Allocs  []Alloc
-	Summary map[SummaryKey]Effect
+	// Alias environment and allocation sites (regions.go).
+	recv   *types.Var
+	params map[*types.Var]int
+	env    map[*types.Var]Region
+	Allocs []Alloc
 }
 
 // Name returns a stable human-readable identifier: pkg.Func,
@@ -122,8 +116,8 @@ func (n *Node) InspectOwn(f func(ast.Node) bool) {
 	})
 }
 
-// BuildProgram indexes pkgs into a Program: nodes, call graph, write-set
-// summaries and suppressions. Packages should be passed in a
+// BuildProgram indexes pkgs into a Program: nodes, call graph, alias
+// environments, allocation sites and suppressions. Packages should be passed in a
 // deterministic order (the loader's callers sort by import path).
 func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
@@ -181,8 +175,8 @@ func BuildProgram(pkgs []*Package) *Program {
 		p.addEdges(n, methods)
 	}
 
-	// Pass 3: write sets (writeset.go).
-	p.buildWriteSets()
+	// Pass 3: alias environments and allocation sites (regions.go).
+	p.buildRegions()
 	return p
 }
 
@@ -275,7 +269,7 @@ func (p *Program) addEdges(n *Node, methods map[string][]*types.Func) {
 			case *ast.Ident:
 				if obj, ok := info.Uses[fun].(*types.Func); ok {
 					if callee := p.ByObj[obj]; callee != nil {
-						n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Call: x, Go: isGo, Defer: isDefer})
+						n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo, Defer: isDefer})
 					}
 				}
 			case *ast.SelectorExpr:
@@ -290,11 +284,11 @@ func (p *Program) addEdges(n *Node, methods map[string][]*types.Func) {
 					}
 				}
 				if callee := p.ByObj[obj]; callee != nil {
-					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Call: x, Go: isGo, Defer: isDefer})
+					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo, Defer: isDefer})
 				}
 			case *ast.FuncLit:
 				if callee := p.ByLit[fun]; callee != nil {
-					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Call: x, Go: isGo, Defer: isDefer})
+					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo, Defer: isDefer})
 				}
 			}
 		}
@@ -309,7 +303,7 @@ func (p *Program) addDynamicEdges(n *Node, call *ast.CallExpr, name string, ifac
 		recv := m.Type().(*types.Signature).Recv().Type()
 		if types.Implements(recv, iface) ||
 			types.Implements(types.NewPointer(recv), iface) {
-			n.Calls = append(n.Calls, Edge{Pos: call.Pos(), Kind: EdgeDynamic, Callee: p.ByObj[m], Call: call, Go: isGo, Defer: isDefer})
+			n.Calls = append(n.Calls, Edge{Pos: call.Pos(), Kind: EdgeDynamic, Callee: p.ByObj[m], Go: isGo, Defer: isDefer})
 		}
 	}
 }

@@ -6,10 +6,11 @@ import (
 	"go/types"
 )
 
-// This file computes per-function write sets over a conservative
-// escape/aliasing lattice, then propagates them across the call graph
-// to a fixpoint, so an analyzer can ask "what memory does this function
-// transitively write, expressed in its own frame?".
+// This file computes, for every function, a conservative alias
+// environment over a region lattice — what memory an expression
+// evaluates into, expressed in the function's own frame — and the
+// function's potential heap-allocation sites. lockcheck asks RegionOf
+// its one aliasing question; hotalloc reads Allocs.
 //
 // The lattice classifies what memory an expression evaluates into:
 //
@@ -25,10 +26,7 @@ import (
 // Joins of unequal non-None regions go to RegShared. The analysis is
 // flow-insensitive (one environment per function, iterated to a local
 // fixpoint) and deliberately one-level: a pointer stored into a
-// locally-built struct keeps the struct RegLocal — that hole is
-// documented in DESIGN.md and is why sharecheck proves confinement
-// only up to the lattice, with the equivalence suites as the dynamic
-// backstop.
+// locally-built struct keeps the struct RegLocal.
 
 // RegionKind is the lattice level.
 type RegionKind uint8
@@ -81,45 +79,6 @@ func join(a, b Region) Region {
 	return Region{Kind: RegShared}
 }
 
-// EffectKind classifies one observable side effect.
-type EffectKind uint8
-
-const (
-	EffWrite EffectKind = iota // store through/into Reg
-	EffSend                    // channel send on a channel in Reg
-)
-
-// Effect is one write-set entry: a store or send, the region it lands
-// in (expressed in the owning function's frame), and the originating
-// source site for diagnostics.
-type Effect struct {
-	Kind   EffectKind
-	Reg    Region
-	IsMap  bool // the store targets a map entry (or delete)
-	Direct bool // the store rebinds the variable itself, not memory behind it
-	Pos    token.Pos
-	Node   *Node  // function whose body contains the primitive site
-	What   string // short description of the written thing
-}
-
-// SummaryKey canonicalizes an effect for the interprocedural fixpoint
-// (origin position and description ride along on the representative
-// Effect but do not participate in identity, keeping the lattice
-// finite).
-type SummaryKey struct {
-	Kind   EffectKind
-	RKind  RegionKind
-	Index  int
-	Obj    *types.Var
-	IsMap  bool
-	Direct bool
-}
-
-func keyOf(e Effect) SummaryKey {
-	return SummaryKey{Kind: e.Kind, RKind: e.Reg.Kind, Index: e.Reg.Index,
-		Obj: e.Reg.Obj, IsMap: e.IsMap, Direct: e.Direct}
-}
-
 // Alloc is one potential heap-allocation site (hotalloc's raw material).
 type Alloc struct {
 	Pos  token.Pos
@@ -127,11 +86,9 @@ type Alloc struct {
 	What string
 }
 
-// buildWriteSets computes, for every node: the local alias environment,
-// the primitive effects and allocation sites of its own body, and then
-// the transitive Summary by propagating callee effects through call
-// sites to a fixpoint.
-func (p *Program) buildWriteSets() {
+// buildRegions computes, for every node, the local alias environment
+// and the allocation sites of its own body.
+func (p *Program) buildRegions() {
 	for _, n := range p.Nodes {
 		p.scanFrame(n)
 	}
@@ -139,64 +96,8 @@ func (p *Program) buildWriteSets() {
 		p.buildEnv(n)
 	}
 	for _, n := range p.Nodes {
-		p.collectEffects(n)
-		n.Summary = map[SummaryKey]Effect{}
-		for _, e := range n.Effects {
-			if _, ok := n.Summary[keyOf(e)]; !ok {
-				n.Summary[keyOf(e)] = e
-			}
-		}
+		p.collectAllocs(n)
 	}
-	// Interprocedural fixpoint: pull callee summaries through call
-	// sites until no summary grows. Keys are finite (kinds × regions ×
-	// program variables), so this terminates.
-	for changed := true; changed; {
-		changed = false
-		for _, n := range p.Nodes {
-			for _, e := range n.Calls {
-				for _, eff := range SortedEffects(e.Callee.Summary) {
-					t, ok := p.translate(n, e, eff)
-					if !ok {
-						continue
-					}
-					if _, dup := n.Summary[keyOf(t)]; !dup {
-						n.Summary[keyOf(t)] = t
-						changed = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// SortedEffects returns a summary's effects in deterministic (source
-// position, then description) order, so fixpoint representatives and
-// diagnostics never depend on map iteration.
-func SortedEffects(m map[SummaryKey]Effect) []Effect {
-	out := make([]Effect, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
-	}
-	sortEffects(out)
-	return out
-}
-
-func sortEffects(out []Effect) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-}
-
-func less(a, b Effect) bool {
-	if a.Pos != b.Pos {
-		return a.Pos < b.Pos
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.What < b.What
 }
 
 // scanFrame records n's receiver and parameter objects.
@@ -421,39 +322,9 @@ func (p *Program) buildEnv(n *Node) {
 	}
 }
 
-// collectEffects gathers n's primitive write/send effects and
-// allocation sites.
-func (p *Program) collectEffects(n *Node) {
+// collectAllocs gathers n's allocation sites.
+func (p *Program) collectAllocs(n *Node) {
 	info := n.Pkg.Info
-	writeTo := func(lhs ast.Expr) {
-		lhs = ast.Unparen(lhs)
-		switch t := lhs.(type) {
-		case *ast.Ident:
-			// Rebinding a bare name only matters when the storage is
-			// shared: a global, or a variable captured from an
-			// enclosing frame.
-			obj, _ := info.Uses[t].(*types.Var)
-			if obj == nil {
-				return
-			}
-			r := p.classify(n, obj)
-			if r.Kind == RegGlobal || r.Kind == RegCapture {
-				n.Effects = append(n.Effects, Effect{
-					Kind: EffWrite, Reg: Region{Kind: r.Kind, Obj: obj}, Direct: true,
-					Pos: t.Pos(), Node: n, What: obj.Name(),
-				})
-			}
-		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			base, isMap := p.writeBase(n, lhs)
-			if base.Kind == RegNone || base.Kind == RegLocal {
-				return
-			}
-			n.Effects = append(n.Effects, Effect{
-				Kind: EffWrite, Reg: base, IsMap: isMap,
-				Pos: lhs.Pos(), Node: n, What: exprString(lhs),
-			})
-		}
-	}
 	// Allocations that exist only to feed panic (error formatting,
 	// &SomeError{...}) are crash paths, not steady-state work; record
 	// their source ranges so they can be dropped below.
@@ -461,22 +332,6 @@ func (p *Program) collectEffects(n *Node) {
 	var panicArgs []span
 	n.InspectOwn(func(x ast.Node) bool {
 		switch x := x.(type) {
-		case *ast.AssignStmt:
-			if x.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range x.Lhs {
-				writeTo(lhs)
-			}
-		case *ast.IncDecStmt:
-			writeTo(x.X)
-		case *ast.SendStmt:
-			r := p.regionOf(n, x.Chan)
-			if r.Kind != RegLocal && r.Kind != RegNone {
-				n.Effects = append(n.Effects, Effect{
-					Kind: EffSend, Reg: r, Pos: x.Pos(), Node: n, What: exprString(x.Chan),
-				})
-			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
@@ -485,7 +340,7 @@ func (p *Program) collectEffects(n *Node) {
 					}
 				}
 			}
-			p.callEffects(n, x)
+			p.callAllocs(n, x)
 		case *ast.FuncLit:
 			if child := p.ByLit[x]; child != nil && p.captures(child) {
 				n.Allocs = append(n.Allocs, Alloc{Pos: x.Pos(), Node: n, What: "closure captures variables (heap-allocates per call)"})
@@ -522,9 +377,9 @@ func (p *Program) collectEffects(n *Node) {
 	}
 }
 
-// callEffects handles builtin writes (delete, copy) and allocation
-// sites introduced by calls (make, new, growing append, fmt boxing).
-func (p *Program) callEffects(n *Node, call *ast.CallExpr) {
+// callAllocs records the allocation sites a call introduces (make, new,
+// growing append, fmt boxing).
+func (p *Program) callAllocs(n *Node, call *ast.CallExpr) {
 	info := n.Pkg.Info
 	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -532,26 +387,6 @@ func (p *Program) callEffects(n *Node, call *ast.CallExpr) {
 			return
 		}
 		switch fn.Name {
-		case "delete":
-			if len(call.Args) > 0 {
-				r := p.regionOf(n, call.Args[0])
-				if r.Kind != RegLocal && r.Kind != RegNone {
-					n.Effects = append(n.Effects, Effect{
-						Kind: EffWrite, Reg: r, IsMap: true,
-						Pos: call.Pos(), Node: n, What: "delete(" + exprString(call.Args[0]) + ")",
-					})
-				}
-			}
-		case "copy":
-			if len(call.Args) > 0 {
-				r := p.regionOf(n, call.Args[0])
-				if r.Kind != RegLocal && r.Kind != RegNone {
-					n.Effects = append(n.Effects, Effect{
-						Kind: EffWrite, Reg: r,
-						Pos: call.Pos(), Node: n, What: "copy into " + exprString(call.Args[0]),
-					})
-				}
-			}
 		case "make":
 			n.Allocs = append(n.Allocs, Alloc{Pos: call.Pos(), Node: n, What: "make" + typeArgString(call)})
 		case "new":
@@ -602,88 +437,6 @@ func (p *Program) captures(n *Node) bool {
 		return true
 	})
 	return found
-}
-
-// writeBase strips the final selector/index/star layer off an lvalue
-// and classifies the remaining path, noting whether the final layer was
-// a map entry.
-func (p *Program) writeBase(n *Node, lhs ast.Expr) (Region, bool) {
-	switch t := lhs.(type) {
-	case *ast.SelectorExpr:
-		return p.regionOf(n, t.X), false
-	case *ast.IndexExpr:
-		tv, ok := n.Pkg.Info.Types[t.X]
-		isMap := false
-		if ok {
-			_, isMap = tv.Type.Underlying().(*types.Map)
-		}
-		return p.regionOf(n, t.X), isMap
-	case *ast.StarExpr:
-		return p.regionOf(n, t.X), false
-	}
-	return Region{Kind: RegNone}, false
-}
-
-// translate rewrites a callee effect into the caller's frame through
-// one call edge, or reports that it is absorbed (lands in
-// callee-created or caller-local memory).
-func (p *Program) translate(n *Node, e Edge, eff Effect) (Effect, bool) {
-	out := eff // keeps origin Pos/Node/What for the diagnostic
-	switch eff.Reg.Kind {
-	case RegGlobal, RegShared:
-		return out, true
-	case RegCapture:
-		// The captured variable resolves in this frame.
-		r := p.classify(n, eff.Reg.Obj)
-		if r.Kind == RegLocal || r.Kind == RegNone {
-			return out, false
-		}
-		out.Reg = r
-		return out, true
-	case RegRecv:
-		if e.Call == nil {
-			return out, false // containment edge: literals have no receiver
-		}
-		return p.retarget(n, e, out, recvExpr(e.Call))
-	case RegParam:
-		if e.Call == nil {
-			// A literal's parameters are bound at its eventual call
-			// site, which this edge does not see: assume shared.
-			out.Reg = Region{Kind: RegShared}
-			return out, true
-		}
-		if eff.Reg.Index >= len(e.Call.Args) {
-			out.Reg = Region{Kind: RegShared}
-			return out, true
-		}
-		return p.retarget(n, e, out, e.Call.Args[eff.Reg.Index])
-	}
-	return out, false
-}
-
-// retarget classifies arg in n's frame and folds the result into the
-// effect.
-func (p *Program) retarget(n *Node, e Edge, eff Effect, arg ast.Expr) (Effect, bool) {
-	if arg == nil {
-		eff.Reg = Region{Kind: RegShared}
-		return eff, true
-	}
-	r := p.regionOf(n, arg)
-	switch r.Kind {
-	case RegLocal, RegNone:
-		return eff, false // absorbed by caller-owned memory
-	}
-	eff.Reg = r
-	return eff, true
-}
-
-// recvExpr extracts the receiver expression of a method call, nil for
-// plain function calls.
-func recvExpr(call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
 }
 
 // exprString renders a compact description of an expression for

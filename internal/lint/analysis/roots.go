@@ -9,11 +9,11 @@ import (
 // The cycle path is declared here, once: the simulator's hot loop is
 // entered through the methods product code names Tick, Step or Collect
 // (machine.Machine.Step, pe.PE.Tick, memory.Module.Step,
-// network.Stepper.Step and Collect, network.Network.collect) and through
-// the function literals handed to the execution engine as phase units.
-// detstate, hotalloc and sharecheck's goroutine rule all start from
-// CycleRoots; sharecheck's shard-isolation rule starts from the phase
-// literals alone, because they are the shard bodies.
+// network.Stepper.Step and Collect, network.Network.collect, the
+// synthetic driver's runner.step) and through the function literals
+// machine.Machine.Step hands to its engine.Engine as phase units, which
+// it calls through an interface. detstate and hotalloc start from
+// CycleRoots.
 
 // CycleRootNames are the names a declared function or method bears to be
 // a cycle-path entry point.
@@ -38,12 +38,11 @@ func (p *Program) CycleRoots() []*Node {
 
 // EnginePhaseLiterals returns the function literals handed to an engine
 // phase runner: a method named Run declared in internal/engine
-// (engine.Engine.Run and its implementations). These literals are the
-// shard bodies the parallel engine executes concurrently. A literal
-// reaches a runner either directly as a call argument or — the
-// zero-alloc idiom — hoisted into a struct field or variable once and
-// passed by name every cycle; one step of dataflow (func literals
-// assigned to the variable the call site names) covers the hoisted form.
+// (engine.Engine.Run and its implementations). A literal reaches a
+// runner either directly as a call argument or — the zero-alloc idiom —
+// hoisted into a struct field or variable once and passed by name every
+// cycle; one step of dataflow (func literals assigned to the variable the
+// call site names) covers the hoisted form.
 func (p *Program) EnginePhaseLiterals() []*Node {
 	assigned := p.literalAssignments()
 	var out []*Node

@@ -7,8 +7,9 @@
 //
 // A function is on a tick path when it is reachable from a cycle root
 // (analysis.CycleRoots: functions and methods named Tick, Step or
-// Collect, either case, and the engine's phase literals) through the
-// call-graph edges that stay inside the caller's package. The
+// Collect, either case, and the phase literals handed to an
+// engine.Engine) through the call-graph edges that stay inside the
+// caller's package. The
 // per-package reach is a choice, not a limit of the call graph: a
 // package's tick path is what it must keep deterministic itself, and what
 // it calls in another package is held to the rule from that package's own
@@ -25,7 +26,13 @@
 //   - range statements over map values, whose iteration order is
 //     deliberately randomized by the runtime. A loop that only collects
 //     the map's keys into a slice (to be sorted and iterated) is
-//     permitted.
+//     permitted;
+//   - go statements, in every function reachable from a cycle root
+//     across packages too: the simulator is single-threaded, every
+//     phase visits its units in ascending order on the caller's
+//     goroutine, and work handed to a goroutine runs in an order the
+//     scheduler picks. Host-side code outside the cycle (servers,
+//     schedulers, setup) may start goroutines.
 package detstate
 
 import (
@@ -40,7 +47,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detstate",
 	Doc: "forbid wall-clock reads, global math/rand and unordered map iteration " +
 		"in functions reachable, inside their package, from the cycle roots " +
-		"(Tick/Step/Collect and engine phase units)",
+		"(Tick/Step/Collect and engine phase units), and goroutine launches in " +
+		"any function reachable from them",
 	RunProgram: run,
 }
 
@@ -61,13 +69,44 @@ var timeFns = map[string]bool{"Now": true, "Since": true, "Until": true}
 func run(pass *analysis.ProgramPass) error {
 	prog := pass.Prog
 	samePackage := func(n *analysis.Node, e analysis.Edge) bool { return e.Callee.Pkg == n.Pkg }
-	reach := prog.Reachable(prog.CycleRoots(), samePackage)
+	roots := prog.CycleRoots()
+	reach := prog.Reachable(roots, samePackage)
+	cycle := prog.Reachable(roots, nil)
 	for _, n := range prog.Nodes { // position-sorted
 		if reach[n] {
 			checkFunc(pass, n)
 		}
+		if cycle[n] {
+			checkGoStmts(pass, n)
+		}
 	}
 	return nil
+}
+
+// checkGoStmts reports goroutine launches inside one cycle-path
+// function's own frame (each nested literal is its own node and is
+// reached through a containment edge).
+func checkGoStmts(pass *analysis.ProgramPass, n *analysis.Node) {
+	n.InspectOwn(func(x ast.Node) bool {
+		if gs, ok := x.(*ast.GoStmt); ok {
+			pass.Reportf(gs.Pos(), "",
+				"goroutine launched on a tick path (reachable from %s): the scheduler "+
+					"would order its work, so runs become unrepeatable", enclosingName(n))
+		}
+		return true
+	})
+}
+
+// enclosingName is the bare name of the nearest named function, so a
+// diagnostic inside a closure names the method that built it.
+func enclosingName(n *analysis.Node) string {
+	for n.Parent != nil && n.Decl == nil {
+		n = n.Parent
+	}
+	if n.Decl != nil {
+		return n.Decl.Name.Name
+	}
+	return n.Name()
 }
 
 // checkFunc reports nondeterminism sources inside one tick-path

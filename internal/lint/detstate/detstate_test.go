@@ -11,9 +11,10 @@ func TestDetstate(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), detstate.Analyzer, "detstate")
 }
 
-// TestStepMutants runs the analyzer over copies of memory.Module.Step
-// and network.Stepper.Step with a map walk and a wall-clock read seeded
-// in: both must be flagged.
+// TestStepMutants runs the analyzer over copies of memory.Module.Step,
+// network.Stepper.Step and machine.Machine.Step with a map walk, a
+// wall-clock read and a goroutine per PE seeded in: all three must be
+// flagged.
 func TestStepMutants(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), detstate.Analyzer, "stepmutants")
 }

@@ -28,6 +28,7 @@ func (m *machine) Step(cycle int64) {
 // body is on the tick path too.
 func (m *machine) helper() {
 	_ = time.Since(time.Unix(0, 0)) // want `call to time\.Since on a tick path`
+	go m.tick()                     // want `goroutine launched on a tick path \(reachable from helper\)`
 	//ultravet:ok detstate host-side progress meter, never fed back into the simulation
 	_ = time.Now()
 }

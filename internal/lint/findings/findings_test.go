@@ -11,7 +11,7 @@ import (
 // line — so the serialized stream is byte-identical.
 func TestSortCanonical(t *testing.T) {
 	a := []Finding{
-		{Analyzer: "sharecheck", File: "internal/network/network.go", Line: 40, Col: 2, Message: "write to shared state", Chain: "a → b"},
+		{Analyzer: "lockcheck", File: "internal/network/network.go", Line: 40, Col: 2, Message: "guarded field written without its mutex", Chain: "a → b"},
 		{Analyzer: "hotalloc", File: "internal/pe/pe.go", Line: 90, Col: 6, Message: "allocation in hot loop"},
 		{Analyzer: "hotalloc", File: "internal/pe/pe.go", Line: 10, Col: 6, Message: "allocation in hot loop"},
 		{Analyzer: "guest", File: "prog.s", Message: "racy store"},

@@ -13,8 +13,7 @@ import (
 // machine via Machine.StepPE and confirm the property trips dynamically.
 // Static finding and dynamic reproduction cross-validate — the checker's
 // abstraction (atomic instructions, word-granular infinite cache) is
-// kept honest against the cycle-accurate simulator, the same philosophy
-// as sharecheck plus the engine-equivalence suite.
+// kept honest against the cycle-accurate simulator.
 //
 // The machine is configured so its observable memory behavior matches
 // the model exactly at schedule granularity: a combining network (shared

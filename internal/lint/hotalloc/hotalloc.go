@@ -1,12 +1,11 @@
 // Package hotalloc defines the hot-path allocation analyzer. The
 // simulator's cycle loop is required to be zero-alloc in steady state
-// (the observability contract already demands it of disabled probes;
-// the parallel engine extends it to every phase body): a heap
-// allocation per tick turns into GC pressure that dwarfs the simulated
-// work at the paper's 4096-PE scale. hotalloc walks the whole-program
+// (the observability contract already demands it of disabled probes): a
+// heap allocation per tick turns into GC pressure that dwarfs the
+// simulated work at the paper's 4096-PE scale. hotalloc walks the whole-program
 // call graph from the cycle roots (analysis.CycleRoots: functions and
 // methods named Tick, Step or Collect, plus the function literals handed
-// to the execution engine as phase units) and flags every potential
+// to an engine.Engine as phase units) and flags every potential
 // heap-allocation site reachable from them:
 //
 //	make/new calls; slice, map and address-taken composite literals;

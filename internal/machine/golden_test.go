@@ -9,13 +9,13 @@ import (
 	"testing"
 
 	"ultracomputer/internal/cache"
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
 	"ultracomputer/internal/obs/prof"
 	"ultracomputer/internal/obs/reqtrace"
+	"ultracomputer/internal/pe"
 )
 
 // cachedGuest is the golden cached ISA guest: every PE fills a 16-word
@@ -87,21 +87,19 @@ func cachedLeg(ideal bool) func(t *testing.T) (*Machine, prof.Config) {
 
 // TestObservabilityGolden is the machine-side twin of the golden test in
 // internal/trace: guest runs with recorder, request tracer (rate 0.25)
-// and profiler attached, every export pinned by SHA-256 under the serial
-// and a 3-worker engine. It covers what the synthetic driver cannot — PE
-// stall events sharing a buffer with the network's inject and deliver
-// events, cache hit/miss/write-back events, the profiler's pc-attributed
-// cycle, issue and deliver hooks, the IdealMemory path that drains the
-// PEs' buffers without a network phase, and the machine's own wiring of
-// the three consumers.
+// and profiler attached, every export pinned by SHA-256. It covers what
+// the synthetic driver cannot — PE stall events interleaved with the
+// network's inject and deliver events, cache hit/miss/write-back events,
+// the profiler's pc-attributed cycle, issue and deliver hooks, the
+// IdealMemory path that delivers without a network phase, and the
+// machine's own wiring of the three consumers.
 func TestObservabilityGolden(t *testing.T) {
 	legs := []goldenLeg{
 		{
 			name: "mixed",
 			build: func(*testing.T) (*Machine, prof.Config) {
 				cfg := Config{Net: network.Config{K: 2, Stages: 3, Combining: true, QueueCapacity: 4}}
-				m, _ := mixedSPMD(cfg, 8)()
-				return m, prof.Config{PEs: 8}
+				return mixedSPMD(cfg, 8), prof.Config{PEs: 8}
 			},
 			want: map[string]string{
 				"chrome": "40f9dbafac8a379754240c5d2079d69dc38788621bfdafa18207e90d63fafdc3",
@@ -133,47 +131,40 @@ func TestObservabilityGolden(t *testing.T) {
 		},
 	}
 	for _, leg := range legs {
-		for _, workers := range []int{0, 3} {
-			m, pcfg := leg.build(t)
-			if workers > 0 {
-				eng := engine.NewParallel(workers)
-				defer eng.Close()
-				m.SetEngine(eng)
+		m, pcfg := leg.build(t)
+		rec := obs.NewRecorder(1 << 20)
+		tr := reqtrace.New(reqtrace.Config{Rate: 0.25, Seed: 7, Ring: 1 << 14})
+		pf := prof.New(pcfg)
+		m.Observe(prof.Observers{Probe: rec, Tracer: tr, Profiler: pf})
+		m.MustRun(5_000_000)
+		if rec.Overwritten() != 0 || (!m.cfg.IdealMemory && tr.CombineLinks() == 0) {
+			t.Fatalf("%s: run proves nothing: links=%d overwritten=%d", leg.name, tr.CombineLinks(), rec.Overwritten())
+		}
+		if pcfg.Programs != nil {
+			kinds := map[obs.Kind]int{}
+			for _, ev := range rec.Events() {
+				kinds[ev.Kind]++
 			}
-			rec := obs.NewRecorder(1 << 20)
-			tr := reqtrace.New(reqtrace.Config{Rate: 0.25, Seed: 7, Ring: 1 << 14})
-			pf := prof.New(pcfg)
-			m.Observe(prof.Observers{Probe: rec, Tracer: tr, Profiler: pf})
-			m.MustRun(5_000_000)
-			if rec.Overwritten() != 0 || (!m.cfg.IdealMemory && tr.CombineLinks() == 0) {
-				t.Fatalf("%s workers=%d: run proves nothing: links=%d overwritten=%d", leg.name, workers, tr.CombineLinks(), rec.Overwritten())
-			}
-			if pcfg.Programs != nil {
-				kinds := map[obs.Kind]int{}
-				for _, ev := range rec.Events() {
-					kinds[ev.Kind]++
-				}
-				for _, k := range []obs.Kind{obs.KindCacheHit, obs.KindCacheMiss, obs.KindCacheWriteBack, obs.KindStallBegin, obs.KindStallEnd} {
-					if kinds[k] == 0 {
-						t.Fatalf("%s workers=%d: run proves nothing: no %v event recorded", leg.name, workers, k)
-					}
+			for _, k := range []obs.Kind{obs.KindCacheHit, obs.KindCacheMiss, obs.KindCacheWriteBack, obs.KindStallBegin, obs.KindStallEnd} {
+				if kinds[k] == 0 {
+					t.Fatalf("%s: run proves nothing: no %v event recorded", leg.name, k)
 				}
 			}
-			srv := live.NewFeedServer()
-			srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
-			rr := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events", nil))
-			got := map[string]string{
-				"events": sha(t, func(w io.Writer) error { _, err := io.Copy(w, rr.Body); return err }),
-				"chrome": sha(t, func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) }),
-				"spans":  sha(t, tr.WriteSpansJSONL),
-				"prof":   sha(t, pf.WriteJSONL),
-				"report": sha(t, func(w io.Writer) error { return json.NewEncoder(w).Encode(m.Report()) }),
-			}
-			for name, h := range leg.want {
-				if got[name] != h {
-					t.Errorf("%s workers=%d: %s export changed: sha256 %s, pinned %s", leg.name, workers, name, got[name], h)
-				}
+		}
+		srv := live.NewFeedServer()
+		srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events", nil))
+		got := map[string]string{
+			"events": sha(t, func(w io.Writer) error { _, err := io.Copy(w, rr.Body); return err }),
+			"chrome": sha(t, func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) }),
+			"spans":  sha(t, tr.WriteSpansJSONL),
+			"prof":   sha(t, pf.WriteJSONL),
+			"report": sha(t, func(w io.Writer) error { return json.NewEncoder(w).Encode(m.Report()) }),
+		}
+		for name, h := range leg.want {
+			if got[name] != h {
+				t.Errorf("%s: %s export changed: sha256 %s, pinned %s", leg.name, name, got[name], h)
 			}
 		}
 	}
@@ -186,4 +177,23 @@ func sha(t *testing.T, write func(io.Writer) error) string {
 		t.Fatalf("export: %v", err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// mixedSPMD is a guest exercising every traffic class: hot-spot
+// fetch-and-adds (combining), scattered loads and stores, asynchronous
+// requests and fences.
+func mixedSPMD(cfg Config, pes int) *Machine {
+	return SPMD(cfg, pes, func(ctx *pe.Ctx) {
+		me := int64(ctx.PE())
+		for i := int64(0); i < 24; i++ {
+			ctx.FetchAdd(7, 1) // hot word
+			ctx.Store(100+me*8+i%4, me*1000+i)
+			h := ctx.LoadAsync(100 + ((me*3+i)%int64(ctx.NumPE()))*8)
+			ctx.Compute(int(i % 3))
+			ctx.FetchAdd(9+me%4, h.Wait())
+			if i%8 == 7 {
+				ctx.Fence()
+			}
+		}
+	})
 }

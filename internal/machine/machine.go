@@ -76,9 +76,9 @@ type Machine struct {
 	// observers is the run's set of consumers (Observe).
 	observers prof.Observers
 
-	// eng is the execution engine driving Step (default Serial); the
-	// stepper materializes lazily on the first Step so consumers and
-	// engine can be attached in any order beforehand.
+	// eng runs Step's phases (default Serial); the stepper materializes
+	// lazily on the first Step so consumers and engine can be attached in
+	// any order beforehand.
 	eng     engine.Engine
 	stepper *network.Stepper
 
@@ -96,11 +96,9 @@ type Machine struct {
 
 	// idealPending holds replies generated under IdealMemory during
 	// this cycle, delivered at the start of the next (one-cycle
-	// paracomputer access). Injections are buffered per PE during the
-	// tick phase (idealHold) and applied in PE order after its barrier,
-	// so the serialization is pe-major under every engine.
+	// paracomputer access). A request is applied when its PE injects it,
+	// so the serialization is PE order, then issue order.
 	idealPending []idealReply
-	idealHold    [][]msg.Request
 
 	// Phase bodies and MM ports are built once (ensureStepper) so Step
 	// allocates nothing in steady state: the closures read the cycle
@@ -145,7 +143,7 @@ func New(cfg Config, cores []pe.Core) *Machine {
 		var inject func(msg.Request) bool
 		if cfg.IdealMemory {
 			inject = func(r msg.Request) bool {
-				m.idealHold[peID] = append(m.idealHold[peID], r)
+				m.applyIdeal(peID, r)
 				return true
 			}
 		} else {
@@ -156,7 +154,7 @@ func New(cfg Config, cores []pe.Core) *Machine {
 	return m
 }
 
-// applyIdeal executes one held request against memory (the
+// applyIdeal executes one injected request against memory (the
 // serialization order is PE order, then issue order, within the cycle)
 // and schedules its reply for the next PE cycle.
 func (m *Machine) applyIdeal(peID int, r msg.Request) {
@@ -197,7 +195,7 @@ func SPMD(cfg Config, n int, prog pe.Program) *Machine {
 // deliveries, module serves and combines; the sampler snapshots queue
 // occupancy, combining and MM utilization every Sampler.Every network
 // cycles. It may be called between Steps as well as before the first:
-// every unit emits through the stepper's sinks, so a late consumer sees
+// every unit emits through the components' fan-outs, so a late consumer sees
 // exactly the events from then on that an early one would have. With
 // nothing attached (the default) a site costs one mask test. Under
 // IdealMemory the trace context propagates into replies but no network
@@ -219,21 +217,21 @@ func (m *Machine) Observe(o prof.Observers) {
 	}
 }
 
-// wirePEs hands every PE its sink — the stepper's, so PE events
-// interleave with the network's events for the same PE under every
-// engine — and the tracer its PNI samples with.
+// wirePEs hands every PE its sink — the network's, so PE events
+// interleave with the network's events for the same PE — and the tracer
+// its PNI samples with.
 func (m *Machine) wirePEs() {
-	for i, p := range m.pes {
-		subs, out := m.stepper.PESink(i)
+	subs, out := m.stepper.PESink()
+	for _, p := range m.pes {
 		p.Observe(subs, out, m.cfg.PECycle, m.observers.Tracer)
 	}
 }
 
-// SetEngine selects the execution engine driving Step: nil or
-// engine.Serial for the in-line reference behavior, engine.NewParallel
-// to shard each phase across a worker pool. Call before the first
-// Step. The caller owns eng and must Close it after the run. Same-seed
-// runs are byte-identical under every engine (see internal/engine).
+// SetEngine sets what runs Step's phases: nil means engine.Serial. Step
+// hands it exactly three phases a cycle, in this order — module service,
+// reply delivery, PE tick — and under IdealMemory only the tick, so a
+// wrapping engine can name each phase by its ordinal (the benchmark's
+// phase timer does). Call before the first Step.
 func (m *Machine) SetEngine(e engine.Engine) {
 	if m.stepper != nil {
 		panic("machine: SetEngine after the first Step")
@@ -241,10 +239,8 @@ func (m *Machine) SetEngine(e engine.Engine) {
 	m.eng = e
 }
 
-// ensureStepper builds the phased network driver on first use, points
-// the PEs at its sinks and, under a parallel engine, gives every memory
-// module its own event buffer (drained in unit order each cycle, so
-// every consumer sees the events of a serial run, in the same order).
+// ensureStepper builds the phased network driver on first use and points
+// the PEs at its sink.
 func (m *Machine) ensureStepper() {
 	if m.stepper != nil {
 		return
@@ -254,12 +250,6 @@ func (m *Machine) ensureStepper() {
 	}
 	m.stepper = network.NewStepper(m.net, m.eng)
 	m.wirePEs()
-	if m.stepper.Parallel() {
-		m.bank.Buffered()
-	}
-	if m.cfg.IdealMemory {
-		m.idealHold = make([][]msg.Request, len(m.pes))
-	}
 	m.mmPorts = make([]memory.Port, len(m.bank.Modules))
 	for mm := range m.mmPorts {
 		m.mmPorts[mm] = mmPort{m, mm}
@@ -301,9 +291,7 @@ func (m *Machine) Cycles() int64 { return m.cycle }
 // PECycles reports elapsed PE cycles.
 func (m *Machine) PECycles() int64 { return m.peCycles }
 
-// mmPort adapts the network's MM side to memory.Port, routed through
-// the stepper so delivered-to-MM counts land in the right sink under
-// any engine.
+// mmPort adapts the network's MM side to memory.Port.
 type mmPort struct {
 	m  *Machine
 	mm int
@@ -318,11 +306,8 @@ func (p mmPort) Reply(r msg.Reply) bool       { return p.m.net.MMReply(p.mm, r) 
 // network and module timing are bypassed and last cycle's replies arrive
 // directly.
 //
-// Every phase runs through the configured engine (SetEngine): network
-// movement sharded by switch column, module service by MM, reply
-// delivery and instruction ticks by PE, with the stepper's flushes
-// merging buffered observability in deterministic unit order between
-// phases.
+// Module service, reply delivery and the PE tick run through the
+// configured engine (SetEngine), each over its units in ascending order.
 func (m *Machine) Step() {
 	//ultravet:ok hotalloc one-time lazy construction of the stepper and phase bodies on the first Step
 	m.ensureStepper()
@@ -331,22 +316,10 @@ func (m *Machine) Step() {
 	} else {
 		m.stepper.Step(m.cycle)
 		m.eng.Run(len(m.bank.Modules), m.mmStepFn)
-		m.stepper.FlushMM()
-		m.bank.Flush()
 		m.eng.Run(len(m.pes), m.collectFn)
-		m.stepper.FlushCollect()
 	}
 	if m.cycle%m.cfg.PECycle == 0 {
 		m.eng.Run(len(m.pes), m.tickFn)
-		m.stepper.FlushInject()
-		// Apply the IdealMemory injections the tick buffered, in PE
-		// order (idealHold is nil on a real network).
-		for pe := range m.idealHold {
-			for _, r := range m.idealHold[pe] {
-				m.applyIdeal(pe, r)
-			}
-			m.idealHold[pe] = m.idealHold[pe][:0]
-		}
 		m.peCycles++
 	}
 	if sam := m.observers.Sampler; sam != nil && sam.Due(m.cycle) {
@@ -380,15 +353,12 @@ func (m *Machine) sample(sam *obs.Sampler) {
 }
 
 // stepIdealDeliver hands last cycle's ideal-memory replies to their
-// PEs, in the PE order they were applied in, on the calling goroutine
-// (a delivery is a register write: not worth a sharded phase). Under a
-// parallel engine the PEs' probes are per-PE buffers, drained here.
+// PEs, in the order they were applied in.
 func (m *Machine) stepIdealDeliver() {
 	for _, ir := range m.idealPending {
 		m.pes[ir.pe].Deliver(ir.rep, m.peCycles)
 	}
 	m.idealPending = m.idealPending[:0]
-	m.stepper.DrainPEEvents()
 }
 
 // Done reports whether every PE has halted and all traffic has drained.

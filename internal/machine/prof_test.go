@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
@@ -15,7 +14,7 @@ import (
 
 // profQueueRun loads examples/asm/queue.s on 8 PEs with the profiler
 // attached and runs to completion.
-func profQueueRun(t *testing.T, eng engine.Engine) (*Machine, *prof.Profiler, int64) {
+func profQueueRun(t *testing.T) (*Machine, *prof.Profiler, int64) {
 	t.Helper()
 	src, err := os.ReadFile("../../examples/asm/queue.s")
 	if err != nil {
@@ -41,9 +40,6 @@ func profQueueRun(t *testing.T, eng engine.Engine) (*Machine, *prof.Profiler, in
 		Source:   string(src),
 	})
 	m.Observe(prof.Observers{Profiler: p})
-	if eng != nil {
-		m.SetEngine(eng)
-	}
 	peCycles := m.MustRun(5_000_000)
 	return m, p, peCycles
 }
@@ -51,7 +47,7 @@ func profQueueRun(t *testing.T, eng engine.Engine) (*Machine, *prof.Profiler, in
 // TestProfilerCycleConservation: every PE cycle lands in exactly one
 // state bucket, so the profile total is PEs x measured PE cycles.
 func TestProfilerCycleConservation(t *testing.T) {
-	_, p, peCycles := profQueueRun(t, nil)
+	_, p, peCycles := profQueueRun(t)
 	m := p.Merged()
 	want := 8 * peCycles
 	if m.TotalCycles != want {
@@ -94,7 +90,7 @@ func TestProfilerCycleConservation(t *testing.T) {
 // heatmap must record accesses, wait cycles and (with combining on)
 // combines, and rank a contended word at the top.
 func TestProfilerHeatmap(t *testing.T) {
-	_, p, _ := profQueueRun(t, nil)
+	_, p, _ := profQueueRun(t)
 	m := p.Merged()
 	if len(m.Addrs) == 0 {
 		t.Fatal("empty heatmap")
@@ -118,42 +114,27 @@ func TestProfilerHeatmap(t *testing.T) {
 	}
 }
 
-// TestProfEngineEquivalence: profile bytes (pprof and JSONL) must be
-// identical serial vs parallel — the determinism contract extended to
-// the profiler. Runs under `make equivalence` (name matches its -run
-// pattern) including the GOMAXPROCS=1 pass.
-func TestProfEngineEquivalence(t *testing.T) {
-	_, pSerial, _ := profQueueRun(t, nil)
-	wantPB, err := pSerial.PprofBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantJSON bytes.Buffer
-	if err := pSerial.WriteJSONL(&wantJSON); err != nil {
-		t.Fatal(err)
-	}
-	if len(wantPB) == 0 || wantJSON.Len() == 0 {
-		t.Fatal("empty serial profile")
-	}
-	for _, workers := range []int{1, 3, 8} {
-		eng := engine.NewParallel(workers)
-		_, pp, _ := profQueueRun(t, eng)
-		gotPB, err := pp.PprofBytes()
-		if err != nil {
+// TestProfDeterministic: two runs of the same program write the same
+// profile bytes, pprof and JSONL — the determinism contract extended to
+// the profiler.
+func TestProfDeterministic(t *testing.T) {
+	var pb [2][]byte
+	var jsonl [2]bytes.Buffer
+	for i := range pb {
+		_, p, _ := profQueueRun(t)
+		var err error
+		if pb[i], err = p.PprofBytes(); err != nil {
 			t.Fatal(err)
 		}
-		var gotJSON bytes.Buffer
-		if err := pp.WriteJSONL(&gotJSON); err != nil {
+		if err := p.WriteJSONL(&jsonl[i]); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(wantPB, gotPB) {
-			t.Errorf("workers=%d: pprof bytes differ from serial (%d vs %d bytes)",
-				workers, len(gotPB), len(wantPB))
-		}
-		if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
-			t.Errorf("workers=%d: JSONL differs from serial", workers)
-		}
-		eng.Close()
+	}
+	if len(pb[0]) == 0 || jsonl[0].Len() == 0 {
+		t.Fatal("empty profile")
+	}
+	if !bytes.Equal(pb[0], pb[1]) || !bytes.Equal(jsonl[0].Bytes(), jsonl[1].Bytes()) {
+		t.Error("two runs of the same program wrote different profiles")
 	}
 }
 

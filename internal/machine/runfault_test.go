@@ -6,11 +6,9 @@ import (
 	"testing"
 
 	"ultracomputer/internal/cache"
-	"ultracomputer/internal/engine"
 )
 
-// faultSrc ends a private run with an out-of-range lw on PE 1 only, so
-// that under a parallel engine the same worker always panics.
+// faultSrc ends a private run with an out-of-range lw on PE 1 only.
 const faultSrc = `
         rdpe r1
         li   r2, 0
@@ -61,13 +59,7 @@ func TestRunFaultMatchesStep(t *testing.T) {
 			return
 		}
 		for _, cfg := range twinConfigs() {
-			var eng engine.Engine
-			if cfg.parallel {
-				p := engine.NewParallel(2)
-				defer p.Close()
-				eng = p
-			}
-			a, b := tc.build(t, cfg, eng), tc.build(t, cfg, eng)
+			a, b := tc.build(t, cfg), tc.build(t, cfg)
 			ca, pa := catch(a.m, func() {
 				for a.m.Cycles() < twinLimit {
 					a.m.Step()

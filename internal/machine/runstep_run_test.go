@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ultracomputer/internal/cache"
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/sim"
 )
 
@@ -49,24 +48,18 @@ func (tc twinCase) sweeps(end int64) [][]int64 {
 // the first difference.
 func runTwins(t *testing.T, tc twinCase, cfg twinConfig, sweeps func(end int64) [][]int64) error {
 	t.Helper()
-	var eng engine.Engine
-	if cfg.parallel {
-		p := engine.NewParallel(2)
-		defer p.Close()
-		eng = p
-	}
-	probe := tc.build(t, cfg, eng)
+	probe := tc.build(t, cfg)
 	if _, done := probe.m.Run(twinLimit); !done {
 		return fmt.Errorf("%s did not finish in %d cycles", tc.name, int64(twinLimit))
 	}
 	end := probe.m.Cycles()
 
-	a := tc.build(t, cfg, eng)
+	a := tc.build(t, cfg)
 	stops := sweeps(end)
 	bs := make([]*twin, len(stops))
 	next := make([]int, len(stops))
 	for j := range bs {
-		bs[j] = tc.build(t, cfg, eng)
+		bs[j] = tc.build(t, cfg)
 	}
 	compared := 0
 	for a.m.Cycles() < end {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ultracomputer/internal/cache"
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
@@ -38,26 +37,23 @@ type twinCase struct {
 // twinConfig is one machine configuration the referee runs every
 // program under.
 type twinConfig struct {
-	ideal, parallel bool
-	peCycle         int64
-	sampled         bool
+	ideal   bool
+	peCycle int64
+	sampled bool
 }
 
 func (c twinConfig) String() string {
-	return fmt.Sprintf("ideal=%v/parallel=%v/pec%d/sampled=%v", c.ideal, c.parallel, c.peCycle, c.sampled)
+	return fmt.Sprintf("ideal=%v/pec%d/sampled=%v", c.ideal, c.peCycle, c.sampled)
 }
 
 // twinConfigs is every configuration of the referee: real and ideal
-// memory, serial and two workers, PECycle 1 and 2, with and without a
-// sampler.
+// memory, PECycle 1 and 2, with and without a sampler.
 func twinConfigs() []twinConfig {
 	var out []twinConfig
 	for _, ideal := range []bool{false, true} {
-		for _, parallel := range []bool{false, true} {
-			for _, pec := range []int64{1, 2} {
-				for _, sampled := range []bool{false, true} {
-					out = append(out, twinConfig{ideal, parallel, pec, sampled})
-				}
+		for _, pec := range []int64{1, 2} {
+			for _, sampled := range []bool{false, true} {
+				out = append(out, twinConfig{ideal, pec, sampled})
 			}
 		}
 	}
@@ -76,7 +72,7 @@ type twin struct {
 	seen  int // sampler snapshots already compared
 }
 
-func (tc twinCase) build(t testing.TB, cfg twinConfig, eng engine.Engine) *twin {
+func (tc twinCase) build(t testing.TB, cfg twinConfig) *twin {
 	t.Helper()
 	prog, err := isa.Assemble(tc.src)
 	if err != nil {
@@ -93,9 +89,6 @@ func (tc twinCase) build(t testing.TB, cfg twinConfig, eng engine.Engine) *twin 
 	}, prog, LoadOptions{LocalWords: tc.local, Cache: tc.cache})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eng != nil {
-		m.SetEngine(eng)
 	}
 	if cfg.sampled {
 		m.Observe(prof.Observers{Sampler: obs.NewSampler(7)})

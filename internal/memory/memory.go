@@ -44,7 +44,7 @@ type Module struct {
 
 	// subs is the set of consumers attached to the module's bank (noSubs
 	// for a module outside a bank) and out where its events go: the
-	// bank's fan-out, or the module's buffer once Buffered.
+	// bank's fan-out.
 	subs *obs.Subs
 	out  obs.Probe
 }
@@ -129,12 +129,9 @@ func (m *Module) Step(cycle int64, port Port) {
 		}
 		old := m.words[r.Addr.Word]
 		newVal, ret := msg.Apply(r.Op, old, r.Operand)
-		// m.words is this module's own storage; the MM phase shards by
-		// module, and addresses are interleaved so no two modules share
-		// a word. A read does not write it: an absent word reads as zero,
+		// A read does not write m.words: an absent word reads as zero,
 		// so storing an unchanged value would only grow the map.
 		if newVal != old {
-			//ultravet:ok sharecheck m.words belongs to this module; the MM phase shards by module
 			m.words[r.Addr.Word] = newVal
 		}
 		m.Served.Inc()
@@ -169,10 +166,8 @@ type Bank struct {
 	Modules []*Module
 	Hash    Hasher
 
-	// fan delivers the modules' events to the attached consumers; bufs,
-	// once Buffered, holds each module's events until Flush.
-	fan  obs.Fanout
-	bufs []obs.EventBuffer
+	// fan delivers the modules' events to the attached consumers.
+	fan obs.Fanout
 }
 
 // NewBank creates n modules with the given access latency and hashing
@@ -220,27 +215,6 @@ func (b *Bank) SetTracer(p obs.Probe) { b.fan.Subscribe(obs.SubTrace, p) }
 // SetProfiler subscribes the guest profiler to every module; of a
 // bank's events it receives the completed serves.
 func (b *Bank) SetProfiler(p obs.Probe) { b.fan.Subscribe(obs.SubProf, p) }
-
-// Buffered gives every module its own event buffer, for an engine that
-// steps modules on several workers at once; Flush then replays them in
-// module order: the sequence a serial engine emits inline.
-func (b *Bank) Buffered() {
-	b.bufs = make([]obs.EventBuffer, len(b.Modules))
-	for i, m := range b.Modules {
-		m.out = &b.bufs[i]
-	}
-}
-
-// Flush drains the module buffers after a module phase; a no-op unless
-// Buffered, and when no consumer is attached (nothing was emitted).
-func (b *Bank) Flush() {
-	if *b.fan.Subs() == 0 {
-		return
-	}
-	for i := range b.bufs {
-		b.bufs[i].DrainTo(&b.fan)
-	}
-}
 
 // Observe fills the memory side of a periodic metrics snapshot: the
 // fraction of modules mid-access, the cumulative served count, and the

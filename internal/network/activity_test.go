@@ -400,17 +400,6 @@ func TestSweepMatchesExhaustivePumping(t *testing.T) {
 	}
 }
 
-// pumpCounter is a one-worker engine that runs each phase inline after
-// calling before, when the phase's flags are set and no unit has run.
-type pumpCounter struct{ before func() }
-
-func (e pumpCounter) Run(n int, fn func(lo, hi, worker int)) {
-	e.before()
-	fn(0, n, 0)
-}
-func (pumpCounter) Workers() int { return 1 }
-func (pumpCounter) Close()       {}
-
 // departures counts the messages that entered service on a link: one
 // event per traced message per link crossed.
 type departures struct{ fwd, rev int }
@@ -438,20 +427,29 @@ func (d *departures) Emit(ev obs.Event) {
 func TestPumpBudgetUnderTraffic(t *testing.T) {
 	h := newHarness(t, Config{K: 2, Stages: 6, Combining: true})
 	var fwd, rev int
-	h.st = NewStepper(h.net, pumpCounter{before: func() {
-		pumps := &fwd
-		switch h.st.phKind {
-		case phDeferred:
-			return
-		case phReverse:
-			pumps = &rev
-		}
-		for _, f := range h.st.phaseFlags {
+	count := func(pumps *int, flags []uint8) {
+		for _, f := range flags {
 			if f == 1 {
 				*pumps++
 			}
 		}
-	}})
+	}
+	// Stepper.Step's phases, in its order, each counted as it starts.
+	h.net.carve()
+	h.netStep = func(cycle int64) {
+		tp, act, st := h.net.topo, &h.net.act, h.st
+		for s := -1; s < tp.stages; s++ {
+			flags := act.fwd[(s+1)*tp.lines : (s+2)*tp.lines]
+			count(&fwd, flags)
+			st.sweep(phForward, cycle, s, flags, tp.k)
+		}
+		st.sweep(phDeferred, cycle, 0, act.deferred, 1)
+		for s := tp.stages; s >= 0; s-- {
+			flags := act.rev[s*tp.lines : (s+1)*tp.lines]
+			count(&rev, flags)
+			st.sweep(phReverse, cycle, s, flags, tp.k)
+		}
+	}
 	var crossed departures
 	h.net.SetTracer(&crossed) // departures go only to the tracer, for traced messages
 	rng := sim.NewRand(7)
@@ -482,7 +480,7 @@ func TestPumpBudgetUnderTraffic(t *testing.T) {
 
 // TestSweepVisitsExactlyFlaggedUnits checks the word-at-a-time scan
 // against the obvious one for unit widths that do and do not divide
-// eight, over ranges that start and end off a word boundary. The sweep
+// eight, over a phase that ends off a word boundary. The sweep
 // pumps what it visits, so every place it could visit is loaded with one
 // traced message — a link's queue, a unit's deferred register — and only
 // the pattern is flagged: a visit then shows as the event of that message
@@ -505,74 +503,71 @@ func TestSweepVisitsExactlyFlaggedUnits(t *testing.T) {
 		{phForward, Config{K: 16, Stages: 2, Copies: 3}},
 	} {
 		const units = 41
-		for _, r := range [][2]int{{0, units}, {3, 38}, {12, 13}, {5, 5}} {
-			n := New(tc.cfg)
-			rec := obs.NewRecorder(1 << 12)
-			n.SetTracer(rec)
-			st := NewStepper(n, nil)
-			lines, per, stage := n.topo.lines, tc.cfg.K, 1
-			var flags []uint8
-			switch tc.kind {
-			case phForward: // the links out of stage 0
-				flags, stage = n.act.fwd[lines:2*lines], 0
-				for p := range flags {
-					id := uint64(p + 1)
-					n.fwd[lines+p].q.push(&msg.Request{ID: id, TC: msg.TraceCtx{ID: id}})
-				}
-			case phReverse: // the links out of stage 1
-				flags = n.act.rev[lines : 2*lines]
-				for p := range flags {
-					id := uint64(p + 1)
-					n.rev[lines+p].q.push(&msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}})
-				}
-			case phDeferred: // the units' stage-0 registers
-				flags, per = n.act.deferred, 1
-				for u := range flags {
-					id := uint64(u + 1)
-					n.revDefer[u*n.topo.stages] = deferredReply{
-						rep: msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}}, at: n.revAt(0, u*tc.cfg.K), valid: true,
-					}
+		n := New(tc.cfg)
+		rec := obs.NewRecorder(1 << 12)
+		n.SetTracer(rec)
+		st := NewStepper(n, nil)
+		lines, per, stage := n.topo.lines, tc.cfg.K, 1
+		var flags []uint8
+		switch tc.kind {
+		case phForward: // the links out of stage 0
+			flags, stage = n.act.fwd[lines:2*lines], 0
+			for p := range flags {
+				id := uint64(p + 1)
+				n.fwd[lines+p].q.push(&msg.Request{ID: id, TC: msg.TraceCtx{ID: id}})
+			}
+		case phReverse: // the links out of stage 1
+			flags = n.act.rev[lines : 2*lines]
+			for p := range flags {
+				id := uint64(p + 1)
+				n.rev[lines+p].q.push(&msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}})
+			}
+		case phDeferred: // the units' stage-0 registers
+			flags, per = n.act.deferred, 1
+			for u := range flags {
+				id := uint64(u + 1)
+				n.revDefer[u*n.topo.stages] = deferredReply{
+					rep: msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}}, at: n.revAt(0, u*tc.cfg.K), valid: true,
 				}
 			}
-			flags = flags[:units*per] // a load past the last shard's end panics
-			var want, got []int
-			after := make([]uint8, len(flags)) // the flags the sweep must leave
-			for i := range flags {
-				// A long idle stretch in the middle.
-				if i >= 10*per && i < 30*per {
-					continue
-				}
-				switch {
-				case i%11 == 5:
-					flags[i] = 2
-				case i%7 == 3 || i%29 == 0:
-					flags[i] = 1
-				}
-				after[i] = flags[i]
-				if flags[i] == 0 || i < r[0]*per || i >= r[1]*per {
-					continue
-				}
-				switch {
-				case tc.kind == phDeferred: // visited; the flush strikes its one register off the count
-					want = append(want, i)
-					after[i]--
-				case flags[i] == 2: // counted down
-					after[i] = 1
-				default: // visited; the pump takes the message into service: pump again
-					want = append(want, i)
-				}
+		}
+		flags = flags[:units*per] // a load past the phase's end panics
+		var want, got []int
+		after := make([]uint8, len(flags)) // the flags the sweep must leave
+		for i := range flags {
+			// A long idle stretch in the middle.
+			if i >= 10*per && i < 30*per {
+				continue
 			}
-			st.phKind, st.phStage, st.phaseFlags, st.phasePer = tc.kind, stage, flags, per
-			st.sweep(r[0], r[1], &st.ports[0])
-			for _, ev := range rec.Events() {
-				got = append(got, int(ev.ID)-1)
+			switch {
+			case i%11 == 5:
+				flags[i] = 2
+			case i%7 == 3 || i%29 == 0:
+				flags[i] = 1
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("kind %d width %d range %v: visited %v, want %v", tc.kind, per, r, got, want)
+			after[i] = flags[i]
+			if flags[i] == 0 {
+				continue
 			}
-			if !slices.Equal(flags, after) {
-				t.Fatalf("kind %d width %d range %v: flags left %v, want %v", tc.kind, per, r, flags, after)
+			switch {
+			case tc.kind == phDeferred: // visited; the flush strikes its one register off the count
+				want = append(want, i)
+				after[i]--
+			case flags[i] == 2: // counted down
+				after[i] = 1
+			default: // visited; the pump takes the message into service: pump again
+				want = append(want, i)
 			}
+		}
+		st.sweep(tc.kind, 0, stage, flags, per)
+		for _, ev := range rec.Events() {
+			got = append(got, int(ev.ID)-1)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("kind %d width %d: visited %v, want %v", tc.kind, per, got, want)
+		}
+		if !slices.Equal(flags, after) {
+			t.Fatalf("kind %d width %d: flags left %v, want %v", tc.kind, per, flags, after)
 		}
 	}
 }

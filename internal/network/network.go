@@ -56,28 +56,6 @@ func (s *Stats) CombinesPerStage() []int64 {
 	return append([]int64(nil), s.perStageCombines...)
 }
 
-// take moves a scratch counter into its shared total. Integer sums are
-// order-free, so scratch counters can merge in any order; the
-// order-sensitive round-trip observations never pass through scratch
-// (the Stepper replays them per PE).
-func take(total, scratch *sim.Counter) {
-	total.Add(scratch.Value())
-	scratch.Reset()
-}
-
-// takeCombines moves a worker's switch-phase scratch counters into s
-// (the per-stage slice keeps its capacity).
-func (s *Stats) takeCombines(d *Stats) {
-	take(&s.Combines, &d.Combines)
-	take(&s.Decombines, &d.Decombines)
-	for stage, c := range d.perStageCombines {
-		if c != 0 {
-			s.addAtStage(stage, c)
-			d.perStageCombines[stage] = 0
-		}
-	}
-}
-
 // Network is the Ultracomputer interconnect: Copies identical Omega
 // networks over which each PE spreads its requests round-robin (§4.1).
 // The caller drives it cycle by cycle, injecting requests on the PE side,
@@ -110,8 +88,8 @@ type Network struct {
 	// outstanding counts, per PE, the replies it is owed. A message is its
 	// own return route (msg.Request.Copy, Issued), so the network routes by
 	// no table; this is its fault detector (ID-exact matching is the PNI's
-	// job, internal/pe). Written by inject and collect, both sharded by PE;
-	// the MM phase only reads it.
+	// job, internal/pe). Written by inject and collect; the MM side only
+	// reads it.
 	outstanding []int32
 	dead        []bool // fail-stopped copies (no new requests)
 	// act holds the activity flags of every copy's links, MM arrival
@@ -124,8 +102,7 @@ type Network struct {
 	fan obs.Fanout
 
 	// collectBuf is the per-PE reply scratch reused by Collect every
-	// cycle (shard-owned: the collect phase is sharded by PE). The
-	// returned slice is only valid until that PE's next Collect.
+	// cycle. The returned slice is only valid until that PE's next Collect.
 	collectBuf [][]msg.Reply
 }
 
@@ -231,11 +208,10 @@ func (n *Network) Ports() int { return n.topo.n }
 // Stats exposes the accumulated statistics.
 func (n *Network) Stats() *Stats { return &n.stats }
 
-// inject is Stepper.Inject, counting and emitting into the PE's sink. It
-// stamps the accepted request with its way back: the copy that carries it
-// and the cycle it entered. r.PE must equal pe: the reply is routed by the
-// request's PE field.
-func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
+// inject is Stepper.Inject. It stamps the accepted request with its way
+// back: the copy that carries it and the cycle it entered. r.PE must equal
+// pe: the reply is routed by the request's PE field.
+func (n *Network) inject(pe int, r msg.Request, cycle int64) bool {
 	ports := n.topo.n
 	if pe < 0 || pe >= ports {
 		panic(fmt.Sprintf("network: Inject at PE %d of %d", pe, ports))
@@ -254,9 +230,9 @@ func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
 			n.pushFwd(at, &r)
 			n.next[pe] = (ci + 1) % len(n.dead)
 			n.outstanding[pe]++
-			sk.stats.Injected.Inc()
-			if to := sk.subs.For(obs.KindInject, r.TC.Traced()); to != 0 {
-				sk.out.Emit(obs.Event{
+			n.stats.Injected.Inc()
+			if to := n.fan.Subs().For(obs.KindInject, r.TC.Traced()); to != 0 {
+				n.fan.Emit(obs.Event{
 					To: to, Cycle: cycle, Kind: obs.KindInject, PE: int32(pe), Stage: -1,
 					MM: int32(r.Addr.MM), Copy: int16(ci), ID: r.ID, Op: r.Op, Addr: r.Addr,
 					Value: r.Operand,
@@ -268,10 +244,9 @@ func (n *Network) inject(pe int, r msg.Request, cycle int64, sk *sink) bool {
 	return false
 }
 
-// mmDequeue is Stepper.MMDequeue, searching the copies in order and
-// counting into the port's sink. It clears a copy's arrival flag when it
-// takes that copy's last request.
-func (n *Network) mmDequeue(mm int, sk *sink) (r msg.Request, ok bool) {
+// mmDequeue is Stepper.MMDequeue, searching the copies in order. It
+// clears a copy's arrival flag when it takes that copy's last request.
+func (n *Network) mmDequeue(mm int) (r msg.Request, ok bool) {
 	for i := mm; i < len(n.mmIn); i += n.topo.n {
 		if n.act.mm[i] == 0 {
 			continue
@@ -282,7 +257,7 @@ func (n *Network) mmDequeue(mm int, sk *sink) (r msg.Request, ok bool) {
 			n.act.mm[i] = 0
 		}
 		if ok {
-			sk.stats.DeliveredToMM.Inc()
+			n.stats.DeliveredToMM.Inc()
 			return r, true
 		}
 	}
@@ -332,12 +307,11 @@ func (n *Network) MMReply(mm int, rep msg.Reply) bool {
 }
 
 // collect is Stepper.Collect. Round-trip latencies — the cycle less the
-// injection cycle the reply carries — are observed directly into the
-// shared stats on the serial path, buffered in the PE's sink and replayed
-// in PE order under a parallel engine — round-trip means use Welford's
-// sequence-dependent update, so the float observation order must match
-// the serial engine's exactly. A reply the PE is not owed is a fault.
-func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
+// injection cycle the reply carries — are observed into the network's
+// stats in PE order, then arrival order: round-trip means use Welford's
+// sequence-dependent update, so that order is part of the output. A reply
+// the PE is not owed is a fault.
+func (n *Network) collect(pe int, cycle int64) []msg.Reply {
 	if !n.anyCopy(n.act.pe, pe) {
 		return nil
 	}
@@ -356,16 +330,12 @@ func (n *Network) collect(pe int, cycle int64, sk *sink) []msg.Reply {
 			panic(fmt.Sprintf("network: Collect at PE %d of reply %d with nothing outstanding", pe, rep.ID))
 		}
 		n.outstanding[pe]--
-		if sk.rt != nil {
-			*sk.rt = append(*sk.rt, cycle-rep.Issued)
-		} else {
-			sk.stats.observeRT(cycle - rep.Issued)
-		}
-		sk.stats.RepliesDelivered.Inc()
-		if to := sk.subs.For(obs.KindReplyDeliver, rep.TC.Traced()); to != 0 {
+		n.stats.observeRT(cycle - rep.Issued)
+		n.stats.RepliesDelivered.Inc()
+		if to := n.fan.Subs().For(obs.KindReplyDeliver, rep.TC.Traced()); to != 0 {
 			// For the tracer this completes the span: it closes it and
 			// files it in the flight recorder.
-			sk.out.Emit(obs.Event{
+			n.fan.Emit(obs.Event{
 				To: to, Cycle: cycle, Kind: obs.KindReplyDeliver, PE: int32(pe), Stage: -1,
 				MM: -1, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
 				Value: rep.Value,

@@ -116,6 +116,7 @@ type harness struct {
 	t       testing.TB
 	net     *Network
 	st      *Stepper
+	netStep func(cycle int64)
 	words   map[msg.Addr]int64
 	pending []*msg.Reply // per-MM reply awaiting MNI space
 	served  []int        // per-MM count of memory operations performed
@@ -135,18 +136,19 @@ func newHarness(t testing.TB, cfg Config) *harness {
 	}
 }
 
-// step advances one cycle: network, then each MM retries its pending
-// reply or serves one new request, then every PE collects. The flushes
-// are no-ops under the serial engine every test but one drives it with.
+// step advances one cycle: network (netStep when a test sets it, else
+// Stepper.Step), then each MM retries its pending reply or serves one new
+// request, then every PE collects.
 func (h *harness) step() {
-	h.st.FlushInject()
-	h.st.Step(h.cycle)
+	if h.netStep != nil {
+		h.netStep(h.cycle)
+	} else {
+		h.st.Step(h.cycle)
+	}
 	h.serve()
-	h.st.FlushMM()
 	for pe := 0; pe < h.net.Ports(); pe++ {
 		h.replies = append(h.replies, h.st.Collect(pe, h.cycle)...)
 	}
-	h.st.FlushCollect()
 	h.checkActivity()
 	h.checkConservation()
 	h.checkAliasing()

@@ -54,12 +54,9 @@ type revLink struct {
 // A flag is set to 1 by whoever pushes into the link's queue and otherwise
 // written only by the sweep that owns the link: the value its pump
 // returned, or the count-down. A push onto a dormant link thus costs at
-// most one no-op pump, which returns the remainder, so skipping is exact.
-// Both writers run in phases where the writing unit owns the link (see
-// DESIGN.md, "Link records and activity flags"), so the flags are plain
-// bytes: neighbouring flags belong to different units, which is why a flag
-// is a byte and not a bit — a byte is its own memory location, a bit would
-// need an atomic read-modify-write.
+// most one no-op pump, which returns the remainder, so skipping is exact
+// (see DESIGN.md, "Link records and activity flags"). A flag is a byte,
+// not a bit, because it carries that count-down.
 //
 // fwd and rev run parallel to Network.fwd and Network.rev: flag i is link
 // record i's (see fwdAt, revAt). Within a stage they are indexed by
@@ -134,25 +131,10 @@ func (n *Network) pushRev(at int, rep *msg.Reply) {
 	n.act.rev[at] = 1
 }
 
-// sink directs one execution unit's observability output. The Stepper's
-// serial engine points it at the shared Stats and the network's fan-out;
-// a parallel engine points it at scratch counters and the unit's own
-// event buffer, merged in deterministic unit order after each phase (see
-// Stepper). subs is the network's set of attached consumers: a site
-// builds an event only when subs.For names somebody for it.
-type sink struct {
-	stats *Stats
-	subs  *obs.Subs
-	out   obs.Probe
-	// rt, when non-nil, buffers round-trip latencies for replay in PE
-	// order (parallel engines); nil observes them into stats directly.
-	rt *[]int64
-}
-
 // enqueueForward routes a request into the ToMM queue of switch u at
 // stage s selected by the destination digit, attempting combination first
 // (§3.3). It reports false when the request cannot be accepted this cycle.
-func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64, sk *sink) bool {
+func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64) bool {
 	t := n.topo
 	l := u*t.k + t.digit(r.Addr.MM, s)
 	at := n.fwdAt(s, l)
@@ -167,7 +149,7 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64, sk *sink
 				fop, farg, aPlan, bPlan, ok := msg.Combine(old.Op, old.Operand, r.Op, r.Operand)
 				if ok && q.updateCombined(i, fop, farg) {
 					aTC, bTC := old.TC, r.TC
-					if to := sk.subs.For(obs.KindCombine, aTC.Traced() || bTC.Traced()); to != 0 {
+					if to := n.fan.Subs().For(obs.KindCombine, aTC.Traced() || bTC.Traced()); to != 0 {
 						if to&obs.SubTrace != 0 {
 							// Record genealogy completely: a combine
 							// touching any traced request adopts the
@@ -184,7 +166,7 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64, sk *sink
 							}
 							q.setTC(i, aTC)
 						}
-						sk.out.Emit(obs.Event{
+						n.fan.Emit(obs.Event{
 							To: to, Cycle: cycle, Kind: obs.KindCombine, PE: int32(r.PE),
 							Stage: int8(s), MM: -1, Copy: int16(l / t.n),
 							ID: r.ID, ID2: old.ID, Op: r.Op, Addr: r.Addr,
@@ -197,8 +179,8 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64, sk *sink
 						a:    side{id: old.ID, pe: old.PE, op: old.Op, issued: old.Issued, plan: aPlan, tc: aTC},
 						b:    side{id: r.ID, pe: r.PE, op: r.Op, issued: r.Issued, plan: bPlan, tc: bTC},
 					})
-					sk.stats.Combines.Inc()
-					sk.stats.addAtStage(s, 1)
+					n.stats.Combines.Inc()
+					n.stats.addAtStage(s, 1)
 					return true
 				}
 			}
@@ -211,8 +193,8 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64, sk *sink
 	if r.TC.ID != 0 {
 		q.entries[len(q.entries)-1].req.TC.Hops++ // the queued copy's, not the sender's
 	}
-	if to := sk.subs.For(obs.KindStageArrive, r.TC.Traced()); to != 0 {
-		sk.out.Emit(obs.Event{
+	if to := n.fan.Subs().For(obs.KindStageArrive, r.TC.Traced()); to != 0 {
+		n.fan.Emit(obs.Event{
 			To: to, Cycle: cycle, Kind: obs.KindStageArrive, PE: int32(r.PE),
 			Stage: int8(s), MM: -1, Copy: int16(l / t.n),
 			ID: r.ID, Op: r.Op, Addr: r.Addr, Aux: int32(q.occupancy()),
@@ -235,7 +217,7 @@ type deferredReply struct {
 // both original replies are synthesized and routed (decombination, §3.3);
 // otherwise the reply is routed alone. It reports false when the required
 // ToPE queue space is unavailable this cycle.
-func (n *Network) acceptReply(s, u int, src *revLink, cycle int64, sk *sink) bool {
+func (n *Network) acceptReply(s, u int, src *revLink, cycle int64) bool {
 	t := n.topo
 	d := &n.revDefer[u*t.stages+s]
 	if d.valid {
@@ -256,23 +238,23 @@ func (n *Network) acceptReply(s, u int, src *revLink, cycle int64, sk *sink) boo
 		}
 		src.wb.remove(i)
 		n.pushRev(ata, &ra)
-		if to := sk.subs.For(obs.KindDecombine, ra.TC.Traced() || rb.TC.Traced()); to != 0 {
-			sk.out.Emit(obs.Event{
+		if to := n.fan.Subs().For(obs.KindDecombine, ra.TC.Traced() || rb.TC.Traced()); to != 0 {
+			n.fan.Emit(obs.Event{
 				To: to, Cycle: cycle, Kind: obs.KindDecombine, PE: -1,
 				Stage: int8(s), MM: -1, Copy: int16(u / t.group),
 				ID: rep.ID, ID2: rb.ID, Addr: ra.Addr, Value: rep.Value,
 			})
 		}
-		n.emitReplyHop(s, u, &ra, cycle, sk)
+		n.emitReplyHop(s, u, &ra, cycle)
 		// If qa == qb, qb's occupancy already includes ra.
 		if qb.spaceFor(rb.Packets()) {
 			n.pushRev(atb, &rb)
-			n.emitReplyHop(s, u, &rb, cycle, sk)
+			n.emitReplyHop(s, u, &rb, cycle)
 		} else {
 			*d = deferredReply{rep: rb, at: atb, valid: true}
 			n.act.deferred[u]++
 		}
-		sk.stats.Decombines.Inc()
+		n.stats.Decombines.Inc()
 		return true
 	}
 	at := n.revAt(s, u*t.k+t.digit(rep.PE, s))
@@ -280,15 +262,15 @@ func (n *Network) acceptReply(s, u int, src *revLink, cycle int64, sk *sink) boo
 		return false
 	}
 	n.pushRev(at, rep)
-	n.emitReplyHop(s, u, rep, cycle, sk)
+	n.emitReplyHop(s, u, rep, cycle)
 	return true
 }
 
 // emitReplyHop records a reply entering a ToPE queue of switch u at
 // stage s.
-func (n *Network) emitReplyHop(s, u int, rep *msg.Reply, cycle int64, sk *sink) {
-	if to := sk.subs.For(obs.KindReplyHop, rep.TC.Traced()); to != 0 {
-		sk.out.Emit(obs.Event{
+func (n *Network) emitReplyHop(s, u int, rep *msg.Reply, cycle int64) {
+	if to := n.fan.Subs().For(obs.KindReplyHop, rep.TC.Traced()); to != 0 {
+		n.fan.Emit(obs.Event{
 			To: to, Cycle: cycle, Kind: obs.KindReplyHop, PE: int32(rep.PE),
 			Stage: int8(s), MM: -1, Copy: int16(u / n.topo.group),
 			ID: rep.ID, Op: rep.Op, Addr: rep.Addr, Value: rep.Value,
@@ -299,7 +281,7 @@ func (n *Network) emitReplyHop(s, u int, rep *msg.Reply, cycle int64, sk *sink) 
 // flushDeferred retries delivery of the held second replies of unit u, at
 // every stage, into their ToPE queues. The Stepper calls it only for
 // units whose act.deferred count is non-zero.
-func (n *Network) flushDeferred(u int, cycle int64, sk *sink) {
+func (n *Network) flushDeferred(u int, cycle int64) {
 	stages := n.topo.stages
 	regs := n.revDefer[u*stages : (u+1)*stages]
 	for s := range regs {
@@ -308,7 +290,7 @@ func (n *Network) flushDeferred(u int, cycle int64, sk *sink) {
 			n.pushRev(d.at, &d.rep)
 			d.valid = false
 			n.act.deferred[u]--
-			n.emitReplyHop(s, u, &d.rep, cycle, sk)
+			n.emitReplyHop(s, u, &d.rep, cycle)
 		}
 	}
 }
@@ -329,7 +311,7 @@ func synthReply(sd *side, addr msg.Addr, combined *msg.Reply) msg.Reply {
 // activity flag (see activity). u = p/k is the unit that owns the link in
 // this phase: the switch it feeds, or for the last stage the switch it
 // leaves.
-func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
+func (n *Network) pumpRequest(cycle int64, s, u, p int) uint8 {
 	t := n.topo
 	ln := &n.fwd[(s+1)*t.lines+p]
 	lastStage := s == t.stages-1
@@ -338,7 +320,7 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 		// service, and no pump comes sooner; the MNI assembles the full
 		// message before the MM sees it.
 		if !lastStage {
-			ln.delivered = n.enqueueForward(s+1, u, &ln.req, cycle, sk)
+			ln.delivered = n.enqueueForward(s+1, u, &ln.req, cycle)
 		} else if rest := ln.start + int64(ln.req.Packets()) - cycle; rest > 0 {
 			return uint8(rest)
 		} else if in := &n.mmIn[p]; in.spaceFor(ln.req.Packets()) {
@@ -347,8 +329,8 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 			in.push(&ln.req)
 			n.act.mm[p] = 1
 			ln.delivered = true
-			if to := sk.subs.For(obs.KindMMArrive, ln.req.TC.Traced()); to != 0 {
-				sk.out.Emit(obs.Event{
+			if to := n.fan.Subs().For(obs.KindMMArrive, ln.req.TC.Traced()); to != 0 {
+				n.fan.Emit(obs.Event{
 					To: to, Cycle: cycle, Kind: obs.KindMMArrive, PE: int32(ln.req.PE),
 					Stage: -1, MM: int32(p % t.n), Copy: int16(p / t.n),
 					ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
@@ -372,11 +354,11 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 		return 0
 	}
 	ln.active, ln.delivered, ln.start = true, false, cycle
-	if to := sk.subs.For(obs.KindStageDepart, ln.req.TC.Traced()); to != 0 {
+	if to := n.fan.Subs().For(obs.KindStageDepart, ln.req.TC.Traced()); to != 0 {
 		// Queue departure into the link server: together with the
 		// matching StageArrive this brackets the hop's queueing delay
 		// (Stage -1 is the PNI queue).
-		sk.out.Emit(obs.Event{
+		n.fan.Emit(obs.Event{
 			To: to, Cycle: cycle, Kind: obs.KindStageDepart, PE: int32(ln.req.PE),
 			Stage: int8(s), MM: -1, Copy: int16(p / t.n),
 			ID: ln.req.ID, Op: ln.req.Op, Addr: ln.req.Addr,
@@ -393,13 +375,13 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int, sk *sink) uint8 {
 // activity flag, as pumpRequest does. The link arrives at switch u = p/k
 // of stage s−1 — the shuffle that stored it at p and the unshuffle that
 // retraces its wire cancel — or, for stage 0, at a PE.
-func (n *Network) pumpReply(cycle int64, s, u, p int, sk *sink) uint8 {
+func (n *Network) pumpReply(cycle int64, s, u, p int) uint8 {
 	t := n.topo
 	ln := &n.rev[s*t.lines+p]
 	toPE := s == 0
 	if ln.active && !ln.delivered {
 		if !toPE {
-			ln.delivered = n.acceptReply(s-1, u, ln, cycle, sk)
+			ln.delivered = n.acceptReply(s-1, u, ln, cycle)
 		} else if rest := ln.start + int64(ln.rep.Packets()) - cycle; rest > 0 {
 			return uint8(rest) // the PNI assembles the full reply before the PE sees it
 		} else {
@@ -425,13 +407,13 @@ func (n *Network) pumpReply(cycle int64, s, u, p int, sk *sink) uint8 {
 		return 0
 	}
 	ln.active, ln.delivered, ln.start = true, false, cycle
-	if to := sk.subs.For(obs.KindReplyDepart, ln.rep.TC.Traced()); to != 0 {
+	if to := n.fan.Subs().For(obs.KindReplyDepart, ln.rep.TC.Traced()); to != 0 {
 		stage, mm := int8(s), int32(-1)
 		if s == t.stages {
 			// MNI output queue: p is the module's line.
 			stage, mm = -1, int32(p%t.n)
 		}
-		sk.out.Emit(obs.Event{
+		n.fan.Emit(obs.Event{
 			To: to, Cycle: cycle, Kind: obs.KindReplyDepart, PE: int32(ln.rep.PE),
 			Stage: stage, MM: mm, Copy: int16(p / t.n),
 			ID: ln.rep.ID, Op: ln.rep.Op, Addr: ln.rep.Addr,

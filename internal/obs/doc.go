@@ -80,9 +80,9 @@
 // Cache events come from the timing-free functional cache model and
 // carry Cycle = -1; the Recorder preserves their order relative to the
 // surrounding timed events. A PE and the caches its core owns emit
-// through the sink network.Stepper hands out for the PE — the network's
-// fan-out under the serial engine, the PE's buffer under a parallel one —
-// so every PE-side event carries its audience in To like any other.
+// through the sink network.Stepper hands out for the PEs — the network's
+// fan-out — so every PE-side event carries its audience in To like any
+// other.
 //
 // The audience of each kind (Subs.For), R the recorder, T the request
 // tracer — for events of sampled requests only — and P the profiler:

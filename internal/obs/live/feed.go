@@ -78,8 +78,7 @@ type State struct {
 // carries, and passes each one on to the -trace ring when there is one.
 //
 // A Feed is written and read on the simulating goroutine only — Emit
-// from the emit sites (inline under the serial engine, on the
-// coordinator's drain under the parallel one), Publish from
+// from the emit sites, Publish from
 // Sampler.OnRecord, Finish and Last from the driver between cycles —
 // so it has no lock. The frozen State is the only hand-off: an HTTP
 // handler reaches a run through Server.Current and never through the

@@ -20,14 +20,11 @@
 // hot-spot model — and per-lock wait-time histograms keyed by the F&A
 // cell address.
 //
-// Determinism contract: every event arrives on the coordinating
-// goroutine (obs.Fanout) — inline under the serial engine, drained from
-// the emitting unit's buffer in unit order under a parallel one — so
-// each PE's shard sees its own events in the order a serial run
-// produces, and every exported collection is sorted: profiles are
-// byte-identical between the serial and parallel engines. The one direct
-// caller, the synthetic driver's ProfIssue, touches only the shard of
-// the PE its worker owns.
+// Determinism contract: every event arrives inline on the simulating
+// goroutine (obs.Fanout), in emission order, and every exported
+// collection is sorted: profiles of the same seeded run are
+// byte-identical. The one direct caller, the synthetic driver's
+// ProfIssue, runs on the same goroutine.
 package prof
 
 import (
@@ -100,7 +97,7 @@ type addrRec struct {
 }
 
 // peShard is one PE's private profiler state; hooks touch only the
-// issuing PE's shard, so the tick/deliver phases need no locking.
+// issuing PE's shard.
 type peShard struct {
 	prog    *isa.Program
 	cur     runEntry // open run (count==0: none)
@@ -120,9 +117,8 @@ type mmShard struct {
 	served map[int]int64
 }
 
-// NetShard receives the network's combine events (shard 0, under every
-// engine: they arrive on the coordinating goroutine). Shards are merged
-// order-free — combining counts are plain sums.
+// NetShard receives the network's combine events (shard 0). Shards are
+// merged order-free — combining counts are plain sums.
 type NetShard struct {
 	combines map[msg.Addr]int64
 }
@@ -130,8 +126,6 @@ type NetShard struct {
 // Emit implements obs.Probe for a network that subscribes the shard
 // alone: of the events addressed to the profiler a network emits only
 // KindCombine, one combine of two requests to ev.Addr.
-//
-//ultravet:ok sharecheck a fan-out's consumers run only on the coordinator; shards emit into per-unit buffers
 func (s *NetShard) Emit(ev obs.Event) { s.combines[ev.Addr]++ }
 
 // Profiler is the obs.Probe a machine subscribes as obs.SubProf.
@@ -194,7 +188,7 @@ func (p *Profiler) SetMMs(n int) {
 }
 
 // NetShard returns combine shard i, creating it and any before it as
-// needed; shard 0 is the network's sink under every engine.
+// needed; shard 0 is the network's sink.
 func (p *Profiler) NetShard(i int) *NetShard {
 	for len(p.nets) <= i {
 		p.nets = append(p.nets, &NetShard{combines: make(map[msg.Addr]int64)})
@@ -269,7 +263,6 @@ func (s *peShard) childNode(pc int) int32 {
 	}
 	id := int32(len(s.nodes))
 	s.nodes = append(s.nodes, stackNode{parent: s.curNode, callpc: int32(pc)})
-	//ultravet:ok sharecheck s is the per-PE shard; the tick phase shards by PE (silent while NetShard.Emit's map write stands for the summary key)
 	s.nodeIdx[key] = id
 	return id
 }
@@ -323,7 +316,6 @@ func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Add
 	if op != msg.Load && op != msg.Store {
 		a.rmw++
 	}
-	//ultravet:ok sharecheck s is the per-PE shard owned by the worker issuing for PE pe
 	s.addrs[linear] = a
 }
 
@@ -359,7 +351,6 @@ func (p *Profiler) ProfServe(mm, word int, op msg.Op) {
 	if mm < 0 || mm >= len(p.mms) {
 		return
 	}
-	//ultravet:ok sharecheck ProfServe runs only on the coordinator; shards emit into per-module buffers (silent while NetShard.Emit's map write stands for the summary key)
 	p.mms[mm].served[word]++
 }
 
@@ -369,8 +360,8 @@ func (p *Profiler) ProfServe(mm, word int, op msg.Op) {
 func (p *Profiler) EnableLive() { p.liveOn = true }
 
 // Publish rebuilds the live profile (no-op unless EnableLive was
-// called). The machine invokes it on the sampling path, between engine
-// phases, so shard reads are safe.
+// called). The machine invokes it on the sampling path, between
+// cycles.
 func (p *Profiler) Publish() {
 	if !p.liveOn {
 		return

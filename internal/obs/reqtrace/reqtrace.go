@@ -10,12 +10,11 @@
 // (a child span links to the parent that absorbed it; decombining on the
 // return path closes the tree).
 //
-// Sampling is a pure seeded hash of the request ID, so the decision is
-// reproducible from any worker without shared state, and serial vs.
-// parallel runs of the same seed trace exactly the same requests. Event
-// delivery rides the engine's determinism contract (per-unit buffers
-// drained in unit order — see network.Stepper), so span dumps are
-// byte-identical across engines and worker counts.
+// Sampling is a pure seeded hash of the request ID, so the decision needs
+// no shared state and runs of the same seed trace exactly the same
+// requests. Events arrive in the simulator's deterministic emission
+// order (see network.Stepper), so span dumps of the same seeded run are
+// byte-identical.
 //
 // The Tracer doubles as a flight recorder: a bounded ring of the last
 // completed spans plus a reservoir of slow outliers, dumped when the
@@ -72,9 +71,8 @@ func (c Config) withDefaults() Config {
 // consumer of the network's and the bank's fan-out, and the sampling
 // decision for the PNIs.
 //
-// All events of one run arrive on the coordinator goroutine (serial
-// emission, or deterministic buffer drains under a parallel engine), so
-// the active table and the spans under assembly are the emitter's own and
+// All events of one run arrive on the simulating goroutine, so the
+// active table and the spans under assembly are the emitter's own and
 // need no lock. mu guards what a concurrent HTTP export can see — the
 // completed spans and the counters — and the emitter takes it once when
 // it opens a span and once when it completes one, not per event.
@@ -150,8 +148,8 @@ func splitmix64(x uint64) uint64 {
 
 // ContextFor decides at issue time whether request id is traced,
 // returning the context it must carry. The decision is a pure hash of
-// (id, seed): no state, so any worker may call it, and equal-seed runs
-// sample identical requests regardless of engine or timing.
+// (id, seed): no state, so equal-seed runs sample identical requests
+// whatever the timing.
 func (t *Tracer) ContextFor(id uint64) msg.TraceCtx {
 	if t.all {
 		return msg.TraceCtx{ID: id}
@@ -172,7 +170,6 @@ func (t *Tracer) Emit(ev obs.Event) {
 	switch ev.Kind {
 	case obs.KindInject:
 		s := t.open(ev.ID, int(ev.PE), ev.Op.String(), ev.Addr, ev.Cycle)
-		//ultravet:ok sharecheck Emit runs only on the coordinator; shards emit into per-unit buffers (network.Stepper)
 		s.Hops = append(s.Hops, Hop{Kind: HopInject, Cycle: ev.Cycle, Stage: -1, Copy: ev.Copy, MM: -1})
 	case obs.KindStageArrive:
 		t.hop(ev.ID, Hop{Kind: HopEnqueue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Q: ev.Aux})

@@ -103,9 +103,8 @@ type Hop struct {
 
 // Span is the complete causal trace of one memory request: its identity,
 // per-hop timeline, and combining genealogy. Spans serialize to one
-// JSONL line each; field order and content are deterministic, so serial
-// and parallel runs of the same seeded workload produce byte-identical
-// dumps.
+// JSONL line each; field order and content are deterministic, so runs of
+// the same seeded workload produce byte-identical dumps.
 type Span struct {
 	// ID is the request's network ID (pe<<32|seq).
 	ID uint64 `json:"id"`

@@ -7,8 +7,8 @@ import "math/bits"
 // never per cycle; an emit site asks it who wants the event at hand and
 // builds the event only for a non-empty answer:
 //
-//	if to := sk.subs.For(kind, r.TC.Traced()); to != 0 {
-//		sk.out.Emit(obs.Event{To: to, ...})
+//	if to := n.fan.Subs().For(kind, r.TC.Traced()); to != 0 {
+//		n.fan.Emit(obs.Event{To: to, ...})
 //	}
 type Subs uint8
 
@@ -45,12 +45,10 @@ func (s Subs) For(k Kind, traced bool) Subs {
 }
 
 // Fanout delivers a component's events to the consumers attached to it;
-// it is the only code that knows who listens. The serial engine's units
-// — switches, modules, PEs and their caches — emit into it directly; a
-// parallel engine's units emit into their own EventBuffer, which the
-// coordinator drains into it in unit order, so every consumer sees the
-// events it would have seen inline, in the same order, and needs no
-// locking or per-worker state.
+// it is the only code that knows who listens. Switches, modules, PEs and
+// their caches emit into it directly on the simulating goroutine, so
+// every consumer sees the events in emission order and needs no locking
+// or per-worker state.
 type Fanout struct {
 	subs Subs
 	dst  [3]Probe // by bit of Subs: recorder, tracer, profiler

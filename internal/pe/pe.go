@@ -75,9 +75,9 @@ type PE struct {
 	halted bool
 
 	// subs is the set of consumers attached to the machine and out where
-	// this PE's events go (Observe): the network's fan-out, or under a
-	// parallel engine the PE's own buffer. scale converts the PE cycles
-	// Tick runs on to the network cycles events are stamped with.
+	// this PE's events go (Observe): the network's fan-out. scale converts
+	// the PE cycles Tick runs on to the network cycles events are stamped
+	// with.
 	subs  *obs.Subs
 	out   obs.Probe
 	scale int64

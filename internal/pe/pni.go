@@ -29,7 +29,7 @@ type PNI struct {
 
 	// tracer, when non-nil, decides per request ID whether the request
 	// carries a causal-tracing context. The decision is a pure function
-	// of the ID, so serial and parallel engines sample identically.
+	// of the ID, so same-seed runs sample identically.
 	tracer *reqtrace.Tracer
 }
 

@@ -71,12 +71,12 @@ type apiError struct {
 }
 
 // decodeBody decodes the request's JSON body into v, reading at most
-// maxBodyBytes of it; a longer body fails with an *http.MaxBytesError.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) error {
+// maxBodyBytes of it; a longer body fails with an *http.MaxBytesError,
+// and so does a field v does not have, so a typo surfaces instead of
+// silently defaulting.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
 
@@ -151,7 +151,7 @@ func (a *API) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Config *Config `json:"config"`
 	}
 	if r.ContentLength != 0 {
-		if err := decodeBody(w, r, &req, false); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeErr(w, fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -214,7 +214,7 @@ func (a *API) handleStage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var cfg Config
-	if err := decodeBody(w, r, &cfg, true); err != nil {
+	if err := decodeBody(w, r, &cfg); err != nil {
 		writeErr(w, fmt.Errorf("bad config body: %w", err))
 		return
 	}

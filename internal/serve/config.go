@@ -20,8 +20,8 @@ import (
 )
 
 // Config is a machine configuration as a first-class object: everything
-// a run needs — network shape, PE population, timing, cache, engine and
-// the guest program — in one JSON-serializable value. It is the single
+// a run needs — network shape, PE population, timing, cache and the
+// guest program — in one JSON-serializable value. It is the single
 // run description: the ultraserve config store keeps it, `ultrasim
 // -config` loads it, ultrasim's machine flags are bound to its fields
 // (RegisterFlags), and Build is the one way any of them becomes a
@@ -76,12 +76,6 @@ type Config struct {
 	LocalWords int          `json:"local_words,omitempty"`
 	Cache      *CacheConfig `json:"cache,omitempty"`
 
-	// Engine selects the execution engine ("serial" or "parallel",
-	// default serial); Workers the parallel pool size (0 = GOMAXPROCS).
-	// Outputs are byte-identical either way.
-	Engine  string `json:"engine,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-
 	// Limit is the network-cycle budget for a run (default 100M; the
 	// service may clamp it to its per-session quota). SampleEvery is
 	// the metrics sampling period in network cycles (default 64).
@@ -124,9 +118,6 @@ func (c Config) WithDefaults() Config {
 	if c.LocalWords == 0 {
 		c.LocalWords = 4096
 	}
-	if c.Engine == "" {
-		c.Engine = "serial"
-	}
 	if c.Limit == 0 {
 		c.Limit = 100_000_000
 	}
@@ -150,12 +141,6 @@ func (c Config) Ports() int {
 // build time, so an unbounded product would let one config OOM the
 // whole service before quotas ever see it.
 const maxValidPorts = 1 << 20
-
-// maxValidWorkers bounds the parallel engine's pool for any config that
-// survives Validate: engine.NewParallel starts one goroutine per worker,
-// each spinning at the barrier, so an unbounded count would let one
-// config exhaust the host.
-const maxValidWorkers = 1024
 
 // boundedPorts computes k^stages, reporting failure as soon as the
 // running product exceeds max — including after the final multiply — so
@@ -296,22 +281,6 @@ var configRules = []struct {
 		}
 		return ""
 	}},
-	{"engine", func(c *Config) string {
-		switch c.Engine {
-		case "serial", "parallel":
-			return ""
-		}
-		return fmt.Sprintf("unknown engine %q (want serial or parallel)", c.Engine)
-	}},
-	{"workers", func(c *Config) string {
-		if c.Workers < 0 {
-			return fmt.Sprintf("workers = %d, need >= 0", c.Workers)
-		}
-		if c.Workers > maxValidWorkers {
-			return fmt.Sprintf("workers = %d, need <= %d (each worker is a goroutine spinning at the barrier)", c.Workers, maxValidWorkers)
-		}
-		return ""
-	}},
 	{"limit", func(c *Config) string {
 		if c.Limit < 1 {
 			return fmt.Sprintf("limit = %d network cycles, need >= 1", c.Limit)
@@ -406,29 +375,23 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Lint, "lint", c.Lint, "run the guest coherence/race lint before the program; findings abort the run")
 	fs.Int64Var(&c.Limit, "limit", c.Limit, "network-cycle limit")
 	fs.Int64Var(&c.SampleEvery, "sample-every", c.SampleEvery, "network cycles between metrics samples")
-	fs.StringVar(&c.Engine, "engine", c.Engine, "execution engine: serial or parallel (byte-identical outputs either way)")
-	fs.IntVar(&c.Workers, "workers", c.Workers, "parallel engine worker count (0 = GOMAXPROCS)")
 }
 
-// Build validates the config and assembles the full run: the machine,
-// its per-PE cores and the execution engine (which the caller owns and
-// must Close). It is the single construction path: ultraserve sessions,
-// `ultrasim -config` and ultrasim's flags all build here.
-func (c Config) Build() (*machine.Machine, []*isa.Core, engine.Engine, error) {
+// Build validates the config and assembles the full run: the machine and
+// its per-PE cores. It is the single construction path: ultraserve
+// sessions, `ultrasim -config` and ultrasim's flags all build here. The
+// third result is the engine the machine runs on, always engine.Serial;
+// it remains for the benchmark's serve workload, which releases it.
+func (c Config) Build() (*machine.Machine, []*isa.Core, engine.Serial, error) {
 	d, prog, err := c.validated()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, engine.Serial{}, err
 	}
 	m, cores, err := machine.Load(d.MachineConfig(), prog, d.LoadOptions())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, engine.Serial{}, err
 	}
-	eng, err := engine.New(d.Engine, d.Workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m.SetEngine(eng)
-	return m, cores, eng, nil
+	return m, cores, engine.Serial{}, nil
 }
 
 // LoadConfigFile reads and validates a Config from a JSON file; unknown

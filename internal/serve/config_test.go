@@ -72,11 +72,6 @@ func TestValidateTable(t *testing.T) {
 		{"max_outstanding", func(c *Config) { c.MaxOutstanding = -1 }, []string{"max_outstanding"}},
 		{"local_words", func(c *Config) { c.LocalWords = -4096 }, []string{"local_words"}},
 		{"bad cache", func(c *Config) { c.Cache = &CacheConfig{Sets: 3, Ways: 1, BlockWords: 4} }, []string{"cache"}},
-		{"bad engine", func(c *Config) { c.Engine = "quantum" }, []string{"engine"}},
-		{"workers", func(c *Config) { c.Workers = -1 }, []string{"workers"}},
-		// engine.NewParallel starts a goroutine per worker: a million of
-		// them validated until the rule got its upper bound.
-		{"workers a million", func(c *Config) { c.Engine = "parallel"; c.Workers = 1_000_000 }, []string{"workers"}},
 		{"limit", func(c *Config) { c.Limit = -1 }, []string{"limit"}},
 		{"sample_every", func(c *Config) { c.SampleEvery = -64 }, []string{"sample_every"}},
 		{"empty program", func(c *Config) { c.Program = "  \n" }, []string{"program"}},
@@ -129,9 +124,6 @@ func TestQuotaTable(t *testing.T) {
 		{"local_words", "local_words", Limits{MaxMemoryWords: 1 << 12}, func(c *Config) {}},
 		// pes × local_words = 2^64 wraps to 0 words as a product.
 		{"local_words wrapping", "local_words", DefaultLimits(), func(c *Config) { c.PEs = 16; c.LocalWords = 1 << 60 }},
-		// A session's parallel engine would spin its pool from build to
-		// delete; the service's parallelism is across sessions.
-		{"engine", "engine", DefaultLimits(), func(c *Config) { c.Engine = "parallel" }},
 	}
 	if got := DefaultLimits().checkConfig(validConfig()); len(got) != 0 {
 		t.Fatalf("the default quotas refuse the base config: %v", got)
@@ -154,10 +146,11 @@ func TestQuotaTable(t *testing.T) {
 // FuzzConfig: a config arrives over HTTP (and through `ultrasim
 // -config`), so decoding, validating and quota-checking one must never
 // panic, and whatever all three accept must be something the service can
-// afford to build: worker pool, ports, PEs and private memory inside
-// their bounds, on the serial engine. The seeds under
-// testdata/fuzz/FuzzConfig are the configs that once got through. `go
-// test` runs the corpus as unit cases; `make fuzz-smoke` fuzzes.
+// afford to build: ports, PEs and private memory inside their bounds. The
+// seeds under testdata/fuzz/FuzzConfig are configs that once got through
+// or that strict decoding must refuse (an "engine" or "workers" field,
+// which configs no longer have). `go test` runs the corpus as unit cases;
+// `make fuzz-smoke` fuzzes.
 func FuzzConfig(f *testing.F) {
 	valid, err := json.Marshal(validConfig())
 	if err != nil {
@@ -176,12 +169,6 @@ func FuzzConfig(f *testing.F) {
 			return
 		}
 		d := c.WithDefaults()
-		if d.Engine != "serial" {
-			t.Errorf("accepted engine %q", d.Engine)
-		}
-		if d.Workers < 0 || d.Workers > maxValidWorkers {
-			t.Errorf("accepted workers = %d", d.Workers)
-		}
 		ports, ok := boundedPorts(d.K, d.Stages, l.MaxPorts)
 		if !ok {
 			t.Fatalf("accepted k = %d, stages = %d: more than %d ports", d.K, d.Stages, l.MaxPorts)
@@ -198,7 +185,7 @@ func FuzzConfig(f *testing.F) {
 func TestWithDefaultsMatchesUltrasimFlags(t *testing.T) {
 	d := Config{K: 2, Stages: 4, Program: "halt"}.WithDefaults()
 	if d.PEs != 16 || d.Copies != 1 || d.MMLatency != 2 || d.PECycle != 2 ||
-		d.MaxOutstanding != 12 || d.LocalWords != 4096 || d.Engine != "serial" ||
+		d.MaxOutstanding != 12 || d.LocalWords != 4096 ||
 		d.Limit != 100_000_000 || d.SampleEvery != 64 {
 		t.Errorf("defaults drifted from ultrasim's flag defaults: %+v", d)
 	}
@@ -298,7 +285,6 @@ func TestEveryFlagRoundTripsThroughFile(t *testing.T) {
 	values := map[string]string{
 		"pes": "3", "k": "4", "stages": "5", "combining": "false", "hashing": "false",
 		"local": "2048", "lint": "true", "limit": "5000", "sample-every": "32",
-		"engine": "parallel", "workers": "3",
 	}
 	base := validConfig()
 	_, fs := parseFlags(t, base)

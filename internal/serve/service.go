@@ -86,14 +86,6 @@ func (l Limits) withDefaults() Limits {
 func (l Limits) checkConfig(cfg Config) []FieldError {
 	d := cfg.WithDefaults()
 	var fields []FieldError
-	// A parallel engine's workers never park: a session would hold them
-	// spinning from build to delete, and at the sizes the quotas admit
-	// the barrier costs more than it saves. The scheduler's workers are
-	// the service's parallelism.
-	if d.Engine != "serial" {
-		fields = append(fields, FieldError{Field: "engine",
-			Msg: fmt.Sprintf("engine %q is not offered to sessions: the service's parallelism is across sessions; use `ultrasim -engine parallel` for one large run", d.Engine)})
-	}
 	if l.MaxPEs > 0 && d.PEs > l.MaxPEs {
 		fields = append(fields, FieldError{Field: "pes",
 			Msg: fmt.Sprintf("%d PEs exceeds the per-session quota of %d", d.PEs, l.MaxPEs)})

@@ -327,23 +327,34 @@ func TestPortsQuotaRejection(t *testing.T) {
 	call(t, http.MethodPut, base+"/sessions/"+info.ID+"/config/candidate", cfg, http.StatusOK, nil)
 }
 
-// TestParallelEngineRefused: a session may not hold a parallel engine's
-// never-parking pool; staging one is a 422 with a field error on engine,
-// and nothing is staged.
-func TestParallelEngineRefused(t *testing.T) {
+// TestEngineFieldRefused: configs have no engine; a create or stage body
+// whose config names one is refused by strict decoding with a 400 that
+// names the field, and nothing is staged.
+func TestEngineFieldRefused(t *testing.T) {
 	_, base := testAPI(t, Limits{})
 	var info SessionInfo
 	call(t, http.MethodPost, base+"/sessions", nil, http.StatusCreated, &info)
 
-	cfg := validConfig()
-	cfg.Engine = "parallel"
-	var resp struct {
-		FieldErrors []FieldError `json:"field_errors"`
+	b, err := json.Marshal(validConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	raw := call(t, http.MethodPut, base+"/sessions/"+info.ID+"/config/candidate", cfg,
-		http.StatusUnprocessableEntity, &resp)
-	if len(resp.FieldErrors) != 1 || resp.FieldErrors[0].Field != "engine" {
-		t.Errorf("want one field error on engine, got %s", raw)
+	cfg := map[string]any{}
+	if err := json.Unmarshal(b, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["engine"] = "parallel"
+	for _, c := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, "/sessions", map[string]any{"config": cfg}},
+		{http.MethodPut, "/sessions/" + info.ID + "/config/candidate", cfg},
+	} {
+		raw := call(t, c.method, base+c.path, c.body, http.StatusBadRequest, nil)
+		if !strings.Contains(raw, `\"engine\"`) {
+			t.Errorf("%s %s: the error does not name engine: %s", c.method, c.path, raw)
+		}
 	}
 	call(t, http.MethodGet, base+"/sessions/"+info.ID+"/config/candidate", nil, http.StatusConflict, nil)
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/machine"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
@@ -70,7 +69,6 @@ type Session struct {
 	execMu sync.Mutex
 	// Machine state.
 	machine    *machine.Machine // guarded by execMu
-	eng        engine.Engine    // guarded by execMu
 	feed       *live.Feed       // guarded by execMu
 	builtSeq   int64            // guarded by execMu; store.CommitSeq the machine was built from
 	effLimit   int64            // guarded by execMu; session cycle quota: min(config limit, service quota)
@@ -302,8 +300,7 @@ func (s *Session) StepCycles(n int64) (ran int64, err error) {
 	defer s.execMu.Unlock()
 	// Re-check now that execution is ours: a drain may have won the
 	// race since the state check above, closing the machine for good —
-	// rebuilding it here would run cycles on a deleted session and leak
-	// its engine.
+	// rebuilding it here would run cycles on a deleted session.
 	if err := s.checkDrained(); err != nil {
 		return 0, err
 	}
@@ -321,10 +318,10 @@ func (s *Session) StepCycles(n int64) (ran int64, err error) {
 // stopping early at halt, at the quota, or at an interrupt — a large
 // step must not pin execMu against drain/delete/pause for its whole
 // duration — and reports how many cycles ran. A panic out of the machine
-// (a reply no PE is waiting for, a worker panic the engine re-raised) is
-// this session's failure alone: it is recovered into StateFailed with
-// the panic value in Info's Error, the feed is finished and the engine
-// released, and the caller — a scheduler worker every other session
+// (a reply no PE is waiting for, a fault in the guest) is this session's
+// failure alone: it is recovered into StateFailed with the panic value in
+// Info's Error, the feed is finished and the machine released, and the
+// caller — a scheduler worker every other session
 // shares, or an API handler — carries on.
 func (s *Session) advanceLocked(n int64) (ran int64, err error) {
 	m := s.machine
@@ -399,7 +396,7 @@ func (s *Session) ReportJSON() ([]byte, error) {
 
 // drainSession shuts the session down: interrupts any slice, waits for
 // it, finishes the feed (so /events followers terminate) and releases
-// the engine. Terminal.
+// the machine. Terminal.
 func (s *Session) drainSession() {
 	s.mu.Lock()
 	s.interrupt.Store(true)
@@ -505,8 +502,7 @@ func (s *Session) finishIfOverLocked() bool {
 // server. A session has no -trace, so the kit builds no recorder ring.
 func (s *Session) ensureMachineLocked() error {
 	// Never (re)build for a drained session: drain closed the machine
-	// for good, and a rebuild here would leak the engine (nothing will
-	// close it again).
+	// for good.
 	if err := s.checkDrained(); err != nil {
 		return err
 	}
@@ -520,7 +516,7 @@ func (s *Session) ensureMachineLocked() error {
 		return ErrNoRunning
 	}
 	d := cfg.WithDefaults()
-	m, _, eng, err := d.Build()
+	m, _, _, err := d.Build()
 	if err != nil {
 		return err
 	}
@@ -529,7 +525,7 @@ func (s *Session) ensureMachineLocked() error {
 	// Nothing listens (the feed server is mounted on the service's own
 	// listener), so Start has nothing to print and nothing to fail.
 	_ = kit.Start(io.Discard, networkConfig(d), d.MMLatency, live.Windowed(m.Report))
-	s.machine, s.eng, s.feed = m, eng, kit.Feed
+	s.machine, s.feed = m, kit.Feed
 	s.builtSeq = seq
 	s.effLimit = d.Limit
 	if s.limits.MaxCycles > 0 && s.effLimit > s.limits.MaxCycles {
@@ -540,10 +536,7 @@ func (s *Session) ensureMachineLocked() error {
 }
 
 func (s *Session) closeMachineLocked() {
-	if s.eng != nil {
-		s.eng.Close()
-	}
-	s.machine, s.eng, s.feed = nil, nil, nil
+	s.machine, s.feed = nil, nil
 	s.builtSeq = 0
 	s.info.Store(&infoMirror{})
 }

@@ -1,8 +1,7 @@
 // Package sim provides the simulation kernel pieces every hardware model
 // in this repository shares: deterministic pseudo-random number
 // generation and statistics accumulators. The cycle itself is driven by
-// the execution engine (internal/engine) through machine.Step and
-// trace.RunEngine.
+// machine.Machine.Step and trace.Run.
 //
 // The Ultracomputer paper evaluates its design by simulation (the NETSIM
 // and WASHCLOTH simulators of Snir and Gottlieb); this package plays the

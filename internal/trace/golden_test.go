@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
@@ -111,50 +110,40 @@ var goldenShapes = []goldenShape{{
 
 // TestObservabilityGolden pins, by SHA-256, every export the three
 // observability consumers produce for each seeded run of goldenShapes.
-// The equivalence suites prove serial ≡ parallel; this proves before ≡
-// after: a change to how events reach their consumers, or to what an
-// event holds, must leave every byte of every export where it was.
+// A change to how events reach their consumers, or to what an event
+// holds, must leave every byte of every export where it was.
 func TestObservabilityGolden(t *testing.T) {
 	for _, sh := range goldenShapes {
-		for _, workers := range []int{0, 3} {
-			var eng engine.Engine
-			if workers > 0 {
-				eng = engine.NewParallel(workers)
-			}
-			rec := obs.NewRecorder(sh.recCap)
-			tr := reqtrace.New(sh.tracer)
-			pf := prof.New(prof.Config{PEs: sh.net.Ports()})
-			w := sh.w
-			w.Probe, w.Tracer, w.Profiler = rec, tr, pf
-			res := trace.RunEngine(sh.net, w, sh.warmup, sh.measure, eng)
-			if eng != nil {
-				eng.Close()
-			}
-			if why := sh.check(res, rec, tr); why != "" {
-				t.Fatalf("%s workers=%d: run proves nothing: %s", sh.name, workers, why)
-			}
-			if c, l, d := tr.Completed(), tr.CombineLinks(), tr.Dropped(); c != sh.completed || l != sh.links || d != sh.dropped {
-				t.Errorf("%s workers=%d: tracer completed %d spans, linked %d combines, dropped %d events; pinned %d, %d, %d",
-					sh.name, workers, c, l, d, sh.completed, sh.links, sh.dropped)
-			}
-			exports := map[string]func(io.Writer) error{
-				"chrome":       func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) },
-				"spans":        tr.WriteSpansJSONL,
-				"spans-chrome": tr.WriteChrome,
-				"prof":         pf.WriteJSONL,
-				"events": func(w io.Writer) error {
-					srv := live.NewFeedServer()
-					srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
-					rr := httptest.NewRecorder()
-					srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events", nil))
-					_, err := io.Copy(w, rr.Body)
-					return err
-				},
-			}
-			for name, want := range sh.want {
-				if h := sum(exports[name], t); h != want {
-					t.Errorf("%s workers=%d: %s export changed: sha256 %s, pinned %s", sh.name, workers, name, h, want)
-				}
+		rec := obs.NewRecorder(sh.recCap)
+		tr := reqtrace.New(sh.tracer)
+		pf := prof.New(prof.Config{PEs: sh.net.Ports()})
+		w := sh.w
+		w.Probe, w.Tracer, w.Profiler = rec, tr, pf
+		res := trace.Run(sh.net, w, sh.warmup, sh.measure)
+		if why := sh.check(res, rec, tr); why != "" {
+			t.Fatalf("%s: run proves nothing: %s", sh.name, why)
+		}
+		if c, l, d := tr.Completed(), tr.CombineLinks(), tr.Dropped(); c != sh.completed || l != sh.links || d != sh.dropped {
+			t.Errorf("%s: tracer completed %d spans, linked %d combines, dropped %d events; pinned %d, %d, %d",
+				sh.name, c, l, d, sh.completed, sh.links, sh.dropped)
+		}
+		exports := map[string]func(io.Writer) error{
+			"chrome":       func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) },
+			"spans":        tr.WriteSpansJSONL,
+			"spans-chrome": tr.WriteChrome,
+			"prof":         pf.WriteJSONL,
+			"events": func(w io.Writer) error {
+				srv := live.NewFeedServer()
+				srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
+				rr := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events", nil))
+				_, err := io.Copy(w, rr.Body)
+				return err
+			},
+		}
+		for name, want := range sh.want {
+			if h := sum(exports[name], t); h != want {
+				t.Errorf("%s: %s export changed: sha256 %s, pinned %s", sh.name, name, h, want)
 			}
 		}
 	}
@@ -166,31 +155,22 @@ func TestObservabilityGolden(t *testing.T) {
 func TestProfilerOnlyCounts(t *testing.T) {
 	const wantCombines = int64(1131)
 	wantServed := []int64{134, 131, 276, 121, 132, 130, 122, 116, 138, 123, 133, 126, 107, 144, 134, 136}
-	for _, workers := range []int{0, 3} {
-		var eng engine.Engine
-		if workers > 0 {
-			eng = engine.NewParallel(workers)
-		}
-		pf := prof.New(prof.Config{PEs: goldenNet.Ports()})
-		w := goldenW
-		w.Profiler = pf
-		res := trace.RunEngine(goldenNet, w, 0, goldenCycles, eng)
-		if eng != nil {
-			eng.Close()
-		}
-		var combines int64
-		served := make([]int64, goldenNet.Ports())
-		for _, row := range pf.Merged().Addrs {
-			combines += row.Combines
-			served[row.MM] += row.Served
-		}
-		if combines != wantCombines || combines != res.Combines {
-			t.Errorf("workers=%d: profiler saw %d combines, network %d, pinned %d",
-				workers, combines, res.Combines, wantCombines)
-		}
-		if !reflect.DeepEqual(served, wantServed) || !reflect.DeepEqual(served, res.PerModuleServed) {
-			t.Errorf("workers=%d: profiler saw serves per MM\n %v, modules\n %v, pinned\n %v",
-				workers, served, res.PerModuleServed, wantServed)
-		}
+	pf := prof.New(prof.Config{PEs: goldenNet.Ports()})
+	w := goldenW
+	w.Profiler = pf
+	res := trace.Run(goldenNet, w, 0, goldenCycles)
+	var combines int64
+	served := make([]int64, goldenNet.Ports())
+	for _, row := range pf.Merged().Addrs {
+		combines += row.Combines
+		served[row.MM] += row.Served
+	}
+	if combines != wantCombines || combines != res.Combines {
+		t.Errorf("profiler saw %d combines, network %d, pinned %d",
+			combines, res.Combines, wantCombines)
+	}
+	if !reflect.DeepEqual(served, wantServed) || !reflect.DeepEqual(served, res.PerModuleServed) {
+		t.Errorf("profiler saw serves per MM\n %v, modules\n %v, pinned\n %v",
+			served, res.PerModuleServed, wantServed)
 	}
 }

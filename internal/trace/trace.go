@@ -10,7 +10,6 @@ package trace
 import (
 	"fmt"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
@@ -107,21 +106,7 @@ func (r Result) String() string {
 // Run drives the network for warmup+measure cycles and reports statistics
 // gathered over the measurement window.
 func Run(cfg network.Config, w Workload, warmup, measure int64) Result {
-	return RunEngine(cfg, w, warmup, measure, nil)
-}
-
-// RunEngine is Run executed on an explicit engine (nil means serial).
-// Every per-cycle phase — request generation, network movement, module
-// service, reply collection — is sharded through eng with the same
-// deterministic merge discipline as machine.Step: per-unit scratch,
-// replayed in unit order at phase boundaries, so same-seed runs are
-// byte-identical under every engine and worker count. The caller owns
-// eng and must Close it afterward.
-func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine.Engine) Result {
 	w = w.withDefaults()
-	if eng == nil {
-		eng = engine.Serial{}
-	}
 	net := network.New(cfg)
 	n := net.Ports()
 	var hash memory.Hasher
@@ -133,8 +118,6 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 	bank := memory.NewBank(n, w.MMLatency, hash)
 	rec, tr, pr := w.Probes()
 	if w.Profiler != nil {
-		// Serves and combines reach the profiler on this goroutine, and
-		// its per-PE issue shards are owned by the generator's workers.
 		w.Profiler.SetMMs(len(bank.Modules))
 	}
 	net.SetProbe(rec)
@@ -143,152 +126,39 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 	bank.SetProbe(rec)
 	bank.SetTracer(tr)
 	bank.SetProfiler(pr)
-	st := network.NewStepper(net, eng)
-	if st.Parallel() {
-		bank.Buffered()
+	r := &runner{
+		w: w, net: net, bank: bank, hash: hash, warmup: warmup,
+		st:      network.NewStepper(net, nil),
+		peRng:   make([]*sim.Rand, n),
+		burstOn: make([]bool, n),
+		seq:     make([]uint64, n),
+		ports:   make([]memory.Port, len(bank.Modules)),
 	}
 	rng := sim.NewRand(w.Seed)
-	peRng := make([]*sim.Rand, n)
-	burstOn := make([]bool, n)
-	for i := range peRng {
-		peRng[i] = rng.Fork()
-		burstOn[i] = i%2 == 0
+	for i := range r.peRng {
+		r.peRng[i] = rng.Fork()
+		r.burstOn[i] = i%2 == 0
 	}
-
-	var res Result
+	for mm := range r.ports {
+		r.ports[mm] = replyPort{net, mm}
+	}
+	res := &r.res
 	res.PerModuleServed = make([]int64, n)
 	res.QueueLen = sim.NewHistogram(64)
 	servedBefore := make([]int64, n)
 
-	// Per-unit scratch: each phase writes only its own unit's slots,
-	// merged in unit order afterward. Request IDs are pe<<32|seq so
-	// every PE mints its own without a shared counter. A message carries
-	// its own injection cycle (the network stamps Issued), so transit
-	// times need no table here: a request or reply belongs to the
-	// measurement window when it was injected in it.
-	seq := make([]uint64, n)
-	offered := make([]int64, n)
-	injected := make([]int64, n)
-	rtBuf := make([][]float64, n)                 // round-trips, replayed PE-major
-	owBuf := make([][]float64, len(bank.Modules)) // one-ways, replayed MM-major
-
-	// The phase bodies and the modules' ports are built once; they read
-	// the cycle in progress from these two variables, set by the loop
-	// between phases.
-	var cycle int64
-	var measuring bool
-	ports := make([]memory.Port, len(bank.Modules))
-	for mm := range ports {
-		ports[mm] = replyPort{net, mm}
-	}
-
-	// Generation: each PE offers a request with probability Rate
-	// (modulated by the on/off process when Burstiness is set).
-	generate := func(lo, hi, _ int) {
-		for pe := lo; pe < hi; pe++ {
-			r := peRng[pe]
-			rate := w.Rate
-			if w.Burstiness > 0 {
-				if r.Bernoulli(1 / float64(w.Burstiness)) {
-					burstOn[pe] = !burstOn[pe]
-				}
-				if burstOn[pe] {
-					rate = 2 * w.Rate
-				} else {
-					rate = 0
-				}
-			}
-			if !r.Bernoulli(rate) {
-				continue
-			}
-			if measuring {
-				offered[pe]++
-			}
-			var linear int64
-			if w.HotFraction > 0 && r.Bernoulli(w.HotFraction) {
-				linear = w.HotWord
-			} else {
-				linear = int64(r.Intn(int(w.Words)))
-			}
-			op := msg.FetchAdd
-			switch u := r.Float64(); {
-			case u < w.LoadFrac:
-				op = msg.Load
-			case u < w.LoadFrac+w.StoreFrac:
-				op = msg.Store
-			}
-			seq[pe]++
-			req := msg.Request{
-				ID: uint64(pe)<<32 | seq[pe], PE: pe, Op: op,
-				Addr:    hash.Map(linear),
-				Operand: 1,
-			}
-			if w.Tracer != nil {
-				// ContextFor is a pure hash of the ID — identical
-				// sampling under every engine and worker count.
-				req.TC = w.Tracer.ContextFor(req.ID)
-			}
-			if st.Inject(pe, req, cycle) {
-				if w.Profiler != nil {
-					// Per-PE profiler shard, owned by this worker.
-					w.Profiler.ProfIssue(pe, 0, op, linear, req.Addr)
-				}
-				if measuring {
-					injected[pe]++
-				}
-			}
-		}
-	}
-
-	// Memory side: let the modules finish in-progress work, then hand
-	// each idle module its next arrival (timestamped here for the
-	// one-way transit measurement). An idle module with no arrival
-	// waiting has nothing to do.
-	serve := func(lo, hi, _ int) {
-		for mm := lo; mm < hi; mm++ {
-			mod := bank.Modules[mm]
-			if mod.Idle() && !net.MMWaiting(mm) {
-				continue
-			}
-			mod.Step(cycle, ports[mm])
-			if mod.Idle() {
-				if req, ok := st.MMDequeue(mm); ok {
-					if req.Issued >= warmup {
-						owBuf[mm] = append(owBuf[mm], float64(cycle-req.Issued))
-					}
-					mod.Accept(req, cycle)
-				}
-			}
-		}
-	}
-
-	// PE side: collect replies.
-	collect := func(lo, hi, _ int) {
-		for pe := lo; pe < hi; pe++ {
-			for _, rep := range st.Collect(pe, cycle) {
-				if rep.Issued >= warmup {
-					rtBuf[pe] = append(rtBuf[pe], float64(cycle-rep.Issued))
-				}
-			}
-		}
-	}
-
 	total := warmup + measure
 	combinesBefore := int64(0)
-	for cycle = 0; cycle < total; cycle++ {
+	for cycle := int64(0); cycle < total; cycle++ {
 		if cycle == warmup {
 			combinesBefore = net.Stats().Combines.Value()
 			for mm, mod := range bank.Modules {
 				servedBefore[mm] = mod.Served.Value()
 			}
 		}
-		measuring = cycle >= warmup
-
-		eng.Run(n, generate)
-		st.FlushInject()
-
-		st.Step(cycle)
-		if measuring && cycle%8 == 0 {
+		r.tick(cycle)
+		r.st.Step(cycle)
+		if cycle >= warmup && cycle%8 == 0 {
 			net.SampleQueues(res.QueueLen)
 		}
 		if w.Sampler != nil && w.Sampler.Due(cycle) {
@@ -296,31 +166,9 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 			bank.Observe(&sn)
 			w.Sampler.Record(sn)
 		}
-
-		eng.Run(len(bank.Modules), serve)
-		for mm := range owBuf {
-			for _, v := range owBuf[mm] {
-				res.OneWay.Observe(v)
-			}
-			owBuf[mm] = owBuf[mm][:0]
-		}
-		st.FlushMM()
-		bank.Flush()
-
-		eng.Run(n, collect)
-		for pe := range rtBuf {
-			for _, v := range rtBuf[pe] {
-				res.RoundTrip.Observe(v)
-			}
-			rtBuf[pe] = rtBuf[pe][:0]
-		}
-		st.FlushCollect()
+		r.collect(cycle)
 	}
 
-	for pe := 0; pe < n; pe++ {
-		res.Offered += offered[pe]
-		res.Injected += injected[pe]
-	}
 	for mm, mod := range bank.Modules {
 		res.PerModuleServed[mm] = mod.Served.Value() - servedBefore[mm]
 		res.Served += res.PerModuleServed[mm]
@@ -331,7 +179,114 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 		res.RTP50 = float64(h.Quantile(0.50))
 		res.RTP99 = float64(h.Quantile(0.99))
 	}
-	return res
+	return r.res
+}
+
+// runner is the state of one Run. Request IDs are pe<<32|seq, so every
+// PE mints its own. A message carries its own injection cycle (the
+// network stamps Issued), so transit times need no table here: a request
+// or reply belongs to the measurement window when it was injected in it.
+type runner struct {
+	w       Workload
+	net     *network.Network
+	bank    *memory.Bank
+	st      *network.Stepper
+	hash    memory.Hasher
+	warmup  int64
+	peRng   []*sim.Rand
+	burstOn []bool
+	seq     []uint64
+	ports   []memory.Port // the modules' reply ports, built once
+	res     Result
+}
+
+// tick is the PE side of a cycle before the network moves: each PE, in
+// PE order, offers a request with probability Rate (modulated by the
+// on/off process when Burstiness is set) and injects it.
+func (r *runner) tick(cycle int64) {
+	w, res := &r.w, &r.res
+	measuring := cycle >= r.warmup
+	for pe, rng := range r.peRng {
+		rate := w.Rate
+		if w.Burstiness > 0 {
+			if rng.Bernoulli(1 / float64(w.Burstiness)) {
+				r.burstOn[pe] = !r.burstOn[pe]
+			}
+			if r.burstOn[pe] {
+				rate = 2 * w.Rate
+			} else {
+				rate = 0
+			}
+		}
+		if !rng.Bernoulli(rate) {
+			continue
+		}
+		if measuring {
+			res.Offered++
+		}
+		var linear int64
+		if w.HotFraction > 0 && rng.Bernoulli(w.HotFraction) {
+			linear = w.HotWord
+		} else {
+			linear = int64(rng.Intn(int(w.Words)))
+		}
+		op := msg.FetchAdd
+		switch u := rng.Float64(); {
+		case u < w.LoadFrac:
+			op = msg.Load
+		case u < w.LoadFrac+w.StoreFrac:
+			op = msg.Store
+		}
+		r.seq[pe]++
+		req := msg.Request{
+			ID: uint64(pe)<<32 | r.seq[pe], PE: pe, Op: op,
+			Addr:    r.hash.Map(linear),
+			Operand: 1,
+		}
+		if w.Tracer != nil {
+			req.TC = w.Tracer.ContextFor(req.ID) // a pure hash of the ID
+		}
+		if r.st.Inject(pe, req, cycle) {
+			if w.Profiler != nil {
+				w.Profiler.ProfIssue(pe, 0, op, linear, req.Addr)
+			}
+			if measuring {
+				res.Injected++
+			}
+		}
+	}
+}
+
+// collect is the rest of a cycle after the network moved. The memory
+// side first: each module, in module order, finishes its access in
+// progress, then an idle one takes its next arrival (timestamped here for
+// the one-way transit measurement); an idle module with no arrival
+// waiting has nothing to do. Then each PE, in PE order, collects its
+// replies.
+func (r *runner) collect(cycle int64) {
+	st, res := r.st, &r.res
+	for mm, mod := range r.bank.Modules {
+		if mod.Idle() && !r.net.MMWaiting(mm) {
+			continue
+		}
+		mod.Step(cycle, r.ports[mm])
+		if mod.Idle() {
+			if req, ok := st.MMDequeue(mm); ok {
+				if req.Issued >= r.warmup {
+					res.OneWay.Observe(float64(cycle - req.Issued))
+				}
+				mod.Accept(req, cycle)
+			}
+		}
+	}
+
+	for pe := range r.peRng {
+		for _, rep := range st.Collect(pe, cycle) {
+			if rep.Issued >= r.warmup {
+				res.RoundTrip.Observe(float64(cycle - rep.Issued))
+			}
+		}
+	}
 }
 
 // replyPort adapts the network MM side for module replies; Dequeue is
