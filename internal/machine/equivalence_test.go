@@ -14,8 +14,18 @@ import (
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/prof"
 	"ultracomputer/internal/obs/reqtrace"
-	"ultracomputer/internal/pe"
 )
+
+// chunked is an engine.Engine that honours the interface's contract the
+// long way round: it runs each phase as ascending ranges of at most that
+// many units, one call each, instead of engine.Serial's single range.
+type chunked int
+
+func (c chunked) Run(n int, fn func(lo, hi, worker int)) {
+	for lo := 0; lo < n; lo += int(c) {
+		fn(lo, min(lo+int(c), n), 0)
+	}
+}
 
 // artifact captures every observable output of a run: the Chrome trace
 // bytes, the sampled metrics JSONL bytes, the JSON report, the request
@@ -78,25 +88,10 @@ func runArtifact(t *testing.T, mk func() (*Machine, func(m *Machine) string), en
 	return a
 }
 
-// mixedSPMD is a guest exercising every traffic class: hot-spot
-// fetch-and-adds (combining), scattered loads and stores, asynchronous
-// requests and fences.
-func mixedSPMD(cfg Config, pes int) func() (*Machine, func(*Machine) string) {
+// mixedFixture is mixedSPMD with the shared words it leaves behind.
+func mixedFixture(cfg Config, pes int) func() (*Machine, func(*Machine) string) {
 	return func() (*Machine, func(*Machine) string) {
-		m := SPMD(cfg, pes, func(ctx *pe.Ctx) {
-			me := int64(ctx.PE())
-			for i := int64(0); i < 24; i++ {
-				ctx.FetchAdd(7, 1) // hot word
-				ctx.Store(100+me*8+i%4, me*1000+i)
-				h := ctx.LoadAsync(100 + ((me*3+i)%int64(ctx.NumPE()))*8)
-				ctx.Compute(int(i % 3))
-				ctx.FetchAdd(9+me%4, h.Wait())
-				if i%8 == 7 {
-					ctx.Fence()
-				}
-			}
-		})
-		return m, func(m *Machine) string {
+		return mixedSPMD(cfg, pes), func(m *Machine) string {
 			var b bytes.Buffer
 			for a := int64(0); a < 160; a++ {
 				fmt.Fprintf(&b, "M[%d]=%d\n", a, m.ReadShared(a))
@@ -137,30 +132,32 @@ func guestASM(t *testing.T, cfg Config, file string) func() (*Machine, func(*Mac
 	}
 }
 
-// TestEngineEquivalence proves the tentpole determinism claim end to
-// end: the same machine run under the serial engine and under the
-// parallel engine at several worker counts (including ones that divide
-// the unit counts unevenly) produces byte-identical trace files,
-// metrics files, reports and final architectural state.
+// TestEngineEquivalence: the engine.Engine contract lets Run hand a
+// phase over in several ascending ranges, so Step's phase bodies must
+// not care how a phase is cut. The same machine run under engine.Serial
+// and under engines that cut every phase into ranges of 1, 3 and 8 units
+// (3 divides no unit count evenly) produces byte-identical trace files,
+// metrics files, span and flight dumps, reports and final architectural
+// state.
 func TestEngineEquivalence(t *testing.T) {
 	type fixture struct {
 		name string
 		mk   func() (*Machine, func(*Machine) string)
 	}
 	fixtures := []fixture{
-		{"k2-s4-combining", mixedSPMD(Config{
+		{"k2-s4-combining", mixedFixture(Config{
 			Net: network.Config{K: 2, Stages: 4, Combining: true}, Hashing: true,
 		}, 16)},
-		{"k4-s2-combining", mixedSPMD(Config{
+		{"k4-s2-combining", mixedFixture(Config{
 			Net: network.Config{K: 4, Stages: 2, Combining: true}, Hashing: true,
 		}, 16)},
-		{"k2-s3-nocombining", mixedSPMD(Config{
+		{"k2-s3-nocombining", mixedFixture(Config{
 			Net: network.Config{K: 2, Stages: 3},
 		}, 8)},
-		{"k2-s3-copies2", mixedSPMD(Config{
+		{"k2-s3-copies2", mixedFixture(Config{
 			Net: network.Config{K: 2, Stages: 3, Copies: 2, Combining: true},
 		}, 8)},
-		{"ideal-memory", mixedSPMD(Config{
+		{"ideal-memory", mixedFixture(Config{
 			Net: network.Config{K: 2, Stages: 3, Combining: true}, IdealMemory: true,
 		}, 8)},
 		{"guest-queue", guestASM(t, Config{
@@ -174,23 +171,19 @@ func TestEngineEquivalence(t *testing.T) {
 		}, "rw.s")},
 	}
 	for _, fx := range fixtures {
-		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			want := runArtifact(t, fx.mk, nil)
 			if len(want.trace) == 0 || len(want.metrics) == 0 {
 				t.Fatal("serial run produced empty artifacts — probe or sampler not wired")
 			}
-			for _, workers := range []int{1, 3, 8} {
-				eng := engine.NewParallel(workers)
-				got := runArtifact(t, fx.mk, eng)
-				eng.Close()
-				diffArtifact(t, workers, want, got)
+			for _, c := range []chunked{1, 3, 8} {
+				diffArtifact(t, int(c), want, runArtifact(t, fx.mk, c))
 			}
 		})
 	}
 }
 
-func diffArtifact(t *testing.T, workers int, want, got artifact) {
+func diffArtifact(t *testing.T, chunk int, want, got artifact) {
 	t.Helper()
 	cmp := func(kind string, w, g []byte) {
 		if !bytes.Equal(w, g) {
@@ -198,19 +191,10 @@ func diffArtifact(t *testing.T, workers int, want, got artifact) {
 			for i < len(w) && i < len(g) && w[i] == g[i] {
 				i++
 			}
-			lo := i - 80
-			if lo < 0 {
-				lo = 0
-			}
-			hiW, hiG := i+80, i+80
-			if hiW > len(w) {
-				hiW = len(w)
-			}
-			if hiG > len(g) {
-				hiG = len(g)
-			}
-			t.Errorf("workers=%d: %s differs at byte %d (serial %d bytes, parallel %d bytes)\n serial  ...%q\n parallel ...%q",
-				workers, kind, i, len(w), len(g), w[lo:hiW], g[lo:hiG])
+			lo := max(i-80, 0)
+			hiW, hiG := min(i+80, len(w)), min(i+80, len(g))
+			t.Errorf("chunk=%d: %s differs at byte %d (serial %d bytes, chunked %d bytes)\n serial  ...%q\n chunked ...%q",
+				chunk, kind, i, len(w), len(g), w[lo:hiW], g[lo:hiG])
 		}
 	}
 	cmp("trace", want.trace, got.trace)
@@ -222,18 +206,15 @@ func diffArtifact(t *testing.T, workers int, want, got artifact) {
 }
 
 // TestLateObserveEngineEquivalence attaches the consumers after the
-// machine has been stepping: a parallel run must still hand them, from
-// then on, exactly the events of a serial run that did the same. The PEs
-// and their caches emit through the stepper's per-PE buffers whenever
-// they were attached, never straight into a consumer from a worker (the
-// bug this pins: the recorder used to reach the PEs raw when attached
-// after the first Step, unordered and racing the coordinator's drains).
+// machine has been stepping: from then on they must get, under an engine
+// that cuts every phase into single units, exactly the events of an
+// engine.Serial run that did the same. The PEs and their caches reach
+// the consumers through what Observe wires whenever it is called, not
+// through what the first Step saw.
 func TestLateObserveEngineEquivalence(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func(eng engine.Engine) []byte {
 		m, pcfg := cachedLeg(false)(t)
-		if workers > 0 {
-			eng := engine.NewParallel(workers)
-			defer eng.Close()
+		if eng != nil {
 			m.SetEngine(eng)
 		}
 		for i := 0; i < 60; i++ {
@@ -258,11 +239,11 @@ func TestLateObserveEngineEquivalence(t *testing.T) {
 			kinds[ev.Kind] = true
 		}
 		if !kinds[obs.KindStallBegin] || !kinds[obs.KindCacheHit] || tr.Completed() == 0 {
-			t.Fatalf("workers=%d: run proves nothing: kinds %v, %d spans", workers, kinds, tr.Completed())
+			t.Fatalf("engine %T: run proves nothing: kinds %v, %d spans", eng, kinds, tr.Completed())
 		}
 		return b.Bytes()
 	}
-	if serial, parallel := run(0), run(3); !bytes.Equal(serial, parallel) {
-		t.Errorf("exports of a late-attached run differ between the serial engine and 3 workers (%d vs %d bytes)", len(serial), len(parallel))
+	if serial, cut := run(nil), run(chunked(1)); !bytes.Equal(serial, cut) {
+		t.Errorf("exports of a late-attached run differ between engine.Serial and single-unit ranges (%d vs %d bytes)", len(serial), len(cut))
 	}
 }

@@ -131,42 +131,44 @@ func TestObservabilityGolden(t *testing.T) {
 		},
 	}
 	for _, leg := range legs {
-		m, pcfg := leg.build(t)
-		rec := obs.NewRecorder(1 << 20)
-		tr := reqtrace.New(reqtrace.Config{Rate: 0.25, Seed: 7, Ring: 1 << 14})
-		pf := prof.New(pcfg)
-		m.Observe(prof.Observers{Probe: rec, Tracer: tr, Profiler: pf})
-		m.MustRun(5_000_000)
-		if rec.Overwritten() != 0 || (!m.cfg.IdealMemory && tr.CombineLinks() == 0) {
-			t.Fatalf("%s: run proves nothing: links=%d overwritten=%d", leg.name, tr.CombineLinks(), rec.Overwritten())
-		}
-		if pcfg.Programs != nil {
-			kinds := map[obs.Kind]int{}
-			for _, ev := range rec.Events() {
-				kinds[ev.Kind]++
+		t.Run(leg.name, func(t *testing.T) {
+			m, pcfg := leg.build(t)
+			rec := obs.NewRecorder(1 << 20)
+			tr := reqtrace.New(reqtrace.Config{Rate: 0.25, Seed: 7, Ring: 1 << 14})
+			pf := prof.New(pcfg)
+			m.Observe(prof.Observers{Probe: rec, Tracer: tr, Profiler: pf})
+			m.MustRun(5_000_000)
+			if rec.Overwritten() != 0 || (!m.cfg.IdealMemory && tr.CombineLinks() == 0) {
+				t.Fatalf("run proves nothing: links=%d overwritten=%d", tr.CombineLinks(), rec.Overwritten())
 			}
-			for _, k := range []obs.Kind{obs.KindCacheHit, obs.KindCacheMiss, obs.KindCacheWriteBack, obs.KindStallBegin, obs.KindStallEnd} {
-				if kinds[k] == 0 {
-					t.Fatalf("%s: run proves nothing: no %v event recorded", leg.name, k)
+			if pcfg.Programs != nil {
+				kinds := map[obs.Kind]int{}
+				for _, ev := range rec.Events() {
+					kinds[ev.Kind]++
+				}
+				for _, k := range []obs.Kind{obs.KindCacheHit, obs.KindCacheMiss, obs.KindCacheWriteBack, obs.KindStallBegin, obs.KindStallEnd} {
+					if kinds[k] == 0 {
+						t.Fatalf("run proves nothing: no %v event recorded", k)
+					}
 				}
 			}
-		}
-		srv := live.NewFeedServer()
-		srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
-		rr := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events", nil))
-		got := map[string]string{
-			"events": sha(t, func(w io.Writer) error { _, err := io.Copy(w, rr.Body); return err }),
-			"chrome": sha(t, func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) }),
-			"spans":  sha(t, tr.WriteSpansJSONL),
-			"prof":   sha(t, pf.WriteJSONL),
-			"report": sha(t, func(w io.Writer) error { return json.NewEncoder(w).Encode(m.Report()) }),
-		}
-		for name, h := range leg.want {
-			if got[name] != h {
-				t.Errorf("%s: %s export changed: sha256 %s, pinned %s", leg.name, name, got[name], h)
+			srv := live.NewFeedServer()
+			srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
+			rr := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events", nil))
+			got := map[string]string{
+				"events": sha(t, func(w io.Writer) error { _, err := io.Copy(w, rr.Body); return err }),
+				"chrome": sha(t, func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) }),
+				"spans":  sha(t, tr.WriteSpansJSONL),
+				"prof":   sha(t, pf.WriteJSONL),
+				"report": sha(t, func(w io.Writer) error { return json.NewEncoder(w).Encode(m.Report()) }),
 			}
-		}
+			for name, h := range leg.want {
+				if got[name] != h {
+					t.Errorf("%s export changed: sha256 %s, pinned %s", name, got[name], h)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
@@ -13,8 +14,8 @@ import (
 )
 
 // profQueueRun loads examples/asm/queue.s on 8 PEs with the profiler
-// attached and runs to completion.
-func profQueueRun(t *testing.T) (*Machine, *prof.Profiler, int64) {
+// attached and runs it to completion under eng (nil = serial).
+func profQueueRun(t *testing.T, eng engine.Engine) (*Machine, *prof.Profiler, int64) {
 	t.Helper()
 	src, err := os.ReadFile("../../examples/asm/queue.s")
 	if err != nil {
@@ -39,6 +40,9 @@ func profQueueRun(t *testing.T) (*Machine, *prof.Profiler, int64) {
 		File:     "queue.s",
 		Source:   string(src),
 	})
+	if eng != nil {
+		m.SetEngine(eng)
+	}
 	m.Observe(prof.Observers{Profiler: p})
 	peCycles := m.MustRun(5_000_000)
 	return m, p, peCycles
@@ -47,7 +51,7 @@ func profQueueRun(t *testing.T) (*Machine, *prof.Profiler, int64) {
 // TestProfilerCycleConservation: every PE cycle lands in exactly one
 // state bucket, so the profile total is PEs x measured PE cycles.
 func TestProfilerCycleConservation(t *testing.T) {
-	_, p, peCycles := profQueueRun(t)
+	_, p, peCycles := profQueueRun(t, nil)
 	m := p.Merged()
 	want := 8 * peCycles
 	if m.TotalCycles != want {
@@ -90,7 +94,7 @@ func TestProfilerCycleConservation(t *testing.T) {
 // heatmap must record accesses, wait cycles and (with combining on)
 // combines, and rank a contended word at the top.
 func TestProfilerHeatmap(t *testing.T) {
-	_, p, _ := profQueueRun(t)
+	_, p, _ := profQueueRun(t, nil)
 	m := p.Merged()
 	if len(m.Addrs) == 0 {
 		t.Fatal("empty heatmap")
@@ -121,7 +125,7 @@ func TestProfDeterministic(t *testing.T) {
 	var pb [2][]byte
 	var jsonl [2]bytes.Buffer
 	for i := range pb {
-		_, p, _ := profQueueRun(t)
+		_, p, _ := profQueueRun(t, nil)
 		var err error
 		if pb[i], err = p.PprofBytes(); err != nil {
 			t.Fatal(err)
@@ -135,6 +139,37 @@ func TestProfDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(pb[0], pb[1]) || !bytes.Equal(jsonl[0].Bytes(), jsonl[1].Bytes()) {
 		t.Error("two runs of the same program wrote different profiles")
+	}
+}
+
+// TestProfEngineEquivalence: profile bytes (pprof and JSONL) are the
+// same whether the engine hands each phase over whole or cut into ranges
+// of 1, 3 or 8 units.
+func TestProfEngineEquivalence(t *testing.T) {
+	profile := func(eng engine.Engine) (pb, jsonl []byte) {
+		_, p, _ := profQueueRun(t, eng)
+		pb, err := p.PprofBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := p.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return pb, b.Bytes()
+	}
+	wantPB, wantJSON := profile(nil)
+	if len(wantPB) == 0 || len(wantJSON) == 0 {
+		t.Fatal("empty serial profile")
+	}
+	for _, c := range []chunked{1, 3, 8} {
+		gotPB, gotJSON := profile(c)
+		if !bytes.Equal(wantPB, gotPB) {
+			t.Errorf("chunk=%d: pprof bytes differ from serial (%d vs %d bytes)", c, len(gotPB), len(wantPB))
+		}
+		if !bytes.Equal(wantJSON, gotJSON) {
+			t.Errorf("chunk=%d: JSONL differs from serial", c)
+		}
 	}
 }
 

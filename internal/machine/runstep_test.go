@@ -38,22 +38,27 @@ type twinCase struct {
 // program under.
 type twinConfig struct {
 	ideal   bool
+	maxOut  int
 	peCycle int64
 	sampled bool
 }
 
 func (c twinConfig) String() string {
-	return fmt.Sprintf("ideal=%v/pec%d/sampled=%v", c.ideal, c.peCycle, c.sampled)
+	return fmt.Sprintf("ideal=%v/out%d/pec%d/sampled=%v", c.ideal, c.maxOut, c.peCycle, c.sampled)
 }
 
 // twinConfigs is every configuration of the referee: real and ideal
-// memory, PECycle 1 and 2, with and without a sampler.
+// memory, the default register-locking depth and a depth of one (every
+// shared request after the first waits in the PNI for its reply),
+// PECycle 1 and 2, with and without a sampler.
 func twinConfigs() []twinConfig {
 	var out []twinConfig
 	for _, ideal := range []bool{false, true} {
-		for _, pec := range []int64{1, 2} {
-			for _, sampled := range []bool{false, true} {
-				out = append(out, twinConfig{ideal, pec, sampled})
+		for _, maxOut := range []int{12, 1} {
+			for _, pec := range []int64{1, 2} {
+				for _, sampled := range []bool{false, true} {
+					out = append(out, twinConfig{ideal, maxOut, pec, sampled})
+				}
 			}
 		}
 	}
@@ -86,6 +91,7 @@ func (tc twinCase) build(t testing.TB, cfg twinConfig) *twin {
 		Net:     network.Config{K: 2, Stages: stages, Combining: true},
 		PEs:     tc.pes,
 		Hashing: true, IdealMemory: cfg.ideal, PECycle: cfg.peCycle,
+		MaxOutstanding: cfg.maxOut,
 	}, prog, LoadOptions{LocalWords: tc.local, Cache: tc.cache})
 	if err != nil {
 		t.Fatal(err)

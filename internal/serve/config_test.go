@@ -235,14 +235,24 @@ func TestDryRunInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestLoadConfigFileRejectsUnknownFields: a config file naming a field
+// configs do not have — a typo, or the engine and workers fields that
+// configs no longer have — is refused, and the error names the field.
 func TestLoadConfigFileRejectsUnknownFields(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cfg.json")
-	if err := os.WriteFile(path, []byte(`{"k":2,"stages":4,"prgoram":"halt"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadConfigFile(path); err == nil || !strings.Contains(err.Error(), "prgoram") {
-		t.Errorf("typo field must be rejected, got %v", err)
+	for _, c := range []struct{ field, doc string }{
+		{"prgoram", `{"k":2,"stages":4,"prgoram":"halt"}`},
+		{"engine", `{"k":2,"stages":4,"program":"halt","engine":"parallel"}`},
+		{"workers", `{"k":2,"stages":4,"program":"halt","workers":3}`},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cfg.json")
+			if err := os.WriteFile(path, []byte(c.doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadConfigFile(path); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("unknown field %s must be rejected, got %v", c.field, err)
+			}
+		})
 	}
 }
 

@@ -327,9 +327,9 @@ func TestPortsQuotaRejection(t *testing.T) {
 	call(t, http.MethodPut, base+"/sessions/"+info.ID+"/config/candidate", cfg, http.StatusOK, nil)
 }
 
-// TestEngineFieldRefused: configs have no engine; a create or stage body
-// whose config names one is refused by strict decoding with a 400 that
-// names the field, and nothing is staged.
+// TestEngineFieldRefused: configs have no engine and no workers; a
+// create or stage body whose config names either is refused by strict
+// decoding with a 400 that names the field, and nothing is staged.
 func TestEngineFieldRefused(t *testing.T) {
 	_, base := testAPI(t, Limits{})
 	var info SessionInfo
@@ -339,21 +339,28 @@ func TestEngineFieldRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := map[string]any{}
-	if err := json.Unmarshal(b, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg["engine"] = "parallel"
-	for _, c := range []struct {
-		method, path string
-		body         any
-	}{
-		{http.MethodPost, "/sessions", map[string]any{"config": cfg}},
-		{http.MethodPut, "/sessions/" + info.ID + "/config/candidate", cfg},
-	} {
-		raw := call(t, c.method, base+c.path, c.body, http.StatusBadRequest, nil)
-		if !strings.Contains(raw, `\"engine\"`) {
-			t.Errorf("%s %s: the error does not name engine: %s", c.method, c.path, raw)
+	for _, f := range []struct {
+		name  string
+		value any
+	}{{"engine", "parallel"}, {"workers", 3}} {
+		cfg := map[string]any{}
+		if err := json.Unmarshal(b, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		cfg[f.name] = f.value
+		for _, c := range []struct {
+			route, method, path string
+			body                any
+		}{
+			{"create", http.MethodPost, "/sessions", map[string]any{"config": cfg}},
+			{"stage", http.MethodPut, "/sessions/" + info.ID + "/config/candidate", cfg},
+		} {
+			t.Run(f.name+"/"+c.route, func(t *testing.T) {
+				raw := call(t, c.method, base+c.path, c.body, http.StatusBadRequest, nil)
+				if !strings.Contains(raw, `\"`+f.name+`\"`) {
+					t.Errorf("%s %s: the error does not name %s: %s", c.method, c.path, f.name, raw)
+				}
+			})
 		}
 	}
 	call(t, http.MethodGet, base+"/sessions/"+info.ID+"/config/candidate", nil, http.StatusConflict, nil)

@@ -114,38 +114,40 @@ var goldenShapes = []goldenShape{{
 // holds, must leave every byte of every export where it was.
 func TestObservabilityGolden(t *testing.T) {
 	for _, sh := range goldenShapes {
-		rec := obs.NewRecorder(sh.recCap)
-		tr := reqtrace.New(sh.tracer)
-		pf := prof.New(prof.Config{PEs: sh.net.Ports()})
-		w := sh.w
-		w.Probe, w.Tracer, w.Profiler = rec, tr, pf
-		res := trace.Run(sh.net, w, sh.warmup, sh.measure)
-		if why := sh.check(res, rec, tr); why != "" {
-			t.Fatalf("%s: run proves nothing: %s", sh.name, why)
-		}
-		if c, l, d := tr.Completed(), tr.CombineLinks(), tr.Dropped(); c != sh.completed || l != sh.links || d != sh.dropped {
-			t.Errorf("%s: tracer completed %d spans, linked %d combines, dropped %d events; pinned %d, %d, %d",
-				sh.name, c, l, d, sh.completed, sh.links, sh.dropped)
-		}
-		exports := map[string]func(io.Writer) error{
-			"chrome":       func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) },
-			"spans":        tr.WriteSpansJSONL,
-			"spans-chrome": tr.WriteChrome,
-			"prof":         pf.WriteJSONL,
-			"events": func(w io.Writer) error {
-				srv := live.NewFeedServer()
-				srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
-				rr := httptest.NewRecorder()
-				srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events", nil))
-				_, err := io.Copy(w, rr.Body)
-				return err
-			},
-		}
-		for name, want := range sh.want {
-			if h := sum(exports[name], t); h != want {
-				t.Errorf("%s: %s export changed: sha256 %s, pinned %s", sh.name, name, h, want)
+		t.Run(sh.name, func(t *testing.T) {
+			rec := obs.NewRecorder(sh.recCap)
+			tr := reqtrace.New(sh.tracer)
+			pf := prof.New(prof.Config{PEs: sh.net.Ports()})
+			w := sh.w
+			w.Probe, w.Tracer, w.Profiler = rec, tr, pf
+			res := trace.Run(sh.net, w, sh.warmup, sh.measure)
+			if why := sh.check(res, rec, tr); why != "" {
+				t.Fatalf("run proves nothing: %s", why)
 			}
-		}
+			if c, l, d := tr.Completed(), tr.CombineLinks(), tr.Dropped(); c != sh.completed || l != sh.links || d != sh.dropped {
+				t.Errorf("tracer completed %d spans, linked %d combines, dropped %d events; pinned %d, %d, %d",
+					c, l, d, sh.completed, sh.links, sh.dropped)
+			}
+			exports := map[string]func(io.Writer) error{
+				"chrome":       func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) },
+				"spans":        tr.WriteSpansJSONL,
+				"spans-chrome": tr.WriteChrome,
+				"prof":         pf.WriteJSONL,
+				"events": func(w io.Writer) error {
+					srv := live.NewFeedServer()
+					srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
+					rr := httptest.NewRecorder()
+					srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/events", nil))
+					_, err := io.Copy(w, rr.Body)
+					return err
+				},
+			}
+			for name, want := range sh.want {
+				if h := sum(exports[name], t); h != want {
+					t.Errorf("%s export changed: sha256 %s, pinned %s", name, h, want)
+				}
+			}
+		})
 	}
 }
 
