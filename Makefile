@@ -32,8 +32,9 @@ lint:
 # lockcheck: re-creations of the three PR 9 review bugs (lost wakeup,
 # interrupt store outside the lock, rebuild outside execMu). probegate:
 # copies of one PE stall site and one cache site with the Subs.For
-# audience guard stripped. detstate: memory.Module.Step serving by a map
-# walk, a Stepper.Step helper stamping time.Now, and a Machine.Step
+# audience guard stripped. detstate: the guest profiler counting a serve
+# that Module.Step emits by a walk of its per-word map, a Stepper.Step
+# helper stamping time.Now, and a Machine.Step
 # ticking each PE on its own goroutine. hotalloc: the switch queue's push
 # making its backing array per call, and a phase body building a
 # capturing closure per unit. The two guest legs take .s files by path. guest: a plain-store race, a stale cached
@@ -93,9 +94,9 @@ test:
 	$(GO) test ./...
 
 # Native fuzzing, ten seconds a target, of the six places outside
-# input enters, of the combining rules and of two differentials over
-# generated guest programs (internal/isa/isagen, which also shrinks a
-# failing program before it is printed). The assembler
+# input enters, of the combining rules, of the shared-memory table and of
+# two differentials over generated guest programs (internal/isa/isagen,
+# which also shrinks a failing program before it is printed). The assembler
 # (serve.Config.Program): FuzzAssemble requires that it never panics and
 # that whatever assembles survives Disassemble -> Assemble unchanged. The config object (HTTP bodies,
 # `ultrasim -config`): FuzzConfig requires that strict decoding, Validate
@@ -120,7 +121,11 @@ test:
 # where stepping leaves it. The model checker against the core:
 # FuzzDifferentialAgainstCore requires that a generated 1-PE program ends
 # with the same registers, private memory and shared memory on mc.step as
-# on isa.Core in a machine; its seed corpus is seeds 0..255. Plain
+# on isa.Core in a machine; its seed corpus is seeds 0..255. The
+# simulated shared memory (memory.wordTable): FuzzWordTable requires that
+# a bank under either hasher, and a module outside a bank, read back what
+# a script of writes left, as a Go map does, and that the table holds
+# only the words ever written a value other than zero. Plain
 # `go test` already runs each seed corpus (every .s file and `;mc:` line
 # in the repository, one hot-spot span dump, the differential's seeds, and
 # the files under the packages' testdata/fuzz) as unit cases; a failure
@@ -136,6 +141,7 @@ fuzz-smoke:
 	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzRunMatchesStep -fuzztime 10s
 	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzDifferentialAgainstCore -fuzztime 10s
 	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzParseAnnotations -fuzztime 10s
+	$(GO) test ./internal/memory -run '^$$' -fuzz FuzzWordTable -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.
@@ -215,14 +221,16 @@ prof-host:
 # copies inline into every consumer. A Go guest's blocking operations
 # allocate nothing once its tag table has grown. One benchmark-shaped
 # trace.Run op, uniform and hot-spot, stays under an object budget 5 %
-# above today's count, which its seed fixes on every host. The benchmark
+# above today's count, which its seed fixes on every host; a 64-module
+# bank and 10 000 distinct writes allocate O(log words) objects, one
+# table for the bank, not a map per module. The benchmark
 # kernel's cached traffic (clds/csts, cflu, crel, fills and write-backs)
 # allocates nothing once each core's write-back queue has grown. And a PE
 # retires the private instructions of the guest-ideal kernel in bursts:
 # at most 0.04 Core.Tick calls per retired instruction (a count; ≥ 1
 # when every instruction takes its own tick).
 bench-guard:
-	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ ./internal/trace/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize|TickBudget' -count=1 -v
+	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ ./internal/trace/ ./internal/memory/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize|TickBudget' -count=1 -v
 
 # Guest-profiler smoke: profile queue.s end to end in both export
 # formats, then validate each round-trips non-empty through its own

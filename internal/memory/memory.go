@@ -30,7 +30,7 @@ type Port interface {
 type Module struct {
 	id      int
 	latency int64
-	words   map[int]int64
+	words   *wordTable // the bank's, or the module's own outside a bank
 
 	busyUntil int64
 	current   msg.Request
@@ -79,10 +79,17 @@ func (m *Module) replied(rep msg.Reply, cycle int64) {
 // NewModule returns module id with the given access latency in cycles
 // (latency < 1 is treated as 1). All words read as zero until written.
 func NewModule(id int, latency int64) *Module {
+	m := new(Module)
+	m.init(id, latency, &wordTable{wordMul: 1}, &noSubs, nil)
+	return m
+}
+
+// init sets up module id in place.
+func (m *Module) init(id int, latency int64, words *wordTable, subs *obs.Subs, out obs.Probe) {
 	if latency < 1 {
 		latency = 1
 	}
-	return &Module{id: id, latency: latency, words: make(map[int]int64), subs: &noSubs}
+	*m = Module{id: id, latency: latency, words: words, subs: subs, out: out}
 }
 
 // ID reports the module number.
@@ -90,10 +97,10 @@ func (m *Module) ID() int { return m.id }
 
 // Peek reads a word directly, bypassing timing — for result checking and
 // for loaders that preinitialize memory.
-func (m *Module) Peek(word int) int64 { return m.words[word] }
+func (m *Module) Peek(word int) int64 { return m.words.get(m.words.key(m.id, word)) }
 
 // Poke writes a word directly, bypassing timing.
-func (m *Module) Poke(word int, v int64) { m.words[word] = v }
+func (m *Module) Poke(word int, v int64) { m.words.set(m.words.key(m.id, word), v) }
 
 // Idle reports whether the module has no operation in progress and no
 // reply awaiting MNI space.
@@ -127,12 +134,13 @@ func (m *Module) Step(cycle int64, port Port) {
 		if r.Addr.MM != m.id {
 			panic(fmt.Sprintf("memory: module %d received request for MM %d", m.id, r.Addr.MM))
 		}
-		old := m.words[r.Addr.Word]
+		k := m.words.key(m.id, r.Addr.Word)
+		old := m.words.get(k)
 		newVal, ret := msg.Apply(r.Op, old, r.Operand)
-		// A read does not write m.words: an absent word reads as zero,
-		// so storing an unchanged value would only grow the map.
+		// A read does not write the store: an absent word reads as
+		// zero, so storing an unchanged value would only grow the table.
 		if newVal != old {
-			m.words[r.Addr.Word] = newVal
+			m.words.set(k, newVal)
 		}
 		m.Served.Inc()
 		m.busy = false
@@ -168,16 +176,23 @@ type Bank struct {
 
 	// fan delivers the modules' events to the attached consumers.
 	fan obs.Fanout
+	// words holds every module's words, keyed by the pair's linear
+	// address (wordTable).
+	words wordTable
 }
 
 // NewBank creates n modules with the given access latency and hashing
 // scheme.
 func NewBank(n int, latency int64, h Hasher) *Bank {
-	b := &Bank{Hash: h}
-	for i := 0; i < n; i++ {
-		m := NewModule(i, latency)
-		m.subs, m.out = b.fan.Subs(), &b.fan
-		b.Modules = append(b.Modules, m)
+	b := &Bank{Hash: h, Modules: make([]*Module, n)}
+	b.words.wordMul = 1
+	if il, ok := h.(Interleave); ok {
+		b.words.wordMul, b.words.mmMul = uint64(il.N), 1
+	}
+	slab := make([]Module, n)
+	for i := range slab {
+		slab[i].init(i, latency, &b.words, b.fan.Subs(), &b.fan)
+		b.Modules[i] = &slab[i]
 	}
 	return b
 }

@@ -65,7 +65,7 @@ func TestModuleServesWithLatency(t *testing.T) {
 // TestReadDoesNotWriteTheStore: an operation that leaves a word's value
 // unchanged — a load, a fetch-and-add of zero, a fetch-and-max below the
 // value — must not insert the word (an absent word reads as zero, so the
-// entry would only grow the map), while a store of zero over a non-zero
+// entry would only grow the table), while a store of zero over a non-zero
 // word must still land.
 func TestReadDoesNotWriteTheStore(t *testing.T) {
 	m := NewModule(0, 1)
@@ -89,8 +89,8 @@ func TestReadDoesNotWriteTheStore(t *testing.T) {
 			t.Errorf("%v on a fresh module replied %d, want 0", rep.Op, rep.Value)
 		}
 	}
-	if len(m.words) != 0 {
-		t.Fatalf("three reads left %d words in the store: %v", len(m.words), m.words)
+	if n := m.words.len(); n != 0 {
+		t.Fatalf("three reads left %d words in the store", n)
 	}
 	m.Poke(4, 7)
 	p.in = []msg.Request{{ID: 4, Op: msg.Store, Addr: msg.Addr{Word: 4}, Operand: 0}}

@@ -129,14 +129,14 @@ func Run(cfg network.Config, w Workload, warmup, measure int64) Result {
 	r := &runner{
 		w: w, net: net, bank: bank, hash: hash, warmup: warmup,
 		st:      network.NewStepper(net, nil),
-		peRng:   make([]*sim.Rand, n),
+		peRng:   make([]sim.Rand, n),
 		burstOn: make([]bool, n),
 		seq:     make([]uint64, n),
 		ports:   make([]memory.Port, len(bank.Modules)),
 	}
 	rng := sim.NewRand(w.Seed)
 	for i := range r.peRng {
-		r.peRng[i] = rng.Fork()
+		r.peRng[i].Seed(rng.Uint64()) // rng.Fork(), in place
 		r.burstOn[i] = i%2 == 0
 	}
 	for mm := range r.ports {
@@ -193,7 +193,7 @@ type runner struct {
 	st      *network.Stepper
 	hash    memory.Hasher
 	warmup  int64
-	peRng   []*sim.Rand
+	peRng   []sim.Rand
 	burstOn []bool
 	seq     []uint64
 	ports   []memory.Port // the modules' reply ports, built once
@@ -206,7 +206,8 @@ type runner struct {
 func (r *runner) tick(cycle int64) {
 	w, res := &r.w, &r.res
 	measuring := cycle >= r.warmup
-	for pe, rng := range r.peRng {
+	for pe := range r.peRng {
+		rng := &r.peRng[pe]
 		rate := w.Rate
 		if w.Burstiness > 0 {
 			if rng.Bernoulli(1 / float64(w.Burstiness)) {
