@@ -89,7 +89,7 @@ func TestReadDoesNotWriteTheStore(t *testing.T) {
 			t.Errorf("%v on a fresh module replied %d, want 0", rep.Op, rep.Value)
 		}
 	}
-	if n := m.words.len(); n != 0 {
+	if n := held(m.words); n != 0 {
 		t.Fatalf("three reads left %d words in the store", n)
 	}
 	m.Poke(4, 7)

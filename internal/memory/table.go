@@ -117,12 +117,3 @@ func (t *wordTable) grow() {
 		}
 	}
 }
-
-// len reports the number of words the table holds: its filled slots,
-// and key 0's word while that is not zero.
-func (t *wordTable) len() int {
-	if t.zero != 0 {
-		return t.n + 1
-	}
-	return t.n
-}
