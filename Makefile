@@ -93,7 +93,7 @@ race:
 test:
 	$(GO) test ./...
 
-# Native fuzzing, ten seconds a target, of the six places outside
+# Native fuzzing, ten seconds a target, of the seven places outside
 # input enters, of the combining rules, of the shared-memory table and of
 # two differentials over generated guest programs (internal/isa/isagen,
 # which also shrinks a failing program before it is printed). The assembler
@@ -109,7 +109,8 @@ test:
 # that whatever reads survives write -> read -> write unchanged. A
 # profile (`tables -prof`): FuzzParsePprof requires that ParsePprof
 # never panics and that what WritePprof writes parses back to the
-# samples it was written from. A `.s` file's `;mc:` lines (`ultravet`,
+# samples it was written from; FuzzReadJSONL that ReadJSONL never panics
+# and that every error it returns names its line. A `.s` file's `;mc:` lines (`ultravet`,
 # `ultrasim -verify`): FuzzParseAnnotations requires that a line appended
 # to a small program either fails to parse or yields properties that
 # evaluate without a panic and parse again from their source to the same
@@ -137,6 +138,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzFlagsRoundTrip -fuzztime 10s
 	$(GO) test ./internal/obs/reqtrace -run '^$$' -fuzz FuzzReadSpans -fuzztime 10s
 	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzParsePprof -fuzztime 10s
+	$(GO) test ./internal/obs/prof -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/msg -run '^$$' -fuzz FuzzCombine -fuzztime 10s
 	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzRunMatchesStep -fuzztime 10s
 	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzDifferentialAgainstCore -fuzztime 10s

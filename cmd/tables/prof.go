@@ -1,14 +1,14 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
 
+	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/prof"
 )
 
@@ -95,124 +95,32 @@ func renderPprof(w io.Writer, path string, data []byte, check bool) error {
 	return nil
 }
 
-// profDump is the parsed JSONL stream.
-type profDump struct {
-	File   string
-	PEs    int
-	Total  int64
-	States []string
-	Src    map[int]string
-	PERows []prof.PERow
-	Funcs  []prof.FuncRow
-	PCs    []prof.PCRow
-	Addrs  []prof.AddrRow
-	Locks  []prof.LockRow
-	Paths  []prof.CriticalPath
-}
-
-func parseProfJSONL(data []byte) (*profDump, error) {
-	d := &profDump{Src: map[int]string{}}
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	n := 0
-	for sc.Scan() {
-		n++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var head struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(line), &head); err != nil {
-			return nil, fmt.Errorf("line %d: %v", n, err)
-		}
-		var err error
-		switch head.Type {
-		case "meta":
-			var m struct {
-				File        string   `json:"file"`
-				PEs         int      `json:"pes"`
-				TotalCycles int64    `json:"total_cycles"`
-				States      []string `json:"states"`
-			}
-			if err = json.Unmarshal([]byte(line), &m); err == nil {
-				d.File, d.PEs, d.Total, d.States = m.File, m.PEs, m.TotalCycles, m.States
-			}
-		case "src":
-			var s struct {
-				Line int    `json:"line"`
-				Text string `json:"text"`
-			}
-			if err = json.Unmarshal([]byte(line), &s); err == nil {
-				d.Src[s.Line] = s.Text
-			}
-		case "pe":
-			var r prof.PERow
-			if err = json.Unmarshal([]byte(line), &r); err == nil {
-				d.PERows = append(d.PERows, r)
-			}
-		case "func":
-			var r prof.FuncRow
-			if err = json.Unmarshal([]byte(line), &r); err == nil {
-				d.Funcs = append(d.Funcs, r)
-			}
-		case "pc":
-			var r prof.PCRow
-			if err = json.Unmarshal([]byte(line), &r); err == nil {
-				d.PCs = append(d.PCs, r)
-			}
-		case "addr":
-			var r prof.AddrRow
-			if err = json.Unmarshal([]byte(line), &r); err == nil {
-				d.Addrs = append(d.Addrs, r)
-			}
-		case "lock":
-			var r prof.LockRow
-			if err = json.Unmarshal([]byte(line), &r); err == nil {
-				d.Locks = append(d.Locks, r)
-			}
-		case "path":
-			var r prof.CriticalPath
-			if err = json.Unmarshal([]byte(line), &r); err == nil {
-				d.Paths = append(d.Paths, r)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("line %d (%s): %v", n, head.Type, err)
-		}
-	}
-	return d, sc.Err()
-}
-
 func renderProfJSONL(w io.Writer, path string, data []byte, check bool) error {
-	d, err := parseProfJSONL(data)
+	m, stateNames, src, err := prof.ReadJSONL(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
 	if check {
 		var peSum int64
-		for _, r := range d.PERows {
+		for _, r := range m.PEs {
 			peSum += r.Total
 		}
-		if d.Total <= 0 || peSum != d.Total || len(d.Funcs) == 0 {
+		if m.TotalCycles <= 0 || peSum != m.TotalCycles || len(m.Funcs) == 0 {
 			return fmt.Errorf("%s: inconsistent profile (total=%d pe-sum=%d funcs=%d)",
-				path, d.Total, peSum, len(d.Funcs))
+				path, m.TotalCycles, peSum, len(m.Funcs))
 		}
 		fmt.Fprintf(w, "%s: profile ok: %d cycles over %d PEs, %d functions, %d hot words\n",
-			path, d.Total, d.PEs, len(d.Funcs), len(d.Addrs))
+			path, m.TotalCycles, len(m.PEs), len(m.Funcs), len(m.Addrs))
 		return nil
 	}
 
-	fmt.Fprintf(w, "guest profile %s: %d cycles across %d PEs\n\n", d.File, d.Total, d.PEs)
+	total := m.TotalCycles
+	fmt.Fprintf(w, "guest profile %s: %d cycles across %d PEs\n\n", m.File, total, len(m.PEs))
 
 	// Machine-wide state breakdown.
-	var states []int64
-	for _, r := range d.PERows {
+	var states [obs.NumProfStates]int64
+	for _, r := range m.PEs {
 		for s, v := range r.States {
-			for len(states) <= s {
-				states = append(states, 0)
-			}
 			states[s] += v
 		}
 	}
@@ -222,39 +130,33 @@ func renderProfJSONL(w io.Writer, path string, data []byte, check bool) error {
 			continue
 		}
 		name := fmt.Sprintf("state%d", s)
-		if s < len(d.States) {
-			name = d.States[s]
+		if s < len(stateNames) {
+			name = stateNames[s]
 		}
-		fmt.Fprintf(w, "  %-15s %12d %6.1f%%  %s\n", name, v, pct(v, d.Total), profBar(v, d.Total, 40))
+		fmt.Fprintf(w, "  %-15s %12d %6.1f%%  %s\n", name, v, pct(v, total), profBar(v, total, 40))
 	}
 
 	fmt.Fprintln(w, "\nfunctions (cycles; flat = leaf pc in span, cum = plus callees):")
 	fmt.Fprintf(w, "  %-28s %12s %7s %12s\n", "name", "flat", "%", "cum")
-	for i, f := range d.Funcs {
+	for i, f := range m.Funcs {
 		if i == 12 {
-			fmt.Fprintf(w, "  ... %d more\n", len(d.Funcs)-i)
+			fmt.Fprintf(w, "  ... %d more\n", len(m.Funcs)-i)
 			break
 		}
-		fmt.Fprintf(w, "  %-28s %12d %6.1f%% %12d\n", f.Name, f.Flat, pct(f.Flat, d.Total), f.Cum)
+		fmt.Fprintf(w, "  %-28s %12d %6.1f%% %12d\n", f.Name, f.Flat, pct(f.Flat, total), f.Cum)
 	}
 
 	// Annotated source: per-line totals from the pc rows.
-	if len(d.Src) > 0 && len(d.PCs) > 0 {
+	if len(src) > 0 && len(m.PCs) > 0 {
 		byLine := map[int]int64{}
 		spin := map[int]int64{}
-		for _, r := range d.PCs {
+		for _, r := range m.PCs {
 			byLine[r.Line] += r.Total
-			if len(r.States) > int(4) {
-				spin[r.Line] += r.States[4] // obs.ProfSpin
-			}
+			spin[r.Line] += r.States[obs.ProfSpin]
 		}
-		lines := make([]int, 0, len(d.Src))
-		for ln := range d.Src {
-			lines = append(lines, ln)
-		}
-		sort.Ints(lines)
 		fmt.Fprintln(w, "\nannotated source (cycles | spin | line):")
-		for _, ln := range lines {
+		for i, text := range src {
+			ln := i + 1
 			c, sp := byLine[ln], spin[ln]
 			cc, ss := "", ""
 			if c > 0 {
@@ -263,12 +165,12 @@ func renderProfJSONL(w io.Writer, path string, data []byte, check bool) error {
 			if sp > 0 {
 				ss = fmt.Sprintf("%d", sp)
 			}
-			fmt.Fprintf(w, "  %10s %8s  %4d  %s\n", cc, ss, ln, d.Src[ln])
+			fmt.Fprintf(w, "  %10s %8s  %4d  %s\n", cc, ss, ln, text)
 		}
 	}
 
-	if len(d.Addrs) > 0 {
-		rows := append([]prof.AddrRow(nil), d.Addrs...)
+	if len(m.Addrs) > 0 {
+		rows := append([]prof.AddrRow(nil), m.Addrs...)
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].Accesses > rows[j].Accesses })
 		fmt.Fprintln(w, "\ncontention heatmap (hottest shared words):")
 		fmt.Fprintf(w, "  %8s %4s %6s %10s %8s %8s %8s %10s\n",
@@ -287,20 +189,20 @@ func renderProfJSONL(w io.Writer, path string, data []byte, check bool) error {
 		}
 	}
 
-	if len(d.Locks) > 0 {
+	if len(m.Locks) > 0 {
 		fmt.Fprintln(w, "\nlock/barrier wait distributions (per F&A cell, cycles):")
 		fmt.Fprintf(w, "  %8s %8s %10s %6s %6s %6s\n", "addr", "n", "mean", "p50", "p90", "p99")
-		for _, l := range d.Locks {
+		for _, l := range m.Locks {
 			fmt.Fprintf(w, "  %8d %8d %10.1f %6d %6d %6d\n", l.Addr, l.N, l.MeanWait, l.P50, l.P90, l.P99)
 		}
 	}
 
-	for i, cp := range d.Paths {
+	for i, cp := range m.Paths {
 		if i == 0 {
 			fmt.Fprintln(w, "\ntop slow paths (longest dependent chain per combining tree):")
 		}
 		if i == 5 {
-			fmt.Fprintf(w, "  ... %d more\n", len(d.Paths)-i)
+			fmt.Fprintf(w, "  ... %d more\n", len(m.Paths)-i)
 			break
 		}
 		fmt.Fprintf(w, "  #%d  MM %d word %d: %d cycles over %d spans (chain depth %d)\n",

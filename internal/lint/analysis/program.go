@@ -50,9 +50,6 @@ type Edge struct {
 	// callee starts on a fresh goroutine, so it inherits none of the
 	// caller's execution context (held locks in particular).
 	Go bool
-	// Defer marks a call that is the operand of a `defer` statement: it
-	// runs at function exit, in the caller's goroutine.
-	Defer bool
 }
 
 // Node is one function body in the program.
@@ -68,7 +65,7 @@ type Node struct {
 
 	// Alias environment and allocation sites (regions.go).
 	recv   *types.Var
-	params map[*types.Var]int
+	params map[*types.Var]bool
 	env    map[*types.Var]Region
 	Allocs []Alloc
 }
@@ -241,17 +238,13 @@ func (p *Program) methodIndex() map[string][]*types.Func {
 // the literals declared in n.
 func (p *Program) addEdges(n *Node, methods map[string][]*types.Func) {
 	info := n.Pkg.Info
-	// Calls that are the direct operand of a go/defer statement carry
-	// that context on their edges (lock-discipline analyzers need it: a
-	// go'd callee starts with nothing held).
+	// Calls that are the direct operand of a go statement carry that
+	// context on their edges (lock-discipline analyzers need it: a go'd
+	// callee starts with nothing held).
 	goCalls := map[*ast.CallExpr]bool{}
-	deferCalls := map[*ast.CallExpr]bool{}
 	n.InspectOwn(func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.GoStmt:
-			goCalls[x.Call] = true
-		case *ast.DeferStmt:
-			deferCalls[x.Call] = true
+		if g, ok := x.(*ast.GoStmt); ok {
+			goCalls[g.Call] = true
 		}
 		return true
 	})
@@ -263,13 +256,13 @@ func (p *Program) addEdges(n *Node, methods map[string][]*types.Func) {
 			}
 			return true
 		case *ast.CallExpr:
-			isGo, isDefer := goCalls[x], deferCalls[x]
+			isGo := goCalls[x]
 			fun := ast.Unparen(x.Fun)
 			switch fun := fun.(type) {
 			case *ast.Ident:
 				if obj, ok := info.Uses[fun].(*types.Func); ok {
 					if callee := p.ByObj[obj]; callee != nil {
-						n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo, Defer: isDefer})
+						n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo})
 					}
 				}
 			case *ast.SelectorExpr:
@@ -279,16 +272,16 @@ func (p *Program) addEdges(n *Node, methods map[string][]*types.Func) {
 				}
 				if sel, isSel := info.Selections[fun]; isSel {
 					if iface, isIface := sel.Recv().Underlying().(*types.Interface); isIface {
-						p.addDynamicEdges(n, x, fun.Sel.Name, iface, methods, isGo, isDefer)
+						p.addDynamicEdges(n, x, fun.Sel.Name, iface, methods, isGo)
 						return true
 					}
 				}
 				if callee := p.ByObj[obj]; callee != nil {
-					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo, Defer: isDefer})
+					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo})
 				}
 			case *ast.FuncLit:
 				if callee := p.ByLit[fun]; callee != nil {
-					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo, Defer: isDefer})
+					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo})
 				}
 			}
 		}
@@ -298,12 +291,12 @@ func (p *Program) addEdges(n *Node, methods map[string][]*types.Func) {
 
 // addDynamicEdges links an interface method call to every concrete
 // method in the program whose receiver type implements the interface.
-func (p *Program) addDynamicEdges(n *Node, call *ast.CallExpr, name string, iface *types.Interface, methods map[string][]*types.Func, isGo, isDefer bool) {
+func (p *Program) addDynamicEdges(n *Node, call *ast.CallExpr, name string, iface *types.Interface, methods map[string][]*types.Func, isGo bool) {
 	for _, m := range methods[name] {
 		recv := m.Type().(*types.Signature).Recv().Type()
 		if types.Implements(recv, iface) ||
 			types.Implements(types.NewPointer(recv), iface) {
-			n.Calls = append(n.Calls, Edge{Pos: call.Pos(), Kind: EdgeDynamic, Callee: p.ByObj[m], Go: isGo, Defer: isDefer})
+			n.Calls = append(n.Calls, Edge{Pos: call.Pos(), Kind: EdgeDynamic, Callee: p.ByObj[m], Go: isGo})
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 //	RegLocal   storage owned by this call frame: locals, fresh make/new/
 //	           composite allocations
 //	RegRecv    memory reachable from the receiver
-//	RegParam   memory reachable from parameter i
+//	RegParam   memory reachable from a parameter
 //	RegGlobal  a package-level variable (which one, in Obj)
 //	RegCapture a variable captured from an enclosing function (in Obj)
 //	RegShared  top: unknown or mixed provenance
@@ -61,9 +61,8 @@ func (k RegionKind) String() string {
 
 // Region is one lattice point.
 type Region struct {
-	Kind  RegionKind
-	Index int        // parameter index, RegParam only
-	Obj   *types.Var // the variable, RegGlobal/RegCapture only
+	Kind RegionKind
+	Obj  *types.Var // the variable, RegGlobal/RegCapture only
 }
 
 func join(a, b Region) Region {
@@ -103,8 +102,7 @@ func (p *Program) buildRegions() {
 // scanFrame records n's receiver and parameter objects.
 func (p *Program) scanFrame(n *Node) {
 	info := n.Pkg.Info
-	n.params = map[*types.Var]int{}
-	idx := 0
+	n.params = map[*types.Var]bool{}
 	if n.Decl != nil && n.Decl.Recv != nil && len(n.Decl.Recv.List) > 0 && len(n.Decl.Recv.List[0].Names) > 0 {
 		n.recv, _ = info.Defs[n.Decl.Recv.List[0].Names[0]].(*types.Var)
 	}
@@ -112,12 +110,8 @@ func (p *Program) scanFrame(n *Node) {
 		for _, field := range ft.Params.List {
 			for _, name := range field.Names {
 				if obj, ok := info.Defs[name].(*types.Var); ok {
-					n.params[obj] = idx
+					n.params[obj] = true
 				}
-				idx++
-			}
-			if len(field.Names) == 0 {
-				idx++
 			}
 		}
 	}
@@ -132,8 +126,8 @@ func (p *Program) classify(n *Node, obj *types.Var) Region {
 	if obj == n.recv {
 		return Region{Kind: RegRecv}
 	}
-	if i, ok := n.params[obj]; ok {
-		return Region{Kind: RegParam, Index: i}
+	if n.params[obj] {
+		return Region{Kind: RegParam}
 	}
 	if obj.Parent() == n.Pkg.Types.Scope() || (obj.Pkg() != nil && obj.Pkg() != n.Pkg.Types) {
 		return Region{Kind: RegGlobal, Obj: obj}
@@ -261,7 +255,7 @@ func (p *Program) buildEnv(n *Node) {
 		if _, basic := obj.Type().Underlying().(*types.Basic); basic {
 			return false
 		}
-		if _, isParam := n.params[obj]; isParam {
+		if n.params[obj] {
 			return false
 		}
 		if obj.Parent() == n.Pkg.Types.Scope() {

@@ -33,14 +33,16 @@ func (m *module) Step(cycle int64) {
 	}
 }
 
-// mmShard mirrors prof.mmShard: serves per word at one module.
-type mmShard struct {
-	served map[int]int64
+// wordRec mirrors prof.wordRec: one shared word's heatmap record.
+type wordRec struct {
+	addr   int64
+	served int64
 }
 
-// profiler mirrors the part of prof.Profiler a serve reaches.
+// profiler mirrors the part of prof.Profiler a serve reaches: the
+// heatmap, one map per module.
 type profiler struct {
-	mms []mmShard
+	words []map[int]wordRec
 }
 
 // Emit is prof.Profiler.Emit's KindMNIServe case: a dynamic call from
@@ -48,16 +50,17 @@ type profiler struct {
 func (p *profiler) Emit(mm, word int, op msg.Op) { p.serve(mm, word) }
 
 // serve is prof.Profiler.ProfServe (internal/obs/prof/prof.go) finding
-// the word's count by ranging over the shard's map instead of indexing
-// it: the walk visits the words in the runtime's order, not the
+// the word's record by ranging over its module's map instead of
+// indexing it: the walk visits the words in the runtime's order, not the
 // program's.
 func (p *profiler) serve(mm, word int) {
-	sh := &p.mms[mm]
-	for w := range sh.served { // want `range over map on a tick path`
+	words := p.words[mm]
+	for w, r := range words { // want `range over map on a tick path`
 		if w == word {
-			sh.served[w]++
+			r.served++
+			words[w] = r
 			return
 		}
 	}
-	sh.served[word] = 1
+	words[word] = wordRec{addr: -1, served: 1}
 }

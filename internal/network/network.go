@@ -117,9 +117,8 @@ func (n *Network) SetProbe(p obs.Probe) { n.fan.Subscribe(obs.SubRecord, p) }
 // context.
 func (n *Network) SetTracer(p obs.Probe) { n.fan.Subscribe(obs.SubTrace, p) }
 
-// SetProfiler subscribes the guest profiler (a prof.Profiler, or its
-// NetShard when the caller has no PE events to deliver); nil detaches
-// it. Of the network's own events it receives the combines.
+// SetProfiler subscribes the guest profiler (a prof.Profiler); nil
+// detaches it. Of the network's own events it receives the combines.
 func (n *Network) SetProfiler(p obs.Probe) { n.fan.Subscribe(obs.SubProf, p) }
 
 // New builds a network from cfg. It panics on an invalid configuration

@@ -73,9 +73,9 @@
 //	                  Op, Value (linear address), Addr (its module and
 //	                  word).
 //	KindProfDeliver   its reply reached the PE. PE, Aux (pc of the issuing
-//	                  instruction), Op, Value (linear address), ID (the
-//	                  returned value's bits), ID2 (issue-to-reply time
-//	                  in PE cycles).
+//	                  instruction), Op, Value (linear address), Addr (its
+//	                  module and word), ID (the returned value's bits),
+//	                  ID2 (issue-to-reply time in PE cycles).
 //
 // Cache events come from the timing-free functional cache model and
 // carry Cycle = -1; the Recorder preserves their order relative to the

@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,9 +11,7 @@ import (
 	"strings"
 
 	"ultracomputer/internal/isa"
-	"ultracomputer/internal/msg"
 	"ultracomputer/internal/obs"
-	"ultracomputer/internal/sim"
 )
 
 // PCRow is the merged flat profile of one guest pc.
@@ -258,107 +257,36 @@ func (m *Merged) mergeFuncs() {
 	})
 }
 
-// mergeAddrs joins the PE-side heatmap (linear-keyed) with the
-// module-side serve counts and the network combine counts (both keyed
-// by hashed address), PE-major then sorted.
+// mergeAddrs lists the heatmap module by module, each module's words
+// in order.
 func (p *Profiler) mergeAddrs() []AddrRow {
-	rows := make(map[int64]*AddrRow)
-	for pe := range p.pes {
-		s := &p.pes[pe]
-		linears := make([]int64, 0, len(s.addrs))
-		for a := range s.addrs {
-			linears = append(linears, a)
+	var out []AddrRow
+	for mm, words := range p.words {
+		ws := make([]int, 0, len(words))
+		for w := range words {
+			ws = append(ws, w)
 		}
-		sort.Slice(linears, func(i, j int) bool { return linears[i] < linears[j] })
-		for _, lin := range linears {
-			st := s.addrs[lin]
-			r := rows[lin]
-			if r == nil {
-				r = &AddrRow{Addr: lin, MM: st.hashed.MM, Word: st.hashed.Word}
-				rows[lin] = r
-			}
-			r.Accesses += st.accesses
-			r.RMW += st.rmw
-			r.WaitCycles += st.waits
+		sort.Ints(ws)
+		for _, w := range ws {
+			r := words[w]
+			out = append(out, AddrRow{
+				Addr: r.addr, MM: mm, Word: w, Accesses: r.accesses, RMW: r.rmw,
+				Served: r.served, Combines: r.combines, WaitCycles: r.waits,
+			})
 		}
 	}
-	byHashed := make(map[msg.Addr]*AddrRow, len(rows))
-	for _, r := range rows {
-		byHashed[msg.Addr{MM: r.MM, Word: r.Word}] = r
-	}
-	orphan := func(h msg.Addr) *AddrRow {
-		r := byHashed[h]
-		if r == nil {
-			r = &AddrRow{Addr: -1, MM: h.MM, Word: h.Word}
-			byHashed[h] = r
-			rows[-int64(len(rows))-2] = r // unique negative placeholder key
-		}
-		return r
-	}
-	for mm := range p.mms {
-		words := make([]int, 0, len(p.mms[mm].served))
-		for w := range p.mms[mm].served {
-			words = append(words, w)
-		}
-		sort.Ints(words)
-		for _, w := range words {
-			orphan(msg.Addr{MM: mm, Word: w}).Served += p.mms[mm].served[w]
-		}
-	}
-	for _, sh := range p.nets {
-		addrs := make([]msg.Addr, 0, len(sh.combines))
-		for a := range sh.combines {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool {
-			if addrs[i].MM != addrs[j].MM {
-				return addrs[i].MM < addrs[j].MM
-			}
-			return addrs[i].Word < addrs[j].Word
-		})
-		for _, a := range addrs {
-			orphan(a).Combines += sh.combines[a]
-		}
-	}
-	out := make([]AddrRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MM != out[j].MM {
-			return out[i].MM < out[j].MM
-		}
-		return out[i].Word < out[j].Word
-	})
 	return out
 }
 
 func (p *Profiler) mergeLocks() []LockRow {
-	merged := make(map[int64]*sim.Histogram)
-	for pe := range p.pes {
-		s := &p.pes[pe]
-		addrs := make([]int64, 0, len(s.locks))
-		for a := range s.locks {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			h := merged[a]
-			if h == nil {
-				h = sim.NewHistogram(1024)
-				merged[a] = h
-			}
-			h.Merge(s.locks[a])
-		}
-	}
-	addrs := make([]int64, 0, len(merged))
-	for a := range merged {
+	addrs := make([]int64, 0, len(p.locks))
+	for a := range p.locks {
 		addrs = append(addrs, a)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	rows := make([]LockRow, 0, len(addrs))
 	for _, a := range addrs {
-		h := merged[a]
+		h := p.locks[a]
 		rows = append(rows, LockRow{
 			Addr: a, N: h.N(), MeanWait: h.Mean(),
 			P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
@@ -451,4 +379,71 @@ func (p *Profiler) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadJSONL reads back what WriteJSONL wrote: the merged profile's
+// exported fields, the state names every "states" array is indexed by,
+// and the guest source, one line an element. Records of an unknown type
+// are skipped; every error names the line it was found on.
+func ReadJSONL(r io.Reader) (m *Merged, states, src []string, err error) {
+	m = &Merged{}
+	var meta jsonlMeta
+	metaLine := 0
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	n := 0
+	for sc.Scan() {
+		n++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var head struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal(line, &head); err != nil {
+			return nil, nil, nil, fmt.Errorf("line %d: %v", n, err)
+		}
+		switch head.Type {
+		case "meta":
+			metaLine = n
+			err = json.Unmarshal(line, &meta)
+		case "src":
+			var s jsonlSrc
+			if err = json.Unmarshal(line, &s); err == nil && s.Line != len(src)+1 {
+				err = fmt.Errorf("source line %d, want %d", s.Line, len(src)+1)
+			}
+			src = append(src, s.Text)
+		case "pe":
+			m.PEs, err = appendRow(m.PEs, line)
+		case "func":
+			m.Funcs, err = appendRow(m.Funcs, line)
+		case "pc":
+			m.PCs, err = appendRow(m.PCs, line)
+		case "addr":
+			m.Addrs, err = appendRow(m.Addrs, line)
+		case "lock":
+			m.Locks, err = appendRow(m.Locks, line)
+		case "path":
+			m.Paths, err = appendRow(m.Paths, line)
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("line %d (%s): %v", n, head.Type, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, nil, fmt.Errorf("line %d: %v", n+1, err)
+	}
+	if metaLine > 0 && meta.PEs != len(m.PEs) {
+		return nil, nil, nil, fmt.Errorf("line %d (meta): %d PEs, but %d pe records", metaLine, meta.PEs, len(m.PEs))
+	}
+	m.File, m.TotalCycles = meta.File, meta.TotalCycles
+	return m, meta.States, src, nil
+}
+
+// appendRow decodes one JSONL record into a row of rows' type.
+func appendRow[T any](rows []T, line []byte) ([]T, error) {
+	var r T
+	err := json.Unmarshal(line, &r)
+	return append(rows, r), err
 }

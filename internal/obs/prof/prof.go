@@ -87,16 +87,18 @@ type spinKey struct {
 	addr int64
 }
 
-// addrRec is the PE-side slice of the per-word heatmap: one record per
-// shared word the PE touched, kept by value in peShard.addrs.
-type addrRec struct {
-	hashed   msg.Addr // (module, word), learned at issue
-	accesses int64    // requests issued to the word
-	rmw      int64    // of which fetch-and-phi / swap
-	waits    int64    // summed issue-to-reply cycles
+// wordRec is one shared word's heatmap record, kept by value in its
+// module's map: every fact about the word lands here once.
+type wordRec struct {
+	addr     int64 // linear guest address, -1 until a PE touches the word
+	accesses int64 // requests issued to the word
+	rmw      int64 // of which fetch-and-phi / swap
+	waits    int64 // summed issue-to-reply cycles
+	served   int64 // MM serves of (possibly combined) requests
+	combines int64 // network combines of two requests to the word
 }
 
-// peShard is one PE's private profiler state; hooks touch only the
+// peShard is one PE's run, stack and spin state; hooks touch only the
 // issuing PE's shard.
 type peShard struct {
 	prog    *isa.Program
@@ -108,32 +110,14 @@ type peShard struct {
 	stack   []frame
 	curNode int32
 	lastVal map[spinKey]int64
-	addrs   map[int64]addrRec // by linear address
-	locks   map[int64]*sim.Histogram
 }
-
-// mmShard counts serves per word at one memory module.
-type mmShard struct {
-	served map[int]int64
-}
-
-// NetShard receives the network's combine events (shard 0). Shards are
-// merged order-free — combining counts are plain sums.
-type NetShard struct {
-	combines map[msg.Addr]int64
-}
-
-// Emit implements obs.Probe for a network that subscribes the shard
-// alone: of the events addressed to the profiler a network emits only
-// KindCombine, one combine of two requests to ev.Addr.
-func (s *NetShard) Emit(ev obs.Event) { s.combines[ev.Addr]++ }
 
 // Profiler is the obs.Probe a machine subscribes as obs.SubProf.
 type Profiler struct {
 	cfg   Config
 	pes   []peShard
-	mms   []mmShard
-	nets  []*NetShard
+	words []map[int]wordRec        // per module, by word; sized by SetMMs
+	locks map[int64]*sim.Histogram // F&A wait times, by linear address
 	paths []CriticalPath
 
 	// live is the pre-rendered /prof export, swapped in whole; like
@@ -148,7 +132,7 @@ func New(cfg Config) *Profiler {
 	if cfg.PEs < 1 {
 		cfg.PEs = 1
 	}
-	p := &Profiler{cfg: cfg, pes: make([]peShard, cfg.PEs)}
+	p := &Profiler{cfg: cfg, pes: make([]peShard, cfg.PEs), locks: make(map[int64]*sim.Histogram)}
 	for i := range p.pes {
 		s := &p.pes[i]
 		s.prog = p.progFor(i)
@@ -156,10 +140,7 @@ func New(cfg Config) *Profiler {
 		s.nodes = []stackNode{{parent: -1, callpc: -1}}
 		s.nodeIdx = make(map[int64]int32)
 		s.lastVal = make(map[spinKey]int64)
-		s.addrs = make(map[int64]addrRec)
-		s.locks = make(map[int64]*sim.Histogram)
 	}
-	p.NetShard(0) // Emit's combine sink, made here so the event path never allocates it
 	return p
 }
 
@@ -178,22 +159,29 @@ func (p *Profiler) progFor(pe int) *isa.Program {
 // Enabled reports whether there is a profiler to wire: off is nil.
 func (p *Profiler) Enabled() bool { return p != nil }
 
-// SetMMs pre-sizes the per-module serve shards (the machine calls this
-// with its module count before the run; module serves beyond the sized
-// range are dropped).
+// SetMMs sizes the heatmap for n memory modules. Every driver calls it
+// with its module count before the run; an event at a module beyond the
+// sized range is dropped.
 func (p *Profiler) SetMMs(n int) {
-	for len(p.mms) < n {
-		p.mms = append(p.mms, mmShard{served: make(map[int]int64)})
+	for len(p.words) < n {
+		p.words = append(p.words, make(map[int]wordRec))
 	}
 }
 
-// NetShard returns combine shard i, creating it and any before it as
-// needed; shard 0 is the network's sink.
-func (p *Profiler) NetShard(i int) *NetShard {
-	for len(p.nets) <= i {
-		p.nets = append(p.nets, &NetShard{combines: make(map[msg.Addr]int64)})
+// NetShard returns the profiler as the network's probe. It is kept only
+// for the benchmark driver, which subscribes the network through it.
+func (p *Profiler) NetShard(int) obs.Probe { return p }
+
+// word returns the heatmap record of a, a fresh one (guest address
+// unknown) when a is untouched; ok is false at an unsized module.
+func (p *Profiler) word(a msg.Addr) (r wordRec, ok bool) {
+	if a.MM < 0 || a.MM >= len(p.words) {
+		return r, false
 	}
-	return p.nets[i]
+	if r, ok = p.words[a.MM][a.Word]; !ok {
+		r.addr = -1
+	}
+	return r, true
 }
 
 // AddCriticalPaths attaches extracted critical paths (see
@@ -209,11 +197,14 @@ func (p *Profiler) Emit(ev obs.Event) {
 	case obs.KindProfIssue:
 		p.ProfIssue(int(ev.PE), int(ev.Aux), ev.Op, ev.Value, ev.Addr)
 	case obs.KindProfDeliver:
-		p.ProfDeliver(int(ev.PE), int(ev.Aux), ev.Op, ev.Value, int64(ev.ID), int64(ev.ID2))
+		p.ProfDeliver(int(ev.PE), int(ev.Aux), ev.Op, ev.Value, ev.Addr, int64(ev.ID), int64(ev.ID2))
 	case obs.KindMNIServe:
 		p.ProfServe(int(ev.MM), ev.Addr.Word, ev.Op)
 	case obs.KindCombine:
-		p.nets[0].Emit(ev)
+		if r, ok := p.word(ev.Addr); ok {
+			r.combines++
+			p.words[ev.Addr.MM][ev.Addr.Word] = r
+		}
 	}
 }
 
@@ -307,37 +298,39 @@ func (s *peShard) verdict(spin bool) {
 // ProfIssue records a shared request leaving PE pe: linear is the guest
 // address, hashed its (module, word) translation.
 func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Addr) {
-	s := &p.pes[pe]
-	a, ok := s.addrs[linear]
+	r, ok := p.word(hashed)
 	if !ok {
-		a.hashed = hashed
+		return
 	}
-	a.accesses++
+	r.addr = linear
+	r.accesses++
 	if op != msg.Load && op != msg.Store {
-		a.rmw++
+		r.rmw++
 	}
-	s.addrs[linear] = a
+	p.words[hashed.MM][hashed.Word] = r
 }
 
 // ProfDeliver records a reply reaching PE pe: pc is the instruction
-// that issued the request, wait the issue-to-complete time in PE cycles.
+// that issued the request to linear, hashed its (module, word), wait the
+// issue-to-complete time in PE cycles.
 // This is where the spin verdict lands: a value-returning op at the same
 // pc re-observing an unchanged word marks the cycles since the previous
 // observation as spin.
-func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, value int64, wait int64) {
-	s := &p.pes[pe]
-	a := s.addrs[linear]
-	a.waits += wait
-	s.addrs[linear] = a
+func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, hashed msg.Addr, value int64, wait int64) {
+	if r, ok := p.word(hashed); ok {
+		r.waits += wait
+		p.words[hashed.MM][hashed.Word] = r
+	}
 	if op != msg.Load && op != msg.Store {
-		h := s.locks[linear]
+		h := p.locks[linear]
 		if h == nil {
 			h = sim.NewHistogram(1024)
-			s.locks[linear] = h
+			p.locks[linear] = h
 		}
 		h.Observe(wait)
 	}
 	if op.ReturnsValue() {
+		s := &p.pes[pe]
 		k := spinKey{pc: int32(pc), addr: linear}
 		old, seen := s.lastVal[k]
 		s.verdict(seen && old == value)
@@ -348,10 +341,10 @@ func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, value int64,
 // ProfServe records module mm serving one (possibly combined) request
 // for word.
 func (p *Profiler) ProfServe(mm, word int, op msg.Op) {
-	if mm < 0 || mm >= len(p.mms) {
-		return
+	if r, ok := p.word(msg.Addr{MM: mm, Word: word}); ok {
+		r.served++
+		p.words[mm][word] = r
 	}
-	p.mms[mm].served[word]++
 }
 
 // EnableLive turns on live publishing: Publish rebuilds the pprof bytes

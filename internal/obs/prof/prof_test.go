@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,13 +82,14 @@ func TestFuncAttribution(t *testing.T) {
 // load returns an unchanged value twice.
 func TestSpinReclassification(t *testing.T) {
 	p := New(Config{PEs: 1})
+	p.SetMMs(1)
 	a := msg.Addr{MM: 0, Word: 7}
 	poll := func(val int64) {
 		p.ProfCycle(0, 4, obs.ProfExecute) // the load issues
 		p.ProfIssue(0, 4, msg.Load, 7, a)
 		p.ProfCycle(0, 4, obs.ProfMemWait)
 		p.ProfCycle(0, 4, obs.ProfMemWait)
-		p.ProfDeliver(0, 4, msg.Load, 7, val, 2)
+		p.ProfDeliver(0, 4, msg.Load, 7, a, val, 2)
 		p.ProfCycle(0, 5, obs.ProfExecute) // the branch back
 	}
 	poll(1) // first observation: baseline value, not yet spin
@@ -114,22 +116,24 @@ func TestSpinReclassification(t *testing.T) {
 	}
 }
 
-// TestPprofRoundTrip: synthetic samples survive encode → ParsePprof
-// with values, function names and state labels intact.
 // TestHeatmapZeroAllocOnKnownWords: the per-word heatmap keeps its
-// records by value, one map per PE; the first touch of a word may grow
-// it, every later issue and delivery on that word allocates nothing —
-// and the merged rows are sums over the PEs under the translation
-// learned at issue.
+// records by value, one map per module; the first touch of a word may
+// grow it, every later issue, delivery, serve and combine on that word
+// allocates nothing — and each merged row sums every PE's traffic to
+// its word.
 func TestHeatmapZeroAllocOnKnownWords(t *testing.T) {
 	const words = 100
 	p := New(Config{PEs: 2})
+	p.SetMMs(8)
 	touch := func() {
 		for pe := 0; pe < 2; pe++ {
 			for w := int64(0); w < words; w++ {
-				p.ProfIssue(pe, 0, msg.FetchAdd, w, msg.Addr{MM: int(w % 8), Word: int(w)})
-				p.ProfIssue(pe, 0, msg.Load, w, msg.Addr{MM: int(w % 8), Word: int(w)})
-				p.ProfDeliver(pe, 0, msg.Load, w, 0, 10+w)
+				a := msg.Addr{MM: int(w % 8), Word: int(w)}
+				p.ProfIssue(pe, 0, msg.FetchAdd, w, a)
+				p.ProfIssue(pe, 0, msg.Load, w, a)
+				p.ProfDeliver(pe, 0, msg.Load, w, a, 0, 10+w)
+				p.ProfServe(a.MM, a.Word, msg.Load)
+				p.Emit(obs.Event{Kind: obs.KindCombine, Addr: a})
 			}
 		}
 	}
@@ -137,18 +141,30 @@ func TestHeatmapZeroAllocOnKnownWords(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, touch); avg != 0 {
 		t.Errorf("issue and delivery on known words allocate %.1f times a round, want 0", avg)
 	}
+	p.ProfServe(8, 0, msg.Load)    // an unsized module: dropped
+	p.ProfServe(0, 1000, msg.Load) // a word no PE touched: address unknown
 	rows := p.Merged().Addrs
-	if len(rows) != words {
-		t.Fatalf("%d heatmap rows, want %d", len(rows), words)
+	if len(rows) != words+1 {
+		t.Fatalf("%d heatmap rows, want %d", len(rows), words+1)
 	}
 	for _, r := range rows {
-		// 12 rounds on 2 PEs: two issues (one of them an RMW) and one delivery each.
-		if r.MM != int(r.Addr%8) || r.Word != int(r.Addr) || r.Accesses != 48 || r.RMW != 24 || r.WaitCycles != 24*(10+r.Addr) {
+		if r.Word == 1000 {
+			if r.MM != 0 || r.Addr != -1 || r.Served != 1 || r.Accesses != 0 {
+				t.Errorf("serve-only row %+v", r)
+			}
+			continue
+		}
+		// 12 rounds on 2 PEs: two issues (one of them an RMW), one
+		// delivery, one serve and one combine each.
+		if r.MM != int(r.Addr%8) || r.Word != int(r.Addr) || r.Accesses != 48 || r.RMW != 24 ||
+			r.WaitCycles != 24*(10+r.Addr) || r.Served != 24 || r.Combines != 24 {
 			t.Errorf("heatmap row %+v", r)
 		}
 	}
 }
 
+// TestPprofRoundTrip: synthetic samples survive encode → ParsePprof
+// with values, function names and state labels intact.
 func TestPprofRoundTrip(t *testing.T) {
 	prog := isa.MustAssemble(`
 start:  li  r1, 1
@@ -289,9 +305,8 @@ func TestCriticalPaths(t *testing.T) {
 	}
 }
 
-// TestJSONLShape: the JSONL export opens with a meta record and carries
-// every record type for a populated profile.
-func TestJSONLShape(t *testing.T) {
+// shapeProfile is a one-PE profile that carries every JSONL record type.
+func shapeProfile() *Profiler {
 	prog := isa.MustAssemble(`
 loop:   faa r3, 0(r1), r2
         jmp loop
@@ -302,15 +317,25 @@ loop:   faa r3, 0(r1), r2
 	p.ProfCycle(0, 0, obs.ProfExecute)
 	p.ProfIssue(0, 0, msg.FetchAdd, 11, a)
 	p.ProfCycle(0, 0, obs.ProfMemWait)
-	p.ProfDeliver(0, 0, msg.FetchAdd, 11, 1, 1)
+	p.ProfDeliver(0, 0, msg.FetchAdd, 11, a, 1, 1)
 	p.ProfServe(1, 3, msg.FetchAdd)
 	p.ProfCycle(0, 1, obs.ProfExecute)
 	p.AddCriticalPaths([]CriticalPath{{Root: 9, MM: 1, Word: 3, Latency: 4, TreeSpans: 1, Depth: 1}})
+	return p
+}
+
+func shapeJSONL(t testing.TB) []byte {
 	var buf bytes.Buffer
-	if err := p.WriteJSONL(&buf); err != nil {
+	if err := shapeProfile().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	return buf.Bytes()
+}
+
+// TestJSONLShape: the JSONL export opens with a meta record and carries
+// every record type for a populated profile.
+func TestJSONLShape(t *testing.T) {
+	out := string(shapeJSONL(t))
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if !strings.HasPrefix(lines[0], `{"type":"meta",`) {
 		t.Fatalf("first line %q, want meta record", lines[0])
@@ -320,4 +345,57 @@ loop:   faa r3, 0(r1), r2
 			t.Errorf("JSONL missing %s record", typ)
 		}
 	}
+}
+
+// TestJSONLRoundTrip: ReadJSONL returns every exported field of the
+// Merged that WriteJSONL wrote, the state names and the source lines.
+func TestJSONLRoundTrip(t *testing.T) {
+	p := shapeProfile()
+	want := p.Merged()
+	got, states, src, err := ReadJSONL(bytes.NewReader(shapeJSONL(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.File != want.File || got.TotalCycles != want.TotalCycles {
+		t.Errorf("file %q, %d cycles; want %q, %d", got.File, got.TotalCycles, want.File, want.TotalCycles)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"PEs", got.PEs, want.PEs},
+		{"PCs", got.PCs, want.PCs},
+		{"Funcs", got.Funcs, want.Funcs},
+		{"Addrs", got.Addrs, want.Addrs},
+		{"Locks", got.Locks, want.Locks},
+		{"Paths", got.Paths, want.Paths},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("%s read back as %+v, want %+v", f.name, f.got, f.want)
+		}
+	}
+	for i, name := range states {
+		if name != obs.ProfState(i).String() {
+			t.Errorf("state %d named %q, want %q", i, name, obs.ProfState(i))
+		}
+	}
+	if len(states) != int(obs.NumProfStates) {
+		t.Errorf("%d state names, want %d", len(states), obs.NumProfStates)
+	}
+	if wantSrc := strings.Split(strings.TrimRight(p.cfg.Source, "\n"), "\n"); !reflect.DeepEqual(src, wantSrc) {
+		t.Errorf("source read back as %q, want %q", src, wantSrc)
+	}
+}
+
+// FuzzReadJSONL: ReadJSONL never panics on what `tables -prof` reads
+// from disk, and every error it returns names its line.
+func FuzzReadJSONL(f *testing.F) {
+	out := shapeJSONL(f)
+	f.Add(out)
+	f.Add(out[:bytes.IndexByte(out, '\n')/2]) // a truncated meta record
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, _, _, err := ReadJSONL(bytes.NewReader(data)); err != nil && !strings.HasPrefix(err.Error(), "line ") {
+			t.Errorf("error %q names no line", err)
+		}
+	})
 }

@@ -291,7 +291,7 @@ func (p *PE) Deliver(rep msg.Reply, cycle int64) {
 		p.out.Emit(obs.Event{
 			To: to, Cycle: cycle * p.scale, Kind: obs.KindProfDeliver,
 			PE: int32(p.id), Stage: -1, MM: -1, Copy: -1, Op: rep.Op,
-			Aux: int32(pr.pc), Value: pr.addr,
+			Aux: int32(pr.pc), Value: pr.addr, Addr: rep.Addr,
 			ID: uint64(rep.Value), ID2: uint64(cycle - pr.issuedAt),
 		})
 	}
