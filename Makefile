@@ -94,7 +94,8 @@ test:
 	$(GO) test ./...
 
 # Native fuzzing, ten seconds a target, of the seven places outside
-# input enters, of the combining rules, of the shared-memory table and of
+# input enters, of the combining rules, of the open-addressed table, of
+# the shared memory built on it and of
 # two differentials over generated guest programs (internal/isa/isagen,
 # which also shrinks a failing program before it is printed). The assembler
 # (serve.Config.Program): FuzzAssemble requires that it never panics and
@@ -123,7 +124,11 @@ test:
 # FuzzDifferentialAgainstCore requires that a generated 1-PE program ends
 # with the same registers, private memory and shared memory on mc.step as
 # on isa.Core in a machine; its seed corpus is seeds 0..255. The
-# simulated shared memory (memory.wordTable): FuzzWordTable requires that
+# open-addressed table (sim.Table): FuzzTable requires that a script of
+# puts, updates, gets, deletes and reserves over keys whose probe runs
+# collide and wrap leaves the table holding what a Go map holds, with no
+# empty slot inside any key's probe run. The simulated shared memory
+# built on it (memory.wordTable): FuzzWordTable requires that
 # a bank under either hasher, and a module outside a bank, read back what
 # a script of writes left, as a Go map does, and that the table holds
 # only the words ever written a value other than zero. Plain
@@ -144,6 +149,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzDifferentialAgainstCore -fuzztime 10s
 	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzParseAnnotations -fuzztime 10s
 	$(GO) test ./internal/memory -run '^$$' -fuzz FuzzWordTable -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzTable -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.

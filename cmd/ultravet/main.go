@@ -4,9 +4,9 @@
 // Go packages (directories, or the literal ./... to expand the module)
 // run the host-side analyzers over the simulator's own sources. All four
 // run once over one module-wide program (internal/lint/analysis): every
-// package, one call graph, interprocedural write-set summaries, and the
-// cycle roots declared in analysis/roots.go — functions and methods
-// named Tick, Step or Collect plus the function literals handed to an
+// package, one call graph, per-function alias regions, and the cycle
+// roots declared in analysis/roots.go — functions and methods named
+// Tick, Step or Collect plus the function literals handed to an
 // engine.Engine as phase units:
 //
 //	detstate   forbid wall-clock reads, global math/rand and unordered

@@ -8,6 +8,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 )
 
@@ -66,4 +67,27 @@ func RunProgram(a *Analyzer, prog *Program) ([]Diagnostic, error) {
 		return nil, fmt.Errorf("%s: %v", a.Name, err)
 	}
 	return diags, nil
+}
+
+// Terminates reports whether a statement always leaves the enclosing
+// block: a return, a branch, a panic call, or a block, if/else or
+// labeled statement that ends in one on every path.
+func Terminates(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	case *ast.BlockStmt:
+		return len(s.List) > 0 && Terminates(s.List[len(s.List)-1])
+	case *ast.IfStmt:
+		return s.Else != nil && Terminates(s.Body) && Terminates(s.Else)
+	case *ast.LabeledStmt:
+		return Terminates(s.Stmt)
+	}
+	return false
 }

@@ -261,7 +261,7 @@ func (p *Program) addEdges(n *Node, methods map[string][]*types.Func) {
 			switch fun := fun.(type) {
 			case *ast.Ident:
 				if obj, ok := info.Uses[fun].(*types.Func); ok {
-					if callee := p.ByObj[obj]; callee != nil {
+					if callee := p.ByObj[obj.Origin()]; callee != nil {
 						n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo})
 					}
 				}
@@ -276,7 +276,7 @@ func (p *Program) addEdges(n *Node, methods map[string][]*types.Func) {
 						return true
 					}
 				}
-				if callee := p.ByObj[obj]; callee != nil {
+				if callee := p.ByObj[obj.Origin()]; callee != nil {
 					n.Calls = append(n.Calls, Edge{Pos: x.Pos(), Kind: EdgeStatic, Callee: callee, Go: isGo})
 				}
 			case *ast.FuncLit:

@@ -10,72 +10,39 @@ import (
 // environment over a region lattice — what memory an expression
 // evaluates into, expressed in the function's own frame — and the
 // function's potential heap-allocation sites. lockcheck asks RegionOf
-// its one aliasing question; hotalloc reads Allocs.
+// whether a field's base is the frame's own and Outer whether a name is;
+// hotalloc reads Allocs.
 //
 // The lattice classifies what memory an expression evaluates into:
 //
 //	RegNone    no memory (arithmetic, literals)
 //	RegLocal   storage owned by this call frame: locals, fresh make/new/
 //	           composite allocations
-//	RegRecv    memory reachable from the receiver
-//	RegParam   memory reachable from a parameter
-//	RegGlobal  a package-level variable (which one, in Obj)
-//	RegCapture a variable captured from an enclosing function (in Obj)
-//	RegShared  top: unknown or mixed provenance
+//	RegShared  top: the receiver, a parameter, a package-level or
+//	           captured variable, or mixed provenance
 //
 // Joins of unequal non-None regions go to RegShared. The analysis is
 // flow-insensitive (one environment per function, iterated to a local
 // fixpoint) and deliberately one-level: a pointer stored into a
 // locally-built struct keeps the struct RegLocal.
 
-// RegionKind is the lattice level.
-type RegionKind uint8
+// Region is one lattice point.
+type Region uint8
 
 const (
-	RegNone RegionKind = iota
+	RegNone Region = iota
 	RegLocal
-	RegRecv
-	RegParam
-	RegGlobal
-	RegCapture
 	RegShared
 )
 
-func (k RegionKind) String() string {
-	switch k {
-	case RegNone:
-		return "none"
-	case RegLocal:
-		return "local"
-	case RegRecv:
-		return "receiver"
-	case RegParam:
-		return "parameter"
-	case RegGlobal:
-		return "global"
-	case RegCapture:
-		return "captured"
-	}
-	return "shared"
-}
-
-// Region is one lattice point.
-type Region struct {
-	Kind RegionKind
-	Obj  *types.Var // the variable, RegGlobal/RegCapture only
-}
-
 func join(a, b Region) Region {
-	if a == b || b.Kind == RegNone {
+	if a == b || b == RegNone {
 		return a
 	}
-	if a.Kind == RegNone {
+	if a == RegNone {
 		return b
 	}
-	if a.Kind == RegLocal && b.Kind == RegLocal {
-		return Region{Kind: RegLocal}
-	}
-	return Region{Kind: RegShared}
+	return RegShared
 }
 
 // Alloc is one potential heap-allocation site (hotalloc's raw material).
@@ -120,26 +87,29 @@ func (p *Program) scanFrame(n *Node) {
 // classify resolves what region a variable object belongs to in n's
 // frame.
 func (p *Program) classify(n *Node, obj *types.Var) Region {
-	if obj == nil {
-		return Region{Kind: RegShared}
-	}
-	if obj == n.recv {
-		return Region{Kind: RegRecv}
-	}
-	if n.params[obj] {
-		return Region{Kind: RegParam}
-	}
-	if obj.Parent() == n.Pkg.Types.Scope() || (obj.Pkg() != nil && obj.Pkg() != n.Pkg.Types) {
-		return Region{Kind: RegGlobal, Obj: obj}
+	if obj == nil || obj == n.recv || n.params[obj] || global(n, obj) {
+		return RegShared
 	}
 	if r, ok := n.env[obj]; ok {
 		return r
 	}
 	if p.declaredIn(n, obj) {
-		return Region{Kind: RegLocal}
+		return RegLocal
 	}
-	// Declared in an enclosing function: a closure capture.
-	return Region{Kind: RegCapture, Obj: obj}
+	return RegShared // captured from an enclosing function
+}
+
+// global reports whether obj is a package-level variable, of n's package
+// or another.
+func global(n *Node, obj *types.Var) bool {
+	return obj.Parent() == n.Pkg.Types.Scope() || (obj.Pkg() != nil && obj.Pkg() != n.Pkg.Types)
+}
+
+// Outer reports whether obj is a name n's frame does not own: a
+// package-level variable or one captured from an enclosing function.
+// Receivers and parameters are n's own names.
+func (p *Program) Outer(n *Node, obj *types.Var) bool {
+	return global(n, obj) || !p.declaredIn(n, obj)
 }
 
 // declaredIn reports whether obj's declaration position falls inside
@@ -160,8 +130,8 @@ func (p *Program) declaredIn(n *Node, obj *types.Var) bool {
 
 // RegionOf exposes the alias lattice to analyzers outside this
 // package: the region expression e evaluates into, in n's frame.
-// lockcheck uses it to exempt constructor writes (RegLocal bases) from
-// the mixed plain/atomic rule.
+// lockcheck uses it to exempt constructor writes (bases other than
+// RegShared) from the mixed plain/atomic rule.
 func (p *Program) RegionOf(n *Node, e ast.Expr) Region { return p.regionOf(n, e) }
 
 // regionOf evaluates the lattice region an expression's value points
@@ -178,15 +148,12 @@ func (p *Program) regionOf(n *Node, e ast.Expr) Region {
 		if obj, ok := info.Defs[e].(*types.Var); ok {
 			return p.classify(n, obj)
 		}
-		return Region{Kind: RegNone}
+		return RegNone
 	case *ast.SelectorExpr:
 		// Qualified package var: pkg.V.
 		if id, ok := e.X.(*ast.Ident); ok {
 			if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
-				if obj, ok := info.Uses[e.Sel].(*types.Var); ok {
-					return Region{Kind: RegGlobal, Obj: obj}
-				}
-				return Region{Kind: RegShared}
+				return RegShared
 			}
 		}
 		return p.regionOf(n, e.X)
@@ -198,14 +165,14 @@ func (p *Program) regionOf(n *Node, e ast.Expr) Region {
 		return p.regionOf(n, e.X)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
-			if r := p.regionOf(n, e.X); r.Kind != RegNone {
+			if r := p.regionOf(n, e.X); r != RegNone {
 				return r
 			}
-			return Region{Kind: RegLocal}
+			return RegLocal
 		}
-		return Region{Kind: RegNone}
+		return RegNone
 	case *ast.CompositeLit:
-		return Region{Kind: RegLocal}
+		return RegLocal
 	case *ast.TypeAssertExpr:
 		return p.regionOf(n, e.X)
 	case *ast.CallExpr:
@@ -214,7 +181,7 @@ func (p *Program) regionOf(n *Node, e ast.Expr) Region {
 			switch fn.Name {
 			case "make", "new":
 				if _, isBuiltin := info.Uses[fn].(*types.Builtin); isBuiltin {
-					return Region{Kind: RegLocal}
+					return RegLocal
 				}
 			case "append":
 				if _, isBuiltin := info.Uses[fn].(*types.Builtin); isBuiltin && len(e.Args) > 0 {
@@ -228,11 +195,11 @@ func (p *Program) regionOf(n *Node, e ast.Expr) Region {
 				return p.regionOf(n, e.Args[0])
 			}
 		}
-		return Region{Kind: RegShared}
+		return RegShared
 	case *ast.FuncLit:
-		return Region{Kind: RegLocal}
+		return RegLocal
 	}
-	return Region{Kind: RegNone}
+	return RegNone
 }
 
 // buildEnv computes n's local alias environment: for every local
@@ -285,7 +252,7 @@ func (p *Program) buildEnv(n *Node) {
 					} else {
 						// Multi-value call/assert: unknown provenance,
 						// except comma-ok bools which are RegNone.
-						r = Region{Kind: RegShared}
+						r = RegShared
 					}
 					if bind(id, r) {
 						changed = true
@@ -387,8 +354,7 @@ func (p *Program) callAllocs(n *Node, call *ast.CallExpr) {
 			n.Allocs = append(n.Allocs, Alloc{Pos: call.Pos(), Node: n, What: "new" + typeArgString(call)})
 		case "append":
 			if len(call.Args) > 0 {
-				r := p.regionOf(n, call.Args[0])
-				if r.Kind == RegLocal || r.Kind == RegNone {
+				if p.regionOf(n, call.Args[0]) != RegShared {
 					n.Allocs = append(n.Allocs, Alloc{
 						Pos: call.Pos(), Node: n,
 						What: "append to function-local slice " + exprString(call.Args[0]) + " (allocates per call)",
@@ -425,7 +391,7 @@ func (p *Program) captures(n *Node) bool {
 		if !ok {
 			return true
 		}
-		if r := p.classify(n, obj); r.Kind == RegCapture {
+		if !global(n, obj) && !p.declaredIn(n, obj) {
 			found = true
 		}
 		return true

@@ -10,10 +10,10 @@ import (
 // entered through the methods product code names Tick, Step or Collect
 // (machine.Machine.Step, pe.PE.Tick, memory.Module.Step,
 // network.Stepper.Step and Collect, network.Network.collect, the
-// synthetic driver's runner.step) and through the function literals
-// machine.Machine.Step hands to its engine.Engine as phase units, which
-// it calls through an interface. detstate and hotalloc start from
-// CycleRoots.
+// synthetic driver's runner.tick and runner.collect) and through the
+// function literals machine.Machine.Step hands to its engine.Engine as
+// phase units, which it calls through an interface. detstate and
+// hotalloc start from CycleRoots.
 
 // CycleRootNames are the names a declared function or method bears to be
 // a cycle-path entry point.

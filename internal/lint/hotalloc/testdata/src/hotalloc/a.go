@@ -50,3 +50,15 @@ func (l *loop) cold() {
 func setup() []int {
 	return make([]int, 1024)
 }
+
+// ring is generic: a call through one of its instantiations reaches the
+// generic method's body.
+type ring[T any] struct{ items []T }
+
+func (r *ring[T]) grow() {
+	r.items = make([]T, 2*len(r.items)+1) // want `make\(\[\]T\)`
+}
+
+type ringStepper struct{ r ring[int] }
+
+func (s *ringStepper) Step() { s.r.grow() }

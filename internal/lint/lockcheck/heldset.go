@@ -236,13 +236,13 @@ func (w *walker) stmt(s ast.Stmt) {
 		entry := w.snap()
 		w.state = entry.clone()
 		w.stmt(s.Body)
-		thenExit, thenTerm := w.state, terminates(s.Body)
+		thenExit, thenTerm := w.state, analysis.Terminates(s.Body)
 		var elseExit lockset
 		elseTerm := false
 		if s.Else != nil {
 			w.state = entry.clone()
 			w.stmt(s.Else)
-			elseExit, elseTerm = w.state, terminates(s.Else)
+			elseExit, elseTerm = w.state, analysis.Terminates(s.Else)
 		} else {
 			elseExit = entry
 		}
@@ -339,7 +339,7 @@ func (w *walker) mergeClauses(body *ast.BlockStmt) {
 			w.stmt(st)
 		}
 		if len(stmts) > 0 {
-			term = terminates(&ast.BlockStmt{List: stmts})
+			term = analysis.Terminates(&ast.BlockStmt{List: stmts})
 		}
 		if !term {
 			exits = append(exits, w.state)
@@ -383,7 +383,7 @@ func (w *walker) defineLocal(id *ast.Ident, rhs ast.Expr) {
 	if !ok {
 		return
 	}
-	if r := w.c.prog.RegionOf(w.n, id); r.Kind == analysis.RegGlobal || r.Kind == analysis.RegCapture {
+	if w.c.prog.Outer(w.n, obj) {
 		// Rebinding a global/captured name is not a local definition.
 		return
 	}
@@ -483,10 +483,9 @@ func (w *walker) fieldVar(sel *ast.SelectorExpr) *types.Var {
 
 // recordAccess appends one field access with the current held state.
 func (w *walker) recordAccess(sel *ast.SelectorExpr, f *types.Var, write, atomic bool) {
-	base := w.c.prog.RegionOf(w.n, sel.X)
 	w.ff.accesses = append(w.ff.accesses, access{
 		field: f, write: write, atomic: atomic,
-		baseLocal: base.Kind == analysis.RegLocal || base.Kind == analysis.RegNone,
+		baseLocal: w.c.prog.RegionOf(w.n, sel.X) != analysis.RegShared,
 		pos:       sel.Pos(), held: w.snap(),
 	})
 }
@@ -703,30 +702,4 @@ func (w *walker) lockOp(l lockID, op string, pos token.Pos) {
 		}
 		w.state[l] = modeReleased
 	}
-}
-
-// terminates reports whether a statement always leaves the enclosing
-// block (return, branch, panic) — its lock state is then excluded from
-// the join after an if/switch.
-func terminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		if len(s.List) == 0 {
-			return false
-		}
-		return terminates(s.List[len(s.List)-1])
-	case *ast.IfStmt:
-		return s.Else != nil && terminates(s.Body) && terminates(s.Else)
-	case *ast.LabeledStmt:
-		return terminates(s.Stmt)
-	}
-	return false
 }

@@ -112,7 +112,7 @@ func checkBlock(pass *pkgPass, rule *rule, stmts []ast.Stmt, guarded map[string]
 		checkStmt(pass, rule, s, guarded)
 		// An early return on nil (`if p == nil { return }`) guards the
 		// rest of the block.
-		if ifs, ok := s.(*ast.IfStmt); ok && ifs.Else == nil && terminates(ifs.Body) {
+		if ifs, ok := s.(*ast.IfStmt); ok && ifs.Else == nil && analysis.Terminates(ifs.Body) {
 			if expr := nilCheckedTarget(pass, rule, ifs.Cond, true); expr != "" {
 				guarded = withGuard(guarded, expr)
 			}
@@ -309,26 +309,6 @@ func isNamed(t types.Type, path, name string) bool {
 	obj := named.Obj()
 	return obj != nil && obj.Name() == name &&
 		obj.Pkg() != nil && obj.Pkg().Path() == path
-}
-
-// terminates reports whether a block always transfers control out
-// (return, panic, or an unconditional branch statement at the end).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := last.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == "panic"
-	}
-	return false
 }
 
 // withGuard returns guarded plus expr, copying so sibling branches are

@@ -4,148 +4,111 @@ import (
 	"testing"
 
 	"ultracomputer/internal/cache"
-	"ultracomputer/internal/coord"
-	"ultracomputer/internal/network"
-	"ultracomputer/internal/pe"
+	"ultracomputer/internal/isa"
 )
 
-func cacheCfg() cache.Config { return cache.Config{Sets: 8, Ways: 2, BlockWords: 4} }
+// runCachedAsm assembles src and runs it to completion on every PE of a
+// 16-port machine, each core with a private 8-set, 2-way cache of 4-word
+// blocks.
+func runCachedAsm(t *testing.T, src string, pes int) *Machine {
+	t.Helper()
+	cfg := cfg16()
+	cfg.PEs = pes
+	m, _, err := Load(cfg, isa.MustAssemble(src), LoadOptions{
+		Cache: &cache.Config{Sets: 8, Ways: 2, BlockWords: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MustRun(10_000_000)
+	return m
+}
 
 // TestCachedPrivateDataNoTraffic: a PE working entirely in cached private
 // data generates central-memory traffic only for the initial block
-// fetches — repeated hits are free of network load.
+// fetches and the final flush — repeated hits are free of network load.
 func TestCachedPrivateDataNoTraffic(t *testing.T) {
-	m := SPMD(cfg16(), 1, func(ctx *pe.Ctx) {
-		c := ctx.NewCache(cacheCfg())
-		for round := 0; round < 50; round++ {
-			for a := int64(0); a < 8; a++ {
-				c.Store(a, c.Load(a)+1)
-			}
-		}
-		c.FlushAll()
-	})
-	m.MustRun(10_000_000)
+	m := runCachedAsm(t, `
+	li   r1, 0          ; round
+	li   r2, 50
+	li   r5, 8
+round:	beq  r1, r2, fin
+	li   r3, 0          ; word
+word:	beq  r3, r5, next
+	clds r4, 0(r3)
+	addi r4, r4, 1
+	csts r4, 0(r3)
+	addi r3, r3, 1
+	jmp  word
+next:	addi r1, r1, 1
+	jmp  round
+fin:	li   r6, 0
+	cflu r6, r5         ; write M[0..8) back, wait for the acks
+	halt
+`, 1)
 	for a := int64(0); a < 8; a++ {
 		if got := m.ReadShared(a); got != 50 {
 			t.Fatalf("M[%d] = %d, want 50", a, got)
 		}
 	}
-	r := m.Report()
 	// 800 cached accesses; network traffic is 2 block fetches (8 loads)
 	// plus 8 flush write-backs, far below one request per access.
-	if r.SharedRefs > 40 {
+	if r := m.Report(); r.SharedRefs > 40 {
 		t.Fatalf("shared refs = %d; cache not absorbing traffic", r.SharedRefs)
 	}
 }
 
-// TestFlushPublishesToOtherPE follows the §3.4 task-spawn protocol:
-// PE 0 treats a region as private and cached, then flushes and sets a
-// flag; PE 1 (uncached) reads the flushed values.
-func TestFlushPublishesToOtherPE(t *testing.T) {
-	const flag = int64(1000)
-	m := SPMD(cfg16(), 2, func(ctx *pe.Ctx) {
-		if ctx.PE() == 0 {
-			c := ctx.NewCache(cacheCfg())
-			for a := int64(0); a < 16; a++ {
-				c.Store(a, a*a)
-			}
-			c.Flush(0, 16) // flush waits for write-back completion
-			ctx.Store(flag, 1)
-			return
-		}
-		for ctx.Load(flag) == 0 {
-			ctx.Pause()
-		}
-		for a := int64(0); a < 16; a++ {
-			ctx.Store(2000+a, ctx.Load(a))
-		}
-	})
-	m.MustRun(10_000_000)
-	for a := int64(0); a < 16; a++ {
-		if got := m.ReadShared(2000 + a); got != a*a {
-			t.Fatalf("PE 1 read M[%d] = %d, want %d", a, got, a*a)
-		}
-	}
-}
-
-// TestReleaseDropsDeadData: released dirty lines must not generate
-// write-back traffic nor reach central memory (§3.4: private variables
-// of an exited block).
-func TestReleaseDropsDeadData(t *testing.T) {
-	m := SPMD(cfg16(), 1, func(ctx *pe.Ctx) {
-		c := ctx.NewCache(cacheCfg())
-		for a := int64(0); a < 8; a++ {
-			c.Store(a, 777)
-		}
-		c.Release(0, 8)
-		c.FlushAll() // nothing left to flush
-	})
-	m.MustRun(10_000_000)
-	for a := int64(0); a < 8; a++ {
-		if got := m.ReadShared(a); got != 0 {
-			t.Fatalf("released data leaked to M[%d] = %d", a, got)
-		}
-	}
-}
-
 // TestReadOnlySharingPeriod caches shared data during a read-only phase
-// on several PEs, then releases and re-reads after a writer updates —
-// the §3.4 stale-data protocol.
+// on four PEs, then releases and re-reads after a writer updates — the
+// §3.4 stale-data protocol. Each barrier is a fresh counter every PE
+// increments and then waits on until it reaches the PE count; PE 0 reads
+// each of its stores back before arriving, which waits for the store
+// (one outstanding request per location).
 func TestReadOnlySharingPeriod(t *testing.T) {
-	const (
-		data    = int64(0)  // shared cell, cached read-only in phase 1
-		barrier = int64(50) // coord barrier cells
-		out     = int64(100)
-	)
 	const pes = 4
-	m := SPMD(cfg16(), pes, func(ctx *pe.Ctx) {
-		b := coord.AttachBarrier(ctx, barrier, pes)
-		c := ctx.NewCache(cacheCfg())
-		if ctx.PE() == 0 {
-			ctx.Store(data, 10)
-		}
-		b.Wait()
-		// Phase 1: everyone may cache the (currently read-only) value.
-		v1 := c.Load(data)
-		b.Wait()
-		// End of the read-only period: release before anyone writes.
-		c.Release(data, data+4)
-		b.Wait()
-		if ctx.PE() == 0 {
-			ctx.Store(data, 20) // uncached update
-		}
-		b.Wait()
-		// Phase 2: re-read through the cache; must see the new value.
-		v2 := c.Load(data)
-		ctx.Store(out+int64(ctx.PE())*2, v1)
-		ctx.Store(out+int64(ctx.PE())*2+1, v2)
-	})
-	m.MustRun(20_000_000)
+	m := runCachedAsm(t, `
+	rdpe r1
+	rdnp r20
+	li   r2, 1
+	li   r9, 0          ; the shared cell
+	li   r13, 4
+	bne  r1, r0, b0
+	li   r3, 10
+	sts  r3, 0(r9)
+	lds  r3, 0(r9)
+b0:	li   r10, 50
+	faa  r11, 0(r10), r2
+s0:	lds  r11, 0(r10)
+	bne  r11, r20, s0
+	clds r12, 0(r9)     ; read-only period: everyone may cache the value
+	li   r10, 51
+	faa  r11, 0(r10), r2
+s1:	lds  r11, 0(r10)
+	bne  r11, r20, s1
+	crel r9, r13        ; end of the period: release before anyone writes
+	li   r10, 52
+	faa  r11, 0(r10), r2
+s2:	lds  r11, 0(r10)
+	bne  r11, r20, s2
+	bne  r1, r0, b3
+	li   r3, 20
+	sts  r3, 0(r9)      ; uncached update
+	lds  r3, 0(r9)
+b3:	li   r10, 53
+	faa  r11, 0(r10), r2
+s3:	lds  r11, 0(r10)
+	bne  r11, r20, s3
+	clds r14, 0(r9)     ; re-read through the cache: must see the update
+	add  r15, r1, r1
+	sts  r12, 100(r15)
+	sts  r14, 101(r15)
+	halt
+`, pes)
 	for p := int64(0); p < pes; p++ {
-		v1 := m.ReadShared(out + p*2)
-		v2 := m.ReadShared(out + p*2 + 1)
+		v1 := m.ReadShared(100 + p*2)
+		v2 := m.ReadShared(100 + p*2 + 1)
 		if v1 != 10 || v2 != 20 {
 			t.Fatalf("PE %d saw (%d, %d), want (10, 20)", p, v1, v2)
-		}
-	}
-}
-
-// TestCacheEvictionWriteBack: dirty lines evicted by capacity pressure
-// reach central memory without an explicit flush.
-func TestCacheEvictionWriteBack(t *testing.T) {
-	small := cache.Config{Sets: 2, Ways: 1, BlockWords: 2} // 4 words total
-	m := SPMD(Config{Net: network.Config{K: 2, Stages: 3, Combining: true}, Hashing: true}, 1,
-		func(ctx *pe.Ctx) {
-			c := ctx.NewCache(small)
-			for a := int64(0); a < 64; a++ {
-				c.Store(a, a+1) // constant eviction pressure
-			}
-			c.FlushAll()
-		})
-	m.MustRun(10_000_000)
-	for a := int64(0); a < 64; a++ {
-		if got := m.ReadShared(a); got != a+1 {
-			t.Fatalf("M[%d] = %d, want %d", a, got, a+1)
 		}
 	}
 }

@@ -9,40 +9,21 @@ import (
 	"ultracomputer/internal/msg"
 )
 
-// held reports the number of words tab holds: its filled slots, and key
+// held reports the number of words tab holds: its table's keys, and key
 // 0's word while that is not zero.
 func held(tab *wordTable) int {
 	if tab.zero != 0 {
-		return tab.n + 1
+		return tab.tab.Len() + 1
 	}
-	return tab.n
+	return tab.tab.Len()
 }
 
-// checkWordTable holds tab's own invariants: the count right, and every
-// member reachable from its home — no empty slot between where its probe
-// starts and where it sits.
-func checkWordTable(t *testing.T, tab *wordTable) {
+// checkLoad holds tab to at most three quarters full. The table's own
+// invariants are sim.FuzzTable's.
+func checkLoad(t *testing.T, tab *wordTable) {
 	t.Helper()
-	filled := 0
-	for j, sl := range tab.slots {
-		if sl.key == 0 {
-			if sl.val != 0 {
-				t.Fatalf("empty slot %d holds %d", j, sl.val)
-			}
-			continue
-		}
-		filled++
-		for i := tab.home(sl.key); i != j; i = (i + 1) & tab.mask {
-			if tab.slots[i].key == 0 {
-				t.Fatalf("key %#x sits in slot %d past empty slot %d of its probe run", sl.key, j, i)
-			}
-		}
-	}
-	if filled != tab.n {
-		t.Fatalf("%d slots filled, count %d", filled, tab.n)
-	}
-	if 4*tab.n > 3*len(tab.slots) {
-		t.Fatalf("%d words in %d slots: over three quarters full", tab.n, len(tab.slots))
+	if 4*tab.tab.Len() > 3*tab.tab.Slots() {
+		t.Fatalf("%d words in %d slots: over three quarters full", tab.tab.Len(), tab.tab.Slots())
 	}
 }
 
@@ -54,8 +35,8 @@ func checkWordTable(t *testing.T, tab *wordTable) {
 // whole address), the module its words as they come, negative ones
 // included. The table must hold exactly the pairs ever written a value
 // other than zero — a read, or a write of zero to an absent word,
-// inserts nothing, and nothing is deleted — and its probe runs must have
-// no holes.
+// inserts nothing, and nothing is deleted — and be at most three
+// quarters full.
 //
 // A script is a sequence of operations. Each starts with one byte: the
 // low two bits pick read, write, write of zero, or a run of writes; bit
@@ -154,8 +135,8 @@ func FuzzWordTable(f *testing.F) {
 		if got := held(mod.words); got != len(ownStored) {
 			t.Fatalf("module: table holds %d words, %d were written non-zero", got, len(ownStored))
 		}
-		checkWordTable(t, &b.words)
-		checkWordTable(t, mod.words)
+		checkLoad(t, &b.words)
+		checkLoad(t, mod.words)
 	})
 }
 

@@ -36,9 +36,8 @@ const (
 	pidMM  = 3
 )
 
-// ChromeEvent is one trace_event entry (the JSON array format). ID and
-// BP are a flow event's key and binding point ("e": the enclosing slice).
-type ChromeEvent struct {
+// chromeEvent is one trace_event entry (the JSON array format).
+type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -46,22 +45,12 @@ type ChromeEvent struct {
 	Dur  int64          `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	ID   uint64         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
 type chromeFile struct {
-	TraceEvents []ChromeEvent  `json:"traceEvents"`
+	TraceEvents []chromeEvent  `json:"traceEvents"`
 	OtherData   map[string]any `json:"otherData,omitempty"`
-}
-
-// EncodeChrome writes events as one Chrome trace_event JSON file, with
-// otherData as its metadata object when non-empty. Every Chrome trace
-// the repository writes goes through here: the event export above and
-// the request tracer's span export (reqtrace.Tracer.WriteChrome).
-func EncodeChrome(w io.Writer, events []ChromeEvent, otherData map[string]any) error {
-	return json.NewEncoder(w).Encode(chromeFile{TraceEvents: events, OtherData: otherData})
 }
 
 // hop is one stage arrival.
@@ -109,7 +98,7 @@ type traceBuilder struct {
 	into      map[uint64]uint64 // absorbed request ID -> surviving ID
 	stalls    []stallSpan
 	openStall map[int]int // pe -> index into stalls
-	instants  []ChromeEvent
+	instants  []chromeEvent
 	maxCycle  int64
 	stages    map[int]bool
 	mms       map[int]bool
@@ -166,7 +155,7 @@ func (b *traceBuilder) observe(ev Event) {
 		r.combineStage = stage
 		b.into[ev.ID] = ev.ID2
 		b.stages[stage] = true
-		b.instants = append(b.instants, ChromeEvent{
+		b.instants = append(b.instants, chromeEvent{
 			Name: "combine", Cat: "combine", Ph: "i", TS: ev.Cycle,
 			PID: pidNet, TID: stage,
 			Args: map[string]any{"absorbed": ev.ID, "into": ev.ID2, "addr": ev.Addr.String()},
@@ -191,7 +180,7 @@ func (b *traceBuilder) observe(ev Event) {
 		}
 		b.mms[mm] = true
 	case KindDecombine:
-		b.instants = append(b.instants, ChromeEvent{
+		b.instants = append(b.instants, chromeEvent{
 			Name: "decombine", Cat: "combine", Ph: "i", TS: ev.Cycle,
 			PID: pidNet, TID: stage,
 			Args: map[string]any{"combined": ev.ID, "recreated": ev.ID2},
@@ -267,11 +256,11 @@ func dur(from, to int64) int64 {
 }
 
 func (b *traceBuilder) write(w io.Writer) error {
-	var out []ChromeEvent
+	var out []chromeEvent
 
 	// Track metadata.
 	meta := func(pid int, name string) {
-		out = append(out, ChromeEvent{Name: "process_name", Ph: "M", PID: pid,
+		out = append(out, chromeEvent{Name: "process_name", Ph: "M", PID: pid,
 			Args: map[string]any{"name": name}})
 	}
 	meta(pidPE, "PEs")
@@ -281,15 +270,15 @@ func (b *traceBuilder) write(w io.Writer) error {
 	// maps, and ranging those directly would make two identical runs emit
 	// byte-different trace files.
 	for _, pe := range sortedKeys(b.pes) {
-		out = append(out, ChromeEvent{Name: "thread_name", Ph: "M", PID: pidPE, TID: pe,
+		out = append(out, chromeEvent{Name: "thread_name", Ph: "M", PID: pidPE, TID: pe,
 			Args: map[string]any{"name": fmt.Sprintf("PE %d", pe)}})
 	}
 	for _, s := range sortedKeys(b.stages) {
-		out = append(out, ChromeEvent{Name: "thread_name", Ph: "M", PID: pidNet, TID: s,
+		out = append(out, chromeEvent{Name: "thread_name", Ph: "M", PID: pidNet, TID: s,
 			Args: map[string]any{"name": fmt.Sprintf("stage %d", s)}})
 	}
 	for _, mm := range sortedKeys(b.mms) {
-		out = append(out, ChromeEvent{Name: "thread_name", Ph: "M", PID: pidMM, TID: mm,
+		out = append(out, chromeEvent{Name: "thread_name", Ph: "M", PID: pidMM, TID: mm,
 			Args: map[string]any{"name": fmt.Sprintf("MM %d", mm)}})
 	}
 
@@ -325,7 +314,7 @@ func (b *traceBuilder) write(w io.Writer) error {
 			if r.delivered {
 				args["value"] = r.value
 			}
-			out = append(out, ChromeEvent{
+			out = append(out, chromeEvent{
 				Name: label, Cat: "request", Ph: "X",
 				TS: r.inject, Dur: dur(r.inject, end),
 				PID: pidPE, TID: r.pe, Args: args,
@@ -344,7 +333,7 @@ func (b *traceBuilder) write(w io.Writer) error {
 			case r.mmArrive >= 0:
 				end = r.mmArrive
 			}
-			out = append(out, ChromeEvent{
+			out = append(out, chromeEvent{
 				Name: label, Cat: "fwd", Ph: "X",
 				TS: h.cycle, Dur: dur(h.cycle, end),
 				PID: pidNet, TID: h.stage, Args: map[string]any{"id": id},
@@ -360,7 +349,7 @@ func (b *traceBuilder) write(w io.Writer) error {
 			} else if r.delivered {
 				end = r.deliver
 			}
-			out = append(out, ChromeEvent{
+			out = append(out, chromeEvent{
 				Name: label + " (reply)", Cat: "rev", Ph: "X",
 				TS: h.cycle, Dur: dur(h.cycle, end),
 				PID: pidNet, TID: h.stage, Args: map[string]any{"id": id},
@@ -386,7 +375,7 @@ func (b *traceBuilder) write(w io.Writer) error {
 		if list := serves[id]; len(list) > 0 {
 			args["serves"] = list
 		}
-		out = append(out, ChromeEvent{
+		out = append(out, chromeEvent{
 			Name: s.label, Cat: "mni", Ph: "X",
 			TS: begin, Dur: dur(begin, end),
 			PID: pidMM, TID: s.mm, Args: args,
@@ -399,7 +388,7 @@ func (b *traceBuilder) write(w io.Writer) error {
 		if st.open {
 			end = b.maxCycle + 1
 		}
-		out = append(out, ChromeEvent{
+		out = append(out, chromeEvent{
 			Name: "stall: " + st.cause.String(), Cat: "stall", Ph: "X",
 			TS: st.begin, Dur: dur(st.begin, end),
 			PID: pidPE, TID: st.pe,
@@ -410,5 +399,8 @@ func (b *traceBuilder) write(w io.Writer) error {
 	out = append(out, b.instants...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 
-	return EncodeChrome(w, out, map[string]any{"time_unit": "1us = 1 network cycle"})
+	return json.NewEncoder(w).Encode(chromeFile{
+		TraceEvents: out,
+		OtherData:   map[string]any{"time_unit": "1us = 1 network cycle"},
+	})
 }

@@ -93,7 +93,7 @@ type Tracer struct {
 	seed uint64
 
 	// active holds the spans under assembly; emitter-only.
-	active spanTable
+	active sim.Table[*Span]
 
 	mu sync.Mutex
 	// ring is the circular flight-recorder buffer of completed spans in
@@ -127,7 +127,7 @@ func New(cfg Config) *Tracer {
 		slow: make([]*Span, 0, DefaultSlowCap),
 		rng:  sim.NewRand(cfg.Seed ^ 0x5ca1ab1e),
 	}
-	t.active.reserve(0)
+	t.active.Reserve(0)
 	switch {
 	case cfg.Rate >= 1:
 		t.all = true
@@ -191,10 +191,10 @@ func (t *Tracer) Emit(ev obs.Event) {
 	case obs.KindDecombine:
 		// ev.ID keys the wait-buffer record (the parent); ev.ID2 is the
 		// recreated child reply.
-		if p := t.active.get(ev.ID); p != nil {
+		if p := t.active.Get(ev.ID); p != nil {
 			p.Hops = append(p.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID2})
 		}
-		if c := t.active.get(ev.ID2); c != nil {
+		if c := t.active.Get(ev.ID2); c != nil {
 			c.Hops = append(c.Hops, Hop{Kind: HopDecombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID})
 			c.WaitCycles = ev.Cycle - c.waitStart
 		}
@@ -241,7 +241,7 @@ func (t *Tracer) drop() {
 // dropped count when the id is unknown — an event for a request whose
 // span already closed or was never opened).
 func (t *Tracer) hop(id uint64, h Hop) *Span {
-	s := t.active.get(id)
+	s := t.active.Get(id)
 	if s == nil {
 		t.drop()
 		return nil
@@ -271,7 +271,7 @@ func (t *Tracer) open(id uint64, pe int, op string, addr msg.Addr, cycle int64) 
 		ID: id, PE: pe, Op: op, MM: addr.MM, Word: addr.Word, Issued: cycle,
 		Hops: s.Hops[:0], Children: s.Children[:0],
 	}
-	t.active.put(id, s)
+	t.active.Put(id, s)
 	return s
 }
 
@@ -282,7 +282,7 @@ func (t *Tracer) open(id uint64, pe int, op string, addr msg.Addr, cycle int64) 
 // steady state's path. Callers hold mu.
 func (t *Tracer) fresh() *Span {
 	t.made++
-	t.active.reserve(2 * t.made)
+	t.active.Reserve(2 * t.made)
 	return &Span{Hops: make([]Hop, 0, t.hopCap)}
 }
 
@@ -291,7 +291,7 @@ func (t *Tracer) fresh() *Span {
 // completely whenever either party of a combine is traced, so a traced
 // child's parent (and vice versa) enters the tree mid-flight.
 func (t *Tracer) spanOrAdopt(id uint64, pe int, op string, addr msg.Addr, cycle int64) *Span {
-	if s := t.active.get(id); s != nil {
+	if s := t.active.Get(id); s != nil {
 		return s
 	}
 	s := t.open(id, pe, op, addr, cycle)
@@ -314,7 +314,7 @@ func (t *Tracer) release(s *Span) {
 // replacement choices come from a seeded generator consumed only here,
 // so the flight recorder's contents are reproducible too.
 func (t *Tracer) complete(s *Span, cycle int64) {
-	t.active.del(s.ID)
+	t.active.Del(s.ID)
 	s.Done = cycle
 	s.Latency = cycle - s.Issued
 

@@ -420,3 +420,16 @@ func FuzzReadSpans(f *testing.F) {
 		}
 	})
 }
+
+// TestFreshTracerDropsUnknown: before it has opened a span the tracer's
+// table is already there, and a hop of an ID it does not hold — 0
+// included — is counted dropped.
+func TestFreshTracerDropsUnknown(t *testing.T) {
+	tr := New(Config{Rate: 1})
+	for _, id := range []uint64{0, 7, 1 << 32} {
+		tr.Emit(ev(obs.KindStageArrive, 1, id))
+	}
+	if tr.Dropped() != 3 || tr.Active() != 0 {
+		t.Errorf("dropped %d, active %d; want 3 and 0", tr.Dropped(), tr.Active())
+	}
+}

@@ -32,8 +32,6 @@ type GoCore struct {
 	// (required by MultiCore's tag partitioning).
 	handles []*Handle
 	halted  bool
-
-	owner *PE // set on the first tick; caches the program attaches emit through it
 }
 
 // Program is the body of a PE: it runs once and its return halts the PE.
@@ -96,10 +94,7 @@ func (h *Handle) WaitF() float64 { return math.Float64frombits(uint64(h.Wait()))
 
 // Tick implements Core.
 func (g *GoCore) Tick(env *Env) TickResult {
-	if g.owner == nil {
-		g.owner = env.pe
-		g.ctx.pe, g.ctx.npe = env.PEID(), env.NumPE()
-	}
+	g.ctx.pe, g.ctx.npe = env.PEID(), env.NumPE()
 	for !g.halted {
 		if g.cur == nil {
 			a, ok := g.next()

@@ -3,7 +3,6 @@ package pe
 import (
 	"testing"
 
-	"ultracomputer/internal/cache"
 	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
 )
@@ -190,30 +189,6 @@ func TestMultiCorePanics(t *testing.T) {
 	}()
 	NewMultiCore()
 }
-
-func TestCachedMemBasics(t *testing.T) {
-	var hit1, hit2 int64
-	d := newDriver(func(ctx *Ctx) {
-		c := ctx.NewCache(testCacheCfg())
-		c.Store(0, 9)
-		hit1 = c.Load(0) // cache hit
-		c.Flush(0, 8)
-		hit2 = c.Load(0)
-		c.Release(0, 8)
-		if c.Contains(0) {
-			hit2 = -1
-		}
-	}, 2)
-	d.run(t, 100_000)
-	if hit1 != 9 || hit2 != 9 {
-		t.Fatalf("cached loads = %d, %d; want 9, 9", hit1, hit2)
-	}
-	if d.backing[0] != 9 {
-		t.Fatalf("flush did not reach backing: %d", d.backing[0])
-	}
-}
-
-func testCacheCfg() cache.Config { return cache.Config{Sets: 4, Ways: 2, BlockWords: 4} }
 
 // TestGoCoreZeroAlloc: once the tag table and the PNI's outstanding list
 // have grown, a Go guest's blocking Compute, Load, FetchAdd and Store

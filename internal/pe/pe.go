@@ -123,9 +123,6 @@ func (p *PE) Observe(subs *obs.Subs, out obs.Probe, scale int64, tracer *reqtrac
 	p.pni.tracer = tracer
 }
 
-// observeCache points c's events at this PE's sink.
-func (p *PE) observeCache(c *cache.Cache) { c.Observe(p.subs, p.out, p.id) }
-
 // New builds a PE around core with a PNI that hashes addresses with h and
 // injects into the network via inject. maxOutstanding bounds concurrent
 // shared requests (the paper's register-locking design allows several).
@@ -359,7 +356,7 @@ func (e *Env) Issue(op msg.Op, addr int64, operand int64, tag int) bool {
 
 // ObserveCache points a cache the core owns at its PE's event sink; the
 // core calls it before the cache's first access.
-func (e *Env) ObserveCache(c *cache.Cache) { e.pe.observeCache(c) }
+func (e *Env) ObserveCache(c *cache.Cache) { c.Observe(e.pe.subs, e.pe.out, e.pe.id) }
 
 // Pending reports how many of this PE's shared-memory requests are still
 // outstanding (stores awaiting acknowledgement included).

@@ -58,17 +58,16 @@ type goldenShape struct {
 
 var goldenShapes = []goldenShape{{
 	// The recorder's Chrome trace and /events window, the request
-	// tracer's span JSONL and Chrome trace (sampling at 0.25, so sampled
-	// requests, unsampled ones and partners adopted at a combine all
-	// occur) and the profiler's JSONL.
+	// tracer's span JSONL (sampling at 0.25, so sampled requests,
+	// unsampled ones and partners adopted at a combine all occur) and
+	// the profiler's JSONL.
 	name: "hotspot", net: goldenNet, w: goldenW, measure: goldenCycles,
 	recCap: 1 << 20, tracer: reqtrace.Config{Rate: 0.25, Seed: 7, Ring: 1 << 14},
 	want: map[string]string{
-		"chrome":       "00eeedcd0266aef895a1fbc8938b488d9bee14c79714c4c65f978c3c9c3393e9",
-		"events":       "51bad28b6c2bdac94583e0b595dbe9f29d8da36c64bf8765eb2c93b34f57c430",
-		"spans":        "9490afae921b038271a384eeb983af68561d847abbb60fa771c69742a8bc7035",
-		"spans-chrome": "2987c605622be97b58072a012a3850fe050671863a51b6abb235371329acffdf",
-		"prof":         "b21158343a7d49421826e5c209bc0e4c70a9d4e493c3482300fafd219a4db1ff",
+		"chrome": "00eeedcd0266aef895a1fbc8938b488d9bee14c79714c4c65f978c3c9c3393e9",
+		"events": "51bad28b6c2bdac94583e0b595dbe9f29d8da36c64bf8765eb2c93b34f57c430",
+		"spans":  "9490afae921b038271a384eeb983af68561d847abbb60fa771c69742a8bc7035",
+		"prof":   "b21158343a7d49421826e5c209bc0e4c70a9d4e493c3482300fafd219a4db1ff",
 	},
 	completed: 1041, links: 661, dropped: 0,
 	check: func(res trace.Result, rec *obs.Recorder, tr *reqtrace.Tracer) string {
@@ -93,10 +92,9 @@ var goldenShapes = []goldenShape{{
 	w: trace.Workload{Rate: 0.2, Hash: true, Seed: 1001}, warmup: 200, measure: 500,
 	recCap: 1 << 16, tracer: reqtrace.Config{Rate: 1},
 	want: map[string]string{
-		"chrome":       "3bbbce2110c1a0c13a932018f86a51344c4342f849cc8c4019c56edcf0c8363b",
-		"spans":        "ffd5def069ba41eaef8219c8cea03693a6bc371d8ce55407216f228242f74340",
-		"spans-chrome": "9f10a429a27dc3052a66ad6b5b976ce6a5791cb3d42f817cb2e268075ff887ae",
-		"prof":         "d3ef5532af48ee53e9d4a31137433b3b30f14e786f8e73d6817ee317b0abba3a",
+		"chrome": "3bbbce2110c1a0c13a932018f86a51344c4342f849cc8c4019c56edcf0c8363b",
+		"spans":  "ffd5def069ba41eaef8219c8cea03693a6bc371d8ce55407216f228242f74340",
+		"prof":   "d3ef5532af48ee53e9d4a31137433b3b30f14e786f8e73d6817ee317b0abba3a",
 	},
 	completed: 8450, links: 0, dropped: 0,
 	check: func(res trace.Result, rec *obs.Recorder, tr *reqtrace.Tracer) string {
@@ -129,10 +127,9 @@ func TestObservabilityGolden(t *testing.T) {
 					c, l, d, sh.completed, sh.links, sh.dropped)
 			}
 			exports := map[string]func(io.Writer) error{
-				"chrome":       func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) },
-				"spans":        tr.WriteSpansJSONL,
-				"spans-chrome": tr.WriteChrome,
-				"prof":         pf.WriteJSONL,
+				"chrome": func(w io.Writer) error { return obs.WriteChromeTrace(w, rec.Events()) },
+				"spans":  tr.WriteSpansJSONL,
+				"prof":   pf.WriteJSONL,
 				"events": func(w io.Writer) error {
 					srv := live.NewFeedServer()
 					srv.Publish(&live.State{Seq: 1, Done: true, Events: rec.Events()})
