@@ -206,7 +206,6 @@ func TestTracerExports(t *testing.T) {
 	if fb.Len() < sb.Len() {
 		t.Fatalf("flight dump (%d bytes) smaller than span dump (%d bytes)", fb.Len(), sb.Len())
 	}
-
 }
 
 // TestTracerSamplingRate checks partial sampling traces a plausible
