@@ -5,6 +5,7 @@ import (
 
 	"ultracomputer/internal/cache"
 	"ultracomputer/internal/isa"
+	"ultracomputer/internal/network"
 )
 
 // runCachedAsm assembles src and runs it to completion on every PE of a
@@ -12,11 +13,14 @@ import (
 // blocks.
 func runCachedAsm(t *testing.T, src string, pes int) *Machine {
 	t.Helper()
-	cfg := cfg16()
+	return runAsmWithCache(t, cfg16(), cache.Config{Sets: 8, Ways: 2, BlockWords: 4}, src, pes)
+}
+
+// runAsmWithCache is runCachedAsm on a given machine and cache shape.
+func runAsmWithCache(t *testing.T, cfg Config, cc cache.Config, src string, pes int) *Machine {
+	t.Helper()
 	cfg.PEs = pes
-	m, _, err := Load(cfg, isa.MustAssemble(src), LoadOptions{
-		Cache: &cache.Config{Sets: 8, Ways: 2, BlockWords: 4},
-	})
+	m, _, err := Load(cfg, isa.MustAssemble(src), LoadOptions{Cache: &cc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +59,67 @@ fin:	li   r6, 0
 	// plus 8 flush write-backs, far below one request per access.
 	if r := m.Report(); r.SharedRefs > 40 {
 		t.Fatalf("shared refs = %d; cache not absorbing traffic", r.SharedRefs)
+	}
+}
+
+// TestFlushPublishesToOtherPE follows the §3.4 task-spawn protocol:
+// PE 0 treats a region as private and cached, then flushes and sets a
+// flag; PE 1 (uncached) reads the flushed values.
+func TestFlushPublishesToOtherPE(t *testing.T) {
+	m := runCachedAsm(t, `
+	rdpe r1
+	li   r5, 16
+	li   r6, 1000       ; the flag
+	bne  r1, r0, reader
+	li   r3, 0
+wr:	beq  r3, r5, pub
+	mul  r4, r3, r3
+	csts r4, 0(r3)      ; M[a] = a*a, cached
+	addi r3, r3, 1
+	jmp  wr
+pub:	li   r7, 0
+	cflu r7, r5         ; flush waits for write-back completion
+	li   r2, 1
+	sts  r2, 0(r6)
+	halt
+reader:	lds  r2, 0(r6)
+	beq  r2, r0, reader
+	li   r3, 0
+rd:	beq  r3, r5, done
+	lds  r4, 0(r3)
+	sts  r4, 2000(r3)
+	addi r3, r3, 1
+	jmp  rd
+done:	halt
+`, 2)
+	for a := int64(0); a < 16; a++ {
+		if got := m.ReadShared(2000 + a); got != a*a {
+			t.Fatalf("PE 1 read M[%d] = %d, want %d", a, got, a*a)
+		}
+	}
+}
+
+// TestReleaseDropsDeadData: released dirty lines must not generate
+// write-back traffic nor reach central memory (§3.4: private variables
+// of an exited block).
+func TestReleaseDropsDeadData(t *testing.T) {
+	m := runCachedAsm(t, `
+	li   r2, 777
+	li   r5, 8
+	li   r3, 0
+wr:	beq  r3, r5, rel
+	csts r2, 0(r3)
+	addi r3, r3, 1
+	jmp  wr
+rel:	li   r6, 0
+	crel r6, r5
+	cflu r6, r5         ; nothing left to flush
+	halt
+`, 1)
+	for a := int64(0); a < 8; a++ {
+		if got := m.ReadShared(a); got != 0 {
+			t.Fatalf("released data leaked to M[%d] = %d", a, got)
+		}
 	}
 }
 
@@ -109,6 +174,29 @@ s3:	lds  r11, 0(r10)
 		v2 := m.ReadShared(100 + p*2 + 1)
 		if v1 != 10 || v2 != 20 {
 			t.Fatalf("PE %d saw (%d, %d), want (10, 20)", p, v1, v2)
+		}
+	}
+}
+
+// TestCacheEvictionWriteBack: dirty lines evicted by capacity pressure
+// reach central memory without an explicit flush.
+func TestCacheEvictionWriteBack(t *testing.T) {
+	small := cache.Config{Sets: 2, Ways: 1, BlockWords: 2} // 4 words total
+	m := runAsmWithCache(t, Config{Net: network.Config{K: 2, Stages: 3, Combining: true}, Hashing: true}, small, `
+	li   r1, 0
+	li   r2, 64
+loop:	beq  r1, r2, fin
+	addi r3, r1, 1
+	csts r3, 0(r1)      ; constant eviction pressure
+	addi r1, r1, 1
+	jmp  loop
+fin:	li   r4, 0
+	cflu r4, r2
+	halt
+`, 1)
+	for a := int64(0); a < 64; a++ {
+		if got := m.ReadShared(a); got != a+1 {
+			t.Fatalf("M[%d] = %d, want %d", a, got, a+1)
 		}
 	}
 }
