@@ -95,7 +95,7 @@ test:
 
 # Native fuzzing, ten seconds a target, of the seven places outside
 # input enters, of the combining rules, of the open-addressed table, of
-# the shared memory built on it and of
+# the shared memory built on it, of the request tracer's span storage and of
 # two differentials over generated guest programs (internal/isa/isagen,
 # which also shrinks a failing program before it is printed). The assembler
 # (serve.Config.Program): FuzzAssemble requires that it never panics and
@@ -131,7 +131,12 @@ test:
 # built on it (memory.wordTable): FuzzWordTable requires that
 # a bank under either hasher, and a module outside a bank, read back what
 # a script of writes left, as a Go map does, and that the table holds
-# only the words ever written a value other than zero. Plain
+# only the words ever written a value other than zero. The request
+# tracer's carved span storage: FuzzTracerEmit requires that a random
+# stream of inject, hop, combine, decombine and deliver events completes
+# every span as plain per-span slices assemble it, trips past the seeded
+# room included, and that no snapshot Spans or SlowSpans handed out is
+# written again. Plain
 # `go test` already runs each seed corpus (every .s file and `;mc:` line
 # in the repository, one hot-spot span dump, the differential's seeds, and
 # the files under the packages' testdata/fuzz) as unit cases; a failure
@@ -150,6 +155,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lint/guest/mc -run '^$$' -fuzz FuzzParseAnnotations -fuzztime 10s
 	$(GO) test ./internal/memory -run '^$$' -fuzz FuzzWordTable -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzTable -fuzztime 10s
+	$(GO) test ./internal/obs/reqtrace -run '^$$' -fuzz FuzzTracerEmit -fuzztime 10s
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all six
 # workloads, untraced, one full JSON record a line on standard output.
@@ -228,8 +234,10 @@ prof-host:
 # cannot move it). An observed event is 72 bytes, which the compiler
 # copies inline into every consumer. A Go guest's blocking operations
 # allocate nothing once its tag table has grown. One benchmark-shaped
-# trace.Run op, uniform and hot-spot, stays under an object budget 5 %
-# above today's count, which its seed fixes on every host; a 64-module
+# trace.Run op (uniform, hot-spot, profiled, traced at rate 1, and
+# observed as net-observed attaches it) stays under an object budget 5 %
+# above today's count, which its seed fixes on every host; a profiler
+# costs as many objects to build at 64 PEs as at 4 096; a 64-module
 # bank and 10 000 distinct writes allocate O(log words) objects, one
 # table for the bank, not a map per module. The benchmark
 # kernel's cached traffic (clds/csts, cflu, crel, fills and write-backs)

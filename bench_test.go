@@ -506,7 +506,7 @@ func BenchmarkGuestSpmdOp(b *testing.B) { guestOp(b, 64, false) }
 // BenchmarkMachineLoad is what a machine costs before its first cycle:
 // Load of the benchmark kernel with the benchmark's cache at k = 4, six
 // stages (4096 ports), on 64 PEs and on the paper's 4096. B/op is the
-// footprint figure ROADMAP item 5 quotes; it is a benchmark so that
+// footprint figure ROADMAP item 7 quotes; it is a benchmark so that
 // tier-1 never builds the 4096-port network.
 func BenchmarkMachineLoad(b *testing.B) {
 	prog, err := isa.Assemble(spmdKernel(b, 64))

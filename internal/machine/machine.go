@@ -206,6 +206,9 @@ func (m *Machine) Observe(o prof.Observers) {
 	if o.Profiler != nil {
 		o.Profiler.SetMMs(len(m.bank.Modules))
 	}
+	if o.Tracer != nil {
+		o.Tracer.ExpectTrip(m.cfg.Net.Stages)
+	}
 	m.net.SetProbe(rec)
 	m.net.SetTracer(tr)
 	m.net.SetProfiler(pr)

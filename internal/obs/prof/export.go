@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -122,8 +123,8 @@ func sampleKey(state obs.ProfState, pc int32, stack []int32) string {
 // Merged builds the cross-PE merged view. It is non-destructive — runs
 // still awaiting a spin verdict are counted under their provisional
 // states — so it can run mid-simulation (live publishing) and again at
-// the end. Every shard is visited in unit order and every output slice
-// is sorted, so the result is deterministic.
+// the end. Every PE is visited in order and every output slice is
+// sorted, so the result is deterministic.
 func (p *Profiler) Merged() *Merged {
 	m := &Merged{File: p.cfg.File, prog: p.progFor(0), Paths: p.paths}
 	if m.File == "" {
@@ -135,34 +136,41 @@ func (p *Profiler) Merged() *Merged {
 
 	samples := make(map[string]*sampleRow)
 	pcs := make(map[int32]*PCRow)
+	local := make(map[runAggKey]int64, len(p.agg))
+	for k, v := range p.agg {
+		local[k] = v
+	}
+	for pe := range p.pes {
+		s := &p.pes[pe]
+		for _, r := range s.pending {
+			local[runAggKey{pe: int32(pe), node: r.node, pc: r.pc, state: r.state}] += r.count
+		}
+		if s.cur.count > 0 {
+			local[runAggKey{pe: int32(pe), node: s.cur.node, pc: s.cur.pc, state: s.cur.state}] += s.cur.count
+		}
+	}
+	keys := make([]runAggKey, 0, len(local))
+	for k := range local {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].pe != keys[j].pe {
+			return keys[i].pe < keys[j].pe
+		}
+		if keys[i].node != keys[j].node {
+			return keys[i].node < keys[j].node
+		}
+		if keys[i].pc != keys[j].pc {
+			return keys[i].pc < keys[j].pc
+		}
+		return keys[i].state < keys[j].state
+	})
 	var pathBuf []int32
 	for pe := range p.pes {
 		s := &p.pes[pe]
-		local := make(map[runAggKey]int64, len(s.agg)+len(s.pending)+1)
-		for k, v := range s.agg {
-			local[k] = v
-		}
-		for _, r := range s.pending {
-			local[runAggKey{node: r.node, pc: r.pc, state: r.state}] += r.count
-		}
-		if s.cur.count > 0 {
-			local[runAggKey{node: s.cur.node, pc: s.cur.pc, state: s.cur.state}] += s.cur.count
-		}
-		keys := make([]runAggKey, 0, len(local))
-		for k := range local {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].node != keys[j].node {
-				return keys[i].node < keys[j].node
-			}
-			if keys[i].pc != keys[j].pc {
-				return keys[i].pc < keys[j].pc
-			}
-			return keys[i].state < keys[j].state
-		})
 		row := PERow{PE: pe}
-		for _, k := range keys {
+		for ; len(keys) > 0 && keys[0].pe == int32(pe); keys = keys[1:] {
+			k := keys[0]
 			n := local[k]
 			row.States[k.state] += n
 			row.Total += n
@@ -260,20 +268,21 @@ func (m *Merged) mergeFuncs() {
 // mergeAddrs lists the heatmap module by module, each module's words
 // in order.
 func (p *Profiler) mergeAddrs() []AddrRow {
-	var out []AddrRow
-	for mm, words := range p.words {
-		ws := make([]int, 0, len(words))
-		for w := range words {
-			ws = append(ws, w)
-		}
-		sort.Ints(ws)
-		for _, w := range ws {
-			r := words[w]
-			out = append(out, AddrRow{
-				Addr: r.addr, MM: mm, Word: w, Accesses: r.accesses, RMW: r.rmw,
-				Served: r.served, Combines: r.combines, WaitCycles: r.waits,
-			})
-		}
+	if len(p.words) == 0 {
+		return nil
+	}
+	keys := make([]uint64, 0, len(p.words))
+	for k := range p.words {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys) // module by module, each module's words in order
+	out := make([]AddrRow, 0, len(keys))
+	for _, k := range keys {
+		r := p.words[k]
+		out = append(out, AddrRow{
+			Addr: r.addr, MM: int(k >> 32), Word: int(uint32(k)), Accesses: r.accesses, RMW: r.rmw,
+			Served: r.served, Combines: r.combines, WaitCycles: r.waits,
+		})
 	}
 	return out
 }

@@ -28,6 +28,7 @@
 package prof
 
 import (
+	"math"
 	"sync/atomic"
 
 	"ultracomputer/internal/isa"
@@ -66,9 +67,17 @@ type runEntry struct {
 }
 
 type runAggKey struct {
+	pe    int32
 	node  int32
 	pc    int32
 	state obs.ProfState
+}
+
+// nodeKey names a PE's call path parent -> (call at callpc).
+type nodeKey struct {
+	pe     int32
+	parent int32
+	callpc int32
 }
 
 // stackNode interns one call path: the chain of JAL sites from the root.
@@ -83,12 +92,13 @@ type frame struct {
 }
 
 type spinKey struct {
+	pe   int32
 	pc   int32
 	addr int64
 }
 
-// wordRec is one shared word's heatmap record, kept by value in its
-// module's map: every fact about the word lands here once.
+// wordRec is one shared word's heatmap record, kept by value in the
+// heatmap: every fact about the word lands here once.
 type wordRec struct {
 	addr     int64 // linear guest address, -1 until a PE touches the word
 	accesses int64 // requests issued to the word
@@ -98,27 +108,32 @@ type wordRec struct {
 	combines int64 // network combines of two requests to the word
 }
 
-// peShard is one PE's run, stack and spin state; hooks touch only the
-// issuing PE's shard.
+// peShard is one PE's open run, buffered runs and call stack. What a
+// PE's runs add up to, its interned call paths and its spin memory live
+// in the profiler's maps, keyed by PE.
 type peShard struct {
 	prog    *isa.Program
 	cur     runEntry // open run (count==0: none)
 	pending []runEntry
-	agg     map[runAggKey]int64
 	nodes   []stackNode
-	nodeIdx map[int64]int32 // parent<<32|callpc -> node index
 	stack   []frame
 	curNode int32
-	lastVal map[spinKey]int64
 }
 
 // Profiler is the obs.Probe a machine subscribes as obs.SubProf.
+//
+// Every map is made once in New and keyed by PE or by word, so New costs
+// the same objects at any PE count, and no cycle's path makes a map.
 type Profiler struct {
-	cfg   Config
-	pes   []peShard
-	words []map[int]wordRec        // per module, by word; sized by SetMMs
-	locks map[int64]*sim.Histogram // F&A wait times, by linear address
-	paths []CriticalPath
+	cfg     Config
+	pes     []peShard
+	agg     map[runAggKey]int64      // committed cycles by (PE, node, pc, state)
+	nodeIdx map[nodeKey]int32        // interned call paths, by PE
+	lastVal map[spinKey]int64        // last value each (PE, pc, address) saw
+	words   map[uint64]wordRec       // the heatmap, by mm<<32 | word
+	mms     int                      // modules the heatmap takes; set by SetMMs
+	locks   map[int64]*sim.Histogram // F&A wait times, by linear address
+	paths   []CriticalPath
 
 	// live is the pre-rendered /prof export, swapped in whole; like
 	// live.Server.cur it is atomic-only state with no guarding mutex,
@@ -132,14 +147,19 @@ func New(cfg Config) *Profiler {
 	if cfg.PEs < 1 {
 		cfg.PEs = 1
 	}
-	p := &Profiler{cfg: cfg, pes: make([]peShard, cfg.PEs), locks: make(map[int64]*sim.Histogram)}
+	p := &Profiler{
+		cfg: cfg, pes: make([]peShard, cfg.PEs),
+		agg: make(map[runAggKey]int64), nodeIdx: make(map[nodeKey]int32), lastVal: make(map[spinKey]int64),
+		words: make(map[uint64]wordRec), locks: make(map[int64]*sim.Histogram),
+	}
+	// Every PE's root node, carved from one array; a PE's first call
+	// reallocates its own nodes.
+	roots := make([]stackNode, cfg.PEs)
 	for i := range p.pes {
 		s := &p.pes[i]
 		s.prog = p.progFor(i)
-		s.agg = make(map[runAggKey]int64)
-		s.nodes = []stackNode{{parent: -1, callpc: -1}}
-		s.nodeIdx = make(map[int64]int32)
-		s.lastVal = make(map[spinKey]int64)
+		roots[i] = stackNode{parent: -1, callpc: -1}
+		s.nodes = roots[i : i+1 : i+1]
 	}
 	return p
 }
@@ -159,29 +179,30 @@ func (p *Profiler) progFor(pe int) *isa.Program {
 // Enabled reports whether there is a profiler to wire: off is nil.
 func (p *Profiler) Enabled() bool { return p != nil }
 
-// SetMMs sizes the heatmap for n memory modules. Every driver calls it
+// SetMMs bounds the heatmap to n memory modules. Every driver calls it
 // with its module count before the run; an event at a module beyond the
-// sized range is dropped.
-func (p *Profiler) SetMMs(n int) {
-	for len(p.words) < n {
-		p.words = append(p.words, make(map[int]wordRec))
-	}
-}
+// bound is dropped.
+func (p *Profiler) SetMMs(n int) { p.mms = max(p.mms, n) }
 
 // NetShard returns the profiler as the network's probe. It is kept only
 // for the benchmark driver, which subscribes the network through it.
 func (p *Profiler) NetShard(int) obs.Probe { return p }
 
-// word returns the heatmap record of a, a fresh one (guest address
-// unknown) when a is untouched; ok is false at an unsized module.
-func (p *Profiler) word(a msg.Addr) (r wordRec, ok bool) {
-	if a.MM < 0 || a.MM >= len(p.words) {
-		return r, false
+// word returns the heatmap key and record of a, a fresh record (guest
+// address unknown) when a is untouched. The key is mm<<32 | word, so the
+// sorted keys list the heatmap module by module, each module's words in
+// order. ok is false at a module beyond SetMMs's bound and at a word
+// outside [0, 2^32) (MultHash keeps the whole guest address as the
+// word): the heatmap drops both.
+func (p *Profiler) word(a msg.Addr) (k uint64, r wordRec, ok bool) {
+	if a.MM < 0 || a.MM >= p.mms || uint64(a.Word) > math.MaxUint32 { // a negative word too
+		return 0, r, false
 	}
-	if r, ok = p.words[a.MM][a.Word]; !ok {
+	k = uint64(a.MM)<<32 | uint64(a.Word)
+	if r, ok = p.words[k]; !ok {
 		r.addr = -1
 	}
-	return r, true
+	return k, r, true
 }
 
 // AddCriticalPaths attaches extracted critical paths (see
@@ -201,9 +222,9 @@ func (p *Profiler) Emit(ev obs.Event) {
 	case obs.KindMNIServe:
 		p.ProfServe(int(ev.MM), ev.Addr.Word, ev.Op)
 	case obs.KindCombine:
-		if r, ok := p.word(ev.Addr); ok {
+		if k, r, ok := p.word(ev.Addr); ok {
 			r.combines++
-			p.words[ev.Addr.MM][ev.Addr.Word] = r
+			p.words[k] = r
 		}
 	}
 }
@@ -235,70 +256,62 @@ func (p *Profiler) ProfCycle(pe, pc int, state obs.ProfState) {
 	if s.cur.count > 0 && s.cur.node == s.curNode && s.cur.pc == int32(pc) && s.cur.state == state {
 		s.cur.count++
 	} else {
-		s.closeRun()
+		p.closeRun(pe)
 		s.cur = runEntry{node: s.curNode, pc: int32(pc), state: state, count: 1}
 	}
 	if state == obs.ProfExecute && op == isa.JAL && len(s.stack) < 256 {
 		// The JAL cycle belongs to the caller; subsequent cycles to the
 		// callee frame, until a cycle lands on the return pc.
-		s.stack = append(s.stack, frame{node: s.childNode(pc), retpc: int32(pc + 1)})
+		s.stack = append(s.stack, frame{node: p.childNode(pe, pc), retpc: int32(pc + 1)})
 		s.curNode = s.stack[len(s.stack)-1].node
 	}
 }
 
-// childNode interns the call path curNode -> (call at pc).
-func (s *peShard) childNode(pc int) int32 {
-	key := int64(s.curNode)<<32 | int64(int32(pc))
-	if id, ok := s.nodeIdx[key]; ok {
+// childNode interns PE pe's call path curNode -> (call at pc).
+func (p *Profiler) childNode(pe, pc int) int32 {
+	s := &p.pes[pe]
+	key := nodeKey{pe: int32(pe), parent: s.curNode, callpc: int32(pc)}
+	if id, ok := p.nodeIdx[key]; ok {
 		return id
 	}
 	id := int32(len(s.nodes))
 	s.nodes = append(s.nodes, stackNode{parent: s.curNode, callpc: int32(pc)})
-	s.nodeIdx[key] = id
+	p.nodeIdx[key] = id
 	return id
 }
 
-func (s *peShard) closeRun() {
+// closeRun buffers PE pe's open run to await its spin verdict.
+func (p *Profiler) closeRun(pe int) {
+	s := &p.pes[pe]
 	if s.cur.count == 0 {
 		return
 	}
 	if len(s.pending) >= maxPending {
-		s.drainPending(false)
+		p.drainPending(pe, false)
 	}
 	s.pending = append(s.pending, s.cur)
 	s.cur = runEntry{}
 }
 
-// drainPending commits buffered runs; with spin=true, busy-wait-able
-// states are reclassified (net-full and halted keep their identity).
-func (s *peShard) drainPending(spin bool) {
+// drainPending commits PE pe's buffered runs; with spin=true,
+// busy-wait-able states are reclassified (net-full and halted keep their
+// identity).
+func (p *Profiler) drainPending(pe int, spin bool) {
+	s := &p.pes[pe]
 	for _, r := range s.pending {
 		st := r.state
 		if spin && (st == obs.ProfExecute || st == obs.ProfCacheHit || st == obs.ProfMemWait) {
 			st = obs.ProfSpin
 		}
-		s.agg[runAggKey{node: r.node, pc: r.pc, state: st}] += r.count
+		p.agg[runAggKey{pe: int32(pe), node: r.node, pc: r.pc, state: st}] += r.count
 	}
 	s.pending = s.pending[:0]
-}
-
-// verdict closes the open run and commits everything buffered since the
-// previous value observation, spinning or not.
-func (s *peShard) verdict(spin bool) {
-	if s.cur.count > 0 {
-		if len(s.pending) >= maxPending {
-			s.drainPending(false)
-		}
-		s.pending = append(s.pending, s.cur)
-		s.cur = runEntry{}
-	}
-	s.drainPending(spin)
 }
 
 // ProfIssue records a shared request leaving PE pe: linear is the guest
 // address, hashed its (module, word) translation.
 func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Addr) {
-	r, ok := p.word(hashed)
+	k, r, ok := p.word(hashed)
 	if !ok {
 		return
 	}
@@ -307,7 +320,7 @@ func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Add
 	if op != msg.Load && op != msg.Store {
 		r.rmw++
 	}
-	p.words[hashed.MM][hashed.Word] = r
+	p.words[k] = r
 }
 
 // ProfDeliver records a reply reaching PE pe: pc is the instruction
@@ -317,9 +330,9 @@ func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Add
 // pc re-observing an unchanged word marks the cycles since the previous
 // observation as spin.
 func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, hashed msg.Addr, value int64, wait int64) {
-	if r, ok := p.word(hashed); ok {
+	if k, r, ok := p.word(hashed); ok {
 		r.waits += wait
-		p.words[hashed.MM][hashed.Word] = r
+		p.words[k] = r
 	}
 	if op != msg.Load && op != msg.Store {
 		h := p.locks[linear]
@@ -330,20 +343,22 @@ func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, hashed msg.A
 		h.Observe(wait)
 	}
 	if op.ReturnsValue() {
-		s := &p.pes[pe]
-		k := spinKey{pc: int32(pc), addr: linear}
-		old, seen := s.lastVal[k]
-		s.verdict(seen && old == value)
-		s.lastVal[k] = value
+		k := spinKey{pe: int32(pe), pc: int32(pc), addr: linear}
+		old, seen := p.lastVal[k]
+		// Close the open run and commit everything buffered since the
+		// previous value observation, spinning or not.
+		p.closeRun(pe)
+		p.drainPending(pe, seen && old == value)
+		p.lastVal[k] = value
 	}
 }
 
 // ProfServe records module mm serving one (possibly combined) request
 // for word.
 func (p *Profiler) ProfServe(mm, word int, op msg.Op) {
-	if r, ok := p.word(msg.Addr{MM: mm, Word: word}); ok {
+	if k, r, ok := p.word(msg.Addr{MM: mm, Word: word}); ok {
 		r.served++
-		p.words[mm][word] = r
+		p.words[k] = r
 	}
 }
 

@@ -117,7 +117,7 @@ func TestSpinReclassification(t *testing.T) {
 }
 
 // TestHeatmapZeroAllocOnKnownWords: the per-word heatmap keeps its
-// records by value, one map per module; the first touch of a word may
+// records by value, in one map keyed by module and word; the first touch of a word may
 // grow it, every later issue, delivery, serve and combine on that word
 // allocates nothing — and each merged row sums every PE's traffic to
 // its word.
@@ -160,6 +160,43 @@ func TestHeatmapZeroAllocOnKnownWords(t *testing.T) {
 			r.WaitCycles != 24*(10+r.Addr) || r.Served != 24 || r.Combines != 24 {
 			t.Errorf("heatmap row %+v", r)
 		}
+	}
+}
+
+// TestNewAllocBudget: New makes the same objects for 64 PEs as for the
+// paper's 4 096. Every map is profiler-wide with the PE in its key and
+// every PE's root call node is cut from one array, so no PE costs an
+// object before it runs — and no map is left to be made on a cycle's
+// path.
+func TestNewAllocBudget(t *testing.T) {
+	count := func(pes int) float64 {
+		return testing.AllocsPerRun(5, func() { New(Config{PEs: pes}) })
+	}
+	small, paper := count(64), count(4096)
+	t.Logf("New: %.0f objects at 64 PEs, %.0f at 4096", small, paper)
+	if small != paper {
+		t.Errorf("New makes %.0f objects at 64 PEs and %.0f at 4096, want the same", small, paper)
+	}
+}
+
+// TestHeatmapDropsUnkeyableWords: a word the heatmap's mm<<32 | word key
+// cannot hold — negative, or past 32 bits, as MultHash can make of a
+// guest address — is dropped, as an unsized module is; a word at the
+// edge of the key keeps its place behind its module's smaller words.
+func TestHeatmapDropsUnkeyableWords(t *testing.T) {
+	p := New(Config{PEs: 1})
+	p.SetMMs(2)
+	for _, w := range []int{-1, 1 << 32, 1<<32 - 1, 7} {
+		p.ProfServe(1, w, msg.Load)
+	}
+	p.ProfServe(0, 1<<32-1, msg.Load)
+	var got []msg.Addr
+	for _, r := range p.Merged().Addrs {
+		got = append(got, msg.Addr{MM: r.MM, Word: r.Word})
+	}
+	want := []msg.Addr{{MM: 0, Word: 1<<32 - 1}, {MM: 1, Word: 7}, {MM: 1, Word: 1<<32 - 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("heatmap rows at %v, want %v", got, want)
 	}
 }
 

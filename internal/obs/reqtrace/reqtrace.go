@@ -81,11 +81,14 @@ func (c Config) withDefaults() Config {
 // by the slow reservoir. When its last hold goes it is put on the free
 // list, and the next span to open reuses it: struct, Hops and Children
 // backing arrays. Nothing handed to a caller aliases that storage (see
-// copySpans). A span made fresh gets room for the longest trip completed
-// so far: the hop count is a property of the machine being traced, so it
-// is learned, not configured.
+// copySpans). Spans, and their hop room, are made spanChunk spans at a
+// time (see fresh). A span made fresh gets
+// room for the longest trip completed so far, and before the first
+// completion for the uncombined trip its driver announces (ExpectTrip):
+// the hop count is a property of the machine being traced, so it is
+// learned, not configured.
 //
-//lockcheck:guards mu: ring, head, n, slow, slowSeen, rng, free, hopCap, made, opened, completed, combineLinks, dropped, latN, latMean
+//lockcheck:guards mu: ring, head, n, slow, slowSeen, rng, free, spanPool, hopPool, hopCap, made, opened, completed, combineLinks, dropped, latN, latMean
 type Tracer struct {
 	cfg  Config
 	all  bool   // Rate >= 1: trace everything
@@ -105,7 +108,9 @@ type Tracer struct {
 	slowSeen int64
 	rng      *sim.Rand
 	free     []*Span // released spans awaiting reuse
-	hopCap   int     // most hops any completed span recorded
+	spanPool []Span  // the newest chunk's spans not yet handed out
+	hopPool  []Hop   // the newest hop chunk's room not yet handed out
+	hopCap   int     // most hops any completed span recorded, or ExpectTrip's room
 	made     int     // spans allocated, in the free list or not
 
 	opened       int64
@@ -275,15 +280,45 @@ func (t *Tracer) open(id uint64, pe int, op string, addr msg.Addr, cycle int64) 
 	return s
 }
 
-// fresh makes a span with room for the longest trip completed so far,
-// and reserves room in the active table for twice the spans made. Spans
-// under assembly never outnumber spans made, so the table is never more
-// than half full, and it grows here, with the spans, and nowhere on the
-// steady state's path. Callers hold mu.
+// spanChunk is how many spans one allocation makes, and how many spans'
+// hop room one hop allocation makes.
+const spanChunk = 64
+
+// fresh makes a span with room for hopCap hops, and reserves room in the
+// active table for twice the spans made. Spans under assembly never
+// outnumber spans made, so the table is never more than half full, and
+// it grows here, with the spans, and nowhere on the steady state's path.
+// The span is carved from a chunk of spanChunk spans, its Hops from a
+// chunk of spanChunk·hopCap hops. Hops is a full slice expression: an
+// append past its room reallocates instead of reaching the next span's
+// window. Callers hold mu.
 func (t *Tracer) fresh() *Span {
 	t.made++
 	t.active.Reserve(2 * t.made)
-	return &Span{Hops: make([]Hop, 0, t.hopCap)}
+	if len(t.spanPool) == 0 {
+		t.spanPool = make([]Span, spanChunk)
+	}
+	if len(t.hopPool) < t.hopCap {
+		t.hopPool = make([]Hop, spanChunk*t.hopCap)
+	}
+	s := &t.spanPool[0]
+	t.spanPool = t.spanPool[1:]
+	s.Hops = t.hopPool[:0:t.hopCap]
+	t.hopPool = t.hopPool[t.hopCap:]
+	return s
+}
+
+// ExpectTrip gives every span made from now on room for at least an
+// uncombined trip through a network of the given number of stages:
+// inject, PNI departure, an arrival and a departure at each stage, the
+// module's arrival, service begin and end, its reply out and departure,
+// a reply hop and departure at each stage, and delivery — 4·stages + 8
+// hops. The driver that knows the network calls it before the run;
+// learning from completions still raises the room past it.
+func (t *Tracer) ExpectTrip(stages int) {
+	t.mu.Lock()
+	t.hopCap = max(t.hopCap, 4*stages+8)
+	t.mu.Unlock()
 }
 
 // spanOrAdopt returns the active span for id, opening an adopted span if

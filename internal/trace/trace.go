@@ -120,6 +120,9 @@ func Run(cfg network.Config, w Workload, warmup, measure int64) Result {
 	if w.Profiler != nil {
 		w.Profiler.SetMMs(len(bank.Modules))
 	}
+	if w.Tracer != nil {
+		w.Tracer.ExpectTrip(cfg.Stages)
+	}
 	net.SetProbe(rec)
 	net.SetTracer(tr)
 	net.SetProfiler(pr)
