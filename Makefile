@@ -75,9 +75,9 @@ lint-mutants:
 # Exhaustive guest verification (internal/lint/guest/mc): model-check
 # every shipped assembly program — the examples and the coord guest
 # twins — at 3 PEs, proving the `;mc:` properties plus deadlock and
-# lost-update freedom over every interleaving. Wall-clock budget: ~25s
-# single-threaded (queue.s at N=3 explores ~980k states in ~13s, rw.s
-# ~690k in ~8s; everything else is milliseconds — dotproduct.s caps
+# lost-update freedom over every interleaving. Wall-clock budget: ~10s
+# single-threaded (queue.s at N=3 explores ~980k states in ~5s, rw.s
+# ~690k in ~3.5s; everything else is milliseconds — dotproduct.s caps
 # itself at N=2 via `;mc: bound`). `make lint` already runs the same
 # checker at the cheap N=2 bound as part of the default analyzer set.
 verify:

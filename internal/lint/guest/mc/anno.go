@@ -147,6 +147,9 @@ func ParseAnnotations(src string, prog *isa.Program) (*Annotations, error) {
 			if _, dup := a.Regions[f[0]]; dup {
 				return nil, fmt.Errorf("line %d: duplicate region %q", line, f[0])
 			}
+			if len(a.Regions) == 64 { // the checker gives each region one bit of a uint64
+				return nil, fmt.Errorf("line %d: region %s: more than 64 regions", line, f[0])
+			}
 			a.Regions[f[0]] = Region{Name: f[0], Lo: lo, Hi: hi, Line: line}
 		case "bound":
 			n, err := strconv.Atoi(rest)

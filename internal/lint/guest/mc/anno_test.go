@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -136,5 +137,66 @@ func TestReadmeAnnotations(t *testing.T) {
 	got := []int{len(a.Invariants), len(a.Finals), len(a.Regions), len(a.NoConcur), a.Bound, asserts}
 	if want := []int{1, 1, 2, 1, 2, 1}; !slices.Equal(got, want) {
 		t.Fatalf("invariants, finals, regions, noconcur, bound, asserts = %v, want %v", got, want)
+	}
+}
+
+// regionsSrc declares n regions: n-1 dummies, then zz over the two li
+// instructions, which no two PEs may occupy at once. Region names sort
+// in bit order, so zz takes the last bit.
+func regionsSrc(n int) string {
+	var b strings.Builder
+	for i := range n - 1 {
+		fmt.Fprintf(&b, ";mc: region d%02d s e\n", i)
+	}
+	b.WriteString(";mc: region zz s e\n;mc: noconcur zz zz\n        nop\ns:      li r1, 1\n        li r2, 2\ne:      halt\n")
+	return b.String()
+}
+
+// lastPEStores is the program in which only the highest-numbered PE
+// moves shared memory, so the counterexample's schedule ends on it.
+const lastPEStores = `;mc: invariant M[7] == 0
+        rdpe r1
+        rdnp r2
+        addi r2, r2, -1
+        bne  r1, r2, done
+        li   r3, 1
+        sts  r3, 7(r0)
+done:   halt
+`
+
+// TestCheckLimits pins the checker's input limits: the PE count a
+// schedule step can name and the region count a pc's mask can hold. At
+// each boundary the check still runs and finds its violation.
+func TestCheckLimits(t *testing.T) {
+	tests := []struct {
+		name     string
+		src      string
+		pes      int
+		wantErr  bool
+		errMsg   string
+		wantKind Kind
+	}{
+		{name: "0 PEs", src: lastPEStores, pes: 0, wantErr: true, errMsg: "PEs must be >= 1"},
+		{name: "127 PEs", src: lastPEStores, pes: 127, wantKind: KindInvariant},
+		{name: "128 PEs", src: lastPEStores, pes: 128, wantErr: true, errMsg: "PEs must be <= 127, got 128"},
+		{name: "64 regions", src: regionsSrc(64), pes: 2, wantKind: KindNoConcur},
+		{name: "65 regions", src: regionsSrc(65), pes: 2, wantErr: true, errMsg: "line 65: region zz: more than 64 regions"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			res, err := CheckSource(tt.src, Options{PEs: tt.pes})
+			if tt.wantErr {
+				if err == nil || !strings.Contains(err.Error(), tt.errMsg) {
+					t.Fatalf("err = %v, want one containing %q", err, tt.errMsg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := res.Violation; v == nil || v.Kind != tt.wantKind {
+				t.Fatalf("violation %+v, want kind %s", v, tt.wantKind)
+			}
+		})
 	}
 }

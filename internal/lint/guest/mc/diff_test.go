@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -65,7 +66,9 @@ func FuzzDifferentialAgainstCore(f *testing.F) {
 }
 
 // diffCore runs prog to its halt on the model and on the core, and
-// reports the first difference, or "".
+// reports the first difference, or "". After every model step the state
+// must also be canonical: each word set strictly ascending by address,
+// and encoding it, decoding that and encoding again gives the same bytes.
 func diffCore(prog *isa.Program, spec isagen.Spec) string {
 	// The model: step until the final halt is next (halting wipes the
 	// registers; dirty cached words are dropped on both sides).
@@ -76,6 +79,13 @@ func diffCore(prog *isa.Program, spec isagen.Spec) string {
 			return fmt.Sprintf("the model has not reached the halt after %d steps (pc %d)", steps, pe.pc)
 		}
 		c.step(s, 0)
+		if !ascending(s.mem) || !ascending(pe.cache) || !ascending(pe.local) {
+			return fmt.Sprintf("a word set is out of address order after step %d (pc %d)", steps, pe.pc)
+		}
+		enc, d := bytes.Clone(c.encode(s)), &state{}
+		if c.decode(enc, d); !bytes.Equal(c.encode(d), enc) {
+			return fmt.Sprintf("encode(decode(encode(s))) != encode(s) after step %d (pc %d)", steps, pe.pc)
+		}
 	}
 
 	// The machine: the replay harness's configuration, ideal memory.
@@ -98,14 +108,24 @@ func diffCore(prog *isa.Program, spec isagen.Spec) string {
 		}
 	}
 	for a := range spec.Private {
-		if got, want := core.Local(a), pe.local[int64(a)]; got != want {
+		if got, want := core.Local(a), pe.local.value(int64(a)); got != want {
 			return fmt.Sprintf("private word %d = %d on the core, %d in the model", a, got, want)
 		}
 	}
 	for a := spec.Shared[0]; a < spec.Shared[1]; a++ {
-		if got, want := m.ReadShared(a), s.mem[a]; got != want {
+		if got, want := m.ReadShared(a), s.mem.value(a); got != want {
 			return fmt.Sprintf("M[%d] = %d on the machine, %d in the model", a, got, want)
 		}
 	}
 	return ""
+}
+
+// ascending reports whether ws's addresses strictly ascend.
+func ascending[V any](ws words[V]) bool {
+	for i := 1; i < len(ws); i++ {
+		if ws[i-1].addr >= ws[i].addr {
+			return false
+		}
+	}
+	return true
 }

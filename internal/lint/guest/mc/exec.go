@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/msg"
@@ -34,12 +35,12 @@ type stepEffect struct {
 	// unchanged, so write-churn spins are conservatively "progress")
 }
 
-func (c *checker) readMem(s *state, addr int64) int64 { return s.mem[addr] }
+func (c *checker) readMem(s *state, addr int64) int64 { return s.mem.value(addr) }
 
 // writeMem stores to shared memory and invalidates other PEs'
 // read-tracking of the cell.
 func (c *checker) writeMem(s *state, p int, addr, v int64) {
-	s.mem[addr] = v
+	s.mem.put(addr, v)
 	for q := range s.pes {
 		if q != p && s.pes[q].lastRead == addr {
 			s.pes[q].lastDirty = true
@@ -89,9 +90,9 @@ func (c *checker) step(s *state, p int) stepEffect {
 		pe.set(in.Rd, int64(len(s.pes)))
 
 	case isa.LW:
-		pe.set(in.Rd, pe.local[pe.reg(in.Rs)+in.Imm])
+		pe.set(in.Rd, pe.local.value(pe.reg(in.Rs)+in.Imm))
 	case isa.SW:
-		pe.local[pe.reg(in.Rs)+in.Imm] = pe.reg(in.Rt)
+		pe.local.put(pe.reg(in.Rs)+in.Imm, pe.reg(in.Rt))
 
 	case isa.LDS:
 		addr := pe.reg(in.Rs) + in.Imm
@@ -125,29 +126,28 @@ func (c *checker) step(s *state, p int) stepEffect {
 
 	case isa.CLDS:
 		addr := pe.reg(in.Rs) + in.Imm
-		l, hit := pe.cache[addr]
+		i, hit := pe.cache.find(addr)
 		if !hit {
-			l = cline{val: c.readMem(s, addr)}
-			pe.cache[addr] = l
+			pe.cache.put(addr, cline{val: c.readMem(s, addr)}) // at index i
 		}
+		l := pe.cache[i].val
 		pe.set(in.Rd, l.val)
 		// A clean cached copy that no longer matches memory is an
 		// observably stale read.
-		noteRead(pe, addr, !l.dirty && l.val != s.mem[addr])
+		noteRead(pe, addr, !l.dirty && l.val != c.readMem(s, addr))
 	case isa.CSTS:
 		addr := pe.reg(in.Rs) + in.Imm
 		lost := checkPlainStore(pe, addr)
-		pe.cache[addr] = cline{val: pe.reg(in.Rt), dirty: true}
+		pe.cache.put(addr, cline{val: pe.reg(in.Rt), dirty: true})
 		pe.pc++
 		return stepEffect{lostUpdate: lost, addr: addr}
 	case isa.CFLU:
 		lo, hi := pe.reg(in.Rs), pe.reg(in.Rt)
 		flushed := false
-		c.keyBuf = sortedKeysC(pe.cache, c.keyBuf)
-		for _, a := range c.keyBuf {
-			if l := pe.cache[a]; a >= lo && a < hi && l.dirty {
-				c.writeMem(s, p, a, l.val)
-				pe.cache[a] = cline{val: l.val}
+		for i := range pe.cache {
+			if w := &pe.cache[i]; w.addr >= lo && w.addr < hi && w.val.dirty {
+				c.writeMem(s, p, w.addr, w.val.val)
+				w.val.dirty = false
 				flushed = true
 			}
 		}
@@ -155,12 +155,9 @@ func (c *checker) step(s *state, p int) stepEffect {
 		return stepEffect{wroteMem: flushed}
 	case isa.CREL:
 		lo, hi := pe.reg(in.Rs), pe.reg(in.Rt)
-		c.keyBuf = sortedKeysC(pe.cache, c.keyBuf)
-		for _, a := range c.keyBuf {
-			if a >= lo && a < hi {
-				delete(pe.cache, a)
-			}
-		}
+		i, _ := pe.cache.find(lo)
+		j, _ := pe.cache.find(hi)
+		pe.cache = slices.Delete(pe.cache, i, max(i, j)) // the words in [lo, hi)
 
 	default:
 		panic(fmt.Sprintf("mc: unhandled opcode %v at pc %d", in.Op, pe.pc))

@@ -25,6 +25,7 @@ package mc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -130,7 +131,6 @@ type checker struct {
 	regNames []string // bit index -> region name
 	parents  map[key]parentEdge
 	encBuf   []byte
-	keyBuf   []int64 // scratch for deterministic cache-map iteration
 	sawFinal bool
 }
 
@@ -150,6 +150,9 @@ func Check(prog *isa.Program, anno *Annotations, src string, opts Options) (*Res
 	}
 	if anno.Bound > 0 && opts.PEs > anno.Bound {
 		opts.PEs = anno.Bound
+	}
+	if opts.PEs > math.MaxInt8 { // parentEdge.pe holds the PE that moved
+		return nil, fmt.Errorf("mc: Options.PEs must be <= %d, got %d", math.MaxInt8, opts.PEs)
 	}
 	c := newChecker(prog, anno, src, opts)
 	start := time.Now()
@@ -254,12 +257,13 @@ func (c *checker) run() *Result {
 		return res
 	}
 	frontier := [][]byte{enc0}
+	s, succ := &state{}, &state{} // nothing keeps either past its expansion
 	var firstClosing *key
 
 	for len(frontier) > 0 {
 		var next [][]byte
 		for _, enc := range frontier {
-			s := c.decode(enc)
+			c.decode(enc, s)
 			kParent := hashKey(enc)
 
 			// Ample-set attempt: one invisible transition stands in for
@@ -272,7 +276,7 @@ func (c *checker) run() *Result {
 				}
 			}
 			if ample >= 0 {
-				succ := s.clone()
+				s.copyTo(succ)
 				c.step(succ, ample)
 				encS := append([]byte(nil), c.encode(succ)...)
 				kS := hashKey(encS)
@@ -300,7 +304,7 @@ func (c *checker) run() *Result {
 					continue
 				}
 				runnable++
-				succ := s.clone()
+				s.copyTo(succ)
 				eff := c.step(succ, p)
 				encS := append([]byte(nil), c.encode(succ)...)
 				kS := hashKey(encS)
@@ -368,7 +372,7 @@ func (c *checker) run() *Result {
 
 // checkState evaluates every property on a freshly generated state.
 func (c *checker) checkState(s *state, k key) *Violation {
-	mem := func(a int64) int64 { return s.mem[a] }
+	mem := s.mem.value
 	ctx := &EvalCtx{NPEs: len(s.pes), Mem: mem}
 	for _, p := range c.anno.Invariants {
 		if !p.Holds(ctx) {
@@ -453,13 +457,16 @@ func (c *checker) allDivergent(s *state) bool {
 }
 
 func (c *checker) divergent(s *state, p int) bool {
-	solo := s.clone()
+	solo := &state{}
+	s.copyTo(solo)
 	seen := map[string]bool{}
 	for i := 0; i < c.opts.MaxSpinSteps; i++ {
 		if solo.pes[p].halted {
 			return false
 		}
-		cfg := string(c.encodePE(solo, p))
+		// Memory is frozen during solo runs, so the global encoding
+		// differs between iterations only in p's part.
+		cfg := string(c.encode(solo))
 		if seen[cfg] {
 			return true // exact repeat with untouched memory: spins forever
 		}
@@ -471,26 +478,13 @@ func (c *checker) divergent(s *state, p int) bool {
 	return false // bound hit: assume progress rather than cry deadlock
 }
 
-// encodePE canonically encodes one PE's local configuration (for the
-// divergence detector's repeat check).
-func (c *checker) encodePE(s *state, p int) []byte {
-	full := c.encode(s) // memory is frozen during solo runs, so the
-	// global encoding works; only p's slice differs between iterations.
-	return append([]byte(nil), full...)
-}
-
 // newViolation builds the common part: kind, schedule, memory footprint.
 func (c *checker) newViolation(kind Kind, s *state, k key) *Violation {
 	v := &Violation{PEs: c.opts.PEs, Kind: kind}
 	v.Steps = c.schedule(k)
 	c.fillStepInfo(v.Steps)
-	addrs := make([]int64, 0, len(s.mem))
-	for a := range s.mem {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		v.Memory = append(v.Memory, MemCell{Addr: a, Val: s.mem[a]})
+	for _, w := range s.mem {
+		v.Memory = append(v.Memory, MemCell{Addr: w.addr, Val: w.val})
 	}
 	return v
 }

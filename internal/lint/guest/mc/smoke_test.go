@@ -30,15 +30,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// heavyAtThree names the programs whose N=3 state space runs to seconds
-// (hundreds of thousands of states); under the race detector those
-// explorations would dominate the whole suite, so they drop to N=2 there.
-// The full N=3 proofs still run on every plain `go test` and `make verify`.
-var heavyAtThree = map[string]bool{
-	"queue.s": true,
-	"rw.s":    true,
-}
-
 // Exploration smoke: every shipped example and every coord guest program
 // must check out clean at the bounds the issue names, within the state
 // budget — and explore exactly the state count testdata/states.golden
@@ -72,9 +63,6 @@ func TestExamplesClean(t *testing.T) {
 			name := filepath.Base(f)
 			run := fmt.Sprintf("%s-n%d", name, n)
 			t.Run(run, func(t *testing.T) {
-				if raceEnabled && n == 3 && heavyAtThree[name] {
-					t.Skipf("%s at N=3 explores >500k states; skipped under -race", name)
-				}
 				src, err := os.ReadFile(f)
 				if err != nil {
 					t.Fatal(err)
@@ -98,9 +86,6 @@ func TestExamplesClean(t *testing.T) {
 		}
 	}
 	if *update && !t.Failed() {
-		if raceEnabled {
-			t.Fatal("-update under -race would drop the skipped N=3 runs")
-		}
 		checkGolden(t, "states.golden", got.Bytes())
 	}
 }
