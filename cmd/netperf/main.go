@@ -40,7 +40,7 @@ func main() {
 	csvOut := flag.String("csv", "", "write the curves as CSV to this file (- for stdout)")
 	var obsFlags live.Flags
 	obsFlags.Register(flag.CommandLine)
-	sampleEvery := flag.Int64("sample-every", 64, "network cycles between metrics samples")
+	sampleEvery := flag.Int64("sample-every", obs.DefaultSampleEvery, "network cycles between metrics samples")
 	hot := flag.Float64("hot", 0, "fraction of the instrumented run's traffic aimed at a single hot word (§3.1.2 hot spot)")
 	rate := flag.Float64("rate", 0.25, "traffic intensity of the instrumented run (requests per PE per cycle)")
 	combining := flag.Bool("combining", true, "combine requests in the instrumented run (disable to expose raw tree saturation)")
@@ -48,7 +48,7 @@ func main() {
 	flag.Parse()
 
 	if obsFlags.Any() {
-		kit := obsFlags.New(obs.DefaultRecorderCapacity, *sampleEvery, nil, nil)
+		kit := obsFlags.New(*sampleEvery, nil, nil)
 		w := trace.Workload{Rate: *rate, Hash: true, HotFraction: *hot, HotWord: 0, Seed: 17}
 		if err := observe(kit, w, *simPorts, *combining, *measure); err != nil {
 			fmt.Fprintln(os.Stderr, "netperf:", err)

@@ -61,6 +61,9 @@ func main() {
 	}
 
 	if *topo {
+		if err := cfg.MachineConfig().Net.Validate(); err != nil {
+			fatal(err)
+		}
 		fmt.Print(network.DescribeTopology(cfg.K, cfg.Stages))
 		return
 	}
@@ -139,7 +142,7 @@ func main() {
 			Source:   cfg.Program,
 		})
 	}
-	kit := obsFlags.New(obs.DefaultRecorderCapacity, cfg.SampleEvery, nil, profiler)
+	kit := obsFlags.New(cfg.SampleEvery, nil, profiler)
 	m.Observe(kit.Observers)
 	if err := kit.Start(os.Stdout, mcfg.Net, mcfg.MMLatency, live.Windowed(m.Report)); err != nil {
 		fatal(err)

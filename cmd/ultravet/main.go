@@ -295,7 +295,7 @@ func guestLint(path string, pes, copies int) []findings.Finding {
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}
-	fs := lint.ProgramOpts(prog, lint.Options{PEs: pes, Copies: copies})
+	fs := lint.Program(prog, lint.Options{PEs: pes, Copies: copies})
 	out := make([]findings.Finding, 0, len(fs))
 	for _, f := range fs {
 		out = append(out, findings.Finding{

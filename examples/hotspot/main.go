@@ -25,7 +25,6 @@ import (
 
 	"ultracomputer/internal/machine"
 	"ultracomputer/internal/network"
-	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
 	"ultracomputer/internal/pe"
 )
@@ -40,14 +39,14 @@ func main() {
 	fmt.Println("64 PEs performing fetch-and-adds on ONE shared cell")
 	fmt.Printf("%-14s %12s %14s %12s %12s\n",
 		"switches", "PE cycles", "CM access", "combines", "MM ops")
-	served := obsFlags.New(obs.DefaultRecorderCapacity, *sampleEvery, nil, nil)
+	served := obsFlags.New(*sampleEvery, nil, nil)
 	run(true, rounds, served)
 	// The uncombined control keeps only the request tracing.
 	plain := live.Flags{ReqRate: obsFlags.ReqRate}
 	if obsFlags.Spans != "" {
 		plain.Spans = obsFlags.Spans + ".plain"
 	}
-	run(false, rounds, plain.New(obs.DefaultRecorderCapacity, *sampleEvery, nil, nil))
+	run(false, rounds, plain.New(*sampleEvery, nil, nil))
 	fmt.Println("\ncombining turns a serial hot spot into logarithmic fan-in:")
 	fmt.Println("memory serves far fewer operations and latency stays flat.")
 	if served.Tracer != nil {

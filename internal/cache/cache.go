@@ -360,9 +360,6 @@ func (c *Cache) Flush(lo, hi int64) []WriteBack {
 	return wbs
 }
 
-// ReleaseAll releases the entire cache.
-func (c *Cache) ReleaseAll() { c.Release(0, 1<<62) }
-
 // FlushAll flushes the entire cache.
 func (c *Cache) FlushAll() []WriteBack { return c.Flush(0, 1<<62) }
 

@@ -253,8 +253,8 @@ func TestUltrasimFlightDirAlone(t *testing.T) {
 	}
 }
 
-// Machine flags are validated by the config's rule table, like the
-// fields of a -config file: a field error and exit 1, not a panic.
+// Machine flags are validated like the fields of a -config file: a field
+// error and exit 1, not a panic.
 func TestUltrasimBadFlagIsFieldError(t *testing.T) {
 	for _, tc := range []struct {
 		flag, value, want string

@@ -166,7 +166,7 @@ func TestChangesLineBudget(t *testing.T) {
 // cap; a change that adds lines pays for them elsewhere in the same
 // document. A cap may be lowered and never raised.
 func TestDocLineBudget(t *testing.T) {
-	for name, limit := range map[string]int{"README.md": 781, "DESIGN.md": 980, "EXPERIMENTS.md": 545} {
+	for name, limit := range map[string]int{"README.md": 781, "DESIGN.md": 979, "EXPERIMENTS.md": 545} {
 		data, err := os.ReadFile(filepath.Join("..", "..", name))
 		if err != nil {
 			t.Fatal(err)

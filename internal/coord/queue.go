@@ -111,6 +111,3 @@ func (q *Queue) Delete() int64 {
 
 // Len reports a lower bound on the current occupancy (#Qi).
 func (q *Queue) Len() int64 { return q.mem.Load(q.base + qLower) }
-
-// Cap reports the queue capacity.
-func (q *Queue) Cap() int64 { return q.size }

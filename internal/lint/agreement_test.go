@@ -63,7 +63,7 @@ func TestLintAndModelCheckerAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lintHit := len(lint.ProgramOpts(prog, lint.Options{PEs: 2, Copies: 2})) > 0
+			lintHit := len(lint.Program(prog, lint.Options{PEs: 2, Copies: 2})) > 0
 			if lintHit != tc.lint {
 				t.Errorf("guest lint findings = %v, table says %v", lintHit, tc.lint)
 			}

@@ -112,10 +112,10 @@ type Options struct {
 	Copies int
 }
 
-// ProgramsOpts lints one assembled program per PE (SPMD callers pass the
-// same *isa.Program for every PE) under opts and returns the findings,
-// sorted.
-func ProgramsOpts(progs []*isa.Program, opts Options) []Finding {
+// Programs lints one assembled program per PE (SPMD callers pass the
+// same *isa.Program for every PE) on a network of the given number of
+// copies and returns the findings, sorted.
+func Programs(progs []*isa.Program, copies int) []Finding {
 	npes := len(progs)
 	sums := make([]*peSummary, npes)
 	for pe, prog := range progs {
@@ -126,8 +126,8 @@ func ProgramsOpts(progs []*isa.Program, opts Options) []Finding {
 	findings = append(findings, checkRaces(sums)...)
 	findings = append(findings, checkStaleReads(sums)...)
 	findings = append(findings, checkUnflushedWrites(sums)...)
-	if opts.Copies > 1 {
-		findings = append(findings, checkLateFlush(sums, opts.Copies)...)
+	if copies > 1 {
+		findings = append(findings, checkLateFlush(sums, copies)...)
 	}
 
 	sort.Slice(findings, func(i, j int) bool {
@@ -146,13 +146,8 @@ func ProgramsOpts(progs []*isa.Program, opts Options) []Finding {
 	return findings
 }
 
-// Programs lints progs on a single-copy network.
-func Programs(progs []*isa.Program) []Finding {
-	return ProgramsOpts(progs, Options{PEs: len(progs), Copies: 1})
-}
-
-// ProgramOpts lints a single program run SPMD under opts.
-func ProgramOpts(prog *isa.Program, opts Options) []Finding {
+// Program lints a single program run SPMD under opts.
+func Program(prog *isa.Program, opts Options) []Finding {
 	if opts.PEs <= 0 {
 		opts.PEs = 1
 	}
@@ -160,13 +155,7 @@ func ProgramOpts(prog *isa.Program, opts Options) []Finding {
 	for i := range progs {
 		progs[i] = prog
 	}
-	return ProgramsOpts(progs, opts)
-}
-
-// Program lints a single program run SPMD on npes PEs (single-copy
-// network).
-func Program(prog *isa.Program, npes int) []Finding {
-	return ProgramOpts(prog, Options{PEs: npes, Copies: 1})
+	return Programs(progs, opts.Copies)
 }
 
 // summarize runs the abstract interpreter for one PE and classifies its

@@ -29,7 +29,7 @@ func TestExamplesLintClean(t *testing.T) {
 	for _, name := range []string{"queue.s", "barrier.s", "rw.s", "dotproduct.s", "tickets.s"} {
 		prog := assemble(t, filepath.Join("..", "..", "examples", "asm", name))
 		for _, pes := range []int{2, 4, 8} {
-			if fs := lint.Program(prog, pes); len(fs) != 0 {
+			if fs := lint.Program(prog, lint.Options{PEs: pes}); len(fs) != 0 {
 				for _, f := range fs {
 					t.Errorf("%s pes=%d: unexpected finding: %s", name, pes, f)
 				}
@@ -46,7 +46,7 @@ func TestExamplesLintCleanMultiCopy(t *testing.T) {
 		prog := assemble(t, filepath.Join("..", "..", "examples", "asm", name))
 		for _, copies := range []int{2, 3} {
 			opts := lint.Options{PEs: 4, Copies: copies}
-			if fs := lint.ProgramOpts(prog, opts); len(fs) != 0 {
+			if fs := lint.Program(prog, opts); len(fs) != 0 {
 				for _, f := range fs {
 					t.Errorf("%s copies=%d: unexpected finding: %s", name, copies, f)
 				}
@@ -63,7 +63,7 @@ func TestExamplesLintCleanMultiCopy(t *testing.T) {
 func TestLateFlushFixture(t *testing.T) {
 	prog := assemble(t, filepath.Join("testdata", "lateflush.s"))
 
-	fs := lint.ProgramOpts(prog, lint.Options{PEs: 4, Copies: 2})
+	fs := lint.Program(prog, lint.Options{PEs: 4, Copies: 2})
 	var late bool
 	for _, f := range fs {
 		if f.Rule != "late-flush" {
@@ -79,7 +79,7 @@ func TestLateFlushFixture(t *testing.T) {
 		t.Errorf("lateflush.s copies=2: expected a late-flush finding, got %v", fs)
 	}
 
-	if fs := lint.ProgramOpts(prog, lint.Options{PEs: 4, Copies: 1}); len(fs) != 0 {
+	if fs := lint.Program(prog, lint.Options{PEs: 4, Copies: 1}); len(fs) != 0 {
 		t.Errorf("lateflush.s copies=1: want clean (FIFO network), got %v", fs)
 	}
 }
@@ -89,7 +89,7 @@ func TestLateFlushFixture(t *testing.T) {
 // competing stores, and the cache rules must stay quiet (no cached ops).
 func TestRacyFixtureFlagged(t *testing.T) {
 	prog := assemble(t, filepath.Join("testdata", "racy.s"))
-	fs := lint.Program(prog, 4)
+	fs := lint.Program(prog, lint.Options{PEs: 4})
 	if len(fs) == 0 {
 		t.Fatal("racy.s: expected shared-race findings, got none")
 	}
@@ -118,7 +118,7 @@ func TestRacyFixtureFlagged(t *testing.T) {
 // fire, and a single PE (nobody to race with) must lint clean.
 func TestStaleFixtureFlagged(t *testing.T) {
 	prog := assemble(t, filepath.Join("testdata", "stale.s"))
-	fs := lint.Program(prog, 4)
+	fs := lint.Program(prog, lint.Options{PEs: 4})
 	rules := map[string]int{}
 	for _, f := range fs {
 		rules[f.Rule]++
@@ -136,7 +136,7 @@ func TestStaleFixtureFlagged(t *testing.T) {
 		t.Errorf("stale.s: cached accesses must not trip the race rule: %v", fs)
 	}
 
-	if fs := lint.Program(prog, 1); len(fs) != 0 {
+	if fs := lint.Program(prog, lint.Options{PEs: 1}); len(fs) != 0 {
 		t.Errorf("stale.s pes=1: no foreign PEs, want clean, got %v", fs)
 	}
 }
@@ -163,7 +163,7 @@ rd:     lds  r6, 0(r3)      ; consumer: acquire the flag
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := lint.Program(prog, 2); len(fs) != 0 {
+	if fs := lint.Program(prog, lint.Options{PEs: 2}); len(fs) != 0 {
 		t.Errorf("handoff: want clean via release/acquire chain, got %v", fs)
 	}
 
@@ -181,7 +181,7 @@ rd:     lds  r7, 0(r2)      ; ...consumer reads with nothing in between
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := lint.Program(prog, 2)
+	fs := lint.Program(prog, lint.Options{PEs: 2})
 	if len(fs) == 0 {
 		t.Error("unordered handoff: want a shared-race finding, got none")
 	}
@@ -213,7 +213,7 @@ rd:     clds r4, 0(r2)      ; cached spin with an invalidate each trip
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := lint.Program(prog, 2); len(fs) != 0 {
+	if fs := lint.Program(prog, lint.Options{PEs: 2}); len(fs) != 0 {
 		t.Errorf("fenced cached spin: want clean, got %v", fs)
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // LoadOptions configures Load's core construction and preflight checks.
 type LoadOptions struct {
-	// LocalWords is the private address space per PE in words (defaults
-	// to 4096): the bound lw/sw are checked against. Its 512-word
+	// LocalWords is the private address space per PE in words (default
+	// DefaultLocalWords): the bound lw/sw are checked against. Its 512-word
 	// (4 KiB) pages are allocated at the first store into each, so a PE
 	// costs what its program stores, not this figure.
 	LocalWords int
@@ -23,6 +23,15 @@ type LoadOptions struct {
 	// Lint runs the guest lint (internal/lint) over the program before
 	// building the machine; findings abort the load with a *LintError.
 	Lint bool
+}
+
+// WithDefaults returns o with a zero LocalWords replaced by
+// DefaultLocalWords. A negative one is left for the core to clamp.
+func (o LoadOptions) WithDefaults() LoadOptions {
+	if o.LocalWords == 0 {
+		o.LocalWords = DefaultLocalWords
+	}
+	return o
 }
 
 // LintError reports guest-lint findings that aborted a Load. The program
@@ -44,9 +53,11 @@ func (e *LintError) Error() string {
 // Load assembles one core per PE running prog (SPMD) and builds the
 // machine around them, optionally running the guest lint first. The
 // returned cores alias the machine's and expose registers and cache
-// state for result checking.
+// state for result checking. An invalid cfg is an error (Validate's),
+// not New's panic.
 func Load(cfg Config, prog *isa.Program, opts LoadOptions) (*Machine, []*isa.Core, error) {
-	progs := make([]*isa.Program, cfg.PEs)
+	// A negative PE count gets no programs; LoadPrograms reports it.
+	progs := make([]*isa.Program, max(cfg.WithDefaults().PEs, 0))
 	for i := range progs {
 		progs[i] = prog
 	}
@@ -54,21 +65,23 @@ func Load(cfg Config, prog *isa.Program, opts LoadOptions) (*Machine, []*isa.Cor
 }
 
 // LoadPrograms is Load with a distinct program per PE (MIMD);
-// len(progs) must equal cfg.PEs.
+// len(progs) must equal the PE count, cfg.PEs or its default.
 func LoadPrograms(cfg Config, progs []*isa.Program, opts LoadOptions) (*Machine, []*isa.Core, error) {
-	if len(progs) != cfg.PEs {
-		return nil, nil, fmt.Errorf("machine.LoadPrograms: %d programs for %d PEs", len(progs), cfg.PEs)
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
-	if opts.LocalWords <= 0 {
-		opts.LocalWords = 4096
+	d := cfg.WithDefaults()
+	if len(progs) != d.PEs {
+		return nil, nil, fmt.Errorf("machine.LoadPrograms: %d programs for %d PEs", len(progs), d.PEs)
 	}
+	opts = opts.WithDefaults()
 	if opts.Lint {
-		if findings := lint.Programs(progs); len(findings) > 0 {
+		if findings := lint.Programs(progs, d.Net.Copies); len(findings) > 0 {
 			return nil, nil, &LintError{Findings: findings}
 		}
 	}
-	cores := make([]pe.Core, cfg.PEs)
-	isaCores := make([]*isa.Core, cfg.PEs)
+	cores := make([]pe.Core, len(progs))
+	isaCores := make([]*isa.Core, len(progs))
 	for i := range cores {
 		if opts.Cache != nil {
 			isaCores[i] = isa.NewCoreWithCache(progs[i], opts.LocalWords, *opts.Cache)

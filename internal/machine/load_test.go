@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ultracomputer/internal/isa"
@@ -82,6 +83,22 @@ func TestLoadRejectsRacyProgram(t *testing.T) {
 	// run; the lint is opt-in).
 	if _, _, err := machine.Load(loadCfg(4), prog, machine.LoadOptions{}); err != nil {
 		t.Fatalf("unlinted load failed: %v", err)
+	}
+}
+
+// TestLoadDefaultsAndRefuses: Load gives a config that leaves pes to
+// default one core per network port, and reports an invalid config as
+// Validate's error instead of panicking.
+func TestLoadDefaultsAndRefuses(t *testing.T) {
+	prog := isa.MustAssemble("halt")
+	cfg := loadCfg(0)
+	m, cores, err := machine.Load(cfg, prog, machine.LoadOptions{})
+	if err != nil || m.NumPE() != cfg.Net.Ports() || len(cores) != cfg.Net.Ports() {
+		t.Fatalf("default pes: err %v, %d PEs and %d cores, want %d", err, m.NumPE(), len(cores), cfg.Net.Ports())
+	}
+	cfg.PEs = -1
+	if _, _, err := machine.Load(cfg, prog, machine.LoadOptions{}); err == nil || !strings.Contains(err.Error(), "pes = -1") {
+		t.Fatalf("pes = -1: err %v, want Validate's pes error", err)
 	}
 }
 

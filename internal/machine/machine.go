@@ -28,16 +28,16 @@ type Config struct {
 	// Zero means one PE per port.
 	PEs int
 	// MMLatency is the memory module access time in network cycles
-	// (default 2, §4.2).
+	// (default memory.DefaultLatency, §4.2).
 	MMLatency int64
-	// PECycle is the PE instruction time in network cycles (default 2,
-	// §4.2).
+	// PECycle is the PE instruction time in network cycles (default
+	// DefaultPECycle, §4.2).
 	PECycle int64
 	// Hashing selects the address hasher: true applies the
 	// multiplicative hash of §3.1.4, false the unhashed interleave.
 	Hashing bool
 	// MaxOutstanding bounds each PE's in-flight shared requests
-	// (register locking depth; default 12).
+	// (register locking depth; default DefaultMaxOutstanding).
 	MaxOutstanding int
 	// IdealMemory bypasses the network entirely: every shared request
 	// completes on the next PE cycle, which is the paracomputer of
@@ -47,20 +47,66 @@ type Config struct {
 	IdealMemory bool
 }
 
-func (c Config) withDefaults() Config {
+// Defaults for the zero fields of Config and LoadOptions (§4.2; the MM
+// access time is memory.DefaultLatency).
+const (
+	DefaultPECycle        = 2
+	DefaultMaxOutstanding = 12
+	DefaultLocalWords     = 4096
+)
+
+// WithDefaults returns c with every zero field, the network's too,
+// replaced by its default. It is the one place the machine's fields are
+// defaulted; a run description (serve.Config) reads its values here.
+func (c Config) WithDefaults() Config {
+	c.Net = c.Net.WithDefaults()
 	if c.MMLatency == 0 {
-		c.MMLatency = 2
+		c.MMLatency = memory.DefaultLatency
 	}
 	if c.PECycle == 0 {
-		c.PECycle = 2
+		c.PECycle = DefaultPECycle
 	}
 	if c.MaxOutstanding == 0 {
-		c.MaxOutstanding = 12
+		c.MaxOutstanding = DefaultMaxOutstanding
 	}
 	if c.PEs == 0 {
 		c.PEs = c.Net.Ports()
 	}
 	return c
+}
+
+// Bounds holds the machine's own rows of Validate's table, checked after
+// the network's (network.Bounds). As there, a zero field selects its
+// default and passes.
+var Bounds = []network.Bound[Config]{
+	{Field: "pes", Check: func(c Config) string {
+		if c.PEs < 0 {
+			return fmt.Sprintf("pes = %d, need >= 1", c.PEs)
+		}
+		if ports := c.Net.Ports(); ports > 0 && c.PEs > ports {
+			return fmt.Sprintf("%d PEs but only %d network ports (k^stages)", c.PEs, ports)
+		}
+		return ""
+	}},
+	{Field: "mm_latency", Check: func(c Config) string { return atLeastOne("mm_latency = %d network cycles", c.MMLatency) }},
+	{Field: "pe_cycle", Check: func(c Config) string { return atLeastOne("pe_cycle = %d network cycles", c.PECycle) }},
+	{Field: "max_outstanding", Check: func(c Config) string { return atLeastOne("max_outstanding = %d", int64(c.MaxOutstanding)) }},
+}
+
+// atLeastOne checks a field that must be >= 1 and whose zero selects a
+// default: only a negative value fails.
+func atLeastOne(format string, v int64) string {
+	if v < 0 {
+		return fmt.Sprintf(format+", need >= 1", v)
+	}
+	return ""
+}
+
+// Validate reports every field, the network's and the machine's, that
+// makes the configuration unusable, as a *network.ValidateError, or nil.
+// New panics with it.
+func (c Config) Validate() error {
+	return network.Invalid(append(network.CheckBounds(c.Net, network.Bounds), network.CheckBounds(c, Bounds)...)...)
 }
 
 // Machine is one simulated Ultracomputer.
@@ -76,9 +122,7 @@ type Machine struct {
 	// observers is the run's set of consumers (Observe).
 	observers prof.Observers
 
-	// eng runs Step's phases (default Serial); the stepper materializes
-	// lazily on the first Step so consumers and engine can be attached in
-	// any order beforehand.
+	// eng runs Step's phases (default Serial); stepper drives the network.
 	eng     engine.Engine
 	stepper *network.Stepper
 
@@ -100,7 +144,7 @@ type Machine struct {
 	// so the serialization is PE order, then issue order.
 	idealPending []idealReply
 
-	// Phase bodies and MM ports are built once (ensureStepper) so Step
+	// Phase bodies and MM ports are built once (New) so Step
 	// allocates nothing in steady state: the closures read the cycle
 	// from the receiver, and the prebuilt memory.Port values avoid
 	// re-boxing an mmPort per module per cycle.
@@ -117,20 +161,18 @@ type idealReply struct {
 
 // New builds a machine; cores[i] drives PE i. Pass fewer cores than
 // Config.PEs and the rest idle as halted. It panics on invalid
-// configuration.
+// configuration (Validate).
 func New(cfg Config, cores []pe.Core) *Machine {
-	cfg = cfg.withDefaults()
-	if err := cfg.Net.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	ports := cfg.Net.Ports()
-	if cfg.PEs > ports {
-		panic(fmt.Sprintf("machine: %d PEs but only %d network ports", cfg.PEs, ports))
-	}
+	cfg = cfg.WithDefaults()
 	if len(cores) > cfg.PEs {
 		panic(fmt.Sprintf("machine: %d cores for %d PEs", len(cores), cfg.PEs))
 	}
-	m := &Machine{cfg: cfg, net: network.New(cfg.Net), solo: -1}
+	m := &Machine{cfg: cfg, net: network.New(cfg.Net), eng: engine.Serial{}, solo: -1}
+	m.stepper = network.NewStepper(m.net, nil)
+	ports := m.net.Ports()
 	var h memory.Hasher
 	if cfg.Hashing {
 		h = memory.MultHash{N: ports}
@@ -150,6 +192,34 @@ func New(cfg Config, cores []pe.Core) *Machine {
 			inject = func(r msg.Request) bool { return m.stepper.Inject(peID, r, m.cycle) }
 		}
 		m.pes = append(m.pes, pe.New(peID, cores[i], h, inject, cfg.MaxOutstanding))
+	}
+	m.wirePEs()
+	m.mmPorts = make([]memory.Port, ports)
+	for mm := range m.mmPorts {
+		m.mmPorts[mm] = mmPort{m, mm}
+	}
+	m.mmStepFn = func(lo, hi, _ int) {
+		for mm := lo; mm < hi; mm++ {
+			// An idle module with no arrival waiting has nothing to do.
+			if mod := m.bank.Modules[mm]; !mod.Idle() || m.net.MMWaiting(mm) {
+				mod.Step(m.cycle, m.mmPorts[mm])
+			}
+		}
+	}
+	m.collectFn = func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			for _, rep := range m.stepper.Collect(i, m.cycle) {
+				m.pes[i].Deliver(rep, m.peCycles)
+			}
+		}
+	}
+	m.tickFn = func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			if m.solo >= 0 && i != m.solo {
+				continue
+			}
+			m.pes[i].Tick(m.peCycles, len(m.pes), m.horizon)
+		}
 	}
 	return m
 }
@@ -215,9 +285,7 @@ func (m *Machine) Observe(o prof.Observers) {
 	m.bank.SetProbe(rec)
 	m.bank.SetTracer(tr)
 	m.bank.SetProfiler(pr)
-	if m.stepper != nil {
-		m.wirePEs()
-	}
+	m.wirePEs()
 }
 
 // wirePEs hands every PE its sink — the network's, so PE events
@@ -236,50 +304,13 @@ func (m *Machine) wirePEs() {
 // wrapping engine can name each phase by its ordinal (the benchmark's
 // phase timer does). Call before the first Step.
 func (m *Machine) SetEngine(e engine.Engine) {
-	if m.stepper != nil {
+	if m.cycle > 0 {
 		panic("machine: SetEngine after the first Step")
 	}
+	if e == nil {
+		e = engine.Serial{}
+	}
 	m.eng = e
-}
-
-// ensureStepper builds the phased network driver on first use and points
-// the PEs at its sink.
-func (m *Machine) ensureStepper() {
-	if m.stepper != nil {
-		return
-	}
-	if m.eng == nil {
-		m.eng = engine.Serial{}
-	}
-	m.stepper = network.NewStepper(m.net, m.eng)
-	m.wirePEs()
-	m.mmPorts = make([]memory.Port, len(m.bank.Modules))
-	for mm := range m.mmPorts {
-		m.mmPorts[mm] = mmPort{m, mm}
-	}
-	m.mmStepFn = func(lo, hi, _ int) {
-		for mm := lo; mm < hi; mm++ {
-			// An idle module with no arrival waiting has nothing to do.
-			if mod := m.bank.Modules[mm]; !mod.Idle() || m.net.MMWaiting(mm) {
-				mod.Step(m.cycle, m.mmPorts[mm])
-			}
-		}
-	}
-	m.collectFn = func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			for _, rep := range m.stepper.Collect(i, m.cycle) {
-				m.pes[i].Deliver(rep, m.peCycles)
-			}
-		}
-	}
-	m.tickFn = func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			if m.solo >= 0 && i != m.solo {
-				continue
-			}
-			m.pes[i].Tick(m.peCycles, len(m.pes), m.horizon)
-		}
-	}
 }
 
 // Sampler returns the attached sampler, or nil.
@@ -312,8 +343,6 @@ func (p mmPort) Reply(r msg.Reply) bool       { return p.m.net.MMReply(p.mm, r) 
 // Module service, reply delivery and the PE tick run through the
 // configured engine (SetEngine), each over its units in ascending order.
 func (m *Machine) Step() {
-	//ultravet:ok hotalloc one-time lazy construction of the stepper and phase bodies on the first Step
-	m.ensureStepper()
 	if m.cfg.IdealMemory {
 		m.stepIdealDeliver()
 	} else {

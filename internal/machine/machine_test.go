@@ -283,3 +283,46 @@ func TestGoGuestRunsOnlyInsideTick(t *testing.T) {
 		t.Fatalf("count = %d, want %d", count, n)
 	}
 }
+
+// TestConfigValidate has one row per bound of Bounds, plus one the
+// machine reads through from network.Bounds; New must panic on exactly
+// the rows Validate refuses.
+func TestConfigValidate(t *testing.T) {
+	net := cfg16().Net
+	tests := []struct {
+		name    string
+		config  Config
+		wantErr bool
+		errMsg  string
+	}{
+		{name: "valid, defaults", config: Config{Net: net}},
+		{name: "valid, every field set", config: Config{Net: net, PEs: 16, MMLatency: 1, PECycle: 1, MaxOutstanding: 1}},
+		{name: "network bound", config: Config{Net: network.Config{K: 1, Stages: 4}}, wantErr: true, errMsg: "k: switch radix k = 1, need >= 2"},
+		{name: "negative pes", config: Config{Net: net, PEs: -1}, wantErr: true, errMsg: "pes: pes = -1, need >= 1"},
+		{name: "pes beyond ports", config: Config{Net: net, PEs: 17}, wantErr: true, errMsg: "pes: 17 PEs but only 16 network ports (k^stages)"},
+		{name: "no ports, default pes", config: Config{Net: network.Config{K: 2, Stages: 63}}, wantErr: true,
+			errMsg: "stages: k^stages too large (k=2, stages=63, max 1048576 ports)"},
+		{name: "negative mm_latency", config: Config{Net: net, MMLatency: -1}, wantErr: true, errMsg: "mm_latency: mm_latency = -1 network cycles, need >= 1"},
+		{name: "negative pe_cycle", config: Config{Net: net, PECycle: -2}, wantErr: true, errMsg: "pe_cycle: pe_cycle = -2 network cycles, need >= 1"},
+		{name: "negative max_outstanding", config: Config{Net: net, MaxOutstanding: -1}, wantErr: true, errMsg: "max_outstanding: max_outstanding = -1, need >= 1"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := tt.config.Validate()
+			if (err != nil) != tt.wantErr {
+				t.Fatalf("Validate() = %v, wantErr %v", err, tt.wantErr)
+			}
+			if tt.wantErr && err.Error() != "config invalid: "+tt.errMsg {
+				t.Errorf("Validate() = %q, want %q", err, "config invalid: "+tt.errMsg)
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				New(tt.config, nil)
+				return false
+			}()
+			if panicked != tt.wantErr {
+				t.Errorf("New panicked = %v, want %v", panicked, tt.wantErr)
+			}
+		})
+	}
+}

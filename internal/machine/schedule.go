@@ -17,7 +17,6 @@ import "fmt"
 // unaffected. maxCycles bounds the network cycles spent; exceeding it
 // (a PE that cannot make progress) is an error.
 func (m *Machine) StepPE(p int, maxCycles int64) error {
-	m.ensureStepper()
 	if p < 0 || p >= len(m.pes) {
 		return fmt.Errorf("machine: StepPE(%d) with %d PEs", p, len(m.pes))
 	}

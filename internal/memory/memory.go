@@ -181,6 +181,10 @@ type Bank struct {
 	words wordTable
 }
 
+// DefaultLatency is the MM access time in network cycles where a
+// machine or workload leaves it zero: twice the network cycle (§4.2).
+const DefaultLatency = 2
+
 // NewBank creates n modules with the given access latency and hashing
 // scheme.
 func NewBank(n int, latency int64, h Hasher) *Bank {

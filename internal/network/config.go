@@ -16,6 +16,9 @@ package network
 import (
 	"fmt"
 	"math"
+	"strings"
+
+	"ultracomputer/internal/msg"
 )
 
 // Config describes one network configuration, in the paper's terms:
@@ -29,7 +32,8 @@ type Config struct {
 	Stages int
 	// Copies is d, the number of identical network copies sharing the
 	// load (§4.1). Requests are spread across copies; replies return
-	// through the copy that carried the request.
+	// through the copy that carried the request. Zero selects
+	// DefaultCopies.
 	Copies int
 	// QueueCapacity is the capacity of each switch output queue in
 	// packets. The paper's simulations limit each queue to fifteen
@@ -49,20 +53,21 @@ type Config struct {
 	PNIQueueCapacity int
 }
 
-// Defaults for queue sizing, chosen per §4.2.
+// Defaults for the zero fields, chosen per §4.2, and the port bound.
 const (
+	DefaultCopies             = 1
 	DefaultQueueCapacity      = 15
 	DefaultWaitBufferCapacity = 8
 
-	// msgMaxPackets is the longest message (one carrying data); every
-	// queue must hold at least one full message to guarantee progress.
-	msgMaxPackets = 3
+	// MaxPorts bounds K^Stages: the port count sizes several arrays at
+	// build time, so one config must not be able to demand gigabytes.
+	MaxPorts = 1 << 20
 )
 
-// withDefaults returns cfg with zero fields replaced by defaults.
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with zero fields replaced by defaults.
+func (c Config) WithDefaults() Config {
 	if c.Copies == 0 {
-		c.Copies = 1
+		c.Copies = DefaultCopies
 	}
 	if c.QueueCapacity == 0 {
 		c.QueueCapacity = DefaultQueueCapacity
@@ -76,46 +81,123 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if c.K < 2 {
-		return fmt.Errorf("network: switch radix K = %d, need >= 2", c.K)
-	}
-	if c.Stages < 1 {
-		return fmt.Errorf("network: Stages = %d, need >= 1", c.Stages)
-	}
-	if c.Copies < 0 || c.Copies > math.MaxUint8 { // a message names its copy in one byte
-		return fmt.Errorf("network: Copies = %d, need 0..%d", c.Copies, math.MaxUint8)
-	}
-	if c.QueueCapacity != 0 && c.QueueCapacity < msgMaxPackets {
-		return fmt.Errorf("network: QueueCapacity = %d, need >= %d (one full message)", c.QueueCapacity, msgMaxPackets)
-	}
-	if c.PNIQueueCapacity != 0 && c.PNIQueueCapacity < msgMaxPackets {
-		return fmt.Errorf("network: PNIQueueCapacity = %d, need >= %d (one full message)", c.PNIQueueCapacity, msgMaxPackets)
-	}
-	// Bound K^Stages after every multiply — including the last — so a
-	// huge K with few stages can't slip past and demand multi-GiB port
-	// arrays at build time. n can't overflow: both factors stay <= 2^20
-	// once the first product is checked (the n <= 0 guard covers 32-bit
-	// ints).
-	n := 1
-	for i := 0; i < c.Stages; i++ {
-		n *= c.K
-		if n > 1<<20 || n <= 0 {
-			return fmt.Errorf("network: K^Stages too large (K=%d, Stages=%d)", c.K, c.Stages)
-		}
-	}
-	return nil
-}
-
-// Ports reports N = K^Stages, the number of PEs and of MMs.
+// Ports reports N = K^Stages, the number of PEs and of MMs, or 0 when
+// K < 2, Stages < 1 or N > MaxPorts: a shape Validate refuses. It is the
+// one place K^Stages is computed, and the bound is checked before each
+// multiply, so no K or Stages can overflow it.
 func (c Config) Ports() int {
+	if c.K < 2 || c.Stages < 1 {
+		return 0
+	}
 	n := 1
 	for i := 0; i < c.Stages; i++ {
+		if n > MaxPorts/c.K {
+			return 0
+		}
 		n *= c.K
 	}
 	return n
 }
+
+// FieldError is one field-level validation failure, the field named by
+// its JSON name in a run description (serve.Config).
+type FieldError struct {
+	Field string `json:"field"`
+	Msg   string `json:"error"`
+}
+
+func (e FieldError) String() string { return e.Field + ": " + e.Msg }
+
+// ValidateError aggregates every field-level failure of one validation
+// pass, so a caller sees all problems at once.
+type ValidateError struct {
+	Fields []FieldError `json:"field_errors"`
+}
+
+func (e *ValidateError) Error() string {
+	parts := make([]string, len(e.Fields))
+	for i, f := range e.Fields {
+		parts[i] = f.String()
+	}
+	return "config invalid: " + strings.Join(parts, "; ")
+}
+
+// Invalid returns fields as a *ValidateError, or nil when there are none.
+func Invalid(fields ...FieldError) error {
+	if len(fields) == 0 {
+		return nil
+	}
+	return &ValidateError{Fields: fields}
+}
+
+// Bound is one row of a bounds table: Check returns what is wrong with
+// the field, or "" when it is acceptable.
+type Bound[C any] struct {
+	Field string
+	Check func(C) string
+}
+
+// CheckBounds runs the table bs against c and returns every failure, in
+// table order.
+func CheckBounds[C any](c C, bs []Bound[C]) []FieldError {
+	var fields []FieldError
+	for _, b := range bs {
+		if msg := b.Check(c); msg != "" {
+			fields = append(fields, FieldError{Field: b.Field, Msg: msg})
+		}
+	}
+	return fields
+}
+
+// Bounds is Config's bounds table. A zero field selects its default and
+// passes, so a config and its defaults-filled self check alike.
+var Bounds = []Bound[Config]{
+	{"k", func(c Config) string {
+		if c.K < 2 {
+			return fmt.Sprintf("switch radix k = %d, need >= 2", c.K)
+		}
+		return ""
+	}},
+	{"stages", func(c Config) string {
+		if c.Stages < 1 {
+			return fmt.Sprintf("stages = %d, need >= 1", c.Stages)
+		}
+		if c.K >= 2 && c.Ports() == 0 {
+			return fmt.Sprintf("k^stages too large (k=%d, stages=%d, max %d ports)", c.K, c.Stages, MaxPorts)
+		}
+		return ""
+	}},
+	{"copies", func(c Config) string {
+		if c.Copies < 0 {
+			return fmt.Sprintf("copies = %d, need >= 1", c.Copies)
+		}
+		if c.Copies > math.MaxUint8 {
+			return fmt.Sprintf("copies = %d, need <= %d (a message names its copy in one byte)", c.Copies, math.MaxUint8)
+		}
+		return ""
+	}},
+	{"queue_capacity", func(c Config) string { return holdsMessage("queue_capacity", c.QueueCapacity) }},
+	{"pni_queue_capacity", func(c Config) string { return holdsMessage("pni_queue_capacity", c.PNIQueueCapacity) }},
+	{"wait_buffer_capacity", func(c Config) string {
+		if c.WaitBufferCapacity < 0 {
+			return fmt.Sprintf("wait_buffer_capacity = %d, need >= 0", c.WaitBufferCapacity)
+		}
+		return ""
+	}},
+}
+
+// holdsMessage checks a queue capacity: every queue must hold at least
+// one full message to guarantee progress.
+func holdsMessage(field string, capacity int) string {
+	if capacity != 0 && capacity < msg.PacketsWithData {
+		return fmt.Sprintf("%s = %d, need >= %d (one full message)", field, capacity, msg.PacketsWithData)
+	}
+	return ""
+}
+
+// Validate reports every field that makes the configuration unusable, as
+// a *ValidateError, or nil.
+func (c Config) Validate() error { return Invalid(CheckBounds(c, Bounds)...) }
 
 // topology holds the derived routing constants and the wiring tables of
 // one network: copies identical Omega networks laid end to end, copy ci

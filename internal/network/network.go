@@ -124,7 +124,7 @@ func (n *Network) SetProfiler(p obs.Probe) { n.fan.Subscribe(obs.SubProf, p) }
 // New builds a network from cfg. It panics on an invalid configuration
 // (construction happens at setup time; see Config.Validate).
 func New(cfg Config) *Network {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}

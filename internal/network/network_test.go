@@ -6,24 +6,56 @@ import (
 	"ultracomputer/internal/msg"
 )
 
+// TestConfigValidate has one row per bound of Bounds, each error in the
+// wording a run description (serve.Config) reports it in.
 func TestConfigValidate(t *testing.T) {
-	good := Config{K: 2, Stages: 3}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	tests := []struct {
+		name    string
+		config  Config
+		wantErr bool
+		errMsg  string
+	}{
+		{name: "valid", config: Config{K: 2, Stages: 3}},
+		{name: "valid, every field set", config: Config{K: 4, Stages: 2, Copies: 255, QueueCapacity: 3, WaitBufferCapacity: 1, PNIQueueCapacity: 3}},
+		{name: "valid, 2^20 ports", config: Config{K: 2, Stages: 20}},
+		{name: "radix 1", config: Config{K: 1, Stages: 3}, wantErr: true, errMsg: "k: switch radix k = 1, need >= 2"},
+		{name: "no stages", config: Config{K: 2, Stages: 0}, wantErr: true, errMsg: "stages: stages = 0, need >= 1"},
+		{name: "2^21 ports", config: Config{K: 2, Stages: 21}, wantErr: true, errMsg: "stages: k^stages too large (k=2, stages=21, max 1048576 ports)"},
+		{name: "huge radix", config: Config{K: 1 << 31, Stages: 2}, wantErr: true, errMsg: "stages: k^stages too large (k=2147483648, stages=2, max 1048576 ports)"},
+		{name: "negative copies", config: Config{K: 2, Stages: 3, Copies: -1}, wantErr: true, errMsg: "copies: copies = -1, need >= 1"},
+		{name: "256 copies", config: Config{K: 2, Stages: 3, Copies: 256}, wantErr: true, errMsg: "copies: copies = 256, need <= 255 (a message names its copy in one byte)"},
+		{name: "tiny queue", config: Config{K: 2, Stages: 3, QueueCapacity: 2}, wantErr: true, errMsg: "queue_capacity: queue_capacity = 2, need >= 3 (one full message)"},
+		{name: "tiny PNI queue", config: Config{K: 2, Stages: 3, PNIQueueCapacity: -1}, wantErr: true, errMsg: "pni_queue_capacity: pni_queue_capacity = -1, need >= 3 (one full message)"},
+		{name: "negative wait buffer", config: Config{K: 2, Stages: 3, WaitBufferCapacity: -1}, wantErr: true, errMsg: "wait_buffer_capacity: wait_buffer_capacity = -1, need >= 0"},
+		{name: "every failure at once", config: Config{K: 0, Stages: 0, Copies: 256}, wantErr: true,
+			errMsg: "k: switch radix k = 0, need >= 2; stages: stages = 0, need >= 1; copies: copies = 256, need <= 255 (a message names its copy in one byte)"},
 	}
-	for _, bad := range []Config{
-		{K: 1, Stages: 3},
-		{K: 2, Stages: 0},
-		{K: 2, Stages: 3, Copies: -1},
-		{K: 2, Stages: 3, Copies: 256}, // a message names its copy in one byte
-		{K: 4, Stages: 40},
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := tt.config.Validate()
+			if (err != nil) != tt.wantErr {
+				t.Fatalf("Validate() = %v, wantErr %v", err, tt.wantErr)
+			}
+			if tt.wantErr && err.Error() != "config invalid: "+tt.errMsg {
+				t.Errorf("Validate() = %q, want %q", err, "config invalid: "+tt.errMsg)
+			}
+		})
+	}
+}
+
+// TestPortsBounded: Ports is K^Stages for a shape Validate accepts and 0
+// for any other, however large K or Stages.
+func TestPortsBounded(t *testing.T) {
+	for _, c := range []struct {
+		k, stages, want int
+	}{
+		{4, 6, 4096}, {2, 20, 1 << 20}, {1 << 20, 1, 1 << 20},
+		{2, 21, 0}, {2, 63, 0}, {2, 64, 0}, {1 << 31, 2, 0}, {1<<62 + 1, 1, 0},
+		{1, 3, 0}, {0, 3, 0}, {2, 0, 0}, {-2, 3, 0},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("config %+v accepted", bad)
+		if got := (Config{K: c.k, Stages: c.stages}).Ports(); got != c.want {
+			t.Errorf("Ports(k=%d, stages=%d) = %d, want %d", c.k, c.stages, got, c.want)
 		}
-	}
-	if got := (Config{K: 4, Stages: 6}).Ports(); got != 4096 {
-		t.Fatalf("Ports() = %d, want 4096", got)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestFeedEmitZeroAlloc(t *testing.T) {
 		name  string
 		flags Flags
 	}{{"served", Flags{}}, {"served and traced", Flags{Trace: "t"}}} {
-		k := tc.flags.New(1<<10, 64, NewFeedServer(), nil)
+		k := tc.flags.New(64, NewFeedServer(), nil)
 		ev := obs.Event{Kind: obs.KindInject, ID: 1}
 		if n := testing.AllocsPerRun(2000, func() { k.Probe.Emit(ev) }); n != 0 {
 			t.Errorf("%s: Emit allocates %v objects per event, want 0", tc.name, n)
@@ -31,7 +31,7 @@ func TestServedKitAllocBudget(t *testing.T) {
 	const budget = 64 << 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	k := Flags{Serve: "127.0.0.1:0"}.New(obs.DefaultRecorderCapacity, 64, nil, nil)
+	k := Flags{Serve: "127.0.0.1:0"}.New(64, nil, nil)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 		t.Errorf("a served kit allocates %d bytes, budget %d", got, budget)

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ultracomputer/internal/analytic"
+	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
@@ -48,22 +49,20 @@ type Model struct {
 }
 
 // ModelFor derives the conformance model for a simulated network
-// configuration. mmLatency <= 0 selects the machine default (2);
-// threshold <= 0 selects DefaultThreshold.
+// configuration, defaulted by the network (Config.WithDefaults).
+// mmLatency <= 0 selects memory.DefaultLatency; threshold <= 0 selects
+// DefaultThreshold.
 func ModelFor(cfg network.Config, mmLatency int64, threshold float64) Model {
-	copies := cfg.Copies
-	if copies == 0 {
-		copies = 1
-	}
+	cfg = cfg.WithDefaults()
 	if mmLatency <= 0 {
-		mmLatency = 2
+		mmLatency = memory.DefaultLatency
 	}
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
 	return Model{
 		Net: analytic.NetConfig{
-			N: cfg.Ports(), K: cfg.K, M: msg.PacketsWithData, D: copies,
+			N: cfg.Ports(), K: cfg.K, M: msg.PacketsWithData, D: cfg.Copies,
 		},
 		MMLatency:  mmLatency,
 		RTOverhead: DefaultRTOverhead,

@@ -62,21 +62,25 @@ type Kit struct {
 	hs    *http.Server // the -serve listener, once Start opened it
 }
 
-// New builds the consumers f's outputs imply, each sized by its reader.
-// The caller supplies what differs between drivers: the capacity of the
-// -trace ring (unused without -trace: a served run's events live in the
-// feed's own tail), the sampling period in network cycles, an already
-// mounted feed server (a service session's; nil otherwise — it counts
-// as -serve without the listener) and the guest profiler when the driver
-// could build one.
-func (f Flags) New(recorderCap int, every int64, srv *Server, p *prof.Profiler) *Kit {
+// traceRing is the -trace ring's capacity in events. Tests shrink it:
+// none needs a million events, and one needs the ring to wrap.
+var traceRing = obs.DefaultRecorderCapacity
+
+// New builds the consumers f's outputs imply, each sized by its reader
+// (the -trace ring holds traceRing events; a served run's events live in
+// the feed's own tail). The caller supplies what
+// differs between drivers: the sampling period in network cycles, an
+// already mounted feed server (a service session's; nil otherwise — it
+// counts as -serve without the listener) and the guest profiler when the
+// driver could build one.
+func (f Flags) New(every int64, srv *Server, p *prof.Profiler) *Kit {
 	k := &Kit{Observers: prof.Observers{Profiler: p}, flags: f, srv: srv}
 	if f.Serve != "" && srv == nil {
 		k.srv = NewServer()
 	}
 	served := k.srv != nil
 	if f.Trace != "" {
-		k.Recorder = obs.NewRecorder(recorderCap)
+		k.Recorder = obs.NewRecorder(traceRing)
 		k.Probe = k.Recorder
 	}
 	if f.Metrics != "" || f.FlightDir != "" || served {

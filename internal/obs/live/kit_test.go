@@ -2,10 +2,19 @@ package live
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"ultracomputer/internal/obs"
 )
+
+// TestMain runs the package's tests on a 4Ki-event -trace ring: a kit's
+// million-event ring would cost every traced test tens of MiB, and
+// TestTraceAndServeShareEvents needs its run to wrap the ring.
+func TestMain(m *testing.M) {
+	traceRing = 1 << 12
+	os.Exit(m.Run())
+}
 
 // The one rule for which consumers an output implies (doc.go's table).
 func TestKitConsumersFollowOutputs(t *testing.T) {
@@ -30,7 +39,7 @@ func TestKitConsumersFollowOutputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			k := tc.flags.New(16, 8, tc.srv, nil)
+			k := tc.flags.New(8, tc.srv, nil)
 			got := fmt.Sprint(k.Recorder != nil, k.Sampler != nil, k.Tracer != nil, k.Feed != nil, k.srv != nil)
 			want := fmt.Sprint(tc.rec, tc.sampler, tc.tracer, tc.feed, tc.live)
 			if got != want {

@@ -44,7 +44,7 @@ func TestProfileEndpoint(t *testing.T) {
 	}
 	p := prof.New(prof.Config{PEs: pes, Programs: []*isa.Program{prog}, File: "faa.s"})
 	srv := NewServer()
-	k := Flags{}.New(0, 64, srv, p)
+	k := Flags{}.New(64, srv, p)
 	m.Observe(k.Observers)
 	if err := k.Start(io.Discard, cfg.Net, cfg.MMLatency, nil); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // counts every event ever emitted, and the Done State carries none.
 func TestEventsWindowContract(t *testing.T) {
 	srv := NewFeedServer()
-	k := Flags{}.New(1<<15, 64, srv, nil)
+	k := Flags{}.New(64, srv, nil)
 	var emitted uint64
 	window := func(n int, cycle int64) *State {
 		t.Helper()
@@ -70,7 +70,7 @@ func TestTraceAndServeShareEvents(t *testing.T) {
 	run := func(name string, srv *Server) []byte {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		k := Flags{Trace: path}.New(1<<12, 32, srv, nil)
+		k := Flags{Trace: path}.New(32, srv, nil)
 		w := trace.Workload{Rate: 0.2, HotFraction: 0.1, Hash: true, Seed: 23, Observers: k.Observers}
 		if err := k.Start(io.Discard, cfg, w.MMLatency, nil); err != nil {
 			t.Fatal(err)

@@ -110,11 +110,15 @@ type Sampler struct {
 	maxOcc []sim.Mean       // per-stage fullest single queue, averaged over snapshots
 }
 
+// DefaultSampleEvery is the sampling period, in network cycles, where a
+// run does not choose one.
+const DefaultSampleEvery = 64
+
 // NewSampler returns a sampler with the given interval (every < 1
-// selects 64).
+// selects DefaultSampleEvery).
 func NewSampler(every int64) *Sampler {
 	if every < 1 {
-		every = 64
+		every = DefaultSampleEvery
 	}
 	return &Sampler{Every: every}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -14,8 +15,8 @@ import (
 	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/machine"
-	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
+	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
 )
 
@@ -98,64 +99,22 @@ type CacheConfig struct {
 }
 
 // WithDefaults returns the config with zero fields replaced by the
-// simulator defaults (the same values ultrasim's flags default to).
+// simulator defaults (the same values ultrasim's flags default to), each
+// read from the package that owns it: machine.Config.WithDefaults for the
+// machine's and network's fields, machine.LoadOptions.WithDefaults for
+// local_words.
 func (c Config) WithDefaults() Config {
-	if c.Copies == 0 {
-		c.Copies = 1
-	}
-	if c.PEs == 0 {
-		c.PEs = c.Ports()
-	}
-	if c.MMLatency == 0 {
-		c.MMLatency = 2
-	}
-	if c.PECycle == 0 {
-		c.PECycle = 2
-	}
-	if c.MaxOutstanding == 0 {
-		c.MaxOutstanding = 12
-	}
-	if c.LocalWords == 0 {
-		c.LocalWords = 4096
-	}
+	m := c.machineConfig().WithDefaults()
+	c.Copies, c.PEs = m.Net.Copies, m.PEs
+	c.MMLatency, c.PECycle, c.MaxOutstanding = m.MMLatency, m.PECycle, m.MaxOutstanding
+	c.LocalWords = c.loadOptions().WithDefaults().LocalWords
 	if c.Limit == 0 {
 		c.Limit = 100_000_000
 	}
 	if c.SampleEvery == 0 {
-		c.SampleEvery = 64
+		c.SampleEvery = obs.DefaultSampleEvery
 	}
 	return c
-}
-
-// Ports reports K^Stages, the machine's port count.
-func (c Config) Ports() int {
-	n := 1
-	for i := 0; i < c.Stages; i++ {
-		n *= c.K
-	}
-	return n
-}
-
-// maxValidPorts bounds k^stages for any config that survives Validate:
-// a machine's port count drives several length-Ports allocations at
-// build time, so an unbounded product would let one config OOM the
-// whole service before quotas ever see it.
-const maxValidPorts = 1 << 20
-
-// boundedPorts computes k^stages, reporting failure as soon as the
-// running product exceeds max — including after the final multiply — so
-// the result is exact and the computation can never overflow: both
-// factors are <= max once the first multiply is checked, and max*max
-// fits an int64 for any max up to 2^31.
-func boundedPorts(k, stages, max int) (int, bool) {
-	n := 1
-	for i := 0; i < stages; i++ {
-		n *= k
-		if n > max || n <= 0 {
-			return 0, false
-		}
-	}
-	return n, true
 }
 
 // MemoryWords is the most private memory the session's guests may come
@@ -166,113 +125,24 @@ func (c Config) MemoryWords() int64 {
 	return int64(d.PEs) * int64(d.LocalWords)
 }
 
-// FieldError is one field-level validation failure.
-type FieldError struct {
-	Field string `json:"field"`
-	Msg   string `json:"error"`
-}
+// FieldError and ValidateError are the simulator's validation failures:
+// the network and the machine check their own fields (network.Bounds,
+// machine.Bounds), and the rule table below checks the rest.
+type (
+	FieldError    = network.FieldError
+	ValidateError = network.ValidateError
+)
 
-func (e FieldError) String() string { return e.Field + ": " + e.Msg }
-
-// ValidateError aggregates every field-level failure of one Validate
-// pass, so an API client sees all problems at once.
-type ValidateError struct {
-	Fields []FieldError `json:"field_errors"`
-}
-
-func (e *ValidateError) Error() string {
-	parts := make([]string, len(e.Fields))
-	for i, f := range e.Fields {
-		parts[i] = f.String()
-	}
-	return "config invalid: " + strings.Join(parts, "; ")
-}
-
-// configRules is the table of field-level validation checks, evaluated
-// against the defaults-filled config. Each rule returns "" when the
-// field is acceptable.
-var configRules = []struct {
-	field string
-	check func(c *Config) string
-}{
-	{"k", func(c *Config) string {
-		if c.K < 2 {
-			return fmt.Sprintf("switch radix k = %d, need >= 2", c.K)
-		}
-		return ""
-	}},
-	{"stages", func(c *Config) string {
-		if c.Stages < 1 {
-			return fmt.Sprintf("stages = %d, need >= 1", c.Stages)
-		}
-		if c.K >= 2 {
-			if _, ok := boundedPorts(c.K, c.Stages, maxValidPorts); !ok {
-				return fmt.Sprintf("k^stages too large (k=%d, stages=%d, max %d ports)", c.K, c.Stages, maxValidPorts)
-			}
-		}
-		return ""
-	}},
-	{"copies", func(c *Config) string {
-		if c.Copies < 1 {
-			return fmt.Sprintf("copies = %d, need >= 1", c.Copies)
-		}
-		if c.Copies > math.MaxUint8 {
-			return fmt.Sprintf("copies = %d, need <= %d (a message names its copy in one byte)", c.Copies, math.MaxUint8)
-		}
-		return ""
-	}},
-	{"pes", func(c *Config) string {
-		if c.PEs < 1 {
-			return fmt.Sprintf("pes = %d, need >= 1", c.PEs)
-		}
-		if c.K >= 2 && c.Stages >= 1 && c.PEs > c.Ports() {
-			return fmt.Sprintf("%d PEs but only %d network ports (k^stages)", c.PEs, c.Ports())
-		}
-		return ""
-	}},
-	{"queue_capacity", func(c *Config) string {
-		if c.QueueCapacity != 0 && c.QueueCapacity < msg.PacketsWithData {
-			return fmt.Sprintf("queue_capacity = %d, need >= %d (one full message)", c.QueueCapacity, msg.PacketsWithData)
-		}
-		return ""
-	}},
-	{"pni_queue_capacity", func(c *Config) string {
-		if c.PNIQueueCapacity != 0 && c.PNIQueueCapacity < msg.PacketsWithData {
-			return fmt.Sprintf("pni_queue_capacity = %d, need >= %d (one full message)", c.PNIQueueCapacity, msg.PacketsWithData)
-		}
-		return ""
-	}},
-	{"wait_buffer_capacity", func(c *Config) string {
-		if c.WaitBufferCapacity < 0 {
-			return fmt.Sprintf("wait_buffer_capacity = %d, need >= 0", c.WaitBufferCapacity)
-		}
-		return ""
-	}},
-	{"mm_latency", func(c *Config) string {
-		if c.MMLatency < 1 {
-			return fmt.Sprintf("mm_latency = %d network cycles, need >= 1", c.MMLatency)
-		}
-		return ""
-	}},
-	{"pe_cycle", func(c *Config) string {
-		if c.PECycle < 1 {
-			return fmt.Sprintf("pe_cycle = %d network cycles, need >= 1", c.PECycle)
-		}
-		return ""
-	}},
-	{"max_outstanding", func(c *Config) string {
-		if c.MaxOutstanding < 1 {
-			return fmt.Sprintf("max_outstanding = %d, need >= 1", c.MaxOutstanding)
-		}
-		return ""
-	}},
-	{"local_words", func(c *Config) string {
+// configRules is the table of checks on the fields no simulator package
+// owns, evaluated against the defaults-filled config.
+var configRules = []network.Bound[*Config]{
+	{Field: "local_words", Check: func(c *Config) string {
 		if c.LocalWords < 1 {
 			return fmt.Sprintf("local_words = %d, need >= 1", c.LocalWords)
 		}
 		return ""
 	}},
-	{"cache", func(c *Config) string {
+	{Field: "cache", Check: func(c *Config) string {
 		if c.Cache == nil {
 			return ""
 		}
@@ -281,13 +151,13 @@ var configRules = []struct {
 		}
 		return ""
 	}},
-	{"limit", func(c *Config) string {
+	{Field: "limit", Check: func(c *Config) string {
 		if c.Limit < 1 {
 			return fmt.Sprintf("limit = %d network cycles, need >= 1", c.Limit)
 		}
 		return ""
 	}},
-	{"sample_every", func(c *Config) string {
+	{Field: "sample_every", Check: func(c *Config) string {
 		if c.SampleEvery < 1 {
 			return fmt.Sprintf("sample_every = %d, need >= 1", c.SampleEvery)
 		}
@@ -295,8 +165,10 @@ var configRules = []struct {
 	}},
 }
 
-// Validate runs the rule table against the defaults-filled config and
-// returns a *ValidateError carrying every field-level failure, or nil.
+// Validate checks the defaults-filled config — the machine's fields
+// through machine.Config.Validate, the rest through the rule table, then
+// the program — and returns a *ValidateError carrying every field-level
+// failure, or nil.
 func (c Config) Validate() error {
 	_, _, err := c.validated()
 	return err
@@ -308,11 +180,14 @@ func (c Config) Validate() error {
 func (c Config) validated() (Config, *isa.Program, error) {
 	d := c.WithDefaults()
 	var fields []FieldError
-	for _, r := range configRules {
-		if msg := r.check(&d); msg != "" {
-			fields = append(fields, FieldError{Field: r.field, Msg: msg})
+	if err := d.MachineConfig().Validate(); err != nil {
+		var ve *ValidateError
+		if !errors.As(err, &ve) {
+			return d, nil, err
 		}
+		fields = ve.Fields
 	}
+	fields = append(fields, network.CheckBounds(&d, configRules)...)
 	var prog *isa.Program
 	if strings.TrimSpace(d.Program) == "" {
 		fields = append(fields, FieldError{Field: "program", Msg: "guest program source is required"})
@@ -331,23 +206,28 @@ func (cc *CacheConfig) toCache() cache.Config {
 	return cache.Config{Sets: cc.Sets, Ways: cc.Ways, BlockWords: cc.BlockWords}
 }
 
-// MachineConfig converts to the simulator's machine.Config.
-func (c Config) MachineConfig() machine.Config {
-	d := c.WithDefaults()
+// MachineConfig converts the defaults-filled config to the simulator's
+// machine.Config.
+func (c Config) MachineConfig() machine.Config { return c.WithDefaults().machineConfig() }
+
+// LoadOptions converts the defaults-filled config to the loader's
+// machine.LoadOptions.
+func (c Config) LoadOptions() machine.LoadOptions { return c.WithDefaults().loadOptions() }
+
+// machineConfig and loadOptions convert c as it stands.
+func (c Config) machineConfig() machine.Config {
 	return machine.Config{
-		Net: networkConfig(d),
-		PEs: d.PEs, MMLatency: d.MMLatency, PECycle: d.PECycle,
-		Hashing: !d.NoHashing, MaxOutstanding: d.MaxOutstanding,
-		IdealMemory: d.IdealMemory,
+		Net: networkConfig(c),
+		PEs: c.PEs, MMLatency: c.MMLatency, PECycle: c.PECycle,
+		Hashing: !c.NoHashing, MaxOutstanding: c.MaxOutstanding,
+		IdealMemory: c.IdealMemory,
 	}
 }
 
-// LoadOptions converts to the loader's machine.LoadOptions.
-func (c Config) LoadOptions() machine.LoadOptions {
-	d := c.WithDefaults()
-	opts := machine.LoadOptions{LocalWords: d.LocalWords, Lint: d.Lint}
-	if d.Cache != nil {
-		cc := d.Cache.toCache()
+func (c Config) loadOptions() machine.LoadOptions {
+	opts := machine.LoadOptions{LocalWords: c.LocalWords, Lint: c.Lint}
+	if c.Cache != nil {
+		cc := c.Cache.toCache()
 		opts.Cache = &cc
 	}
 	return opts
@@ -455,7 +335,7 @@ func (c Config) DryRun(rho float64) DryRunResult {
 	res := DryRunResult{Rho: rho}
 	if err := c.Validate(); err != nil {
 		var ve *ValidateError
-		if ok := asValidateError(err, &ve); ok {
+		if errors.As(err, &ve) {
 			res.FieldErrors = ve.Fields
 		} else {
 			res.FieldErrors = []FieldError{{Field: "config", Msg: err.Error()}}
@@ -465,7 +345,7 @@ func (c Config) DryRun(rho float64) DryRunResult {
 	d := c.WithDefaults()
 	model := live.ModelFor(networkConfig(d), d.MMLatency, 0)
 	res.OK = true
-	res.Ports = d.Ports()
+	res.Ports = networkConfig(d).Ports()
 	res.PEs = d.PEs
 	res.Capacity = model.Net.Capacity()
 	res.CostFactor = model.Net.Cost()
@@ -484,20 +364,11 @@ func (c Config) DryRun(rho float64) DryRunResult {
 	return res
 }
 
-// networkConfig builds the simulator network.Config from a
-// defaults-filled Config.
-func networkConfig(d Config) network.Config {
+// networkConfig builds the simulator network.Config from c as it stands.
+func networkConfig(c Config) network.Config {
 	return network.Config{
-		K: d.K, Stages: d.Stages, Copies: d.Copies,
-		QueueCapacity: d.QueueCapacity, WaitBufferCapacity: d.WaitBufferCapacity,
-		Combining: !d.NoCombining, PNIQueueCapacity: d.PNIQueueCapacity,
+		K: c.K, Stages: c.Stages, Copies: c.Copies,
+		QueueCapacity: c.QueueCapacity, WaitBufferCapacity: c.WaitBufferCapacity,
+		Combining: !c.NoCombining, PNIQueueCapacity: c.PNIQueueCapacity,
 	}
-}
-
-func asValidateError(err error, target **ValidateError) bool {
-	ve, ok := err.(*ValidateError)
-	if ok {
-		*target = ve
-	}
-	return ok
 }

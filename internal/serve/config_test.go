@@ -10,6 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ultracomputer/internal/machine"
+	"ultracomputer/internal/network"
 )
 
 // validConfig is a minimal config every test mutates from.
@@ -43,10 +46,11 @@ func fieldsOf(t *testing.T, err error) []string {
 	return names
 }
 
-// TestValidateTable has a row for every entry of configRules (and the
-// program rule), named by the field error it must produce, plus the edge
-// cases past reviews found; the loop at the end fails when a rule is
-// added without a row.
+// TestValidateTable has a row for every field a bound checks — the
+// network's, the machine's and configRules (and the program rule) —
+// named by the field error it must produce, plus the edge cases past
+// reviews found; the loop at the end fails when a bound is added without
+// a row.
 func TestValidateTable(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -62,6 +66,11 @@ func TestValidateTable(t *testing.T) {
 		// network build allocate multi-GiB port arrays.
 		{"huge k one stage", func(c *Config) { c.K = 1 << 30; c.Stages = 1; c.PEs = 1 }, []string{"stages"}},
 		{"overflowing k^stages", func(c *Config) { c.K = 1 << 31; c.Stages = 2; c.PEs = 1 }, []string{"stages"}},
+		// The same bound with pes left to default to the port count: an
+		// unbounded k^stages once added a second, spurious pes error.
+		{"2^63 ports, default pes", func(c *Config) { c.Stages = 63; c.PEs = 0 }, []string{"stages"}},
+		{"2^64 ports, default pes", func(c *Config) { c.Stages = 64; c.PEs = 0 }, []string{"stages"}},
+		{"2^62 ports, default pes", func(c *Config) { c.K = 1 << 31; c.Stages = 2; c.PEs = 0 }, []string{"stages"}},
 		{"pes beyond ports", func(c *Config) { c.PEs = 17 }, []string{"pes"}},
 		{"too many copies", func(c *Config) { c.Copies = 256 }, []string{"copies"}},
 		{"tiny queue", func(c *Config) { c.QueueCapacity = 2 }, []string{"queue_capacity"}},
@@ -77,6 +86,9 @@ func TestValidateTable(t *testing.T) {
 		{"empty program", func(c *Config) { c.Program = "  \n" }, []string{"program"}},
 		{"unassemblable program", func(c *Config) { c.Program = "bogus r1, r2" }, []string{"program"}},
 		{"several at once", func(c *Config) { c.K = 0; c.Program = "" }, []string{"k", "program"}},
+		// Field errors come grouped by owner: the network's, then the
+		// machine's, then serve's own.
+		{"owners in order", func(c *Config) { c.PEs = 17; c.QueueCapacity = 2; c.LocalWords = -1 }, []string{"queue_capacity", "pes", "local_words"}},
 	}
 	covered := map[string]bool{}
 	for _, tc := range cases {
@@ -99,16 +111,26 @@ func TestValidateTable(t *testing.T) {
 			}
 		})
 	}
+	var fields []string
+	for _, b := range network.Bounds {
+		fields = append(fields, b.Field)
+	}
+	for _, b := range machine.Bounds {
+		fields = append(fields, b.Field)
+	}
 	for _, r := range configRules {
-		if !covered[r.field] {
-			t.Errorf("rule %q has no row in this table", r.field)
+		fields = append(fields, r.Field)
+	}
+	for _, f := range fields {
+		if !covered[f] {
+			t.Errorf("rule %q has no row in this table", f)
 		}
 	}
 }
 
-// The k=0 case above also trips stages/pes rules: field errors
-// accumulate rather than short-circuit, so a client fixes everything in
-// one round trip.
+// The "several at once" row above reports k and program together: field
+// errors accumulate rather than short-circuit, so a client fixes
+// everything in one round trip.
 
 // TestQuotaTable has a row for every check of Limits.checkConfig, named
 // by the field error it must produce; each row's config passes Validate,
@@ -146,9 +168,10 @@ func TestQuotaTable(t *testing.T) {
 // FuzzConfig: a config arrives over HTTP (and through `ultrasim
 // -config`), so decoding, validating and quota-checking one must never
 // panic, and whatever all three accept must be something the service can
-// afford to build: ports, PEs and private memory inside their bounds. The
-// seeds under testdata/fuzz/FuzzConfig are configs that once got through
-// or that strict decoding must refuse (an "engine" or "workers" field,
+// afford to build — ports, PEs and private memory inside their bounds —
+// and something the machine builds without a panic. The seeds under
+// testdata/fuzz/FuzzConfig are configs that once got through or that
+// strict decoding must refuse (an "engine" or "workers" field,
 // which configs no longer have). `go test` runs the corpus as unit cases;
 // `make fuzz-smoke` fuzzes.
 func FuzzConfig(f *testing.F) {
@@ -169,9 +192,9 @@ func FuzzConfig(f *testing.F) {
 			return
 		}
 		d := c.WithDefaults()
-		ports, ok := boundedPorts(d.K, d.Stages, l.MaxPorts)
-		if !ok {
-			t.Fatalf("accepted k = %d, stages = %d: more than %d ports", d.K, d.Stages, l.MaxPorts)
+		ports := networkConfig(d).Ports()
+		if ports < 1 || ports > l.MaxPorts {
+			t.Fatalf("accepted k = %d, stages = %d: %d ports, quota %d", d.K, d.Stages, ports, l.MaxPorts)
 		}
 		if d.PEs < 1 || d.PEs > ports || d.PEs > l.MaxPEs {
 			t.Fatalf("accepted pes = %d on %d ports (quota %d)", d.PEs, ports, l.MaxPEs)
@@ -179,6 +202,18 @@ func FuzzConfig(f *testing.F) {
 		if d.LocalWords < 1 || int64(d.LocalWords) > l.MaxMemoryWords/int64(d.PEs) {
 			t.Errorf("accepted local_words = %d on %d PEs (quota %d words)", d.LocalWords, d.PEs, l.MaxMemoryWords)
 		}
+		// Build what was accepted. 2^16 ports in 255 copies is within
+		// quota but far too large to build per input, so only shapes of
+		// at most 1Ki port lines are built.
+		if ports*d.Copies > 1<<10 {
+			return
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("accepted a config the machine panics on: %v", r)
+			}
+		}()
+		machine.New(c.MachineConfig(), nil)
 	})
 }
 

@@ -15,8 +15,11 @@
 //     final telemetry State, and stops the workers.
 //
 //   - Validated config store (config.go, store.go): machine configs are
-//     first-class JSON objects validated by a rule table (every field
-//     error reported at once, at candidate-stage time). Each session
+//     first-class JSON objects, every field error reported at once at
+//     candidate-stage time. The simulator's fields are checked by the
+//     packages that own them (network.Bounds, machine.Bounds), which
+//     also own their defaults; config.go composes them and checks only
+//     local_words, cache, limit, sample_every and the program. Each session
 //     keeps a staged candidate, the running config its machine is built
 //     from, and a bounded append-only commit history; CommitCandidate
 //     promotes candidate → running, RollbackRunning restores the

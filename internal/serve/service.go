@@ -33,7 +33,8 @@ type Limits struct {
 	// round-robin grant in network cycles.
 	Workers int   `json:"workers"`
 	Slice   int64 `json:"slice"`
-	// MaxHistory bounds each session's commit log.
+	// MaxHistory bounds each session's commit log (<= 0 takes the
+	// default).
 	MaxHistory int `json:"max_history"`
 }
 
@@ -75,7 +76,7 @@ func (l Limits) withDefaults() Limits {
 	if l.Slice == 0 {
 		l.Slice = d.Slice
 	}
-	if l.MaxHistory == 0 {
+	if l.MaxHistory <= 0 {
 		l.MaxHistory = d.MaxHistory
 	}
 	return l
@@ -90,13 +91,11 @@ func (l Limits) checkConfig(cfg Config) []FieldError {
 		fields = append(fields, FieldError{Field: "pes",
 			Msg: fmt.Sprintf("%d PEs exceeds the per-session quota of %d", d.PEs, l.MaxPEs)})
 	}
-	// Ports via boundedPorts, not cfg.Ports(): quotas run next to (not
-	// after) validation, so k/stages may still be wild here.
-	if l.MaxPorts > 0 && d.K >= 2 && d.Stages >= 1 {
-		if _, ok := boundedPorts(d.K, d.Stages, l.MaxPorts); !ok {
-			fields = append(fields, FieldError{Field: "stages",
-				Msg: fmt.Sprintf("k^stages network ports exceed the per-session quota of %d", l.MaxPorts)})
-		}
+	// Ports is 0 for a shape Validate refuses, so only a valid shape meets
+	// the quota.
+	if l.MaxPorts > 0 && networkConfig(d).Ports() > l.MaxPorts {
+		fields = append(fields, FieldError{Field: "stages",
+			Msg: fmt.Sprintf("k^stages network ports exceed the per-session quota of %d", l.MaxPorts)})
 	}
 	// By division, not d.MemoryWords(): the product of two wild fields
 	// can wrap to something small.

@@ -173,7 +173,7 @@ func (s *Session) StageCandidate(cfg Config) error {
 	var fields []FieldError
 	if err := cfg.Validate(); err != nil {
 		var ve *ValidateError
-		if asValidateError(err, &ve) {
+		if errors.As(err, &ve) {
 			fields = append(fields, ve.Fields...)
 		} else {
 			return err
@@ -520,7 +520,7 @@ func (s *Session) ensureMachineLocked() error {
 	if err != nil {
 		return err
 	}
-	kit := live.Flags{}.New(0, d.SampleEvery, s.lsrv, nil)
+	kit := live.Flags{}.New(d.SampleEvery, s.lsrv, nil)
 	m.Observe(kit.Observers)
 	// Nothing listens (the feed server is mounted on the service's own
 	// listener), so Start has nothing to print and nothing to fail.

@@ -45,12 +45,9 @@ type Store struct {
 	maxHistory int
 }
 
-// NewStore returns a store keeping at most maxHistory commit entries
-// (<= 0 selects 16).
+// NewStore returns a store keeping at most maxHistory (>= 1) commit
+// entries.
 func NewStore(maxHistory int) *Store {
-	if maxHistory <= 0 {
-		maxHistory = 16
-	}
 	return &Store{maxHistory: maxHistory}
 }
 

@@ -44,7 +44,7 @@ type Workload struct {
 	// §4.1 discussion worries about.
 	Burstiness int
 	// MMLatency is the module service time in network cycles
-	// (default 2).
+	// (default memory.DefaultLatency).
 	MMLatency int64
 	// Seed makes runs reproducible.
 	Seed uint64
@@ -61,7 +61,7 @@ func (w Workload) withDefaults() Workload {
 		w.Words = 1 << 20
 	}
 	if w.MMLatency == 0 {
-		w.MMLatency = 2
+		w.MMLatency = memory.DefaultLatency
 	}
 	if w.Seed == 0 {
 		w.Seed = 1
