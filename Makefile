@@ -244,9 +244,12 @@ prof-host:
 # allocates nothing once each core's write-back queue has grown. And a PE
 # retires the private instructions of the guest-ideal kernel in bursts:
 # at most 0.04 Core.Tick calls per retired instruction (a count; ≥ 1
-# when every instruction takes its own tick).
+# when every instruction takes its own tick). The cost ledger
+# (ledger_test.go, testdata/ledger.golden) holds each root benchmark op and
+# Load of the 64-PE guest shape to its objects and bytes, which may only
+# fall, and to its simulated counts, which may not move.
 bench-guard:
-	$(GO) test ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ ./internal/trace/ ./internal/memory/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize|TickBudget' -count=1 -v
+	$(GO) test . ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ ./internal/trace/ ./internal/memory/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize|TickBudget' -count=1 -v
 
 # Guest-profiler smoke: profile queue.s end to end in both export
 # formats, then validate each round-trips non-empty through its own

@@ -391,23 +391,46 @@ func (p benchPort) Reply(r msg.Reply) bool       { return p.net.MMReply(p.mm, r)
 // observe, when not nil, runs before every op: it attaches what an
 // observed op makes anew each time.
 func netOp(b *testing.B, stages int, w trace.Workload, observe func(*trace.Workload)) {
-	const warmup, measure = 200, 500
-	cfg := network.Config{K: 2, Stages: stages, Copies: 1, Combining: true}
-	w.Rate, w.Hash, w.Seed = 0.20, true, 1001
 	b.ReportAllocs()
 	var r trace.Result
 	for i := 0; i < b.N; i++ {
 		if observe != nil {
 			observe(&w)
 		}
-		r = trace.Run(cfg, w, warmup, measure)
+		r = netOpRun(stages, w)
 	}
 	if r.Served == 0 || r.RoundTrip.N() == 0 {
 		b.Fatalf("no traffic flowed: %v", r)
 	}
 	b.ReportMetric(r.RoundTrip.Value(), "rtCycles")
-	hops := float64(r.Injected) * (warmup + measure) / measure * 2 * float64(stages+1)
+	hops := float64(r.Injected) * (netWarmup + netMeasure) / netMeasure * 2 * float64(stages+1)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/hops, "ns/hop")
+}
+
+// netWarmup and netMeasure are a net op's cycles.
+const netWarmup, netMeasure = 200, 500
+
+// netOpRun is the body of one net op: w at p = 0.20, hashed, seed 1001,
+// on 2^stages ports.
+func netOpRun(stages int, w trace.Workload) trace.Result {
+	cfg := network.Config{K: 2, Stages: stages, Copies: 1, Combining: true}
+	w.Rate, w.Hash, w.Seed = 0.20, true, 1001
+	return trace.Run(cfg, w, netWarmup, netMeasure)
+}
+
+// hotspotWorkload is the net-hotspot op's traffic.
+var hotspotWorkload = trace.Workload{HotFraction: 0.10, HotWord: 424242, LoadFrac: 0.5, StoreFrac: 0.2}
+
+// observeNet attaches what the net-observed op makes anew each time to
+// w, and resets rec, the ring made once, into it.
+func observeNet(rec *obs.Recorder) func(*trace.Workload) {
+	return func(w *trace.Workload) {
+		rec.Reset()
+		w.Probe = rec
+		w.Sampler = obs.NewSampler(64)
+		w.Tracer = reqtrace.New(reqtrace.Config{Rate: 1})
+		w.Profiler = prof.New(prof.Config{PEs: 64})
+	}
 }
 
 // BenchmarkNetUniformOp is the Figure 7 reference point on the benchmark's
@@ -417,9 +440,7 @@ func BenchmarkNetUniformOp(b *testing.B) { netOp(b, 6, trace.Workload{}, nil) }
 // BenchmarkNetHotspotOp sends 10 % of the references to one word, as 50 %
 // loads, 20 % stores and 30 % fetch-and-adds (§3.1.2): combining, wait
 // buffers and decombining.
-func BenchmarkNetHotspotOp(b *testing.B) {
-	netOp(b, 6, trace.Workload{HotFraction: 0.10, HotWord: 424242, LoadFrac: 0.5, StoreFrac: 0.2}, nil)
-}
+func BenchmarkNetHotspotOp(b *testing.B) { netOp(b, 6, hotspotWorkload, nil) }
 
 // BenchmarkNetObservedOp is the uniform op with everything attached, as
 // the repository benchmark's net-observed workload attaches it
@@ -428,23 +449,16 @@ func BenchmarkNetHotspotOp(b *testing.B) {
 // and a profiler. `make prof-host B=NetObservedOp` names where an
 // observed cycle goes.
 func BenchmarkNetObservedOp(b *testing.B) {
-	rec := obs.NewRecorder(1 << 16)
-	netOp(b, 6, trace.Workload{}, func(w *trace.Workload) {
-		rec.Reset()
-		w.Probe = rec
-		w.Sampler = obs.NewSampler(64)
-		w.Tracer = reqtrace.New(reqtrace.Config{Rate: 1})
-		w.Profiler = prof.New(prof.Config{PEs: 64})
-	})
+	netOp(b, 6, trace.Workload{}, observeNet(obs.NewRecorder(1<<16)))
 }
 
 // spmdKernel is the benchmark's guest kernel (bench/testdata/spmd.s, whose
 // fields bench/guest.go draws from the seed) with fixed constants and the
 // given iteration count.
-func spmdKernel(b *testing.B, iters int) string {
+func spmdKernel(tb testing.TB, iters int) string {
 	tmpl, err := os.ReadFile("bench/testdata/spmd.s")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return strings.NewReplacer(
 		"{{ITERS}}", strconv.Itoa(iters), "{{MUL}}", "7", "{{ADD}}", "13", "{{COUNTER}}", "64",
@@ -464,32 +478,45 @@ func guestOp(b *testing.B, iters int, ideal bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	var cycles int64
+	for i := 0; i < b.N; i++ {
+		cycles = guestOpRun(b, prog, iters, ideal).Cycles()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
+}
+
+// guestOpRun is the body of one guest op: Load, Run to the halt, Report,
+// and the shared counter checked.
+func guestOpRun(tb testing.TB, prog *isa.Program, iters int, ideal bool) *machine.Machine {
+	m := guestLoad(tb, prog, ideal)
+	if _, done := m.Run(10_000_000); !done {
+		tb.Fatal("kernel not halted")
+	}
+	if _, err := m.Report().JSON(); err != nil {
+		tb.Fatal(err)
+	}
+	// Every PE publishes once per 64 iterations.
+	if got, want := m.ReadShared(64), int64(iters/64*64); got != want {
+		tb.Fatalf("shared counter = %d, want %d", got, want)
+	}
+	return m
+}
+
+// guestLoad is a guest op's Load: 64 PEs on k = 2, six stages, each with
+// a 16×2×4 cache.
+func guestLoad(tb testing.TB, prog *isa.Program, ideal bool) *machine.Machine {
 	cfg := machine.Config{
 		Net: network.Config{K: 2, Stages: 6, Copies: 1, Combining: true},
 		PEs: 64, Hashing: true, IdealMemory: ideal,
 	}
-	b.ReportAllocs()
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		m, _, err := machine.Load(cfg, prog, machine.LoadOptions{
-			Cache: &cache.Config{Sets: 16, Ways: 2, BlockWords: 4},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, done := m.Run(10_000_000); !done {
-			b.Fatal("kernel not halted")
-		}
-		if _, err := m.Report().JSON(); err != nil {
-			b.Fatal(err)
-		}
-		// Every PE publishes once per 64 iterations.
-		if got, want := m.ReadShared(64), int64(iters/64*64); got != want {
-			b.Fatalf("shared counter = %d, want %d", got, want)
-		}
-		cycles = m.Cycles()
+	m, _, err := machine.Load(cfg, prog, machine.LoadOptions{
+		Cache: &cache.Config{Sets: 16, Ways: 2, BlockWords: 4},
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
+	return m
 }
 
 // BenchmarkGuestIdealOp is the guest-ideal op (guestIdealIters = 1 024
@@ -540,11 +567,7 @@ func BenchmarkMachineLoad(b *testing.B) {
 // where a session's host time goes — validation, Build, the observation
 // kit, the scheduler's slices, the report.
 func BenchmarkServeSessionOp(b *testing.B) {
-	cfg := serve.Config{
-		Name: "bench-op", K: 2, Stages: 4, PEs: 16, Limit: 5_000_000,
-		Cache:   &serve.CacheConfig{Sets: 16, Ways: 2, BlockWords: 4},
-		Program: spmdKernel(b, 32),
-	}
+	cfg := serveOpConfig(b)
 	svc := serve.NewService(serve.Limits{})
 	defer svc.Drain()
 	b.ReportAllocs()
@@ -580,6 +603,15 @@ func BenchmarkServeSessionOp(b *testing.B) {
 		cycles = info.Cycles
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
+}
+
+// serveOpConfig is the serve-lifecycle session's config.
+func serveOpConfig(tb testing.TB) serve.Config {
+	return serve.Config{
+		Name: "bench-op", K: 2, Stages: 4, PEs: 16, Limit: 5_000_000,
+		Cache:   &serve.CacheConfig{Sets: 16, Ways: 2, BlockWords: 4},
+		Program: spmdKernel(tb, 32),
+	}
 }
 
 // BenchmarkNetHopCost runs the uniform op on 4 to 256 ports. If the cost

@@ -1,11 +1,15 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"ultracomputer/internal/cache"
 	"ultracomputer/internal/isa"
+	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
+	"ultracomputer/internal/obs"
+	"ultracomputer/internal/obs/prof"
 )
 
 // runCachedAsm assembles src and runs it to completion on every PE of a
@@ -197,6 +201,58 @@ fin:	li   r4, 0
 	for a := int64(0); a < 64; a++ {
 		if got := m.ReadShared(a); got != a+1 {
 			t.Fatalf("M[%d] = %d, want %d", a, got, a+1)
+		}
+	}
+}
+
+// TestFlushIssueOrder pins the order in which cflu of a fully dirty cache
+// issues its stores: set by set, way by way within a set, word by word
+// within a line — not address order. The guest stores each address's own
+// value from the top of a 32-word region down, so a 4-set, 2-way cache
+// of 4-word blocks fills the sets' way 0 with the upper four blocks and
+// way 1 with the lower four; nothing is evicted, and every store the PE
+// injects after the stores is the flush's, carrying its address as its
+// operand.
+func TestFlushIssueOrder(t *testing.T) {
+	cfg := cfg16()
+	cfg.PEs = 1
+	m, _, err := Load(cfg, isa.MustAssemble(`
+	li   r1, 1055
+	li   r2, 1023
+fill:	csts r1, 0(r1)
+	addi r1, r1, -1
+	bne  r1, r2, fill
+	li   r3, 1024
+	li   r4, 1056
+	cflu r3, r4
+	halt
+`), LoadOptions{Cache: &cache.Config{Sets: 4, Ways: 2, BlockWords: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(1 << 12)
+	m.Observe(prof.Observers{Probe: rec})
+	m.MustRun(1_000_000)
+	var got []int64
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindInject && ev.Op == msg.Store {
+			got = append(got, ev.Value)
+		}
+	}
+	var want []int64
+	for set := int64(0); set < 4; set++ {
+		for _, block := range []int64{260 + set, 256 + set} { // way 0, way 1
+			for w := int64(0); w < 4; w++ {
+				want = append(want, block*4+w)
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("cflu issued stores to\n%v\nwant\n%v", got, want)
+	}
+	for _, a := range want {
+		if v := m.ReadShared(a); v != a {
+			t.Fatalf("M[%d] = %d after the flush, want %d", a, v, a)
 		}
 	}
 }
