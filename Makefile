@@ -224,11 +224,13 @@ prof-host:
 # network under steady traffic must stay inside its budget (the
 # growth-only tail of its queues), and what is built per run is sized by
 # its reader: a served kit without -trace under 64 KB whatever ring
-# capacity its caller names, a 16-PE session's build and kit under 213 KiB,
-# a cache within five allocations. Private memory is paid for by the page
+# capacity its caller names, a 16-PE session's build and kit under 196 KiB
+# (no more at max_outstanding 1<<30), a cache within four allocations and a
+# machine's caches in the same four. Private memory is paid for by the page
 # stored to: a core under 1 KiB (20 KiB at 1 Mi words), Load of the
-# benchmark's 64-PE shape under 1 MiB, and neither lw/sw over touched
-# pages nor the PNI's outstanding-request list at its limit allocates.
+# benchmark's 64-PE shape under 640 KiB, with no object per PE and no more
+# bytes at MaxOutstanding 1<<30, and neither lw/sw over touched pages nor
+# a fresh PNI's outstanding-request list at its limit allocates.
 # And a message costs the sweep what it must: at most 2.25 link pumps per
 # message per link crossed at p = 0.2 (a count, not a time, so the host
 # cannot move it). An observed event is 72 bytes, which the compiler
@@ -241,7 +243,8 @@ prof-host:
 # bank and 10 000 distinct writes allocate O(log words) objects, one
 # table for the bank, not a map per module. The benchmark
 # kernel's cached traffic (clds/csts, cflu, crel, fills and write-backs)
-# allocates nothing once each core's write-back queue has grown. And a PE
+# allocates nothing, each core's write-back queue starting in its carved
+# room. And a PE
 # retires the private instructions of the guest-ideal kernel in bursts:
 # at most 0.04 Core.Tick calls per retired instruction (a count; ≥ 1
 # when every instruction takes its own tick). The cost ledger

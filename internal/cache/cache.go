@@ -84,15 +84,6 @@ type Cache struct {
 	subs *obs.Subs
 	out  obs.Probe
 	pe   int
-
-	// Write-back scratch reused across calls so the cached-ISA cycle
-	// path stays allocation-free in steady state. A slice returned by
-	// Fill is valid until the next Fill; one returned by Flush until the
-	// next Flush. The two are distinct because the ISA layer holds
-	// Fill's result across cycles while draining it and may Flush into
-	// the same queue meanwhile.
-	fillWB  []WriteBack
-	flushWB []WriteBack
 }
 
 // noSubs is the empty, never written audience of a cache outside a PE.
@@ -108,26 +99,34 @@ func (c *Cache) Observe(subs *obs.Subs, out obs.Probe, pe int) {
 }
 
 // New builds a cache; it panics on an invalid configuration.
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return &NewCaches(1, cfg)[0] }
+
+// NewCaches builds n caches of one shape, one per PE of a machine, in
+// four allocations whatever n is: the caches and three slabs (lines,
+// words, dirty bits) they carve their lines from. Each line's slices are
+// capped at its own block, so nothing can grow into a neighbour's. It
+// panics on an invalid configuration.
+func NewCaches(n int, cfg Config) []Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// Three slabs, not an allocation per set and two per line: a machine
-	// builds one cache per PE. Each line's slices are capped at its own
-	// block, so nothing can grow into a neighbour's.
-	bw := cfg.BlockWords
-	lines := make([]line, cfg.Sets*cfg.Ways)
+	bw, per := cfg.BlockWords, cfg.Sets*cfg.Ways
+	caches := make([]Cache, n)
+	lines := make([]line, n*per)
 	words := make([]int64, len(lines)*bw)
 	dirty := make([]bool, len(lines)*bw)
 	for i := range lines {
 		lines[i].words = words[i*bw : (i+1)*bw : (i+1)*bw]
 		lines[i].dirty = dirty[i*bw : (i+1)*bw : (i+1)*bw]
 	}
-	return &Cache{
-		cfg: cfg, lines: lines, subs: &noSubs,
-		blockShift: uint(bits.TrailingZeros(uint(bw))),
-		setShift:   uint(bits.TrailingZeros(uint(cfg.Sets))),
+	for i := range caches {
+		caches[i] = Cache{
+			cfg: cfg, lines: lines[i*per : (i+1)*per : (i+1)*per], subs: &noSubs,
+			blockShift: uint(bits.TrailingZeros(uint(bw))),
+			setShift:   uint(bits.TrailingZeros(uint(cfg.Sets))),
+		}
 	}
+	return caches
 }
 
 // Stats exposes the activity counters.
@@ -233,11 +232,11 @@ func (c *Cache) Block(a int64) int64 {
 func (c *Cache) BlockWords() int { return c.cfg.BlockWords }
 
 // Fill installs the block starting at blockAddr (length BlockWords,
-// fetched from central memory) and returns the dirty words of the line it
-// evicted, which the caller must write to central memory. Cache-generated
-// write-back traffic can always be pipelined (§3.4). The returned slice
-// aliases receiver-owned scratch and is valid until the next Fill.
-func (c *Cache) Fill(blockAddr int64, words []int64) []WriteBack {
+// fetched from central memory), appends the dirty words of the line it
+// evicted to wbs, and returns the result; the caller must write those
+// words to central memory. Cache-generated write-back traffic can always
+// be pipelined (§3.4).
+func (c *Cache) Fill(blockAddr int64, words []int64, wbs []WriteBack) []WriteBack {
 	if int(blockAddr)%c.cfg.BlockWords != 0 {
 		panic(fmt.Sprintf("cache: Fill at unaligned address %d", blockAddr))
 	}
@@ -259,9 +258,8 @@ func (c *Cache) Fill(blockAddr int64, words []int64) []WriteBack {
 			victim = l
 		}
 	}
-	var wbs []WriteBack
 	if victim.valid {
-		wbs = c.evict(victim, set)
+		wbs = c.evict(victim, set, wbs)
 	}
 	victim.valid = true
 	victim.tag = tag
@@ -273,21 +271,17 @@ func (c *Cache) Fill(blockAddr int64, words []int64) []WriteBack {
 	return wbs
 }
 
-// evict collects the dirty words of l into the fill scratch and
-// invalidates it.
-func (c *Cache) evict(l *line, set int) []WriteBack {
-	wbs := c.fillWB[:0]
+// evict appends the dirty words of l to wbs and invalidates it.
+func (c *Cache) evict(l *line, set int, wbs []WriteBack) []WriteBack {
 	base := (l.tag*int64(c.cfg.Sets) + int64(set)) * int64(c.cfg.BlockWords)
 	for i, d := range l.dirty {
 		if d {
-			// The scratch stops growing at BlockWords entries.
 			wbs = append(wbs, WriteBack{Addr: base + int64(i), Value: l.words[i]})
 			c.wroteBack(base + int64(i))
 		}
 	}
 	l.valid = false
 	c.stats.Evictions.Inc()
-	c.fillWB = wbs[:0]
 	return wbs
 }
 
@@ -324,12 +318,11 @@ func (c *Cache) Release(lo, hi int64) {
 }
 
 // Flush forces a write-back of every dirty cached word in [lo, hi),
-// returning the words to write to central memory. Lines remain valid and
+// appending the words to write to central memory to wbs, set by set, way
+// by way, word by word, and returning the result. Lines remain valid and
 // clean — used before spawning subtasks that will read the data and
-// before task switches (§3.4). The returned slice aliases receiver-owned
-// scratch and is valid until the next Flush.
-func (c *Cache) Flush(lo, hi int64) []WriteBack {
-	wbs := c.flushWB[:0]
+// before task switches (§3.4).
+func (c *Cache) Flush(lo, hi int64, wbs []WriteBack) []WriteBack {
 	bw := int64(c.cfg.BlockWords)
 	for set := 0; set < c.cfg.Sets; set++ {
 		ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
@@ -356,12 +349,11 @@ func (c *Cache) Flush(lo, hi int64) []WriteBack {
 			}
 		}
 	}
-	c.flushWB = wbs[:0]
 	return wbs
 }
 
-// FlushAll flushes the entire cache.
-func (c *Cache) FlushAll() []WriteBack { return c.Flush(0, 1<<62) }
+// FlushAll flushes the entire cache, appending to wbs.
+func (c *Cache) FlushAll(wbs []WriteBack) []WriteBack { return c.Flush(0, 1<<62, wbs) }
 
 // Contains reports whether address a currently hits, without touching LRU
 // state or statistics.

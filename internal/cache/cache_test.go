@@ -15,7 +15,7 @@ func fill(c *Cache, backing map[int64]int64, a int64) {
 	for i := range words {
 		words[i] = backing[base+int64(i)]
 	}
-	for _, wb := range c.Fill(base, words) {
+	for _, wb := range c.Fill(base, words, nil) {
 		backing[wb.Addr] = wb.Value
 	}
 }
@@ -121,7 +121,7 @@ func TestFlushWritesBackAndKeepsLines(t *testing.T) {
 	fill(c, backing, 20)
 	c.Write(20, 11)
 	c.Write(22, 33)
-	wbs := c.Flush(0, 1<<30)
+	wbs := c.Flush(0, 1<<30, nil)
 	for _, wb := range wbs {
 		backing[wb.Addr] = wb.Value
 	}
@@ -132,7 +132,7 @@ func TestFlushWritesBackAndKeepsLines(t *testing.T) {
 		t.Fatal("flushed line evicted; flush must keep lines valid")
 	}
 	// A second flush finds nothing dirty.
-	if extra := c.FlushAll(); len(extra) != 0 {
+	if extra := c.FlushAll(nil); len(extra) != 0 {
 		t.Fatalf("second flush returned %v", extra)
 	}
 }
@@ -144,7 +144,7 @@ func TestFlushRangeIsSelective(t *testing.T) {
 	fill(c, backing, 100)
 	c.Write(0, 1)
 	c.Write(100, 2)
-	wbs := c.Flush(0, 50) // only the first block's range
+	wbs := c.Flush(0, 50, nil) // only the first block's range
 	if len(wbs) != 1 || wbs[0].Addr != 0 {
 		t.Fatalf("selective flush returned %v", wbs)
 	}
@@ -158,7 +158,7 @@ func TestFillPanicsOnBadArgs(t *testing.T) {
 				t.Error("unaligned Fill did not panic")
 			}
 		}()
-		c.Fill(3, make([]int64, 4))
+		c.Fill(3, make([]int64, 4), nil)
 	}()
 	func() {
 		defer func() {
@@ -166,7 +166,7 @@ func TestFillPanicsOnBadArgs(t *testing.T) {
 				t.Error("short Fill did not panic")
 			}
 		}()
-		c.Fill(0, make([]int64, 2))
+		c.Fill(0, make([]int64, 2), nil)
 	}()
 }
 
@@ -210,7 +210,7 @@ func TestCacheCoherentWithBacking(t *testing.T) {
 		}
 		// After a full flush, backing agrees with the reference
 		// everywhere the program wrote.
-		for _, wb := range c.FlushAll() {
+		for _, wb := range c.FlushAll(nil) {
 			backing[wb.Addr] = wb.Value
 		}
 		for a, v := range ref {
@@ -227,35 +227,42 @@ func TestCacheCoherentWithBacking(t *testing.T) {
 }
 
 // TestNewAllocBudget: a cache is the Cache and three slabs (lines,
-// words, dirty bits) — not an allocation per set and two per line; a
-// 64-PE machine builds 64 of them per Load. Lines must still not alias
-// one another.
+// words, dirty bits) — not an allocation per set and two per line — and
+// NewCaches builds a machine's caches in the same four allocations,
+// whatever their count. Lines must still not alias one another, within a
+// cache or across caches.
 func TestNewAllocBudget(t *testing.T) {
 	cfg := Config{Sets: 16, Ways: 2, BlockWords: 4}
-	if n := testing.AllocsPerRun(100, func() { New(cfg) }); n > 5 {
-		t.Errorf("New(%+v) makes %v allocations, budget 5", cfg, n)
+	if n := testing.AllocsPerRun(100, func() { New(cfg) }); n > 4 {
+		t.Errorf("New(%+v) makes %v allocations, budget 4", cfg, n)
 	}
-	c := New(cfg)
+	if n := testing.AllocsPerRun(100, func() { NewCaches(64, cfg) }); n > 4 {
+		t.Errorf("NewCaches(64, %+v) makes %v allocations, budget 4", cfg, n)
+	}
+	caches := NewCaches(3, cfg)
 	seen := map[*int64]bool{}
-	for set := 0; set < cfg.Sets; set++ {
-		ways := c.lines[set*cfg.Ways : (set+1)*cfg.Ways]
-		if len(ways) != cfg.Ways {
-			t.Fatalf("set %d has %d ways, want %d", set, len(ways), cfg.Ways)
+	for i := range caches {
+		c := &caches[i]
+		if len(c.lines) != cfg.Sets*cfg.Ways || cap(c.lines) != cfg.Sets*cfg.Ways {
+			t.Fatalf("cache %d: %d/%d lines, want %d", i, len(c.lines), cap(c.lines), cfg.Sets*cfg.Ways)
 		}
-		for i := range ways {
-			l := &ways[i]
-			if len(l.words) != cfg.BlockWords || cap(l.words) != cfg.BlockWords ||
-				len(l.dirty) != cfg.BlockWords || cap(l.dirty) != cfg.BlockWords {
-				t.Fatalf("line slices not capped at the block: words %d/%d dirty %d/%d",
-					len(l.words), cap(l.words), len(l.dirty), cap(l.dirty))
+		for set := 0; set < cfg.Sets; set++ {
+			ways := c.lines[set*cfg.Ways : (set+1)*cfg.Ways]
+			for w := range ways {
+				l := &ways[w]
+				if len(l.words) != cfg.BlockWords || cap(l.words) != cfg.BlockWords ||
+					len(l.dirty) != cfg.BlockWords || cap(l.dirty) != cfg.BlockWords {
+					t.Fatalf("line slices not capped at the block: words %d/%d dirty %d/%d",
+						len(l.words), cap(l.words), len(l.dirty), cap(l.dirty))
+				}
+				if seen[&l.words[0]] {
+					t.Fatal("two lines share a block of words")
+				}
+				seen[&l.words[0]] = true
 			}
-			if seen[&l.words[0]] {
-				t.Fatal("two lines share a block of words")
-			}
-			seen[&l.words[0]] = true
 		}
 	}
-	if len(seen) != cfg.Sets*cfg.Ways {
-		t.Errorf("%d distinct lines, want %d", len(seen), cfg.Sets*cfg.Ways)
+	if len(seen) != len(caches)*cfg.Sets*cfg.Ways {
+		t.Errorf("%d distinct lines, want %d", len(seen), len(caches)*cfg.Sets*cfg.Ways)
 	}
 }

@@ -25,8 +25,8 @@ type coreCache struct {
 	// instruction, the cache's first access).
 	observed bool
 
-	// Block fill in progress. words is preallocated at construction
-	// (BlockWords long) and reused by every fill.
+	// Block fill in progress. words is a BlockWords window of a slab
+	// carved at construction and reused by every fill.
 	filling  bool
 	block    int64
 	words    []int64
@@ -34,8 +34,12 @@ type coreCache struct {
 	received int
 
 	// Write-backs (from evictions and flushes) awaiting issue:
-	// wb[wbNext:]. The queue is the core's own array, reused by every
-	// batch; it never aliases the cache's scratch (queue).
+	// wb[wbNext:]. It is the core's one write-back buffer: a fill that
+	// completes and a flush that starts find it drained (tickCache issues
+	// every queued store first), and the cache appends their write-backs
+	// to it from its head. It starts as a window of wbRoom entries or
+	// fewer carved from a slab; a larger batch appends past the window
+	// into an array of the core's own.
 	wb     []cache.WriteBack
 	wbNext int
 	// flushing: after the write-back queue drains, wait for all
@@ -44,15 +48,37 @@ type coreCache struct {
 	flushing bool
 }
 
+// wbRoom caps a core's carved write-back room: min(cache capacity, wbRoom)
+// entries, 1 KiB a core at most, enough for a flush of sixteen 4-word
+// blocks without leaving the slab. A larger cache does not buy a larger
+// window, so a 1024×8×16 cache costs no 2 MiB buffer a PE.
+const wbRoom = 64
+
 // NewCoreWithCache builds an interpreter whose CLDS/CSTS/CFLU/CREL
 // instructions run against a private write-back cache of the given
 // shape. Cores built with NewCore treat those instructions as illegal.
+// It is NewCores for one core.
 func NewCoreWithCache(prog *Program, localWords int, cfg cache.Config) *Core {
-	c := NewCore(prog, localWords)
-	cc := &coreCache{c: cache.New(cfg)}
-	cc.words = make([]int64, cc.c.BlockWords())
-	c.cc = cc
-	return c
+	return &NewCores([]*Program{prog}, localWords, &cfg)[0]
+}
+
+// carveCaches gives every core a cache of shape cfg, its fill words and
+// its write-back room, each a window of one slab.
+func carveCaches(cores []Core, cfg cache.Config) {
+	caches := cache.NewCaches(len(cores), cfg)
+	ccs := make([]coreCache, len(cores))
+	bw := cfg.BlockWords
+	room := min(cfg.Sets*cfg.Ways*bw, wbRoom)
+	words := make([]int64, len(cores)*bw)
+	wbs := make([]cache.WriteBack, len(cores)*room)
+	for i := range cores {
+		ccs[i] = coreCache{
+			c:     &caches[i],
+			words: words[i*bw : (i+1)*bw : (i+1)*bw],
+			wb:    wbs[i*room : i*room : (i+1)*room],
+		}
+		cores[i].cc = &ccs[i]
+	}
 }
 
 // Cache exposes the cache for result checking; nil without one.
@@ -99,7 +125,7 @@ func (c *Core) tickCache(env *pe.Env) (pe.TickResult, bool) {
 		if cc.received < n {
 			return pe.TickResult{}, true // waiting on the block
 		}
-		cc.queue(cc.c.Fill(cc.block, cc.words))
+		cc.wb, cc.wbNext = cc.c.Fill(cc.block, cc.words, cc.wb[:0]), 0
 		cc.filling = false
 		// Fall through to re-execute the faulting instruction this
 		// cycle only if no write-backs queued; otherwise they drain
@@ -109,23 +135,22 @@ func (c *Core) tickCache(env *pe.Env) (pe.TickResult, bool) {
 	return pe.TickResult{}, false
 }
 
-// queue copies wbs, which alias the cache's scratch, into the core's own
-// write-back queue. Both callers run with the queue drained (a fill
-// completes, and a flush starts, only once tickCache has issued every
-// queued store), so the queue restarts at its head and its array is
-// reused from one batch to the next.
-func (cc *coreCache) queue(wbs []cache.WriteBack) {
-	cc.wb, cc.wbNext = append(cc.wb[:0], wbs...), 0
-}
-
 // startFill begins fetching the block containing addr. Every word of
 // cc.words is overwritten by completeFill before Fill reads it, so the
-// preallocated buffer needs no clearing.
+// carved window needs no clearing.
 func (cc *coreCache) startFill(addr int64) {
 	cc.filling = true
 	cc.block = cc.c.Block(addr)
 	cc.issued = 0
 	cc.received = 0
+}
+
+// flush starts a CFLU of [lo, hi): the cache appends the range's dirty
+// words to the drained write-back queue, and the instruction completes
+// once they are issued and acknowledged (tickCache).
+func (cc *coreCache) flush(lo, hi int64) {
+	cc.wb, cc.wbNext = cc.c.Flush(lo, hi, cc.wb[:0]), 0
+	cc.flushing = true
 }
 
 // completeFill consumes a fill reply.
@@ -172,8 +197,7 @@ func (c *Core) execCached(env *pe.Env, in *Instr) pe.TickResult {
 		cc.c.Write(addr, c.regs.I[in.Rt])
 		cc.startFill(addr)
 	case CFLU:
-		cc.queue(cc.c.Flush(c.regs.I[in.Rs], c.regs.I[in.Rt]))
-		cc.flushing = true
+		cc.flush(c.regs.I[in.Rs], c.regs.I[in.Rt])
 	default:
 		panic(fmt.Sprintf("isa: execCached on %v", in.Op))
 	}

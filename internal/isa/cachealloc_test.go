@@ -13,9 +13,10 @@ import (
 
 // TestCachedKernelZeroAlloc: the benchmark kernel's cached traffic —
 // clds/csts over a PE's region, cflu and crel of the block just written,
-// and the fills, evictions and write-backs they cause — allocates nothing
-// once each core's write-back queue has grown. The cache holds half the
-// region, so fills evict dirty lines as well as refill released ones.
+// and the fills, evictions and write-backs they cause — allocates nothing:
+// each core's write-back queue starts in its carved room, which holds the
+// kernel's largest flush. The cache holds half the region, so fills evict
+// dirty lines as well as refill released ones.
 func TestCachedKernelZeroAlloc(t *testing.T) {
 	tmpl, err := os.ReadFile("../../bench/testdata/spmd.s")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"ultracomputer/internal/cache"
 	"ultracomputer/internal/pe"
 )
 
@@ -39,17 +40,40 @@ const (
 // NewCore builds an interpreter with localWords words of private memory.
 // The words are address space: a 4 KiB page is allocated at the first
 // store into it, so a core costs what its program stores, not localWords.
+// It is NewCores for one core.
 func NewCore(prog *Program, localWords int) *Core {
-	if localWords < 1 {
-		localWords = 1
+	return &NewCores([]*Program{prog}, localWords, nil)[0]
+}
+
+// NewCores builds one interpreter per program, core i running progs[i],
+// each with localWords words of private memory (see NewCore) and, when
+// cfg is not nil, a private write-back cache of that shape (see
+// NewCoreWithCache). A machine's cores cost a constant number of
+// allocations whatever their count: the cores, a page table slab when the
+// tables do not fit inline, and for caches the caches' own slabs
+// (cache.NewCaches), the cache states, and the slabs of fill words and
+// write-back room the cores carve their windows from.
+func NewCores(progs []*Program, localWords int, cfg *cache.Config) []Core {
+	localWords = max(localWords, 1)
+	n := (localWords + pageWords - 1) >> pageShift
+	cores := make([]Core, len(progs))
+	var tables []*[pageWords]int64
+	if n > inlinePages {
+		tables = make([]*[pageWords]int64, len(progs)*n)
 	}
-	c := &Core{prog: prog, localWords: localWords}
-	if n := (localWords + pageWords - 1) >> pageShift; n <= inlinePages {
-		c.pages = c.inline[:n]
-	} else {
-		c.pages = make([]*[pageWords]int64, n)
+	for i := range cores {
+		c := &cores[i]
+		c.prog, c.localWords = progs[i], localWords
+		if tables != nil {
+			c.pages = tables[i*n : (i+1)*n : (i+1)*n]
+		} else {
+			c.pages = c.inline[:n]
+		}
 	}
-	return c
+	if cfg != nil {
+		carveCaches(cores, *cfg)
+	}
+	return cores
 }
 
 // Reg reads integer register r (for result checking after a run).

@@ -121,7 +121,7 @@ func TestEveryOpcode(t *testing.T) {
 				t.Errorf("Regs.Exec ok = %v, but the row's class is %d", ok, op.Class())
 			}
 			core := NewCoreWithCache(&Program{Instrs: []Instr{in}}, 16, cache.Config{Sets: 1, Ways: 1, BlockWords: 1})
-			accept := func(msg.Request) bool { return true }
+			accept := func(int, msg.Request) bool { return true }
 			p := pe.New(0, core, memory.Interleave{N: 1}, accept, 4)
 			p.Tick(0, 1, 0)
 			if st := p.Stats(); !p.Halted() && st.Instructions.Value() == 0 && st.IdleCycles.Value() == 0 {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -198,27 +199,54 @@ loop:   lw   r3, 0(r1)
 	}
 }
 
+// loadCost reports the objects and bytes Load of cfg with a 16×2×4 cache
+// a PE allocates: the least of three Loads, since a young process's
+// runtime adds an object to the odd one.
+func loadCost(t *testing.T, cfg Config) (objects, bytes uint64) {
+	t.Helper()
+	prog := isa.MustAssemble("\thalt\n")
+	objects, bytes = math.MaxUint64, math.MaxUint64
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, _, err := Load(cfg, prog, LoadOptions{Cache: &cache.Config{Sets: 16, Ways: 2, BlockWords: 4}})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// guestShape is the benchmark's guest machine (k = 2, six stages) at pes
+// PEs.
+func guestShape(pes int) Config {
+	return Config{Net: network.Config{K: 2, Stages: 6, Copies: 1, Combining: true}, PEs: pes, Hashing: true}
+}
+
 // TestLoadAllocBudget: Load of the benchmark's guest shape (64 PEs,
 // k = 2, six stages, a 16×2×4 cache a PE) allocates the network, the
-// MMs, the caches and the interpreters — no private memory, which is
-// address space until a guest stores to it (32 KiB a PE, 2 MiB of the
-// parent's ≈ 2.7 MB, at the default LocalWords).
+// MMs, and the PEs' cores, caches and PNIs carved from a constant number
+// of slabs — no private memory, which is address space until a guest
+// stores to it. 622 992 bytes measured when the PEs began to be carved
+// (682 552 with objects of their own), budget 640 KiB. And no object is
+// per PE: on the same network, Load at 64 PEs costs at most
+// loadPerPEObjects more objects than at 16 — 43 at both when carved,
+// 867 against 289 before.
 func TestLoadAllocBudget(t *testing.T) {
-	const budget = 1 << 20
-	prog := isa.MustAssemble("\thalt\n")
-	cfg := Config{
-		Net: network.Config{K: 2, Stages: 6, Copies: 1, Combining: true},
-		PEs: 64, Hashing: true,
+	const budget = 640 << 10
+	const loadPerPEObjects = 0
+	o64, b64 := loadCost(t, guestShape(64))
+	o16, _ := loadCost(t, guestShape(16))
+	t.Logf("Load: %d objects, %d bytes at 64 PEs; %d objects at 16", o64, b64, o16)
+	if b64 > budget {
+		t.Errorf("Load of the 64-PE benchmark shape allocates %d bytes, budget %d", b64, budget)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m, _, err := Load(cfg, prog, LoadOptions{Cache: &cache.Config{Sets: 16, Ways: 2, BlockWords: 4}})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	if o64 > o16+loadPerPEObjects {
+		t.Errorf("Load allocates %d objects at 64 PEs and %d at 16: %d more, budget %d",
+			o64, o16, o64-o16, loadPerPEObjects)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
-		t.Errorf("Load of the 64-PE benchmark shape allocates %d bytes, budget %d", got, budget)
-	}
-	runtime.KeepAlive(m)
 }

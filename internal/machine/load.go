@@ -80,14 +80,11 @@ func LoadPrograms(cfg Config, progs []*isa.Program, opts LoadOptions) (*Machine,
 			return nil, nil, &LintError{Findings: findings}
 		}
 	}
-	cores := make([]pe.Core, len(progs))
-	isaCores := make([]*isa.Core, len(progs))
-	for i := range cores {
-		if opts.Cache != nil {
-			isaCores[i] = isa.NewCoreWithCache(progs[i], opts.LocalWords, *opts.Cache)
-		} else {
-			isaCores[i] = isa.NewCore(progs[i], opts.LocalWords)
-		}
+	slab := isa.NewCores(progs, opts.LocalWords, opts.Cache)
+	cores := make([]pe.Core, len(slab))
+	isaCores := make([]*isa.Core, len(slab))
+	for i := range slab {
+		isaCores[i] = &slab[i]
 		cores[i] = isaCores[i]
 	}
 	return New(cfg, cores), isaCores, nil

@@ -16,6 +16,7 @@ import (
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/prof"
 	"ultracomputer/internal/pe"
+	"ultracomputer/internal/sim"
 )
 
 // Config describes a machine.
@@ -144,10 +145,15 @@ type Machine struct {
 	// so the serialization is PE order, then issue order.
 	idealPending []idealReply
 
+	// cmWait is the access-time distribution of every PE's shared
+	// requests, which each PE records into as its replies arrive and
+	// Report reads.
+	cmWait *sim.Histogram
+
 	// Phase bodies and MM ports are built once (New) so Step
 	// allocates nothing in steady state: the closures read the cycle
-	// from the receiver, and the prebuilt memory.Port values avoid
-	// re-boxing an mmPort per module per cycle.
+	// from the receiver, and each memory.Port is a pointer into one
+	// slab of mmPorts, boxed once.
 	mmPorts   []memory.Port
 	mmStepFn  func(lo, hi, w int)
 	collectFn func(lo, hi, w int)
@@ -180,23 +186,24 @@ func New(cfg Config, cores []pe.Core) *Machine {
 		h = memory.Interleave{N: ports}
 	}
 	m.bank = memory.NewBank(ports, cfg.MMLatency, h)
-	for i := range cores {
-		peID := i
-		var inject func(msg.Request) bool
-		if cfg.IdealMemory {
-			inject = func(r msg.Request) bool {
-				m.applyIdeal(peID, r)
-				return true
-			}
-		} else {
-			inject = func(r msg.Request) bool { return m.stepper.Inject(peID, r, m.cycle) }
-		}
-		m.pes = append(m.pes, pe.New(peID, cores[i], h, inject, cfg.MaxOutstanding))
+	var inject func(int, msg.Request) bool
+	if cfg.IdealMemory {
+		inject = m.applyIdeal
+	} else {
+		inject = m.inject
+	}
+	m.cmWait = sim.NewHistogram(256)
+	slab := pe.NewPEs(cores, h, inject, cfg.MaxOutstanding, m.cmWait)
+	m.pes = make([]*pe.PE, len(slab))
+	for i := range slab {
+		m.pes[i] = &slab[i]
 	}
 	m.wirePEs()
+	mmPorts := make([]mmPort, ports)
 	m.mmPorts = make([]memory.Port, ports)
 	for mm := range m.mmPorts {
-		m.mmPorts[mm] = mmPort{m, mm}
+		mmPorts[mm] = mmPort{m, mm}
+		m.mmPorts[mm] = &mmPorts[mm]
 	}
 	m.mmStepFn = func(lo, hi, _ int) {
 		for mm := lo; mm < hi; mm++ {
@@ -224,15 +231,21 @@ func New(cfg Config, cores []pe.Core) *Machine {
 	return m
 }
 
-// applyIdeal executes one injected request against memory (the
-// serialization order is PE order, then issue order, within the cycle)
-// and schedules its reply for the next PE cycle.
-func (m *Machine) applyIdeal(peID int, r msg.Request) {
+// inject offers PE peID's request to the network: every PE's PNI injects
+// through it.
+func (m *Machine) inject(peID int, r msg.Request) bool { return m.stepper.Inject(peID, r, m.cycle) }
+
+// applyIdeal is inject under IdealMemory: it executes the request against
+// memory at once (the serialization order is PE order, then issue order,
+// within the cycle), schedules its reply for the next PE cycle, and
+// always accepts.
+func (m *Machine) applyIdeal(peID int, r msg.Request) bool {
 	mod := m.bank.Modules[r.Addr.MM]
 	newVal, ret := msg.Apply(r.Op, mod.Peek(r.Addr.Word), r.Operand)
 	mod.Poke(r.Addr.Word, newVal)
 	mod.Served.Inc()
 	m.idealPending = append(m.idealPending, idealReply{pe: peID, rep: r.Reply(ret)})
+	return true
 }
 
 // NewPrograms is a convenience constructor wrapping each Program in a
@@ -331,8 +344,8 @@ type mmPort struct {
 	mm int
 }
 
-func (p mmPort) Dequeue() (msg.Request, bool) { return p.m.stepper.MMDequeue(p.mm) }
-func (p mmPort) Reply(r msg.Reply) bool       { return p.m.net.MMReply(p.mm, r) }
+func (p *mmPort) Dequeue() (msg.Request, bool) { return p.m.stepper.MMDequeue(p.mm) }
+func (p *mmPort) Reply(r msg.Reply) bool       { return p.m.net.MMReply(p.mm, r) }
 
 // Step advances the machine one network cycle: the network moves, memory
 // modules serve, replies reach the PEs, and — every PECycle network

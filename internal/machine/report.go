@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-
-	"ultracomputer/internal/sim"
 )
 
 // Report aggregates the measurements of Table 1 (§4.2) over a finished
@@ -61,10 +59,8 @@ func (m *Machine) Report() Report {
 	r := Report{PEs: len(m.pes), PECyclesRun: m.peCycles}
 	var cmWaitSum float64
 	var cmWaitN int64
-	hist := sim.NewHistogram(256)
 	for _, p := range m.pes {
 		s := p.Stats()
-		hist.Merge(s.CMWaitHist)
 		r.Instructions += s.Instructions.Value()
 		r.IdleCycles += s.IdleCycles.Value()
 		r.LocalRefs += s.LocalRefs.Value()
@@ -77,12 +73,12 @@ func (m *Machine) Report() Report {
 		cmWaitN += s.CMWait.N()
 	}
 	r.CMAccessSamples = cmWaitN
-	r.CMAccessOverflow = hist.Overflow()
+	r.CMAccessOverflow = m.cmWait.Overflow()
 	if cmWaitN > 0 {
 		r.AvgCMAccess = cmWaitSum / float64(cmWaitN)
-		r.CMAccessP50 = float64(hist.Quantile(0.50))
-		r.CMAccessP95 = float64(hist.Quantile(0.95))
-		r.CMAccessP99 = float64(hist.Quantile(0.99))
+		r.CMAccessP50 = float64(m.cmWait.Quantile(0.50))
+		r.CMAccessP95 = float64(m.cmWait.Quantile(0.95))
+		r.CMAccessP99 = float64(m.cmWait.Quantile(0.99))
 	}
 	if total := r.Instructions + r.IdleCycles; total > 0 {
 		r.IdleFrac = float64(r.IdleCycles) / float64(total)

@@ -27,7 +27,7 @@ func (k *hotCore) Tick(env *pe.Env) pe.TickResult {
 	}
 	k.ticks++
 	if a := k.ticks % 24; !k.c.Contains(a) {
-		k.c.Fill(k.c.Block(a), make([]int64, k.c.BlockWords()))
+		k.c.Fill(k.c.Block(a), make([]int64, k.c.BlockWords()), nil)
 	} else {
 		k.c.Write(a, k.ticks) // a hit, and a dirty word for a later Fill to write back
 	}
@@ -79,8 +79,8 @@ func TestUnsampledEmitsNothing(t *testing.T) {
 			pes := make([]*pe.PE, n)
 			for i := range pes {
 				core := &hotCore{c: cache.New(cache.Config{Sets: 2, Ways: 1, BlockWords: 4})}
-				pes[i] = pe.New(i, core, memory.Interleave{N: n}, func(r msg.Request) bool {
-					return h.st.Inject(i, r, h.cycle)
+				pes[i] = pe.New(i, core, memory.Interleave{N: n}, func(pe int, r msg.Request) bool {
+					return h.st.Inject(pe, r, h.cycle)
 				}, 4)
 				subs, out := h.st.PESink()
 				pes[i].Observe(subs, out, 1, tr)

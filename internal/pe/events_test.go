@@ -77,9 +77,9 @@ func TestPEEventsOneChannel(t *testing.T) {
 			},
 			func(env *Env) TickResult { // pc 13: cache traffic
 				c.Write(4, 1) // miss
-				c.Fill(4, []int64{0, 0})
-				c.Write(4, 1)            // hit, dirty
-				c.Fill(6, []int64{0, 0}) // evicts the dirty word
+				c.Fill(4, []int64{0, 0}, nil)
+				c.Write(4, 1)                 // hit, dirty
+				c.Fill(6, []int64{0, 0}, nil) // evicts the dirty word
 				return TickResult{Executed: true}
 			},
 			func(env *Env) TickResult { return TickResult{Halted: true} },

@@ -51,13 +51,12 @@ type Core interface {
 
 // Stats aggregates one PE's activity, feeding Table 1's columns.
 type Stats struct {
-	Instructions sim.Counter    // instructions executed
-	IdleCycles   sim.Counter    // cycles lost waiting
-	LocalRefs    sim.Counter    // private-memory references (cache-satisfied)
-	SharedRefs   sim.Counter    // shared-memory requests issued
-	SharedLoads  sim.Counter    // value-returning shared requests (CM loads)
-	CMWait       sim.Mean       // per-request issue-to-complete time (PE cycles)
-	CMWaitHist   *sim.Histogram // full access-time distribution
+	Instructions sim.Counter // instructions executed
+	IdleCycles   sim.Counter // cycles lost waiting
+	LocalRefs    sim.Counter // private-memory references (cache-satisfied)
+	SharedRefs   sim.Counter // shared-memory requests issued
+	SharedLoads  sim.Counter // value-returning shared requests (CM loads)
+	CMWait       sim.Mean    // per-request issue-to-complete time (PE cycles)
 
 	// Stall attribution: every IdleCycles tick lands in exactly one of
 	// these three buckets (see obs.StallCause).
@@ -70,9 +69,15 @@ type Stats struct {
 type PE struct {
 	id     int
 	core   Core
-	pni    *PNI
+	pni    PNI
 	stats  Stats
 	halted bool
+
+	// cmWait is the access-time distribution Deliver records each round
+	// trip in: one histogram shared by every PE of a machine, which
+	// Machine.Report reads. A PE built alone by New has none and keeps
+	// only the CMWait mean.
+	cmWait *sim.Histogram
 
 	// subs is the set of consumers attached to the machine and out where
 	// this PE's events go (Observe): the network's fan-out. scale converts
@@ -123,21 +128,44 @@ func (p *PE) Observe(subs *obs.Subs, out obs.Probe, scale int64, tracer *reqtrac
 	p.pni.tracer = tracer
 }
 
-// New builds a PE around core with a PNI that hashes addresses with h and
+// New builds PE id around core with a PNI that hashes addresses with h and
 // injects into the network via inject. maxOutstanding bounds concurrent
 // shared requests (the paper's register-locking design allows several).
-func New(id int, core Core, h memory.Hasher, inject func(msg.Request) bool, maxOutstanding int) *PE {
-	p := &PE{
-		id:    id,
-		core:  core,
-		pni:   newPNI(id, h, inject, maxOutstanding),
-		subs:  &noSubs,
-		scale: 1,
+// It is carve for one PE.
+func New(id int, core Core, h memory.Hasher, inject func(pe int, r msg.Request) bool, maxOutstanding int) *PE {
+	return &carve(id, []Core{core}, h, inject, maxOutstanding, nil)[0]
+}
+
+// NewPEs builds a machine's PEs, PE i around cores[i], sharing the hasher,
+// the injector and the access-time histogram cmWait; see New. It costs
+// two allocations whatever the PE count: the PEs and the slab their
+// outstanding-request lists start in.
+func NewPEs(cores []Core, h memory.Hasher, inject func(pe int, r msg.Request) bool, maxOutstanding int, cmWait *sim.Histogram) []PE {
+	return carve(0, cores, h, inject, maxOutstanding, cmWait)
+}
+
+// carve builds PEs first, first+1, … around cores. Each PNI's list of
+// outstanding requests is the three-index window
+// slab[i*room : i*room : (i+1)*room], room = min(maxOutstanding,
+// pendingRoom), so a PNI allowed more than its window appends into an
+// array of its own and never into a neighbour's slots.
+func carve(first int, cores []Core, h memory.Hasher, inject func(pe int, r msg.Request) bool, maxOutstanding int, cmWait *sim.Histogram) []PE {
+	maxOutstanding = max(maxOutstanding, 1)
+	room := min(maxOutstanding, pendingRoom)
+	pes := make([]PE, len(cores))
+	slab := make([]pendingReq, len(cores)*room)
+	for i, core := range cores {
+		p := &pes[i]
+		p.id, p.core, p.cmWait = first+i, core, cmWait
+		p.pni = PNI{
+			pe: p.id, hash: h, inject: inject, maxOutstanding: maxOutstanding,
+			pending: slab[i*room : i*room : (i+1)*room],
+		}
+		p.subs, p.scale = &noSubs, 1
+		p.pcer, _ = core.(PCer)
+		p.burster, _ = core.(Burster)
 	}
-	p.pcer, _ = core.(PCer)
-	p.burster, _ = core.(Burster)
-	p.stats.CMWaitHist = sim.NewHistogram(256)
-	return p
+	return pes
 }
 
 // ID reports the PE number.
@@ -147,7 +175,7 @@ func (p *PE) ID() int { return p.id }
 func (p *PE) Stats() *Stats { return &p.stats }
 
 // PNI exposes the network interface (for tests and the machine).
-func (p *PE) PNI() *PNI { return p.pni }
+func (p *PE) PNI() *PNI { return &p.pni }
 
 // Halted reports whether the core has finished.
 func (p *PE) Halted() bool { return p.halted }
@@ -283,7 +311,9 @@ func (p *PE) Deliver(rep msg.Reply, cycle int64) {
 		panic(fmt.Sprintf("pe %d: reply %v matches no outstanding request", p.id, rep))
 	}
 	p.stats.CMWait.Observe(float64(cycle - pr.issuedAt))
-	p.stats.CMWaitHist.Observe(cycle - pr.issuedAt)
+	if p.cmWait != nil {
+		p.cmWait.Observe(cycle - pr.issuedAt)
+	}
 	if to := p.subs.For(obs.KindProfDeliver, false); to != 0 {
 		p.out.Emit(obs.Event{
 			To: to, Cycle: cycle * p.scale, Kind: obs.KindProfDeliver,

@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"slices"
 	"testing"
 
 	"ultracomputer/internal/memory"
@@ -13,7 +14,7 @@ type fakeNet struct {
 	refuse bool
 }
 
-func (f *fakeNet) inject(r msg.Request) bool {
+func (f *fakeNet) inject(_ int, r msg.Request) bool {
 	if f.refuse {
 		return false
 	}
@@ -165,19 +166,24 @@ func TestRequestIDsUniquePerPE(t *testing.T) {
 	}
 }
 
-// TestPNIZeroAlloc: the outstanding-request list grows to the pipelining
-// limit once; after that a full window of issues and its completions, in
-// an order that exercises the swap-remove, allocate nothing.
+// TestPNIZeroAlloc: a PNI's outstanding-request list starts in its
+// machine's slab with room for the default pipelining limit, so from the
+// first issue on a full window of issues and its completions, in an order
+// that exercises the swap-remove, allocate nothing. Each round runs on a
+// PNI that has never issued.
 func TestPNIZeroAlloc(t *testing.T) {
 	const window = 12
 	var ids [window]uint64
 	n := 0
-	p := newPNI(3, memory.Interleave{N: 4}, func(r msg.Request) bool {
+	pes := NewPEs(make([]Core, 101), memory.Interleave{N: 4}, func(_ int, r msg.Request) bool {
 		ids[n] = r.ID
 		n++
 		return true
-	}, window)
+	}, window, nil)
+	next := 0
 	round := func() {
+		p := pes[next].PNI()
+		next++
 		n = 0
 		for a := int64(0); a < window; a++ {
 			if !p.issue(msg.Load, 100+a, 0, int(a), 0, 0) {
@@ -199,8 +205,45 @@ func TestPNIZeroAlloc(t *testing.T) {
 			t.Fatalf("outstanding = %d after a full round, want 0", p.Outstanding())
 		}
 	}
-	round()
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Fatalf("issue/complete at %d outstanding allocates %.2f times per round after the first, want 0", window, avg)
+		t.Fatalf("a fresh PNI's first %d issues and completions allocate %.2f times, want 0", window, avg)
+	}
+}
+
+// TestPNISpillKeepsOrder: a PNI allowed more outstanding requests than
+// its window appends past it into an array of its own, keeping its
+// requests in issue order, and never writes a neighbour's slots.
+func TestPNISpillKeepsOrder(t *testing.T) {
+	const limit = 2*pendingRoom + 3
+	pes := NewPEs(make([]Core, 3), memory.Interleave{N: 4}, func(int, msg.Request) bool { return true }, limit, nil)
+	issue := func(p *PNI, count int, base int64) {
+		for a := int64(0); a < int64(count); a++ {
+			if !p.issue(msg.Load, base+a, 0, int(a), 0, 0) {
+				t.Fatalf("pe %d: issue %d refused", p.pe, a)
+			}
+		}
+	}
+	first, mid, last := pes[0].PNI(), pes[1].PNI(), pes[2].PNI()
+	if cap(mid.pending) != pendingRoom {
+		t.Fatalf("window of %d slots, want %d", cap(mid.pending), pendingRoom)
+	}
+	window := &mid.pending[:1][0]
+	issue(first, pendingRoom, 1000)
+	issue(last, pendingRoom, 3000)
+	before := [2][]pendingReq{slices.Clone(first.pending), slices.Clone(last.pending)}
+	issue(mid, limit, 2000)
+	if &mid.pending[0] == window {
+		t.Fatal("a list past its window still starts in the slab")
+	}
+	for i, pr := range mid.pending {
+		if pr.addr != 2000+int64(i) || pr.tag != i {
+			t.Fatalf("after the spill slot %d holds %+v, want request %d", i, pr, i)
+		}
+	}
+	if !slices.Equal(first.pending, before[0]) || !slices.Equal(last.pending, before[1]) {
+		t.Fatal("a spilling PNI wrote a neighbour's slots")
+	}
+	if mid.canIssue(9999) {
+		t.Fatalf("issue beyond %d outstanding allowed", limit)
 	}
 }

@@ -17,14 +17,19 @@ import (
 // each in-flight (PE, location) pair to be unique so a returning request
 // matches at most one record (§3.3).
 type PNI struct {
-	pe             int
-	hash           memory.Hasher
-	inject         func(msg.Request) bool
+	pe   int
+	hash memory.Hasher
+	// inject offers a request from PE pe to the network; one function
+	// serves every PE of a machine.
+	inject         func(pe int, r msg.Request) bool
 	maxOutstanding int
 
 	seq uint32
 	// pending holds the outstanding requests in no particular order: at
-	// most maxOutstanding of them, so a scan beats two maps.
+	// most maxOutstanding of them, so a scan beats two maps. It starts as
+	// a window of pendingRoom slots or fewer carved from its machine's
+	// slab (NewPEs); a PNI allowed more appends past its window into an
+	// array of its own.
 	pending []pendingReq
 
 	// tracer, when non-nil, decides per request ID whether the request
@@ -41,17 +46,10 @@ type pendingReq struct {
 	pc       int // guest pc of the issuing instruction (profiler use)
 }
 
-func newPNI(pe int, h memory.Hasher, inject func(msg.Request) bool, maxOutstanding int) *PNI {
-	if maxOutstanding < 1 {
-		maxOutstanding = 1
-	}
-	return &PNI{
-		pe:             pe,
-		hash:           h,
-		inject:         inject,
-		maxOutstanding: maxOutstanding,
-	}
-}
+// pendingRoom is how many outstanding requests a PNI holds before its
+// list leaves its slab: the machine's default pipelining depth
+// (machine.DefaultMaxOutstanding), 480 bytes a PE.
+const pendingRoom = 12
 
 // Outstanding reports the number of in-flight shared requests.
 func (p *PNI) Outstanding() int { return len(p.pending) }
@@ -87,7 +85,7 @@ func (p *PNI) issue(op msg.Op, addr int64, operand int64, tag int, cycle int64, 
 	if p.tracer != nil {
 		req.TC = p.tracer.ContextFor(id)
 	}
-	if !p.inject(req) {
+	if !p.inject(p.pe, req) {
 		p.seq-- // ID not consumed
 		return false
 	}

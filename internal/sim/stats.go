@@ -97,7 +97,7 @@ func NewHistogram(capValue int) *Histogram {
 	if capValue < 1 {
 		capValue = 1
 	}
-	//ultravet:ok hotalloc constructor: callers lazily build each histogram once, off the steady state
+	//ultravet:ok hotalloc constructor: each histogram is built once by its owner, a machine, network or trace run at construction and a profiler lock word or sampler stage at first sight, never per cycle
 	return &Histogram{buckets: make([]int64, capValue)}
 }
 
