@@ -17,6 +17,11 @@
 // waterfalls: each traced request's per-hop timeline on a shared time
 // axis, combine points marked, absorbed children indented beneath the
 // request that carried their operation to memory.
+//
+// With -prof file.jsonl it renders a guest profile's JSONL export: the
+// state breakdown, function rollup, annotated source, contention
+// heatmap, lock waits and critical paths. The profile's gzipped pprof
+// export is read with stock go tool pprof (-top, -tags), not here.
 package main
 
 import (
@@ -36,12 +41,11 @@ func main() {
 	from := flag.String("from", "", "render a one-shot dashboard from a running telemetry server (host:port or URL; an ultraserve session via host:port/sessions/<id>) instead of regenerating tables")
 	spansIn := flag.String("spans", "", "render a request-trace span dump (ultrasim/netperf -spans or a flight-<cycle>.jsonl) as ASCII waterfalls instead of regenerating tables")
 	spanLimit := flag.Int("span-limit", 5, "how many trees -spans renders, slowest first (0 = all)")
-	profIn := flag.String("prof", "", "render a guest profile (ultrasim -prof-out, JSONL or .pb.gz) instead of regenerating tables")
-	profCheck := flag.Bool("prof-check", false, "with -prof, validate the profile round-trips non-empty instead of rendering (exit 1 otherwise)")
+	profIn := flag.String("prof", "", "render a guest profile's JSONL export (ultrasim -prof-out p.jsonl) instead of regenerating tables; read the .pb.gz export with go tool pprof")
 	flag.Parse()
 
 	if *profIn != "" {
-		if err := runProf(os.Stdout, *profIn, *profCheck); err != nil {
+		if err := runProf(os.Stdout, *profIn); err != nil {
 			fmt.Fprintln(os.Stderr, "tables:", err)
 			os.Exit(1)
 		}

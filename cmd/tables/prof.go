@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sort"
 	"strings"
@@ -12,106 +13,21 @@ import (
 	"ultracomputer/internal/obs/prof"
 )
 
-// runProf renders a guest profile written by ultrasim -prof-out: either
-// the JSONL form (full annotated view — per-line source heat, function
-// rollup, contention heatmap, lock waits, critical paths) or the
-// gzipped pprof protobuf (decoded to a top-functions table). check adds
-// a validation pass that fails on an empty or inconsistent profile —
-// the `make prof` smoke test.
-func runProf(w io.Writer, path string, check bool) error {
+// runProf renders a guest profile's JSONL export (ultrasim -prof-out
+// p.jsonl): where the cycles went, the function rollup, per-line source
+// heat, the contention heatmap, lock waits and critical paths. The
+// gzipped pprof export is stock go tool pprof's to read.
+func runProf(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		return renderPprof(w, path, data, check)
+	if bytes.HasPrefix(data, []byte{0x1f, 0x8b}) { // gzip: the pprof export
+		return fmt.Errorf("%s is a pprof profile: read it with go tool pprof -top %s (or -tags for the by-state split)", path, path)
 	}
-	return renderProfJSONL(w, path, data, check)
-}
-
-// renderPprof decodes our own pprof output back through the wire format
-// — the same bytes go tool pprof consumes — and prints the per-function
-// cycle totals.
-func renderPprof(w io.Writer, path string, data []byte, check bool) error {
-	pp, err := prof.ParsePprof(data)
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	total := pp.TotalValue()
-	if check {
-		if total <= 0 || len(pp.Samples) == 0 || len(pp.Functions) == 0 {
-			return fmt.Errorf("%s: profile is empty after pprof round-trip (total=%d samples=%d funcs=%d)",
-				path, total, len(pp.Samples), len(pp.Functions))
-		}
-		fmt.Fprintf(w, "%s: pprof round-trip ok: %d cycles, %d samples, %d functions\n",
-			path, total, len(pp.Samples), len(pp.Functions))
-		return nil
-	}
-	type agg struct {
-		name   string
-		cycles int64
-	}
-	byFn := map[string]*agg{}
-	byState := map[string]int64{}
-	for i := range pp.Samples {
-		s := &pp.Samples[i]
-		v := int64(0)
-		if len(s.Values) > 0 {
-			v = s.Values[0]
-		}
-		name := pp.FuncName(s)
-		a := byFn[name]
-		if a == nil {
-			a = &agg{name: name}
-			byFn[name] = a
-		}
-		a.cycles += v
-		byState[s.Labels["state"]] += v
-	}
-	rows := make([]*agg, 0, len(byFn))
-	for _, a := range byFn {
-		rows = append(rows, a)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].cycles != rows[j].cycles {
-			return rows[i].cycles > rows[j].cycles
-		}
-		return rows[i].name < rows[j].name
-	})
-	fmt.Fprintf(w, "guest profile %s: %d cycles (pprof; run tables -prof on the JSONL export for source annotation)\n\n", path, total)
-	fmt.Fprintf(w, "%-30s %12s %7s\n", "function", "cycles", "%")
-	for _, a := range rows {
-		fmt.Fprintf(w, "%-30s %12d %6.1f%%\n", a.name, a.cycles, pct(a.cycles, total))
-	}
-	fmt.Fprintf(w, "\nby state:\n")
-	states := make([]string, 0, len(byState))
-	for s := range byState {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
-		fmt.Fprintf(w, "  %-15s %12d %6.1f%%\n", s, byState[s], pct(byState[s], total))
-	}
-	return nil
-}
-
-func renderProfJSONL(w io.Writer, path string, data []byte, check bool) error {
 	m, stateNames, src, err := prof.ReadJSONL(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("%s: %v", path, err)
-	}
-	if check {
-		var peSum int64
-		for _, r := range m.PEs {
-			peSum += r.Total
-		}
-		if m.TotalCycles <= 0 || peSum != m.TotalCycles || len(m.Funcs) == 0 {
-			return fmt.Errorf("%s: inconsistent profile (total=%d pe-sum=%d funcs=%d)",
-				path, m.TotalCycles, peSum, len(m.Funcs))
-		}
-		fmt.Fprintf(w, "%s: profile ok: %d cycles over %d PEs, %d functions, %d hot words\n",
-			path, m.TotalCycles, len(m.PEs), len(m.Funcs), len(m.Addrs))
-		return nil
 	}
 
 	total := m.TotalCycles
@@ -230,6 +146,9 @@ func profBar(v, total int64, width int) string {
 	if total == 0 {
 		return ""
 	}
-	n := int(int64(width) * v / total)
-	return strings.Repeat("#", n)
+	// ReadJSONL holds 0 <= v <= total, so the bar fits in width; the
+	// product takes 128 bits, as width·v can pass int64.
+	hi, lo := bits.Mul64(uint64(width), uint64(v))
+	n, _ := bits.Div64(hi, lo, uint64(total))
+	return strings.Repeat("#", int(n))
 }

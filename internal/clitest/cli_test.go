@@ -278,6 +278,50 @@ func TestUltrasimBadFlagIsFieldError(t *testing.T) {
 	}
 }
 
+// tables -prof reads only the profile's JSONL export. A profile
+// WriteJSONL cannot have written is an error naming its line and the
+// pprof export an error naming go tool pprof, exit 1 and not a panic; a
+// consistent profile whose counts near int64's limit renders.
+func TestTablesProfRefuses(t *testing.T) {
+	dir, _ := workdir(t)
+	mustRun(t, dir, "ultrasim", "-pes", "8", "-prof-out", "p.pb.gz", "queue.s")
+	const huge = "1152921504606846976" // 2^60: 40·2^60 wraps int64 negative
+	for name, body := range map[string]string{
+		"neg.jsonl": `{"type":"meta","file":"x.s","pes":1,"total_cycles":10}
+{"type":"pe","pe":0,"total":10,"states":[-5]}
+`,
+		"huge.jsonl": `{"type":"meta","file":"x.s","pes":1,"total_cycles":` + huge + `}
+{"type":"pe","pe":0,"total":` + huge + `,"states":[` + huge + `]}
+`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		file string
+		exit int
+		want string
+	}{
+		{"neg.jsonl", 1, "tables: neg.jsonl: line 2 (pe): negative count -5\n"},
+		{"p.pb.gz", 1, "read it with go tool pprof -top p.pb.gz"},
+		{"huge.jsonl", 0, ""},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			res := run(t, dir, "tables", "-prof", tc.file)
+			if res.exit != tc.exit {
+				t.Errorf("exit %d, want %d\n%s", res.exit, tc.exit, res.stderr)
+			}
+			if !bytes.Contains(res.stderr, []byte(tc.want)) {
+				t.Errorf("stderr lacks %q:\n%s", tc.want, res.stderr)
+			}
+			if bytes.Contains(res.stderr, []byte("goroutine")) {
+				t.Errorf("stderr carries a goroutine trace:\n%s", res.stderr)
+			}
+		})
+	}
+}
+
 // hotspot -serve with request tracing on must hand the tracer to the
 // telemetry server: /trace/flight answers with spans, and the server
 // stays up after the run until interrupted.

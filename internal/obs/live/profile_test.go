@@ -26,8 +26,9 @@ loop:   faa  r3, 0(r1), r2
 
 // TestProfileEndpoint serves a profiled machine run the way -serve -prof
 // does (Kit.Start enables live publishing and mounts the profiler): /profile
-// answers mid-run, and after the run, with a gzipped pprof that decodes to
-// every PE cycle profiled so far. A server with no profiler says so.
+// answers mid-run, and after the run, with the gzipped pprof the profiler
+// last published, and the profile grows between the two. A server with
+// no profiler says so.
 func TestProfileEndpoint(t *testing.T) {
 	bare := httptest.NewServer(NewServer().Handler())
 	defer bare.Close()
@@ -55,29 +56,32 @@ func TestProfileEndpoint(t *testing.T) {
 		t.Fatalf("/profile before the first publish: code=%d, want 503", code)
 	}
 
-	profiled := func(when string) int64 {
+	// served fetches /profile, which must be the profiler's last
+	// published bytes; the profile itself is stock pprof's to read
+	// (prof.TestStockPprofReadsExport).
+	served := func(when string) string {
 		t.Helper()
 		code, body := get(t, ts.URL+"/profile")
 		if code != http.StatusOK {
 			t.Fatalf("/profile %s: code=%d body=%q", when, code, body)
 		}
-		pp, err := prof.ParsePprof([]byte(body))
-		if err != nil {
-			t.Fatalf("/profile %s: %v", when, err)
+		if live := p.LiveProfile(); len(live) == 0 || body != string(live) {
+			t.Fatalf("/profile %s serves %d bytes, the profiler published %d others", when, len(body), len(live))
 		}
-		if pp.TotalValue() <= 0 {
-			t.Fatalf("/profile %s decodes to %d cycles", when, pp.TotalValue())
-		}
-		return pp.TotalValue()
+		return body
 	}
 	if _, done := m.Run(1000); done {
 		t.Fatal("the run finished before its midpoint")
 	}
-	mid := profiled("mid-run")
+	midBody, mid := served("mid-run"), p.Merged().TotalCycles
 	if _, done := m.Run(1_000_000); !done {
 		t.Fatal("cycle limit reached before all PEs halted")
 	}
-	if end := profiled("after the run"); end <= mid {
+	endBody, end := served("after the run"), p.Merged().TotalCycles
+	if mid <= 0 || end <= mid {
 		t.Errorf("profile holds %d cycles after the run, %d mid-run", end, mid)
+	}
+	if endBody == midBody {
+		t.Error("/profile served the same bytes mid-run and after the run")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -393,11 +394,15 @@ func (p *Profiler) WriteJSONL(w io.Writer) error {
 // ReadJSONL reads back what WriteJSONL wrote: the merged profile's
 // exported fields, the state names every "states" array is indexed by,
 // and the guest source, one line an element. Records of an unknown type
-// are skipped; every error names the line it was found on.
+// are skipped. It refuses a profile WriteJSONL cannot have written: a
+// record before the meta record, a negative count, a pe record whose
+// states do not sum to its total, or pe totals that do not sum to the
+// meta record's total_cycles. Every error names the line it was found on.
 func ReadJSONL(r io.Reader) (m *Merged, states, src []string, err error) {
 	m = &Merged{}
 	var meta jsonlMeta
 	metaLine := 0
+	var peSum int64
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	n := 0
@@ -413,6 +418,9 @@ func ReadJSONL(r io.Reader) (m *Merged, states, src []string, err error) {
 		if err := json.Unmarshal(line, &head); err != nil {
 			return nil, nil, nil, fmt.Errorf("line %d: %v", n, err)
 		}
+		if metaLine == 0 && head.Type != "meta" {
+			return nil, nil, nil, fmt.Errorf("line %d (%s): before the meta record", n, head.Type)
+		}
 		switch head.Type {
 		case "meta":
 			metaLine = n
@@ -424,7 +432,16 @@ func ReadJSONL(r io.Reader) (m *Merged, states, src []string, err error) {
 			}
 			src = append(src, s.Text)
 		case "pe":
-			m.PEs, err = appendRow(m.PEs, line)
+			if m.PEs, err = appendRow(m.PEs, line); err == nil {
+				row := &m.PEs[len(m.PEs)-1]
+				var states int64
+				if states, err = addCounts(0, row.States[:]...); err == nil && states != row.Total {
+					err = fmt.Errorf("states sum to %d, total is %d", states, row.Total)
+				}
+				if err == nil {
+					peSum, err = addCounts(peSum, row.Total)
+				}
+			}
 		case "func":
 			m.Funcs, err = appendRow(m.Funcs, line)
 		case "pc":
@@ -443,16 +460,53 @@ func ReadJSONL(r io.Reader) (m *Merged, states, src []string, err error) {
 	if err := sc.Err(); err != nil {
 		return nil, nil, nil, fmt.Errorf("line %d: %v", n+1, err)
 	}
-	if metaLine > 0 && meta.PEs != len(m.PEs) {
+	if meta.PEs != len(m.PEs) {
 		return nil, nil, nil, fmt.Errorf("line %d (meta): %d PEs, but %d pe records", metaLine, meta.PEs, len(m.PEs))
+	}
+	if peSum != meta.TotalCycles {
+		return nil, nil, nil, fmt.Errorf("line %d (meta): %d total cycles, but the pe records sum to %d", metaLine, meta.TotalCycles, peSum)
 	}
 	m.File, m.TotalCycles = meta.File, meta.TotalCycles
 	return m, meta.States, src, nil
 }
 
-// appendRow decodes one JSONL record into a row of rows' type.
-func appendRow[T any](rows []T, line []byte) ([]T, error) {
+// addCounts adds non-negative counts to sum, refusing a sum past int64.
+func addCounts(sum int64, counts ...int64) (int64, error) {
+	for _, c := range counts {
+		if sum > math.MaxInt64-c {
+			return 0, fmt.Errorf("counts overflow int64")
+		}
+		sum += c
+	}
+	return sum, nil
+}
+
+// counts lists a record's counts, none of which may be negative.
+func (r *PERow) counts() []int64   { return append([]int64{r.Total}, r.States[:]...) }
+func (r *FuncRow) counts() []int64 { return append([]int64{r.Flat, r.Cum}, r.States[:]...) }
+func (r *PCRow) counts() []int64   { return append([]int64{r.Total}, r.States[:]...) }
+func (r *AddrRow) counts() []int64 {
+	return []int64{r.Accesses, r.RMW, r.Served, r.Combines, r.WaitCycles}
+}
+func (r *LockRow) counts() []int64 { return []int64{r.N, r.P50, r.P90, r.P99} }
+func (r *CriticalPath) counts() []int64 {
+	return []int64{r.Latency, int64(r.TreeSpans), int64(r.Depth)}
+}
+
+// appendRow decodes one JSONL record into a row of rows' type, refusing
+// a negative count.
+func appendRow[T any, P interface {
+	*T
+	counts() []int64
+}](rows []T, line []byte) ([]T, error) {
 	var r T
-	err := json.Unmarshal(line, &r)
-	return append(rows, r), err
+	if err := json.Unmarshal(line, &r); err != nil {
+		return rows, err
+	}
+	for _, c := range P(&r).counts() {
+		if c < 0 {
+			return rows, fmt.Errorf("negative count %d", c)
+		}
+	}
+	return append(rows, r), nil
 }

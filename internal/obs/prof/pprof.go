@@ -3,7 +3,6 @@ package prof
 import (
 	"bytes"
 	"compress/gzip"
-	"fmt"
 	"io"
 
 	"ultracomputer/internal/obs"
@@ -14,6 +13,8 @@ import (
 // bytes are deterministic: samples, locations and functions are written
 // in canonical sorted order and the gzip header carries no timestamp,
 // so runs of the same seeded workload produce byte-identical profiles.
+// Nothing in the repo reads these bytes back: stock go tool pprof does,
+// and is the encoder's referee (TestStockPprofReadsExport).
 //
 // Wire schema subset (field numbers from profile.proto):
 //
@@ -236,320 +237,4 @@ func encodePprof(m *Merged) []byte {
 	out.bytes(11, vt.b) // period_type
 	out.uint(12, 1)     // period
 	return out.b
-}
-
-// ---------------------------------------------------------------------
-// Decoder: a minimal profile.proto reader, enough for the round-trip
-// smoke check and `tables -prof` rendering of .pb.gz profiles.
-
-// PprofFunc is a decoded function entry.
-type PprofFunc struct {
-	Name      string
-	StartLine int64
-}
-
-// PprofLoc is a decoded location entry.
-type PprofLoc struct {
-	Address uint64
-	FuncID  uint64
-	Line    int64
-}
-
-// PprofSample is a decoded sample.
-type PprofSample struct {
-	LocIDs []uint64
-	Values []int64
-	Labels map[string]string
-}
-
-// PprofProfile is a decoded profile.
-type PprofProfile struct {
-	SampleTypes []string
-	Samples     []PprofSample
-	Locations   map[uint64]PprofLoc
-	Functions   map[uint64]PprofFunc
-}
-
-// TotalValue sums the first value across samples.
-func (p *PprofProfile) TotalValue() int64 {
-	var t int64
-	for i := range p.Samples {
-		if len(p.Samples[i].Values) > 0 {
-			t += p.Samples[i].Values[0]
-		}
-	}
-	return t
-}
-
-// FuncName resolves a sample's leaf (first) location to its function
-// name, "" when unresolvable.
-func (p *PprofProfile) FuncName(s *PprofSample) string {
-	if len(s.LocIDs) == 0 {
-		return ""
-	}
-	loc, ok := p.Locations[s.LocIDs[0]]
-	if !ok {
-		return ""
-	}
-	fn, ok := p.Functions[loc.FuncID]
-	if !ok {
-		return ""
-	}
-	return fn.Name
-}
-
-type pbreader struct {
-	b   []byte
-	pos int
-}
-
-func (r *pbreader) done() bool { return r.pos >= len(r.b) }
-
-func (r *pbreader) varint() (uint64, error) {
-	var v uint64
-	for shift := 0; shift < 64; shift += 7 {
-		if r.pos >= len(r.b) {
-			return 0, fmt.Errorf("pprof: truncated varint")
-		}
-		c := r.b[r.pos]
-		r.pos++
-		v |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pprof: varint overflow")
-}
-
-// field reads one tag and its payload: varint fields return (val, nil),
-// length-delimited fields return (0, bytes).
-func (r *pbreader) field() (field int, val uint64, sub []byte, err error) {
-	key, err := r.varint()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	field = int(key >> 3)
-	switch key & 7 {
-	case 0:
-		val, err = r.varint()
-		return field, val, nil, err
-	case 2:
-		n, err := r.varint()
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		// Against what is left, not pos+n: a length near 2^64 wraps
-		// the sum.
-		if n > uint64(len(r.b)-r.pos) {
-			return 0, 0, nil, fmt.Errorf("pprof: truncated field %d", field)
-		}
-		sub = r.b[r.pos : r.pos+int(n)]
-		r.pos += int(n)
-		return field, 0, sub, nil
-	case 5:
-		return field, 0, nil, r.skip(4, field)
-	case 1:
-		return field, 0, nil, r.skip(8, field)
-	}
-	return 0, 0, nil, fmt.Errorf("pprof: unsupported wire type %d", key&7)
-}
-
-// skip steps over the n-byte payload of a fixed32 or fixed64 field.
-func (r *pbreader) skip(n, field int) error {
-	if n > len(r.b)-r.pos {
-		return fmt.Errorf("pprof: truncated field %d", field)
-	}
-	r.pos += n
-	return nil
-}
-
-func packedU64s(b []byte) ([]uint64, error) {
-	r := &pbreader{b: b}
-	var vs []uint64
-	for !r.done() {
-		v, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		vs = append(vs, v)
-	}
-	return vs, nil
-}
-
-// ParsePprof decodes a (possibly gzipped) profile.proto blob.
-func ParsePprof(data []byte) (*PprofProfile, error) {
-	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		raw, err := io.ReadAll(zr)
-		if err != nil {
-			return nil, err
-		}
-		if err := zr.Close(); err != nil {
-			return nil, err
-		}
-		data = raw
-	}
-	p := &PprofProfile{
-		Locations: make(map[uint64]PprofLoc),
-		Functions: make(map[uint64]PprofFunc),
-	}
-	var strs []string
-	funcNameIdx := make(map[uint64]uint64)
-	type rawLabel struct{ key, str uint64 }
-	type rawSample struct {
-		locs   []uint64
-		vals   []int64
-		labels []rawLabel
-	}
-	var rawSamples []rawSample
-	type rawVT struct{ typ uint64 }
-	var sampleTypes []rawVT
-	r := &pbreader{b: data}
-	for !r.done() {
-		f, _, sub, err := r.field()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1: // sample_type
-			vr := &pbreader{b: sub}
-			var vt rawVT
-			for !vr.done() {
-				vf, vv, _, err := vr.field()
-				if err != nil {
-					return nil, err
-				}
-				if vf == 1 {
-					vt.typ = vv
-				}
-			}
-			sampleTypes = append(sampleTypes, vt)
-		case 2: // sample
-			sr := &pbreader{b: sub}
-			var s rawSample
-			for !sr.done() {
-				sf, sv, ssub, err := sr.field()
-				if err != nil {
-					return nil, err
-				}
-				switch sf {
-				case 1:
-					if ssub != nil {
-						vs, err := packedU64s(ssub)
-						if err != nil {
-							return nil, err
-						}
-						s.locs = append(s.locs, vs...)
-					} else {
-						s.locs = append(s.locs, sv)
-					}
-				case 2:
-					if ssub != nil {
-						vs, err := packedU64s(ssub)
-						if err != nil {
-							return nil, err
-						}
-						for _, v := range vs {
-							s.vals = append(s.vals, int64(v))
-						}
-					} else {
-						s.vals = append(s.vals, int64(sv))
-					}
-				case 3:
-					lr := &pbreader{b: ssub}
-					var l rawLabel
-					for !lr.done() {
-						lf, lv, _, err := lr.field()
-						if err != nil {
-							return nil, err
-						}
-						switch lf {
-						case 1:
-							l.key = lv
-						case 2:
-							l.str = lv
-						}
-					}
-					s.labels = append(s.labels, l)
-				}
-			}
-			rawSamples = append(rawSamples, s)
-		case 4: // location
-			lr := &pbreader{b: sub}
-			var id uint64
-			var loc PprofLoc
-			for !lr.done() {
-				lf, lv, lsub, err := lr.field()
-				if err != nil {
-					return nil, err
-				}
-				switch lf {
-				case 1:
-					id = lv
-				case 3:
-					loc.Address = lv
-				case 4:
-					nr := &pbreader{b: lsub}
-					for !nr.done() {
-						nf, nv, _, err := nr.field()
-						if err != nil {
-							return nil, err
-						}
-						switch nf {
-						case 1:
-							loc.FuncID = nv
-						case 2:
-							loc.Line = int64(nv)
-						}
-					}
-				}
-			}
-			p.Locations[id] = loc
-		case 5: // function
-			fr := &pbreader{b: sub}
-			var id, nameIdx, startLine uint64
-			for !fr.done() {
-				ff, fv, _, err := fr.field()
-				if err != nil {
-					return nil, err
-				}
-				switch ff {
-				case 1:
-					id = fv
-				case 2:
-					nameIdx = fv
-				case 5:
-					startLine = fv
-				}
-			}
-			funcNameIdx[id] = nameIdx
-			p.Functions[id] = PprofFunc{StartLine: int64(startLine)}
-		case 6: // string_table
-			strs = append(strs, string(sub))
-		}
-	}
-	str := func(i uint64) string {
-		if i < uint64(len(strs)) {
-			return strs[i]
-		}
-		return ""
-	}
-	for _, vt := range sampleTypes {
-		p.SampleTypes = append(p.SampleTypes, str(vt.typ))
-	}
-	for id, fn := range p.Functions {
-		fn.Name = str(funcNameIdx[id])
-		p.Functions[id] = fn
-	}
-	for _, rs := range rawSamples {
-		s := PprofSample{LocIDs: rs.locs, Values: rs.vals, Labels: make(map[string]string, len(rs.labels))}
-		for _, l := range rs.labels {
-			s.Labels[str(l.key)] = str(l.str)
-		}
-		p.Samples = append(p.Samples, s)
-	}
-	return p, nil
 }

@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bytes"
+	"math/big"
 	"reflect"
 	"strings"
 	"testing"
@@ -200,108 +201,6 @@ func TestHeatmapDropsUnkeyableWords(t *testing.T) {
 	}
 }
 
-// TestPprofRoundTrip: synthetic samples survive encode → ParsePprof
-// with values, function names and state labels intact.
-func TestPprofRoundTrip(t *testing.T) {
-	prog := isa.MustAssemble(`
-start:  li  r1, 1
-        halt
-`)
-	p := New(Config{PEs: 2, Programs: []*isa.Program{prog}, File: "rt.s"})
-	p.ProfCycle(0, 0, obs.ProfExecute)
-	p.ProfCycle(0, 1, obs.ProfExecute)
-	p.ProfCycle(0, 1, obs.ProfHalted)
-	p.ProfCycle(1, 0, obs.ProfExecute)
-	b, err := p.PprofBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := ParsePprof(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pp.TotalValue(); got != 4 {
-		t.Fatalf("decoded total %d, want 4", got)
-	}
-	var sawStart, sawHalted bool
-	states := map[string]bool{}
-	for i := range pp.Samples {
-		name := pp.FuncName(&pp.Samples[i])
-		if name == "rt.s:start" {
-			sawStart = true
-		}
-		if name == haltedFunc {
-			sawHalted = true
-		}
-		states[pp.Samples[i].Labels["state"]] = true
-	}
-	if !sawStart || !sawHalted {
-		t.Errorf("function names lost: start=%v halted=%v", sawStart, sawHalted)
-	}
-	if !states["execute"] || !states["halted"] {
-		t.Errorf("state labels lost: %v", states)
-	}
-}
-
-// truncatedPprof are profile.proto inputs whose last field claims bytes
-// the input does not have: a length-delimited field whose length is
-// 2^64 - 1 (pos + n wraps to less than the input's length), and a fixed32
-// and a fixed64 field cut short.
-var truncatedPprof = [][]byte{
-	{0x0a, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-	{0x0d, 0x01, 0x02},
-	{0x09, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07},
-}
-
-func TestParsePprofRejectsTruncated(t *testing.T) {
-	for _, b := range truncatedPprof {
-		if _, err := ParsePprof(b); err == nil {
-			t.Errorf("ParsePprof(% x) accepted a truncated field", b)
-		}
-	}
-}
-
-// FuzzParsePprof: ParsePprof never panics (cmd/tables -prof feeds it
-// files from disk), and a profile WritePprof writes — of the PE cycles
-// the input spells, three bytes a cycle — parses back to the samples it
-// was written from: value, state label, leaf function and pc.
-func FuzzParsePprof(f *testing.F) {
-	for _, b := range truncatedPprof {
-		f.Add(b)
-	}
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 3, 0, 0, 4, 0, 1, 2, 5, 1, 6, 2})
-	prog := isa.MustAssemble(toySrc)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ParsePprof(data) // an error is fine; a panic is not
-
-		p := New(Config{PEs: 2, Programs: []*isa.Program{prog}, File: "toy.s"})
-		for i := 0; i+2 < len(data); i += 3 {
-			p.ProfCycle(int(data[i]%2), int(data[i+1]%8), obs.ProfState(data[i+2]%uint8(obs.NumProfStates)))
-		}
-		m := p.Merged()
-		b, err := p.PprofBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := ParsePprof(b)
-		if err != nil {
-			t.Fatalf("ParsePprof of WritePprof's output: %v", err)
-		}
-		if len(pp.Samples) != len(m.samples) || pp.TotalValue() != m.TotalCycles {
-			t.Fatalf("%d samples of %d cycles parsed back as %d of %d", len(m.samples), m.TotalCycles, len(pp.Samples), pp.TotalValue())
-		}
-		for i := range pp.Samples {
-			got, want := &pp.Samples[i], &m.samples[i]
-			leaf := pp.Locations[got.LocIDs[0]]
-			if len(got.Values) != 1 || got.Values[0] != want.cycles || got.Labels["state"] != want.state.String() ||
-				pp.FuncName(got) != m.funcAt(want.pc, want.state) || leaf.Address != uint64(want.pc)+1 ||
-				len(got.LocIDs) != 1+len(want.stack) {
-				t.Errorf("sample %d %+v parsed back as %+v (leaf %+v)", i, *want, *got, leaf)
-			}
-		}
-	})
-}
-
 // TestCriticalPaths: a three-span combining tree (two children absorbed
 // by one root) yields a path from the slowest child through the root.
 func TestCriticalPaths(t *testing.T) {
@@ -424,15 +323,75 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// inconsistentJSONL are profiles WriteJSONL cannot have written, each
+// with the line ReadJSONL must name. The first made `tables -prof` draw
+// a bar of -20 characters and panic.
+var inconsistentJSONL = []struct {
+	why, in, line string
+}{
+	{"negative count", `{"type":"meta","file":"x.s","pes":1,"total_cycles":10}
+{"type":"pe","pe":0,"total":10,"states":[-5]}`, "line 2 (pe): "},
+	{"states short of total", `{"type":"meta","file":"x.s","pes":1,"total_cycles":10}
+{"type":"pe","pe":0,"total":10,"states":[4,5]}`, "line 2 (pe): "},
+	{"states past int64", `{"type":"meta","file":"x.s","pes":1,"total_cycles":1}
+{"type":"pe","pe":0,"total":1,"states":[9223372036854775807,9223372036854775807,3]}`, "line 2 (pe): "},
+	{"pe totals short of total_cycles", `{"type":"meta","file":"x.s","pes":2,"total_cycles":10}
+{"type":"pe","pe":0,"total":4,"states":[4]}
+{"type":"pe","pe":1,"total":5,"states":[5]}`, "line 1 (meta): "},
+	{"negative func count", `{"type":"meta","file":"x.s","pes":0,"total_cycles":0}
+{"type":"func","name":"f","flat":-1,"cum":0,"states":[]}`, "line 2 (func): "},
+	{"record before meta", `{"type":"pe","pe":0,"total":0,"states":[]}
+{"type":"meta","file":"x.s","pes":1,"total_cycles":0}`, "line 1 (pe): "},
+}
+
+// TestReadJSONLRefusesInconsistent: a negative count, a pe record whose
+// states miss its total, and pe totals that miss total_cycles are each
+// refused on the line they were found.
+func TestReadJSONLRefusesInconsistent(t *testing.T) {
+	for _, tc := range inconsistentJSONL {
+		_, _, _, err := ReadJSONL(strings.NewReader(tc.in))
+		if err == nil || !strings.HasPrefix(err.Error(), tc.line) {
+			t.Errorf("%s: error %v, want one starting %q", tc.why, err, tc.line)
+		}
+	}
+}
+
 // FuzzReadJSONL: ReadJSONL never panics on what `tables -prof` reads
-// from disk, and every error it returns names its line.
+// from disk, every error it returns names its line, and a profile it
+// accepts holds what `tables -prof` draws its bars from: each PE's
+// states are non-negative and sum to its total, and the totals to the
+// profile's.
 func FuzzReadJSONL(f *testing.F) {
 	out := shapeJSONL(f)
 	f.Add(out)
 	f.Add(out[:bytes.IndexByte(out, '\n')/2]) // a truncated meta record
+	for _, tc := range inconsistentJSONL {
+		f.Add([]byte(tc.in))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, _, err := ReadJSONL(bytes.NewReader(data)); err != nil && !strings.HasPrefix(err.Error(), "line ") {
-			t.Errorf("error %q names no line", err)
+		m, _, _, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "line ") {
+				t.Errorf("error %q names no line", err)
+			}
+			return
+		}
+		var total big.Int
+		for _, r := range m.PEs {
+			var states big.Int
+			for _, v := range r.States {
+				if v < 0 {
+					t.Fatalf("pe %d accepted with a negative state count %d", r.PE, v)
+				}
+				states.Add(&states, big.NewInt(v))
+			}
+			if states.Cmp(big.NewInt(r.Total)) != 0 {
+				t.Fatalf("pe %d accepted with states summing to %v, total %d", r.PE, &states, r.Total)
+			}
+			total.Add(&total, &states)
+		}
+		if total.Cmp(big.NewInt(m.TotalCycles)) != 0 {
+			t.Fatalf("accepted with pe totals summing to %v, total cycles %d", &total, m.TotalCycles)
 		}
 	})
 }

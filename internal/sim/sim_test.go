@@ -143,30 +143,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(10)
-	b := NewHistogram(10)
-	for v := int64(0); v < 5; v++ {
-		a.Observe(v)
-		b.Observe(v + 3) // 3..7
-	}
-	b.Observe(50) // overflow in b
-	a.Merge(b)
-	if a.N() != 11 {
-		t.Fatalf("merged N = %d, want 11", a.N())
-	}
-	if a.Count(3) != 2 || a.Count(4) != 2 || a.Count(7) != 1 {
-		t.Fatalf("merged counts wrong: %d %d %d", a.Count(3), a.Count(4), a.Count(7))
-	}
-	if a.Overflow() != 1 {
-		t.Fatalf("merged overflow = %d, want 1", a.Overflow())
-	}
-	a.Merge(nil) // no-op
-	if a.N() != 11 {
-		t.Fatal("nil merge changed the histogram")
-	}
-}
-
 func TestSeriesSorted(t *testing.T) {
 	var s Series
 	s.Add(3, 30)

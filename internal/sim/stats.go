@@ -85,11 +85,10 @@ func (m *Mean) String() string {
 // cap; samples at or above the cap fall into an overflow bucket. It is
 // used for queue-length and latency distributions.
 type Histogram struct {
-	buckets     []int64
-	overflow    int64
-	overflowSum int64 // exact sum of the samples in overflow
-	n           int64
-	sum         int64
+	buckets  []int64
+	overflow int64
+	n        int64
+	sum      int64 // exact, overflow samples included
 }
 
 // NewHistogram returns a histogram with buckets [0, cap).
@@ -110,7 +109,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum += v
 	if v >= int64(len(h.buckets)) {
 		h.overflow++
-		h.overflowSum += v
 		return
 	}
 	h.buckets[v]++
@@ -156,33 +154,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return int64(len(h.buckets))
-}
-
-// Merge adds all of other's samples into h. Buckets beyond h's cap fold
-// into h's overflow. The merged sample count, sum and mean are exact
-// regardless of the two histograms' caps: overflow samples carry their
-// true sum, not the cap value.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for v, c := range other.buckets {
-		if c == 0 {
-			continue
-		}
-		if v < len(h.buckets) {
-			h.buckets[v] += c
-		} else {
-			h.overflow += c
-			h.overflowSum += int64(v) * c
-		}
-		h.n += c
-		h.sum += int64(v) * c
-	}
-	h.overflow += other.overflow
-	h.overflowSum += other.overflowSum
-	h.n += other.overflow
-	h.sum += other.overflowSum
 }
 
 // Series is an append-only sequence of (x, y) points used to build the

@@ -35,91 +35,27 @@ func TestHistogramAllOverflow(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeMismatchedCapacities(t *testing.T) {
-	small := NewHistogram(4)
-	big := NewHistogram(32)
-	big.Observe(2)   // fits in both
-	big.Observe(10)  // fits only in big
-	big.Observe(100) // overflow in both
-	small.Merge(big)
-	if small.N() != 3 {
-		t.Fatalf("merged N = %d, want 3", small.N())
-	}
-	if got := small.Count(2); got != 1 {
-		t.Errorf("Count(2) = %d, want 1", got)
-	}
-	// big's bucket 10 exceeds small's cap and must fold into overflow,
-	// joining big's own overflow sample.
-	if got := small.Overflow(); got != 2 {
-		t.Errorf("Overflow = %d, want 2", got)
-	}
-
-	// Merging the other way keeps everything in ordinary buckets.
-	small2 := NewHistogram(4)
-	small2.Observe(1)
-	big2 := NewHistogram(32)
-	big2.Merge(small2)
-	if big2.Overflow() != 0 {
-		t.Errorf("big merge overflow = %d, want 0", big2.Overflow())
-	}
-	if big2.Count(1) != 1 {
-		t.Errorf("big merge Count(1) = %d, want 1", big2.Count(1))
-	}
-}
-
-func TestHistogramMergeNil(t *testing.T) {
+// TestHistogramOverflowMeanExact: samples at or past the cap count in
+// overflow, not in a bucket, and the mean stays the exact mean of every
+// sample observed: overflow samples add their true value, not the cap.
+func TestHistogramOverflowMeanExact(t *testing.T) {
 	h := NewHistogram(4)
-	h.Observe(1)
-	h.Merge(nil)
-	if h.N() != 1 {
-		t.Errorf("N after nil merge = %d, want 1", h.N())
-	}
-}
-
-// TestHistogramMergeExactSum: the merged mean must equal the mean of the
-// union of samples even when some fell into overflow — overflow samples
-// carry their true sum, not the bucket cap.
-func TestHistogramMergeExactSum(t *testing.T) {
-	a := NewHistogram(4)
-	b := NewHistogram(4)
-	samples := []int64{1, 2, 100, 7, 3, 1000}
+	samples := []int64{1, 2, 100, 7, 3, 1000, 2}
 	var want int64
-	for i, v := range samples {
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
+	for _, v := range samples {
+		h.Observe(v)
 		want += v
 	}
-	a.Merge(b)
-	if a.N() != int64(len(samples)) {
-		t.Fatalf("merged N = %d, want %d", a.N(), len(samples))
+	if h.N() != int64(len(samples)) {
+		t.Fatalf("N = %d, want %d", h.N(), len(samples))
 	}
-	wantMean := float64(want) / float64(len(samples))
-	if got := a.Mean(); got != wantMean {
-		t.Fatalf("merged mean = %v, want %v", got, wantMean)
+	if got, wantMean := h.Mean(), float64(want)/float64(len(samples)); got != wantMean {
+		t.Errorf("Mean = %v, want %v", got, wantMean)
 	}
-
-	// A sequence of merges must agree with observing everything in one
-	// histogram, including bucketed values folded into overflow by a
-	// smaller cap.
-	direct := NewHistogram(4)
-	for _, v := range samples {
-		direct.Observe(v)
+	if h.Overflow() != 3 {
+		t.Errorf("Overflow = %d, want 3", h.Overflow())
 	}
-	if direct.Mean() != a.Mean() || direct.Overflow() != a.Overflow() {
-		t.Fatalf("merge disagrees with direct observation: mean %v vs %v, overflow %d vs %d",
-			a.Mean(), direct.Mean(), a.Overflow(), direct.Overflow())
-	}
-
-	// Folding a large bucketed value (from a bigger histogram) into
-	// overflow must preserve its exact contribution too.
-	small := NewHistogram(4)
-	big := NewHistogram(64)
-	big.Observe(10)
-	small.Merge(big)
-	if small.Mean() != 10 {
-		t.Fatalf("folded mean = %v, want 10", small.Mean())
+	if h.Count(1) != 1 || h.Count(2) != 2 || h.Count(3) != 1 || h.Count(7) != 0 {
+		t.Errorf("counts 1..3 = %d %d %d, Count(7) = %d; want 1 2 1, 0", h.Count(1), h.Count(2), h.Count(3), h.Count(7))
 	}
 }
