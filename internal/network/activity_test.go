@@ -125,10 +125,12 @@ func (h *harness) checkConservation() {
 	}
 }
 
-// checkAliasing asserts, after a cycle, that no two queues share a backing
-// element within their live entries (entries[head:]): every link queue and
-// MM arrival queue may start in a slab it shares with its neighbours, and
-// an append that ran past its own slots would write theirs.
+// checkAliasing asserts, after a cycle, that no two rooms share a backing
+// element anywhere in their windows (every slot up to a room's capacity,
+// live or not): every link queue, MM arrival queue, wait buffer, PE
+// receive buffer and Collect scratch buffer may start in a slab it shares
+// with its neighbours and move to a window of a chunk it shares with
+// others, and an append that ran past its own window would write theirs.
 func (h *harness) checkAliasing() {
 	h.t.Helper()
 	n := h.net
@@ -137,28 +139,31 @@ func (h *harness) checkAliasing() {
 		what   string
 		i      int
 	}
-	var live []extent
+	var windows []extent
 	add := func(what string, i int, p unsafe.Pointer, count int, size uintptr) {
-		lo := uintptr(p)
-		live = append(live, extent{lo, lo + uintptr(count)*size, what, i})
+		if count > 0 {
+			lo := uintptr(p)
+			windows = append(windows, extent{lo, lo + uintptr(count)*size, what, i})
+		}
 	}
 	for i := range n.fwd {
-		if q := &n.fwd[i].q; !q.empty() {
-			add("forward queue", i, unsafe.Pointer(&q.entries[q.head]), q.len(), unsafe.Sizeof(q.entries[0]))
-		}
-		if q := &n.rev[i].q; !q.empty() {
-			add("reverse queue", i, unsafe.Pointer(&q.entries[q.head]), q.len(), unsafe.Sizeof(q.entries[0]))
-		}
+		q, r, w := &n.fwd[i].q, &n.rev[i].q, &n.rev[i].wb
+		add("forward queue", i, unsafe.Pointer(unsafe.SliceData(q.entries)), cap(q.entries), unsafe.Sizeof(reqEntry{}))
+		add("reverse queue", i, unsafe.Pointer(unsafe.SliceData(r.entries)), cap(r.entries), unsafe.Sizeof(msg.Reply{}))
+		add("wait buffer", i, unsafe.Pointer(unsafe.SliceData(w.recs)), cap(w.recs), unsafe.Sizeof(waitRec{}))
 	}
 	for i := range n.mmIn {
-		if q := &n.mmIn[i]; !q.empty() {
-			add("MM arrival queue", i, unsafe.Pointer(&q.entries[q.head]), q.len(), unsafe.Sizeof(q.entries[0]))
-		}
+		q := &n.mmIn[i]
+		add("MM arrival queue", i, unsafe.Pointer(unsafe.SliceData(q.entries)), cap(q.entries), unsafe.Sizeof(reqEntry{}))
+		add("PE receive buffer", i, unsafe.Pointer(unsafe.SliceData(n.peRecv[i])), cap(n.peRecv[i]), unsafe.Sizeof(msg.Reply{}))
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a].lo < live[b].lo })
-	for i := 1; i < len(live); i++ {
-		if a, b := live[i-1], live[i]; b.lo < a.hi {
-			h.t.Fatalf("cycle %d: the live entries of %s %d and %s %d share backing storage", h.cycle, a.what, a.i, b.what, b.i)
+	for pe, b := range n.collectBuf {
+		add("Collect buffer", pe, unsafe.Pointer(unsafe.SliceData(b)), cap(b), unsafe.Sizeof(msg.Reply{}))
+	}
+	sort.Slice(windows, func(a, b int) bool { return windows[a].lo < windows[b].lo })
+	for i := 1; i < len(windows); i++ {
+		if a, b := windows[i-1], windows[i]; b.lo < a.hi {
+			h.t.Fatalf("cycle %d: the windows of %s %d and %s %d share backing storage", h.cycle, a.what, a.i, b.what, b.i)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package network
 
 import (
+	"slices"
 	"testing"
 
 	"ultracomputer/internal/msg"
+	"ultracomputer/internal/sim"
 )
 
 // TestConfigValidate has one row per bound of Bounds, each error in the
@@ -567,4 +569,80 @@ func TestCollectUnowedReplyPanics(t *testing.T) {
 		h.cycle++
 	}
 	t.Error("the network delivered two replies to one request")
+}
+
+// TestCollectOrderAcrossCopies drives a duplexed network (Copies: 2) whose
+// PEs collect only every fifth cycle, so that a PE's receive buffer in
+// each copy holds several replies and one Collect returns more replies
+// than a PE can receive in a cycle. Collect must return copy 0's replies,
+// then copy 1's, each in arrival order, leave every other PE's receive
+// buffers as they were, and return each accepted request's reply once;
+// the harness's checks, window aliasing among them, run every cycle.
+func TestCollectOrderAcrossCopies(t *testing.T) {
+	h := newHarness(t, Config{K: 2, Stages: 3, Copies: 2, Combining: true})
+	n := h.net
+	ports := n.Ports()
+	rng := sim.NewRand(3)
+	owed := map[uint64]bool{}
+	var seq uint64
+	maxBuffered, maxCollected := 0, 0
+	for round := 0; round < 400 || n.InFlight() > 0 || !h.allIdle(); round++ {
+		if round > 2000 {
+			t.Fatalf("the network did not drain: %d in flight", n.InFlight())
+		}
+		for pe := 0; round < 400 && pe < ports; pe++ {
+			if !rng.Bernoulli(0.6) {
+				continue
+			}
+			seq++
+			r := msg.Request{ID: seq, PE: pe, Op: msg.FetchAdd, Operand: 1, Addr: msg.Addr{MM: rng.Intn(ports), Word: rng.Intn(2)}}
+			if rng.Bernoulli(0.3) {
+				r.Op = msg.Load
+			}
+			if h.st.Inject(pe, r, h.cycle) {
+				owed[r.ID] = true
+			}
+		}
+		h.st.Step(h.cycle)
+		h.serve()
+		for pe := 0; round%5 == 4 && pe < ports; pe++ {
+			var want []msg.Reply
+			others := make([][]msg.Reply, len(n.peRecv))
+			for i, b := range n.peRecv {
+				if i%ports == pe {
+					want = append(want, b...)
+					maxBuffered = max(maxBuffered, len(b))
+				} else {
+					others[i] = slices.Clone(b)
+				}
+			}
+			got := h.st.Collect(pe, h.cycle)
+			if !slices.Equal(got, want) {
+				t.Fatalf("cycle %d: PE %d collected %v, want its copies' buffers in copy order %v", h.cycle, pe, got, want)
+			}
+			for i, b := range n.peRecv {
+				if i%ports != pe && !slices.Equal(b, others[i]) {
+					t.Fatalf("cycle %d: collecting PE %d changed receive buffer %d: %v, was %v", h.cycle, pe, i, b, others[i])
+				}
+			}
+			for _, rep := range got {
+				if !owed[rep.ID] || rep.PE != pe {
+					t.Fatalf("cycle %d: PE %d collected reply %v it is not owed", h.cycle, pe, rep)
+				}
+				delete(owed, rep.ID)
+			}
+			maxCollected = max(maxCollected, len(got))
+		}
+		h.checkActivity()
+		h.checkConservation()
+		h.checkAliasing()
+		h.cycle++
+	}
+	t.Logf("%d requests; at most %d replies in one receive buffer, %d in one Collect", seq, maxBuffered, maxCollected)
+	if len(owed) != 0 {
+		t.Fatalf("%d replies never collected", len(owed))
+	}
+	if maxBuffered < 2 || maxCollected <= 2 {
+		t.Fatalf("no receive buffer held two replies (%d) or no Collect returned more than two (%d)", maxBuffered, maxCollected)
+	}
 }

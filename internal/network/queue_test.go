@@ -127,35 +127,59 @@ func TestWaitBuffer(t *testing.T) {
 	}
 }
 
-// TestQueueSpillKeepsOrder drives three request queues and three reply
-// queues, carved side by side from one slab of three slots per queue as
-// Network.carve carves them, through seeded pushes, pops and combines at
-// the paper's 15-packet capacity, and checks every queue against a
-// plain-slice model after each operation. Queues run past their three
-// slots both with a popped prefix (push compacts inside the slab first)
-// and with a combined entry aboard, and no operation on one queue writes a
-// slab slot of another.
+// TestQueueSpillKeepsOrder drives three request queues, three reply
+// queues and three wait buffers, carved side by side from one slab per
+// entry type as Network.carve carves them, through seeded pushes, pops,
+// combines, adds and removes at the paper's capacities (15 packets, 8
+// records), and checks every room against a plain-slice model after each
+// operation. Queues run past their three slots both with a popped prefix
+// (push compacts inside the slab first) and with a combined entry aboard,
+// wait buffers past their two slots, and records are removed from a
+// buffer that has left its slab. No operation on one room writes a slot of
+// another room's window, whether that window is its slab slots or where a
+// spill moved it.
 func TestQueueSpillKeepsOrder(t *testing.T) {
-	const queues, slots = 3, 3
-	reqSlab, repSlab := make([]reqEntry, queues*slots), make([]msg.Reply, queues*slots)
+	const rooms, slots, waitSlots = 3, 3, 2
+	reqSlab, repSlab := make([]reqEntry, rooms*slots), make([]msg.Reply, rooms*slots)
+	waitSlab := make([]waitRec, rooms*waitSlots)
 	var (
-		rq     [queues]reqQueue
-		pq     [queues]repQueue
-		rModel [queues][]reqEntry
-		pModel [queues][]msg.Reply
+		rq     [rooms]reqQueue
+		pq     [rooms]repQueue
+		wb     [rooms]waitBuffer
+		rModel [rooms][]reqEntry
+		pModel [rooms][]msg.Reply
+		wModel [rooms][]waitRec
 	)
 	for i := range rq {
 		rq[i] = reqQueue{entries: reqSlab[slots*i : slots*i : slots*i+slots], cap: 15}
 		pq[i] = repQueue{entries: repSlab[slots*i : slots*i : slots*i+slots], cap: 15}
+		wb[i] = waitBuffer{recs: waitSlab[waitSlots*i : waitSlots*i : waitSlots*i+waitSlots], cap: 8}
 	}
 	inSlab := func(i int) bool { return unsafe.SliceData(rq[i].entries) == &reqSlab[slots*i] }
+	// windows snapshots every room's whole window (every slot up to its
+	// capacity, live or not) but room i's.
+	type snapshot struct {
+		req  [rooms][]reqEntry
+		rep  [rooms][]msg.Reply
+		wait [rooms][]waitRec
+	}
+	windows := func(i int) (s snapshot) {
+		for k := range rooms {
+			if k != i {
+				s.req[k] = slices.Clone(rq[k].entries[:cap(rq[k].entries)])
+				s.rep[k] = slices.Clone(pq[k].entries[:cap(pq[k].entries)])
+				s.wait[k] = slices.Clone(wb[k].recs[:cap(wb[k].recs)])
+			}
+		}
+		return s
+	}
 	rng := sim.NewRand(11)
 	var id uint64
-	compactedInSlab, spilledCombined := 0, 0
+	compactedInSlab, spilledCombined, waitSpills, spilledRemoves := 0, 0, 0, 0
 	for step := 0; step < 5000; step++ {
-		i := rng.Intn(queues)
-		q, p := &rq[i], &pq[i]
-		// A queue that spilled and drained goes back to its slots, so the
+		i := rng.Intn(rooms)
+		q, p, w := &rq[i], &pq[i], &wb[i]
+		// A room that spilled and drained goes back to its slots, so the
 		// sequence spills many times.
 		if q.empty() && !inSlab(i) {
 			*q = reqQueue{entries: reqSlab[slots*i : slots*i : slots*i+slots], cap: 15}
@@ -163,8 +187,11 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 		if p.empty() && unsafe.SliceData(p.entries) != &repSlab[slots*i] {
 			*p = repQueue{entries: repSlab[slots*i : slots*i : slots*i+slots], cap: 15}
 		}
-		reqBefore, repBefore := slices.Clone(reqSlab), slices.Clone(repSlab)
-		switch op := rng.Intn(5); {
+		if w.len() == 0 && unsafe.SliceData(w.recs) != &waitSlab[waitSlots*i] {
+			*w = waitBuffer{recs: waitSlab[waitSlots*i : waitSlots*i : waitSlots*i+waitSlots], cap: 8}
+		}
+		before := windows(i)
+		switch op := rng.Intn(7); {
 		case op < 2: // push a request and a reply
 			id++
 			r := req(id, i, msg.Load, 0, rng.Intn(2), 0)
@@ -199,7 +226,7 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 			} else if ok {
 				pModel[i] = pModel[i][1:]
 			}
-		default: // combine into a random entry that has not combined yet
+		case op == 4: // combine into a random entry that has not combined yet
 			if len(rModel[i]) == 0 {
 				continue
 			}
@@ -218,10 +245,35 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 			}
 			e.req.Operand++
 			e.combined = true
+		case op == 5: // add a wait record
+			if !w.hasSpace() {
+				continue
+			}
+			if len(w.recs) == cap(w.recs) {
+				waitSpills++
+			}
+			id++
+			rec := waitRec{key: id, addr: msg.Addr{MM: i, Word: int(id)}, a: side{id: id, pe: i}, b: side{id: id + 1<<40, pe: i}}
+			w.add(rec)
+			wModel[i] = append(wModel[i], rec)
+		default: // remove a random wait record, found by its key
+			if len(wModel[i]) == 0 {
+				continue
+			}
+			j := rng.Intn(len(wModel[i]))
+			if got := w.find(wModel[i][j].key); got != j {
+				t.Fatalf("step %d: wait buffer %d finds record %d at %d", step, i, j, got)
+			}
+			if unsafe.SliceData(w.recs) != &waitSlab[waitSlots*i] {
+				spilledRemoves++
+			}
+			w.remove(j)
+			wModel[i] = slices.Delete(wModel[i], j, j+1)
 		}
-		for k := 0; k < queues*slots; k++ {
-			if owner := k / slots; owner != i && (reqSlab[k] != reqBefore[k] || repSlab[k] != repBefore[k]) {
-				t.Fatalf("step %d: an operation on queue %d wrote slab slot %d of queue %d", step, i, k, owner)
+		after := windows(i)
+		for k := range rooms {
+			if !slices.Equal(before.req[k], after.req[k]) || !slices.Equal(before.rep[k], after.rep[k]) || !slices.Equal(before.wait[k], after.wait[k]) {
+				t.Fatalf("step %d: an operation on room %d wrote the window of room %d", step, i, k)
 			}
 		}
 		for k := range rq {
@@ -236,11 +288,16 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 			if !slices.Equal(pq[k].entries[pq[k].head:], pModel[k]) {
 				t.Fatalf("step %d: reply queue %d holds %v, model %v", step, k, pq[k].entries[pq[k].head:], pModel[k])
 			}
+			if !slices.Equal(wb[k].recs, wModel[k]) {
+				t.Fatalf("step %d: wait buffer %d holds %v, model %v", step, k, wb[k].recs, wModel[k])
+			}
 		}
 	}
-	t.Logf("%d pushes compacted inside the slab, %d spilled it with a combined entry aboard", compactedInSlab, spilledCombined)
-	if compactedInSlab == 0 || spilledCombined == 0 {
-		t.Fatalf("the sequence never compacted inside the slab (%d) or spilled with a combined entry (%d)", compactedInSlab, spilledCombined)
+	t.Logf("%d pushes compacted inside the slab, %d spilled it with a combined entry aboard; %d adds spilled a wait buffer's window, %d removes were from a spilled one",
+		compactedInSlab, spilledCombined, waitSpills, spilledRemoves)
+	if compactedInSlab == 0 || spilledCombined == 0 || waitSpills == 0 || spilledRemoves == 0 {
+		t.Fatalf("the sequence never compacted inside the slab (%d), spilled with a combined entry (%d), spilled a wait buffer (%d) or removed from a spilled one (%d)",
+			compactedInSlab, spilledCombined, waitSpills, spilledRemoves)
 	}
 }
 
