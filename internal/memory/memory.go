@@ -35,7 +35,8 @@ type Module struct {
 	busyUntil int64
 	current   msg.Request
 	busy      bool
-	pending   *msg.Reply
+	blocked   bool  // current's reply, of value ret, waits for MNI space
+	ret       int64 // kept by value, so a blocked reply allocates nothing
 
 	// Served counts completed memory operations; a hot spot served
 	// through a combining network shows Served far below the number of
@@ -104,7 +105,7 @@ func (m *Module) Poke(word int, v int64) { m.words.set(m.words.key(m.id, word), 
 
 // Idle reports whether the module has no operation in progress and no
 // reply awaiting MNI space.
-func (m *Module) Idle() bool { return !m.busy && m.pending == nil }
+func (m *Module) Idle() bool { return !m.busy && !m.blocked }
 
 // Accept hands the module a request directly (callers that pull from the
 // network themselves, e.g. to timestamp arrivals). The module must be
@@ -121,13 +122,13 @@ func (m *Module) Accept(r msg.Request, cycle int64) {
 // progress when its latency has elapsed, and starts a new request when
 // idle.
 func (m *Module) Step(cycle int64, port Port) {
-	if m.pending != nil {
-		if port.Reply(*m.pending) {
-			m.replied(*m.pending, cycle)
-			m.pending = nil
-		} else {
+	if m.blocked {
+		rep := m.current.Reply(m.ret)
+		if !port.Reply(rep) {
 			return
 		}
+		m.replied(rep, cycle)
+		m.blocked = false
 	}
 	if m.busy && cycle >= m.busyUntil {
 		r := m.current
@@ -153,15 +154,12 @@ func (m *Module) Step(cycle int64, port Port) {
 		}
 		rep := r.Reply(ret)
 		if !port.Reply(rep) {
-			// Copy before taking the address, so that only a blocked
-			// reply is heap-allocated, not every reply served.
-			blocked := rep
-			m.pending = &blocked
+			m.blocked, m.ret = true, ret
 			return
 		}
 		m.replied(rep, cycle)
 	}
-	if !m.busy && m.pending == nil {
+	if !m.busy && !m.blocked {
 		if r, ok := port.Dequeue(); ok {
 			m.begin(r, cycle)
 		}

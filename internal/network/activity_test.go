@@ -107,8 +107,8 @@ func (h *harness) checkConservation() {
 		recs := n.rev[i].wb.recs
 		for a, rec := range recs {
 			for _, other := range recs[:a] {
-				if other.key == rec.key {
-					h.t.Fatalf("cycle %d: wait buffer %d holds two records keyed %d", h.cycle, i, rec.key)
+				if other.a.id == rec.a.id {
+					h.t.Fatalf("cycle %d: wait buffer %d holds two records keyed %d", h.cycle, i, rec.a.id)
 				}
 			}
 		}
@@ -148,17 +148,19 @@ func (h *harness) checkAliasing() {
 	}
 	for i := range n.fwd {
 		q, r, w := &n.fwd[i].q, &n.rev[i].q, &n.rev[i].wb
-		add("forward queue", i, unsafe.Pointer(unsafe.SliceData(q.entries)), cap(q.entries), unsafe.Sizeof(reqEntry{}))
+		add("forward queue", i, unsafe.Pointer(unsafe.SliceData(q.entries)), cap(q.entries), unsafe.Sizeof(msg.Request{}))
 		add("reverse queue", i, unsafe.Pointer(unsafe.SliceData(r.entries)), cap(r.entries), unsafe.Sizeof(msg.Reply{}))
 		add("wait buffer", i, unsafe.Pointer(unsafe.SliceData(w.recs)), cap(w.recs), unsafe.Sizeof(waitRec{}))
 	}
 	for i := range n.mmIn {
 		q := &n.mmIn[i]
-		add("MM arrival queue", i, unsafe.Pointer(unsafe.SliceData(q.entries)), cap(q.entries), unsafe.Sizeof(reqEntry{}))
+		add("MM arrival queue", i, unsafe.Pointer(unsafe.SliceData(q.entries)), cap(q.entries), unsafe.Sizeof(msg.Request{}))
 		add("PE receive buffer", i, unsafe.Pointer(unsafe.SliceData(n.peRecv[i])), cap(n.peRecv[i]), unsafe.Sizeof(msg.Reply{}))
 	}
-	for pe, b := range n.collectBuf {
-		add("Collect buffer", pe, unsafe.Pointer(unsafe.SliceData(b)), cap(b), unsafe.Sizeof(msg.Reply{}))
+	if n.room != nil {
+		for pe, b := range n.room.collect {
+			add("Collect buffer", pe, unsafe.Pointer(unsafe.SliceData(b)), cap(b), unsafe.Sizeof(msg.Reply{}))
+		}
 	}
 	sort.Slice(windows, func(a, b int) bool { return windows[a].lo < windows[b].lo })
 	for i := 1; i < len(windows); i++ {
@@ -509,6 +511,7 @@ func TestSweepVisitsExactlyFlaggedUnits(t *testing.T) {
 	} {
 		const units = 41
 		n := New(tc.cfg)
+		n.carve() // the messages below enter by hand, not by inject
 		rec := obs.NewRecorder(1 << 12)
 		n.SetTracer(rec)
 		st := NewStepper(n, nil)
@@ -519,13 +522,13 @@ func TestSweepVisitsExactlyFlaggedUnits(t *testing.T) {
 			flags, stage = n.act.fwd[lines:2*lines], 0
 			for p := range flags {
 				id := uint64(p + 1)
-				n.fwd[lines+p].q.push(&msg.Request{ID: id, TC: msg.TraceCtx{ID: id}})
+				n.fwd[lines+p].q.push(&msg.Request{ID: id, TC: msg.TraceCtx{ID: id}}, n.cfg.QueueCapacity, &n.room.reqs)
 			}
 		case phReverse: // the links out of stage 1
 			flags = n.act.rev[lines : 2*lines]
 			for p := range flags {
 				id := uint64(p + 1)
-				n.rev[lines+p].q.push(&msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}})
+				n.rev[lines+p].q.push(&msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}}, n.cfg.QueueCapacity, &n.room.reps)
 			}
 		case phDeferred: // the units' stage-0 registers
 			flags, per = n.act.deferred, 1

@@ -12,12 +12,12 @@ import (
 // ZeroAlloc tests, which drive a machine with nothing in flight: on the
 // benchmark's 64-port shape at the Figure 7 reference rate (p = 0.2),
 // uniform and with 10 % of references to one hot word, 2 000 cycles after
-// a 1 000-cycle warm-up may allocate fewer than one object per two
-// cycles. What is left by then is the growth-only tail of the arrays of
-// the queues that outgrew their three slab slots and of the wait buffers
-// (about one object per six cycles, still falling);
-// a closure, a boxed port or a by-value escape on the cycle path costs at
-// least one per cycle. The driver around the network allocates nothing,
+// a 1 000-cycle warm-up may allocate fewer than one object per 100
+// cycles. What is left by then is the odd chunk a room's next window
+// comes from (7 and 8 objects; about one per six cycles when each room
+// that outgrew its window grew an array of its own); a closure, a boxed
+// port or a by-value escape on the cycle path costs at least one per
+// cycle. The driver around the network allocates nothing,
 // so Inject, MMDequeue, MMReply and Collect are inside the budget too.
 func TestStepAllocBudgetUnderTraffic(t *testing.T) {
 	for _, hot := range []float64{0, 0.1} {
@@ -80,8 +80,8 @@ func TestStepAllocBudgetUnderTraffic(t *testing.T) {
 		if n.Stats().RepliesDelivered.Value() < measured || (hot > 0 && n.Stats().Combines.Value() == 0) {
 			t.Fatalf("hot %.0f%%: the traffic did not flow: %+v", 100*hot, n.Stats())
 		}
-		if 2*allocs >= measured {
-			t.Errorf("hot %.0f%%: %d objects allocated over %d cycles of steady traffic, want fewer than one per two cycles",
+		if 100*allocs >= measured {
+			t.Errorf("hot %.0f%%: %d objects allocated over %d cycles of steady traffic, want fewer than one per 100 cycles",
 				100*hot, allocs, measured)
 		}
 	}

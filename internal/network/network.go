@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/obs"
@@ -99,11 +100,8 @@ type Network struct {
 	// fan delivers every event of the network, and of the PEs it carries
 	// traffic for, to the attached consumers (SetProbe, SetTracer,
 	// SetProfiler).
-	fan obs.Fanout
-
-	// collectBuf is the per-PE reply scratch reused by Collect every
-	// cycle. The returned slice is only valid until that PE's next Collect.
-	collectBuf [][]msg.Reply
+	fan  obs.Fanout
+	room *rooms // where every room above takes its windows (carve)
 }
 
 // SetProbe subscribes an event probe (the recorder) to the network's
@@ -141,38 +139,36 @@ func New(cfg Config) *Network {
 		revDefer:    make([]deferredReply, t.lines/t.k*t.stages),
 		act:         newActivity(t),
 		dead:        make([]bool, cfg.Copies),
-		collectBuf:  make([][]msg.Reply, t.n),
 	}
 	n.stats.RoundTripHist = sim.NewHistogram(2048)
-	for i := range n.fwd {
-		n.fwd[i].q.cap = cfg.QueueCapacity
-		n.rev[i].q.cap = cfg.QueueCapacity
-		n.rev[i].wb.cap = cfg.WaitBufferCapacity
-	}
-	for i := 0; i < t.lines; i++ {
-		n.fwd[i].q.cap = cfg.PNIQueueCapacity // the PNI links come first
-		n.mmIn[i].cap = cfg.QueueCapacity
-	}
 	return n
 }
 
-// carve gives each link queue and MM arrival queue still without storage
-// its first three slots, side by side in one slab per message type, so
-// that only a queue holding more than three messages grows an array of its
-// own (DESIGN.md, "Why a queue starts in a slab"). Stepper.Step calls it.
+// carve makes the network's rooms at its first inject, before any message
+// enters, and gives every room its first window from its source's first
+// chunk: three slots for each link queue and MM arrival queue, one for
+// each PE receive buffer and Collect buffer, and the per-stage combine
+// counters. Only a room holding more takes another window (DESIGN.md,
+// "Why a queue starts in a slab"); a wait buffer takes its first at its
+// first record. A later chunk holds at most one slot for every two rooms
+// its source serves.
 func (n *Network) carve() {
-	reqs, reps := make([]reqEntry, 3*(len(n.fwd)+len(n.mmIn))), make([]msg.Reply, 3*len(n.rev))
+	r := &alloc[rooms](1)[0]
+	r.collect = alloc[[]msg.Reply](n.topo.n)
+	queues := len(n.fwd) + len(n.mmIn)
+	r.reqs = source[msg.Request]{free: alloc[msg.Request](3 * queues), most: queues / 2}
+	r.reps = source[msg.Reply]{free: alloc[msg.Reply](3*len(n.rev) + len(n.peRecv) + len(r.collect)), most: len(n.rev) / 2}
+	r.waits.most = len(n.rev) / 2
 	for i := range n.fwd {
-		if q := &n.fwd[i].q; q.entries == nil {
-			q.entries = reqs[3*i : 3*i : 3*i+3]
-		}
-		if q := &n.rev[i].q; q.entries == nil {
-			q.entries = reps[3*i : 3*i : 3*i+3]
-		}
-		if j := len(n.fwd) + i; i < len(n.mmIn) && n.mmIn[i].entries == nil {
-			n.mmIn[i].entries = reqs[3*j : 3*j : 3*j+3]
-		}
+		n.fwd[i].q.entries, n.rev[i].q.entries = r.reqs.take(3), r.reps.take(3)
 	}
+	for i := range n.mmIn {
+		n.mmIn[i].entries, n.peRecv[i] = r.reqs.take(3), r.reps.take(1)
+	}
+	for pe := range r.collect {
+		r.collect[pe] = r.reps.take(1)
+	}
+	n.stats.perStageCombines, n.room = r.combines[:0], r
 }
 
 // FailCopy fail-stops network copy i: no new requests enter it, but
@@ -218,15 +214,18 @@ func (n *Network) inject(pe int, r msg.Request, cycle int64) bool {
 	if r.PE != pe {
 		panic(fmt.Sprintf("network: Inject at PE %d of request from PE %d", pe, r.PE))
 	}
+	if n.room == nil {
+		n.carve()
+	}
 	for i := 0; i < len(n.dead); i++ {
 		ci := (n.next[pe] + i) % len(n.dead)
 		if n.dead[ci] {
 			continue
 		}
 		at := n.fwdAt(-1, ci*ports+pe)
-		if n.fwd[at].q.spaceFor(r.Packets()) {
+		if n.fwd[at].q.spaceFor(r.Packets(), n.cfg.PNIQueueCapacity) {
 			r.Copy, r.Issued = uint8(ci), cycle
-			n.pushFwd(at, &r)
+			n.pushFwd(at, &r, n.cfg.PNIQueueCapacity)
 			n.next[pe] = (ci + 1) % len(n.dead)
 			n.outstanding[pe]++
 			n.stats.Injected.Inc()
@@ -298,7 +297,7 @@ func (n *Network) MMReply(mm int, rep msg.Reply) bool {
 		panic(fmt.Sprintf("network: MMReply at MM %d of reply to PE %d, which has nothing outstanding", mm, rep.PE))
 	}
 	at := n.revAt(n.topo.stages, int(rep.Copy)*ports+mm)
-	if !n.rev[at].q.spaceFor(rep.Packets()) {
+	if !n.rev[at].q.spaceFor(rep.Packets(), n.cfg.QueueCapacity) {
 		return false
 	}
 	n.pushRev(at, &rep)
@@ -314,15 +313,16 @@ func (n *Network) collect(pe int, cycle int64) []msg.Reply {
 	if !n.anyCopy(n.act.pe, pe) {
 		return nil
 	}
-	out := n.collectBuf[pe][:0]
+	out := n.room.collect[pe][:0]
 	for i := pe; i < len(n.peRecv); i += n.topo.n {
 		if n.act.pe[i] != 0 {
+			out = n.room.reps.grow(out, len(n.peRecv[i]), math.MaxInt)
 			out = append(out, n.peRecv[i]...)
 			n.peRecv[i] = n.peRecv[i][:0]
 			n.act.pe[i] = 0
 		}
 	}
-	n.collectBuf[pe] = out[:0]
+	n.room.collect[pe] = out[:0]
 	for i := range out {
 		rep := &out[i]
 		if n.outstanding[pe] == 0 {

@@ -428,7 +428,7 @@ func TestCopiesRoundRobin(t *testing.T) {
 		{ID: 2, PE: 0, Op: msg.Load, Copy: 1, Addr: msg.Addr{MM: 2}, Issued: 8},
 	} {
 		q := &net.fwd[net.fwdAt(-1, ci*net.Ports())].q // PE 0's PNI queue in copy ci
-		if q.len() != 1 || q.entries[q.head].req != want {
+		if q.len() != 1 || q.entries[q.head] != want {
 			t.Fatalf("copy %d's PNI queue holds %+v, want only %+v", ci, q.entries[q.head:], want)
 		}
 	}

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math"
+
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/obs"
 )
@@ -116,18 +118,18 @@ func (n *Network) revAt(s, l int) int {
 	return s*t.lines + l
 }
 
-// pushFwd queues a copy of *r on forward link at (a fwdAt index) and flags
-// the link; pushRev is its reverse twin. They are the only places a
-// message enters a link, which is what keeps "flag clear ⇒ queue empty"
-// true, and beside the sweep the only writers of a link flag. The caller
-// must have checked the queue's spaceFor.
-func (n *Network) pushFwd(at int, r *msg.Request) {
-	n.fwd[at].q.push(r)
+// pushFwd queues a copy of *r on forward link at (a fwdAt index), of
+// the given capacity, and flags the link; pushRev is its reverse twin.
+// They are the only places a message enters a link, which is what keeps
+// "flag clear ⇒ queue empty" true, and beside the sweep the only writers
+// of a link flag. The caller must have checked the queue's spaceFor.
+func (n *Network) pushFwd(at int, r *msg.Request, capacity int) {
+	n.fwd[at].q.push(r, capacity, &n.room.reqs)
 	n.act.fwd[at] = 1
 }
 
 func (n *Network) pushRev(at int, rep *msg.Reply) {
-	n.rev[at].q.push(rep)
+	n.rev[at].q.push(rep, n.cfg.QueueCapacity, &n.room.reps)
 	n.act.rev[at] = 1
 }
 
@@ -138,16 +140,16 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64) bool {
 	t := n.topo
 	l := u*t.k + t.digit(r.Addr.MM, s)
 	at := n.fwdAt(s, l)
-	q := &n.fwd[at].q
+	q, capacity := &n.fwd[at].q, n.cfg.QueueCapacity
+	// The port's wait buffer rides on the reverse link that arrives at it:
+	// position l of stage s+1 (see revLink).
+	w := &n.rev[(s+1)*t.lines+l].wb
 	if n.cfg.Combining {
-		if i := q.findCombinable(r); i >= 0 {
-			// The port's wait buffer rides on the reverse link that
-			// arrives at it: position l of stage s+1 (see revLink).
-			w := &n.rev[(s+1)*t.lines+l].wb
-			if w.hasSpace() {
-				old := q.entries[i].req
+		if i := q.findCombinable(r, w); i >= 0 {
+			if w.len() < n.cfg.WaitBufferCapacity {
+				old := q.entries[i]
 				fop, farg, aPlan, bPlan, ok := msg.Combine(old.Op, old.Operand, r.Op, r.Operand)
-				if ok && q.updateCombined(i, fop, farg) {
+				if ok && q.updateCombined(i, fop, farg, capacity) {
 					aTC, bTC := old.TC, r.TC
 					if to := n.fan.Subs().For(obs.KindCombine, aTC.Traced() || bTC.Traced()); to != 0 {
 						if to&obs.SubTrace != 0 {
@@ -164,7 +166,7 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64) bool {
 							if !bTC.Traced() {
 								bTC = msg.TraceCtx{ID: r.ID, Hops: old.TC.Hops}
 							}
-							q.setTC(i, aTC)
+							q.entries[i].TC = aTC
 						}
 						n.fan.Emit(obs.Event{
 							To: to, Cycle: cycle, Kind: obs.KindCombine, PE: int32(r.PE),
@@ -174,11 +176,9 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64) bool {
 						})
 					}
 					w.add(waitRec{
-						key:  old.ID,
-						addr: old.Addr,
-						a:    side{id: old.ID, pe: old.PE, op: old.Op, issued: old.Issued, plan: aPlan, tc: aTC},
-						b:    side{id: r.ID, pe: r.PE, op: r.Op, issued: r.Issued, plan: bPlan, tc: bTC},
-					})
+						a: side{id: old.ID, pe: int32(old.PE), op: old.Op, issued: old.Issued, plan: aPlan, tc: aTC},
+						b: side{id: r.ID, pe: int32(r.PE), op: r.Op, issued: r.Issued, plan: bPlan, tc: bTC},
+					}, n.cfg.WaitBufferCapacity, &n.room.waits)
 					n.stats.Combines.Inc()
 					n.stats.addAtStage(s, 1)
 					return true
@@ -186,12 +186,12 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64) bool {
 			}
 		}
 	}
-	if !q.spaceFor(r.Packets()) {
+	if !q.spaceFor(r.Packets(), capacity) {
 		return false
 	}
-	n.pushFwd(at, r)
+	n.pushFwd(at, r, capacity)
 	if r.TC.ID != 0 {
-		q.entries[len(q.entries)-1].req.TC.Hops++ // the queued copy's, not the sender's
+		q.entries[len(q.entries)-1].TC.Hops++ // the queued copy's, not the sender's
 	}
 	if to := n.fan.Subs().For(obs.KindStageArrive, r.TC.Traced()); to != 0 {
 		n.fan.Emit(obs.Event{
@@ -228,12 +228,12 @@ func (n *Network) acceptReply(s, u int, src *revLink, cycle int64) bool {
 	rep := &src.rep
 	if i := src.wb.find(rep.ID); i >= 0 {
 		rec := &src.wb.recs[i]
-		ra := synthReply(&rec.a, rec.addr, rep)
-		rb := synthReply(&rec.b, rec.addr, rep)
+		ra := synthReply(&rec.a, rep)
+		rb := synthReply(&rec.b, rep)
 		ata := n.revAt(s, u*t.k+t.digit(ra.PE, s))
 		atb := n.revAt(s, u*t.k+t.digit(rb.PE, s))
 		qa, qb := &n.rev[ata].q, &n.rev[atb].q
-		if !qa.spaceFor(ra.Packets()) {
+		if !qa.spaceFor(ra.Packets(), n.cfg.QueueCapacity) {
 			return false
 		}
 		src.wb.remove(i)
@@ -247,7 +247,7 @@ func (n *Network) acceptReply(s, u int, src *revLink, cycle int64) bool {
 		}
 		n.emitReplyHop(s, u, &ra, cycle)
 		// If qa == qb, qb's occupancy already includes ra.
-		if qb.spaceFor(rb.Packets()) {
+		if qb.spaceFor(rb.Packets(), n.cfg.QueueCapacity) {
 			n.pushRev(atb, &rb)
 			n.emitReplyHop(s, u, &rb, cycle)
 		} else {
@@ -258,7 +258,7 @@ func (n *Network) acceptReply(s, u int, src *revLink, cycle int64) bool {
 		return true
 	}
 	at := n.revAt(s, u*t.k+t.digit(rep.PE, s))
-	if !n.rev[at].q.spaceFor(rep.Packets()) {
+	if !n.rev[at].q.spaceFor(rep.Packets(), n.cfg.QueueCapacity) {
 		return false
 	}
 	n.pushRev(at, rep)
@@ -286,7 +286,7 @@ func (n *Network) flushDeferred(u int, cycle int64) {
 	regs := n.revDefer[u*stages : (u+1)*stages]
 	for s := range regs {
 		d := &regs[s]
-		if d.valid && n.rev[d.at].q.spaceFor(d.rep.Packets()) {
+		if d.valid && n.rev[d.at].q.spaceFor(d.rep.Packets(), n.cfg.QueueCapacity) {
 			n.pushRev(d.at, &d.rep)
 			d.valid = false
 			n.act.deferred[u]--
@@ -297,11 +297,11 @@ func (n *Network) flushDeferred(u int, cycle int64) {
 
 // synthReply builds the reply owed to one side of a combined pair from
 // the combined reply (Figure 3): its value transformed by the side's plan,
-// its copy, and the side's own injection cycle and trace context, carried
-// back toward the side's PE.
-func synthReply(sd *side, addr msg.Addr, combined *msg.Reply) msg.Reply {
+// its copy and address (the pair's), and the side's own injection cycle
+// and trace context, carried back toward the side's PE.
+func synthReply(sd *side, combined *msg.Reply) msg.Reply {
 	return msg.Reply{
-		ID: sd.id, PE: sd.pe, Op: sd.op, Copy: combined.Copy, Addr: addr,
+		ID: sd.id, PE: int(sd.pe), Op: sd.op, Copy: combined.Copy, Addr: combined.Addr,
 		Value: sd.plan.Synthesize(combined.Value), Issued: sd.issued, TC: sd.tc,
 	}
 }
@@ -323,10 +323,10 @@ func (n *Network) pumpRequest(cycle int64, s, u, p int) uint8 {
 			ln.delivered = n.enqueueForward(s+1, u, &ln.req, cycle)
 		} else if rest := ln.start + int64(ln.req.Packets()) - cycle; rest > 0 {
 			return uint8(rest)
-		} else if in := &n.mmIn[p]; in.spaceFor(ln.req.Packets()) {
+		} else if in := &n.mmIn[p]; in.spaceFor(ln.req.Packets(), n.cfg.QueueCapacity) {
 			// The last stage's links are stored in line order:
 			// position p is copy p/N's module p%N.
-			in.push(&ln.req)
+			in.push(&ln.req, n.cfg.QueueCapacity, &n.room.reqs)
 			n.act.mm[p] = 1
 			ln.delivered = true
 			if to := n.fan.Subs().For(obs.KindMMArrive, ln.req.TC.Traced()); to != 0 {
@@ -386,6 +386,7 @@ func (n *Network) pumpReply(cycle int64, s, u, p int) uint8 {
 			return uint8(rest) // the PNI assembles the full reply before the PE sees it
 		} else {
 			pe := t.unshuf[p]
+			n.peRecv[pe] = n.room.reps.grow(n.peRecv[pe], 1, math.MaxInt)
 			n.peRecv[pe] = append(n.peRecv[pe], ln.rep)
 			n.act.pe[pe] = 1
 			ln.delivered = true

@@ -18,9 +18,10 @@ func req(id uint64, pe int, op msg.Op, mm, word int, arg int64) msg.Request {
 func ptr[T any](v T) *T { return &v }
 
 func TestReqQueueFIFO(t *testing.T) {
-	q := reqQueue{cap: 100}
+	var rs source[msg.Request]
+	var q reqQueue
 	for i := uint64(1); i <= 5; i++ {
-		q.push(ptr(req(i, 0, msg.Load, int(i), 0, 0)))
+		q.push(ptr(req(i, 0, msg.Load, int(i), 0, 0)), 100, &rs)
 	}
 	if q.len() != 5 || q.occupancy() != 5 {
 		t.Fatalf("len=%d occ=%d, want 5/5", q.len(), q.occupancy())
@@ -37,64 +38,71 @@ func TestReqQueueFIFO(t *testing.T) {
 }
 
 func TestReqQueueCapacityInPackets(t *testing.T) {
-	q := reqQueue{cap: 4}
-	if !q.spaceFor(3) {
+	var rs source[msg.Request]
+	var q reqQueue
+	if !q.spaceFor(3, 4) {
 		t.Fatal("empty queue must accept 3 packets")
 	}
-	q.push(ptr(req(1, 0, msg.Store, 0, 0, 7))) // 3 packets
-	if q.spaceFor(3) {
+	q.push(ptr(req(1, 0, msg.Store, 0, 0, 7)), 4, &rs) // 3 packets
+	if q.spaceFor(3, 4) {
 		t.Fatal("queue with 3/4 packets accepted 3 more")
 	}
-	if !q.spaceFor(1) {
+	if !q.spaceFor(1, 4) {
 		t.Fatal("queue with 3/4 packets refused 1 more")
 	}
-	q.push(ptr(req(2, 1, msg.Load, 1, 0, 0))) // 1 packet
+	q.push(ptr(req(2, 1, msg.Load, 1, 0, 0)), 4, &rs) // 1 packet
 	if q.occupancy() != 4 {
 		t.Fatalf("occupancy = %d, want 4", q.occupancy())
 	}
 }
 
 func TestReqQueueFindCombinable(t *testing.T) {
-	q := reqQueue{cap: 100}
-	q.push(ptr(req(1, 0, msg.FetchAdd, 2, 5, 1)))
-	q.push(ptr(req(2, 1, msg.Swap, 2, 6, 9)))
+	var (
+		rs source[msg.Request]
+		ws source[waitRec]
+		q  reqQueue
+		w  waitBuffer
+	)
+	q.push(ptr(req(1, 0, msg.FetchAdd, 2, 5, 1)), 100, &rs)
+	q.push(ptr(req(2, 1, msg.Swap, 2, 6, 9)), 100, &rs)
 	// Same address, combinable ops.
-	if i := q.findCombinable(ptr(req(3, 2, msg.FetchAdd, 2, 5, 4))); i != 0 {
+	if i := q.findCombinable(ptr(req(3, 2, msg.FetchAdd, 2, 5, 4)), &w); i != 0 {
 		t.Fatalf("findCombinable = %d, want 0", i)
 	}
 	// Different word.
-	if i := q.findCombinable(ptr(req(4, 2, msg.FetchAdd, 2, 7, 4))); i != -1 {
+	if i := q.findCombinable(ptr(req(4, 2, msg.FetchAdd, 2, 7, 4)), &w); i != -1 {
 		t.Fatalf("findCombinable wrong word = %d, want -1", i)
 	}
 	// Same address, non-combinable pair (Swap with FetchAdd).
-	if i := q.findCombinable(ptr(req(5, 2, msg.FetchAdd, 2, 6, 4))); i != -1 {
+	if i := q.findCombinable(ptr(req(5, 2, msg.FetchAdd, 2, 6, 4)), &w); i != -1 {
 		t.Fatalf("findCombinable swap/fetchadd = %d, want -1", i)
 	}
-	// Already-combined entries are skipped.
-	if !q.updateCombined(0, msg.FetchAdd, 5) {
+	// Already-combined entries, keyed in the wait buffer, are skipped.
+	if !q.updateCombined(0, msg.FetchAdd, 5, 100) {
 		t.Fatal("updateCombined failed")
 	}
-	if i := q.findCombinable(ptr(req(6, 3, msg.FetchAdd, 2, 5, 4))); i != -1 {
+	w.add(waitRec{a: side{id: 1}, b: side{id: 3}}, 8, &ws)
+	if i := q.findCombinable(ptr(req(6, 3, msg.FetchAdd, 2, 5, 4)), &w); i != -1 {
 		t.Fatalf("findCombinable on combined entry = %d, want -1", i)
 	}
 }
 
 func TestReqQueueUpdateCombinedGrowth(t *testing.T) {
-	q := reqQueue{cap: 3}
-	q.push(ptr(req(1, 0, msg.Load, 0, 0, 0))) // 1 packet
+	var rs source[msg.Request]
+	var q, q2 reqQueue
+	q.push(ptr(req(1, 0, msg.Load, 0, 0, 0)), 3, &rs) // 1 packet
 	// Load -> FetchAdd grows to 3 packets; queue capacity 3 so it fits.
-	if !q.updateCombined(0, msg.FetchAdd, 4) {
+	if !q.updateCombined(0, msg.FetchAdd, 4, 3) {
 		t.Fatal("growth within capacity refused")
 	}
 	if q.occupancy() != 3 {
 		t.Fatalf("occupancy = %d, want 3", q.occupancy())
 	}
-	q2 := reqQueue{cap: 4}
-	q2.push(ptr(req(1, 0, msg.Load, 0, 0, 0)))
-	q2.push(ptr(req(2, 1, msg.Load, 1, 0, 0)))
-	q2.push(ptr(req(3, 2, msg.Load, 2, 0, 0)))
+	q2.push(ptr(req(1, 0, msg.Load, 0, 0, 0)), 4, &rs)
+	q2.push(ptr(req(2, 1, msg.Load, 1, 0, 0)), 4, &rs)
+	q2.push(ptr(req(3, 2, msg.Load, 2, 0, 0)), 4, &rs)
 	// Growing entry 0 to 3 packets would need 5 total; capacity is 4.
-	if q2.updateCombined(0, msg.FetchAdd, 4) {
+	if q2.updateCombined(0, msg.FetchAdd, 4, 4) {
 		t.Fatal("growth beyond capacity accepted")
 	}
 	if q2.occupancy() != 3 {
@@ -103,14 +111,15 @@ func TestReqQueueUpdateCombinedGrowth(t *testing.T) {
 }
 
 func TestWaitBuffer(t *testing.T) {
-	w := waitBuffer{cap: 2}
-	if !w.hasSpace() || w.len() != 0 {
+	var ws source[waitRec]
+	var w waitBuffer
+	if w.len() != 0 {
 		t.Fatal("fresh buffer state wrong")
 	}
-	w.add(waitRec{key: 10})
-	w.add(waitRec{key: 20})
-	if w.hasSpace() {
-		t.Fatal("full buffer reports space")
+	w.add(waitRec{a: side{id: 10}}, 2, &ws)
+	w.add(waitRec{a: side{id: 20}}, 2, &ws)
+	if w.len() != 2 {
+		t.Fatal("full buffer state wrong")
 	}
 	if i := w.find(20); i != 1 {
 		t.Fatalf("find(20) = %d, want 1", i)
@@ -119,7 +128,7 @@ func TestWaitBuffer(t *testing.T) {
 		t.Fatalf("find(30) = %d for a key nobody added", i)
 	}
 	w.remove(w.find(10))
-	if w.len() != 1 || !w.hasSpace() {
+	if w.len() != 1 {
 		t.Fatal("buffer state after remove wrong")
 	}
 	if w.find(10) != -1 || w.find(20) != 0 {
@@ -135,36 +144,50 @@ func TestWaitBuffer(t *testing.T) {
 // operation. Queues run past their three slots both with a popped prefix
 // (push compacts inside the slab first) and with a combined entry aboard,
 // wait buffers past their two slots, and records are removed from a
-// buffer that has left its slab. No operation on one room writes a slot of
-// another room's window, whether that window is its slab slots or where a
-// spill moved it.
+// buffer that has left its slab. A room that spills takes its next window
+// from one chunk per entry type that the three rooms share, as a
+// network's rooms do, and no operation on one room writes a slot of
+// another room's window, whether that window is its slab slots or a
+// spill's.
 func TestQueueSpillKeepsOrder(t *testing.T) {
-	const rooms, slots, waitSlots = 3, 3, 2
-	reqSlab, repSlab := make([]reqEntry, rooms*slots), make([]msg.Reply, rooms*slots)
-	waitSlab := make([]waitRec, rooms*waitSlots)
+	const nRooms, slots, waitSlots = 3, 3, 2
+	reqSlab, repSlab := make([]msg.Request, nRooms*slots), make([]msg.Reply, nRooms*slots)
+	waitSlab := make([]waitRec, nRooms*waitSlots)
+	// entry is a request of the model with its combining state, which a
+	// queue keeps as a record keyed by the request in its wait buffer
+	// (marks, whose records outlive the entry as a network's do).
+	type entry struct {
+		req      msg.Request
+		combined bool
+	}
 	var (
-		rq     [rooms]reqQueue
-		pq     [rooms]repQueue
-		wb     [rooms]waitBuffer
-		rModel [rooms][]reqEntry
-		pModel [rooms][]msg.Reply
-		wModel [rooms][]waitRec
+		reqs   = source[msg.Request]{most: 32} // where every spill takes its window
+		reps   = source[msg.Reply]{most: 32}
+		waits  = source[waitRec]{most: 32}
+		marked source[waitRec]
+		rq     [nRooms]reqQueue
+		pq     [nRooms]repQueue
+		wb     [nRooms]waitBuffer
+		marks  [nRooms]waitBuffer
+		rModel [nRooms][]entry
+		pModel [nRooms][]msg.Reply
+		wModel [nRooms][]waitRec
 	)
 	for i := range rq {
-		rq[i] = reqQueue{entries: reqSlab[slots*i : slots*i : slots*i+slots], cap: 15}
-		pq[i] = repQueue{entries: repSlab[slots*i : slots*i : slots*i+slots], cap: 15}
-		wb[i] = waitBuffer{recs: waitSlab[waitSlots*i : waitSlots*i : waitSlots*i+waitSlots], cap: 8}
+		rq[i] = reqQueue{entries: reqSlab[slots*i : slots*i : slots*i+slots]}
+		pq[i] = repQueue{entries: repSlab[slots*i : slots*i : slots*i+slots]}
+		wb[i] = waitBuffer{recs: waitSlab[waitSlots*i : waitSlots*i : waitSlots*i+waitSlots]}
 	}
 	inSlab := func(i int) bool { return unsafe.SliceData(rq[i].entries) == &reqSlab[slots*i] }
 	// windows snapshots every room's whole window (every slot up to its
 	// capacity, live or not) but room i's.
 	type snapshot struct {
-		req  [rooms][]reqEntry
-		rep  [rooms][]msg.Reply
-		wait [rooms][]waitRec
+		req  [nRooms][]msg.Request
+		rep  [nRooms][]msg.Reply
+		wait [nRooms][]waitRec
 	}
 	windows := func(i int) (s snapshot) {
-		for k := range rooms {
+		for k := range nRooms {
 			if k != i {
 				s.req[k] = slices.Clone(rq[k].entries[:cap(rq[k].entries)])
 				s.rep[k] = slices.Clone(pq[k].entries[:cap(pq[k].entries)])
@@ -177,18 +200,18 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 	var id uint64
 	compactedInSlab, spilledCombined, waitSpills, spilledRemoves := 0, 0, 0, 0
 	for step := 0; step < 5000; step++ {
-		i := rng.Intn(rooms)
+		i := rng.Intn(nRooms)
 		q, p, w := &rq[i], &pq[i], &wb[i]
 		// A room that spilled and drained goes back to its slots, so the
 		// sequence spills many times.
 		if q.empty() && !inSlab(i) {
-			*q = reqQueue{entries: reqSlab[slots*i : slots*i : slots*i+slots], cap: 15}
+			*q = reqQueue{entries: reqSlab[slots*i : slots*i : slots*i+slots]}
 		}
 		if p.empty() && unsafe.SliceData(p.entries) != &repSlab[slots*i] {
-			*p = repQueue{entries: repSlab[slots*i : slots*i : slots*i+slots], cap: 15}
+			*p = repQueue{entries: repSlab[slots*i : slots*i : slots*i+slots]}
 		}
 		if w.len() == 0 && unsafe.SliceData(w.recs) != &waitSlab[waitSlots*i] {
-			*w = waitBuffer{recs: waitSlab[waitSlots*i : waitSlots*i : waitSlots*i+waitSlots], cap: 8}
+			*w = waitBuffer{recs: waitSlab[waitSlots*i : waitSlots*i : waitSlots*i+waitSlots]}
 		}
 		before := windows(i)
 		switch op := rng.Intn(7); {
@@ -198,19 +221,19 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 			if rng.Bernoulli(0.5) {
 				r.Op, r.Operand = msg.FetchAdd, int64(id)
 			}
-			if q.spaceFor(r.Packets()) {
+			if q.spaceFor(r.Packets(), 15) {
 				if q.head > 0 && len(q.entries) == cap(q.entries) && inSlab(i) {
 					compactedInSlab++
 				}
-				if q.head == 0 && len(q.entries) == cap(q.entries) && inSlab(i) && slices.ContainsFunc(rModel[i], func(e reqEntry) bool { return e.combined }) {
+				if q.head == 0 && len(q.entries) == cap(q.entries) && inSlab(i) && slices.ContainsFunc(rModel[i], func(e entry) bool { return e.combined }) {
 					spilledCombined++
 				}
-				q.push(&r)
-				rModel[i] = append(rModel[i], reqEntry{req: r})
+				q.push(&r, 15, &reqs)
+				rModel[i] = append(rModel[i], entry{req: r})
 			}
 			rep := r.Reply(int64(id) * 10)
-			if p.spaceFor(rep.Packets()) {
-				p.push(&rep)
+			if p.spaceFor(rep.Packets(), 15) {
+				p.push(&rep, 15, &reps)
 				pModel[i] = append(pModel[i], rep)
 			}
 		case op < 4: // pop both
@@ -235,33 +258,34 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 			if e.combined {
 				continue
 			}
-			if want := slices.IndexFunc(rModel[i], func(m reqEntry) bool {
+			if want := slices.IndexFunc(rModel[i], func(m entry) bool {
 				return !m.combined && m.req.Addr == e.req.Addr && msg.Combinable(m.req.Op, e.req.Op)
-			}); q.findCombinable(&e.req) != q.head+want {
-				t.Fatalf("step %d: queue %d findCombinable = %d, model says %d", step, i, q.findCombinable(&e.req)-q.head, want)
+			}); q.findCombinable(&e.req, &marks[i]) != q.head+want {
+				t.Fatalf("step %d: queue %d findCombinable = %d, model says %d", step, i, q.findCombinable(&e.req, &marks[i])-q.head, want)
 			}
-			if !q.updateCombined(q.head+j, e.req.Op, e.req.Operand+1) {
+			if !q.updateCombined(q.head+j, e.req.Op, e.req.Operand+1, 15) {
 				t.Fatalf("step %d: queue %d refused a combine that keeps its packets", step, i)
 			}
+			marks[i].add(waitRec{a: side{id: e.req.ID}}, 1<<30, &marked)
 			e.req.Operand++
 			e.combined = true
 		case op == 5: // add a wait record
-			if !w.hasSpace() {
+			if w.len() == 8 {
 				continue
 			}
 			if len(w.recs) == cap(w.recs) {
 				waitSpills++
 			}
 			id++
-			rec := waitRec{key: id, addr: msg.Addr{MM: i, Word: int(id)}, a: side{id: id, pe: i}, b: side{id: id + 1<<40, pe: i}}
-			w.add(rec)
+			rec := waitRec{a: side{id: id, pe: int32(i)}, b: side{id: id + 1<<40, pe: int32(i), issued: int64(id)}}
+			w.add(rec, 8, &waits)
 			wModel[i] = append(wModel[i], rec)
 		default: // remove a random wait record, found by its key
 			if len(wModel[i]) == 0 {
 				continue
 			}
 			j := rng.Intn(len(wModel[i]))
-			if got := w.find(wModel[i][j].key); got != j {
+			if got := w.find(wModel[i][j].a.id); got != j {
 				t.Fatalf("step %d: wait buffer %d finds record %d at %d", step, i, j, got)
 			}
 			if unsafe.SliceData(w.recs) != &waitSlab[waitSlots*i] {
@@ -271,7 +295,7 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 			wModel[i] = slices.Delete(wModel[i], j, j+1)
 		}
 		after := windows(i)
-		for k := range rooms {
+		for k := range nRooms {
 			if !slices.Equal(before.req[k], after.req[k]) || !slices.Equal(before.rep[k], after.rep[k]) || !slices.Equal(before.wait[k], after.wait[k]) {
 				t.Fatalf("step %d: an operation on room %d wrote the window of room %d", step, i, k)
 			}
@@ -281,7 +305,7 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 			for _, e := range rModel[k] {
 				packets += e.req.Packets()
 			}
-			if !slices.Equal(rq[k].entries[rq[k].head:], rModel[k]) || rq[k].occupancy() != packets {
+			if !slices.EqualFunc(rq[k].entries[rq[k].head:], rModel[k], func(r msg.Request, e entry) bool { return r == e.req }) || rq[k].occupancy() != packets {
 				t.Fatalf("step %d: request queue %d holds %v (%d packets), model %v (%d)",
 					step, k, rq[k].entries[rq[k].head:], rq[k].occupancy(), rModel[k], packets)
 			}
@@ -302,10 +326,11 @@ func TestQueueSpillKeepsOrder(t *testing.T) {
 }
 
 func TestRepQueue(t *testing.T) {
-	q := repQueue{cap: 4}
-	q.push(&msg.Reply{ID: 1, Op: msg.Load})  // 3 packets
-	q.push(&msg.Reply{ID: 2, Op: msg.Store}) // 1 packet
-	if q.spaceFor(1) {
+	var ps source[msg.Reply]
+	var q repQueue
+	q.push(&msg.Reply{ID: 1, Op: msg.Load}, 4, &ps)  // 3 packets
+	q.push(&msg.Reply{ID: 2, Op: msg.Store}, 4, &ps) // 1 packet
+	if q.spaceFor(1, 4) {
 		t.Fatal("full reply queue reports space")
 	}
 	var r msg.Reply

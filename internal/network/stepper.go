@@ -112,10 +112,6 @@ func (st *Stepper) sweep(kind phaseKind, cycle int64, s int, flags []uint8, per 
 // every message to at most one hop per cycle.
 func (st *Stepper) Step(cycle int64) {
 	t, act := st.n.topo, &st.n.act
-	if st.n.mmIn[0].entries == nil { // only a Step pushes into an MM arrival queue
-		st.n.carve() //ultravet:ok hotalloc one-time carve of the queue slabs before the network's first cycle
-	}
-
 	for s := -1; s < t.stages; s++ {
 		st.sweep(phForward, cycle, s, act.fwd[(s+1)*t.lines:(s+2)*t.lines], t.k)
 	}

@@ -177,7 +177,8 @@ func (s *SystolicQueue) matchAt(i int, it msg.Request) (int, bool) {
 
 // The systolic model marks a right-column entry that has acquired a
 // partner by flagging the high bit of its ID; the mark is stripped on
-// exit. (The abstract reqQueue tracks this with a boolean instead.)
+// exit. (The abstract reqQueue keeps the mark as its wait buffer's record
+// keyed by the entry's ID instead.)
 const combinedMark = uint64(1) << 63
 
 func markCombined(r msg.Request) msg.Request {

@@ -16,7 +16,7 @@ import (
 // mounted feed server's paths arrive cleaned by the outer mux. The one
 // answer that differs: an unclean path such as /x/../healthz, which a
 // ServeMux redirected (301) to its clean form, is a 404 on a bare feed
-// server (NewServer still redirects it through its /debug/pprof mux).
+// server. NewServer still redirects it, through its /debug/pprof mux.
 func TestFeedServerRoutes(t *testing.T) {
 	srv := NewFeedServer()
 	(&Feed{Server: srv}).Publish(obs.Snapshot{Cycle: 64, Injected: 9})
@@ -39,11 +39,20 @@ func TestFeedServerRoutes(t *testing.T) {
 		{name: "parent of an endpoint", method: http.MethodGet, path: "/trace", wantCode: http.StatusNotFound, wantBody: "404 page not found"},
 		{name: "root", method: http.MethodGet, path: "/", wantCode: http.StatusNotFound, wantBody: "404 page not found"},
 		{name: "pprof is not a feed endpoint", method: http.MethodGet, path: "/debug/pprof/", wantCode: http.StatusNotFound, wantBody: "404 page not found"},
+		{name: "unclean path", method: http.MethodGet, path: "/x/../healthz", wantCode: http.StatusNotFound, wantBody: "404 page not found"},
+		{name: "NewServer: pprof", method: http.MethodGet, path: "/debug/pprof/", wantCode: http.StatusOK, wantBody: "goroutine"},
+		{name: "NewServer: unclean path", method: http.MethodGet, path: "/x/../healthz", wantCode: http.StatusMovedPermanently},
+		{name: "NewServer: healthz", method: http.MethodGet, path: "/healthz", wantCode: http.StatusOK, wantBody: `"ok": true`},
 	}
+	full := NewServer()
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
+			h := srv.Handler()
+			if strings.HasPrefix(tt.name, "NewServer: ") {
+				h = full.Handler()
+			}
 			w := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(w, httptest.NewRequest(tt.method, tt.path, nil))
+			h.ServeHTTP(w, httptest.NewRequest(tt.method, tt.path, nil))
 			if w.Code != tt.wantCode {
 				t.Errorf("%s %s: code %d, want %d", tt.method, tt.path, w.Code, tt.wantCode)
 			}

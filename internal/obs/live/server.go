@@ -39,7 +39,7 @@ const followPollInterval = 25 * time.Millisecond
 // mixed plain/atomic rule still watches that this stays true), and
 // every State behind it is frozen before the swap.
 type Server struct {
-	mux *http.ServeMux
+	mux *http.ServeMux // NewServer's /debug/pprof handlers; nil on a feed server
 	cur atomic.Pointer[State]
 	// flight serves /trace/flight; set before Start (SetFlight).
 	flight FlightSource
@@ -78,6 +78,7 @@ func (s *Server) SetProfile(src ProfileSource) { s.profile = src }
 // when the process serves exactly one run (ultrasim/netperf -serve).
 func NewServer() *Server {
 	s := NewFeedServer()
+	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -87,20 +88,40 @@ func NewServer() *Server {
 }
 
 // NewFeedServer returns a server with only the feed-scoped endpoints
-// registered (/healthz, /metrics, /snapshot.json, /events,
-// /trace/flight, /profile) and no process-wide /debug/pprof. A process
-// serving many simultaneous runs builds one feed server per feed and
-// mounts each Handler under its own path prefix (http.StripPrefix), the
-// way internal/serve publishes one telemetry surface per session.
-func NewFeedServer() *Server {
-	s := &Server{mux: http.NewServeMux()}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/snapshot.json", s.handleSnapshot)
-	s.mux.HandleFunc("/events", s.handleEvents)
-	s.mux.HandleFunc("/trace/flight", s.handleFlight)
-	s.mux.HandleFunc("/profile", s.handleProfile)
-	return s
+// (/healthz, /metrics, /snapshot.json, /events, /trace/flight, /profile)
+// and no process-wide /debug/pprof. A process serving many simultaneous
+// runs builds one feed server per feed and mounts each Handler under its
+// own path prefix (http.StripPrefix), the way internal/serve publishes one
+// telemetry surface per session. It builds no ServeMux: registering a
+// pattern formats its source location, so a mux per session costs bytes
+// that grow with the length of the source path.
+func NewFeedServer() *Server { return &Server{} }
+
+// ServeHTTP serves the six feed endpoints by exact path, whatever the
+// method, as a ServeMux with those patterns does. Any other path goes to
+// NewServer's /debug/pprof mux, which redirects an unclean path to its
+// clean form; a feed server answers it 404.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/healthz":
+		s.handleHealthz(w, r)
+	case "/metrics":
+		s.handleMetrics(w, r)
+	case "/snapshot.json":
+		s.handleSnapshot(w, r)
+	case "/events":
+		s.handleEvents(w, r)
+	case "/trace/flight":
+		s.handleFlight(w, r)
+	case "/profile":
+		s.handleProfile(w, r)
+	default:
+		if s.mux == nil {
+			http.NotFound(w, r)
+			return
+		}
+		s.mux.ServeHTTP(w, r)
+	}
 }
 
 // Publish makes st the current State. st must not be mutated afterward.
@@ -111,7 +132,7 @@ func (s *Server) Publish(st *State) { s.cur.Store(st) }
 func (s *Server) Current() *State { return s.cur.Load() }
 
 // Handler returns the server's HTTP handler (for tests and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s }
 
 // Start listens on addr (":0" picks a free port), serves in a
 // background goroutine, and returns the http.Server plus the bound
@@ -121,7 +142,7 @@ func (s *Server) Start(addr string) (hs *http.Server, bound string, err error) {
 	if err != nil {
 		return nil, "", err
 	}
-	hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+	hs = &http.Server{Handler: s, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 	go func() { _ = hs.Serve(ln) }()
 	return hs, ln.Addr().String(), nil
 }

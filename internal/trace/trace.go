@@ -142,8 +142,10 @@ func Run(cfg network.Config, w Workload, warmup, measure int64) Result {
 		r.peRng[i].Seed(rng.Uint64()) // rng.Fork(), in place
 		r.burstOn[i] = i%2 == 0
 	}
+	rp := make([]replyPort, len(r.ports))
 	for mm := range r.ports {
-		r.ports[mm] = replyPort{net, mm}
+		rp[mm] = replyPort{net, mm}
+		r.ports[mm] = &rp[mm]
 	}
 	res := &r.res
 	res.PerModuleServed = make([]int64, n)
@@ -300,5 +302,5 @@ type replyPort struct {
 	mm  int
 }
 
-func (p replyPort) Dequeue() (msg.Request, bool) { return msg.Request{}, false }
-func (p replyPort) Reply(r msg.Reply) bool       { return p.net.MMReply(p.mm, r) }
+func (p *replyPort) Dequeue() (msg.Request, bool) { return msg.Request{}, false }
+func (p *replyPort) Reply(r msg.Reply) bool       { return p.net.MMReply(p.mm, r) }
