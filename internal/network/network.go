@@ -147,11 +147,9 @@ func New(cfg Config) *Network {
 // carve makes the network's rooms at its first inject, before any message
 // enters, and gives every room its first window from its source's first
 // chunk: three slots for each link queue and MM arrival queue, one for
-// each PE receive buffer and Collect buffer, and the per-stage combine
-// counters. Only a room holding more takes another window (DESIGN.md,
-// "Why a queue starts in a slab"); a wait buffer takes its first at its
-// first record. A later chunk holds at most one slot for every two rooms
-// its source serves.
+// each PE receive buffer and Collect buffer (DESIGN.md, "Why a queue
+// starts in a slab"); a wait buffer takes its first at its first record.
+// A later chunk holds at most one slot for every two rooms of its type.
 func (n *Network) carve() {
 	r := &alloc[rooms](1)[0]
 	r.collect = alloc[[]msg.Reply](n.topo.n)

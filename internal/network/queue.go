@@ -42,12 +42,15 @@ func (q *reqQueue) occupancy() int { return q.packets }
 // push appends a copy of *r, moving the queue to a larger window from src
 // when its own is full. The caller must have checked spaceFor.
 func (q *reqQueue) push(r *msg.Request, capacity int, src *source[msg.Request]) {
-	if q.head > 0 && len(q.entries) == cap(q.entries) {
-		n := copy(q.entries, q.entries[q.head:])
-		q.entries = q.entries[:n]
-		q.head = 0
+	if len(q.entries) == cap(q.entries) {
+		if q.head > 0 {
+			n := copy(q.entries, q.entries[q.head:])
+			q.entries = q.entries[:n]
+			q.head = 0
+		} else {
+			q.entries = src.grow(q.entries, 1, capacity) // a message is at least one packet
+		}
 	}
-	q.entries = src.grow(q.entries, 1, capacity) // a message is at least one packet
 	q.entries = append(q.entries, *r)
 	q.packets += r.Packets()
 }
@@ -114,12 +117,15 @@ func (q *repQueue) len() int                       { return len(q.entries) - q.h
 func (q *repQueue) occupancy() int                 { return q.packets }
 
 func (q *repQueue) push(r *msg.Reply, capacity int, src *source[msg.Reply]) {
-	if q.head > 0 && len(q.entries) == cap(q.entries) {
-		n := copy(q.entries, q.entries[q.head:])
-		q.entries = q.entries[:n]
-		q.head = 0
+	if len(q.entries) == cap(q.entries) {
+		if q.head > 0 {
+			n := copy(q.entries, q.entries[q.head:])
+			q.entries = q.entries[:n]
+			q.head = 0
+		} else {
+			q.entries = src.grow(q.entries, 1, capacity)
+		}
 	}
-	q.entries = src.grow(q.entries, 1, capacity)
 	q.entries = append(q.entries, *r)
 	q.packets += r.Packets()
 }
@@ -167,7 +173,9 @@ func (w *waitBuffer) len() int { return len(w.recs) }
 // add inserts a record, moving the buffer to a larger window from src when
 // its own is full. The caller must have checked len against capacity.
 func (w *waitBuffer) add(r waitRec, capacity int, src *source[waitRec]) {
-	w.recs = src.grow(w.recs, 1, capacity)
+	if len(w.recs) == cap(w.recs) {
+		w.recs = src.grow(w.recs, 1, capacity)
+	}
 	w.recs = append(w.recs, r)
 }
 
@@ -186,10 +194,9 @@ func (w *waitBuffer) find(id uint64) int {
 // remove deletes record i, keeping the others in order.
 func (w *waitBuffer) remove(i int) { w.recs = append(w.recs[:i], w.recs[i+1:]...) }
 
-// rooms is where a network's rooms take their storage, one source per
-// entry type, beside the per-stage combine counters (Stats.perStageCombines;
-// K >= 2 and MaxPorts bound Stages by 20) and Collect's per-PE scratch,
-// valid until that PE's next Collect. carve makes it.
+// rooms is a network's one source per entry type, beside the per-stage
+// combine counters (K >= 2 and MaxPorts bound Stages by 20) and Collect's
+// per-PE scratch, valid until that PE's next Collect. carve makes it.
 type rooms struct {
 	reqs     source[msg.Request]
 	reps     source[msg.Reply]
@@ -235,7 +242,7 @@ func (r *source[T]) grow(s []T, more, limit int) []T {
 }
 
 // alloc makes every piece of a network's room storage: its rooms and their
-// chunks, none before the first inject and O(log slots) per network.
+// chunks, none before the first inject.
 func alloc[T any](n int) []T {
-	return make([]T, n) //ultravet:ok hotalloc a network's rooms and chunks: once at its first inject, then O(log slots) per network
+	return make([]T, n) //ultravet:ok hotalloc a network's rooms and chunks: a few at its first inject, then one per doubling or per capped chunk of windows
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ultracomputer/internal/network"
@@ -56,7 +58,7 @@ func TestRunAllocBudget(t *testing.T) {
 		w := c.w
 		w.Rate, w.Hash, w.Seed = 0.20, true, 1001
 		var r Result
-		allocs := testing.AllocsPerRun(2, func() {
+		allocs := opObjects(func() {
 			if c.attach != nil {
 				c.attach(&w)
 			}
@@ -92,12 +94,7 @@ func TestRunObjectsSeedStable(t *testing.T) {
 		for i := range 10 {
 			w := c.w
 			w.Rate, w.Hash, w.Seed = 0.20, true, uint64(1000+7*i)
-			// The runtime's own growth adds an object to the odd run,
-			// never takes one away: a seed's count is the least of three.
-			allocs := math.Inf(1)
-			for range 3 {
-				allocs = min(allocs, testing.AllocsPerRun(1, func() { Run(cfg, w, 200, 500) }))
-			}
+			allocs := opObjects(func() { Run(cfg, w, 200, 500) })
 			least, most = min(least, allocs), max(most, allocs)
 		}
 		t.Logf("%s: %.0f to %.0f objects an op over ten seeds", c.name, least, most)
@@ -105,4 +102,19 @@ func TestRunObjectsSeedStable(t *testing.T) {
 			t.Errorf("%s: %.0f to %.0f objects an op over ten seeds, a spread over 4", c.name, least, most)
 		}
 	}
+}
+
+// opObjects counts the objects one call of op allocates: the least of three
+// runs with the collector off. A collection during a net op adds objects
+// to it (two, now and then eight), and the runtime's own growth in a young
+// process adds one to the odd run, never takes one away, so only then is
+// the count the code's and the seed's alone.
+func opObjects(op func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	least := math.Inf(1)
+	for range 3 {
+		least = min(least, testing.AllocsPerRun(1, op))
+	}
+	return least
 }
