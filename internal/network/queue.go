@@ -206,12 +206,10 @@ type rooms struct {
 }
 
 // source hands out windows of one entry type: full slice expressions over
-// a shared chunk, so an append past a window moves its room (grow) and
-// never reaches a neighbour's slots. A chunk is carved a window at a time;
-// the first is carve's, each later one twice the one before, from 32
-// slots up to most. Nothing is reused, neither a window its room has left
-// nor a chunk's rest too short for the next window (DESIGN.md, "Why a
-// queue starts in a slab").
+// a shared chunk, so a room outgrowing one moves (grow) and never reaches
+// a neighbour's slots. The first chunk is carve's; each later one is twice
+// the one before, from 32 slots up to most. Nothing is reused: not a window
+// its room left, nor a chunk's rest too short for the next window.
 type source[T any] struct {
 	free []T // the newest chunk's slots in no window yet
 	next int // the size of the last chunk take made
