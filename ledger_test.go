@@ -16,6 +16,7 @@ import (
 
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/machine"
+	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/serve"
 	"ultracomputer/internal/trace"
@@ -189,7 +190,7 @@ func ledgerOps(t *testing.T) []ledgerOp {
 		return func() []ledgerCount { return reportCounts(guestOpRun(t, prog, iters, ideal).Report()) }
 	}
 	load := kernel(64)
-	return []ledgerOp{
+	return append([]ledgerOp{
 		{"net-uniform", net(trace.Workload{}, nil)},
 		{"net-hotspot", net(hotspotWorkload, nil)},
 		{"net-observed", net(trace.Workload{}, observeNet(obs.NewRecorder(1<<16)))},
@@ -200,7 +201,49 @@ func ledgerOps(t *testing.T) []ledgerOp {
 			guestLoad(t, load, false)
 			return nil
 		}},
+	}, sweepOps()...)
+}
+
+// sweepOps are trace.Run ops the benchmark never runs: the net op's 64
+// ports, hashing, seed and cycles, at loads from light to past
+// saturation, on other switches, copies and traffic. What a run is told
+// about its traffic before cycle 0 must pay off at every load, so their
+// objects and bytes may only fall as the benchmark ops' may, and the
+// simulated rows show that a change to what a run allocates leaves the
+// traffic alone.
+func sweepOps() []ledgerOp {
+	k2 := network.Config{K: 2, Stages: 6, Copies: 1, Combining: true}
+	k4 := network.Config{K: 4, Stages: 3, Copies: 1, Combining: true}
+	copies2 := network.Config{K: 2, Stages: 6, Copies: 2, Combining: true}
+	hot := hotspotWorkload
+	var ops []ledgerOp
+	for _, s := range []struct {
+		name string
+		cfg  network.Config
+		w    trace.Workload
+		rate float64
+	}{
+		{"sweep-k2-uniform-p0.05", k2, trace.Workload{}, 0.05},
+		{"sweep-k2-uniform-p0.3", k2, trace.Workload{}, 0.3},
+		{"sweep-k2-uniform-p0.7", k2, trace.Workload{}, 0.7},
+		{"sweep-k2-hotspot-p0.3", k2, hot, 0.3},
+		{"sweep-k2-hotspot-p0.7", k2, hot, 0.7},
+		{"sweep-k4-uniform-p0.3", k4, trace.Workload{}, 0.3},
+		{"sweep-k2-copies2-p0.4", copies2, trace.Workload{}, 0.4},
+		{"sweep-k2-bursty-p0.2", k2, trace.Workload{Burstiness: 50}, 0.2},
+	} {
+		w := s.w
+		w.Rate, w.Hash, w.Seed = s.rate, true, 1001
+		cfg := s.cfg
+		ops = append(ops, ledgerOp{s.name, func() []ledgerCount {
+			r := trace.Run(cfg, w, netWarmup, netMeasure)
+			return []ledgerCount{
+				{"offered", r.Offered}, {"injected", r.Injected},
+				{"served", r.Served}, {"combines", r.Combines},
+			}
+		}})
 	}
+	return ops
 }
 
 // reportCounts is the simulated counts of a guest run's Report.
