@@ -247,19 +247,22 @@ prof-host:
 # retires the private instructions of the guest-ideal kernel in bursts:
 # at most 0.04 Core.Tick calls per retired instruction (a count; ≥ 1
 # when every instruction takes its own tick). The cost ledger
-# (ledger_test.go, testdata/ledger.golden) holds each root benchmark op and
-# Load of the 64-PE guest shape to its objects and bytes, which may only
-# fall, and to its simulated counts, which may not move. The two
+# (ledger_test.go, testdata/ledger.golden) holds each root benchmark op,
+# Load of the 64-PE guest shape and eight trace.Run ops from light load to
+# past saturation to their objects and bytes, which may only fall, and to
+# their simulated counts, which may not move. The two
 # benchmark-shaped trace.Run ops allocate as many objects on every one of
 # ten seeds, give or take 4 (SeedStable). The ledger then runs again from a
 # copy of the tree at a path of more than 60 characters: no row may follow
-# the checkout path.
+# the checkout path. There the analyzers' tests run under -trimpath too,
+# which leaves the binary no GOROOT of its own.
 LONG_PATH = ledger-from-a-checkout-at-a-path-of-more-than-sixty-chars
 bench-guard:
 	$(GO) test . ./internal/obs/ ./internal/obs/reqtrace/ ./internal/obs/prof/ ./internal/obs/live/ ./internal/machine/ ./internal/network/ ./internal/serve/ ./internal/cache/ ./internal/isa/ ./internal/pe/ ./internal/trace/ ./internal/memory/ -run 'ZeroAlloc|AllocBudget|PumpBudget|EventSize|TickBudget|SeedStable' -count=1 -v
 	@tmp=$$(mktemp -d) && dir=$$tmp/$(LONG_PATH) && mkdir -p "$$dir" && \
 	tar --exclude=./.git --exclude=./.bench_build -cf - . | tar -xf - -C "$$dir" && \
-	(cd "$$dir" && $(GO) test . -run TestLedgerAllocBudget -count=1); \
+	(cd "$$dir" && $(GO) test . -run TestLedgerAllocBudget -count=1 && \
+		$(GO) test -trimpath ./internal/lint/... -count=1); \
 	st=$$?; rm -rf "$$tmp"; exit $$st
 
 # Guest-profiler smoke: profile queue.s end to end in both export

@@ -3,14 +3,17 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed and type-checked package.
@@ -52,9 +55,29 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:       fset,
 		ModulePath: modPath,
 		ModuleRoot: root,
-		std:        importer.ForCompiler(fset, "source", nil),
+		std:        stdImporter(fset),
 		pkgs:       map[string]*Package{},
 	}, nil
+}
+
+// findGOROOT runs once per process: see stdImporter.
+var findGOROOT sync.Once
+
+// stdImporter returns the standard library's source importer, which finds
+// the library under build.Default.GOROOT. The runtime fills that from
+// $GOROOT or from the path compiled into the binary, and a binary built
+// with -trimpath has no such path, so without $GOROOT the go tool is
+// asked where its library is.
+func stdImporter(fset *token.FileSet) types.Importer {
+	findGOROOT.Do(func() {
+		if build.Default.GOROOT != "" {
+			return
+		}
+		if out, err := exec.Command("go", "env", "GOROOT").Output(); err == nil {
+			build.Default.GOROOT = strings.TrimSpace(string(out))
+		}
+	})
+	return importer.ForCompiler(fset, "source", nil)
 }
 
 // findModule walks up from dir to the first go.mod and reads its module

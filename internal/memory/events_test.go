@@ -39,7 +39,7 @@ func TestBankEventsOneChannel(t *testing.T) {
 	// Module 1 gets the sampled request, module 0 the unsampled one.
 	ports := []*scriptPort{
 		{in: []msg.Request{{ID: 7, PE: 3, Op: msg.Load, Addr: msg.Addr{MM: 0, Word: 4}}}},
-		{in: []msg.Request{{ID: 9, PE: 2, Op: msg.FetchAdd, Addr: msg.Addr{MM: 1, Word: 6}, Operand: 1, TC: msg.TraceCtx{ID: 9}}}},
+		{in: []msg.Request{{ID: 9, PE: 2, Op: msg.FetchAdd, Addr: msg.Addr{MM: 1, Word: 6}, Operand: 1, TC: msg.TraceCtx{Sampled: true}}}},
 	}
 	for cycle := int64(0); cycle < 4; cycle++ {
 		for mm := len(ports) - 1; mm >= 0; mm-- { // descending: emission follows stepping

@@ -199,6 +199,17 @@ func NewBank(n int, latency int64, h Hasher) *Bank {
 	return b
 }
 
+// Reserve gives the bank room for words written words in one table,
+// kept at most three quarters full as set keeps it, so that the table
+// does not double until more words than that are written. A run that
+// knows its writes before cycle 0 calls it once, before the first; a
+// table that already has the room is left as it is.
+func (b *Bank) Reserve(words int) {
+	if words > 0 {
+		b.words.tab.Reserve((4*words + 2) / 3)
+	}
+}
+
 // Read reads the word at linear shared address a, bypassing timing.
 func (b *Bank) Read(a int64) int64 {
 	addr := b.Hash.Map(a)

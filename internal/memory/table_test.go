@@ -44,11 +44,17 @@ func checkLoad(t *testing.T, tab *wordTable) {
 // address is the byte's top five bits, so that small scripts meet
 // again). A write's value is the next byte as a signed number; a run is
 // the next byte + 1 times 16 writes to a, a+s, a+2s, … for the stride s
-// in the byte after it, which grows the table across doublings. The
-// corpus under testdata/fuzz/FuzzWordTable holds growth under each
-// hasher, negative words, zero writes and the words whose key is 0.
+// in the byte after it, which grows the table across doublings.
+//
+// Before operation reserveAt of the script the bank reserves room for
+// reserve mod 8192 words (Bank.Reserve), which must leave what it holds
+// unchanged and give the table that room at three quarters full: from
+// then on, while the table holds no more words than the room, it may not
+// grow. The corpus under testdata/fuzz/FuzzWordTable holds growth under
+// each hasher, negative words, zero writes, the words whose key is 0, and
+// a reservation before the first write and after some, each outgrown.
 func FuzzWordTable(f *testing.F) {
-	f.Fuzz(func(t *testing.T, interleave bool, modules uint8, script []byte) {
+	f.Fuzz(func(t *testing.T, interleave bool, modules uint8, script []byte, reserveAt uint8, reserve uint16) {
 		n := int(modules%64) + 1
 		var h Hasher = MultHash{N: n}
 		if interleave {
@@ -82,7 +88,15 @@ func FuzzWordTable(f *testing.F) {
 				ownStored[int(a)] = true
 			}
 		}
-		for len(script) > 0 {
+		room, slots := int(reserve%8192), -1 // slots: the table's at the reserve step
+		for step := 0; len(script) > 0; step++ {
+			if step == int(reserveAt) {
+				b.Reserve(room)
+				slots = b.words.tab.Slots()
+				if 4*room > 3*slots {
+					t.Fatalf("%T bank: Reserve(%d) left %d slots, under %d words at three quarters", h, room, slots, room)
+				}
+			}
 			op := next()
 			a := int64(op >> 3)
 			if op&4 != 0 && len(script) >= 8 {
@@ -109,6 +123,9 @@ func FuzzWordTable(f *testing.F) {
 				for i := range count {
 					write(a+int64(i)*stride, int64(i)+1)
 				}
+			}
+			if slots >= 0 && b.words.tab.Len() <= room && b.words.tab.Slots() != slots {
+				t.Fatalf("%T bank: %d words in a room of %d, and %d slots became %d", h, b.words.tab.Len(), room, slots, b.words.tab.Slots())
 			}
 		}
 		for p, want := range ref {

@@ -81,23 +81,24 @@ const (
 // TraceCtx is the compact causal-tracing context a sampled request
 // carries from PE issue through every switch stage to the memory module
 // and back (internal/obs/reqtrace). A zero context marks an untraced
-// request, so every hop-record site pays one integer compare when
-// tracing is off. ID is the span identifier (the request's own network
-// ID for spans opened at issue; a request adopted mid-flight when a
-// traced partner combines into it uses its own ID too), and Hops counts
-// the forward hops recorded so far — the hop-vector length, used by the
-// span assembler as a path-depth cross-check.
+// request, so every hop-record site pays one compare when tracing is off.
+// Sampled marks a traced carrier, whose span is named by the carrier's
+// own ID (a request adopted mid-flight, when a traced partner combines
+// into it, is traced under its own ID too), and Hops counts the forward
+// hops recorded so far — the hop-vector length, used by the span
+// assembler as a path-depth cross-check.
 //
 // The context is modeled as out-of-band metadata (the hardware would
 // widen the D-bit amalgam by a few tag bits); it does not contribute to
-// Packets.
+// Packets. Its two bytes ride in the padding after a message's Op and
+// Copy.
 type TraceCtx struct {
-	ID   uint64
-	Hops uint8
+	Sampled bool
+	Hops    uint8
 }
 
 // Traced reports whether the carrier is a sampled request.
-func (t TraceCtx) Traced() bool { return t.ID != 0 }
+func (t TraceCtx) Traced() bool { return t.Sampled }
 
 // Request is a PE-to-MM message. The paper transmits only a D-bit amalgam
 // of origin and destination (each stage-j switch overwrites destination
@@ -108,15 +109,15 @@ func (t TraceCtx) Traced() bool { return t.ID != 0 }
 // network stamps both when it accepts the request, and the reply owed to
 // it (see Reply) carries them home.
 type Request struct {
-	ID      uint64 // unique tag assigned by the issuing PNI
-	PE      int    // originating processing element
-	Op      Op
-	Copy    uint8 // network copy carrying the request; its reply returns there
+	ID   uint64 // unique tag assigned by the issuing PNI
+	PE   int    // originating processing element
+	Op   Op
+	Copy uint8 // network copy carrying the request; its reply returns there
+	// TC is the causal-tracing context; zero for untraced requests.
+	TC      TraceCtx
 	Addr    Addr
 	Operand int64 // store datum or fetch-and-phi operand
 	Issued  int64 // network cycle of injection (round-trip latency)
-	// TC is the causal-tracing context; zero for untraced requests.
-	TC TraceCtx
 }
 
 // Packets reports the request's length in network packets.
@@ -136,16 +137,16 @@ func (r Request) String() string {
 // Request.Reply: a reply that drops Copy returns through copy 0 whichever
 // copy carried its request.
 type Reply struct {
-	ID     uint64
-	PE     int
-	Op     Op
-	Copy   uint8 // the request's: the copy the reply returns through
+	ID   uint64
+	PE   int
+	Op   Op
+	Copy uint8 // the request's: the copy the reply returns through
+	// TC is the causal-tracing context carried back from the request;
+	// replies synthesized by decombining carry the side's own context.
+	TC     TraceCtx
 	Addr   Addr
 	Value  int64 // the fetched (old) value; undefined for Store
 	Issued int64 // the request's: network cycle of injection
-	// TC is the causal-tracing context carried back from the request;
-	// replies synthesized by decombining carry the side's own context.
-	TC TraceCtx
 }
 
 // Reply builds the reply owed to r, carrying value and everything of the

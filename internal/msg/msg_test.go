@@ -61,13 +61,18 @@ func TestPackets(t *testing.T) {
 // TestMessageSizes pins what a hop copies: a message crosses a link by
 // value (queue entry, then server record), so a field added to either
 // struct is paid on every hop and should be a decision, not an accident.
-// Copy sits in Op's padding; Issued is a word of its own.
+// Copy and the two bytes of TC sit in Op's padding; Issued is a word of
+// its own. The trace context names no span: a traced carrier's span is
+// its own ID, so the context is a flag and a hop count.
 func TestMessageSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Request{}); got != 72 {
-		t.Errorf("Request is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(TraceCtx{}); got != 2 {
+		t.Errorf("TraceCtx is %d bytes, want 2", got)
 	}
-	if got := unsafe.Sizeof(Reply{}); got != 72 {
-		t.Errorf("Reply is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(Request{}); got != 56 {
+		t.Errorf("Request is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(Reply{}); got != 56 {
+		t.Errorf("Reply is %d bytes, want 56", got)
 	}
 }
 
@@ -78,11 +83,11 @@ func TestMessageSizes(t *testing.T) {
 func TestRequestReplyCarriesEverything(t *testing.T) {
 	r := Request{
 		ID: 11, PE: 22, Op: FetchAdd, Copy: 3, Addr: Addr{MM: 44, Word: 55},
-		Operand: 66, Issued: 77, TC: TraceCtx{ID: 88, Hops: 9},
+		Operand: 66, Issued: 77, TC: TraceCtx{Sampled: true, Hops: 9},
 	}
 	want := Reply{
 		ID: 11, PE: 22, Op: FetchAdd, Copy: 3, Addr: Addr{MM: 44, Word: 55},
-		Value: 99, Issued: 77, TC: TraceCtx{ID: 88, Hops: 9},
+		Value: 99, Issued: 77, TC: TraceCtx{Sampled: true, Hops: 9},
 	}
 	if got := r.Reply(99); got != want {
 		t.Fatalf("Reply(99) = %+v, want %+v", got, want)

@@ -466,7 +466,7 @@ func TestPumpBudgetUnderTraffic(t *testing.T) {
 			if rng.Bernoulli(0.2) {
 				id := uint64(pe)<<32 | uint64(h.cycle+1)
 				h.st.Inject(pe, msg.Request{
-					ID: id, PE: pe, Op: msg.FetchAdd, Operand: 1, TC: msg.TraceCtx{ID: id},
+					ID: id, PE: pe, Op: msg.FetchAdd, Operand: 1, TC: msg.TraceCtx{Sampled: true},
 					Addr: msg.Addr{MM: rng.Intn(ports), Word: rng.Intn(64)},
 				}, h.cycle)
 			}
@@ -522,20 +522,20 @@ func TestSweepVisitsExactlyFlaggedUnits(t *testing.T) {
 			flags, stage = n.act.fwd[lines:2*lines], 0
 			for p := range flags {
 				id := uint64(p + 1)
-				n.fwd[lines+p].q.push(&msg.Request{ID: id, TC: msg.TraceCtx{ID: id}}, n.cfg.QueueCapacity, &n.room.reqs)
+				n.fwd[lines+p].q.push(&msg.Request{ID: id, TC: msg.TraceCtx{Sampled: true}}, n.cfg.QueueCapacity, &n.room.reqs)
 			}
 		case phReverse: // the links out of stage 1
 			flags = n.act.rev[lines : 2*lines]
 			for p := range flags {
 				id := uint64(p + 1)
-				n.rev[lines+p].q.push(&msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}}, n.cfg.QueueCapacity, &n.room.reps)
+				n.rev[lines+p].q.push(&msg.Reply{ID: id, TC: msg.TraceCtx{Sampled: true}}, n.cfg.QueueCapacity, &n.room.reps)
 			}
 		case phDeferred: // the units' stage-0 registers
 			flags, per = n.act.deferred, 1
 			for u := range flags {
 				id := uint64(u + 1)
 				n.revDefer[u*n.topo.stages] = deferredReply{
-					rep: msg.Reply{ID: id, TC: msg.TraceCtx{ID: id}}, at: n.revAt(0, u*tc.cfg.K), valid: true,
+					rep: msg.Reply{ID: id, TC: msg.TraceCtx{Sampled: true}}, at: n.revAt(0, u*tc.cfg.K), valid: true,
 				}
 			}
 		}

@@ -161,10 +161,10 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64) bool {
 							// its entry so the combined request's
 							// onward hops are recorded too.
 							if !aTC.Traced() {
-								aTC = msg.TraceCtx{ID: old.ID, Hops: r.TC.Hops}
+								aTC = msg.TraceCtx{Sampled: true, Hops: r.TC.Hops}
 							}
 							if !bTC.Traced() {
-								bTC = msg.TraceCtx{ID: r.ID, Hops: old.TC.Hops}
+								bTC = msg.TraceCtx{Sampled: true, Hops: old.TC.Hops}
 							}
 							q.entries[i].TC = aTC
 						}
@@ -190,7 +190,7 @@ func (n *Network) enqueueForward(s, u int, r *msg.Request, cycle int64) bool {
 		return false
 	}
 	n.pushFwd(at, r, capacity)
-	if r.TC.ID != 0 {
+	if r.TC.Traced() {
 		q.entries[len(q.entries)-1].TC.Hops++ // the queued copy's, not the sender's
 	}
 	if to := n.fan.Subs().For(obs.KindStageArrive, r.TC.Traced()); to != 0 {

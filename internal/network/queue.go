@@ -152,9 +152,9 @@ type side struct {
 	id     uint64
 	issued int64
 	plan   msg.ReplyPlan
-	tc     msg.TraceCtx
 	pe     int32 // < MaxPorts
 	op     msg.Op
+	tc     msg.TraceCtx
 }
 
 // waitRec is one wait buffer entry, keyed by a.id, the ID of the forwarded

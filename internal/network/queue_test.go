@@ -136,6 +136,18 @@ func TestWaitBuffer(t *testing.T) {
 	}
 }
 
+// TestWaitRecordSizes pins what a combine stores and a decombine reads: a
+// side keeps its trace context, a flag and a hop count, in the padding
+// after pe and op, so a record is two 56-byte sides.
+func TestWaitRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(side{}); got != 56 {
+		t.Errorf("side is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(waitRec{}); got != 112 {
+		t.Errorf("waitRec is %d bytes, want 112", got)
+	}
+}
+
 // TestQueueSpillKeepsOrder drives three request queues, three reply
 // queues and three wait buffers, carved side by side from one slab per
 // entry type as Network.carve carves them, through seeded pushes, pops,

@@ -157,12 +157,12 @@ func splitmix64(x uint64) uint64 {
 // whatever the timing.
 func (t *Tracer) ContextFor(id uint64) msg.TraceCtx {
 	if t.all {
-		return msg.TraceCtx{ID: id}
+		return msg.TraceCtx{Sampled: true}
 	}
 	if t.thr == 0 || splitmix64(id^t.seed) >= t.thr {
 		return msg.TraceCtx{}
 	}
-	return msg.TraceCtx{ID: id}
+	return msg.TraceCtx{Sampled: true}
 }
 
 // Rate reports the configured sampling rate.

@@ -35,8 +35,8 @@ func TestContextForSampling(t *testing.T) {
 				t.Fatalf("rate %v: ContextFor(%#x) is not a pure function of the ID", rate, id(i))
 			}
 			if tc.Traced() {
-				if tc.ID != id(i) {
-					t.Fatalf("rate %v: context of %#x names request %#x", rate, id(i), tc.ID)
+				if tc.Hops != 0 {
+					t.Fatalf("rate %v: context of %#x opens with %d hops", rate, id(i), tc.Hops)
 				}
 				hits++
 			}

@@ -69,6 +69,34 @@ func (w Workload) withDefaults() Workload {
 	return w
 }
 
+// stableLoad bounds the offered load ρ = peak·M/D under which Run sizes
+// the bank's table for the writes its workload offers, where peak is the
+// rate a PE offers at (2×Rate in an on phase), M = msg.PacketsWithData
+// and D the network copies. Below the capacity d/m of the §4.1 model the
+// network accepts and memory serves nearly every request offered, so the
+// offered writes are the run's; near and past it, most of what is offered
+// is refused, and a table sized from the offer would be larger than the
+// one the run grows to. The bound keeps that margin (DESIGN.md, "One
+// open-addressed table").
+const stableLoad = 0.75
+
+// stableWrites is the number of words w offers to write over cycles on
+// ports PEs through copies network copies: the requests it offers that
+// are not loads, less those at the hot word, plus the hot word, at most
+// Words. It is zero past stableLoad, where the table grows as the run
+// writes.
+func (w Workload) stableWrites(copies, ports int, cycles int64) int {
+	peak := w.Rate
+	if w.Burstiness > 0 {
+		peak = 2 * w.Rate
+	}
+	if peak*msg.PacketsWithData/float64(copies) > stableLoad {
+		return 0
+	}
+	writes := float64(ports) * float64(cycles) * w.Rate * (1 - w.LoadFrac) * (1 - w.HotFraction)
+	return int(min(writes+1, float64(w.Words)))
+}
+
 // Result aggregates a measurement run.
 type Result struct {
 	// Offered counts generation attempts; Injected those the network
@@ -116,6 +144,7 @@ func Run(cfg network.Config, w Workload, warmup, measure int64) Result {
 		hash = memory.Interleave{N: n}
 	}
 	bank := memory.NewBank(n, w.MMLatency, hash)
+	bank.Reserve(w.stableWrites(net.Config().Copies, n, warmup+measure))
 	rec, tr, pr := w.Probes()
 	if w.Profiler != nil {
 		w.Profiler.SetMMs(len(bank.Modules))

@@ -177,3 +177,39 @@ func TestQueueCapacityAblation(t *testing.T) {
 			small.OneWay.Value(), big.OneWay.Value())
 	}
 }
+
+// TestStableWrites pins the reservation rule: Run sizes the bank's table
+// for the writes a workload offers only while the offered load ρ =
+// peak·M/D stays at or below stableLoad, and then for the requests that
+// are not loads and not at the hot word, plus the hot word, at most
+// Words. The benchmark's p = 0.2 (ρ = 0.6) reserves; p = 0.3 (ρ = 0.9),
+// the same mean rate offered in bursts (peak 0.4), and the saturated
+// loads do not; two copies halve ρ.
+func TestStableWrites(t *testing.T) {
+	const ports, cycles = 64, 700
+	hot := Workload{HotFraction: 0.10, LoadFrac: 0.5, StoreFrac: 0.2}
+	for _, c := range []struct {
+		name   string
+		w      Workload
+		copies int
+		want   int
+	}{
+		{"uniform p=0.2", Workload{Rate: 0.2}, 1, 8961},
+		{"uniform p=0.05", Workload{Rate: 0.05}, 1, 2241},
+		{"hot spot p=0.2", func() Workload { w := hot; w.Rate = 0.2; return w }(), 1, 4033},
+		{"uniform p=0.25, at the bound", Workload{Rate: 0.25}, 1, 11201},
+		{"uniform p=0.3", Workload{Rate: 0.3}, 1, 0},
+		{"hot spot p=0.7", func() Workload { w := hot; w.Rate = 0.7; return w }(), 1, 0},
+		{"bursty p=0.2", Workload{Rate: 0.2, Burstiness: 50}, 1, 0},
+		{"two copies p=0.4", Workload{Rate: 0.4}, 2, 17921},
+		{"capped at Words", Workload{Rate: 0.2, Words: 4096}, 1, 4096},
+	} {
+		w := c.w
+		if w.Words == 0 {
+			w.Words = 1 << 20
+		}
+		if got := w.stableWrites(c.copies, ports, cycles); got != c.want {
+			t.Errorf("%s: stableWrites = %d, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -215,7 +215,6 @@ func sweepOps() []ledgerOp {
 	k2 := network.Config{K: 2, Stages: 6, Copies: 1, Combining: true}
 	k4 := network.Config{K: 4, Stages: 3, Copies: 1, Combining: true}
 	copies2 := network.Config{K: 2, Stages: 6, Copies: 2, Combining: true}
-	hot := hotspotWorkload
 	var ops []ledgerOp
 	for _, s := range []struct {
 		name string
@@ -226,17 +225,16 @@ func sweepOps() []ledgerOp {
 		{"sweep-k2-uniform-p0.05", k2, trace.Workload{}, 0.05},
 		{"sweep-k2-uniform-p0.3", k2, trace.Workload{}, 0.3},
 		{"sweep-k2-uniform-p0.7", k2, trace.Workload{}, 0.7},
-		{"sweep-k2-hotspot-p0.3", k2, hot, 0.3},
-		{"sweep-k2-hotspot-p0.7", k2, hot, 0.7},
+		{"sweep-k2-hotspot-p0.3", k2, hotspotWorkload, 0.3},
+		{"sweep-k2-hotspot-p0.7", k2, hotspotWorkload, 0.7},
 		{"sweep-k4-uniform-p0.3", k4, trace.Workload{}, 0.3},
 		{"sweep-k2-copies2-p0.4", copies2, trace.Workload{}, 0.4},
 		{"sweep-k2-bursty-p0.2", k2, trace.Workload{Burstiness: 50}, 0.2},
 	} {
 		w := s.w
 		w.Rate, w.Hash, w.Seed = s.rate, true, 1001
-		cfg := s.cfg
 		ops = append(ops, ledgerOp{s.name, func() []ledgerCount {
-			r := trace.Run(cfg, w, netWarmup, netMeasure)
+			r := trace.Run(s.cfg, w, netWarmup, netMeasure)
 			return []ledgerCount{
 				{"offered", r.Offered}, {"injected", r.Injected},
 				{"served", r.Served}, {"combines", r.Combines},
