@@ -74,10 +74,10 @@ func (w Workload) withDefaults() Workload {
 // rate a PE offers at (2×Rate in an on phase), M = msg.PacketsWithData
 // and D the network copies. Below the capacity d/m of the §4.1 model the
 // network accepts and memory serves nearly every request offered, so the
-// offered writes are the run's; near and past it, most of what is offered
-// is refused, and a table sized from the offer would be larger than the
-// one the run grows to. The bound keeps that margin (DESIGN.md, "One
-// open-addressed table").
+// offered writes are the run's; near and past it, the network refuses
+// more and more of the offer (most of it at p = 0.7), and a table sized
+// from the offer can be larger than the one the run grows to. The bound
+// keeps that margin (DESIGN.md, "One open-addressed table").
 const stableLoad = 0.75
 
 // stableWrites is the number of words w offers to write over cycles on
